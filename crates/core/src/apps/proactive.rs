@@ -136,7 +136,8 @@ impl ProactiveFabric {
     /// current view: SELECT groups toward every other switch, then the
     /// per-host rules, in deterministic install order.
     fn desired_program(&self, ctl: &Ctl<'_, '_>, switch: Dpid) -> SwitchProgram {
-        let (graph, dpids, index) = ctl.view.graph(0);
+        let routes = ctl.view.routes();
+        let (graph, dpids, index) = (&routes.graph, &routes.dpids, &routes.index);
         let mut program = SwitchProgram {
             groups: Vec::new(),
             flows: Vec::new(),
@@ -146,8 +147,8 @@ impl ProactiveFabric {
                 if dst_dpid == switch {
                     continue;
                 }
-                let dist = dists_to(&graph, dst_pos as u32);
-                let hops = ecmp_next_hops(&graph, my_ix, &dist);
+                let dist = dists_to(graph, dst_pos as u32);
+                let hops = ecmp_next_hops(graph, my_ix, &dist);
                 let mut buckets = Vec::new();
                 for edge_ix in hops {
                     let next_dpid = dpids[graph.edge(edge_ix).to as usize];
@@ -267,7 +268,8 @@ impl ProactiveFabric {
         };
         let old_groups = std::mem::take(&mut self.epoch_groups);
         let mut txn = ctl.txn().per_packet().owned_by("proactive-fabric", epoch);
-        let (graph, dpids, index) = ctl.view.graph(0);
+        let routes = ctl.view.routes();
+        let (graph, dpids, index) = (&routes.graph, &routes.dpids, &routes.index);
         for &switch in switch_list {
             txn.retire_flows_by_cookie(switch, old_cookie);
             if let Some(&my_ix) = index.get(&switch) {
@@ -275,8 +277,8 @@ impl ProactiveFabric {
                     if dst_dpid == switch {
                         continue;
                     }
-                    let dist = dists_to(&graph, dst_pos as u32);
-                    let hops = ecmp_next_hops(&graph, my_ix, &dist);
+                    let dist = dists_to(graph, dst_pos as u32);
+                    let hops = ecmp_next_hops(graph, my_ix, &dist);
                     let mut buckets = Vec::new();
                     for edge_ix in hops {
                         let next_dpid = dpids[graph.edge(edge_ix).to as usize];

@@ -11,7 +11,6 @@ use std::any::Any;
 use std::collections::BTreeMap;
 
 use zen_dataplane::{Action, FlowMatch, FlowSpec, PortNo};
-use zen_graph::dijkstra;
 use zen_sim::{Duration, Instant};
 use zen_wire::ethernet::Frame;
 
@@ -123,26 +122,16 @@ impl App for ReactiveForwarding {
             self.flood_to_edges(ctl, (dpid, in_port), frame);
             return Disposition::Handled;
         }
-        let Some(&host) = ctl.view.hosts.get(&dst) else {
+        let Some(&host) = ctl.view.hosts().get(&dst) else {
             // Unknown unicast: deliver everywhere a host could be.
             self.flood_to_edges(ctl, (dpid, in_port), frame);
             return Disposition::Handled;
         };
 
-        // Shortest path from the punting switch to the host's switch.
-        let (graph, dpids, index) = ctl.view.graph(0);
-        let (Some(&src_ix), Some(&dst_ix)) = (index.get(&dpid), index.get(&host.dpid)) else {
+        // Shortest path from the punting switch to the host's switch;
+        // unknown switch or partitioned: drop.
+        let Some(hops) = ctl.view.routes().hops(dpid, host.dpid) else {
             return Disposition::Handled;
-        };
-        let hops: Vec<Dpid> = if src_ix == dst_ix {
-            vec![dpid]
-        } else {
-            let sp = dijkstra(&graph, src_ix);
-            let Some(path) = sp.path_to(&graph, dst_ix) else {
-                // Partitioned: drop.
-                return Disposition::Handled;
-            };
-            path.nodes.iter().map(|&ix| dpids[ix as usize]).collect()
         };
 
         // Install (eth_src, eth_dst) flows hop by hop. Switches inside

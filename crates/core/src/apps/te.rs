@@ -37,6 +37,7 @@ use std::any::Any;
 use std::collections::BTreeMap;
 
 use zen_dataplane::{Action, Bucket, FlowMatch, FlowSpec, GroupDesc, GroupType, PortNo};
+use zen_graph::Graph;
 use zen_te::{allocate, quantize_splits, DemandMatrix};
 use zen_wire::Ipv4Cidr;
 
@@ -207,7 +208,18 @@ impl TrafficEngineering {
 
     fn install_all(&mut self, ctl: &mut Ctl<'_, '_>) {
         self.installs += 1;
-        let (graph, dpids, index) = ctl.view.graph(self.capacity_bps);
+        // The whole generation rollout is declared as one relaxed
+        // transaction: operations go out in staging order, exactly as
+        // the loose calls used to.
+        let mut txn = ctl.txn();
+        // The shared topology with this app's line rate on every edge
+        // (same edge order, so path edge indices agree).
+        let routes = ctl.view.routes();
+        let (dpids, index) = (&routes.dpids, &routes.index);
+        let mut graph = Graph::with_nodes(dpids.len());
+        for e in routes.graph.edges() {
+            graph.add_edge(e.from, e.to, e.weight, self.capacity_bps);
+        }
         let switch_list: Vec<Dpid> = ctl.view.switches.keys().copied().collect();
 
         let new_gen = self.generation ^ 1;
@@ -215,10 +227,6 @@ impl TrafficEngineering {
         let old_cookie = gen_cookie(self.generation);
         let old_groups = std::mem::take(&mut self.installed_groups);
 
-        // The whole generation rollout is declared as one relaxed
-        // transaction: operations go out in staging order, exactly as
-        // the loose calls used to.
-        let mut txn = ctl.txn();
         if self.strategy == UpdateStrategy::TearDownFirst {
             // Tear down the previous generation before building the new.
             for &switch in &switch_list {

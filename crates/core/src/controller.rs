@@ -14,7 +14,7 @@ use zen_consensus::{fnv1a, fnv1a_fold, Applied, IntentReplica, Outbound, KEEP_TA
 use zen_dataplane::{epoch_tag, Action, FlowMatch, FlowSpec, Meter, PortNo};
 use zen_proto::{
     decode_view, encode, encode_packet_out, intent_entry_bytes, CookieCount, ErrorCode, FlowModCmd,
-    GroupModCmd, Intent, IntentEntry, Message, MessageView, MeterModCmd, Role, ViewEvent,
+    GroupModCmd, Intent, IntentEntry, Message, MessageView, Role, ViewEvent,
 };
 use zen_sim::{Context, Duration, Instant, Node, NodeId};
 use zen_telemetry::{control_trace, trace_id_for_frame, TraceEvent, TraceId};
@@ -22,6 +22,7 @@ use zen_wire::ethernet::{EtherType, Frame};
 use zen_wire::{arp, ipv4, lldp, EthernetAddress};
 
 use crate::app::{App, Disposition};
+use crate::southbound::Southbound;
 use crate::txn::{
     ActiveTxn, Consistency, FlowRole, NetworkUpdate, TxnPhase, UpdateOp, UpdatePlanner,
 };
@@ -335,18 +336,6 @@ impl AdmissionState {
     }
 }
 
-/// A flow/group/meter mod awaiting barrier acknowledgement.
-struct PendingMod {
-    node: NodeId,
-    dpid: Dpid,
-    /// The encoded frame (original xid), resent verbatim on timeout.
-    bytes: Vec<u8>,
-    /// The decoded form, applied to the cookie shadow once acked.
-    msg: Message,
-    sent_at: Instant,
-    retries: u32,
-}
-
 /// The services handle passed to applications: the network view plus
 /// typed message-sending helpers.
 pub struct Ctl<'a, 'w> {
@@ -357,8 +346,7 @@ pub struct Ctl<'a, 'w> {
     registry: &'a BTreeMap<Dpid, NodeId>,
     xid: &'a mut u32,
     stats: &'a mut CtlStats,
-    pending: &'a mut BTreeMap<u32, PendingMod>,
-    dirty: &'a mut BTreeSet<NodeId>,
+    southbound: &'a mut Southbound,
     cluster: Option<&'a mut ClusterState>,
     planner: &'a mut UpdatePlanner,
     intent_owners: &'a mut BTreeMap<u64, &'static str>,
@@ -413,20 +401,18 @@ impl Ctl<'_, '_> {
     /// silently dropped (the switch may have disconnected).
     ///
     /// State-programming messages (flow/group/meter mods) are tracked
-    /// until a barrier acknowledges them, and retransmitted on timeout —
-    /// mods are idempotent by cookie, so a duplicate is harmless while a
-    /// loss would silently diverge switch state from the controller's.
+    /// by the southbound session until a barrier acknowledges them.
     pub fn send(&mut self, dpid: Dpid, msg: &Message) {
         let Some(&node) = self.registry.get(&dpid) else {
             return;
         };
-        // Clustered: only the master programs a switch. Packet-outs and
-        // stats requests pass (Equal connections may inject and read).
-        if matches!(
+        let is_mod = matches!(
             msg,
             Message::FlowMod { .. } | Message::GroupMod { .. } | Message::MeterMod { .. }
-        ) && !self.is_master(dpid)
-        {
+        );
+        // Clustered: only the master programs a switch. Packet-outs and
+        // stats requests pass (Equal connections may inject and read).
+        if is_mod && !self.is_master(dpid) {
             return;
         }
         let xid = *self.xid;
@@ -439,22 +425,9 @@ impl Ctl<'_, '_> {
             _ => {}
         }
         let bytes = encode(msg, xid);
-        if matches!(
-            msg,
-            Message::FlowMod { .. } | Message::GroupMod { .. } | Message::MeterMod { .. }
-        ) {
-            self.pending.insert(
-                xid,
-                PendingMod {
-                    node,
-                    dpid,
-                    bytes: bytes.clone(),
-                    msg: msg.clone(),
-                    sent_at: self.ctx.now(),
-                    retries: 0,
-                },
-            );
-            self.dirty.insert(node);
+        if is_mod {
+            self.southbound
+                .track(node, dpid, xid, msg, bytes.clone(), self.ctx.now());
         }
         {
             // Flight recorder: attribute control messages sent while an
@@ -537,75 +510,13 @@ impl Ctl<'_, '_> {
             if update.consistency == Consistency::PerPacket {
                 self.stats.txns_fast += 1;
             }
-            for op in &update.ops {
-                self.send_op(op);
+            for op in update.ops {
+                let (dpid, msg) = op.into_message();
+                self.send(dpid, &msg);
             }
             self.stats.txns_committed += 1;
         } else {
             self.planner.queue.push_back(update);
-        }
-    }
-
-    /// Translate one staged op into its wire message. Retire ops have
-    /// no special meaning outside a two-phase commit: they execute as
-    /// plain deletes in staging order.
-    fn send_op(&mut self, op: &UpdateOp) {
-        match op {
-            UpdateOp::Flow {
-                dpid,
-                table_id,
-                spec,
-                ..
-            } => self.send(
-                *dpid,
-                &Message::FlowMod {
-                    table_id: *table_id,
-                    cmd: FlowModCmd::Add(spec.clone()),
-                },
-            ),
-            UpdateOp::DeleteFlowsByCookie { dpid, cookie }
-            | UpdateOp::RetireFlowsByCookie { dpid, cookie } => self.send(
-                *dpid,
-                &Message::FlowMod {
-                    table_id: 0,
-                    cmd: FlowModCmd::DeleteByCookie { cookie: *cookie },
-                },
-            ),
-            UpdateOp::Group {
-                dpid,
-                group_id,
-                desc,
-            } => self.send(
-                *dpid,
-                &Message::GroupMod {
-                    group_id: *group_id,
-                    cmd: GroupModCmd::Add(desc.clone()),
-                },
-            ),
-            UpdateOp::DeleteGroup { dpid, group_id } | UpdateOp::RetireGroup { dpid, group_id } => {
-                self.send(
-                    *dpid,
-                    &Message::GroupMod {
-                        group_id: *group_id,
-                        cmd: GroupModCmd::Delete,
-                    },
-                )
-            }
-            UpdateOp::Meter {
-                dpid,
-                meter_id,
-                rate_bps,
-                burst_bytes,
-            } => self.send(
-                *dpid,
-                &Message::MeterMod {
-                    meter_id: *meter_id,
-                    cmd: MeterModCmd::Add {
-                        rate_bps: *rate_bps,
-                        burst_bytes: *burst_bytes,
-                    },
-                },
-            ),
         }
     }
 
@@ -721,12 +632,8 @@ pub struct Controller {
     rev_registry: BTreeMap<NodeId, Dpid>,
     /// Last time anything was heard from each agent.
     liveness: BTreeMap<NodeId, Instant>,
-    /// Unacked mods keyed by xid.
-    pending: BTreeMap<u32, PendingMod>,
-    /// Outstanding barriers: barrier xid → (node, covered mod xids).
-    barriers: BTreeMap<u32, (NodeId, Vec<u32>)>,
-    /// Nodes with newly pending mods, awaiting a covering barrier.
-    dirty: BTreeSet<NodeId>,
+    /// Per-switch reliable delivery of state mods.
+    southbound: Southbound,
     /// What we believe each switch has installed: cookie → entry count,
     /// maintained from barrier-acked mods and FLOW_REMOVED notices, and
     /// diffed against HELLO_RESYNC digests on reconnect.
@@ -774,9 +681,7 @@ impl Controller {
             registry: BTreeMap::new(),
             rev_registry: BTreeMap::new(),
             liveness: BTreeMap::new(),
-            pending: BTreeMap::new(),
-            barriers: BTreeMap::new(),
-            dirty: BTreeSet::new(),
+            southbound: Southbound::default(),
             shadow: BTreeMap::new(),
             resync_requested: BTreeMap::new(),
             features_requested: BTreeMap::new(),
@@ -857,7 +762,7 @@ impl Controller {
 
     /// Mods sent but not yet barrier-acknowledged.
     pub fn pending_mods(&self) -> usize {
-        self.pending.len()
+        self.southbound.pending_mods()
     }
 
     /// The latest HELLO_RESYNC generation reported by a switch.
@@ -893,8 +798,7 @@ impl Controller {
                 registry: &self.registry,
                 xid: &mut self.xid,
                 stats: &mut self.stats,
-                pending: &mut self.pending,
-                dirty: &mut self.dirty,
+                southbound: &mut self.southbound,
                 cluster: self.cluster.as_mut(),
                 planner: &mut self.planner,
                 intent_owners: &mut self.intent_owners,
@@ -913,26 +817,6 @@ impl Controller {
         self.xid += 1;
         self.stats.msgs_sent += 1;
         ctx.send_control(node, encode(msg, xid));
-    }
-
-    /// Fold an acked mod into the cookie shadow for `dpid`.
-    ///
-    /// The shadow is an approximation — strict deletes and replacing
-    /// adds can drift it — but drift only ever causes a *dirty* resync
-    /// verdict, which reprograms the switch: safe, merely less frugal.
-    fn apply_to_shadow(&mut self, dpid: Dpid, msg: &Message) {
-        if let Message::FlowMod { cmd, .. } = msg {
-            let shadow = self.shadow.entry(dpid).or_default();
-            match cmd {
-                FlowModCmd::Add(spec) => {
-                    *shadow.entry(spec.cookie).or_insert(0) += 1;
-                }
-                FlowModCmd::DeleteByCookie { cookie } => {
-                    shadow.remove(cookie);
-                }
-                FlowModCmd::DeleteStrict { .. } => {}
-            }
-        }
     }
 
     /// Log a local view mutation into the east-west store for
@@ -1466,16 +1350,11 @@ impl Controller {
                 },
             );
         }
-        let superseded: Vec<u32> = self
-            .pending
-            .iter()
-            .filter(|(_, p)| p.dpid == dpid)
-            .map(|(&x, _)| x)
-            .collect();
-        for x in superseded {
-            self.pending.remove(&x);
-            self.stats.mods_superseded += 1;
-            self.planner.note_xid(x, false);
+        if let Some(&node) = self.registry.get(&dpid) {
+            for x in self.southbound.supersede(node) {
+                self.stats.mods_superseded += 1;
+                self.planner.note_xid(x, false);
+            }
         }
         self.note_mastership_trace(ctx, dpid, false);
         self.with_apps(ctx, |apps, ctl| {
@@ -1689,80 +1568,49 @@ impl Controller {
     }
 
     /// Resend unacked mods past their timeout; abandon ones out of
-    /// retries. Mods to quarantined switches wait (the resync handshake
-    /// decides their fate when the switch returns).
+    /// retries.
     fn retransmit_scan(&mut self, ctx: &mut Context<'_>) {
-        let now = ctx.now();
-        let mut failed = Vec::new();
-        let mut resend = Vec::new();
-        for (&xid, p) in &self.pending {
-            if now.duration_since(p.sent_at) < self.cfg.mod_timeout
-                || self.view.is_quarantined(p.dpid)
-            {
-                continue;
-            }
-            if p.retries >= self.cfg.mod_max_retries {
-                failed.push(xid);
-            } else {
-                resend.push(xid);
-            }
-        }
-        for xid in failed {
-            self.pending.remove(&xid);
-            self.stats.mods_failed += 1;
-            self.planner.note_xid(xid, false);
-        }
-        for xid in resend {
-            let p = self.pending.get_mut(&xid).expect("collected above");
-            p.retries += 1;
-            p.sent_at = now;
-            let (node, bytes) = (p.node, p.bytes.clone());
-            self.stats.mods_retransmitted += 1;
-            self.stats.msgs_sent += 1;
-            ctx.send_control(node, bytes);
-            self.dirty.insert(node);
-        }
-        // Drop barriers whose covered mods are all resolved; a reply to
-        // one would find nothing to ack anyway.
-        let dead: Vec<u32> = self
-            .barriers
-            .iter()
-            .filter(|(_, (_, xids))| !xids.iter().any(|x| self.pending.contains_key(x)))
-            .map(|(&b, _)| b)
-            .collect();
-        for b in dead {
-            self.barriers.remove(&b);
-        }
+        let planner = &mut self.planner;
+        self.southbound.retransmit_scan(
+            ctx,
+            &self.view,
+            self.cfg.mod_timeout,
+            self.cfg.mod_max_retries,
+            &mut self.stats,
+            |xid| planner.note_xid(xid, false),
+        );
     }
 
-    /// Fence every node that acquired pending mods since the last flush:
-    /// one BARRIER_REQUEST covering all its currently unacked mods. The
-    /// reply proves everything before it was applied.
+    /// Fence every switch that acquired pending mods since the last
+    /// flush.
     fn flush_barriers(&mut self, ctx: &mut Context<'_>) {
-        let dirty = std::mem::take(&mut self.dirty);
-        for node in dirty {
-            let covered: Vec<u32> = self
-                .pending
-                .iter()
-                .filter(|(_, p)| p.node == node)
-                .map(|(&x, _)| x)
-                .collect();
-            if covered.is_empty() {
-                continue;
-            }
-            let xid = self.xid;
-            self.xid += 1;
+        self.southbound
+            .flush_barriers(ctx, &mut self.xid, &mut self.stats);
+    }
+
+    /// Whether `from` is another replica of this cluster.
+    fn is_peer(&self, from: NodeId) -> bool {
+        self.cluster.as_ref().is_some_and(|cl| {
+            cl.membership
+                .config()
+                .index_of(from)
+                .is_some_and(|i| i != cl.membership.index())
+        })
+    }
+
+    /// A node we never completed the handshake with is talking to us —
+    /// the Hello exchange was lost in transit. Re-solicit (at most once
+    /// per tick interval) so a faulty channel can't orphan a switch.
+    fn resolicit_handshake(&mut self, ctx: &mut Context<'_>, from: NodeId) {
+        let now = ctx.now();
+        let due = self
+            .features_requested
+            .get(&from)
+            .is_none_or(|&last| now.duration_since(last) >= self.cfg.tick_interval);
+        if due {
+            self.features_requested.insert(from, now);
             self.stats.msgs_sent += 1;
-            ctx.send_control(
-                node,
-                encode(
-                    &Message::BarrierRequest {
-                        xids: covered.clone(),
-                    },
-                    xid,
-                ),
-            );
-            self.barriers.insert(xid, (node, covered));
+            ctx.send_control(from, encode(&Message::FeaturesRequest, 0));
         }
     }
 
@@ -1877,15 +1725,16 @@ impl Controller {
             };
             let now = ctx.now();
             let mac = eth.src_addr();
-            let ip_before = self.view.hosts.get(&mac).map(|e| e.ip);
-            let changed = self.view.learn_host(mac, dpid, in_port, ip, now);
-            let ip_after = self.view.hosts.get(&mac).map(|e| e.ip);
-            if changed || ip_before != ip_after {
+            let recorded = self.view.hosts().get(&mac).and_then(|e| e.ip);
+            let moved = self.view.learn_host(mac, dpid, in_port, ip, now);
+            // A sighting only ever adds to or replaces the recorded IP.
+            let known_ip = ip.or(recorded);
+            if moved || known_ip != recorded {
                 self.log_event(ViewEvent::HostLearned {
                     mac,
                     dpid,
                     port: in_port,
-                    ip: ip_after.flatten(),
+                    ip: known_ip,
                 });
             }
         }
@@ -1905,25 +1754,11 @@ impl Controller {
     ) {
         // Session preamble, once per batch. Peer replicas never punt;
         // drop rather than re-solicit a handshake from one.
-        if self.cluster.as_ref().is_some_and(|cl| {
-            cl.membership
-                .config()
-                .index_of(from)
-                .is_some_and(|i| i != cl.membership.index())
-        }) {
+        if self.is_peer(from) {
             return;
         }
         let Some(&dpid) = self.rev_registry.get(&from) else {
-            let now = ctx.now();
-            let due = self
-                .features_requested
-                .get(&from)
-                .is_none_or(|&last| now.duration_since(last) >= self.cfg.tick_interval);
-            if due {
-                self.features_requested.insert(from, now);
-                self.stats.msgs_sent += 1;
-                ctx.send_control(from, encode(&Message::FeaturesRequest, 0));
-            }
+            self.resolicit_handshake(ctx, from);
             return;
         };
         if self.view.is_quarantined(dpid) {
@@ -1934,7 +1769,8 @@ impl Controller {
         // deferred to this switch's fair queue; queue overflow is shed
         // and charged to the offending (ingress, source MAC).
         let mut offenders_over: Vec<(PortNo, [u8; 6])> = Vec::new();
-        let admitted: Vec<(PortNo, &[u8])> = if let Some(adm) = self.admission.as_mut() {
+        let within_budget: Vec<(PortNo, &[u8])>;
+        let admitted: &[(PortNo, &[u8])] = if let Some(adm) = self.admission.as_mut() {
             let now = ctx.now();
             let cids = adm.counters(ctx);
             let recording = ctx.recorder().is_enabled();
@@ -1993,14 +1829,15 @@ impl Controller {
                     }
                 }
             }
-            admitted
+            within_budget = admitted;
+            &within_budget
         } else {
-            punts.to_vec()
+            punts
         };
         if !offenders_over.is_empty() {
             self.install_pushbacks(ctx, from, dpid, offenders_over);
         }
-        self.deliver_punts(ctx, dpid, &admitted);
+        self.deliver_punts(ctx, dpid, admitted);
     }
 
     /// Dispatch already-admitted punts from `dpid`: fold them into the
@@ -2269,99 +2106,40 @@ impl Controller {
         let mut retire_msgs: Vec<(Dpid, Message)> = Vec::new();
         let mut staged_cookies = BTreeSet::new();
         let mut staged_groups = BTreeSet::new();
-        for op in update.ops {
-            match op {
+        for mut op in update.ops {
+            let batch = match &mut op {
                 UpdateOp::Flow {
-                    dpid,
-                    table_id,
-                    mut spec,
-                    role,
-                } => match role {
-                    FlowRole::Edge => {
-                        // The flip: the rule starts stamping the new
-                        // epoch the moment it replaces its predecessor
-                        // (same priority + match).
-                        spec.actions.insert(0, Action::SetEpoch(tag));
-                        flip_msgs.push((
-                            dpid,
-                            Message::FlowMod {
-                                table_id,
-                                cmd: FlowModCmd::Add(spec),
-                            },
-                        ));
-                    }
-                    FlowRole::Internal | FlowRole::Plain => {
-                        if role == FlowRole::Internal {
-                            spec.matcher.epoch = Some(Some(tag));
-                        }
-                        staged_cookies.insert((dpid, spec.cookie));
-                        stage_msgs.push((
-                            dpid,
-                            Message::FlowMod {
-                                table_id,
-                                cmd: FlowModCmd::Add(spec),
-                            },
-                        ));
-                    }
-                },
-                UpdateOp::DeleteFlowsByCookie { dpid, cookie } => stage_msgs.push((
-                    dpid,
-                    Message::FlowMod {
-                        table_id: 0,
-                        cmd: FlowModCmd::DeleteByCookie { cookie },
-                    },
-                )),
-                UpdateOp::Group {
-                    dpid,
-                    group_id,
-                    desc,
+                    spec,
+                    role: FlowRole::Edge,
+                    ..
                 } => {
-                    staged_groups.insert((dpid, group_id));
-                    stage_msgs.push((
-                        dpid,
-                        Message::GroupMod {
-                            group_id,
-                            cmd: GroupModCmd::Add(desc),
-                        },
-                    ));
+                    // The flip: the rule starts stamping the new epoch
+                    // the moment it replaces its predecessor (same
+                    // priority + match).
+                    spec.actions.insert(0, Action::SetEpoch(tag));
+                    &mut flip_msgs
                 }
-                UpdateOp::DeleteGroup { dpid, group_id } => stage_msgs.push((
-                    dpid,
-                    Message::GroupMod {
-                        group_id,
-                        cmd: GroupModCmd::Delete,
-                    },
-                )),
-                UpdateOp::Meter {
-                    dpid,
-                    meter_id,
-                    rate_bps,
-                    burst_bytes,
-                } => stage_msgs.push((
-                    dpid,
-                    Message::MeterMod {
-                        meter_id,
-                        cmd: MeterModCmd::Add {
-                            rate_bps,
-                            burst_bytes,
-                        },
-                    },
-                )),
-                UpdateOp::RetireFlowsByCookie { dpid, cookie } => retire_msgs.push((
-                    dpid,
-                    Message::FlowMod {
-                        table_id: 0,
-                        cmd: FlowModCmd::DeleteByCookie { cookie },
-                    },
-                )),
-                UpdateOp::RetireGroup { dpid, group_id } => retire_msgs.push((
-                    dpid,
-                    Message::GroupMod {
-                        group_id,
-                        cmd: GroupModCmd::Delete,
-                    },
-                )),
-            }
+                UpdateOp::Flow {
+                    dpid, spec, role, ..
+                } => {
+                    if *role == FlowRole::Internal {
+                        spec.matcher.epoch = Some(Some(tag));
+                    }
+                    staged_cookies.insert((*dpid, spec.cookie));
+                    &mut stage_msgs
+                }
+                UpdateOp::Group { dpid, group_id, .. } => {
+                    staged_groups.insert((*dpid, *group_id));
+                    &mut stage_msgs
+                }
+                UpdateOp::RetireFlowsByCookie { .. } | UpdateOp::RetireGroup { .. } => {
+                    &mut retire_msgs
+                }
+                UpdateOp::DeleteFlowsByCookie { .. }
+                | UpdateOp::DeleteGroup { .. }
+                | UpdateOp::Meter { .. } => &mut stage_msgs,
+            };
+            batch.push(op.into_message());
         }
         self.record_epoch_phase(ctx, epoch, TxnPhase::Staging.name());
         let mut outstanding = BTreeSet::new();
@@ -2517,13 +2295,7 @@ impl Controller {
     fn handle_message(&mut self, ctx: &mut Context<'_>, from: NodeId, msg: Message, xid: u32) {
         // East-west traffic from a peer replica bypasses the switch-
         // session machinery below (quarantine, handshake re-solicit).
-        let is_peer = self.cluster.as_ref().is_some_and(|cl| {
-            cl.membership
-                .config()
-                .index_of(from)
-                .is_some_and(|i| i != cl.membership.index())
-        });
-        if is_peer {
+        if self.is_peer(from) {
             self.handle_peer_message(ctx, msg);
             return;
         }
@@ -2535,19 +2307,7 @@ impl Controller {
                 self.maybe_request_resync(ctx, dpid);
             }
         } else if !matches!(msg, Message::Hello { .. } | Message::FeaturesReply { .. }) {
-            // A node we never completed the handshake with is talking to
-            // us — the Hello exchange was lost in transit. Re-solicit
-            // (throttled) so a faulty channel can't orphan a switch.
-            let now = ctx.now();
-            let due = self
-                .features_requested
-                .get(&from)
-                .is_none_or(|&last| now.duration_since(last) >= self.cfg.tick_interval);
-            if due {
-                self.features_requested.insert(from, now);
-                self.stats.msgs_sent += 1;
-                ctx.send_control(from, encode(&Message::FeaturesRequest, 0));
-            }
+            self.resolicit_handshake(ctx, from);
         }
         match msg {
             Message::Hello { .. } => {
@@ -2708,57 +2468,33 @@ impl Controller {
                 });
             }
             Message::BarrierReply { applied } => {
-                // Retire the covered mods the switch confirmed — but
-                // only as an in-order prefix. Mods apply in
-                // transmission order, so if an earlier mod is still in
-                // flight (say a lost cookie-delete), a later
-                // already-applied mod must stay pending: the
-                // retransmit path then replays it *after* the missing
-                // one. Retiring it here would let the delete land last
-                // and silently wipe state the shadow believes
-                // installed.
-                let mut shadow_touched: BTreeSet<Dpid> = BTreeSet::new();
-                if let Some((_, xids)) = self.barriers.remove(&xid) {
-                    for mx in xids {
-                        if !applied.contains(&mx) {
-                            if self.pending.contains_key(&mx) {
-                                // Gap: everything after `mx` must be
-                                // replayed in order behind it.
-                                break;
+                let (stats, planner, shadow) =
+                    (&mut self.stats, &mut self.planner, &mut self.shadow);
+                let dpid = self
+                    .southbound
+                    .barrier_reply(from, xid, applied, |dpid, p| {
+                        stats.mods_acked += 1;
+                        planner.note_xid(p.xid, true);
+                        let rec = ctx.recorder();
+                        if rec.is_enabled() {
+                            if let Some(trace) = rec.take_xid(p.xid) {
+                                rec.record(
+                                    ctx.now().as_nanos(),
+                                    trace,
+                                    TraceEvent::FlowModAcked { dpid, xid: p.xid },
+                                );
                             }
-                            // Resolved elsewhere (failed, superseded,
-                            // bounced): not a gap.
-                            continue;
                         }
-                        if let Some(p) = self.pending.remove(&mx) {
-                            self.stats.mods_acked += 1;
-                            self.planner.note_xid(mx, true);
-                            let rec = ctx.recorder();
-                            if rec.is_enabled() {
-                                if let Some(trace) = rec.take_xid(mx) {
-                                    rec.record(
-                                        ctx.now().as_nanos(),
-                                        trace,
-                                        TraceEvent::FlowModAcked {
-                                            dpid: p.dpid,
-                                            xid: mx,
-                                        },
-                                    );
-                                }
-                            }
-                            self.apply_to_shadow(p.dpid, &p.msg);
-                            shadow_touched.insert(p.dpid);
+                        if let Some(op) = p.shadow {
+                            op.apply(shadow.entry(dpid).or_default());
                         }
-                    }
-                }
-                // Replicate the updated digests so a standby that later
-                // takes these switches over inherits an accurate shadow
-                // (one event per switch per barrier, not per mod).
-                if self.cluster.is_some() {
-                    for dpid in shadow_touched {
-                        let cookies = self.shadow_cookies(dpid);
-                        self.log_event(ViewEvent::ShadowSet { dpid, cookies });
-                    }
+                    });
+                // Replicate the updated digest so a standby that later
+                // takes this switch over inherits an accurate shadow
+                // (one event per barrier, not per mod).
+                if let Some(dpid) = dpid.filter(|_| self.cluster.is_some()) {
+                    let cookies = self.shadow_cookies(dpid);
+                    self.log_event(ViewEvent::ShadowSet { dpid, cookies });
                 }
             }
             Message::HelloResync {
@@ -2782,14 +2518,7 @@ impl Controller {
                     // stale world — drop them and let the owning apps
                     // reprogram from the reported truth.
                     self.stats.resyncs_dirty += 1;
-                    let superseded: Vec<u32> = self
-                        .pending
-                        .iter()
-                        .filter(|(_, p)| p.dpid == dpid)
-                        .map(|(&x, _)| x)
-                        .collect();
-                    for x in superseded {
-                        self.pending.remove(&x);
+                    for x in self.southbound.supersede(from) {
                         self.stats.mods_superseded += 1;
                         self.planner.note_xid(x, false);
                     }
@@ -2867,7 +2596,7 @@ impl Controller {
                 } else if let Some(mx) = mod_xid {
                     // We already stepped down: the mod belongs to the new
                     // master's world now.
-                    if self.pending.remove(&mx).is_some() {
+                    if self.southbound.retire(from, mx) {
                         self.stats.mods_superseded += 1;
                         self.planner.note_xid(mx, false);
                     }
@@ -2888,7 +2617,7 @@ impl Controller {
                 };
                 if data.len() == 4 {
                     let mx = u32::from_be_bytes([data[0], data[1], data[2], data[3]]);
-                    if self.pending.remove(&mx).is_some() {
+                    if self.southbound.retire(from, mx) {
                         self.stats.mods_failed += 1;
                         self.planner.note_xid(mx, false);
                     }

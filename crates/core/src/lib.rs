@@ -32,6 +32,7 @@ pub mod harness;
 pub mod policy;
 pub mod shard_fabric;
 pub mod snapshot;
+mod southbound;
 pub mod txn;
 pub mod view;
 

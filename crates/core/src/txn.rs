@@ -33,6 +33,7 @@
 use std::collections::VecDeque;
 
 use zen_dataplane::{FlowSpec, GroupDesc};
+use zen_proto::{FlowModCmd, GroupModCmd, Message, MeterModCmd};
 use zen_sim::Instant;
 
 use crate::view::Dpid;
@@ -100,6 +101,52 @@ pub(crate) enum UpdateOp {
 }
 
 impl UpdateOp {
+    /// The wire message that carries the op out, and its switch. Retire
+    /// ops mean nothing special on the wire: they are plain deletes
+    /// (*when* they go out is the planner's business).
+    pub(crate) fn into_message(self) -> (Dpid, Message) {
+        match self {
+            UpdateOp::Flow {
+                dpid,
+                table_id,
+                spec,
+                ..
+            } => {
+                let cmd = FlowModCmd::Add(spec);
+                (dpid, Message::FlowMod { table_id, cmd })
+            }
+            UpdateOp::DeleteFlowsByCookie { dpid, cookie }
+            | UpdateOp::RetireFlowsByCookie { dpid, cookie } => {
+                let cmd = FlowModCmd::DeleteByCookie { cookie };
+                (dpid, Message::FlowMod { table_id: 0, cmd })
+            }
+            UpdateOp::Group {
+                dpid,
+                group_id,
+                desc,
+            } => {
+                let cmd = GroupModCmd::Add(desc);
+                (dpid, Message::GroupMod { group_id, cmd })
+            }
+            UpdateOp::DeleteGroup { dpid, group_id } | UpdateOp::RetireGroup { dpid, group_id } => {
+                let cmd = GroupModCmd::Delete;
+                (dpid, Message::GroupMod { group_id, cmd })
+            }
+            UpdateOp::Meter {
+                dpid,
+                meter_id,
+                rate_bps,
+                burst_bytes,
+            } => {
+                let cmd = MeterModCmd::Add {
+                    rate_bps,
+                    burst_bytes,
+                };
+                (dpid, Message::MeterMod { meter_id, cmd })
+            }
+        }
+    }
+
     pub(crate) fn dpid(&self) -> Dpid {
         match *self {
             UpdateOp::Flow { dpid, .. }

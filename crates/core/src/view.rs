@@ -4,10 +4,11 @@
 //! links from LLDP round trips, hosts from the source addresses of
 //! punted edge-port traffic — never taken from simulator ground truth.
 
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, BTreeSet};
 
 use zen_dataplane::PortNo;
-use zen_graph::Graph;
+use zen_graph::{dijkstra, Graph, NodeIx, ShortestPaths};
 use zen_sim::{Duration, Instant};
 use zen_wire::{EthernetAddress, Ipv4Address};
 
@@ -36,6 +37,49 @@ pub struct HostEntry {
     pub last_seen: Instant,
 }
 
+/// The routing snapshot of one view [`version`](NetworkView::version):
+/// the graph [`NetworkView::graph`] builds, its dpid↔index tables, and
+/// one shortest-path tree per source switch, each computed the first
+/// time it is asked for. Apps read it through [`NetworkView::routes`]
+/// instead of rebuilding the graph per punt.
+#[derive(Debug)]
+pub struct Routes {
+    /// One node per known switch, one directed edge (weight 1,
+    /// capacity 0) per discovered link whose source port is up and
+    /// whose endpoints are live.
+    pub graph: Graph,
+    /// Node index → dpid.
+    pub dpids: Vec<Dpid>,
+    /// Dpid → node index.
+    pub index: BTreeMap<Dpid, NodeIx>,
+    trees: Vec<OnceCell<ShortestPaths>>,
+}
+
+impl Routes {
+    /// The shortest-path tree rooted at node `src`.
+    fn tree_from(&self, src: NodeIx) -> &ShortestPaths {
+        self.trees[src as usize].get_or_init(|| dijkstra(&self.graph, src))
+    }
+
+    /// The switches along one shortest path from `from` to `to`, both
+    /// inclusive. `None` when either is unknown or `to` is unreachable.
+    pub fn hops(&self, from: Dpid, to: Dpid) -> Option<Vec<Dpid>> {
+        let (&src, &dst) = (self.index.get(&from)?, self.index.get(&to)?);
+        let tree = self.tree_from(src);
+        if !tree.reachable(dst) {
+            return None;
+        }
+        let mut hops = vec![to];
+        let mut cur = dst;
+        while let Some(e) = tree.parent_edge[cur as usize] {
+            cur = self.graph.edge(e).from;
+            hops.push(self.dpids[cur as usize]);
+        }
+        hops.reverse();
+        Some(hops)
+    }
+}
+
 /// The controller's model of the network.
 #[derive(Debug, Default)]
 pub struct NetworkView {
@@ -45,8 +89,13 @@ pub struct NetworkView {
     pub links: BTreeMap<(Dpid, PortNo), (Dpid, PortNo)>,
     /// Last LLDP confirmation per directed link.
     pub link_seen: BTreeMap<(Dpid, PortNo), Instant>,
-    /// Learned hosts keyed by MAC.
-    pub hosts: BTreeMap<EthernetAddress, HostEntry>,
+    /// Learned hosts keyed by MAC. Written only by
+    /// [`NetworkView::learn_host`], which keeps `by_ip` in step.
+    hosts: BTreeMap<EthernetAddress, HostEntry>,
+    /// IP → the MAC that claimed it last. An entry `a → m` exists
+    /// exactly when `hosts[m].ip == Some(a)`, so an IP resolves to one
+    /// host and that host is the latest claimant.
+    by_ip: BTreeMap<Ipv4Address, EthernetAddress>,
     /// Switches whose control session is presumed dead. They stay in
     /// `switches` (their last-known shape is still useful) but routing
     /// helpers and the graph route around them.
@@ -54,6 +103,9 @@ pub struct NetworkView {
     /// Bumped on every structural change; apps compare against it to
     /// know when to recompute.
     pub version: u64,
+    /// The routing snapshot of `version`, built on first use and
+    /// dropped by the next `bump`.
+    routes: OnceCell<Routes>,
 }
 
 impl NetworkView {
@@ -64,6 +116,7 @@ impl NetworkView {
 
     fn bump(&mut self) {
         self.version += 1;
+        self.routes.take();
     }
 
     /// Register or refresh a switch. A refresh that confirms what we
@@ -188,14 +241,14 @@ impl NetworkView {
     /// Record a host sighting. Returns `true` if the host is new or
     /// moved (location change), which callers propagate to apps.
     ///
-    /// A sighting also evicts *stale* entries: other MACs still claiming
-    /// the host's IP from an earlier attachment. Left in place they shadow
-    /// the fresh entry in [`NetworkView::host_by_ip`] (first match by MAC
-    /// order). The eviction runs both when the sighting carries an IP and
-    /// when a known host moves without one — an IP-less sighting (plain
-    /// L2 traffic after a handoff) must still displace shadowers of the
-    /// IP already on record, since a new master re-learns hosts from
-    /// resync-era traffic that rarely repeats the ARP exchange.
+    /// A sighting makes `mac` the one claimant of the IP it carries,
+    /// evicting the host that held it before (a NIC swap, or resync-era
+    /// re-learning after a mastership handoff): left in place, that
+    /// entry would keep answering [`NetworkView::host_by_ip`] with a
+    /// dead attachment. A known host that *moves* without an IP in the
+    /// frame (plain L2 traffic after a handoff) re-asserts the IP on
+    /// record the same way, since a new master re-learns hosts from
+    /// traffic that rarely repeats the ARP exchange.
     pub fn learn_host(
         &mut self,
         mac: EthernetAddress,
@@ -204,60 +257,40 @@ impl NetworkView {
         ip: Option<Ipv4Address>,
         now: Instant,
     ) -> bool {
-        let evict_shadowers =
-            |hosts: &mut BTreeMap<EthernetAddress, HostEntry>, addr: Ipv4Address| -> bool {
-                let stale: Vec<EthernetAddress> = hosts
-                    .iter()
-                    .filter(|(&m, e)| m != mac && e.ip == Some(addr))
-                    .map(|(&m, _)| m)
-                    .collect();
-                let any = !stale.is_empty();
-                for m in stale {
-                    hosts.remove(&m);
-                }
-                any
-            };
-        if let Some(addr) = ip {
-            if evict_shadowers(&mut self.hosts, addr) {
+        // The common case, one lookup: a repeat sighting that tells the
+        // index nothing new.
+        let known = match self.hosts.get_mut(&mac) {
+            Some(e) if e.dpid == dpid && e.port == port && (ip.is_none() || e.ip == ip) => {
+                e.last_seen = now;
+                return false;
+            }
+            other => other.map(|e| *e),
+        };
+        let moved = known.is_none_or(|e| e.dpid != dpid || e.port != port);
+        let recorded = known.and_then(|e| e.ip);
+        let entry = HostEntry {
+            dpid,
+            port,
+            ip: ip.or(recorded),
+            last_seen: now,
+        };
+        if let Some(addr) = entry.ip.filter(|_| ip.is_some() || moved) {
+            if let Some(stale) = self.by_ip.insert(addr, mac).filter(|&m| m != mac) {
+                self.hosts.remove(&stale);
                 self.bump();
             }
         }
-        match self.hosts.get_mut(&mac) {
-            Some(entry) => {
-                let moved = entry.dpid != dpid || entry.port != port;
-                entry.dpid = dpid;
-                entry.port = port;
-                if ip.is_some() {
-                    entry.ip = ip;
-                }
-                entry.last_seen = now;
-                let known_ip = entry.ip;
-                if moved {
-                    // A location change invalidates earlier attachments
-                    // wholesale: whatever IP this host is known by must
-                    // stop resolving to dead entries, even though this
-                    // particular sighting carried no IP.
-                    if let Some(addr) = known_ip.filter(|_| ip.is_none()) {
-                        evict_shadowers(&mut self.hosts, addr);
-                    }
-                    self.bump();
-                }
-                moved
-            }
-            None => {
-                self.hosts.insert(
-                    mac,
-                    HostEntry {
-                        dpid,
-                        port,
-                        ip,
-                        last_seen: now,
-                    },
-                );
-                self.bump();
-                true
+        // Re-addressed: the IP it gave up resolves to nobody.
+        if let Some(old) = recorded.filter(|&old| Some(old) != entry.ip) {
+            if self.by_ip.get(&old) == Some(&mac) {
+                self.by_ip.remove(&old);
             }
         }
+        self.hosts.insert(mac, entry);
+        if moved {
+            self.bump();
+        }
+        moved
     }
 
     /// Mark a switch's control session dead: routing helpers and the
@@ -299,11 +332,31 @@ impl NetworkView {
         if self.is_quarantined(a) || self.is_quarantined(b) {
             return Vec::new();
         }
-        self.links
-            .iter()
-            .filter(|(&(src, _), &(dst, _))| src == a && dst == b)
-            .map(|(&from, &to)| (from, to))
+        self.links_from(a)
+            .filter(|&(_, (dst, _))| dst == b)
             .collect()
+    }
+
+    /// The discovered links leaving `from`, in port order: one range
+    /// walk over `from`'s keys, not a scan of every link.
+    #[allow(clippy::type_complexity)]
+    fn links_from(
+        &self,
+        from: Dpid,
+    ) -> impl Iterator<Item = ((Dpid, PortNo), (Dpid, PortNo))> + '_ {
+        self.links
+            .range((from, PortNo::MIN)..=(from, PortNo::MAX))
+            .map(|(&src, &dst)| (src, dst))
+    }
+
+    /// The egress ports on `from` of discovered links to `to` whose
+    /// port is up, in port order; empty when either switch is
+    /// quarantined.
+    fn live_ports_toward(&self, from: Dpid, to: Dpid) -> impl Iterator<Item = PortNo> + '_ {
+        let live = !self.is_quarantined(from) && !self.is_quarantined(to);
+        self.links_from(from)
+            .filter(move |&((_, sp), (dst, _))| live && dst == to && self.port_up(from, sp))
+            .map(|((_, sp), _)| sp)
     }
 
     /// Whether a port currently has no discovered switch link (i.e. may
@@ -338,45 +391,34 @@ impl NetworkView {
         out
     }
 
-    /// Find a host by IP.
+    /// The learned hosts, keyed by MAC.
+    pub fn hosts(&self) -> &BTreeMap<EthernetAddress, HostEntry> {
+        &self.hosts
+    }
+
+    /// Find a host by IP: the latest host seen claiming it.
     pub fn host_by_ip(&self, ip: Ipv4Address) -> Option<(EthernetAddress, HostEntry)> {
-        self.hosts
-            .iter()
-            .find(|(_, e)| e.ip == Some(ip))
-            .map(|(&mac, &e)| (mac, e))
+        let mac = *self.by_ip.get(&ip)?;
+        self.hosts.get(&mac).map(|&e| (mac, e))
     }
 
     /// The egress port on `from` of the first discovered link toward
     /// `to`, considering only up ports on live switches.
     pub fn port_toward(&self, from: Dpid, to: Dpid) -> Option<PortNo> {
-        if self.is_quarantined(from) || self.is_quarantined(to) {
-            return None;
-        }
-        self.links
-            .iter()
-            .find(|(&(src, sp), &(dst, _))| src == from && dst == to && self.port_up(src, sp))
-            .map(|(&(_, sp), _)| sp)
+        self.live_ports_toward(from, to).next()
     }
 
     /// All egress ports on `from` leading directly to `to` (parallel
     /// links), up only, on live switches.
     pub fn ports_toward(&self, from: Dpid, to: Dpid) -> Vec<PortNo> {
-        if self.is_quarantined(from) || self.is_quarantined(to) {
-            return Vec::new();
-        }
-        self.links
-            .iter()
-            .filter(|(&(src, sp), &(dst, _))| src == from && dst == to && self.port_up(src, sp))
-            .map(|(&(_, sp), _)| sp)
-            .collect()
+        self.live_ports_toward(from, to).collect()
     }
 
     /// Build a routing graph: one node per switch, one directed edge per
     /// discovered link whose source port is up. Returns the graph, the
-    /// index→dpid table, and the dpid→index map. Edge `capacity` is
-    /// `default_capacity` (the view does not know line rates; TE apps
-    /// supply them).
-    pub fn graph(&self, default_capacity: u64) -> (Graph, Vec<Dpid>, BTreeMap<Dpid, u32>) {
+    /// index→dpid table, and the dpid→index map. Edge `capacity` is 0
+    /// (the view does not know line rates; TE apps supply them).
+    pub fn graph(&self) -> (Graph, Vec<Dpid>, BTreeMap<Dpid, u32>) {
         let dpids: Vec<Dpid> = self.switches.keys().copied().collect();
         let index: BTreeMap<Dpid, u32> = dpids
             .iter()
@@ -389,10 +431,40 @@ impl NetworkView {
                 continue;
             }
             if let (Some(&a), Some(&b)) = (index.get(&src), index.get(&dst)) {
-                graph.add_edge(a, b, 1, default_capacity);
+                graph.add_edge(a, b, 1, 0);
             }
         }
         (graph, dpids, index)
+    }
+
+    /// The routing snapshot of the current version: [`NetworkView::graph`]
+    /// built once, shortest-path trees filled in as they are asked for.
+    /// Every structural change drops it, so what it answers is always
+    /// what a fresh `graph()` + `dijkstra` would.
+    pub fn routes(&self) -> &Routes {
+        self.routes.get_or_init(|| {
+            let (graph, dpids, index) = self.graph();
+            let trees = vec![OnceCell::new(); dpids.len()];
+            Routes {
+                graph,
+                dpids,
+                index,
+                trees,
+            }
+        })
+    }
+}
+
+#[cfg(test)]
+impl NetworkView {
+    /// Plant a host entry without the eviction `learn_host` performs,
+    /// claiming its IP in the index the way a sighting would — the one
+    /// way a test may write `hosts`, so map and index cannot drift.
+    fn insert_host_raw(&mut self, mac: EthernetAddress, entry: HostEntry) {
+        if let Some(ip) = entry.ip {
+            self.by_ip.insert(ip, mac);
+        }
+        self.hosts.insert(mac, entry);
     }
 }
 
@@ -441,7 +513,7 @@ mod tests {
         assert_eq!(v.port_toward(1, 2), None);
         assert!(v.ports_toward(1, 2).is_empty());
         assert_eq!(v.edge_ports(), vec![(1, 1)]);
-        let (g, _, _) = v.graph(0);
+        let (g, _, _) = v.graph();
         assert_eq!(g.edge_count(), 0);
         assert!(v.links.len() == 2, "discovery state preserved");
 
@@ -465,9 +537,9 @@ mod tests {
         );
         // Moving ports reports true.
         assert!(v.learn_host(mac, 2, 2, None, t));
-        assert_eq!(v.hosts[&mac].dpid, 2);
+        assert_eq!(v.hosts()[&mac].dpid, 2);
         // The IP survives the move.
-        assert_eq!(v.hosts[&mac].ip, Some(Ipv4Address::new(10, 0, 0, 1)));
+        assert_eq!(v.hosts()[&mac].ip, Some(Ipv4Address::new(10, 0, 0, 1)));
     }
 
     #[test]
@@ -484,7 +556,7 @@ mod tests {
         let before = v.version;
         assert!(v.learn_host(new_mac, 2, 2, Some(ip), t));
         assert!(v.version > before);
-        assert!(!v.hosts.contains_key(&old_mac), "stale claimant evicted");
+        assert!(!v.hosts().contains_key(&old_mac), "stale claimant evicted");
         assert_eq!(
             v.host_by_ip(ip).map(|(m, e)| (m, e.dpid)),
             Some((new_mac, 2))
@@ -492,26 +564,25 @@ mod tests {
         // An IP-less sighting of an unknown host never evicts (there is
         // no IP on record to arbitrate).
         v.learn_host(old_mac, 1, 1, None, t);
-        assert_eq!(v.hosts.len(), 2);
+        assert_eq!(v.hosts().len(), 2);
     }
 
     #[test]
     fn move_without_ip_unshadows_host_by_ip() {
         // Mastership-handoff regression: a new master's view can hold a
         // stale MAC still claiming a live host's IP (resync-era events
-        // replay out of order across replicas, and merged state lands in
-        // the public `hosts` map directly). The live host then shows up
-        // via plain L2 traffic — a sighting that carries no IP — at a
-        // new location. The stale claimant must go, or `host_by_ip`
-        // keeps resolving to the dead attachment (first match by MAC
-        // order) indefinitely.
+        // replay out of order across replicas). The live host then
+        // shows up via plain L2 traffic — a sighting that carries no
+        // IP — at a new location. The stale claimant must go, or
+        // `host_by_ip` keeps resolving to the dead attachment
+        // indefinitely.
         let mut v = two_switch_view();
         let stale_mac = EthernetAddress::from_id(3); // sorts before live_mac
         let live_mac = EthernetAddress::from_id(9);
         let ip = Ipv4Address::new(10, 0, 0, 7);
         let t = Instant::from_millis(1);
         v.learn_host(live_mac, 1, 1, Some(ip), t);
-        v.hosts.insert(
+        v.insert_host_raw(
             stale_mac,
             HostEntry {
                 dpid: 1,
@@ -527,7 +598,7 @@ mod tests {
         );
         assert!(v.learn_host(live_mac, 2, 2, None, t), "location change");
         assert!(
-            !v.hosts.contains_key(&stale_mac),
+            !v.hosts().contains_key(&stale_mac),
             "stale claim evicted on IP-less move"
         );
         assert_eq!(
@@ -568,7 +639,7 @@ mod tests {
     #[test]
     fn graph_reflects_links_and_port_state() {
         let v = two_switch_view();
-        let (g, dpids, index) = v.graph(0);
+        let (g, dpids, index) = v.graph();
         assert_eq!(g.node_count(), 2);
         assert_eq!(g.edge_count(), 2);
         assert_eq!(dpids.len(), 2);
@@ -576,7 +647,7 @@ mod tests {
 
         let mut v2 = two_switch_view();
         v2.set_port(1, 2, false);
-        let (g2, _, _) = v2.graph(0);
+        let (g2, _, _) = v2.graph();
         assert_eq!(g2.edge_count(), 0);
     }
 
@@ -591,5 +662,147 @@ mod tests {
         assert_eq!(v.version, before);
         v.set_port(2, 2, false);
         assert!(v.version > before);
+    }
+
+    #[test]
+    fn ports_toward_walks_parallel_links_in_port_order() {
+        let mut v = NetworkView::new();
+        v.add_switch(1, 1, &[(1, true), (2, true), (3, true), (4, true)]);
+        v.add_switch(2, 1, &[(1, true), (2, true), (3, true)]);
+        v.add_switch(3, 1, &[(1, true)]);
+        // Three parallel links 1→2 with a link to another switch
+        // between them in key order, and a neighbouring switch's keys
+        // on either side of switch 1's range.
+        v.add_link((1, 1), (2, 1));
+        v.add_link((1, 2), (3, 1));
+        v.add_link((1, 3), (2, 2));
+        v.add_link((1, 4), (2, 3));
+        v.add_link((2, 1), (1, 1));
+        assert_eq!(v.ports_toward(1, 2), vec![1, 3, 4]);
+        assert_eq!(v.port_toward(1, 2), Some(1));
+        assert_eq!(v.links_between(1, 2).len(), 3);
+        assert_eq!(v.ports_toward(1, 3), vec![2]);
+        assert_eq!(v.ports_toward(3, 1), Vec::<PortNo>::new());
+
+        // The first port goes down without the link being torn (the
+        // port map was refreshed wholesale): the next parallel link
+        // takes over.
+        v.add_switch(1, 1, &[(1, false), (2, true), (3, true), (4, true)]);
+        assert_eq!(v.port_toward(1, 2), Some(3));
+        assert_eq!(v.ports_toward(1, 2), vec![3, 4]);
+        // PORT_STATUS down tears the link itself.
+        v.set_port(1, 3, false);
+        assert_eq!(v.ports_toward(1, 2), vec![4]);
+        assert_eq!(
+            v.links_between(1, 2),
+            vec![((1, 1), (2, 1)), ((1, 4), (2, 3))]
+        );
+    }
+
+    /// `learn_host` and `host_by_ip` as they were before the IP index:
+    /// whole-map scans, first match by MAC order. The oracle for
+    /// [`indexed_hosts_match_the_scan_model`].
+    #[derive(Default)]
+    struct ScanModel {
+        hosts: BTreeMap<EthernetAddress, HostEntry>,
+        version: u64,
+    }
+
+    impl ScanModel {
+        fn evict_shadowers(&mut self, mac: EthernetAddress, addr: Ipv4Address) -> bool {
+            let before = self.hosts.len();
+            self.hosts.retain(|&m, e| m == mac || e.ip != Some(addr));
+            self.hosts.len() != before
+        }
+
+        fn learn_host(
+            &mut self,
+            mac: EthernetAddress,
+            dpid: Dpid,
+            port: PortNo,
+            ip: Option<Ipv4Address>,
+            now: Instant,
+        ) -> bool {
+            if ip.is_some_and(|addr| self.evict_shadowers(mac, addr)) {
+                self.version += 1;
+            }
+            let Some(entry) = self.hosts.get_mut(&mac) else {
+                self.hosts.insert(
+                    mac,
+                    HostEntry {
+                        dpid,
+                        port,
+                        ip,
+                        last_seen: now,
+                    },
+                );
+                self.version += 1;
+                return true;
+            };
+            let moved = entry.dpid != dpid || entry.port != port;
+            *entry = HostEntry {
+                dpid,
+                port,
+                ip: ip.or(entry.ip),
+                last_seen: now,
+            };
+            if moved {
+                if let Some(addr) = entry.ip.filter(|_| ip.is_none()) {
+                    self.evict_shadowers(mac, addr);
+                }
+                self.version += 1;
+            }
+            moved
+        }
+
+        fn host_by_ip(&self, ip: Ipv4Address) -> Option<(EthernetAddress, HostEntry)> {
+            self.hosts
+                .iter()
+                .find(|(_, e)| e.ip == Some(ip))
+                .map(|(&mac, &e)| (mac, e))
+        }
+    }
+
+    #[test]
+    fn indexed_hosts_match_the_scan_model() {
+        const MACS: u64 = 24;
+        const IPS: u8 = 12;
+        let mut rng = zen_wire::lcg::Lcg::new(0x1d_ea5e);
+        let mut view = NetworkView::new();
+        let mut model = ScanModel::default();
+        for step in 0..12_000u64 {
+            let mac = EthernetAddress::from_id(rng.gen_range(MACS));
+            // Half the sightings confirm the known attachment, the rest
+            // are new hosts and moves; a third carry no IP, and IPs are
+            // few enough that MACs keep taking them from each other.
+            let (dpid, port) = match view.hosts().get(&mac) {
+                Some(e) if rng.gen_ratio(1, 2) => (e.dpid, e.port),
+                _ => (1 + rng.gen_range(4), 1 + rng.gen_range(4) as PortNo),
+            };
+            let ip = (!rng.gen_ratio(1, 3))
+                .then(|| Ipv4Address::new(10, 0, 0, 1 + rng.gen_range(u64::from(IPS)) as u8));
+            let now = Instant::from_millis(step);
+            assert_eq!(
+                view.learn_host(mac, dpid, port, ip, now),
+                model.learn_host(mac, dpid, port, ip, now),
+                "step {step}: return value"
+            );
+            assert_eq!(view.hosts(), &model.hosts, "step {step}: hosts");
+            assert_eq!(view.version, model.version, "step {step}: version");
+            for last in 1..=IPS {
+                let ip = Ipv4Address::new(10, 0, 0, last);
+                assert_eq!(
+                    view.host_by_ip(ip),
+                    model.host_by_ip(ip),
+                    "step {step}: {ip}"
+                );
+            }
+            assert_eq!(
+                view.by_ip.len(),
+                view.hosts.values().filter(|e| e.ip.is_some()).count(),
+                "step {step}: one index entry per addressed host"
+            );
+        }
+        assert!(model.hosts.len() > 12, "the universe filled up");
     }
 }

@@ -32,9 +32,9 @@ fn discovery_learns_full_topology_and_hosts() {
     // Every physical link discovered in both directions.
     assert_eq!(controller.view.links.len(), 2 * topo.links.len());
     // Gratuitous ARPs revealed every host with its IP.
-    assert_eq!(controller.view.hosts.len(), 4);
+    assert_eq!(controller.view.hosts().len(), 4);
     for (i, mac) in fabric.host_macs.iter().enumerate() {
-        let entry = controller.view.hosts.get(mac).expect("host learned");
+        let entry = controller.view.hosts().get(mac).expect("host learned");
         assert_eq!(entry.ip, Some(fabric.host_ips[i]));
         assert_eq!(entry.dpid, fabric.host_attach[i].0 as u64);
         assert_eq!(entry.port, fabric.host_attach[i].1);

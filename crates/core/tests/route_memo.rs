@@ -1,0 +1,193 @@
+//! The view memoises its routing snapshot per version. After every kind
+//! of structural change the next reactive punt must install exactly the
+//! path an uncached `graph()` + `dijkstra` over the changed view gives —
+//! a stale snapshot surviving a change would install the old one.
+//!
+//! A 4-switch ring carries two senders on switch 0 and a sink on switch
+//! 2, so there are always two equal-cost ways round. Flows idle out
+//! (10 ms) long before a sender's next datagram (50 ms), so every
+//! datagram is a fresh punt; the two senders fire 10 ms apart inside
+//! one controller tick, which lets a change be undone between two punts
+//! with no discovery round in between. Changes are made on the
+//! controller's view directly, 1 ms before the datagram they precede.
+
+use std::collections::BTreeMap;
+
+use zen_core::apps::reactive::REACTIVE_COOKIE;
+use zen_core::apps::ReactiveForwarding;
+use zen_core::harness::{
+    build_fabric_with_hosts, default_host_ip, default_host_mac, FabricOptions,
+};
+use zen_core::view::{Dpid, NetworkView};
+use zen_core::{Controller, SwitchAgent};
+use zen_dataplane::{Action, PortNo};
+use zen_graph::dijkstra;
+use zen_sim::{Duration, Host, Instant, LinkParams, Topology, Workload, World};
+use zen_wire::EthernetAddress;
+
+const SINK: usize = 2;
+
+/// What a fresh computation over `view` says a punt at `src` for a
+/// frame to `dst` installs: switch → output port. Ports come from a
+/// scan of every link, first match in key order.
+fn uncached_program(view: &NetworkView, src: Dpid, dst: EthernetAddress) -> BTreeMap<Dpid, PortNo> {
+    let host = view.hosts()[&dst];
+    let (graph, dpids, index) = view.graph();
+    let tree = dijkstra(&graph, index[&src]);
+    let Some(path) = tree.path_to(&graph, index[&host.dpid]) else {
+        return BTreeMap::new();
+    };
+    let hops: Vec<Dpid> = path.nodes.iter().map(|&ix| dpids[ix as usize]).collect();
+    let mut program = BTreeMap::new();
+    for pair in hops.windows(2) {
+        let (&(_, port), _) = view
+            .links
+            .iter()
+            .find(|(&(a, p), &(b, _))| a == pair[0] && b == pair[1] && view.port_up(a, p))
+            .expect("the path follows discovered links");
+        program.insert(pair[0], port);
+    }
+    program.insert(host.dpid, host.port);
+    program
+}
+
+#[test]
+fn every_view_change_reroutes_the_next_punt() {
+    let mut topo = Topology::ring(4, LinkParams::default());
+    topo.hosts = vec![0, 0, SINK];
+    let mut world = World::new(3);
+    let mut app = ReactiveForwarding::new();
+    app.idle_timeout = Duration::from_millis(10).as_nanos();
+    let fabric = build_fabric_with_hosts(
+        &mut world,
+        &topo,
+        vec![Box::new(app)],
+        FabricOptions::default(),
+        |i, mac, ip| {
+            let host = Host::new(mac, ip)
+                .with_gratuitous_arp()
+                .with_static_arp(default_host_ip(SINK), default_host_mac(SINK));
+            if i == SINK {
+                return host;
+            }
+            host.with_workload(Workload::Udp {
+                dst: default_host_ip(SINK),
+                dst_port: 9,
+                size: 20,
+                count: 8,
+                interval: Duration::from_millis(50),
+                // Controller ticks fall on multiples of 50 ms.
+                start: Instant::from_millis(520 + 10 * i as u64),
+            })
+        },
+    );
+    let sink = default_host_mac(SINK);
+    // The first hop of the default route, and its port on switch 0.
+    let baseline = {
+        world.run_until(Instant::from_millis(500));
+        let view = &world.node_as::<Controller>(fabric.controller).view;
+        uncached_program(view, 0, sink)
+    };
+    let port = baseline[&0];
+    let via = world.node_as::<Controller>(fabric.controller).view.links[&(0, port)].0;
+    let other = if via == 1 { 3 } else { 1 };
+
+    type Change = fn(&mut NetworkView, PortNo, Dpid, Dpid, Instant);
+    // (sender, datagram number, change made just before it, whether it
+    // must move the route off the default first hop / back onto it).
+    let steps: [(usize, u64, Change, Option<bool>); 9] = [
+        (0, 0, |_, _, _, _, _| {}, None),
+        // PORT_STATUS down, then up again (discovery restores the link).
+        (
+            0,
+            1,
+            |v, port, _, _, _| v.set_port(0, port, false),
+            Some(true),
+        ),
+        (0, 2, |v, port, _, _, _| v.set_port(0, port, true), None),
+        // A silent failure aged out by `expire_links`.
+        (
+            0,
+            3,
+            |v, port, _, _, now| {
+                v.expire_links_filtered(now, Duration::ZERO, |from, _| from == (0, port));
+            },
+            Some(true),
+        ),
+        // A dead control session, then its return within the same tick.
+        (
+            0,
+            4,
+            |v, _, via, _, _| {
+                v.quarantine(via);
+            },
+            Some(true),
+        ),
+        (
+            1,
+            4,
+            |v, _, via, _, _| {
+                v.unquarantine(via);
+            },
+            Some(false),
+        ),
+        // A peer replica's LinkDel.
+        (
+            0,
+            5,
+            |v, port, _, _, _| {
+                v.remove_link((0, port));
+            },
+            Some(true),
+        ),
+        (0, 6, |_, _, _, _, _| {}, Some(false)),
+        // The sink shows up on the other neighbour.
+        (
+            0,
+            7,
+            |v, _, _, other, now| {
+                v.learn_host(default_host_mac(SINK), other, 9, None, now);
+            },
+            None,
+        ),
+    ];
+    for (step, &(sender, nth, change, moves)) in steps.iter().enumerate() {
+        let due_ms = 520 + 10 * sender as u64 + 50 * nth;
+        world.run_until(Instant::from_millis(due_ms - 1));
+        let now = world.now();
+        let view = &mut world.node_as_mut::<Controller>(fabric.controller).view;
+        change(view, port, via, other, now);
+        let want = uncached_program(view, 0, sink);
+        // Guard the scenario itself.
+        match moves {
+            Some(true) => assert_ne!(want.get(&0), Some(&port), "step {step}: route did not move"),
+            Some(false) => assert_eq!(want, baseline, "step {step}: route did not return"),
+            None => {}
+        }
+        world.run_until(Instant::from_millis(due_ms + 5));
+
+        let src = default_host_mac(sender);
+        let mut got = BTreeMap::new();
+        for (dpid, &node) in fabric.switches.iter().enumerate() {
+            let table = world.node_as::<SwitchAgent>(node).dp.table(0);
+            for e in table.entries().filter(|e| {
+                e.spec.cookie == REACTIVE_COOKIE
+                    && e.spec.matcher.eth_src == Some(src)
+                    && e.spec.matcher.eth_dst == Some(sink)
+            }) {
+                let [Action::Output(out)] = e.spec.actions[..] else {
+                    panic!("step {step}: unexpected actions {:?}", e.spec.actions);
+                };
+                got.insert(dpid as Dpid, out);
+            }
+        }
+        assert!(
+            !want.is_empty(),
+            "step {step}: the ring never partitions here"
+        );
+        assert_eq!(
+            got, want,
+            "step {step}: installed path is not the uncached one"
+        );
+    }
+}

@@ -8,9 +8,10 @@
 //! twice from the same seed. The runs must agree on every
 //! deterministic observable — punt counts, setups, simulated
 //! latencies, decode errors — and the wall-clock setup rate must clear
-//! a floor set far below the measured peak, so only an order-of-
-//! magnitude regression (an accidental copy storm, a quadratic
-//! dispatch path) trips it, never scheduler noise.
+//! a floor between what the controller sustains on a busy runner and
+//! what it sustained before the view was indexed, so a per-punt cost
+//! that grows with the network again (a whole-map scan, a copy storm)
+//! trips it while scheduler noise does not.
 //!
 //! Ignored by default (the floor is meaningless in debug builds); CI
 //! runs it explicitly:
@@ -36,11 +37,17 @@ const OUTSTANDING: usize = 8;
 /// Fabric time simulated per run.
 const RUN_MS: u64 = 200;
 
-/// Wall-clock setups/sec the release build must sustain. The measured
-/// peak for this configuration is well over 200k/s; the floor only
-/// exists to catch order-of-magnitude regressions on the decode and
-/// dispatch path, so it sits ~10x below slow-CI-runner reality.
-const SETUPS_PER_SEC_FLOOR: f64 = 20_000.0;
+/// Wall-clock setups/sec the release build must sustain. On the 2-core
+/// reference box this configuration runs at 0.92–1.01 M/s on PR 12's
+/// tree (parent commit 25e319d) and at 0.49–0.57 M/s when a neighbour
+/// on the shared host is busy; the parent commit, whose controller
+/// scanned every known host per punt, ran it at 0.32–0.38 M/s. The
+/// floor is the quiet rate derated 2x and then lowered to sit between
+/// those last two ranges, so a busy runner passes and the scan coming
+/// back does not — the old 20 k/s floor would have let that whole gain
+/// regress unseen. The same 400 k/s is what `ci/bench_gate.sh E17`
+/// enforces (0.8 x its committed baseline).
+const SETUPS_PER_SEC_FLOOR: f64 = 400_000.0;
 
 /// Everything deterministic a run produces, compared across replays.
 /// Wall-clock latencies stay out: they are real time, not fabric time.
@@ -132,8 +139,9 @@ fn saturation_smoke_floor_and_replay() {
         first.total_setups
     );
 
-    // The wall-clock floor: conservative on purpose (see module docs).
+    // The wall-clock floor (see module docs).
     let rate = first.total_setups as f64 / first.wall_secs;
+    eprintln!("saturation smoke: {rate:.0} setups/s (floor {SETUPS_PER_SEC_FLOOR:.0})");
     assert!(
         rate >= SETUPS_PER_SEC_FLOOR,
         "setup rate regressed: {:.0}/s < floor {:.0}/s ({} setups in {:.1} ms, seed {SMOKE_SEED:#x})",

@@ -45,6 +45,21 @@ pub enum Action {
     Meter(u32),
 }
 
+impl Action {
+    /// Whether executing the action can modify the frame (everything
+    /// [`apply_rewrite`] handles); the rest only read it.
+    pub fn rewrites(&self) -> bool {
+        !matches!(
+            self,
+            Action::Output(_)
+                | Action::Flood
+                | Action::ToController { .. }
+                | Action::Group(_)
+                | Action::Meter(_)
+        )
+    }
+}
+
 /// Rewrite outcome for a single set-field style action.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Rewrite {

@@ -83,7 +83,9 @@ pub struct Datapath {
     /// The group table.
     pub groups: GroupTable,
     meters: BTreeMap<u32, Meter>,
-    ports: BTreeMap<PortNo, bool>,
+    /// Port → up. Shared so a group action can hold the map while its
+    /// buckets run.
+    ports: Arc<BTreeMap<PortNo, bool>>,
     port_stats: BTreeMap<PortNo, PortStats>,
     miss_policy: MissPolicy,
     /// Frames dropped because no entry matched under [`MissPolicy::Drop`],
@@ -142,7 +144,7 @@ impl Datapath {
             tables: (0..n_tables).map(|_| FlowTable::new()).collect(),
             groups: GroupTable::new(),
             meters: BTreeMap::new(),
-            ports: BTreeMap::new(),
+            ports: Arc::default(),
             port_stats: BTreeMap::new(),
             miss_policy,
             pipeline_drops: 0,
@@ -195,14 +197,14 @@ impl Datapath {
 
     /// Register a port (initially up).
     pub fn add_port(&mut self, port: PortNo) {
-        self.ports.insert(port, true);
+        Arc::make_mut(&mut self.ports).insert(port, true);
         self.port_stats.entry(port).or_default();
         self.cache.invalidate();
     }
 
     /// Record a port's operational state.
     pub fn set_port_up(&mut self, port: PortNo, up: bool) {
-        if let Some(state) = self.ports.get_mut(&port) {
+        if let Some(state) = Arc::make_mut(&mut self.ports).get_mut(&port) {
             if *state != up {
                 *state = up;
                 self.cache.invalidate();
@@ -657,7 +659,7 @@ impl Datapath {
                     });
                 }
                 Action::Flood => {
-                    for (&port, &up) in &self.ports {
+                    for (&port, &up) in self.ports.iter() {
                         if up && port != in_port {
                             effects.push(Effect::Output {
                                 port,
@@ -686,28 +688,27 @@ impl Datapath {
                             },
                         );
                     }
-                    let ports_snapshot = self.ports.clone();
-                    let picks = self.groups.select_buckets(
-                        id,
-                        ecmp_hash(key.flow_hash(), self.dpid),
-                        |p| ports_snapshot.get(&p).copied().unwrap_or(false),
-                    );
-                    let buckets: Vec<Vec<Action>> = picks
-                        .iter()
-                        .filter_map(|&i| self.groups.get(id).map(|g| g.buckets[i].actions.clone()))
-                        .collect();
-                    for bucket_actions in buckets {
-                        // Each bucket works on its own copy.
-                        let mut copy = working.clone();
-                        if !self.execute_actions(
-                            &bucket_actions,
-                            key,
-                            in_port,
-                            &mut copy,
-                            effects,
-                            now,
-                            table_id,
-                        ) {
+                    let Some(group) = self.groups.shared(id) else {
+                        continue;
+                    };
+                    // Both held while the buckets run: they may recurse.
+                    let ports = Arc::clone(&self.ports);
+                    let hash = ecmp_hash(key.flow_hash(), self.dpid);
+                    for i in group.select_buckets(hash, |p| ports.get(&p) == Some(&true)) {
+                        let actions = &group.buckets[i].actions;
+                        // Each bucket works on its own copy of the
+                        // frame, made only if the bucket rewrites it.
+                        let forwarded = if actions.iter().any(Action::rewrites) {
+                            let mut copy = working.clone();
+                            self.execute_actions(
+                                actions, key, in_port, &mut copy, effects, now, table_id,
+                            )
+                        } else {
+                            self.execute_actions(
+                                actions, key, in_port, working, effects, now, table_id,
+                            )
+                        };
+                        if !forwarded {
                             return false;
                         }
                     }
@@ -949,6 +950,53 @@ mod tests {
         dp.set_port_up(2, false);
         let effects = dp.process(1, 1, &udp(1));
         assert!(matches!(&effects[0], Effect::Output { port: 3, .. }));
+    }
+
+    #[test]
+    fn bucket_rewrites_stay_in_the_bucket() {
+        let mut dp = dp(1);
+        let mac = EthernetAddress::from_id(0x77);
+        dp.groups.add(
+            5,
+            GroupDesc {
+                group_type: GroupType::All,
+                buckets: vec![
+                    Bucket {
+                        actions: vec![Action::SetEthDst(mac), Action::Output(2)],
+                        watch_port: None,
+                    },
+                    Bucket::output(3),
+                ],
+            },
+        );
+        dp.add_flow(
+            0,
+            FlowSpec::new(1, FlowMatch::ANY, vec![Action::Group(5), Action::Output(4)]),
+            0,
+        );
+        let frame = udp(1);
+        let mut rewritten = frame.clone();
+        rewritten[..6].copy_from_slice(&mac.0);
+        // Once through the table walk, once replayed from the cache.
+        for now in 0..2 {
+            assert_eq!(
+                dp.process(now, 1, &frame),
+                vec![
+                    Effect::Output {
+                        port: 2,
+                        frame: rewritten.clone()
+                    },
+                    Effect::Output {
+                        port: 3,
+                        frame: frame.clone()
+                    },
+                    Effect::Output {
+                        port: 4,
+                        frame: frame.clone()
+                    },
+                ]
+            );
+        }
     }
 
     #[test]

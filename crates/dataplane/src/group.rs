@@ -1,6 +1,7 @@
 //! Group tables: ALL, SELECT (ECMP), and FAST-FAILOVER.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crate::action::Action;
 use crate::PortNo;
@@ -47,10 +48,42 @@ pub struct GroupDesc {
     pub buckets: Vec<Bucket>,
 }
 
+impl GroupDesc {
+    /// Select the bucket(s) to execute for a frame with `flow_hash`,
+    /// given a port-liveness oracle: indices into the bucket list, in
+    /// order. Nothing is allocated; SELECT counts its live buckets,
+    /// then walks to the chosen one.
+    pub fn select_buckets<'a>(
+        &'a self,
+        flow_hash: u64,
+        port_live: impl Fn(PortNo) -> bool + 'a,
+    ) -> impl Iterator<Item = usize> + 'a {
+        let live = move |b: &Bucket| b.watch_port.is_none_or(&port_live);
+        // Which of the live buckets, counted in order, run.
+        let (skip, take) = match self.group_type {
+            GroupType::All => (0, usize::MAX),
+            GroupType::FastFailover => (0, 1),
+            GroupType::Select => match self.buckets.iter().filter(|b| live(b)).count() {
+                0 => (0, 0),
+                n => ((flow_hash % n as u64) as usize, 1),
+            },
+        };
+        self.buckets
+            .iter()
+            .enumerate()
+            .filter(move |(_, b)| live(b))
+            .map(|(i, _)| i)
+            .skip(skip)
+            .take(take)
+    }
+}
+
 /// The set of groups on a datapath.
 #[derive(Debug, Clone, Default)]
 pub struct GroupTable {
-    groups: BTreeMap<u32, GroupDesc>,
+    /// Shared so the pipeline can hold a group while its buckets run
+    /// (they may recurse into the datapath that owns this table).
+    groups: BTreeMap<u32, Arc<GroupDesc>>,
 }
 
 impl GroupTable {
@@ -61,7 +94,7 @@ impl GroupTable {
 
     /// Install or replace a group.
     pub fn add(&mut self, id: u32, desc: GroupDesc) {
-        self.groups.insert(id, desc);
+        self.groups.insert(id, Arc::new(desc));
     }
 
     /// Remove a group; returns whether it existed.
@@ -71,7 +104,12 @@ impl GroupTable {
 
     /// Look up a group.
     pub fn get(&self, id: u32) -> Option<&GroupDesc> {
-        self.groups.get(&id)
+        self.groups.get(&id).map(|g| &**g)
+    }
+
+    /// A shared handle on a group, for executing it.
+    pub(crate) fn shared(&self, id: u32) -> Option<Arc<GroupDesc>> {
+        self.groups.get(&id).cloned()
     }
 
     /// Number of groups.
@@ -87,47 +125,26 @@ impl GroupTable {
     /// Iterate installed groups in id order (deterministic — used by
     /// tests that digest whole-switch forwarding state).
     pub fn iter(&self) -> impl Iterator<Item = (u32, &GroupDesc)> {
-        self.groups.iter().map(|(&id, desc)| (id, desc))
-    }
-
-    /// Select the bucket(s) to execute for a frame with `flow_hash`,
-    /// given a port-liveness oracle. Returns indices into the group's
-    /// bucket list.
-    pub fn select_buckets(
-        &self,
-        id: u32,
-        flow_hash: u64,
-        port_live: impl Fn(PortNo) -> bool,
-    ) -> Vec<usize> {
-        let Some(group) = self.groups.get(&id) else {
-            return Vec::new();
-        };
-        let live = |b: &Bucket| b.watch_port.is_none_or(&port_live);
-        match group.group_type {
-            GroupType::All => (0..group.buckets.len())
-                .filter(|&i| live(&group.buckets[i]))
-                .collect(),
-            GroupType::Select => {
-                let live_ix: Vec<usize> = (0..group.buckets.len())
-                    .filter(|&i| live(&group.buckets[i]))
-                    .collect();
-                if live_ix.is_empty() {
-                    Vec::new()
-                } else {
-                    vec![live_ix[(flow_hash % live_ix.len() as u64) as usize]]
-                }
-            }
-            GroupType::FastFailover => (0..group.buckets.len())
-                .find(|&i| live(&group.buckets[i]))
-                .map(|i| vec![i])
-                .unwrap_or_default(),
-        }
+        self.groups.iter().map(|(&id, desc)| (id, &**desc))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// What `id` selects, collected; a missing group selects nothing.
+    fn selected(
+        table: &GroupTable,
+        id: u32,
+        flow_hash: u64,
+        port_live: impl Fn(PortNo) -> bool,
+    ) -> Vec<usize> {
+        table
+            .get(id)
+            .map(|g| g.select_buckets(flow_hash, port_live).collect())
+            .unwrap_or_default()
+    }
 
     fn ecmp_group(ports: &[PortNo]) -> GroupDesc {
         GroupDesc {
@@ -143,11 +160,11 @@ mod tests {
         let all_up = |_p: PortNo| true;
         let mut seen = std::collections::BTreeSet::new();
         for hash in 0..100u64 {
-            let picks = table.select_buckets(1, hash, all_up);
+            let picks = selected(&table, 1, hash, all_up);
             assert_eq!(picks.len(), 1);
             seen.insert(picks[0]);
             // Stability: same hash, same bucket.
-            assert_eq!(picks, table.select_buckets(1, hash, all_up));
+            assert_eq!(picks, selected(&table, 1, hash, all_up));
         }
         assert_eq!(seen.len(), 3, "hashing failed to cover all buckets");
     }
@@ -158,12 +175,12 @@ mod tests {
         table.add(1, ecmp_group(&[10, 11, 12]));
         let up = |p: PortNo| p != 11;
         for hash in 0..50u64 {
-            let picks = table.select_buckets(1, hash, up);
+            let picks = selected(&table, 1, hash, up);
             assert_eq!(picks.len(), 1);
             assert_ne!(picks[0], 1, "selected the dead bucket");
         }
         // All dead: nothing selected.
-        assert!(table.select_buckets(1, 0, |_| false).is_empty());
+        assert!(selected(&table, 1, 0, |_| false).is_empty());
     }
 
     #[test]
@@ -176,9 +193,9 @@ mod tests {
                 buckets: vec![Bucket::output(5), Bucket::output(6)],
             },
         );
-        assert_eq!(table.select_buckets(2, 0, |_| true), vec![0]);
-        assert_eq!(table.select_buckets(2, 0, |p| p != 5), vec![1]);
-        assert!(table.select_buckets(2, 0, |_| false).is_empty());
+        assert_eq!(selected(&table, 2, 0, |_| true), vec![0]);
+        assert_eq!(selected(&table, 2, 0, |p| p != 5), vec![1]);
+        assert!(selected(&table, 2, 0, |_| false).is_empty());
     }
 
     #[test]
@@ -191,14 +208,14 @@ mod tests {
                 buckets: vec![Bucket::output(1), Bucket::output(2), Bucket::output(3)],
             },
         );
-        assert_eq!(table.select_buckets(3, 9, |_| true), vec![0, 1, 2]);
-        assert_eq!(table.select_buckets(3, 9, |p| p != 2), vec![0, 2]);
+        assert_eq!(selected(&table, 3, 9, |_| true), vec![0, 1, 2]);
+        assert_eq!(selected(&table, 3, 9, |p| p != 2), vec![0, 2]);
     }
 
     #[test]
     fn missing_group_selects_nothing() {
         let table = GroupTable::new();
-        assert!(table.select_buckets(9, 0, |_| true).is_empty());
+        assert!(selected(&table, 9, 0, |_| true).is_empty());
     }
 
     #[test]

@@ -79,7 +79,7 @@ fn gen_actions(rng: &mut Lcg) -> Vec<Action> {
         Action::SetEthDst(EthernetAddress::from_id(7)),
         Action::ToController { max_len: 48 },
         Action::Meter(1),
-        Action::Group(7),
+        Action::Group(7 + rng.gen_range(4) as u32),
         Action::Output(1 + rng.gen_range(4) as u32),
     ];
     (0..1 + rng.gen_index(3))
@@ -100,6 +100,17 @@ fn gen_spec(rng: &mut Lcg) -> FlowSpec {
     spec
 }
 
+/// A bucket that rewrites its own copy of the frame before sending it.
+fn rewriting_bucket(port: u32) -> Bucket {
+    Bucket {
+        actions: vec![
+            Action::SetEthDst(EthernetAddress::from_id(0x40 + u64::from(port))),
+            Action::Output(port),
+        ],
+        watch_port: Some(port),
+    }
+}
+
 fn build_dp(cached: bool) -> Datapath {
     let mut dp = Datapath::new(1, 2, MissPolicy::ToController { max_len: 64 });
     dp.set_flow_cache_enabled(cached);
@@ -112,6 +123,34 @@ fn build_dp(cached: bool) -> Datapath {
             group_type: GroupType::Select,
             buckets: vec![Bucket::output(2), Bucket::output(3), Bucket::output(4)],
         },
+    );
+    // Groups whose buckets rewrite: a bucket's rewrite must reach its
+    // own output and nothing after it — not the next bucket, not the
+    // actions that follow the group.
+    let rewriting = |group_type, buckets| GroupDesc {
+        group_type,
+        buckets,
+    };
+    dp.groups.add(
+        8,
+        rewriting(
+            GroupType::Select,
+            vec![rewriting_bucket(2), Bucket::output(3), rewriting_bucket(4)],
+        ),
+    );
+    dp.groups.add(
+        9,
+        rewriting(
+            GroupType::FastFailover,
+            vec![rewriting_bucket(1), rewriting_bucket(3)],
+        ),
+    );
+    dp.groups.add(
+        10,
+        rewriting(
+            GroupType::All,
+            vec![rewriting_bucket(2), Bucket::output(3), rewriting_bucket(4)],
+        ),
     );
     dp.set_meter(1, 80_000, 2_000);
     dp
@@ -167,12 +206,12 @@ fn snapshot(dp: &Datapath) -> (EntrySnap, TableSnap, PortSnap, u64, u64, usize) 
     )
 }
 
-fn run_differential(seed: u64, cache_enabled: bool) -> u64 {
+fn run_differential(seed: u64, batched_cache: bool, scalar_cache: bool) -> u64 {
     let mut rng = Lcg::new(seed);
     let mut total_frames = 0u64;
     for case in 0..CASES {
-        let mut batched = build_dp(cache_enabled);
-        let mut scalar = build_dp(cache_enabled);
+        let mut batched = build_dp(batched_cache);
+        let mut scalar = build_dp(scalar_cache);
         let mut now = 0u64;
         for op in 0..OPS_PER_CASE {
             now += 1 + rng.gen_range(20);
@@ -247,7 +286,7 @@ fn run_differential(seed: u64, cache_enabled: bool) -> u64 {
 
 #[test]
 fn batched_and_scalar_pipelines_are_observably_identical() {
-    let total = run_differential(0xBA7C4ED1, true);
+    let total = run_differential(0xBA7C4ED1, true, true);
     // The interleavings must be long enough to mean something.
     assert!(total >= 10_000, "only {total} frames processed");
 }
@@ -256,7 +295,16 @@ fn batched_and_scalar_pipelines_are_observably_identical() {
 fn batched_and_scalar_agree_with_cache_disabled() {
     // Without the cache every frame takes the slow path; batching must
     // still only amortize, never reorder or merge.
-    let total = run_differential(0xBA7C4ED2, false);
+    let total = run_differential(0xBA7C4ED2, false, false);
+    assert!(total >= 10_000, "only {total} frames processed");
+}
+
+#[test]
+fn batched_cached_agrees_with_scalar_cache_off() {
+    // Replayed trajectories run group buckets through the same code as
+    // the table walk; the two must not drift, rewriting buckets
+    // included.
+    let total = run_differential(0xBA7C4ED3, true, false);
     assert!(total >= 10_000, "only {total} frames processed");
 }
 

@@ -51,7 +51,7 @@ fn main() {
         "  discovered: {} switches, {} directed links, {} hosts",
         controller.view.switches.len(),
         controller.view.links.len(),
-        controller.view.hosts.len()
+        controller.view.hosts().len()
     );
     println!(
         "  control channel: {} msgs received, {} flow-mods sent, {} packet-ins",
