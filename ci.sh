@@ -63,6 +63,12 @@ cargo test --release -p zen-core --test consensus -- --ignored --nocapture
 # byte-identical across shard counts.
 cargo test --release -p zen-core --test shard -- --ignored --nocapture
 
+# Exact-count gate: the ledger's traced fixed-seed `fabric_forward` run
+# must be correct, keep its committed sim_digest, and hold the cached
+# forward's allocation and drop counters — no tolerance, they repeat to
+# the last digit.
+ci/ledger_counts.sh
+
 # Perf-regression gates: each runs one experiment bench in quick mode
 # against its committed baseline (ci/BENCH_<ID>.baseline.json), writes
 # target/BENCH_<ID>.json (uploaded as a CI artifact), and fails past

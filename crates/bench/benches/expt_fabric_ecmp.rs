@@ -110,11 +110,11 @@ fn run(ecmp: bool, seed: u64) -> RunResult {
                 .map(zen_core::apps::proactive::group_id_for)
                 .collect();
             for gid in gids {
-                if let Some(desc) = agent.dp.groups.get(gid).cloned() {
+                if let Some(desc) = agent.dp.groups().get(gid).cloned() {
                     if desc.buckets.len() > 1 {
                         let mut single = desc;
                         single.buckets.truncate(1);
-                        agent.dp.groups.add(gid, single);
+                        agent.dp.add_group(gid, single);
                     }
                 }
             }

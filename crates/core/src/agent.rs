@@ -183,6 +183,9 @@ pub struct SwitchAgent {
     punt_meter: Option<zen_dataplane::Meter>,
     /// Cached metric handle for `defense.agent_punts_shed`.
     punt_shed_cid: Option<zen_sim::CounterId>,
+    /// The effects of the frame being handled; kept only to recycle
+    /// its allocation from frame to frame.
+    effects: Vec<Effect>,
     /// Counters.
     pub stats: AgentStats,
 }
@@ -245,6 +248,7 @@ impl SwitchAgent {
                 .punt_meter
                 .map(|m| zen_dataplane::Meter::per_packet(m.rate_pps, m.burst)),
             punt_shed_cid: None,
+            effects: Vec::new(),
             stats: AgentStats::default(),
         }
     }
@@ -355,10 +359,13 @@ impl SwitchAgent {
             .collect()
     }
 
-    fn run_effects(&mut self, ctx: &mut Context<'_>, effects: Vec<Effect>) {
-        for effect in effects {
+    /// Carry out (and drain) what the datapath decided.
+    fn run_effects(&mut self, ctx: &mut Context<'_>, effects: &mut Vec<Effect>) {
+        for effect in effects.drain(..) {
             match effect {
                 Effect::Output { port, frame } => {
+                    // The datapath reports outputs to down ports too
+                    // (and counts them dropped); they stop here.
                     if self.dp.port_up(port) {
                         ctx.transmit(port, frame);
                     }
@@ -545,8 +552,8 @@ impl SwitchAgent {
                 frame,
             } => {
                 self.stats.packet_outs += 1;
-                let effects = self.dp.inject(now, in_port, &actions, &frame);
-                self.run_effects(ctx, effects);
+                let mut effects = self.dp.inject(now, in_port, &actions, &frame);
+                self.run_effects(ctx, &mut effects);
             }
             Message::FlowMod { table_id, cmd } => {
                 if usize::from(table_id) >= self.dp.table_count()
@@ -649,9 +656,9 @@ impl SwitchAgent {
                 self.generation += 1;
                 self.note_applied(xid);
                 match cmd {
-                    GroupModCmd::Add(desc) => self.dp.groups.add(group_id, desc),
+                    GroupModCmd::Add(desc) => self.dp.add_group(group_id, desc),
                     GroupModCmd::Delete => {
-                        self.dp.groups.remove(group_id);
+                        self.dp.remove_group(group_id);
                     }
                 }
             }
@@ -814,8 +821,10 @@ impl Node for SwitchAgent {
 
     fn on_packet(&mut self, ctx: &mut Context<'_>, port: PortNo, frame: &[u8]) {
         let now = ctx.now().as_nanos();
-        let effects = self.dp.process(now, port, frame);
-        self.run_effects(ctx, effects);
+        let mut effects = std::mem::take(&mut self.effects);
+        self.dp.process_batch(now, &[(port, frame)], &mut effects);
+        self.run_effects(ctx, &mut effects);
+        self.effects = effects;
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) {
@@ -880,8 +889,8 @@ impl Node for SwitchAgent {
                         } => {
                             self.stats.packet_outs += 1;
                             let now = ctx.now().as_nanos();
-                            let effects = self.dp.inject(now, in_port, &actions, frame);
-                            self.run_effects(ctx, effects);
+                            let mut effects = self.dp.inject(now, in_port, &actions, frame);
+                            self.run_effects(ctx, &mut effects);
                         }
                         other => self.handle_message(ctx, ci, other.into_message(), xid),
                     }

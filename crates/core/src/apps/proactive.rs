@@ -14,7 +14,7 @@
 use std::any::Any;
 
 use zen_dataplane::{Action, Bucket, FlowMatch, FlowSpec, GroupDesc, GroupType, PortNo};
-use zen_graph::{dists_to, ecmp_next_hops};
+use zen_graph::ecmp_next_hops;
 use zen_sim::Instant;
 use zen_wire::{EthernetAddress, Ipv4Address, Ipv4Cidr};
 
@@ -147,8 +147,7 @@ impl ProactiveFabric {
                 if dst_dpid == switch {
                     continue;
                 }
-                let dist = dists_to(graph, dst_pos as u32);
-                let hops = ecmp_next_hops(graph, my_ix, &dist);
+                let hops = ecmp_next_hops(graph, my_ix, routes.dists_from(dst_pos as u32));
                 let mut buckets = Vec::new();
                 for edge_ix in hops {
                     let next_dpid = dpids[graph.edge(edge_ix).to as usize];
@@ -277,8 +276,7 @@ impl ProactiveFabric {
                     if dst_dpid == switch {
                         continue;
                     }
-                    let dist = dists_to(graph, dst_pos as u32);
-                    let hops = ecmp_next_hops(graph, my_ix, &dist);
+                    let hops = ecmp_next_hops(graph, my_ix, routes.dists_from(dst_pos as u32));
                     let mut buckets = Vec::new();
                     for edge_ix in hops {
                         let next_dpid = dpids[graph.edge(edge_ix).to as usize];
@@ -487,5 +485,87 @@ impl App for ProactiveFabric {
 
     fn as_any(&self) -> &dyn Any {
         self
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn program() -> SwitchProgram {
+        let matcher = FlowMatch::ipv4_to(Ipv4Cidr::new(Ipv4Address::new(10, 0, 0, 7), 32).unwrap());
+        SwitchProgram {
+            groups: vec![(
+                group_id_for(3),
+                GroupDesc {
+                    group_type: GroupType::Select,
+                    buckets: vec![Bucket::output(1), Bucket::output(2)],
+                },
+            )],
+            flows: vec![
+                FlowSpec::new(200, matcher, vec![Action::Group(group_id_for(3))])
+                    .with_cookie(FABRIC_COOKIE)
+                    .with_importance(FABRIC_IMPORTANCE),
+                FlowSpec::new(
+                    200,
+                    FlowMatch::ANY,
+                    vec![
+                        Action::SetEthDst(EthernetAddress::from_id(9)),
+                        Action::Output(4),
+                    ],
+                ),
+            ],
+        }
+    }
+
+    /// The stamp decides whether a takeover reprograms a switch: equal
+    /// programs must stamp equal, and any change a switch would forward
+    /// differently under must not.
+    #[test]
+    fn program_hash_tracks_every_forwarding_relevant_field() {
+        let base = program_hash(&program());
+        assert_eq!(
+            base,
+            program_hash(&program()),
+            "equal programs, equal stamp"
+        );
+
+        type Perturb = fn(&mut SwitchProgram);
+        let perturbations: [(&str, Perturb); 16] = [
+            ("group id", |p| p.groups[0].0 += 1),
+            ("group type", |p| {
+                p.groups[0].1.group_type = GroupType::FastFailover
+            }),
+            ("bucket order", |p| p.groups[0].1.buckets.swap(0, 1)),
+            ("bucket action", |p| {
+                p.groups[0].1.buckets[1].actions = vec![Action::Output(3)]
+            }),
+            ("bucket watch port", |p| {
+                p.groups[0].1.buckets[1].watch_port = None
+            }),
+            ("bucket count", |p| {
+                p.groups[0].1.buckets.pop();
+            }),
+            ("priority", |p| p.flows[0].priority += 1),
+            ("match field", |p| p.flows[0].matcher.l4_dst = Some(80)),
+            ("match prefix", |p| {
+                p.flows[0].matcher.ipv4_dst =
+                    Some(Ipv4Cidr::new(Ipv4Address::new(10, 0, 0, 7), 24).unwrap())
+            }),
+            ("action order", |p| p.flows[1].actions.swap(0, 1)),
+            ("action argument", |p| {
+                p.flows[1].actions[1] = Action::Output(5)
+            }),
+            ("goto", |p| p.flows[0].goto_table = Some(1)),
+            ("cookie", |p| p.flows[0].cookie ^= 1),
+            ("importance", |p| p.flows[0].importance += 1),
+            ("timeouts", |p| p.flows[1].idle_timeout = 5),
+            ("flow order", |p| p.flows.swap(0, 1)),
+        ];
+        for (what, perturb) in perturbations {
+            let mut changed = program();
+            perturb(&mut changed);
+            assert_ne!(base, program_hash(&changed), "{what} left the stamp alone");
+        }
     }
 }

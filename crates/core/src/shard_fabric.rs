@@ -324,7 +324,7 @@ pub fn build_shard_fat_tree(
             for &(_, p) in &edge_host[s] {
                 dp.add_port(p);
             }
-            dp.groups.add(
+            dp.add_group(
                 ecmp_up,
                 GroupDesc {
                     group_type: GroupType::Select,
@@ -361,7 +361,7 @@ pub fn build_shard_fat_tree(
             for &(_, p) in &agg_down[s] {
                 dp.add_port(p);
             }
-            dp.groups.add(
+            dp.add_group(
                 ecmp_up,
                 GroupDesc {
                     group_type: GroupType::Select,

@@ -61,6 +61,15 @@ impl Routes {
         self.trees[src as usize].get_or_init(|| dijkstra(&self.graph, src))
     }
 
+    /// Hop counts from node `src` to every node (`u64::MAX` where
+    /// unreachable), indexed by node, from the memoised tree. Once
+    /// every link is known in both directions these are also the
+    /// distances *to* `src`, which is what ECMP next-hop selection
+    /// toward `src` reads.
+    pub fn dists_from(&self, src: NodeIx) -> &[u64] {
+        &self.tree_from(src).dist
+    }
+
     /// The switches along one shortest path from `from` to `to`, both
     /// inclusive. `None` when either is unknown or `to` is unreachable.
     pub fn hops(&self, from: Dpid, to: Dpid) -> Option<Vec<Dpid>> {

@@ -105,7 +105,7 @@ fn table_digest(agent: &SwitchAgent) -> String {
             out.push('\n');
         }
     }
-    for (id, desc) in agent.dp.groups.iter() {
+    for (id, desc) in agent.dp.groups().iter() {
         out.push_str(&format!("g{id}|{desc:?}\n"));
     }
     out
@@ -460,7 +460,7 @@ fn nonmaster_mods_are_rejected_with_error_and_metric() {
             "a non-master mod reached table {tid}"
         );
     }
-    assert!(agent.dp.groups.is_empty());
+    assert!(agent.dp.groups().is_empty());
     assert!(world.metrics().counter("fault.nonmaster_mod_rejected") >= 1);
     let ctl = world.node_as::<Controller>(controller);
     assert!(ctl.stats.nonmaster_errors >= 1);

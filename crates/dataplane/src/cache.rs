@@ -31,6 +31,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use crate::action::Action;
+use crate::hash::BuildWordHasher;
 use crate::key::FlowKey;
 use crate::matching::KeyMask;
 
@@ -98,26 +99,23 @@ impl CacheStats {
     }
 }
 
-/// Which cache tier answered a lookup (for stats attribution and the
-/// flight recorder's per-packet match events).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HitTier {
-    /// Exact-match microflow tier.
-    Micro,
-    /// Masked megaflow tier.
-    Mega,
-}
+/// One tier's map. Hashed with the unseeded [`WordHasher`]
+/// (`crate::hash`), so nothing may iterate it in an order anyone can
+/// observe: lookups, inserts, removals, `len` and `clear` only.
+///
+/// [`WordHasher`]: crate::hash::WordHasher
+type TierMap = HashMap<FlowKey, Arc<Program>, BuildWordHasher>;
 
 /// The two-tier flow cache. See the module docs for the design.
 #[derive(Debug, Default)]
 pub struct FlowCache {
     /// Tier 1: exact FlowKey (includes in-port) → program.
-    micro: HashMap<FlowKey, Arc<Program>>,
-    /// Tier 2: per-mask maps of projected keys → program. Iteration
-    /// order over masks is irrelevant for correctness: all masks a
-    /// packet can hit agree on its trajectory (they were all recorded
-    /// from the same tables-generation).
-    mega: Vec<(KeyMask, HashMap<FlowKey, Arc<Program>>)>,
+    micro: TierMap,
+    /// Tier 2: per-mask maps of projected keys → program. The masks are
+    /// scanned in install order, which is irrelevant for correctness:
+    /// all masks a packet can hit agree on its trajectory (they were all
+    /// recorded from the same tables-generation).
+    mega: Vec<(KeyMask, TierMap)>,
     /// FIFO of microflow keys for capacity eviction.
     micro_fifo: VecDeque<FlowKey>,
     /// FIFO of (mask, projected key) for capacity eviction.
@@ -145,31 +143,34 @@ impl FlowCache {
         self.generation
     }
 
-    /// Look up `key`, trying the microflow tier then the megaflow tier.
-    /// A megaflow hit promotes the program into the microflow tier so
-    /// subsequent packets of the same flow take the exact-match path.
-    pub fn lookup(&mut self, key: &FlowKey) -> Option<Arc<Program>> {
-        self.lookup_tiered(key).map(|(_, program)| program)
+    /// Probe the exact-match tier. The program is lent, not cloned: a
+    /// microflow hit costs one hash probe and no reference-count
+    /// traffic. On `None`, continue with [`FlowCache::lookup_mega`].
+    pub fn lookup_micro(&mut self, key: &FlowKey) -> Option<&Arc<Program>> {
+        let hit = self.micro.get(key);
+        if hit.is_some() {
+            self.stats.micro_hits += 1;
+        }
+        hit
     }
 
-    /// Like [`FlowCache::lookup`], additionally reporting which tier
-    /// answered.
-    pub fn lookup_tiered(&mut self, key: &FlowKey) -> Option<(HitTier, Arc<Program>)> {
-        if let Some(program) = self.micro.get(key) {
-            self.stats.micro_hits += 1;
-            return Some((HitTier::Micro, Arc::clone(program)));
-        }
-        for (mask, map) in &self.mega {
-            let projected = mask.project(key);
-            if let Some(program) = map.get(&projected) {
-                self.stats.mega_hits += 1;
-                let program = Arc::clone(program);
-                self.insert_micro(*key, Arc::clone(&program));
-                return Some((HitTier::Mega, program));
-            }
-        }
-        self.stats.misses += 1;
-        None
+    /// Probe the megaflow tier for a key the microflow tier just
+    /// missed. A hit promotes the program into the microflow tier so
+    /// later packets of the flow take the exact-match path; no hit
+    /// counts the lookup as a cache miss.
+    pub fn lookup_mega(&mut self, key: &FlowKey) -> Option<&Arc<Program>> {
+        let found = self
+            .mega
+            .iter()
+            .find_map(|(mask, map)| map.get(&mask.project(key)));
+        let Some(program) = found else {
+            self.stats.misses += 1;
+            return None;
+        };
+        self.stats.mega_hits += 1;
+        let program = Arc::clone(program);
+        self.insert_micro(*key, program);
+        self.micro.get(key)
     }
 
     /// Record a slow-path classification: `key` (exact, for tier 1) and
@@ -185,7 +186,7 @@ impl FlowCache {
         let map = match self.mega.iter_mut().find(|(m, _)| *m == mask) {
             Some((_, map)) => map,
             None => {
-                self.mega.push((mask, HashMap::new()));
+                self.mega.push((mask, TierMap::default()));
                 &mut self.mega.last_mut().expect("just pushed").1
             }
         };
@@ -280,6 +281,14 @@ mod tests {
         FlowKey::extract(1, &frame).unwrap()
     }
 
+    /// Both tiers in order, as the datapath probes them.
+    fn lookup(cache: &mut FlowCache, key: &FlowKey) -> Option<Arc<Program>> {
+        if let Some(program) = cache.lookup_micro(key) {
+            return Some(Arc::clone(program));
+        }
+        cache.lookup_mega(key).cloned()
+    }
+
     fn program(tag: usize) -> Program {
         Program {
             segments: vec![Segment::Hit {
@@ -293,9 +302,9 @@ mod tests {
     #[test]
     fn micro_hit_after_insert() {
         let mut cache = FlowCache::new();
-        assert!(cache.lookup(&key(1)).is_none());
+        assert!(lookup(&mut cache, &key(1)).is_none());
         cache.insert(key(1), KeyMask::default(), program(7));
-        let hit = cache.lookup(&key(1)).unwrap();
+        let hit = lookup(&mut cache, &key(1)).unwrap();
         assert_eq!(hit.segments, program(7).segments);
         assert_eq!(cache.stats.micro_hits, 1);
         assert_eq!(cache.stats.misses, 1);
@@ -313,10 +322,10 @@ mod tests {
         cache.insert(key(1), mask, program(3));
         // Different L4 port: not in the mask, so the megaflow covers it.
         let other = key(9);
-        assert!(cache.lookup(&other).is_some());
+        assert!(lookup(&mut cache, &other).is_some());
         assert_eq!(cache.stats.mega_hits, 1);
         // The hit was promoted to the microflow tier.
-        assert!(cache.lookup(&other).is_some());
+        assert!(lookup(&mut cache, &other).is_some());
         assert_eq!(cache.stats.micro_hits, 1);
     }
 
@@ -328,7 +337,7 @@ mod tests {
         cache.invalidate();
         assert!(cache.is_empty());
         assert_eq!(cache.generation(), g + 1);
-        assert!(cache.lookup(&key(1)).is_none());
+        assert!(lookup(&mut cache, &key(1)).is_none());
         assert_eq!(cache.stats.invalidations, 1);
     }
 
@@ -429,7 +438,7 @@ mod tests {
         assert_eq!(cache.micro.len(), cache.micro_fifo.len(), "no FIFO drift");
         // The overwrite installed the new program, not the stale one.
         assert_eq!(
-            cache.lookup(&key(10)).unwrap().segments,
+            lookup(&mut cache, &key(10)).unwrap().segments,
             program(2).segments
         );
     }

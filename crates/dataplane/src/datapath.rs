@@ -7,8 +7,9 @@ use std::sync::Arc;
 use zen_telemetry::{trace_id_for_frame, CacheTier, Recorder, TraceEvent, TraceId};
 
 use crate::action::{apply_rewrite, Action, Rewrite};
-use crate::cache::{CacheStats, FlowCache, HitTier, Program, Segment};
-use crate::group::GroupTable;
+use crate::cache::{CacheStats, FlowCache, Program, Segment};
+use crate::group::{GroupDesc, GroupTable};
+use crate::hash::BuildWordHasher;
 use crate::key::FlowKey;
 use crate::matching::{FlowMatch, KeyMask};
 use crate::meter::Meter;
@@ -74,19 +75,70 @@ pub struct PortStats {
     pub tx_dropped: u64,
 }
 
+/// One port's liveness and counters, side by side so a frame's rx/tx
+/// accounting and the liveness check it needs read the same slot.
+#[derive(Debug, Clone, Copy)]
+struct PortSlot {
+    no: PortNo,
+    /// Added through [`Datapath::add_port`]. Counters also accrue on
+    /// numbers that never were (a frame arriving on, or output to, an
+    /// unknown port); those slots stay unregistered: never up, never
+    /// flooded to, not listed by [`Datapath::ports`].
+    registered: bool,
+    up: bool,
+    stats: PortStats,
+}
+
+/// The port slots, sorted by port number. Embeddings number ports 1, 2,
+/// 3, …, so slot `port - 1` is tried first and is nearly always the one;
+/// any other numbering falls back to a binary search. Memory is per
+/// slot, never per port number.
+#[derive(Debug, Default)]
+struct PortSlots(Vec<PortSlot>);
+
+impl PortSlots {
+    /// `Ok(index)` of `port`'s slot, or `Err(index)` where it belongs.
+    fn position(&self, port: PortNo) -> Result<usize, usize> {
+        let guess = (port as usize).wrapping_sub(1);
+        if self.0.get(guess).is_some_and(|slot| slot.no == port) {
+            return Ok(guess);
+        }
+        self.0.binary_search_by_key(&port, |slot| slot.no)
+    }
+
+    fn get(&self, port: PortNo) -> Option<&PortSlot> {
+        self.position(port).ok().map(|i| &self.0[i])
+    }
+
+    /// `port`'s slot, created unregistered if there is none yet.
+    fn slot_mut(&mut self, port: PortNo) -> &mut PortSlot {
+        let i = self.position(port).unwrap_or_else(|i| {
+            let slot = PortSlot {
+                no: port,
+                registered: false,
+                up: false,
+                stats: PortStats::default(),
+            };
+            self.0.insert(i, slot);
+            i
+        });
+        &mut self.0[i]
+    }
+
+    fn up(&self, port: PortNo) -> bool {
+        self.get(port).is_some_and(|slot| slot.up)
+    }
+}
+
 /// A complete switch data plane: flow tables, groups, meters, and ports.
 #[derive(Debug)]
 pub struct Datapath {
     /// The datapath id this switch announces to the controller.
     pub dpid: DatapathId,
     tables: Vec<FlowTable>,
-    /// The group table.
-    pub groups: GroupTable,
+    groups: GroupTable,
     meters: BTreeMap<u32, Meter>,
-    /// Port → up. Shared so a group action can hold the map while its
-    /// buckets run.
-    ports: Arc<BTreeMap<PortNo, bool>>,
-    port_stats: BTreeMap<PortNo, PortStats>,
+    ports: PortSlots,
     miss_policy: MissPolicy,
     /// Frames dropped because no entry matched under [`MissPolicy::Drop`],
     /// a meter fired, or TTL expired.
@@ -96,13 +148,10 @@ pub struct Datapath {
     /// Shared flight recorder (disabled instance by default). Tap points
     /// cost one enabled-check when recording is off.
     recorder: Recorder,
-    /// Trace of the frame currently in the pipeline, set only while the
-    /// recorder is enabled; lets group/meter taps attribute events.
-    current_trace: Option<TraceId>,
     /// Per-batch microflow→probe-outcome memo. Scratch state: cleared at
     /// the top of every [`Datapath::process_batch`], kept on the struct
-    /// only to recycle its allocation.
-    batch_memo: HashMap<FlowKey, BatchMemo>,
+    /// only to recycle its allocation. Never iterated (unseeded hasher).
+    batch_memo: HashMap<FlowKey, BatchMemo, BuildWordHasher>,
     /// Scratch buffer holding the frame being rewritten, recycled across
     /// frames and calls.
     scratch_frame: Vec<u8>,
@@ -134,6 +183,313 @@ fn ecmp_hash(flow_hash: u64, dpid: DatapathId) -> u64 {
     x ^ (x >> 31)
 }
 
+/// The frame as one action list sees it: the received bytes until an
+/// action rewrites them, a working copy from then on. An output copies
+/// whichever is current, so a frame no action rewrites is copied once
+/// per output and never into `working`.
+struct Frame<'a> {
+    received: &'a [u8],
+    working: &'a mut Vec<u8>,
+    rewritten: bool,
+}
+
+impl Frame<'_> {
+    fn bytes(&self) -> &[u8] {
+        if self.rewritten {
+            self.working
+        } else {
+            self.received
+        }
+    }
+
+    fn to_mut(&mut self) -> &mut Vec<u8> {
+        if !self.rewritten {
+            self.working.clear();
+            self.working.extend_from_slice(self.received);
+            self.rewritten = true;
+        }
+        self.working
+    }
+}
+
+/// Everything executing an action list reads or writes, borrowed field
+/// by field from the [`Datapath`] — apart from its tables and cache, so
+/// a cached trajectory can be replayed while the cache lends it and a
+/// group's buckets can run while the group table lends them.
+struct Exec<'a> {
+    dpid: DatapathId,
+    now: Nanos,
+    miss_policy: MissPolicy,
+    groups: &'a GroupTable,
+    meters: &'a mut BTreeMap<u32, Meter>,
+    ports: &'a mut PortSlots,
+    pipeline_drops: &'a mut u64,
+    recorder: &'a Recorder,
+    /// Ingress port of the frame in the pipeline.
+    in_port: PortNo,
+    /// Its trace, set only while the recorder is enabled; lets the
+    /// match, group and meter taps attribute their events.
+    trace: Option<TraceId>,
+}
+
+impl Exec<'_> {
+    /// Start on the next frame: note where it came in and whether it
+    /// is traced.
+    fn begin(&mut self, in_port: PortNo, frame: &[u8]) {
+        self.in_port = in_port;
+        self.trace = if self.recorder.is_enabled() {
+            trace_id_for_frame(frame)
+        } else {
+            None
+        };
+    }
+
+    fn record_match(&self, tier: CacheTier) {
+        if let Some(trace) = self.trace {
+            let dpid = self.dpid;
+            self.recorder
+                .record(self.now, trace, TraceEvent::DpMatch { dpid, tier });
+        }
+    }
+
+    /// Emit `bytes` on `port`, counting it as sent or — the port being
+    /// down or unknown — as dropped at egress. The effect is reported
+    /// either way; the embedding skips outputs to down ports.
+    fn output(&mut self, port: PortNo, bytes: &[u8], effects: &mut Vec<Effect>) {
+        let slot = self.ports.slot_mut(port);
+        if slot.up {
+            slot.stats.tx_frames += 1;
+            slot.stats.tx_bytes += bytes.len() as u64;
+        } else {
+            slot.stats.tx_dropped += 1;
+        }
+        effects.push(Effect::Output {
+            port,
+            frame: bytes.to_vec(),
+        });
+    }
+
+    fn punt(
+        &self,
+        reason: PacketInReason,
+        max_len: u16,
+        table_id: u8,
+        bytes: &[u8],
+        effects: &mut Vec<Effect>,
+    ) {
+        let take = bytes.len().min(usize::from(max_len));
+        effects.push(Effect::ToController {
+            reason,
+            in_port: self.in_port,
+            frame: bytes[..take].to_vec(),
+            table_id,
+        });
+    }
+
+    /// Apply the miss policy to a frame no entry of `table_id` matched.
+    fn miss(&mut self, table_id: u8, bytes: &[u8], effects: &mut Vec<Effect>) {
+        match self.miss_policy {
+            MissPolicy::Drop => *self.pipeline_drops += 1,
+            MissPolicy::ToController { max_len } => {
+                self.punt(PacketInReason::NoMatch, max_len, table_id, bytes, effects);
+            }
+        }
+    }
+
+    /// Execute an action list against `frame`. Returns `false` if the
+    /// frame was dropped (meter red or TTL expired).
+    fn run(
+        &mut self,
+        actions: &[Action],
+        key: &FlowKey,
+        frame: &mut Frame<'_>,
+        effects: &mut Vec<Effect>,
+        table_id: u8,
+    ) -> bool {
+        for &action in actions {
+            match action {
+                Action::Output(port) => self.output(port, frame.bytes(), effects),
+                Action::Flood => {
+                    // By index: `output` needs the slots mutably. It
+                    // only ever adds a slot for an unknown port, and
+                    // these are all known.
+                    for i in 0..self.ports.0.len() {
+                        let slot = self.ports.0[i];
+                        if slot.registered && slot.up && slot.no != self.in_port {
+                            self.output(slot.no, frame.bytes(), effects);
+                        }
+                    }
+                }
+                Action::ToController { max_len } => {
+                    self.punt(
+                        PacketInReason::Action,
+                        max_len,
+                        table_id,
+                        frame.bytes(),
+                        effects,
+                    );
+                }
+                Action::Group(id) => {
+                    if let Some(trace) = self.trace {
+                        self.recorder.record(
+                            self.now,
+                            trace,
+                            TraceEvent::DpGroup {
+                                dpid: self.dpid,
+                                group_id: id,
+                            },
+                        );
+                    }
+                    // Lent by the table, not by `self`: the buckets may
+                    // recurse into `run`.
+                    let groups = self.groups;
+                    let Some(group) = groups.group(id) else {
+                        continue;
+                    };
+                    for &i in group.select(ecmp_hash(key.flow_hash(), self.dpid)) {
+                        let actions = &group.desc().bucket(i).actions;
+                        // Each bucket works on its own copy of the
+                        // frame, made only if the bucket rewrites it.
+                        let forwarded = if actions.iter().any(Action::rewrites) {
+                            let mut working = Vec::new();
+                            let mut copy = Frame {
+                                received: frame.bytes(),
+                                working: &mut working,
+                                rewritten: false,
+                            };
+                            self.run(actions, key, &mut copy, effects, table_id)
+                        } else {
+                            self.run(actions, key, frame, effects, table_id)
+                        };
+                        if !forwarded {
+                            return false;
+                        }
+                    }
+                }
+                Action::Meter(id) => {
+                    let len = frame.bytes().len();
+                    if let Some(meter) = self.meters.get_mut(&id) {
+                        let passed = meter.allow(self.now, len);
+                        if let Some(trace) = self.trace {
+                            self.recorder.record(
+                                self.now,
+                                trace,
+                                TraceEvent::DpMeter {
+                                    dpid: self.dpid,
+                                    meter_id: id,
+                                    passed,
+                                },
+                            );
+                        }
+                        if !passed {
+                            *self.pipeline_drops += 1;
+                            return false;
+                        }
+                    }
+                }
+                rewrite => {
+                    if apply_rewrite(rewrite, frame.to_mut()) == Rewrite::Drop {
+                        *self.pipeline_drops += 1;
+                        return false;
+                    }
+                }
+            }
+        }
+        true
+    }
+
+    /// Re-run a cached trajectory against the current frame and state.
+    /// Mirrors [`Exec::walk`] exactly: entry and table counters are
+    /// credited as if the lookup had happened, actions execute against
+    /// live meter/group/port state, and a mid-replay drop (meter red,
+    /// TTL expired) terminates the walk just as it would uncached.
+    fn replay(
+        &mut self,
+        tables: &mut [FlowTable],
+        program: &Program,
+        key: &FlowKey,
+        frame: &mut Frame<'_>,
+        effects: &mut Vec<Effect>,
+    ) {
+        let frame_len = frame.received.len();
+        for segment in &program.segments {
+            match segment {
+                Segment::Hit {
+                    table_id,
+                    entry_idx,
+                    actions,
+                } => {
+                    tables[*table_id].record_hit(*entry_idx, frame_len, self.now);
+                    if !self.run(actions, key, frame, effects, *table_id as u8) {
+                        break;
+                    }
+                }
+                Segment::Miss { table_id } => {
+                    tables[*table_id].record_miss();
+                    self.miss(*table_id as u8, frame.bytes(), effects);
+                }
+            }
+        }
+    }
+
+    /// Walk the tables for one frame (cache miss or cache disabled),
+    /// appending its effects. With `record` set, returns the mask of
+    /// key fields the walk consulted and its trajectory — unless the
+    /// walk was cut short, when there is nothing faithful to cache.
+    fn walk(
+        &mut self,
+        tables: &mut [FlowTable],
+        record: bool,
+        key: &FlowKey,
+        frame: &mut Frame<'_>,
+        effects: &mut Vec<Effect>,
+    ) -> Option<(KeyMask, Program)> {
+        let frame_len = frame.received.len();
+        let mut table_id = 0u8;
+        let mut mask = KeyMask::default();
+        let mut segments: Vec<Segment> = Vec::new();
+        loop {
+            let table = &mut tables[table_id as usize];
+            let Some((entry_idx, entry)) =
+                table.lookup_with_mask(key, frame_len, self.now, &mut mask)
+            else {
+                if record {
+                    segments.push(Segment::Miss {
+                        table_id: table_id as usize,
+                    });
+                }
+                self.miss(table_id, frame.bytes(), effects);
+                break;
+            };
+            let actions = entry.spec.actions.clone();
+            let goto = entry.spec.goto_table;
+            let forwarded = self.run(&actions, key, frame, effects, table_id);
+            if record {
+                segments.push(Segment::Hit {
+                    table_id: table_id as usize,
+                    entry_idx,
+                    actions,
+                });
+            }
+            if !forwarded {
+                // Dropped mid-pipeline (meter red or TTL expired). The
+                // tables this run never reached leave no record, so the
+                // trajectory is not a faithful classification — don't
+                // cache it. The stateful check reruns on the slow path
+                // until a run completes.
+                return None;
+            }
+            match goto {
+                Some(next) if next > table_id && (next as usize) < tables.len() => {
+                    table_id = next;
+                }
+                Some(_) | None => break,
+            }
+        }
+        record.then_some((mask, Program { segments }))
+    }
+}
+
 impl Datapath {
     /// A datapath with `n_tables` flow tables (≥ 1) and the given miss
     /// policy.
@@ -144,15 +500,13 @@ impl Datapath {
             tables: (0..n_tables).map(|_| FlowTable::new()).collect(),
             groups: GroupTable::new(),
             meters: BTreeMap::new(),
-            ports: Arc::default(),
-            port_stats: BTreeMap::new(),
+            ports: PortSlots::default(),
             miss_policy,
             pipeline_drops: 0,
             cache: FlowCache::new(),
             cache_enabled: true,
             recorder: Recorder::new(),
-            current_trace: None,
-            batch_memo: HashMap::new(),
+            batch_memo: HashMap::default(),
             scratch_frame: Vec::new(),
         }
     }
@@ -197,34 +551,48 @@ impl Datapath {
 
     /// Register a port (initially up).
     pub fn add_port(&mut self, port: PortNo) {
-        Arc::make_mut(&mut self.ports).insert(port, true);
-        self.port_stats.entry(port).or_default();
-        self.cache.invalidate();
+        let slot = self.ports.slot_mut(port);
+        slot.registered = true;
+        slot.up = true;
+        self.port_state_changed();
     }
 
     /// Record a port's operational state.
     pub fn set_port_up(&mut self, port: PortNo, up: bool) {
-        if let Some(state) = Arc::make_mut(&mut self.ports).get_mut(&port) {
-            if *state != up {
-                *state = up;
-                self.cache.invalidate();
+        if let Ok(i) = self.ports.position(port) {
+            let slot = &mut self.ports.0[i];
+            if slot.registered && slot.up != up {
+                slot.up = up;
+                self.port_state_changed();
             }
         }
     }
 
+    /// Everything derived from port state is rebuilt: the groups'
+    /// live-bucket lists, and the cache.
+    fn port_state_changed(&mut self) {
+        let ports = &self.ports;
+        self.groups.refresh(|port| ports.up(port));
+        self.cache.invalidate();
+    }
+
     /// Whether a port exists and is up.
     pub fn port_up(&self, port: PortNo) -> bool {
-        self.ports.get(&port).copied().unwrap_or(false)
+        self.ports.up(port)
     }
 
     /// All registered ports in ascending order.
     pub fn ports(&self) -> Vec<PortNo> {
-        self.ports.keys().copied().collect()
+        let registered = self.ports.0.iter().filter(|slot| slot.registered);
+        registered.map(|slot| slot.no).collect()
     }
 
     /// Counters for `port` (zeroes for unknown ports).
     pub fn port_stats(&self, port: PortNo) -> PortStats {
-        self.port_stats.get(&port).copied().unwrap_or_default()
+        self.ports
+            .get(port)
+            .map(|slot| slot.stats)
+            .unwrap_or_default()
     }
 
     /// Number of flow tables.
@@ -306,6 +674,25 @@ impl Datapath {
         removed
     }
 
+    /// The group table (read-only; see [`Datapath::add_group`]).
+    pub fn groups(&self) -> &GroupTable {
+        &self.groups
+    }
+
+    /// Install or replace a group. The cache stays valid: it records
+    /// which *actions* a flow runs, and a `Group` action is looked up
+    /// in this table every time it executes.
+    pub fn add_group(&mut self, id: u32, desc: GroupDesc) {
+        let ports = &self.ports;
+        self.groups.add(id, desc, |port| ports.up(port));
+    }
+
+    /// Remove a group; returns whether it existed. Flows that still
+    /// name it skip the action, as for a group never installed.
+    pub fn remove_group(&mut self, id: u32) -> bool {
+        self.groups.remove(id)
+    }
+
     /// Install or replace a meter.
     pub fn set_meter(&mut self, id: u32, rate_bps: u64, burst_bytes: u64) {
         self.meters.insert(id, Meter::new(rate_bps, burst_bytes));
@@ -324,6 +711,25 @@ impl Datapath {
     /// Inspect a meter.
     pub fn meter(&self, id: u32) -> Option<&Meter> {
         self.meters.get(&id)
+    }
+
+    /// Split the datapath into the three parts frame processing works
+    /// on at once: the tables it walks or credits, the cache that lends
+    /// it trajectories, and everything action execution touches.
+    fn parts(&mut self, now: Nanos) -> (&mut [FlowTable], &mut FlowCache, Exec<'_>) {
+        let exec = Exec {
+            dpid: self.dpid,
+            now,
+            miss_policy: self.miss_policy,
+            groups: &self.groups,
+            meters: &mut self.meters,
+            ports: &mut self.ports,
+            pipeline_drops: &mut self.pipeline_drops,
+            recorder: &self.recorder,
+            in_port: 0,
+            trace: None,
+        };
+        (&mut self.tables, &mut self.cache, exec)
     }
 
     /// Execute a controller-supplied action list on an injected frame
@@ -346,16 +752,17 @@ impl Datapath {
             ipv4: None,
             l4: None,
         });
-        self.current_trace = if self.recorder.is_enabled() {
-            trace_id_for_frame(frame)
-        } else {
-            None
-        };
-        let mut working = frame.to_vec();
+        let mut working = std::mem::take(&mut self.scratch_frame);
         let mut effects = Vec::new();
-        self.execute_actions(actions, &key, in_port, &mut working, &mut effects, now, 0);
-        self.account_outputs(&effects);
-        self.current_trace = None;
+        let (_, _, mut exec) = self.parts(now);
+        exec.begin(in_port, frame);
+        let mut frame = Frame {
+            received: frame,
+            working: &mut working,
+            rewritten: false,
+        };
+        exec.run(actions, &key, &mut frame, &mut effects, 0);
+        self.scratch_frame = working;
         effects
     }
 
@@ -402,363 +809,68 @@ impl Datapath {
         let mut memo = std::mem::take(&mut self.batch_memo);
         memo.clear();
         let mut working = std::mem::take(&mut self.scratch_frame);
+        let cache_enabled = self.cache_enabled;
         // A batch of one cannot amortize anything; skip memo bookkeeping
         // so the scalar shim stays as lean as the old scalar path.
-        let use_memo = self.cache_enabled && batch.len() > 1;
-        for &(in_port, frame) in batch {
+        let use_memo = cache_enabled && batch.len() > 1;
+        let (tables, cache, mut exec) = self.parts(now);
+        for &(in_port, received) in batch {
             {
-                let stats = self.port_stats.entry(in_port).or_default();
+                let stats = &mut exec.ports.slot_mut(in_port).stats;
                 stats.rx_frames += 1;
-                stats.rx_bytes += frame.len() as u64;
+                stats.rx_bytes += received.len() as u64;
             }
-            let Some(key) = FlowKey::extract(in_port, frame) else {
-                self.pipeline_drops += 1;
+            let Some(key) = FlowKey::extract(in_port, received) else {
+                *exec.pipeline_drops += 1;
                 continue;
             };
-            self.current_trace = if self.recorder.is_enabled() {
-                trace_id_for_frame(frame)
-            } else {
-                None
+            exec.begin(in_port, received);
+            let mut frame = Frame {
+                received,
+                working: &mut working,
+                rewritten: false,
             };
 
             // One cache probe per microflow group: after the group's
             // first frame, the memo answers instead of the cache.
-            let mut probe_skipped = false;
-            let mut hit: Option<(Arc<Program>, CacheTier)> = None;
-            if use_memo {
-                match memo.get(&key) {
-                    Some(BatchMemo::Cached(program)) => {
-                        // Scalar processing would find the trajectory in
-                        // the microflow tier by now (the group's first
-                        // frame promoted or installed it).
-                        hit = Some((Arc::clone(program), CacheTier::Micro));
-                        probe_skipped = true;
-                    }
-                    Some(BatchMemo::SlowUncached) => probe_skipped = true,
-                    None => {}
-                }
-            }
-            if !probe_skipped && self.cache_enabled {
-                if let Some((tier, program)) = self.cache.lookup_tiered(&key) {
-                    let tier = match tier {
-                        HitTier::Micro => CacheTier::Micro,
-                        HitTier::Mega => CacheTier::Mega,
-                    };
-                    if use_memo {
-                        memo.insert(key, BatchMemo::Cached(Arc::clone(&program)));
-                    }
-                    hit = Some((program, tier));
-                }
-            }
-
-            let start = effects.len();
-            working.clear();
-            working.extend_from_slice(frame);
-            match hit {
+            let memoized = if use_memo { memo.get(&key) } else { None };
+            let probed = memoized.is_none() && cache_enabled;
+            let hit = match memoized {
+                // Scalar processing would find the trajectory in the
+                // microflow tier by now (the group's first frame
+                // promoted or installed it).
+                Some(BatchMemo::Cached(program)) => Some((program, CacheTier::Micro)),
+                Some(BatchMemo::SlowUncached) => None,
+                None if cache_enabled => match cache.lookup_micro(&key) {
+                    Some(program) => Some((program, CacheTier::Micro)),
+                    None => cache
+                        .lookup_mega(&key)
+                        .map(|program| (program, CacheTier::Mega)),
+                },
+                None => None,
+            };
+            let remember = match hit {
                 Some((program, tier)) => {
-                    if let Some(trace) = self.current_trace {
-                        self.recorder.record(
-                            now,
-                            trace,
-                            TraceEvent::DpMatch {
-                                dpid: self.dpid,
-                                tier,
-                            },
-                        );
-                    }
-                    self.replay_into(
-                        &program,
-                        &key,
-                        in_port,
-                        frame.len(),
-                        now,
-                        &mut working,
-                        effects,
-                    );
+                    exec.record_match(tier);
+                    exec.replay(tables, program, &key, &mut frame, effects);
+                    (use_memo && probed).then(|| BatchMemo::Cached(Arc::clone(program)))
                 }
                 None => {
-                    if let Some(trace) = self.current_trace {
-                        self.recorder.record(
-                            now,
-                            trace,
-                            TraceEvent::DpMatch {
-                                dpid: self.dpid,
-                                tier: CacheTier::Slow,
-                            },
-                        );
-                    }
-                    let inserted =
-                        self.process_slow(now, &key, in_port, frame.len(), &mut working, effects);
-                    if use_memo {
-                        match inserted {
-                            Some(program) => memo.insert(key, BatchMemo::Cached(program)),
-                            None => memo.insert(key, BatchMemo::SlowUncached),
-                        };
-                    }
+                    exec.record_match(CacheTier::Slow);
+                    let walked = exec.walk(tables, cache_enabled, &key, &mut frame, effects);
+                    let installed = walked.map(|(mask, program)| cache.insert(key, mask, program));
+                    use_memo.then_some(match installed {
+                        Some(program) => BatchMemo::Cached(program),
+                        None => BatchMemo::SlowUncached,
+                    })
                 }
+            };
+            if let Some(outcome) = remember {
+                memo.insert(key, outcome);
             }
-            self.account_outputs(&effects[start..]);
-            self.current_trace = None;
         }
         self.batch_memo = memo;
         self.scratch_frame = working;
-    }
-
-    /// Walk the tables for one frame (cache miss or cache disabled),
-    /// appending its effects. `working` arrives pre-loaded with the
-    /// frame. Returns the trajectory installed into the cache, if the
-    /// run completed and caching is on.
-    #[allow(clippy::too_many_arguments)]
-    fn process_slow(
-        &mut self,
-        now: Nanos,
-        key: &FlowKey,
-        in_port: PortNo,
-        frame_len: usize,
-        working: &mut Vec<u8>,
-        effects: &mut Vec<Effect>,
-    ) -> Option<Arc<Program>> {
-        let mut table_id = 0u8;
-        let mut mask = KeyMask::default();
-        let mut segments: Vec<Segment> = Vec::new();
-        let mut terminated_early = false;
-        loop {
-            let table = &mut self.tables[table_id as usize];
-            let Some((entry_idx, entry)) = table.lookup_with_mask(key, frame_len, now, &mut mask)
-            else {
-                if self.cache_enabled {
-                    segments.push(Segment::Miss {
-                        table_id: table_id as usize,
-                    });
-                }
-                match self.miss_policy {
-                    MissPolicy::Drop => {
-                        self.pipeline_drops += 1;
-                    }
-                    MissPolicy::ToController { max_len } => {
-                        let take = working.len().min(usize::from(max_len));
-                        effects.push(Effect::ToController {
-                            reason: PacketInReason::NoMatch,
-                            in_port,
-                            frame: working[..take].to_vec(),
-                            table_id,
-                        });
-                    }
-                }
-                break;
-            };
-            let actions = entry.spec.actions.clone();
-            let goto = entry.spec.goto_table;
-            if self.cache_enabled {
-                segments.push(Segment::Hit {
-                    table_id: table_id as usize,
-                    entry_idx,
-                    actions: actions.clone(),
-                });
-            }
-            if !self.execute_actions(&actions, key, in_port, working, effects, now, table_id) {
-                // Dropped mid-pipeline (meter red or TTL expired). The
-                // tables this run never reached leave no record, so the
-                // trajectory is not a faithful classification — don't
-                // cache it. The stateful check reruns on the slow path
-                // until a run completes.
-                terminated_early = true;
-                break;
-            }
-            match goto {
-                Some(next) if next > table_id && (next as usize) < self.tables.len() => {
-                    table_id = next;
-                }
-                Some(_) | None => break,
-            }
-        }
-        if self.cache_enabled && !terminated_early {
-            Some(self.cache.insert(*key, mask, Program { segments }))
-        } else {
-            None
-        }
-    }
-
-    /// Re-run a cached trajectory against the current frame and state.
-    /// Mirrors the slow-path loop exactly: entry and table counters are
-    /// credited as if the lookup had happened, actions execute against
-    /// live meter/group/port state, and a mid-replay drop (meter red,
-    /// TTL expired) terminates the walk just as it would uncached.
-    /// `working` arrives pre-loaded with the frame.
-    #[allow(clippy::too_many_arguments)]
-    fn replay_into(
-        &mut self,
-        program: &Program,
-        key: &FlowKey,
-        in_port: PortNo,
-        frame_len: usize,
-        now: Nanos,
-        working: &mut Vec<u8>,
-        effects: &mut Vec<Effect>,
-    ) {
-        for segment in &program.segments {
-            match segment {
-                Segment::Hit {
-                    table_id,
-                    entry_idx,
-                    actions,
-                } => {
-                    self.tables[*table_id].record_hit(*entry_idx, frame_len, now);
-                    if !self.execute_actions(
-                        actions,
-                        key,
-                        in_port,
-                        working,
-                        effects,
-                        now,
-                        *table_id as u8,
-                    ) {
-                        break;
-                    }
-                }
-                Segment::Miss { table_id } => {
-                    self.tables[*table_id].record_miss();
-                    match self.miss_policy {
-                        MissPolicy::Drop => {
-                            self.pipeline_drops += 1;
-                        }
-                        MissPolicy::ToController { max_len } => {
-                            let take = working.len().min(usize::from(max_len));
-                            effects.push(Effect::ToController {
-                                reason: PacketInReason::NoMatch,
-                                in_port,
-                                frame: working[..take].to_vec(),
-                                table_id: *table_id as u8,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Execute an action list against `working`. Returns `false` if the
-    /// frame was dropped (meter red or TTL expired).
-    #[allow(clippy::too_many_arguments)]
-    fn execute_actions(
-        &mut self,
-        actions: &[Action],
-        key: &FlowKey,
-        in_port: PortNo,
-        working: &mut Vec<u8>,
-        effects: &mut Vec<Effect>,
-        now: Nanos,
-        table_id: u8,
-    ) -> bool {
-        for &action in actions {
-            match action {
-                Action::Output(port) => {
-                    effects.push(Effect::Output {
-                        port,
-                        frame: working.clone(),
-                    });
-                }
-                Action::Flood => {
-                    for (&port, &up) in self.ports.iter() {
-                        if up && port != in_port {
-                            effects.push(Effect::Output {
-                                port,
-                                frame: working.clone(),
-                            });
-                        }
-                    }
-                }
-                Action::ToController { max_len } => {
-                    let take = working.len().min(usize::from(max_len));
-                    effects.push(Effect::ToController {
-                        reason: PacketInReason::Action,
-                        in_port,
-                        frame: working[..take].to_vec(),
-                        table_id,
-                    });
-                }
-                Action::Group(id) => {
-                    if let Some(trace) = self.current_trace {
-                        self.recorder.record(
-                            now,
-                            trace,
-                            TraceEvent::DpGroup {
-                                dpid: self.dpid,
-                                group_id: id,
-                            },
-                        );
-                    }
-                    let Some(group) = self.groups.shared(id) else {
-                        continue;
-                    };
-                    // Both held while the buckets run: they may recurse.
-                    let ports = Arc::clone(&self.ports);
-                    let hash = ecmp_hash(key.flow_hash(), self.dpid);
-                    for i in group.select_buckets(hash, |p| ports.get(&p) == Some(&true)) {
-                        let actions = &group.buckets[i].actions;
-                        // Each bucket works on its own copy of the
-                        // frame, made only if the bucket rewrites it.
-                        let forwarded = if actions.iter().any(Action::rewrites) {
-                            let mut copy = working.clone();
-                            self.execute_actions(
-                                actions, key, in_port, &mut copy, effects, now, table_id,
-                            )
-                        } else {
-                            self.execute_actions(
-                                actions, key, in_port, working, effects, now, table_id,
-                            )
-                        };
-                        if !forwarded {
-                            return false;
-                        }
-                    }
-                }
-                Action::Meter(id) => {
-                    let len = working.len();
-                    if let Some(meter) = self.meters.get_mut(&id) {
-                        let passed = meter.allow(now, len);
-                        if let Some(trace) = self.current_trace {
-                            self.recorder.record(
-                                now,
-                                trace,
-                                TraceEvent::DpMeter {
-                                    dpid: self.dpid,
-                                    meter_id: id,
-                                    passed,
-                                },
-                            );
-                        }
-                        if !passed {
-                            self.pipeline_drops += 1;
-                            return false;
-                        }
-                    }
-                }
-                rewrite => {
-                    if apply_rewrite(rewrite, working) == Rewrite::Drop {
-                        self.pipeline_drops += 1;
-                        return false;
-                    }
-                }
-            }
-        }
-        true
-    }
-
-    /// Update tx counters, filtering outputs to down or unknown ports.
-    fn account_outputs(&mut self, effects: &[Effect]) {
-        for effect in effects {
-            if let Effect::Output { port, frame } = effect {
-                let up = self.ports.get(port).copied().unwrap_or(false);
-                let stats = self.port_stats.entry(*port).or_default();
-                if up {
-                    stats.tx_frames += 1;
-                    stats.tx_bytes += frame.len() as u64;
-                } else {
-                    stats.tx_dropped += 1;
-                }
-            }
-        }
     }
 
     /// Drop `Output` effects aimed at down ports (the embedding calls
@@ -902,7 +1014,7 @@ mod tests {
     #[test]
     fn select_group_is_flow_stable() {
         let mut dp = dp(1);
-        dp.groups.add(
+        dp.add_group(
             7,
             GroupDesc {
                 group_type: GroupType::Select,
@@ -931,9 +1043,49 @@ mod tests {
     }
 
     #[test]
+    fn select_group_follows_port_and_group_changes() {
+        let mut dp = dp(1);
+        let ecmp = |ports: &[PortNo]| GroupDesc {
+            group_type: GroupType::Select,
+            buckets: ports.iter().map(|&p| Bucket::output(p)).collect(),
+        };
+        dp.add_group(7, ecmp(&[2, 3, 4]));
+        dp.add_flow(
+            0,
+            FlowSpec::new(1, FlowMatch::ANY, vec![Action::Group(7)]),
+            0,
+        );
+        let out_port = |dp: &mut Datapath| match dp.process(0, 1, &udp(1000)).as_slice() {
+            [Effect::Output { port, .. }] => Some(*port),
+            [] => None,
+            other => panic!("unexpected {other:?}"),
+        };
+        let first = out_port(&mut dp).unwrap();
+        // Its port goes down: the flow moves to a live bucket, and
+        // comes back when the port does.
+        dp.set_port_up(first, false);
+        let detour = out_port(&mut dp).unwrap();
+        assert_ne!(detour, first);
+        dp.set_port_up(first, true);
+        assert_eq!(out_port(&mut dp), Some(first));
+        // The group is replaced under the cached flow, built while one
+        // of its ports is down: only the live bucket may be chosen.
+        dp.set_port_up(2, false);
+        dp.add_group(7, ecmp(&[2, 3]));
+        assert_eq!(out_port(&mut dp), Some(3));
+        dp.set_port_up(3, false);
+        assert_eq!(out_port(&mut dp), None, "no live bucket");
+        dp.set_port_up(2, true);
+        assert_eq!(out_port(&mut dp), Some(2));
+        // Removed: the action is skipped, as for a group never there.
+        assert!(dp.remove_group(7));
+        assert_eq!(out_port(&mut dp), None);
+    }
+
+    #[test]
     fn failover_group_reacts_to_port_state() {
         let mut dp = dp(1);
-        dp.groups.add(
+        dp.add_group(
             9,
             GroupDesc {
                 group_type: GroupType::FastFailover,
@@ -956,7 +1108,7 @@ mod tests {
     fn bucket_rewrites_stay_in_the_bucket() {
         let mut dp = dp(1);
         let mac = EthernetAddress::from_id(0x77);
-        dp.groups.add(
+        dp.add_group(
             5,
             GroupDesc {
                 group_type: GroupType::All,

@@ -33,6 +33,7 @@ pub mod cache;
 pub mod datapath;
 pub mod epoch;
 pub mod group;
+pub mod hash;
 pub mod key;
 pub mod matching;
 pub mod meter;

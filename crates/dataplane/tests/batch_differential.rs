@@ -11,8 +11,11 @@
 //! compared — one probe per microflow group per batch (instead of one
 //! per packet) is the amortization being tested.
 
+mod churn;
+
 use zen_dataplane::{
-    Action, Bucket, Datapath, Effect, FlowMatch, FlowSpec, GroupDesc, GroupType, MissPolicy,
+    Action, Bucket, CacheStats, Datapath, Effect, FlowMatch, FlowSpec, GroupDesc, GroupType,
+    MissPolicy,
 };
 use zen_wire::builder::PacketBuilder;
 use zen_wire::lcg::Lcg;
@@ -117,7 +120,7 @@ fn build_dp(cached: bool) -> Datapath {
     for p in 1..=4 {
         dp.add_port(p);
     }
-    dp.groups.add(
+    dp.add_group(
         7,
         GroupDesc {
             group_type: GroupType::Select,
@@ -131,21 +134,21 @@ fn build_dp(cached: bool) -> Datapath {
         group_type,
         buckets,
     };
-    dp.groups.add(
+    dp.add_group(
         8,
         rewriting(
             GroupType::Select,
             vec![rewriting_bucket(2), Bucket::output(3), rewriting_bucket(4)],
         ),
     );
-    dp.groups.add(
+    dp.add_group(
         9,
         rewriting(
             GroupType::FastFailover,
             vec![rewriting_bucket(1), rewriting_bucket(3)],
         ),
     );
-    dp.groups.add(
+    dp.add_group(
         10,
         rewriting(
             GroupType::All,
@@ -351,3 +354,69 @@ fn empty_batch_is_a_no_op() {
     assert!(effects.is_empty());
     assert_eq!(snapshot(&dp), before);
 }
+
+/// The `churn` script with each run of frames delivered as one batch:
+/// a batch of one microflow's frames, a group / port / meter / flow
+/// change, another batch of the same microflow. The batched datapath
+/// must match a scalar one with the cache off frame for frame, and
+/// spend exactly the probes the batch path has always spent.
+#[test]
+fn changes_between_batches_of_one_microflow_match_the_uncached_walk() {
+    let mut batched = churn::build_dp(true);
+    let mut uncached = churn::build_dp(false);
+    let script = churn::script(0xC4A26E, 1_500);
+    let mut frames = 0u64;
+    let mut step = 0;
+    while step < script.len() {
+        let now = 7 * step as u64;
+        let run = script[step..]
+            .iter()
+            .take_while(|op| matches!(op, churn::Op::Frame(_)))
+            .count();
+        if run == 0 {
+            churn::apply(&mut batched, &script[step], now);
+            churn::apply(&mut uncached, &script[step], now);
+            step += 1;
+        } else {
+            let owned: Vec<(u32, Vec<u8>)> = script[step..step + run]
+                .iter()
+                .map(|op| match op {
+                    churn::Op::Frame(flow) => churn::frame(*flow),
+                    _ => unreachable!("counted frames only"),
+                })
+                .collect();
+            let batch: Vec<(u32, &[u8])> = owned.iter().map(|(p, f)| (*p, f.as_slice())).collect();
+            let mut batch_effects = Vec::new();
+            batched.process_batch(now, &batch, &mut batch_effects);
+            let scalar_effects: Vec<Effect> = owned
+                .iter()
+                .flat_map(|(p, f)| uncached.process(now, *p, f))
+                .collect();
+            assert_eq!(
+                batch_effects, scalar_effects,
+                "effects diverged at step {step}"
+            );
+            frames += run as u64;
+            step += run;
+        }
+        assert_eq!(
+            churn::snapshot(&batched),
+            churn::snapshot(&uncached),
+            "state diverged before step {step}"
+        );
+    }
+    assert!(frames >= 5_000, "only {frames} frames");
+    // Pinned from the batch path as it stood at commit 67998ec (see
+    // the scalar twin in `cache_differential.rs`).
+    assert_eq!(batched.cache_stats(), PINNED_BATCH_STATS);
+}
+
+const PINNED_BATCH_STATS: CacheStats = CacheStats {
+    micro_hits: 1013,
+    mega_hits: 802,
+    misses: 1464,
+    inserts: 1462,
+    invalidations: 476,
+    micro_evictions: 0,
+    mega_evictions: 0,
+};

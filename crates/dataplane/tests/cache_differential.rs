@@ -7,8 +7,10 @@
 //! state the megaflow masks and trajectory replay reach, the slow path
 //! would have reached too.
 
+mod churn;
+
 use zen_dataplane::{
-    Action, Bucket, Datapath, FlowMatch, FlowSpec, GroupDesc, GroupType, MissPolicy,
+    Action, Bucket, CacheStats, Datapath, FlowMatch, FlowSpec, GroupDesc, GroupType, MissPolicy,
 };
 use zen_wire::builder::PacketBuilder;
 use zen_wire::lcg::Lcg;
@@ -101,7 +103,7 @@ fn build_dp(cached: bool) -> Datapath {
     for p in 1..=4 {
         dp.add_port(p);
     }
-    dp.groups.add(
+    dp.add_group(
         7,
         GroupDesc {
             group_type: GroupType::Select,
@@ -251,3 +253,51 @@ fn cache_actually_serves_traffic_in_the_differential_mix() {
     assert!(stats.inserts > 0);
     assert!(stats.invalidations > 0);
 }
+
+/// Group, port, meter and flow changes between frames of one
+/// microflow (see `churn`): frame by frame the cached datapath must do
+/// what the uncached one does, and — group changes not being cache
+/// invalidations — it must do it with exactly the probes, inserts and
+/// invalidations the cache has always needed for this script.
+#[test]
+fn changes_between_frames_of_one_microflow_match_the_uncached_walk() {
+    let mut cached = churn::build_dp(true);
+    let mut uncached = churn::build_dp(false);
+    let mut frames = 0u64;
+    for (step, op) in churn::script(0xC4A26E, 1_500).iter().enumerate() {
+        let now = 7 * step as u64;
+        match op {
+            churn::Op::Frame(flow) => {
+                let (in_port, frame) = churn::frame(*flow);
+                let a = cached.process(now, in_port, &frame);
+                let b = uncached.process(now, in_port, &frame);
+                assert_eq!(a, b, "effects diverged at step {step} ({op:?})");
+                frames += 1;
+            }
+            change => {
+                churn::apply(&mut cached, change, now);
+                churn::apply(&mut uncached, change, now);
+            }
+        }
+        assert_eq!(
+            churn::snapshot(&cached),
+            churn::snapshot(&uncached),
+            "state diverged at step {step} ({op:?})"
+        );
+    }
+    assert!(frames >= 5_000, "only {frames} frames");
+    // Pinned from the cache as it stood before group execution moved
+    // to precomputed live-bucket lists (commit 67998ec): a change here
+    // is a change to what invalidates or fills the cache.
+    assert_eq!(cached.cache_stats(), PINNED_STATS);
+}
+
+const PINNED_STATS: CacheStats = CacheStats {
+    micro_hits: 3691,
+    mega_hits: 802,
+    misses: 1466,
+    inserts: 1462,
+    invalidations: 476,
+    micro_evictions: 0,
+    mega_evictions: 0,
+};

@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 
 use zen_telemetry::{probe_trace_id, TraceEvent, PROBE_MAGIC};
 use zen_wire::builder::PacketBuilder;
-use zen_wire::ethernet::{EtherType, Frame};
+use zen_wire::ethernet::{self, EtherType, Frame};
 use zen_wire::{arp, icmpv4, ipv4, udp};
 use zen_wire::{EthernetAddress, Ipv4Address};
 
@@ -26,6 +26,11 @@ pub const HOST_PORT: PortNo = 1;
 
 /// Timer token for gratuitous-ARP re-announcements.
 const ANNOUNCE_TOKEN: u64 = u64::MAX;
+
+/// The L4 part of a frame [`Host::ip_frame`] laid out.
+fn l4_mut(frame: &mut [u8]) -> &mut [u8] {
+    &mut frame[ethernet::HEADER_LEN + ipv4::HEADER_LEN..]
+}
 
 /// A traffic workload a host can run.
 #[derive(Debug, Clone)]
@@ -93,7 +98,8 @@ pub struct Host {
     ip: Ipv4Address,
     gratuitous_arp: bool,
     arp_cache: BTreeMap<Ipv4Address, EthernetAddress>,
-    /// IP packets waiting for ARP resolution, keyed by next-hop IP.
+    /// Frames waiting for ARP resolution to fill in their destination
+    /// MAC, keyed by next-hop IP.
     pending: BTreeMap<Ipv4Address, Vec<Vec<u8>>>,
     workloads: Vec<WorkloadState>,
     ping_sent_at: BTreeMap<(u16, u16), Instant>,
@@ -175,15 +181,17 @@ impl Host {
         ctx.transmit(HOST_PORT, frame);
     }
 
-    fn send_ip(&mut self, ctx: &mut Context<'_>, dst_ip: Ipv4Address, ip_packet: Vec<u8>) {
+    /// Send an [`Host::ip_frame`] to `dst_ip`, resolving its MAC first
+    /// if need be.
+    fn send_ip(&mut self, ctx: &mut Context<'_>, dst_ip: Ipv4Address, mut frame: Vec<u8>) {
         // All hosts in zen experiments share one subnet: the next hop is
         // the destination itself.
         if let Some(&dst_mac) = self.arp_cache.get(&dst_ip) {
-            let frame = PacketBuilder::ethernet(self.mac, dst_mac, EtherType::Ipv4, &ip_packet);
+            Frame::new_unchecked(&mut frame[..]).set_dst_addr(dst_mac);
             ctx.transmit(HOST_PORT, frame);
         } else {
             let first_for_target = !self.pending.contains_key(&dst_ip);
-            self.pending.entry(dst_ip).or_default().push(ip_packet);
+            self.pending.entry(dst_ip).or_default().push(frame);
             if first_for_target {
                 let req = PacketBuilder::arp_request(self.mac, self.ip, dst_ip);
                 ctx.transmit(HOST_PORT, req);
@@ -192,27 +200,34 @@ impl Host {
     }
 
     fn flush_pending(&mut self, ctx: &mut Context<'_>, ip: Ipv4Address, mac: EthernetAddress) {
-        if let Some(packets) = self.pending.remove(&ip) {
-            for ip_packet in packets {
-                let frame = PacketBuilder::ethernet(self.mac, mac, EtherType::Ipv4, &ip_packet);
+        if let Some(frames) = self.pending.remove(&ip) {
+            for mut frame in frames {
+                Frame::new_unchecked(&mut frame[..]).set_dst_addr(mac);
                 ctx.transmit(HOST_PORT, frame);
             }
         }
     }
 
-    fn build_ip(&self, dst: Ipv4Address, protocol: ipv4::Protocol, l4: &[u8]) -> Vec<u8> {
+    /// An Ethernet frame from this host carrying an IPv4 packet for
+    /// `dst` with room for `l4_len` bytes of `protocol`, which the
+    /// caller writes through [`l4_mut`]; [`Host::send_ip`] fills in the
+    /// destination MAC. Every layer is emitted in place into the one
+    /// buffer, so a datagram costs one allocation and no copy from
+    /// segment to packet to frame.
+    fn ip_frame(&self, dst: Ipv4Address, protocol: ipv4::Protocol, l4_len: usize) -> Vec<u8> {
         let repr = ipv4::Repr {
             src_addr: self.ip,
             dst_addr: dst,
             protocol,
-            payload_len: l4.len(),
+            payload_len: l4_len,
             ttl: 64,
             dscp_ecn: 0,
         };
-        let mut buf = vec![0u8; repr.buffer_len()];
-        let mut packet = ipv4::Packet::new_unchecked(&mut buf[..]);
-        repr.emit(&mut packet);
-        packet.payload_mut().copy_from_slice(l4);
+        let mut buf = vec![0u8; ethernet::HEADER_LEN + repr.buffer_len()];
+        let mut frame = Frame::new_unchecked(&mut buf[..]);
+        frame.set_src_addr(self.mac);
+        frame.set_ethertype(EtherType::Ipv4);
+        repr.emit(&mut ipv4::Packet::new_unchecked(frame.payload_mut()));
         buf
     }
 
@@ -239,10 +254,9 @@ impl Host {
                     message,
                     payload_len: 0,
                 };
-                let mut icmp = vec![0u8; repr.buffer_len()];
-                repr.emit(&mut icmpv4::Packet::new_unchecked(&mut icmp[..]));
-                let packet = self.build_ip(dst, ipv4::Protocol::Icmp, &icmp);
-                self.send_ip(ctx, dst, packet);
+                let mut frame = self.ip_frame(dst, ipv4::Protocol::Icmp, repr.buffer_len());
+                repr.emit(&mut icmpv4::Packet::new_unchecked(l4_mut(&mut frame)));
+                self.send_ip(ctx, dst, frame);
             }
             Workload::Udp {
                 dst,
@@ -250,20 +264,18 @@ impl Host {
                 size,
                 ..
             } => {
-                let size = size.max(20);
-                let mut payload = vec![0u8; size];
-                payload[0..4].copy_from_slice(&PROBE_MAGIC.to_be_bytes());
-                payload[4..12].copy_from_slice(&seq.to_be_bytes());
-                payload[12..20].copy_from_slice(&now.as_nanos().to_be_bytes());
                 let repr = udp::Repr {
                     src_port: 10_000 + idx as u16,
                     dst_port,
-                    payload_len: payload.len(),
+                    payload_len: size.max(20),
                 };
-                let mut dgram_buf = vec![0u8; repr.buffer_len()];
-                let mut dgram = udp::Datagram::new_unchecked(&mut dgram_buf[..]);
+                let mut frame = self.ip_frame(dst, ipv4::Protocol::Udp, repr.buffer_len());
+                let mut dgram = udp::Datagram::new_unchecked(l4_mut(&mut frame));
                 dgram.set_len_field(repr.buffer_len() as u16);
-                dgram.payload_mut().copy_from_slice(&payload);
+                let payload = dgram.payload_mut();
+                payload[0..4].copy_from_slice(&PROBE_MAGIC.to_be_bytes());
+                payload[4..12].copy_from_slice(&seq.to_be_bytes());
+                payload[12..20].copy_from_slice(&now.as_nanos().to_be_bytes());
                 repr.emit(&mut dgram, self.ip, dst);
                 self.stats.udp_tx += 1;
                 if ctx.recorder().is_enabled() {
@@ -272,8 +284,7 @@ impl Host {
                     ctx.recorder()
                         .record(now.as_nanos(), tid, TraceEvent::HostEmit { node });
                 }
-                let packet = self.build_ip(dst, ipv4::Protocol::Udp, &dgram_buf);
-                self.send_ip(ctx, dst, packet);
+                self.send_ip(ctx, dst, frame);
             }
         }
         // Schedule the next shot if any remain.
@@ -344,10 +355,9 @@ impl Host {
                     message: icmpv4::Message::EchoReply { ident, seq },
                     payload_len: 0,
                 };
-                let mut icmp = vec![0u8; reply.buffer_len()];
-                reply.emit(&mut icmpv4::Packet::new_unchecked(&mut icmp[..]));
-                let ip_packet = self.build_ip(src_ip, ipv4::Protocol::Icmp, &icmp);
-                self.send_ip(ctx, src_ip, ip_packet);
+                let mut frame = self.ip_frame(src_ip, ipv4::Protocol::Icmp, reply.buffer_len());
+                reply.emit(&mut icmpv4::Packet::new_unchecked(l4_mut(&mut frame)));
+                self.send_ip(ctx, src_ip, frame);
             }
             icmpv4::Message::EchoReply { ident, seq } => {
                 if let Some(sent) = self.ping_sent_at.remove(&(ident, seq)) {

@@ -37,6 +37,7 @@
 pub mod fault;
 pub mod host;
 pub mod hostile;
+pub mod ports;
 pub mod rng;
 pub mod shard;
 pub mod stats;
@@ -47,6 +48,7 @@ pub mod world;
 pub use fault::{FaultPlan, Scope, Window};
 pub use host::{Host, Workload};
 pub use hostile::{Attack, Churn, HostileConfig, HostileHost, HostileStats, TrafficProfile, Zipf};
+pub use ports::PortTable;
 pub use rng::Rng;
 pub use shard::{ShardCtx, ShardNode, ShardedWorld};
 pub use stats::{Counter, CounterId, Histogram, HistogramId, Metrics, TimeSeries};

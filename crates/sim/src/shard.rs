@@ -49,14 +49,15 @@
 
 use std::any::Any;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 use std::sync::{Barrier, Mutex};
 
 use zen_telemetry::{trace_id_for_frame, Recorder, TraceEvent};
 
+use crate::ports::PortTable;
 use crate::rng::Rng;
 use crate::stats::{CounterId, Metrics};
-use crate::time::{transmission_time, Duration, Instant};
+use crate::time::{queued_bytes, transmission_time, Duration, Instant};
 use crate::world::{LinkId, LinkParams, NodeId, PortNo};
 
 /// Behavior contract for nodes driven by the sharded engine.
@@ -214,7 +215,7 @@ struct ShardCore<'w> {
     n_shards: usize,
     now: Instant,
     links: Vec<ShardLink>,
-    ports: &'w BTreeMap<(NodeId, PortNo), LinkId>,
+    ports: &'w PortTable,
     rngs: Vec<Rng>,
     emit_seq: Vec<u64>,
     heap: BinaryHeap<Reverse<ShardEvent>>,
@@ -225,6 +226,15 @@ struct ShardCore<'w> {
     events_processed: u64,
     digests: Vec<u64>,
     digest_enabled: bool,
+}
+
+impl ShardCore<'_> {
+    /// Whether `port` of `node` is wired to a link that is up on this
+    /// shard's replica.
+    fn link_up(&self, node: NodeId, port: PortNo) -> bool {
+        let link = self.ports.link(node, port);
+        link.is_some_and(|l| self.links[l.0 as usize].up)
+    }
 }
 
 /// The world as seen from inside a [`ShardNode`] handler.
@@ -259,26 +269,18 @@ impl ShardCtx<'_, '_> {
 
     /// Ports wired on this node, ascending.
     pub fn ports(&self) -> Vec<PortNo> {
-        self.core
-            .ports
-            .range((self.self_id, PortNo::MIN)..=(self.self_id, PortNo::MAX))
-            .map(|(&(_, port), _)| port)
-            .collect()
+        self.core.ports.ports(self.self_id)
     }
 
     /// Whether the link on `port` is administratively up (per this
     /// shard's replica — identical on every shard at handler time).
     pub fn port_up(&self, port: PortNo) -> bool {
-        self.core
-            .ports
-            .get(&(self.self_id, port))
-            .map(|lid| self.core.links[lid.0 as usize].up)
-            .unwrap_or(false)
+        self.core.link_up(self.self_id, port)
     }
 
     /// The `(node, port)` on the far side of `port`, if wired.
     pub fn peer_of(&self, port: PortNo) -> Option<(NodeId, PortNo)> {
-        let lid = self.core.ports.get(&(self.self_id, port))?;
+        let lid = self.core.ports.link(self.self_id, port)?;
         let link = &self.core.links[lid.0 as usize];
         if link.a == (self.self_id, port) {
             Some(link.b)
@@ -310,7 +312,7 @@ impl ShardCtx<'_, '_> {
     pub fn transmit(&mut self, port: PortNo, frame: &[u8]) {
         let core = &mut *self.core;
         let ids = core.ids;
-        let Some(&lid) = core.ports.get(&(self.self_id, port)) else {
+        let Some(lid) = core.ports.link(self.self_id, port) else {
             core.metrics.incr(ids.tx_no_link);
             return;
         };
@@ -328,9 +330,7 @@ impl ShardCtx<'_, '_> {
             core.now + link.params.latency
         } else {
             let backlog = busy.duration_since(core.now);
-            let backlog_bytes = (backlog.as_nanos() as u128 * link.params.bandwidth_bps as u128
-                / 8
-                / 1_000_000_000) as usize;
+            let backlog_bytes = queued_bytes(backlog, link.params.bandwidth_bps);
             if backlog_bytes + frame.len() > link.params.queue_bytes {
                 core.metrics.incr(ids.drops_queue);
                 return;
@@ -506,13 +506,7 @@ impl ShardWorker<'_> {
                         if j > i {
                             dispatched += 1;
                         }
-                        let up = self
-                            .core
-                            .ports
-                            .get(&(node, *port))
-                            .map(|lid| self.core.links[lid.0 as usize].up)
-                            .unwrap_or(false);
-                        if !up {
+                        if !self.core.link_up(node, *port) {
                             let id = self.core.ids.drops_in_flight;
                             self.core.metrics.incr(id);
                             continue;
@@ -588,7 +582,7 @@ pub struct ShardedWorld {
     nodes: Vec<Option<Box<dyn ShardNode>>>,
     next_port: Vec<PortNo>,
     links: Vec<ShardLink>,
-    ports: BTreeMap<(NodeId, PortNo), LinkId>,
+    ports: PortTable,
     admin: Vec<(Instant, LinkId, bool)>,
     recorder: Recorder,
     digest_enabled: bool,
@@ -606,7 +600,7 @@ impl ShardedWorld {
             nodes: Vec::new(),
             next_port: Vec::new(),
             links: Vec::new(),
-            ports: BTreeMap::new(),
+            ports: PortTable::default(),
             admin: Vec::new(),
             recorder: Recorder::new(),
             digest_enabled: false,
@@ -656,8 +650,8 @@ impl ShardedWorld {
             busy_ab: Instant::ZERO,
             busy_ba: Instant::ZERO,
         });
-        self.ports.insert((a, pa), id);
-        self.ports.insert((b, pb), id);
+        self.ports.wire(a, pa, id);
+        self.ports.wire(b, pb, id);
         (id, pa, pb)
     }
 

@@ -220,13 +220,31 @@ impl fmt::Display for Duration {
 
 /// The time to serialize `bytes` onto a link of `bits_per_sec`, rounded up
 /// to the next nanosecond.
+///
+/// `bytes × 8 × 10⁹` fits a `u64` for any frame under 2.3 GB, so the
+/// division is a machine one; only past that does it widen to `u128`
+/// (a library call), with the same rounding.
 pub fn transmission_time(bytes: usize, bits_per_sec: u64) -> Duration {
     if bits_per_sec == 0 {
         return Duration::ZERO;
     }
-    let bits = bytes as u128 * 8;
-    let nanos = (bits * 1_000_000_000).div_ceil(bits_per_sec as u128);
-    Duration::from_nanos(nanos as u64)
+    let nanos = match (bytes as u64).checked_mul(8 * 1_000_000_000) {
+        Some(bit_nanos) => bit_nanos.div_ceil(bits_per_sec),
+        None => (bytes as u128 * 8 * 1_000_000_000).div_ceil(bits_per_sec as u128) as u64,
+    };
+    Duration::from_nanos(nanos)
+}
+
+/// How many bytes a link of `bits_per_sec` still has to serialize when
+/// its line stays busy for `backlog` more: the occupancy of its egress
+/// queue, rounded down. Narrow arithmetic when the product fits, as in
+/// [`transmission_time`].
+pub fn queued_bytes(backlog: Duration, bits_per_sec: u64) -> usize {
+    let bytes = match backlog.as_nanos().checked_mul(bits_per_sec) {
+        Some(bit_nanos) => bit_nanos / (8 * 1_000_000_000),
+        None => (backlog.as_nanos() as u128 * bits_per_sec as u128 / (8 * 1_000_000_000)) as u64,
+    };
+    bytes as usize
 }
 
 #[cfg(test)]
@@ -277,6 +295,62 @@ mod tests {
         assert_eq!(transmission_time(1, 3_000_000_000), Duration::from_nanos(3));
         // Zero rate means instantaneous (infinite-capacity) links.
         assert_eq!(transmission_time(1500, 0), Duration::ZERO);
+    }
+
+    /// The wide arithmetic both functions used to do unconditionally.
+    fn reference(bytes: usize, backlog_nanos: u64, bps: u64) -> (u64, usize) {
+        let tx = (bytes as u128 * 8 * 1_000_000_000).div_ceil(bps as u128) as u64;
+        let queued = (backlog_nanos as u128 * bps as u128 / 8 / 1_000_000_000) as usize;
+        (tx, queued)
+    }
+
+    #[test]
+    fn narrow_link_math_matches_the_wide_reference() {
+        let check = |bytes: usize, backlog_nanos: u64, bps: u64| {
+            let (tx, queued) = reference(bytes, backlog_nanos, bps);
+            assert_eq!(
+                transmission_time(bytes, bps).as_nanos(),
+                tx,
+                "transmission_time({bytes}, {bps})"
+            );
+            assert_eq!(
+                queued_bytes(Duration::from_nanos(backlog_nanos), bps),
+                queued,
+                "queued_bytes({backlog_nanos} ns, {bps})"
+            );
+        };
+        // Either side of where each product stops fitting a `u64`:
+        // bytes × 8 × 10⁹ for serialization, nanos × bps for backlog.
+        let tx_edge = (u64::MAX / 8_000_000_000) as usize;
+        for bytes in tx_edge - 2..=tx_edge + 2 {
+            check(bytes, 0, 1_000_000_000);
+            check(bytes, 0, 7);
+        }
+        for bps in [1u64, 3, 1_000_000_000, 400_000_000_000] {
+            let backlog_edge = u64::MAX / bps;
+            for nanos in backlog_edge.saturating_sub(2)..=backlog_edge.saturating_add(2) {
+                check(1, nanos, bps);
+            }
+        }
+        // Random frames and rates across both regimes, odd rates included
+        // so every rounding direction is exercised.
+        let mut rng = crate::rng::Rng::new(0x11E4);
+        for _ in 0..20_000 {
+            let bytes = match rng.gen_range(4) {
+                0 => rng.gen_range(1 << 44) as usize,
+                _ => rng.gen_range(10_000) as usize,
+            };
+            let backlog = match rng.gen_range(4) {
+                0 => rng.next_u64(),
+                _ => rng.gen_range(50_000_000),
+            };
+            let bps = match rng.gen_range(3) {
+                0 => 1 + rng.gen_range(1_000),
+                1 => 1 + rng.gen_range(400_000_000_000),
+                _ => [10_000_000, 1_000_000_000, 100_000_000_000][rng.gen_index(3)],
+            };
+            check(bytes, backlog, bps);
+        }
     }
 
     #[test]

@@ -29,9 +29,10 @@ use std::collections::{BTreeMap, BinaryHeap};
 use zen_telemetry::{trace_id_for_frame, Recorder, TraceEvent};
 
 use crate::fault::FaultPlan;
+use crate::ports::PortTable;
 use crate::rng::Rng;
 use crate::stats::{CounterId, Metrics};
-use crate::time::{transmission_time, Duration, Instant};
+use crate::time::{queued_bytes, transmission_time, Duration, Instant};
 
 /// Identifies a node in the world.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -280,8 +281,7 @@ struct CoreState {
     seq: u64,
     queue: BinaryHeap<Reverse<Event>>,
     links: Vec<Link>,
-    /// (node, port) → link.
-    ports: BTreeMap<(NodeId, PortNo), LinkId>,
+    ports: PortTable,
     /// Next free port number per node.
     next_port: Vec<PortNo>,
     rng: Rng,
@@ -328,7 +328,7 @@ impl CoreState {
     }
 
     fn transmit(&mut self, from: NodeId, port: PortNo, frame: Vec<u8>) {
-        let Some(&link_id) = self.ports.get(&(from, port)) else {
+        let Some(link_id) = self.ports.link(from, port) else {
             self.metrics.incr(self.ids.tx_no_link);
             return;
         };
@@ -363,9 +363,7 @@ impl CoreState {
         } else {
             // Backlog currently waiting in the egress queue, in bytes.
             let backlog = dir.busy_until.duration_since(self.now);
-            let backlog_bytes = (backlog.as_nanos() as u128 * params.bandwidth_bps as u128
-                / 8
-                / 1_000_000_000) as usize;
+            let backlog_bytes = queued_bytes(backlog, params.bandwidth_bps);
             if backlog_bytes + frame.len() > params.queue_bytes {
                 dir.drops_queue += 1;
                 self.metrics.incr(self.ids.drops_queue);
@@ -390,6 +388,12 @@ impl CoreState {
             }
         }
         self.push(arrival, dst.0, EventKind::Packet { port: dst.1, frame });
+    }
+
+    /// Whether `port` of `node` is wired to a link that is up.
+    fn link_up(&self, node: NodeId, port: PortNo) -> bool {
+        let link = self.ports.link(node, port);
+        link.is_some_and(|l| self.links[l.0 as usize].up)
     }
 
     fn control_latency_for(&self, from: NodeId, to: NodeId) -> Duration {
@@ -507,22 +511,12 @@ impl Context<'_> {
 
     /// This node's ports, in ascending order.
     pub fn ports(&self) -> Vec<PortNo> {
-        let id = self.self_id;
-        self.core
-            .ports
-            .range((id, 0)..=(id, PortNo::MAX))
-            .map(|((_, p), _)| *p)
-            .collect()
+        self.core.ports.ports(self.self_id)
     }
 
     /// Whether the link on `port` is up. `false` for unknown ports.
     pub fn port_up(&self, port: PortNo) -> bool {
-        let id = self.self_id;
-        self.core
-            .ports
-            .get(&(id, port))
-            .map(|l| self.core.links[l.0 as usize].up)
-            .unwrap_or(false)
+        self.core.link_up(self.self_id, port)
     }
 
     /// The neighbour `(node, port)` on the other end of `port`, if any.
@@ -530,7 +524,7 @@ impl Context<'_> {
     /// neighbours with LLDP or hellos instead.
     pub fn peer_of(&self, port: PortNo) -> Option<(NodeId, PortNo)> {
         let id = self.self_id;
-        let link_id = self.core.ports.get(&(id, port))?;
+        let link_id = self.core.ports.link(id, port)?;
         let link = &self.core.links[link_id.0 as usize];
         Some(if link.a == (id, port) { link.b } else { link.a })
     }
@@ -571,7 +565,7 @@ impl World {
                 seq: 0,
                 queue: BinaryHeap::new(),
                 links: Vec::new(),
-                ports: BTreeMap::new(),
+                ports: PortTable::default(),
                 next_port: Vec::new(),
                 rng: Rng::new(seed),
                 metrics,
@@ -627,15 +621,10 @@ impl World {
         params: LinkParams,
     ) -> LinkId {
         assert!(pa != 0 && pb != 0, "port 0 is reserved");
-        assert!(
-            !self.core.ports.contains_key(&(a, pa)),
-            "port {pa} on {a} already connected"
-        );
-        assert!(
-            !self.core.ports.contains_key(&(b, pb)),
-            "port {pb} on {b} already connected"
-        );
         let id = LinkId(self.core.links.len() as u32);
+        // Panics on a port that is already connected.
+        self.core.ports.wire(a, pa, id);
+        self.core.ports.wire(b, pb, id);
         self.core.links.push(Link {
             a: (a, pa),
             b: (b, pb),
@@ -644,10 +633,10 @@ impl World {
             ab: LinkDirStats::default(),
             ba: LinkDirStats::default(),
         });
-        self.core.ports.insert((a, pa), id);
-        self.core.ports.insert((b, pb), id);
-        self.core.next_port[a.0 as usize] = self.core.next_port[a.0 as usize].max(pa + 1);
-        self.core.next_port[b.0 as usize] = self.core.next_port[b.0 as usize].max(pb + 1);
+        self.core.next_port[a.0 as usize] =
+            self.core.next_port[a.0 as usize].max(pa.saturating_add(1));
+        self.core.next_port[b.0 as usize] =
+            self.core.next_port[b.0 as usize].max(pb.saturating_add(1));
         id
     }
 
@@ -844,13 +833,7 @@ impl World {
         // Frames still propagating when their link went down are lost
         // (a cut cable takes the in-flight bits with it).
         if let EventKind::Packet { port, .. } = &event.kind {
-            let alive = self
-                .core
-                .ports
-                .get(&(event.node, *port))
-                .map(|l| self.core.links[l.0 as usize].up)
-                .unwrap_or(false);
-            if !alive {
+            if !self.core.link_up(event.node, *port) {
                 self.core.metrics.incr(self.core.ids.drops_in_flight);
                 return;
             }
@@ -1277,6 +1260,56 @@ mod tests {
         world.connect_ports(a, 5, b, 9, LinkParams::default());
         world.run_until(Instant::from_millis(1));
         assert_eq!(world.node_as::<Probe>(a).peer, Some((b, 9)));
+    }
+
+    #[test]
+    fn sparse_ports_carry_frames_and_unknown_ports_count() {
+        /// Sends one frame out of each of `out` on start; remembers its
+        /// ports and what arrives where.
+        struct Probe {
+            out: Vec<PortNo>,
+            ports: Vec<PortNo>,
+            rx: Vec<PortNo>,
+        }
+        impl Node for Probe {
+            fn on_start(&mut self, ctx: &mut Context<'_>) {
+                self.ports = ctx.ports();
+                for &port in &self.out {
+                    ctx.transmit(port, vec![0u8; 64]);
+                }
+            }
+            fn on_packet(&mut self, _: &mut Context<'_>, port: PortNo, _: &[u8]) {
+                self.rx.push(port);
+            }
+            fn as_any(&self) -> &dyn Any {
+                self
+            }
+            fn as_any_mut(&mut self) -> &mut dyn Any {
+                self
+            }
+        }
+        let probe = |out: &[PortNo]| {
+            Box::new(Probe {
+                out: out.to_vec(),
+                ports: vec![],
+                rx: vec![],
+            })
+        };
+        let mut world = World::new(1);
+        // Ports 5 and MAX are wired; 0, 1, 6 and 9 are not.
+        let a = world.add_node(probe(&[PortNo::MAX, 5, 0, 1, 6, 9]));
+        let b = world.add_node(probe(&[]));
+        world.connect_ports(a, PortNo::MAX, b, 9, LinkParams::default());
+        world.connect_ports(a, 5, b, 2, LinkParams::default());
+        // Auto-assignment continues past the highest explicit port.
+        let c = world.add_node(probe(&[]));
+        assert_eq!(world.connect(b, c, LinkParams::default()).1, 10);
+        world.run_until(Instant::from_millis(1));
+        assert_eq!(world.node_as::<Probe>(a).ports, vec![5, PortNo::MAX]);
+        assert_eq!(world.node_as::<Probe>(b).ports, vec![2, 9, 10]);
+        assert_eq!(world.node_as::<Probe>(b).rx, vec![9, 2]);
+        assert_eq!(world.metrics().counter("sim.tx_no_link"), 4);
+        assert_eq!(world.metrics().counter("sim.tx_frames"), 2);
     }
 
     #[test]
