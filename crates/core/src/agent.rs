@@ -11,11 +11,13 @@ use std::any::Any;
 
 use zen_dataplane::{AddOutcome, Datapath, DatapathId, Effect, MissPolicy, OverflowPolicy, PortNo};
 use zen_proto::{
-    decode_view, encode, ErrorCode, FlowModCmd, GroupModCmd, Message, MessageView, MeterModCmd,
-    PortDesc, Role, StatsBody, StatsKind,
+    decode_view, ErrorCode, FlowModCmd, GroupModCmd, Message, MessageView, MeterModCmd, PortDesc,
+    Role, StatsBody, StatsKind,
 };
 use zen_sim::{Context, Duration, Node, NodeId};
 use zen_telemetry::{trace_id_for_frame, TraceEvent};
+
+use crate::send_msg;
 
 const TIMER_EXPIRE: u64 = 1;
 const TIMER_ECHO: u64 = 2;
@@ -147,6 +149,33 @@ impl Conn {
     }
 }
 
+/// How many applied xids an agent remembers for barrier answers.
+const APPLIED_XIDS: usize = 4096;
+
+/// The applied-xid window: the xids of the last [`APPLIED_XIDS`] state
+/// mods that took effect, kept in rising order. The common arrival — an
+/// xid above every one held — is a push at the back; membership is a
+/// binary search. When full, the smallest xid goes first.
+#[derive(Debug, Default)]
+struct AppliedXids(std::collections::VecDeque<u32>);
+
+impl AppliedXids {
+    fn note(&mut self, xid: u32) {
+        if self.0.back().is_none_or(|&last| last < xid) {
+            self.0.push_back(xid);
+        } else if let Err(at) = self.0.binary_search(&xid) {
+            self.0.insert(at, xid);
+        }
+        if self.0.len() > APPLIED_XIDS {
+            self.0.pop_front();
+        }
+    }
+
+    fn contains(&self, xid: u32) -> bool {
+        self.0.binary_search(&xid).is_ok()
+    }
+}
+
 /// The switch-side control agent.
 ///
 /// An agent holds one control connection per controller replica. In the
@@ -175,8 +204,8 @@ pub struct SwitchAgent {
     generation: u64,
     /// Xids of recently applied state mods, answered back in
     /// BARRIER_REPLYs so the controller learns which mods survived the
-    /// channel (bounded; xids are monotonic, so the smallest are oldest).
-    applied_xids: std::collections::BTreeSet<u32>,
+    /// channel.
+    applied_xids: AppliedXids,
     echo_token: u64,
     xid: u32,
     /// Token bucket gating PACKET_INs, when configured.
@@ -241,7 +270,7 @@ impl SwitchAgent {
             master: None,
             master_claim: (0, 0),
             generation: 0,
-            applied_xids: std::collections::BTreeSet::new(),
+            applied_xids: AppliedXids::default(),
             echo_token: 0,
             xid: 1,
             punt_meter: cfg
@@ -272,15 +301,6 @@ impl SwitchAgent {
     /// The state-mutation generation (see [`Message::HelloResync`]).
     pub fn generation(&self) -> u64 {
         self.generation
-    }
-
-    /// Remember a state mod's xid for barrier acknowledgement, bounding
-    /// the memory (monotonic xids make the smallest entries the oldest).
-    fn note_applied(&mut self, xid: u32) {
-        self.applied_xids.insert(xid);
-        while self.applied_xids.len() > 4096 {
-            self.applied_xids.pop_first();
-        }
     }
 
     /// Per-cookie installed flow-entry counts across all tables,
@@ -322,7 +342,7 @@ impl SwitchAgent {
     fn send_to(&mut self, ctx: &mut Context<'_>, ci: usize, msg: &Message) {
         let xid = self.xid;
         self.xid += 1;
-        ctx.send_control(self.conns[ci].node, encode(msg, xid));
+        send_msg(ctx, self.conns[ci].node, msg, xid);
     }
 
     /// Send to the master connection, if one is assigned. Asynchronous
@@ -346,7 +366,7 @@ impl SwitchAgent {
 
     /// Reply on the connection the request arrived on, echoing its xid.
     fn reply(&mut self, ctx: &mut Context<'_>, ci: usize, msg: &Message, xid: u32) {
-        ctx.send_control(self.conns[ci].node, encode(msg, xid));
+        send_msg(ctx, self.conns[ci].node, msg, xid);
     }
 
     fn port_descs(&self, ctx: &Context<'_>) -> Vec<PortDesc> {
@@ -357,6 +377,24 @@ impl SwitchAgent {
                 up: ctx.port_up(p),
             })
             .collect()
+    }
+
+    /// Execute a PACKET_OUT: run its actions on the frame and carry out
+    /// what they decide.
+    fn packet_out(
+        &mut self,
+        ctx: &mut Context<'_>,
+        in_port: PortNo,
+        actions: &[zen_dataplane::Action],
+        frame: &[u8],
+    ) {
+        self.stats.packet_outs += 1;
+        let now = ctx.now().as_nanos();
+        let mut effects = std::mem::take(&mut self.effects);
+        self.dp
+            .inject_into(now, in_port, actions, frame, &mut effects);
+        self.run_effects(ctx, &mut effects);
+        self.effects = effects;
     }
 
     /// Carry out (and drain) what the datapath decided.
@@ -551,9 +589,7 @@ impl SwitchAgent {
                 actions,
                 frame,
             } => {
-                self.stats.packet_outs += 1;
-                let mut effects = self.dp.inject(now, in_port, &actions, &frame);
-                self.run_effects(ctx, &mut effects);
+                self.packet_out(ctx, in_port, &actions, &frame);
             }
             Message::FlowMod { table_id, cmd } => {
                 if usize::from(table_id) >= self.dp.table_count()
@@ -654,7 +690,7 @@ impl SwitchAgent {
             }
             Message::GroupMod { group_id, cmd } => {
                 self.generation += 1;
-                self.note_applied(xid);
+                self.applied_xids.note(xid);
                 match cmd {
                     GroupModCmd::Add(desc) => self.dp.add_group(group_id, desc),
                     GroupModCmd::Delete => {
@@ -664,7 +700,7 @@ impl SwitchAgent {
             }
             Message::MeterMod { meter_id, cmd } => {
                 self.generation += 1;
-                self.note_applied(xid);
+                self.applied_xids.note(xid);
                 match cmd {
                     MeterModCmd::Add {
                         rate_bps,
@@ -679,11 +715,8 @@ impl SwitchAgent {
                 // Messages apply synchronously here, so ordering holds
                 // by construction — but on a lossy channel the fence
                 // must also say *which* of the covered mods arrived.
-                let applied: Vec<u32> = xids
-                    .iter()
-                    .copied()
-                    .filter(|x| self.applied_xids.contains(x))
-                    .collect();
+                let mut applied = xids;
+                applied.retain(|&x| self.applied_xids.contains(x));
                 self.reply(ctx, ci, &Message::BarrierReply { applied }, xid);
             }
             Message::ResyncRequest => {
@@ -704,7 +737,7 @@ impl SwitchAgent {
     fn note_flow_mod_applied(&mut self, ctx: &mut Context<'_>, now: u64, xid: u32) {
         self.stats.flow_mods += 1;
         self.generation += 1;
-        self.note_applied(xid);
+        self.applied_xids.note(xid);
         let rec = ctx.recorder();
         if rec.is_enabled() {
             if let Some(trace) = rec.xid_trace(xid) {
@@ -887,10 +920,7 @@ impl Node for SwitchAgent {
                             actions,
                             frame,
                         } => {
-                            self.stats.packet_outs += 1;
-                            let now = ctx.now().as_nanos();
-                            let mut effects = self.dp.inject(now, in_port, &actions, frame);
-                            self.run_effects(ctx, &mut effects);
+                            self.packet_out(ctx, in_port, &actions, frame);
                         }
                         other => self.handle_message(ctx, ci, other.into_message(), xid),
                     }
@@ -918,5 +948,39 @@ impl Node for SwitchAgent {
 
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn applied_window_remembers_out_of_order_and_repeated_xids() {
+        let mut window = AppliedXids::default();
+        for xid in 100..200 {
+            window.note(xid);
+        }
+        // An old xid arriving late (jitter, a retransmission) is filed
+        // where it belongs and found again.
+        window.note(50);
+        assert!(window.contains(50) && window.contains(100) && window.contains(199));
+        assert!(!window.contains(99) && !window.contains(200));
+        // A repeat takes no second slot.
+        window.note(150);
+        window.note(199);
+        assert_eq!(window.0.len(), 101);
+    }
+
+    #[test]
+    fn applied_window_is_bounded() {
+        let mut window = AppliedXids::default();
+        for xid in 0..2 * APPLIED_XIDS as u32 {
+            window.note(xid);
+        }
+        assert_eq!(window.0.len(), APPLIED_XIDS);
+        assert!(!window.contains(APPLIED_XIDS as u32 - 1));
+        assert!(window.contains(APPLIED_XIDS as u32));
+        assert!(window.contains(2 * APPLIED_XIDS as u32 - 1));
     }
 }

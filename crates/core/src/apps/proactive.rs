@@ -12,7 +12,9 @@
 //! fabric-anycast-gateway design).
 
 use std::any::Any;
+use std::hash::{Hash, Hasher};
 
+use zen_consensus::{fnv1a_fold, CHAIN_SEED};
 use zen_dataplane::{Action, Bucket, FlowMatch, FlowSpec, GroupDesc, GroupType, PortNo};
 use zen_graph::ecmp_next_hops;
 use zen_sim::Instant;
@@ -21,7 +23,7 @@ use zen_wire::{EthernetAddress, Ipv4Address, Ipv4Cidr};
 use crate::app::App;
 use crate::controller::Ctl;
 use crate::txn::Consistency;
-use crate::view::Dpid;
+use crate::view::{Dpid, NetworkView};
 
 pub use crate::policy::{FABRIC_COOKIE, FABRIC_EPOCH_COOKIE, FABRIC_IMPORTANCE};
 
@@ -135,37 +137,19 @@ impl ProactiveFabric {
     /// The forwarding program this app wants on `switch` given the
     /// current view: SELECT groups toward every other switch, then the
     /// per-host rules, in deterministic install order.
-    fn desired_program(&self, ctl: &Ctl<'_, '_>, switch: Dpid) -> SwitchProgram {
-        let routes = ctl.view.routes();
-        let (graph, dpids, index) = (&routes.graph, &routes.dpids, &routes.index);
+    fn desired_program(&self, view: &NetworkView, switch: Dpid) -> SwitchProgram {
         let mut program = SwitchProgram {
             groups: Vec::new(),
             flows: Vec::new(),
         };
-        if let Some(&my_ix) = index.get(&switch) {
-            for (dst_pos, &dst_dpid) in dpids.iter().enumerate() {
-                if dst_dpid == switch {
-                    continue;
-                }
-                let hops = ecmp_next_hops(graph, my_ix, routes.dists_from(dst_pos as u32));
-                let mut buckets = Vec::new();
-                for edge_ix in hops {
-                    let next_dpid = dpids[graph.edge(edge_ix).to as usize];
-                    for port in ctl.view.ports_toward(switch, next_dpid) {
-                        buckets.push(Bucket::output(port));
-                    }
-                }
-                if buckets.is_empty() {
-                    continue;
-                }
-                program.groups.push((
-                    group_id_for(dst_dpid),
-                    GroupDesc {
-                        group_type: GroupType::Select,
-                        buckets,
-                    },
-                ));
-            }
+        for (dst_dpid, buckets) in ecmp_buckets(view, switch) {
+            program.groups.push((
+                group_id_for(dst_dpid),
+                GroupDesc {
+                    group_type: GroupType::Select,
+                    buckets,
+                },
+            ));
         }
         for host in &self.hosts {
             let matcher = FlowMatch::ipv4_to(Ipv4Cidr::new(host.ip, 32).expect("/32 is valid"));
@@ -191,17 +175,30 @@ impl ProactiveFabric {
         program
     }
 
-    /// Reprogram a single switch from the current view: wipe our cookie,
-    /// reinstall its SELECT groups and per-host rules, and stamp the
-    /// program hash into the replicated view so peer replicas can tell
-    /// whether a takeover needs to reprogram at all.
+    /// The stamp of the program this app wants on `switch` given
+    /// `view` — what it records after programming the switch, and what
+    /// a replica taking the switch over compares the record against.
+    pub fn desired_stamp(&self, view: &NetworkView, switch: Dpid) -> u64 {
+        program_hash(&self.desired_program(view, switch))
+    }
+
+    /// Reprogram a single switch from the current view.
     fn program_switch(&mut self, ctl: &mut Ctl<'_, '_>, switch: Dpid) {
-        let program = self.desired_program(ctl, switch);
+        let program = self.desired_program(ctl.view, switch);
         let hash = program_hash(&program);
+        self.install(ctl, switch, program, hash);
+    }
+
+    /// Push `program` to `switch`: wipe our cookie, reinstall its SELECT
+    /// groups and per-host rules, and record `hash`, the program's
+    /// stamp, in the replicated view so peer replicas can tell whether
+    /// a takeover needs to reprogram at all.
+    fn install(&mut self, ctl: &mut Ctl<'_, '_>, switch: Dpid, program: SwitchProgram, hash: u64) {
         // A single-switch transaction: even under per-packet
         // consistency this takes the planner's fast path (one switch
         // applies its mods in order).
         let mut txn = ctl.txn();
+        txn.reserve(1 + program.groups.len() + program.flows.len());
         txn.delete_flows_by_cookie(switch, FABRIC_COOKIE);
         for (group_id, desc) in program.groups {
             txn.group(switch, group_id, desc);
@@ -267,37 +264,19 @@ impl ProactiveFabric {
         };
         let old_groups = std::mem::take(&mut self.epoch_groups);
         let mut txn = ctl.txn().per_packet().owned_by("proactive-fabric", epoch);
-        let routes = ctl.view.routes();
-        let (graph, dpids, index) = (&routes.graph, &routes.dpids, &routes.index);
         for &switch in switch_list {
             txn.retire_flows_by_cookie(switch, old_cookie);
-            if let Some(&my_ix) = index.get(&switch) {
-                for (dst_pos, &dst_dpid) in dpids.iter().enumerate() {
-                    if dst_dpid == switch {
-                        continue;
-                    }
-                    let hops = ecmp_next_hops(graph, my_ix, routes.dists_from(dst_pos as u32));
-                    let mut buckets = Vec::new();
-                    for edge_ix in hops {
-                        let next_dpid = dpids[graph.edge(edge_ix).to as usize];
-                        for port in ctl.view.ports_toward(switch, next_dpid) {
-                            buckets.push(Bucket::output(port));
-                        }
-                    }
-                    if buckets.is_empty() {
-                        continue;
-                    }
-                    let gid = group_id_for_epoch(dst_dpid, parity);
-                    txn.group(
-                        switch,
-                        gid,
-                        GroupDesc {
-                            group_type: GroupType::Select,
-                            buckets,
-                        },
-                    );
-                    self.epoch_groups.push((switch, gid));
-                }
+            for (dst_dpid, buckets) in ecmp_buckets(ctl.view, switch) {
+                let gid = group_id_for_epoch(dst_dpid, parity);
+                txn.group(
+                    switch,
+                    gid,
+                    GroupDesc {
+                        group_type: GroupType::Select,
+                        buckets,
+                    },
+                );
+                self.epoch_groups.push((switch, gid));
             }
             for host in &self.hosts {
                 let matcher = FlowMatch::ipv4_to(Ipv4Cidr::new(host.ip, 32).expect("/32 is valid"));
@@ -345,24 +324,67 @@ impl ProactiveFabric {
     }
 }
 
+/// The SELECT buckets `switch` needs toward every other switch it can
+/// reach, in the view's switch order: one watched output per live port
+/// on each equal-cost next hop. The switch's usable ports are read off
+/// the view once, not once per destination.
+fn ecmp_buckets(view: &NetworkView, switch: Dpid) -> Vec<(Dpid, Vec<Bucket>)> {
+    let routes = view.routes();
+    let (graph, dpids) = (&routes.graph, &routes.dpids);
+    let Some(&my_ix) = routes.index.get(&switch) else {
+        return Vec::new();
+    };
+    let neighbours: Vec<(Dpid, PortNo)> = view.live_neighbours(switch).collect();
+    let mut toward = Vec::new();
+    for (dst_pos, &dst_dpid) in dpids.iter().enumerate() {
+        if dst_dpid == switch {
+            continue;
+        }
+        let mut buckets = Vec::new();
+        for edge_ix in ecmp_next_hops(graph, my_ix, routes.dists_from(dst_pos as u32)) {
+            let next_dpid = dpids[graph.edge(edge_ix).to as usize];
+            let ports = neighbours.iter().filter(|&&(n, _)| n == next_dpid);
+            buckets.extend(ports.map(|&(_, port)| Bucket::output(port)));
+        }
+        if !buckets.is_empty() {
+            toward.push((dst_dpid, buckets));
+        }
+    }
+    toward
+}
+
 /// The desired forwarding program for one switch, in install order.
 struct SwitchProgram {
     groups: Vec<(u32, GroupDesc)>,
     flows: Vec<FlowSpec>,
 }
 
-/// FNV-1a over the program's Debug rendering: cheap, deterministic
-/// across replicas (both derive it from the same replicated view), and
-/// sensitive to every field that shapes forwarding behaviour. This is
-/// the hash stamped into the replicated view via
-/// [`Ctl::set_program_stamp`].
+/// The stamp a master records for the program it installed, through
+/// [`Ctl::set_program_stamp`]: FNV-1a fed the program's own fields —
+/// the groups, then the flows, each in install order, every list
+/// preceded by its length — by way of the derived `Hash` of the
+/// dataplane types. Nothing is rendered or allocated. Replicas run one
+/// binary and derive the program from the same replicated view, so
+/// equal programs stamp equal; any field a switch would forward
+/// differently under moves the stamp.
 fn program_hash(program: &SwitchProgram) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in format!("{:?}|{:?}", program.groups, program.flows).bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut stamp = Fnv1a(CHAIN_SEED);
+    program.groups.hash(&mut stamp);
+    program.flows.hash(&mut stamp);
+    stamp.finish()
+}
+
+/// FNV-1a as a [`Hasher`], so `#[derive(Hash)]` can drive it.
+struct Fnv1a(u64);
+
+impl Hasher for Fnv1a {
+    fn write(&mut self, bytes: &[u8]) {
+        self.0 = fnv1a_fold(self.0, bytes);
     }
-    h
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// The group id used for routes toward `dst_dpid`.
@@ -477,9 +499,10 @@ impl App for ProactiveFabric {
         // matches what we would install, the takeover moves no flow
         // state at all; only a genuine divergence — the old master died
         // mid-convergence, or the topology changed since — reprograms.
-        let desired = program_hash(&self.desired_program(ctl, dpid));
+        let program = self.desired_program(ctl.view, dpid);
+        let desired = program_hash(&program);
         if ctl.program_stamp(dpid, FABRIC_COOKIE) != Some(desired) {
-            self.program_switch(ctl, dpid);
+            self.install(ctl, dpid, program, desired);
         }
     }
 

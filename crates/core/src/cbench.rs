@@ -33,10 +33,12 @@
 use std::collections::VecDeque;
 
 use zen_dataplane::PortNo;
-use zen_proto::{decode_view, encode, Message, MessageView, PortDesc};
+use zen_proto::{decode_view, Message, MessageView, PortDesc};
 use zen_sim::{Context, Duration, Instant, Node, NodeId};
 use zen_wire::builder::PacketBuilder;
 use zen_wire::{EthernetAddress, Ipv4Address};
+
+use crate::send_msg;
 
 /// Timer token used by open-loop punting.
 const PUNT_TIMER: u64 = 0x9bec;
@@ -192,13 +194,13 @@ impl CbenchSwitch {
 
     fn send(&mut self, ctx: &mut Context<'_>, msg: &Message) {
         self.xid = self.xid.wrapping_add(1);
-        ctx.send_control(self.controller, encode(msg, self.xid));
+        send_msg(ctx, self.controller, msg, self.xid);
     }
 
     /// Answer a request, echoing its xid (the controller correlates
     /// BARRIER_REPLYs and friends by transaction id).
     fn reply(&mut self, ctx: &mut Context<'_>, msg: &Message, xid: u32) {
-        ctx.send_control(self.controller, encode(msg, xid));
+        send_msg(ctx, self.controller, msg, xid);
     }
 
     /// Send one steady-state PACKET_IN and start its latency clock.

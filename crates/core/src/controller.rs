@@ -13,7 +13,7 @@ use zen_cluster::{Admit, ClusterConfig, EwStore, GossipMode, Membership};
 use zen_consensus::{fnv1a, fnv1a_fold, Applied, IntentReplica, Outbound, KEEP_TAIL};
 use zen_dataplane::{epoch_tag, Action, FlowMatch, FlowSpec, Meter, PortNo};
 use zen_proto::{
-    decode_view, encode, encode_packet_out, intent_entry_bytes, CookieCount, ErrorCode, FlowModCmd,
+    decode_view, encode_packet_out_into, intent_entry_bytes, CookieCount, ErrorCode, FlowModCmd,
     GroupModCmd, Intent, IntentEntry, Message, MessageView, Role, ViewEvent,
 };
 use zen_sim::{Context, Duration, Instant, Node, NodeId};
@@ -22,6 +22,7 @@ use zen_wire::ethernet::{EtherType, Frame};
 use zen_wire::{arp, ipv4, lldp, EthernetAddress};
 
 use crate::app::{App, Disposition};
+use crate::send_msg;
 use crate::southbound::Southbound;
 use crate::txn::{
     ActiveTxn, Consistency, FlowRole, NetworkUpdate, TxnPhase, UpdateOp, UpdatePlanner,
@@ -424,11 +425,6 @@ impl Ctl<'_, '_> {
             Message::PacketOut { .. } => self.stats.packet_outs += 1,
             _ => {}
         }
-        let bytes = encode(msg, xid);
-        if is_mod {
-            self.southbound
-                .track(node, dpid, xid, msg, bytes.clone(), self.ctx.now());
-        }
         {
             // Flight recorder: attribute control messages sent while an
             // app chain is processing a traced PACKET_IN.
@@ -457,7 +453,15 @@ impl Ctl<'_, '_> {
                 }
             }
         }
-        self.ctx.send_control(node, bytes);
+        if is_mod {
+            // Encoded once, into the buffer the session keeps for
+            // retransmission; the channel copies from it.
+            let bytes = self.southbound.track(node, dpid, xid, msg, self.ctx.now());
+            self.ctx
+                .send_control_with(node, |buf| buf.extend_from_slice(bytes));
+        } else {
+            send_msg(self.ctx, node, msg, xid);
+        }
     }
 
     /// Open a network update transaction. Stage flow/group/meter ops on
@@ -557,8 +561,9 @@ impl Ctl<'_, '_> {
                 rec.record(at, trace, TraceEvent::PacketOutSent { dpid });
             }
         }
-        self.ctx
-            .send_control(node, encode_packet_out(in_port, actions, frame, xid));
+        self.ctx.send_control_with(node, |buf| {
+            encode_packet_out_into(buf, in_port, actions, frame, xid)
+        });
     }
 
     /// Fence a switch (answered asynchronously). App-issued fences
@@ -816,7 +821,7 @@ impl Controller {
         let xid = self.xid;
         self.xid += 1;
         self.stats.msgs_sent += 1;
-        ctx.send_control(node, encode(msg, xid));
+        send_msg(ctx, node, msg, xid);
     }
 
     /// Log a local view mutation into the east-west store for
@@ -936,15 +941,14 @@ impl Controller {
                 };
                 self.stats.msgs_sent += 1;
                 self.stats.ew_fetches_sent += 1;
-                ctx.send_control(
+                send_msg(
+                    ctx,
                     node,
-                    encode(
-                        &Message::EwFetch {
-                            replica: me,
-                            ranges,
-                        },
-                        0,
-                    ),
+                    &Message::EwFetch {
+                        replica: me,
+                        ranges,
+                    },
+                    0,
                 );
             }
             Message::EwFetch { replica, ranges } => {
@@ -960,31 +964,29 @@ impl Controller {
                     let (heads, snap_entries, checksum) = cl.store.snapshot();
                     self.stats.msgs_sent += 1;
                     self.stats.ew_snapshots_sent += 1;
-                    ctx.send_control(
+                    send_msg(
+                        ctx,
                         node,
-                        encode(
-                            &Message::EwSnapshot {
-                                replica: me,
-                                heads,
-                                entries: snap_entries,
-                                checksum,
-                            },
-                            0,
-                        ),
+                        &Message::EwSnapshot {
+                            replica: me,
+                            heads,
+                            entries: snap_entries,
+                            checksum,
+                        },
+                        0,
                     );
                 }
                 for chunk in entries.chunks(EW_BATCH) {
                     self.stats.msgs_sent += 1;
                     self.stats.ew_entries_sent += chunk.len() as u64;
-                    ctx.send_control(
+                    send_msg(
+                        ctx,
                         node,
-                        encode(
-                            &Message::EwEvents {
-                                replica: me,
-                                entries: chunk.to_vec(),
-                            },
-                            0,
-                        ),
+                        &Message::EwEvents {
+                            replica: me,
+                            entries: chunk.to_vec(),
+                        },
+                        0,
                     );
                 }
             }
@@ -1119,7 +1121,7 @@ impl Controller {
             };
             self.stats.msgs_sent += 1;
             self.stats.intent_msgs_sent += 1;
-            ctx.send_control(node, encode(&out.msg, 0));
+            send_msg(ctx, node, &out.msg, 0);
         }
     }
 
@@ -1405,16 +1407,15 @@ impl Controller {
             }
             self.stats.msgs_sent += 1;
             self.stats.ew_heartbeats += 1;
-            ctx.send_control(
+            send_msg(
+                ctx,
                 node,
-                encode(
-                    &Message::EwHeartbeat {
-                        replica: me32,
-                        term,
-                        acks: acks.clone(),
-                    },
-                    0,
-                ),
+                &Message::EwHeartbeat {
+                    replica: me32,
+                    term,
+                    acks: acks.clone(),
+                },
+                0,
             );
             match gossip {
                 GossipMode::Suffix => {
@@ -1428,17 +1429,16 @@ impl Controller {
                         let (heads, entries, checksum) = cl.store.snapshot();
                         self.stats.msgs_sent += 1;
                         self.stats.ew_snapshots_sent += 1;
-                        ctx.send_control(
+                        send_msg(
+                            ctx,
                             node,
-                            encode(
-                                &Message::EwSnapshot {
-                                    replica: me32,
-                                    heads,
-                                    entries,
-                                    checksum,
-                                },
-                                0,
-                            ),
+                            &Message::EwSnapshot {
+                                replica: me32,
+                                heads,
+                                entries,
+                                checksum,
+                            },
+                            0,
                         );
                         continue;
                     }
@@ -1446,15 +1446,14 @@ impl Controller {
                     if !batch.is_empty() {
                         self.stats.msgs_sent += 1;
                         self.stats.ew_entries_sent += batch.len() as u64;
-                        ctx.send_control(
+                        send_msg(
+                            ctx,
                             node,
-                            encode(
-                                &Message::EwEvents {
-                                    replica: me32,
-                                    entries: batch,
-                                },
-                                0,
-                            ),
+                            &Message::EwEvents {
+                                replica: me32,
+                                entries: batch,
+                            },
+                            0,
                         );
                     }
                 }
@@ -1468,31 +1467,29 @@ impl Controller {
                         if !batch.is_empty() {
                             self.stats.msgs_sent += 1;
                             self.stats.ew_entries_sent += batch.len() as u64;
-                            ctx.send_control(
+                            send_msg(
+                                ctx,
                                 node,
-                                encode(
-                                    &Message::EwEvents {
-                                        replica: me32,
-                                        entries: batch,
-                                    },
-                                    0,
-                                ),
+                                &Message::EwEvents {
+                                    replica: me32,
+                                    entries: batch,
+                                },
+                                0,
                             );
                         }
                         *pushed = hi;
                     }
                     self.stats.msgs_sent += 1;
                     self.stats.ew_digests_sent += 1;
-                    ctx.send_control(
+                    send_msg(
+                        ctx,
                         node,
-                        encode(
-                            &Message::EwDigest {
-                                replica: me32,
-                                term,
-                                heads: cl.store.digest(),
-                            },
-                            0,
-                        ),
+                        &Message::EwDigest {
+                            replica: me32,
+                            term,
+                            heads: cl.store.digest(),
+                        },
+                        0,
                     );
                 }
             }
@@ -1610,7 +1607,7 @@ impl Controller {
         if due {
             self.features_requested.insert(from, now);
             self.stats.msgs_sent += 1;
-            ctx.send_control(from, encode(&Message::FeaturesRequest, 0));
+            send_msg(ctx, from, &Message::FeaturesRequest, 0);
         }
     }
 
@@ -2312,15 +2309,12 @@ impl Controller {
         match msg {
             Message::Hello { .. } => {
                 // Learn the session, ask who they are.
-                let reply = encode(
-                    &Message::Hello {
-                        version: zen_proto::VERSION,
-                    },
-                    0,
-                );
+                let hello = Message::Hello {
+                    version: zen_proto::VERSION,
+                };
                 self.stats.msgs_sent += 2;
-                ctx.send_control(from, reply);
-                ctx.send_control(from, encode(&Message::FeaturesRequest, 0));
+                send_msg(ctx, from, &hello, 0);
+                send_msg(ctx, from, &Message::FeaturesRequest, 0);
             }
             Message::FeaturesReply {
                 dpid,
@@ -2439,7 +2433,7 @@ impl Controller {
             }
             Message::EchoRequest { token } => {
                 self.stats.msgs_sent += 1;
-                ctx.send_control(from, encode(&Message::EchoReply { token }, 0));
+                send_msg(ctx, from, &Message::EchoReply { token }, 0);
             }
             Message::EchoReply { .. } => {
                 self.stats.echo_replies += 1;

@@ -51,3 +51,14 @@ pub use shard_fabric::{build_shard_fat_tree, ShardFabric, ShardSwitch, ShardTraf
 pub use snapshot::export_jsonl;
 pub use txn::{Consistency, NetworkUpdate, UpdatePlanner};
 pub use view::{Dpid, HostEntry, NetworkView, SwitchInfo};
+
+/// Send `msg` to `to`, encoded straight into the control channel's own
+/// buffer: every sender in this crate writes in place.
+pub(crate) fn send_msg(
+    ctx: &mut zen_sim::Context<'_>,
+    to: zen_sim::NodeId,
+    msg: &zen_proto::Message,
+    xid: u32,
+) {
+    ctx.send_control_with(to, |buf| zen_proto::encode_into(buf, msg, xid));
+}

@@ -15,7 +15,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use zen_proto::{encode, FlowModCmd, Message};
+use zen_proto::{encode_barrier_request_into, encode_into, FlowModCmd, Message};
 use zen_sim::{Context, Duration, Instant, NodeId};
 
 use crate::controller::CtlStats;
@@ -94,16 +94,19 @@ impl Southbound {
         self.sessions.values().map(|s| s.pending.len()).sum()
     }
 
-    /// Start tracking a mod that was just sent to `node` as `bytes`.
+    /// Start tracking a mod about to be sent to `node`: encode it — the
+    /// only time it ever is — into the buffer the session keeps, and
+    /// lend that buffer back for the caller to put on the channel.
     pub(crate) fn track(
         &mut self,
         node: NodeId,
         dpid: Dpid,
         xid: u32,
         msg: &Message,
-        bytes: Vec<u8>,
         now: Instant,
-    ) {
+    ) -> &[u8] {
+        let mut bytes = Vec::with_capacity(96);
+        encode_into(&mut bytes, msg, xid);
         let session = self.sessions.entry(node).or_insert_with(|| Session {
             dpid,
             pending: VecDeque::new(),
@@ -118,6 +121,7 @@ impl Southbound {
             retries: 0,
         });
         self.dirty.insert(node);
+        &session.pending.back().expect("just pushed").bytes
     }
 
     /// Fence every session that acquired pending mods since the last
@@ -137,9 +141,9 @@ impl Southbound {
                 continue;
             };
             session.barriers.insert(*xid, last.xid);
-            let xids = session.pending.iter().map(|p| p.xid).collect();
             stats.msgs_sent += 1;
-            ctx.send_control(node, encode(&Message::BarrierRequest { xids }, *xid));
+            let covered = session.pending.iter().map(|p| p.xid);
+            ctx.send_control_with(node, |buf| encode_barrier_request_into(buf, covered, *xid));
             *xid += 1;
         }
     }
@@ -240,7 +244,7 @@ impl Southbound {
             p.sent_at = now;
             stats.mods_retransmitted += 1;
             stats.msgs_sent += 1;
-            ctx.send_control(node, p.bytes.clone());
+            ctx.send_control_with(node, |buf| buf.extend_from_slice(&p.bytes));
             self.dirty.insert(node);
         }
         for session in self.sessions.values_mut() {
@@ -318,9 +322,8 @@ mod tests {
 
     /// Send `msg` as `xid` to `node` the way `Ctl::send` does.
     fn send(sb: &mut Southbound, ctx: &mut Context<'_>, node: NodeId, xid: u32, msg: &Message) {
-        let bytes = encode(msg, xid);
-        sb.track(node, 7, xid, msg, bytes.clone(), ctx.now());
-        ctx.send_control(node, bytes);
+        let bytes = sb.track(node, 7, xid, msg, ctx.now());
+        ctx.send_control_with(node, |buf| buf.extend_from_slice(bytes));
     }
 
     /// Run `steps` against two sinks; returns what each sink received.
@@ -418,7 +421,7 @@ mod tests {
                     send(sb, ctx, b, 2, &add(2));
                     send(sb, ctx, a, 3, &add(3));
                     // A quarantined switch's mods wait for its resync.
-                    sb.track(NodeId(9), 8, 4, &add(4), Vec::new(), ctx.now());
+                    sb.track(NodeId(9), 8, 4, &add(4), ctx.now());
                     sb.flush_barriers(ctx, &mut 100, &mut CtlStats::default());
                 }),
                 // 100 ms old: not due yet.

@@ -189,6 +189,13 @@ impl NetworkUpdate {
         self
     }
 
+    /// Make room for `additional` more operations, for a caller that
+    /// knows how many it is about to stage.
+    pub fn reserve(&mut self, additional: usize) -> &mut NetworkUpdate {
+        self.ops.reserve(additional);
+        self
+    }
+
     /// Stage a plain flow install.
     pub fn flow(&mut self, dpid: Dpid, table_id: u8, spec: FlowSpec) -> &mut NetworkUpdate {
         self.ops.push(UpdateOp::Flow {

@@ -362,10 +362,22 @@ impl NetworkView {
     /// port is up, in port order; empty when either switch is
     /// quarantined.
     fn live_ports_toward(&self, from: Dpid, to: Dpid) -> impl Iterator<Item = PortNo> + '_ {
-        let live = !self.is_quarantined(from) && !self.is_quarantined(to);
+        self.live_neighbours(from)
+            .filter(move |&(neighbour, _)| neighbour == to)
+            .map(|(_, port)| port)
+    }
+
+    /// Every usable direct hop out of `from`, as `(neighbour, egress
+    /// port)` in port order: discovered links whose port is up, between
+    /// switches that are not quarantined. One walk answers what
+    /// [`NetworkView::ports_toward`] would for every neighbour.
+    pub fn live_neighbours(&self, from: Dpid) -> impl Iterator<Item = (Dpid, PortNo)> + '_ {
+        let live = !self.is_quarantined(from);
         self.links_from(from)
-            .filter(move |&((_, sp), (dst, _))| live && dst == to && self.port_up(from, sp))
-            .map(|((_, sp), _)| sp)
+            .filter(move |&((_, sp), (dst, _))| {
+                live && self.port_up(from, sp) && !self.is_quarantined(dst)
+            })
+            .map(|((_, sp), (dst, _))| (dst, sp))
     }
 
     /// Whether a port currently has no discovered switch link (i.e. may

@@ -1,0 +1,130 @@
+//! What a BARRIER_REPLY says: exactly which of the fenced state mods
+//! took effect at the switch, from the agent's window of recently
+//! applied xids.
+
+use std::any::Any;
+
+use zen_core::SwitchAgent;
+use zen_dataplane::{Bucket, FlowMatch, FlowSpec, GroupDesc, GroupType, PortNo};
+use zen_proto::{decode, encode_into, FlowModCmd, GroupModCmd, Message};
+use zen_sim::{Context, Duration, Instant, Node, NodeId, World};
+
+/// A stand-in controller: sends each scripted burst at its time, and
+/// keeps every BARRIER_REPLY and ERROR the switch answers with.
+struct Script {
+    switch: NodeId,
+    bursts: Vec<(Duration, Vec<(u32, Message)>)>,
+    barrier_replies: Vec<(u32, Vec<u32>)>,
+    errors: Vec<u32>,
+}
+
+impl Script {
+    fn new(switch: NodeId, bursts: Vec<(Duration, Vec<(u32, Message)>)>) -> Script {
+        Script {
+            switch,
+            bursts,
+            barrier_replies: Vec::new(),
+            errors: Vec::new(),
+        }
+    }
+}
+
+impl Node for Script {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        for (i, (at, _)) in self.bursts.iter().enumerate() {
+            ctx.set_timer(*at, i as u64);
+        }
+    }
+
+    fn on_timer(&mut self, ctx: &mut Context<'_>, burst: u64) {
+        for (xid, msg) in &self.bursts[burst as usize].1 {
+            ctx.send_control_with(self.switch, |buf| encode_into(buf, msg, *xid));
+        }
+    }
+
+    fn on_control(&mut self, _: &mut Context<'_>, _: NodeId, mut bytes: &[u8]) {
+        while let Ok((msg, xid, used)) = decode(bytes) {
+            match msg {
+                Message::BarrierReply { applied } => self.barrier_replies.push((xid, applied)),
+                Message::Error { .. } => self.errors.push(xid),
+                _ => {}
+            }
+            bytes = &bytes[used..];
+        }
+    }
+
+    fn on_packet(&mut self, _: &mut Context<'_>, _: PortNo, _: &[u8]) {}
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+fn flow_add(table_id: u8, cookie: u64) -> Message {
+    let matcher = FlowMatch::ANY.with_ip_proto(cookie as u8);
+    Message::FlowMod {
+        table_id,
+        cmd: FlowModCmd::Add(FlowSpec::new(1, matcher, vec![]).with_cookie(cookie)),
+    }
+}
+
+fn group_add(group_id: u32) -> Message {
+    Message::GroupMod {
+        group_id,
+        cmd: GroupModCmd::Add(GroupDesc {
+            group_type: GroupType::Select,
+            buckets: vec![Bucket::output(1)],
+        }),
+    }
+}
+
+fn barrier(xids: &[u32]) -> Message {
+    Message::BarrierRequest {
+        xids: xids.to_vec(),
+    }
+}
+
+fn ms(v: u64) -> Duration {
+    Duration::from_millis(v)
+}
+
+#[test]
+fn barrier_reply_lists_exactly_the_applied_subset() {
+    let mut world = World::new(1);
+    // Node ids are handed out in order: the switch is 0, the script 1.
+    let (switch, controller) = (NodeId(0), NodeId(1));
+    world.add_node(Box::new(SwitchAgent::new(7, 1, controller)));
+    let script = vec![
+        (
+            ms(1),
+            vec![
+                (12, flow_add(0, 12)),
+                // Table 9 does not exist: bounced, never applied.
+                (13, flow_add(9, 13)),
+                (14, group_add(14)),
+                // A retransmission of 12 applies again, idempotently.
+                (12, flow_add(0, 12)),
+                // Older than everything before it, and still remembered.
+                (3, flow_add(0, 3)),
+                // 15 was lost on the way; 12 is named twice.
+                (50, barrier(&[12, 13, 14, 15, 3, 12])),
+            ],
+        ),
+        // A later fence over the same mods answers the same.
+        (ms(2), vec![(51, barrier(&[3, 15, 14]))]),
+    ];
+    world.add_node(Box::new(Script::new(switch, script)));
+    world.run_until(Instant::from_millis(5));
+
+    let script = world.node_as::<Script>(controller);
+    assert_eq!(script.errors, vec![13]);
+    assert_eq!(
+        script.barrier_replies,
+        vec![(50, vec![12, 14, 3, 12]), (51, vec![3, 14])]
+    );
+    let agent = world.node_as::<SwitchAgent>(switch);
+    assert_eq!(agent.stats.flow_mods, 3);
+    assert_eq!(agent.dp.flow_count(), 2);
+}

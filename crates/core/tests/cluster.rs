@@ -170,6 +170,40 @@ fn three_replicas_partition_mastership_and_carry_traffic() {
     assert_eq!(h0.stats.ping_rtts.count(), 30, "pings lost");
 }
 
+/// The stamp is a contract between replicas: each derives a switch's
+/// program from its own copy of the replicated view, and a takeover
+/// skips the reprogram only if the survivor's stamp equals the one the
+/// old master recorded. Once the fabric is quiet, every replica's own
+/// app must therefore stamp every switch the same — mastered by it or
+/// not — and that stamp must be the replicated one.
+#[test]
+fn replicas_stamp_every_switch_equally() {
+    use zen_core::apps::proactive::FABRIC_COOKIE;
+
+    let mut world = World::new(71);
+    let fabric = cluster_ring_fabric(&mut world, 3, None);
+    world.run_until(secs(2));
+    let masters = mastership_map(&world, &fabric, None);
+    for dpid in 0..fabric.switches.len() as u64 {
+        let recorded = world
+            .node_as::<Controller>(fabric.controllers[masters[&dpid]])
+            .program_stamp_of(dpid, FABRIC_COOKIE)
+            .unwrap_or_else(|| panic!("switch {dpid} was programmed but never stamped"));
+        for (i, &c) in fabric.controllers.iter().enumerate() {
+            let ctl = world.node_as::<Controller>(c);
+            let app = ctl
+                .find_app::<ProactiveFabric>()
+                .expect("every replica runs the fabric app");
+            assert_eq!(
+                app.desired_stamp(&ctl.view, dpid),
+                recorded,
+                "replica {i} would reprogram switch {dpid} on takeover"
+            );
+            assert_eq!(ctl.program_stamp_of(dpid, FABRIC_COOKIE), Some(recorded));
+        }
+    }
+}
+
 #[test]
 fn clean_master_kill_fails_over_without_reflooding_flows() {
     let mut world = World::new(71);

@@ -6,7 +6,7 @@ use zen_wire::{ipv4, EthernetAddress, Ipv4Address};
 use crate::PortNo;
 
 /// One action of a flow entry's action list, executed in order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Action {
     /// Emit the frame (as rewritten so far) out of a port.
     Output(PortNo),

@@ -116,6 +116,10 @@ pub struct FlowCache {
     /// all masks a packet can hit agree on its trajectory (they were all
     /// recorded from the same tables-generation).
     mega: Vec<(KeyMask, TierMap)>,
+    /// Emptied per-mask maps, kept for the next mask installed: the
+    /// masks in use come back after every invalidation, so at most as
+    /// many maps as were ever live at once are held here.
+    spare_maps: Vec<TierMap>,
     /// FIFO of microflow keys for capacity eviction.
     micro_fifo: VecDeque<FlowKey>,
     /// FIFO of (mask, projected key) for capacity eviction.
@@ -186,7 +190,8 @@ impl FlowCache {
         let map = match self.mega.iter_mut().find(|(m, _)| *m == mask) {
             Some((_, map)) => map,
             None => {
-                self.mega.push((mask, TierMap::default()));
+                let map = self.spare_maps.pop().unwrap_or_default();
+                self.mega.push((mask, map));
                 &mut self.mega.last_mut().expect("just pushed").1
             }
         };
@@ -201,7 +206,7 @@ impl FlowCache {
                         // or every subsequent miss keeps scanning a
                         // dead mask until the next invalidation.
                         if self.mega[pos].1.is_empty() {
-                            self.mega.remove(pos);
+                            self.spare_maps.push(self.mega.remove(pos).1);
                         }
                     }
                     self.stats.mega_evictions += 1;
@@ -237,12 +242,20 @@ impl FlowCache {
     /// that could change classification results: flow add/delete,
     /// expiry, meter config, port state.
     pub fn invalidate(&mut self) {
-        self.micro.clear();
-        self.mega.clear();
-        self.micro_fifo.clear();
-        self.mega_fifo.clear();
         self.generation += 1;
         self.stats.invalidations += 1;
+        // A burst of mods invalidates once per mod; all but the first
+        // find nothing cached.
+        if self.micro.is_empty() && self.mega.is_empty() {
+            return;
+        }
+        self.micro.clear();
+        self.micro_fifo.clear();
+        self.mega_fifo.clear();
+        for (_, mut map) in self.mega.drain(..) {
+            map.clear();
+            self.spare_maps.push(map);
+        }
     }
 
     /// Number of distinct megaflow masks currently installed (every
@@ -339,6 +352,31 @@ mod tests {
         assert_eq!(cache.generation(), g + 1);
         assert!(lookup(&mut cache, &key(1)).is_none());
         assert_eq!(cache.stats.invalidations, 1);
+    }
+
+    /// A burst of mods invalidates once per mod. The ones that find
+    /// nothing cached still count and still move the generation, and a
+    /// mask's emptied map serves the next mask installed.
+    #[test]
+    fn invalidate_on_an_empty_cache_still_counts() {
+        let mut cache = FlowCache::new();
+        cache.invalidate();
+        assert_eq!((cache.generation(), cache.stats.invalidations), (1, 1));
+
+        cache.insert(key(1), KeyMask::default(), program(0));
+        cache.invalidate();
+        cache.invalidate();
+        assert_eq!((cache.generation(), cache.stats.invalidations), (3, 3));
+        assert!(cache.is_empty());
+        assert_eq!(cache.mask_count(), 0);
+
+        cache.insert(key(2), KeyMask::default(), program(1));
+        assert!(
+            lookup(&mut cache, &key(1)).is_some(),
+            "covered by the megaflow"
+        );
+        assert_eq!(cache.mask_count(), 1);
+        assert!(cache.spare_maps.is_empty(), "the recycled map is in use");
     }
 
     #[test]

@@ -742,6 +742,21 @@ impl Datapath {
         actions: &[Action],
         frame: &[u8],
     ) -> Vec<Effect> {
+        let mut effects = Vec::new();
+        self.inject_into(now, in_port, actions, frame, &mut effects);
+        effects
+    }
+
+    /// [`Datapath::inject`], appending the outcomes to `effects` so a
+    /// caller can recycle one buffer across frames.
+    pub fn inject_into(
+        &mut self,
+        now: Nanos,
+        in_port: PortNo,
+        actions: &[Action],
+        frame: &[u8],
+        effects: &mut Vec<Effect>,
+    ) {
         let key = FlowKey::extract(in_port, frame).unwrap_or(FlowKey {
             in_port,
             eth_src: zen_wire::EthernetAddress::ZERO,
@@ -753,7 +768,6 @@ impl Datapath {
             l4: None,
         });
         let mut working = std::mem::take(&mut self.scratch_frame);
-        let mut effects = Vec::new();
         let (_, _, mut exec) = self.parts(now);
         exec.begin(in_port, frame);
         let mut frame = Frame {
@@ -761,9 +775,8 @@ impl Datapath {
             working: &mut working,
             rewritten: false,
         };
-        exec.run(actions, &key, &mut frame, &mut effects, 0);
+        exec.run(actions, &key, &mut frame, effects, 0);
         self.scratch_frame = working;
-        effects
     }
 
     /// Process one received frame through the pipeline.

@@ -6,7 +6,7 @@ use crate::action::Action;
 use crate::PortNo;
 
 /// Group semantics, mirroring OpenFlow 1.3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GroupType {
     /// Execute every bucket (replication / broadcast trees).
     All,
@@ -19,7 +19,7 @@ pub enum GroupType {
 }
 
 /// One group bucket.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Bucket {
     /// The actions this bucket executes.
     pub actions: Vec<Action>,
@@ -39,7 +39,7 @@ impl Bucket {
 }
 
 /// A group definition.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct GroupDesc {
     /// The semantics.
     pub group_type: GroupType,

@@ -106,7 +106,7 @@ fn mask_addr(addr: Ipv4Address, plen: u8) -> Ipv4Address {
 ///
 /// IPv4 addresses match by prefix ([`Ipv4Cidr`]), so the same type
 /// expresses exact microflow rules and aggregated rules.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Hash)]
 pub struct FlowMatch {
     /// Ingress port.
     pub in_port: Option<PortNo>,

@@ -6,7 +6,7 @@ use crate::matching::{FlowMatch, KeyMask};
 use crate::Nanos;
 
 /// What a controller supplies when adding a flow.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct FlowSpec {
     /// Match priority; higher wins.
     pub priority: u16,
@@ -256,12 +256,9 @@ impl FlowTable {
 
     /// Delete every entry whose cookie equals `cookie`; returns them.
     pub fn delete_by_cookie(&mut self, cookie: u64) -> Vec<FlowEntry> {
-        let (gone, keep) = self
-            .entries
-            .drain(..)
-            .partition(|e| e.spec.cookie == cookie);
-        self.entries = keep;
-        gone
+        self.entries
+            .extract_if(.., |e| e.spec.cookie == cookie)
+            .collect()
     }
 
     /// Delete all entries; returns them.
@@ -349,19 +346,28 @@ impl FlowTable {
     /// Evict expired entries; returns them with the reason, for
     /// FLOW_REMOVED notifications.
     pub fn expire(&mut self, now: Nanos) -> Vec<(FlowEntry, RemovedReason)> {
-        let mut removed = Vec::new();
-        self.entries.retain(|e| {
-            if e.spec.hard_timeout > 0 && now >= e.installed_at + e.spec.hard_timeout {
-                removed.push((e.clone(), RemovedReason::HardTimeout));
-                false
-            } else if e.spec.idle_timeout > 0 && now >= e.last_hit + e.spec.idle_timeout {
-                removed.push((e.clone(), RemovedReason::IdleTimeout));
-                false
-            } else {
-                true
-            }
-        });
-        removed
+        self.entries
+            .extract_if(.., |e| e.expiry(now).is_some())
+            .map(|e| {
+                let reason = e.expiry(now).expect("extracted because it expired");
+                (e, reason)
+            })
+            .collect()
+    }
+}
+
+impl FlowEntry {
+    /// Why the entry is due for removal at `now`, if it is: the hard
+    /// timeout is judged first.
+    fn expiry(&self, now: Nanos) -> Option<RemovedReason> {
+        let spec = &self.spec;
+        if spec.hard_timeout > 0 && now >= self.installed_at + spec.hard_timeout {
+            Some(RemovedReason::HardTimeout)
+        } else if spec.idle_timeout > 0 && now >= self.last_hit + spec.idle_timeout {
+            Some(RemovedReason::IdleTimeout)
+        } else {
+            None
+        }
     }
 }
 

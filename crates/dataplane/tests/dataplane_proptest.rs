@@ -4,7 +4,9 @@
 //! Driven by the in-tree deterministic [`Lcg`] generator with fixed
 //! seeds, so every run exercises the same reproducible inputs.
 
-use zen_dataplane::{Action, Datapath, FlowKey, FlowMatch, FlowSpec, FlowTable, MissPolicy};
+use zen_dataplane::{
+    Action, Datapath, FlowEntry, FlowKey, FlowMatch, FlowSpec, FlowTable, MissPolicy, RemovedReason,
+};
 use zen_wire::builder::PacketBuilder;
 use zen_wire::lcg::Lcg;
 use zen_wire::{EthernetAddress, Ipv4Address, Ipv4Cidr};
@@ -242,4 +244,73 @@ fn idle_and_hard_timeouts_model() {
             }
         }
     }
+}
+
+/// What `FlowTable::expire` did before it moved entries out instead of
+/// cloning them: walk the entries in table order, copy out the ones
+/// whose hard (judged first) or idle timeout has passed, keep the rest.
+fn expire_oracle(entries: &mut Vec<FlowEntry>, now: u64) -> Vec<(FlowEntry, RemovedReason)> {
+    let mut removed = Vec::new();
+    entries.retain(|e| {
+        if e.spec.hard_timeout > 0 && now >= e.installed_at + e.spec.hard_timeout {
+            removed.push((e.clone(), RemovedReason::HardTimeout));
+            false
+        } else if e.spec.idle_timeout > 0 && now >= e.last_hit + e.spec.idle_timeout {
+            removed.push((e.clone(), RemovedReason::IdleTimeout));
+            false
+        } else {
+            true
+        }
+    });
+    removed
+}
+
+/// What `FlowTable::delete_by_cookie` did before: split the whole table
+/// in two.
+fn delete_by_cookie_oracle(entries: &mut Vec<FlowEntry>, cookie: u64) -> Vec<FlowEntry> {
+    let (gone, keep) = entries.drain(..).partition(|e| e.spec.cookie == cookie);
+    *entries = keep;
+    gone
+}
+
+#[test]
+fn removals_match_the_cloning_oracle() {
+    let mut rng = Lcg::new(0xDA7A04);
+    let mut removed_total = 0;
+    for _ in 0..300 {
+        let mut table = FlowTable::new();
+        let mut now = 0u64;
+        for _ in 0..(1 + rng.gen_index(60)) {
+            now += rng.gen_range(20);
+            match rng.gen_index(5) {
+                0 | 1 => {
+                    let spec = FlowSpec::new(rng.gen_range(4) as u16, gen_match(&mut rng), vec![])
+                        .with_cookie(rng.gen_range(4))
+                        .with_timeouts(rng.gen_range(3) * 25, rng.gen_range(3) * 40);
+                    table.add(spec, now);
+                }
+                2 => {
+                    table.lookup(&key_for(rng.next_u32() as u8), 64, now);
+                }
+                3 => {
+                    let mut expected: Vec<FlowEntry> = table.entries().cloned().collect();
+                    let expected_removed = expire_oracle(&mut expected, now);
+                    let removed = table.expire(now);
+                    removed_total += removed.len();
+                    assert_eq!(removed, expected_removed, "expired entries, order, reasons");
+                    assert!(table.entries().eq(&expected), "survivors of expiry");
+                }
+                _ => {
+                    let cookie = rng.gen_range(4);
+                    let mut expected: Vec<FlowEntry> = table.entries().cloned().collect();
+                    let expected_removed = delete_by_cookie_oracle(&mut expected, cookie);
+                    let removed = table.delete_by_cookie(cookie);
+                    removed_total += removed.len();
+                    assert_eq!(removed, expected_removed, "deleted entries and order");
+                    assert!(table.entries().eq(&expected), "survivors of the delete");
+                }
+            }
+        }
+    }
+    assert!(removed_total > 1000, "the script removed {removed_total}");
 }

@@ -876,13 +876,37 @@ fn get_bytes_view<'a>(rd: &mut Rd<'a>) -> Result<&'a [u8]> {
 
 // ------------------------------------------------------------- messages
 
+/// Append one frame to `out`: the header, then whatever `body` writes.
+/// The length field counts from the frame's own first byte, so a frame
+/// may follow others already in the buffer.
+fn put_frame(out: &mut Vec<u8>, type_id: u8, xid: u32, body: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.put_u8(VERSION);
+    out.put_u8(type_id);
+    out.put_u32(0); // length patched below
+    out.put_u32(xid);
+    body(out);
+    let len = (out.len() - start) as u32;
+    out[start + 2..start + 6].copy_from_slice(&len.to_be_bytes());
+}
+
 /// Encode `msg` with transaction id `xid` into a framed byte vector.
 pub fn encode(msg: &Message, xid: u32) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);
-    out.put_u8(VERSION);
-    out.put_u8(msg.type_id());
-    out.put_u32(0); // length patched below
-    out.put_u32(xid);
+    encode_into(&mut out, msg, xid);
+    out
+}
+
+/// Append `msg`, framed with transaction id `xid`, to `out` — the one
+/// writer every sender goes through. What `out` already holds is left
+/// alone, so a sender can encode straight into a channel buffer that
+/// carries earlier frames.
+pub fn encode_into(out: &mut Vec<u8>, msg: &Message, xid: u32) {
+    put_frame(out, msg.type_id(), xid, |out| put_body(out, msg));
+}
+
+/// The payload of `msg` (everything after the header).
+fn put_body(out: &mut Vec<u8>, msg: &Message) {
     match msg {
         Message::Hello { version } => out.put_u8(*version),
         Message::Error { code, data } => {
@@ -892,7 +916,7 @@ pub fn encode(msg: &Message, xid: u32) -> Vec<u8> {
                 ErrorCode::TableFull => 2,
                 ErrorCode::NotMaster => 3,
             });
-            put_bytes(&mut out, data);
+            put_bytes(out, data);
         }
         Message::EchoRequest { token } | Message::EchoReply { token } => out.put_u64(*token),
         Message::FeaturesRequest => {}
@@ -930,7 +954,7 @@ pub fn encode(msg: &Message, xid: u32) -> Vec<u8> {
             out.put_u32(*in_port);
             out.put_u8(*table_id);
             out.put_u8(u8::from(*is_miss));
-            put_bytes(&mut out, frame);
+            put_bytes(out, frame);
         }
         Message::PacketOut {
             in_port,
@@ -938,20 +962,20 @@ pub fn encode(msg: &Message, xid: u32) -> Vec<u8> {
             frame,
         } => {
             out.put_u32(*in_port);
-            put_actions(&mut out, actions);
-            put_bytes(&mut out, frame);
+            put_actions(out, actions);
+            put_bytes(out, frame);
         }
         Message::FlowMod { table_id, cmd } => {
             out.put_u8(*table_id);
             match cmd {
                 FlowModCmd::Add(spec) => {
                     out.put_u8(0);
-                    put_spec(&mut out, spec);
+                    put_spec(out, spec);
                 }
                 FlowModCmd::DeleteStrict { priority, matcher } => {
                     out.put_u8(1);
                     out.put_u16(*priority);
-                    put_match(&mut out, matcher);
+                    put_match(out, matcher);
                 }
                 FlowModCmd::DeleteByCookie { cookie } => {
                     out.put_u8(2);
@@ -964,7 +988,7 @@ pub fn encode(msg: &Message, xid: u32) -> Vec<u8> {
             match cmd {
                 GroupModCmd::Add(desc) => {
                     out.put_u8(0);
-                    put_group(&mut out, desc);
+                    put_group(out, desc);
                 }
                 GroupModCmd::Delete => out.put_u8(1),
             }
@@ -1091,7 +1115,7 @@ pub fn encode(msg: &Message, xid: u32) -> Vec<u8> {
             term,
             replica,
         } => {
-            put_role(&mut out, *role);
+            put_role(out, *role);
             out.put_u64(*term);
             out.put_u32(*replica);
         }
@@ -1112,7 +1136,7 @@ pub fn encode(msg: &Message, xid: u32) -> Vec<u8> {
             out.put_u32(*replica);
             out.put_u32(entries.len() as u32);
             for entry in entries {
-                put_ew_entry(&mut out, entry);
+                put_ew_entry(out, entry);
             }
         }
         Message::EwDigest {
@@ -1124,7 +1148,7 @@ pub fn encode(msg: &Message, xid: u32) -> Vec<u8> {
             out.put_u64(*term);
             out.put_u32(heads.len() as u32);
             for h in heads {
-                put_origin_head(&mut out, h);
+                put_origin_head(out, h);
             }
         }
         Message::EwFetch { replica, ranges } => {
@@ -1145,11 +1169,11 @@ pub fn encode(msg: &Message, xid: u32) -> Vec<u8> {
             out.put_u32(*replica);
             out.put_u32(heads.len() as u32);
             for h in heads {
-                put_origin_head(&mut out, h);
+                put_origin_head(out, h);
             }
             out.put_u32(entries.len() as u32);
             for entry in entries {
-                put_ew_entry(&mut out, entry);
+                put_ew_entry(out, entry);
             }
             out.put_u64(*checksum);
         }
@@ -1160,7 +1184,7 @@ pub fn encode(msg: &Message, xid: u32) -> Vec<u8> {
         } => {
             out.put_u32(*replica);
             out.put_u64(*token);
-            put_intent(&mut out, intent);
+            put_intent(out, intent);
         }
         Message::IntentAppend {
             leader,
@@ -1177,7 +1201,7 @@ pub fn encode(msg: &Message, xid: u32) -> Vec<u8> {
             out.put_u64(*commit);
             out.put_u32(entries.len() as u32);
             for entry in entries {
-                put_intent_entry(&mut out, entry);
+                put_intent_entry(out, entry);
             }
         }
         Message::IntentAck {
@@ -1217,7 +1241,7 @@ pub fn encode(msg: &Message, xid: u32) -> Vec<u8> {
             out.put_u64(*snap_term);
             out.put_u32(snap_state.len() as u32);
             for entry in snap_state {
-                put_intent_entry(&mut out, entry);
+                put_intent_entry(out, entry);
             }
             out.put_u32(snap_tokens.len() as u32);
             for &(origin, token) in snap_tokens {
@@ -1226,15 +1250,12 @@ pub fn encode(msg: &Message, xid: u32) -> Vec<u8> {
             }
             out.put_u32(entries.len() as u32);
             for entry in entries {
-                put_intent_entry(&mut out, entry);
+                put_intent_entry(out, entry);
             }
             out.put_u64(*commit);
             out.put_u64(*checksum);
         }
     }
-    let len = out.len() as u32;
-    out[2..6].copy_from_slice(&len.to_be_bytes());
-    out
 }
 
 /// Encode a PACKET_OUT directly from a borrowed frame.
@@ -1246,16 +1267,41 @@ pub fn encode(msg: &Message, xid: u32) -> Vec<u8> {
 /// byte-identical to `encode(&Message::PacketOut { .. }, xid)`.
 pub fn encode_packet_out(in_port: PortNo, actions: &[Action], frame: &[u8], xid: u32) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + 4 + 2 + 4 + frame.len() + 8);
-    out.put_u8(VERSION);
-    out.put_u8(7); // Message::PacketOut type id
-    out.put_u32(0); // length patched below
-    out.put_u32(xid);
-    out.put_u32(in_port);
-    put_actions(&mut out, actions);
-    put_bytes(&mut out, frame);
-    let len = out.len() as u32;
-    out[2..6].copy_from_slice(&len.to_be_bytes());
+    encode_packet_out_into(&mut out, in_port, actions, frame, xid);
     out
+}
+
+/// [`encode_packet_out`], appending to `out` (see [`encode_into`]).
+pub fn encode_packet_out_into(
+    out: &mut Vec<u8>,
+    in_port: PortNo,
+    actions: &[Action],
+    frame: &[u8],
+    xid: u32,
+) {
+    // 7 is Message::PacketOut's type id.
+    put_frame(out, 7, xid, |out| {
+        out.put_u32(in_port);
+        put_actions(out, actions);
+        put_bytes(out, frame);
+    });
+}
+
+/// Append a BARRIER_REQUEST naming `xids` to `out`, byte-identical to
+/// `encode_into(out, &Message::BarrierRequest { xids }, xid)` without
+/// collecting the list first.
+pub fn encode_barrier_request_into(
+    out: &mut Vec<u8>,
+    xids: impl ExactSizeIterator<Item = u32>,
+    xid: u32,
+) {
+    // 13 is Message::BarrierRequest's type id.
+    put_frame(out, 13, xid, |out| {
+        out.put_u32(xids.len() as u32);
+        for x in xids {
+            out.put_u32(x);
+        }
+    });
 }
 
 /// A decoded message whose bulk byte payloads borrow the receive
@@ -2382,6 +2428,30 @@ mod tests {
             1234,
         );
         assert_eq!(encode_packet_out(2, &actions, &frame, 1234), via_msg);
+    }
+
+    /// Every writer appends: what the buffer held stays, and what is
+    /// added is the frame `encode` builds — for every message type, one
+    /// after another into the same buffer, as the channel does.
+    #[test]
+    fn writers_append_what_encode_builds() {
+        let mut buf = b"earlier frames".to_vec();
+        let mut expected = buf.clone();
+        for (i, msg) in samples().into_iter().enumerate() {
+            encode_into(&mut buf, &msg, i as u32);
+            expected.extend(encode(&msg, i as u32));
+            assert_eq!(buf, expected, "message {i}");
+        }
+
+        let actions = [Action::Output(3), Action::DecTtl];
+        encode_packet_out_into(&mut buf, 2, &actions, &[7u8; 90], 1234);
+        expected.extend(encode_packet_out(2, &actions, &[7u8; 90], 1234));
+        assert_eq!(buf, expected, "packet-out writer");
+
+        let xids = vec![9, 4, 11];
+        encode_barrier_request_into(&mut buf, xids.iter().copied(), 77);
+        expected.extend(encode(&Message::BarrierRequest { xids }, 77));
+        assert_eq!(buf, expected, "barrier-request writer");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! reproducible from the fixed seeds below.
 
 use zen_dataplane::{Action, Bucket, FlowMatch, FlowSpec, GroupDesc, GroupType};
-use zen_proto::{decode, encode, FlowModCmd, Message, StatsKind};
+use zen_proto::{decode, encode, encode_into, FlowModCmd, Message, StatsKind};
 use zen_wire::lcg::Lcg;
 use zen_wire::{EthernetAddress, Ipv4Address, Ipv4Cidr};
 
@@ -168,6 +168,32 @@ fn structured_roundtrip() {
         assert_eq!(decoded, msg);
         assert_eq!(got_xid, xid);
         assert_eq!(consumed, bytes.len());
+    }
+}
+
+/// `encode_into` appends exactly the frame `encode` builds, whatever
+/// the buffer already holds — including a recycled buffer: emptied, but
+/// with the capacity (and stale bytes beyond its length) of earlier use.
+#[test]
+fn encode_into_appends_what_encode_builds() {
+    let mut rng = Lcg::new(0xC0DEC04);
+    let mut recycled = Vec::new();
+    for _ in 0..2_000 {
+        let msg = gen_message(&mut rng);
+        let xid = rng.next_u32();
+        let frame = encode(&msg, xid);
+
+        let prefix = {
+            let n = rng.gen_index(64);
+            rng.gen_bytes(n)
+        };
+        let mut buf = prefix.clone();
+        encode_into(&mut buf, &msg, xid);
+        assert_eq!(buf, [prefix, frame.clone()].concat());
+
+        recycled.clear();
+        encode_into(&mut recycled, &msg, xid);
+        assert_eq!(recycled, frame);
     }
 }
 

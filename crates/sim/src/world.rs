@@ -294,13 +294,35 @@ struct CoreState {
     faults: FaultPlan,
     events_processed: u64,
     /// Control writes buffered during the event currently dispatching,
-    /// keyed by (destination, delivery latency in ns). Flushed at the
-    /// end of the dispatch as one concatenated Control event per key —
-    /// the write coalescing a stream socket gives back-to-back sends.
-    /// Fault-duplicated copies bypass the buffer (each is its own
-    /// delivery, so duplicates can still reorder under jitter).
-    pending_control: BTreeMap<(NodeId, u64), (NodeId, Vec<u8>)>,
+    /// sorted by (destination, delivery latency in ns). Flushed at the
+    /// end of the dispatch as one concatenated Control event per slot,
+    /// in that order — the write coalescing a stream socket gives
+    /// back-to-back sends. Fault-duplicated copies bypass the buffer
+    /// (each is its own delivery, so duplicates can still reorder under
+    /// jitter).
+    pending_control: Vec<ControlSlot>,
+    /// Emptied buffers of delivered Control events, for new slots to
+    /// draw from: at most [`FREE_BUFFERS`], none above
+    /// [`FREE_BUFFER_BYTES`] of capacity.
+    free_buffers: Vec<Vec<u8>>,
 }
+
+/// The writes one handler made to `to` that drew `latency_ns`.
+struct ControlSlot {
+    to: NodeId,
+    latency_ns: u64,
+    from: NodeId,
+    bytes: Vec<u8>,
+}
+
+/// The capacity a slot starts with when the free list is empty: room
+/// for a few typical messages, so the first ones do not regrow it.
+const FRESH_BUFFER_BYTES: usize = 256;
+/// How many spent control buffers the world keeps for reuse.
+const FREE_BUFFERS: usize = 32;
+/// The largest capacity a kept buffer may have: one outsized message
+/// must not pin its allocation for the rest of the run.
+const FREE_BUFFER_BYTES: usize = 16 * 1024;
 
 impl CoreState {
     fn push(&mut self, at: Instant, node: NodeId, kind: EventKind) {
@@ -321,9 +343,50 @@ impl CoreState {
         if self.pending_control.is_empty() {
             return;
         }
-        for ((to, latency_ns), (from, bytes)) in std::mem::take(&mut self.pending_control) {
-            let at = self.now + Duration::from_nanos(latency_ns);
-            self.push(at, to, EventKind::Control { from, bytes });
+        let mut pending = std::mem::take(&mut self.pending_control);
+        for slot in pending.drain(..) {
+            let at = self.now + Duration::from_nanos(slot.latency_ns);
+            let (from, bytes) = (slot.from, slot.bytes);
+            self.push(at, slot.to, EventKind::Control { from, bytes });
+        }
+        self.pending_control = pending;
+    }
+
+    /// The buffer coalescing this handler's writes to `to` at
+    /// `latency_ns`, created (from the free list) on first use.
+    fn control_slot(&mut self, from: NodeId, to: NodeId, latency_ns: u64) -> &mut Vec<u8> {
+        let key = (to, latency_ns);
+        let at = match self
+            .pending_control
+            .binary_search_by_key(&key, |s| (s.to, s.latency_ns))
+        {
+            Ok(at) => at,
+            Err(at) => {
+                let bytes = self
+                    .free_buffers
+                    .pop()
+                    .unwrap_or_else(|| Vec::with_capacity(FRESH_BUFFER_BYTES));
+                self.pending_control.insert(
+                    at,
+                    ControlSlot {
+                        to,
+                        latency_ns,
+                        from,
+                        bytes,
+                    },
+                );
+                at
+            }
+        };
+        &mut self.pending_control[at].bytes
+    }
+
+    /// Keep a delivered Control event's buffer for reuse, within the
+    /// free list's bounds.
+    fn recycle(&mut self, mut bytes: Vec<u8>) {
+        if self.free_buffers.len() < FREE_BUFFERS && bytes.capacity() <= FREE_BUFFER_BYTES {
+            bytes.clear();
+            self.free_buffers.push(bytes);
         }
     }
 
@@ -433,47 +496,53 @@ impl Context<'_> {
 
     /// Send an out-of-band control message to another node.
     ///
+    /// A shim over [`Context::send_control_with`] for callers that
+    /// already hold the bytes.
+    pub fn send_control(&mut self, to: NodeId, bytes: Vec<u8>) {
+        self.send_control_with(to, |buf| buf.extend_from_slice(&bytes));
+    }
+
+    /// Send an out-of-band control message to another node, written in
+    /// place: `write` appends the message to the channel's own buffer
+    /// (which may already hold earlier messages — append only). A
+    /// message the fault plan partitions or loses is never written.
+    ///
     /// Messages sent to the same peer while handling a single event are
     /// *coalesced*: all writes that drew the same delivery latency
     /// arrive as one concatenated `on_control` delivery, the way a
     /// stream socket batches back-to-back writes. Receivers must
     /// loop-decode (every protocol endpoint in this workspace does).
     /// Fault draws (loss, duplication) still happen per logical
-    /// message.
+    /// message, in a fixed order every fixed-seed replay depends on:
+    /// partition check, loss draw, duplication draw, one jitter draw
+    /// per duplicate, then the primary's.
     ///
     /// When control jitter is configured (see
     /// [`World::set_control_jitter`]) each message independently draws a
     /// uniform extra delay, so messages may be *reordered* — the
     /// asynchronous-update fault model of the congestion-free-update
     /// literature.
-    pub fn send_control(&mut self, to: NodeId, bytes: Vec<u8>) {
+    pub fn send_control_with(&mut self, to: NodeId, write: impl FnOnce(&mut Vec<u8>)) {
         let from = self.self_id;
-        let mut copies = 1;
-        if !self.core.faults.is_empty() {
-            let now = self.core.now;
-            if self.core.faults.is_partitioned(from, to, now) {
-                self.core
-                    .metrics
-                    .incr(self.core.ids.fault_control_partitioned);
+        let core = &mut *self.core;
+        let mut duplicate = false;
+        if !core.faults.is_empty() {
+            let now = core.now;
+            if core.faults.is_partitioned(from, to, now) {
+                core.metrics.incr(core.ids.fault_control_partitioned);
                 return;
             }
-            let loss = self.core.faults.control_loss_prob(from, to, now);
-            if loss > 0.0 && self.core.rng.gen_bool(loss) {
-                self.core.metrics.incr(self.core.ids.fault_control_dropped);
+            let loss = core.faults.control_loss_prob(from, to, now);
+            if loss > 0.0 && core.rng.gen_bool(loss) {
+                core.metrics.incr(core.ids.fault_control_dropped);
                 return;
             }
-            let dup = self.core.faults.control_dup_prob(from, to, now);
-            if dup > 0.0 && self.core.rng.gen_bool(dup) {
-                self.core
-                    .metrics
-                    .incr(self.core.ids.fault_control_duplicated);
-                copies = 2;
+            let dup = core.faults.control_dup_prob(from, to, now);
+            if dup > 0.0 && core.rng.gen_bool(dup) {
+                core.metrics.incr(core.ids.fault_control_duplicated);
+                duplicate = true;
             }
         }
-        self.core.metrics.incr(self.core.ids.control_msgs);
-        self.core
-            .metrics
-            .add(self.core.ids.control_bytes, bytes.len() as u64);
         let draw_latency = |core: &mut CoreState| {
             let mut latency = core.control_latency_for(from, to);
             let jitter = core.control_jitter.as_nanos();
@@ -483,29 +552,22 @@ impl Context<'_> {
             }
             latency
         };
-        // Fault-duplicated copies are their own deliveries.
-        for _ in 1..copies {
-            let at = self.core.now + draw_latency(self.core);
-            self.core.push(
-                at,
-                to,
-                EventKind::Control {
-                    from,
-                    bytes: bytes.clone(),
-                },
-            );
-        }
+        let duplicate_latency = duplicate.then(|| draw_latency(core));
         // Primary copy: coalesced with every other write this handler
         // makes to `to` at the same latency; delivered as one Control
         // event when the handler returns.
-        let latency = draw_latency(self.core);
-        match self.core.pending_control.entry((to, latency.as_nanos())) {
-            std::collections::btree_map::Entry::Vacant(slot) => {
-                slot.insert((from, bytes));
-            }
-            std::collections::btree_map::Entry::Occupied(mut slot) => {
-                slot.get_mut().1.extend_from_slice(&bytes);
-            }
+        let latency = draw_latency(core);
+        let slot = core.control_slot(from, to, latency.as_nanos());
+        let start = slot.len();
+        write(slot);
+        debug_assert!(slot.len() >= start, "control writers only append");
+        // A fault-duplicated copy is its own delivery.
+        let copy = duplicate_latency.map(|latency| (latency, slot[start..].to_vec()));
+        let written = (slot.len() - start) as u64;
+        core.metrics.incr(core.ids.control_msgs);
+        core.metrics.add(core.ids.control_bytes, written);
+        if let Some((latency, bytes)) = copy {
+            core.push(core.now + latency, to, EventKind::Control { from, bytes });
         }
     }
 
@@ -576,7 +638,8 @@ impl World {
                 control_jitter: Duration::ZERO,
                 faults: FaultPlan::default(),
                 events_processed: 0,
-                pending_control: BTreeMap::new(),
+                pending_control: Vec::new(),
+                free_buffers: Vec::new(),
             },
             started: false,
         }
@@ -844,19 +907,20 @@ impl World {
             Some(node) => node,
             None => return, // node removed or never existed
         };
-        {
-            let mut ctx = Context {
-                self_id: event.node,
-                core: &mut self.core,
-            };
-            match event.kind {
-                EventKind::Start => node.on_start(&mut ctx),
-                EventKind::Packet { port, frame } => node.on_packet(&mut ctx, port, &frame),
-                EventKind::Timer { token } => node.on_timer(&mut ctx, token),
-                EventKind::Control { from, bytes } => node.on_control(&mut ctx, from, &bytes),
-                EventKind::LinkStatus { port, up } => node.on_link_status(&mut ctx, port, up),
-                EventKind::AdminLink { .. } => unreachable!("handled above"),
+        let mut ctx = Context {
+            self_id: event.node,
+            core: &mut self.core,
+        };
+        match event.kind {
+            EventKind::Start => node.on_start(&mut ctx),
+            EventKind::Packet { port, frame } => node.on_packet(&mut ctx, port, &frame),
+            EventKind::Timer { token } => node.on_timer(&mut ctx, token),
+            EventKind::Control { from, bytes } => {
+                node.on_control(&mut ctx, from, &bytes);
+                self.core.recycle(bytes);
             }
+            EventKind::LinkStatus { port, up } => node.on_link_status(&mut ctx, port, up),
+            EventKind::AdminLink { .. } => unreachable!("handled above"),
         }
         self.nodes[idx] = Some(node);
         self.core.flush_control();
@@ -1457,6 +1521,61 @@ mod tests {
             )
         }
         assert_eq!(run(), run());
+    }
+
+    /// Spent control buffers are kept for reuse, but only so many and
+    /// only so large: fan-out cannot grow the list without bound, and
+    /// one huge message does not keep its allocation alive.
+    #[test]
+    fn control_buffer_free_list_is_bounded() {
+        /// On start, writes `len` bytes to each of nodes `0..fanout`.
+        struct Blast {
+            fanout: u32,
+            len: usize,
+        }
+        impl Node for Blast {
+            fn on_start(&mut self, ctx: &mut Context<'_>) {
+                for to in 0..self.fanout {
+                    ctx.send_control_with(NodeId(to), |buf| buf.resize(buf.len() + self.len, 0));
+                }
+            }
+            fn on_packet(&mut self, _: &mut Context<'_>, _: PortNo, _: &[u8]) {}
+            fn as_any(&self) -> &dyn Any {
+                self
+            }
+            fn as_any_mut(&mut self) -> &mut dyn Any {
+                self
+            }
+        }
+
+        let mut world = World::new(1);
+        let fanout = 3 * FREE_BUFFERS as u32;
+        for _ in 0..fanout {
+            world.add_node(Box::new(Chatter {
+                peer: NodeId(0),
+                got: 0,
+            }));
+        }
+        world.add_node(Box::new(Blast { fanout, len: 100 }));
+        world.run_until(Instant::from_micros(900));
+        let got: u64 = (0..fanout)
+            .map(|i| world.node_as::<Chatter>(NodeId(i)).got)
+            .sum();
+        assert_eq!(got, u64::from(fanout), "every buffer was delivered");
+        assert_eq!(world.core.free_buffers.len(), FREE_BUFFERS);
+
+        // A recycled buffer carries the next message, and comes back.
+        world.core.free_buffers.truncate(1);
+        world.add_node(Box::new(Blast {
+            fanout: 1,
+            len: 1 << 20,
+        }));
+        world.run_until(Instant::from_micros(990));
+        assert_eq!(world.node_as::<Chatter>(NodeId(0)).got, 2);
+        assert!(
+            world.core.free_buffers.is_empty(),
+            "the 1 MiB buffer was freed"
+        );
     }
 
     #[test]
