@@ -1,61 +1,70 @@
 #!/bin/sh
-# Exact-count gate on the ledger's traced `fabric_forward` run:
+# Exact-count gate on the ledger's traced fixed-seed runs:
 #
 #   ci/ledger_counts.sh
 #
 # Wall-clock numbers need a quiet box and a wide bound; the counters the
 # benchmark reads off a fixed-seed run do not — they repeat to the last
 # digit, so they are gated with no tolerance at all (ROADMAP item 1).
-# Fails unless the run is `correct`, its `sim_digest` is the committed
-# one (a performance change must leave every simulated-time observable
-# alone), and the allocation and drop counters of the cached forward
-# hold:
+# One row of TABLE per gated workload: its name, the `sim_digest` of its
+# seed-1 run (a performance change must leave every simulated-time
+# observable alone), then `metric<=ceiling` pairs. A row fails unless
+# the run is `correct`, the digest is the committed one and every named
+# metric is at or under its ceiling.
 #
-#   core.agent.allocs_per_frame             <= 1.01  one copy of the frame
-#                                                    per hop, nothing else
-#   dataplane.datapath.allocs_per_micro_hit <= 2     that kernel calls the
-#       `Datapath::process` shim, whose fresh `Vec<Effect>` is the second
-#       allocation; `process_batch`, which the agent calls, makes one
-#   sim.world.drops_queue                   =  0
+#   fabric_forward — the cached forward: one copy of the frame per hop
+#       and nothing else (`core.agent.allocs_per_frame`); the micro-hit
+#       kernel calls the `Datapath::process` shim, whose fresh
+#       `Vec<Effect>` is its second allocation (`process_batch`, which
+#       the agent calls, makes one); no queue drops.
+#   reactive_churn — a flow setup per datagram: allocations per
+#       simulated flow setup, end to end and inside the controller.
+#   cluster_churn — the reprogram path: allocations per simulated ms,
+#       and the mods the controller had to send twice.
 #
-# A change that moves the digest on purpose updates DIGEST below in the
-# same commit and says why.
+# A change that moves a digest on purpose updates it below in the same
+# commit and says why; a change that lowers a count lowers its ceiling.
 set -eu
 
-DIGEST=cbf83f090ca84bcc
-
-OUT=$(cargo run --release --offline --quiet -p zen-bench --bin ledger -- \
-    --workload fabric_forward --seed 1 --seconds 3 --trace 1)
+TABLE='
+fabric_forward cbf83f090ca84bcc core.agent.allocs_per_frame<=1.01 dataplane.datapath.allocs_per_micro_hit<=2 sim.world.drops_queue<=0
+reactive_churn f8173f07246eeac9 trace.allocs_per_op<=57 core.controller.allocs_per_packet_in<=21
+cluster_churn d8ea101f16854043 trace.allocs_per_op<=186 core.controller.mods_retransmitted<=24355
+'
 
 fail() {
     echo "ledger_counts: $1" >&2
     exit 1
 }
 
-# The value of metric $1 in the run's JSON lines.
+# The value of metric $1 in the run whose JSON lines are $OUT.
 metric() {
     value=$(printf '%s\n' "$OUT" |
         sed -n "s/^{\"type\":\"metric\",.*\"name\":\"$1\",\"value\":\([^,]*\),.*/\1/p")
-    [ -n "$value" ] || fail "no metric $1 in the run's output"
+    [ -n "$value" ] || fail "$workload: no metric $1 in the run's output"
     printf '%s\n' "$value"
 }
 
-# Fail unless metric $1 is at most $2.
-at_most() {
-    value=$(metric "$1")
-    awk -v v="$value" -v max="$2" 'BEGIN { exit !(v + 0 <= max + 0) }' ||
-        fail "$1 = $value, allowed at most $2"
-    echo "ledger_counts: $1 = $value (<= $2)"
-}
+printf '%s\n' "$TABLE" | while read -r workload committed ceilings; do
+    [ -n "$workload" ] || continue
+    OUT=$(cargo run --release --offline --quiet -p zen-bench --bin ledger -- \
+        --workload "$workload" --seed 1 --seconds 3 --trace 1)
 
-printf '%s\n' "$OUT" | tail -n 1 | grep -q '"correct":true' ||
-    fail "the run is not correct: $(printf '%s\n' "$OUT" | tail -n 1)"
+    printf '%s\n' "$OUT" | tail -n 1 | grep -q '"correct":true' ||
+        fail "$workload: the run is not correct: $(printf '%s\n' "$OUT" | tail -n 1)"
 
-digest=$(printf '%s\n' "$OUT" |
-    sed -n 's/^{"type":"sim_digest",.*"digest":"\([0-9a-f]*\)".*/\1/p' | sort -u)
-[ "$digest" = "$DIGEST" ] || fail "sim_digest is '$digest', committed $DIGEST"
-echo "ledger_counts: sim_digest = $digest"
+    digest=$(printf '%s\n' "$OUT" |
+        sed -n 's/^{"type":"sim_digest",.*"digest":"\([0-9a-f]*\)".*/\1/p' | sort -u)
+    [ "$digest" = "$committed" ] ||
+        fail "$workload: sim_digest is '$digest', committed $committed"
+    echo "ledger_counts: $workload: sim_digest = $digest"
 
-at_most core.agent.allocs_per_frame 1.01
-at_most dataplane.datapath.allocs_per_micro_hit 2
-at_most sim.world.drops_queue 0
+    for ceiling in $ceilings; do
+        name=${ceiling%%<=*}
+        max=${ceiling#*<=}
+        value=$(metric "$name")
+        awk -v v="$value" -v max="$max" 'BEGIN { exit !(v + 0 <= max + 0) }' ||
+            fail "$workload: $name = $value, allowed at most $max"
+        echo "ledger_counts: $workload: $name = $value (<= $max)"
+    done
+done
