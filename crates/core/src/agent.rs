@@ -8,6 +8,7 @@
 //! BARRIER and STATS, and reports PORT_STATUS and FLOW_REMOVED.
 
 use std::any::Any;
+use std::collections::VecDeque;
 
 use zen_dataplane::{AddOutcome, Datapath, DatapathId, Effect, MissPolicy, OverflowPolicy, PortNo};
 use zen_proto::{
@@ -153,26 +154,31 @@ impl Conn {
 const APPLIED_XIDS: usize = 4096;
 
 /// The applied-xid window: the xids of the last [`APPLIED_XIDS`] state
-/// mods that took effect, kept in rising order. The common arrival — an
-/// xid above every one held — is a push at the back; membership is a
-/// binary search. When full, the smallest xid goes first.
+/// mods that took effect, whichever controller sent them, in arrival
+/// order. When full, the *oldest arrival* goes first. (Evicting the
+/// smallest xid instead — "xids rise, so the smallest is the oldest" —
+/// holds per controller, not per switch: a new master's counter is
+/// usually behind the old one's, and its mods would be forgotten the
+/// moment they were filed.)
+///
+/// Filing is a push. A barrier names mods sent just before it, so the
+/// membership test walks from the newest arrival back and nearly always
+/// stops within a burst's length; only an xid that never arrived costs
+/// a walk of the whole window. A mod applied twice (a retransmission)
+/// is filed twice — the window holds applications, not distinct xids.
 #[derive(Debug, Default)]
-struct AppliedXids(std::collections::VecDeque<u32>);
+struct AppliedXids(VecDeque<u32>);
 
 impl AppliedXids {
     fn note(&mut self, xid: u32) {
-        if self.0.back().is_none_or(|&last| last < xid) {
-            self.0.push_back(xid);
-        } else if let Err(at) = self.0.binary_search(&xid) {
-            self.0.insert(at, xid);
-        }
-        if self.0.len() > APPLIED_XIDS {
+        if self.0.len() == APPLIED_XIDS {
             self.0.pop_front();
         }
+        self.0.push_back(xid);
     }
 
     fn contains(&self, xid: u32) -> bool {
-        self.0.binary_search(&xid).is_ok()
+        self.0.iter().rev().any(|&held| held == xid)
     }
 }
 
@@ -956,31 +962,38 @@ mod tests {
     use super::*;
 
     #[test]
-    fn applied_window_remembers_out_of_order_and_repeated_xids() {
+    fn applied_window_finds_out_of_order_and_repeated_xids() {
         let mut window = AppliedXids::default();
         for xid in 100..200 {
             window.note(xid);
         }
-        // An old xid arriving late (jitter, a retransmission) is filed
-        // where it belongs and found again.
+        // An old xid arriving late (jitter, a retransmission, another
+        // controller's counter) is found again.
         window.note(50);
-        assert!(window.contains(50) && window.contains(100) && window.contains(199));
-        assert!(!window.contains(99) && !window.contains(200));
-        // A repeat takes no second slot.
         window.note(150);
-        window.note(199);
-        assert_eq!(window.0.len(), 101);
+        assert!(window.contains(50) && window.contains(100) && window.contains(199));
+        assert!(window.contains(150));
+        assert!(!window.contains(99) && !window.contains(200));
     }
 
     #[test]
-    fn applied_window_is_bounded() {
+    fn applied_window_evicts_the_oldest_arrival() {
         let mut window = AppliedXids::default();
-        for xid in 0..2 * APPLIED_XIDS as u32 {
+        // The first arrival carries the largest xid of all.
+        window.note(u32::MAX);
+        for xid in 1..APPLIED_XIDS as u32 {
             window.note(xid);
         }
         assert_eq!(window.0.len(), APPLIED_XIDS);
-        assert!(!window.contains(APPLIED_XIDS as u32 - 1));
-        assert!(window.contains(APPLIED_XIDS as u32));
-        assert!(window.contains(2 * APPLIED_XIDS as u32 - 1));
+        assert!(window.contains(u32::MAX) && window.contains(1));
+        // One more, smaller than everything held: it stays, and what
+        // goes is the oldest arrival, not the smallest xid.
+        window.note(0);
+        assert!(window.contains(0) && window.contains(1));
+        assert!(!window.contains(u32::MAX));
+        assert_eq!(window.0.len(), APPLIED_XIDS);
+        // And so on, in arrival order.
+        window.note(7_000_000);
+        assert!(!window.contains(1) && window.contains(2));
     }
 }

@@ -4,9 +4,9 @@
 
 use std::any::Any;
 
-use zen_core::SwitchAgent;
+use zen_core::{AgentConfig, SwitchAgent};
 use zen_dataplane::{Bucket, FlowMatch, FlowSpec, GroupDesc, GroupType, PortNo};
-use zen_proto::{decode, encode_into, FlowModCmd, GroupModCmd, Message};
+use zen_proto::{decode, encode_into, FlowModCmd, GroupModCmd, Message, Role};
 use zen_sim::{Context, Duration, Instant, Node, NodeId, World};
 
 /// A stand-in controller: sends each scripted burst at its time, and
@@ -86,6 +86,14 @@ fn barrier(xids: &[u32]) -> Message {
     }
 }
 
+fn claim_master(term: u64, replica: u32) -> Message {
+    Message::RoleRequest {
+        role: Role::Master,
+        term,
+        replica,
+    }
+}
+
 fn ms(v: u64) -> Duration {
     Duration::from_millis(v)
 }
@@ -127,4 +135,44 @@ fn barrier_reply_lists_exactly_the_applied_subset() {
     let agent = world.node_as::<SwitchAgent>(switch);
     assert_eq!(agent.stats.flow_mods, 3);
     assert_eq!(agent.dp.flow_count(), 2);
+}
+
+/// Xids rise per controller, not per switch. After a handover the new
+/// master's counter is usually *behind* the old one's; a window that
+/// evicts the smallest xid would then drop each of the new master's
+/// mods the moment it was recorded, no barrier would ever acknowledge
+/// them, and the controller would retransmit until it gave up. The
+/// window evicts by age, so the new master's mods are acknowledged.
+#[test]
+fn a_new_master_with_lower_xids_is_still_acknowledged() {
+    let mut world = World::new(1);
+    let (switch, old_master, new_master) = (NodeId(0), NodeId(1), NodeId(2));
+    world.add_node(Box::new(SwitchAgent::with_controllers(
+        7,
+        1,
+        vec![old_master, new_master],
+        AgentConfig::default(),
+    )));
+    // The old master has been at it a while: 5 000 mods, xids from a
+    // million up — more than the window holds.
+    let mut long_reign = vec![(1, claim_master(1, 0))];
+    long_reign.extend((0..5_000).map(|i| (1_000_000 + i, group_add(i % 8))));
+    long_reign.push((2_000_000, barrier(&[1_004_999])));
+    world.add_node(Box::new(Script::new(switch, vec![(ms(1), long_reign)])));
+    // The new master's counter has barely started.
+    let takeover = vec![
+        (1, claim_master(2, 1)),
+        (10, group_add(1)),
+        (11, flow_add(0, 11)),
+        (12, group_add(2)),
+        (13, barrier(&[10, 11, 12])),
+    ];
+    world.add_node(Box::new(Script::new(switch, vec![(ms(2), takeover)])));
+    world.run_until(Instant::from_millis(5));
+
+    let old = world.node_as::<Script>(old_master);
+    assert_eq!(old.barrier_replies, vec![(2_000_000, vec![1_004_999])]);
+    let new = world.node_as::<Script>(new_master);
+    assert!(new.errors.is_empty(), "the takeover was granted");
+    assert_eq!(new.barrier_replies, vec![(13, vec![10, 11, 12])]);
 }
