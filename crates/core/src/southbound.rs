@@ -105,6 +105,7 @@ impl Southbound {
         msg: &Message,
         now: Instant,
     ) -> &[u8] {
+        // Room for a typical flow or group mod without regrowing.
         let mut bytes = Vec::with_capacity(96);
         encode_into(&mut bytes, msg, xid);
         let session = self.sessions.entry(node).or_insert_with(|| Session {

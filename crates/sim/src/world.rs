@@ -561,11 +561,12 @@ impl Context<'_> {
         let start = slot.len();
         write(slot);
         debug_assert!(slot.len() >= start, "control writers only append");
+        let written = &slot[start..];
+        let len = written.len() as u64;
         // A fault-duplicated copy is its own delivery.
-        let copy = duplicate_latency.map(|latency| (latency, slot[start..].to_vec()));
-        let written = (slot.len() - start) as u64;
+        let copy = duplicate_latency.map(|latency| (latency, written.to_vec()));
         core.metrics.incr(core.ids.control_msgs);
-        core.metrics.add(core.ids.control_bytes, written);
+        core.metrics.add(core.ids.control_bytes, len);
         if let Some((latency, bytes)) = copy {
             core.push(core.now + latency, to, EventKind::Control { from, bytes });
         }
@@ -1564,7 +1565,8 @@ mod tests {
         assert_eq!(got, u64::from(fanout), "every buffer was delivered");
         assert_eq!(world.core.free_buffers.len(), FREE_BUFFERS);
 
-        // A recycled buffer carries the next message, and comes back.
+        // The one buffer left grows to carry a 1 MiB message, and is
+        // freed once delivered rather than kept.
         world.core.free_buffers.truncate(1);
         world.add_node(Box::new(Blast {
             fanout: 1,
