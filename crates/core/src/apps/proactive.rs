@@ -12,9 +12,7 @@
 //! fabric-anycast-gateway design).
 
 use std::any::Any;
-use std::hash::{Hash, Hasher};
 
-use zen_consensus::{fnv1a_fold, CHAIN_SEED};
 use zen_dataplane::{Action, Bucket, FlowMatch, FlowSpec, GroupDesc, GroupType, PortNo};
 use zen_graph::ecmp_next_hops;
 use zen_sim::Instant;
@@ -22,7 +20,8 @@ use zen_wire::{EthernetAddress, Ipv4Address, Ipv4Cidr};
 
 use crate::app::App;
 use crate::controller::Ctl;
-use crate::txn::Consistency;
+use crate::southbound::{flows_stamp, ProgramBase};
+use crate::txn::{Consistency, FlowRole};
 use crate::view::{Dpid, NetworkView};
 
 pub use crate::policy::{FABRIC_COOKIE, FABRIC_EPOCH_COOKIE, FABRIC_IMPORTANCE};
@@ -134,81 +133,78 @@ impl ProactiveFabric {
             && ctl.view.links.len() >= self.expected_links
     }
 
-    /// The forwarding program this app wants on `switch` given the
-    /// current view: SELECT groups toward every other switch, then the
-    /// per-host rules, in deterministic install order.
-    fn desired_program(&self, view: &NetworkView, switch: Dpid) -> SwitchProgram {
-        let mut program = SwitchProgram {
-            groups: Vec::new(),
-            flows: Vec::new(),
-        };
-        for (dst_dpid, buckets) in ecmp_buckets(view, switch) {
-            program.groups.push((
-                group_id_for(dst_dpid),
-                GroupDesc {
-                    group_type: GroupType::Select,
-                    buckets,
-                },
-            ));
-        }
+    /// The per-host rules this app wants on `switch`, in install order,
+    /// each handed to `emit` with its role. They depend on the inventory
+    /// and on nothing in the view. In place (`epoch` is `None`) that is
+    /// one plain rule per host, carrying `cookie`. Under epoch parity
+    /// `p` it is two, naming parity `p`'s groups: an internal rule for
+    /// packets already stamped with the epoch, which strips the stamp
+    /// before a local delivery, and an edge rule for *unstamped* IPv4
+    /// from attached hosts, with the same actions.
+    fn flows(
+        &self,
+        switch: Dpid,
+        cookie: u64,
+        epoch: Option<u32>,
+        mut emit: impl FnMut(FlowRole, FlowSpec),
+    ) {
         for host in &self.hosts {
             let matcher = FlowMatch::ipv4_to(Ipv4Cidr::new(host.ip, 32).expect("/32 is valid"));
-            let actions = if switch == host.dpid {
-                vec![Action::SetEthDst(host.mac), Action::Output(host.port)]
-            } else {
-                let mut fwd = Vec::new();
-                if self.dec_ttl {
-                    fwd.push(Action::DecTtl);
+            let mut actions = Vec::with_capacity(3);
+            if switch == host.dpid {
+                if epoch.is_some() {
+                    actions.push(Action::PopEpoch);
                 }
-                fwd.push(Action::Group(group_id_for(host.dpid)));
-                fwd
-            };
-            program.flows.push(
-                // Fabric rules are the network's standing program:
-                // mark them important so capacity eviction always
-                // prefers reactive churn over infrastructure.
+                actions.extend([Action::SetEthDst(host.mac), Action::Output(host.port)]);
+            } else {
+                if self.dec_ttl {
+                    actions.push(Action::DecTtl);
+                }
+                let parity = epoch.unwrap_or(0);
+                actions.push(Action::Group(group_id_for_epoch(host.dpid, parity)));
+            }
+            // Fabric rules are the network's standing program: mark
+            // them important so capacity eviction always prefers
+            // reactive churn over infrastructure.
+            let spec = |matcher, actions| {
                 FlowSpec::new(self.priority, matcher, actions)
-                    .with_cookie(FABRIC_COOKIE)
-                    .with_importance(FABRIC_IMPORTANCE),
-            );
+                    .with_cookie(cookie)
+                    .with_importance(FABRIC_IMPORTANCE)
+            };
+            if epoch.is_none() {
+                emit(FlowRole::Plain, spec(matcher, actions));
+            } else {
+                emit(FlowRole::Internal, spec(matcher, actions.clone()));
+                let unstamped = FlowMatch {
+                    epoch: Some(None),
+                    ..matcher
+                };
+                emit(FlowRole::Edge, spec(unstamped, actions));
+            }
         }
-        program
+    }
+
+    /// The flow half of the program installed in place on `switch`.
+    fn plain_flows(&self, switch: Dpid) -> Vec<FlowSpec> {
+        let mut flows = Vec::with_capacity(self.hosts.len());
+        self.flows(switch, FABRIC_COOKIE, None, |_, spec| flows.push(spec));
+        flows
     }
 
     /// The stamp of the program this app wants on `switch` given
     /// `view` — what it records after programming the switch, and what
     /// a replica taking the switch over compares the record against.
     pub fn desired_stamp(&self, view: &NetworkView, switch: Dpid) -> u64 {
-        program_hash(&self.desired_program(view, switch))
+        let flows = flows_stamp(&self.plain_flows(switch));
+        ProgramBase::of(flows, &groups(view, switch, 0)).stamp()
     }
 
     /// Reprogram a single switch from the current view.
     fn program_switch(&mut self, ctl: &mut Ctl<'_, '_>, switch: Dpid) {
-        let program = self.desired_program(ctl.view, switch);
-        let hash = program_hash(&program);
-        self.install(ctl, switch, program, hash);
-    }
-
-    /// Push `program` to `switch`: wipe our cookie, reinstall its SELECT
-    /// groups and per-host rules, and record `hash`, the program's
-    /// stamp, in the replicated view so peer replicas can tell whether
-    /// a takeover needs to reprogram at all.
-    fn install(&mut self, ctl: &mut Ctl<'_, '_>, switch: Dpid, program: SwitchProgram, hash: u64) {
-        // A single-switch transaction: even under per-packet
-        // consistency this takes the planner's fast path (one switch
-        // applies its mods in order).
-        let mut txn = ctl.txn();
-        txn.reserve(1 + program.groups.len() + program.flows.len());
-        txn.delete_flows_by_cookie(switch, FABRIC_COOKIE);
-        for (group_id, desc) in program.groups {
-            txn.group(switch, group_id, desc);
-        }
-        for spec in program.flows {
-            self.rules_pushed += 1;
-            txn.flow(switch, 0, spec);
-        }
-        txn.commit(ctl);
-        ctl.set_program_stamp(switch, FABRIC_COOKIE, hash);
+        let flows = self.plain_flows(switch);
+        let groups = groups(ctl.view, switch, 0);
+        let sent = ctl.reconcile(switch, FABRIC_COOKIE, groups, flows_stamp(&flows), || flows);
+        self.rules_pushed += sent.flows as u64;
     }
 
     fn install_all(&mut self, ctl: &mut Ctl<'_, '_>) {
@@ -266,56 +262,14 @@ impl ProactiveFabric {
         let mut txn = ctl.txn().per_packet().owned_by("proactive-fabric", epoch);
         for &switch in switch_list {
             txn.retire_flows_by_cookie(switch, old_cookie);
-            for (dst_dpid, buckets) in ecmp_buckets(ctl.view, switch) {
-                let gid = group_id_for_epoch(dst_dpid, parity);
-                txn.group(
-                    switch,
-                    gid,
-                    GroupDesc {
-                        group_type: GroupType::Select,
-                        buckets,
-                    },
-                );
+            for (gid, desc) in groups(ctl.view, switch, parity) {
+                txn.group(switch, gid, desc);
                 self.epoch_groups.push((switch, gid));
             }
-            for host in &self.hosts {
-                let matcher = FlowMatch::ipv4_to(Ipv4Cidr::new(host.ip, 32).expect("/32 is valid"));
-                let actions = if switch == host.dpid {
-                    vec![
-                        Action::PopEpoch,
-                        Action::SetEthDst(host.mac),
-                        Action::Output(host.port),
-                    ]
-                } else {
-                    let mut fwd = Vec::new();
-                    if self.dec_ttl {
-                        fwd.push(Action::DecTtl);
-                    }
-                    fwd.push(Action::Group(group_id_for_epoch(host.dpid, parity)));
-                    fwd
-                };
-                self.rules_pushed += 2;
-                txn.internal_flow(
-                    switch,
-                    0,
-                    FlowSpec::new(self.priority, matcher, actions.clone())
-                        .with_cookie(cookie)
-                        .with_importance(FABRIC_IMPORTANCE),
-                );
-                // The edge rule matches specifically un-stamped IPv4 —
-                // traffic entering from attached hosts.
-                let edge_matcher = FlowMatch {
-                    epoch: Some(None),
-                    ..matcher
-                };
-                txn.edge_flow(
-                    switch,
-                    0,
-                    FlowSpec::new(self.priority, edge_matcher, actions)
-                        .with_cookie(cookie)
-                        .with_importance(FABRIC_IMPORTANCE),
-                );
-            }
+            self.flows(switch, cookie, Some(parity), |role, spec| {
+                txn.flow_as(role, switch, 0, spec);
+            });
+            self.rules_pushed += 2 * self.hosts.len() as u64;
         }
         for (dpid, gid) in old_groups {
             txn.retire_group(dpid, gid);
@@ -324,11 +278,12 @@ impl ProactiveFabric {
     }
 }
 
-/// The SELECT buckets `switch` needs toward every other switch it can
-/// reach, in the view's switch order: one watched output per live port
-/// on each equal-cost next hop. The switch's usable ports are read off
-/// the view once, not once per destination.
-fn ecmp_buckets(view: &NetworkView, switch: Dpid) -> Vec<(Dpid, Vec<Bucket>)> {
+/// The SELECT groups `switch` needs toward every other switch it can
+/// reach, in the view's switch order, under group-id parity `parity`:
+/// one watched output per live port on each equal-cost next hop. The
+/// switch's usable ports are read off the view once, not once per
+/// destination.
+fn groups(view: &NetworkView, switch: Dpid, parity: u32) -> Vec<(u32, GroupDesc)> {
     let routes = view.routes();
     let (graph, dpids) = (&routes.graph, &routes.dpids);
     let Some(&my_ix) = routes.index.get(&switch) else {
@@ -347,44 +302,15 @@ fn ecmp_buckets(view: &NetworkView, switch: Dpid) -> Vec<(Dpid, Vec<Bucket>)> {
             buckets.extend(ports.map(|&(_, port)| Bucket::output(port)));
         }
         if !buckets.is_empty() {
-            toward.push((dst_dpid, buckets));
+            let group_type = GroupType::Select;
+            let desc = GroupDesc {
+                group_type,
+                buckets,
+            };
+            toward.push((group_id_for_epoch(dst_dpid, parity), desc));
         }
     }
     toward
-}
-
-/// The desired forwarding program for one switch, in install order.
-struct SwitchProgram {
-    groups: Vec<(u32, GroupDesc)>,
-    flows: Vec<FlowSpec>,
-}
-
-/// The stamp a master records for the program it installed, through
-/// [`Ctl::set_program_stamp`]: FNV-1a fed the program's own fields —
-/// the groups, then the flows, each in install order, every list
-/// preceded by its length — by way of the derived `Hash` of the
-/// dataplane types. Nothing is rendered or allocated. Replicas run one
-/// binary and derive the program from the same replicated view, so
-/// equal programs stamp equal; any field a switch would forward
-/// differently under moves the stamp.
-fn program_hash(program: &SwitchProgram) -> u64 {
-    let mut stamp = Fnv1a(CHAIN_SEED);
-    program.groups.hash(&mut stamp);
-    program.flows.hash(&mut stamp);
-    stamp.finish()
-}
-
-/// FNV-1a as a [`Hasher`], so `#[derive(Hash)]` can drive it.
-struct Fnv1a(u64);
-
-impl Hasher for Fnv1a {
-    fn write(&mut self, bytes: &[u8]) {
-        self.0 = fnv1a_fold(self.0, bytes);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
 }
 
 /// The group id used for routes toward `dst_dpid`.
@@ -499,96 +425,12 @@ impl App for ProactiveFabric {
         // matches what we would install, the takeover moves no flow
         // state at all; only a genuine divergence — the old master died
         // mid-convergence, or the topology changed since — reprograms.
-        let program = self.desired_program(ctl.view, dpid);
-        let desired = program_hash(&program);
-        if ctl.program_stamp(dpid, FABRIC_COOKIE) != Some(desired) {
-            self.install(ctl, dpid, program, desired);
+        if ctl.program_stamp(dpid, FABRIC_COOKIE) != Some(self.desired_stamp(ctl.view, dpid)) {
+            self.program_switch(ctl, dpid);
         }
     }
 
     fn as_any(&self) -> &dyn Any {
         self
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn program() -> SwitchProgram {
-        let matcher = FlowMatch::ipv4_to(Ipv4Cidr::new(Ipv4Address::new(10, 0, 0, 7), 32).unwrap());
-        SwitchProgram {
-            groups: vec![(
-                group_id_for(3),
-                GroupDesc {
-                    group_type: GroupType::Select,
-                    buckets: vec![Bucket::output(1), Bucket::output(2)],
-                },
-            )],
-            flows: vec![
-                FlowSpec::new(200, matcher, vec![Action::Group(group_id_for(3))])
-                    .with_cookie(FABRIC_COOKIE)
-                    .with_importance(FABRIC_IMPORTANCE),
-                FlowSpec::new(
-                    200,
-                    FlowMatch::ANY,
-                    vec![
-                        Action::SetEthDst(EthernetAddress::from_id(9)),
-                        Action::Output(4),
-                    ],
-                ),
-            ],
-        }
-    }
-
-    /// The stamp decides whether a takeover reprograms a switch: equal
-    /// programs must stamp equal, and any change a switch would forward
-    /// differently under must not.
-    #[test]
-    fn program_hash_tracks_every_forwarding_relevant_field() {
-        let base = program_hash(&program());
-        assert_eq!(
-            base,
-            program_hash(&program()),
-            "equal programs, equal stamp"
-        );
-
-        type Perturb = fn(&mut SwitchProgram);
-        let perturbations: [(&str, Perturb); 16] = [
-            ("group id", |p| p.groups[0].0 += 1),
-            ("group type", |p| {
-                p.groups[0].1.group_type = GroupType::FastFailover
-            }),
-            ("bucket order", |p| p.groups[0].1.buckets.swap(0, 1)),
-            ("bucket action", |p| {
-                p.groups[0].1.buckets[1].actions = vec![Action::Output(3)]
-            }),
-            ("bucket watch port", |p| {
-                p.groups[0].1.buckets[1].watch_port = None
-            }),
-            ("bucket count", |p| {
-                p.groups[0].1.buckets.pop();
-            }),
-            ("priority", |p| p.flows[0].priority += 1),
-            ("match field", |p| p.flows[0].matcher.l4_dst = Some(80)),
-            ("match prefix", |p| {
-                p.flows[0].matcher.ipv4_dst =
-                    Some(Ipv4Cidr::new(Ipv4Address::new(10, 0, 0, 7), 24).unwrap())
-            }),
-            ("action order", |p| p.flows[1].actions.swap(0, 1)),
-            ("action argument", |p| {
-                p.flows[1].actions[1] = Action::Output(5)
-            }),
-            ("goto", |p| p.flows[0].goto_table = Some(1)),
-            ("cookie", |p| p.flows[0].cookie ^= 1),
-            ("importance", |p| p.flows[0].importance += 1),
-            ("timeouts", |p| p.flows[1].idle_timeout = 5),
-            ("flow order", |p| p.flows.swap(0, 1)),
-        ];
-        for (what, perturb) in perturbations {
-            let mut changed = program();
-            perturb(&mut changed);
-            assert_ne!(base, program_hash(&changed), "{what} left the stamp alone");
-        }
     }
 }

@@ -11,7 +11,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use zen_cluster::{Admit, ClusterConfig, EwStore, GossipMode, Membership};
 use zen_consensus::{fnv1a, fnv1a_fold, Applied, IntentReplica, Outbound, KEEP_TAIL};
-use zen_dataplane::{epoch_tag, Action, FlowMatch, FlowSpec, Meter, PortNo};
+use zen_dataplane::{epoch_tag, Action, FlowMatch, FlowSpec, GroupDesc, Meter, PortNo};
 use zen_proto::{
     decode_view, encode_packet_out_into, intent_entry_bytes, CookieCount, ErrorCode, FlowModCmd,
     GroupModCmd, Intent, IntentEntry, Message, MessageView, Role, ViewEvent,
@@ -23,7 +23,7 @@ use zen_wire::{arp, ipv4, lldp, EthernetAddress};
 
 use crate::app::{App, Disposition};
 use crate::send_msg;
-use crate::southbound::Southbound;
+use crate::southbound::{ProgramBase, Southbound};
 use crate::txn::{
     ActiveTxn, Consistency, FlowRole, NetworkUpdate, TxnPhase, UpdateOp, UpdatePlanner,
 };
@@ -244,6 +244,17 @@ pub struct CtlStats {
     pub intent_msgs_sent: u64,
 }
 
+/// What one [`Ctl::reconcile`] put on the wire.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Reconciled {
+    /// Messages sent; 0 when the switch already held the program.
+    pub mods: usize,
+    /// Of those, flow adds.
+    pub flows: usize,
+    /// Whether the whole program was loaded behind a cookie wipe.
+    pub full: bool,
+}
+
 /// Runtime state of one replica in a controller cluster.
 struct ClusterState {
     membership: Membership,
@@ -404,6 +415,12 @@ impl Ctl<'_, '_> {
     /// State-programming messages (flow/group/meter mods) are tracked
     /// by the southbound session until a barrier acknowledges them.
     pub fn send(&mut self, dpid: Dpid, msg: &Message) {
+        self.send_for(dpid, msg, None);
+    }
+
+    /// [`Ctl::send`], for a message that is a step of the program
+    /// `program` names by its cookie.
+    fn send_for(&mut self, dpid: Dpid, msg: &Message, program: Option<u64>) {
         let Some(&node) = self.registry.get(&dpid) else {
             return;
         };
@@ -456,12 +473,55 @@ impl Ctl<'_, '_> {
         if is_mod {
             // Encoded once, into the buffer the session keeps for
             // retransmission; the channel copies from it.
-            let bytes = self.southbound.track(node, dpid, xid, msg, self.ctx.now());
+            let now = self.ctx.now();
+            let bytes = self.southbound.track(node, dpid, xid, msg, program, now);
             self.ctx
                 .send_control_with(node, |buf| buf.extend_from_slice(bytes));
         } else {
             send_msg(self.ctx, node, msg, xid);
         }
+    }
+
+    /// Bring `dpid` to the program an app wants it to hold under
+    /// `cookie`: `groups` in install order, and the flows `flows`
+    /// renders (asked for only when they have to be sent), whose
+    /// [`crate::flows_stamp`] is `flows_stamp`. The app's cookie is
+    /// wiped and the whole program loaded behind it; what the switch
+    /// will then hold is kept as the session's base for that cookie,
+    /// and the program's stamp is recorded in the replicated view so a
+    /// peer replica can tell whether a takeover needs to reprogram.
+    pub fn reconcile(
+        &mut self,
+        dpid: Dpid,
+        cookie: u64,
+        groups: Vec<(u32, GroupDesc)>,
+        flows_stamp: u64,
+        flows: impl FnOnce() -> Vec<FlowSpec>,
+    ) -> Reconciled {
+        let desired = ProgramBase::of(flows_stamp, &groups);
+        let stamp = desired.stamp();
+        let flows = flows();
+        let sent = Reconciled {
+            mods: 1 + groups.len() + flows.len(),
+            flows: flows.len(),
+            full: true,
+        };
+        let cmd = FlowModCmd::DeleteByCookie { cookie };
+        self.send_for(dpid, &Message::FlowMod { table_id: 0, cmd }, Some(cookie));
+        for (group_id, desc) in groups {
+            let cmd = GroupModCmd::Add(desc);
+            self.send_for(dpid, &Message::GroupMod { group_id, cmd }, Some(cookie));
+        }
+        for spec in flows {
+            let cmd = FlowModCmd::Add(spec);
+            self.send_for(dpid, &Message::FlowMod { table_id: 0, cmd }, Some(cookie));
+        }
+        self.stats.txns_committed += 1;
+        if let Some(&node) = self.registry.get(&dpid).filter(|_| self.is_master(dpid)) {
+            self.southbound.set_base(node, dpid, cookie, desired);
+        }
+        self.set_program_stamp(dpid, cookie, stamp);
+        sent
     }
 
     /// Open a network update transaction. Stage flow/group/meter ops on
@@ -768,6 +828,14 @@ impl Controller {
     /// Mods sent but not yet barrier-acknowledged.
     pub fn pending_mods(&self) -> usize {
         self.southbound.pending_mods()
+    }
+
+    /// The stamp of the base held for `cookie`'s program on `dpid`:
+    /// what this controller believes the switch holds, if it still
+    /// knows (post-run inspection; see [`Ctl::reconcile`]).
+    pub fn program_base_of(&self, dpid: Dpid, cookie: u64) -> Option<u64> {
+        let node = *self.registry.get(&dpid)?;
+        self.southbound.base(node, cookie).map(ProgramBase::stamp)
     }
 
     /// The latest HELLO_RESYNC generation reported by a switch.

@@ -14,7 +14,10 @@
 //! touch one session's queue head and nothing else.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::hash::{Hash, Hasher};
 
+use zen_consensus::{fnv1a_fold, CHAIN_SEED};
+use zen_dataplane::{FlowSpec, GroupDesc};
 use zen_proto::{encode_barrier_request_into, encode_into, FlowModCmd, Message};
 use zen_sim::{Context, Duration, Instant, NodeId};
 
@@ -61,6 +64,64 @@ impl ShadowOp {
     }
 }
 
+/// FNV-1a as a [`Hasher`], so `#[derive(Hash)]` can drive it.
+struct Fnv1a(u64);
+
+impl Hasher for Fnv1a {
+    fn write(&mut self, bytes: &[u8]) {
+        self.0 = fnv1a_fold(self.0, bytes);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// FNV-1a fed `item`'s own fields by way of its derived `Hash`: nothing
+/// is rendered or allocated, lists are preceded by their length.
+fn stamp_of(item: &(impl Hash + ?Sized)) -> u64 {
+    let mut stamp = Fnv1a(CHAIN_SEED);
+    item.hash(&mut stamp);
+    stamp.finish()
+}
+
+/// The stamp of a program's flow half: its flows in install order.
+pub fn flows_stamp(flows: &[FlowSpec]) -> u64 {
+    stamp_of(flows)
+}
+
+/// What a switch holds under one program cookie, as hashes: the stamp
+/// of the flow half and one `(group id, content hash)` per group, in
+/// install order. The controller keeps one per `(switch, cookie)` it
+/// has programmed — the *base* the next program is diffed against — and
+/// a copy of the program itself would cost a fabric's worth of specs.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct ProgramBase {
+    flows: u64,
+    groups: Vec<(u32, u64)>,
+}
+
+impl ProgramBase {
+    /// The hashes of a program whose flow half stamps `flows_stamp`.
+    pub fn of(flows_stamp: u64, groups: &[(u32, GroupDesc)]) -> ProgramBase {
+        ProgramBase {
+            flows: flows_stamp,
+            groups: groups.iter().map(|g| (g.0, stamp_of(g))).collect(),
+        }
+    }
+
+    /// The program's stamp — what a master records through
+    /// [`crate::controller::Ctl::set_program_stamp`] and a replica
+    /// taking the switch over compares its own against: the fold of the
+    /// per-entry hashes. Replicas run one binary and derive the program
+    /// from the same replicated view, so equal programs stamp equal;
+    /// any field a switch would forward differently under, and the
+    /// order of the groups or of the flows, moves it.
+    pub fn stamp(&self) -> u64 {
+        stamp_of(self)
+    }
+}
+
 /// A flow/group/meter mod awaiting barrier acknowledgement.
 pub(crate) struct PendingMod {
     pub(crate) xid: u32,
@@ -68,6 +129,9 @@ pub(crate) struct PendingMod {
     bytes: Vec<u8>,
     /// Applied to the cookie shadow once acked.
     pub(crate) shadow: Option<ShadowOp>,
+    /// The cookie of the program this mod is a step of, if it is one:
+    /// should it never land, that program's base is no longer true.
+    program: Option<u64>,
     sent_at: Instant,
     retries: u32,
 }
@@ -78,6 +142,29 @@ struct Session {
     pending: VecDeque<PendingMod>,
     /// Outstanding barriers: barrier xid → last mod xid it covers.
     barriers: BTreeMap<u32, u32>,
+    /// What the switch holds once every pending mod has landed, per
+    /// program cookie. An entry is dropped the moment that stops being
+    /// known: one of the program's mods failed, or the session's mods
+    /// were superseded.
+    bases: BTreeMap<u64, ProgramBase>,
+}
+
+impl Session {
+    fn new(dpid: Dpid) -> Session {
+        Session {
+            dpid,
+            pending: VecDeque::new(),
+            barriers: BTreeMap::new(),
+            bases: BTreeMap::new(),
+        }
+    }
+
+    /// Stop tracking the mod at `i`; its program's base goes with it.
+    fn abandon(&mut self, i: usize) {
+        if let Some(cookie) = self.pending.remove(i).and_then(|p| p.program) {
+            self.bases.remove(&cookie);
+        }
+    }
 }
 
 /// Reliable delivery of state mods to every connected switch.
@@ -94,30 +181,45 @@ impl Southbound {
         self.sessions.values().map(|s| s.pending.len()).sum()
     }
 
+    /// The base of `cookie`'s program on `node`'s switch, if known.
+    pub(crate) fn base(&self, node: NodeId, cookie: u64) -> Option<&ProgramBase> {
+        self.sessions.get(&node)?.bases.get(&cookie)
+    }
+
+    /// Record what `node`'s switch holds under `cookie` once the mods
+    /// just tracked for that program have landed.
+    pub(crate) fn set_base(&mut self, node: NodeId, dpid: Dpid, cookie: u64, base: ProgramBase) {
+        let session = self.sessions.entry(node);
+        session
+            .or_insert_with(|| Session::new(dpid))
+            .bases
+            .insert(cookie, base);
+    }
+
     /// Start tracking a mod about to be sent to `node`: encode it — the
     /// only time it ever is — into the buffer the session keeps, and
     /// lend that buffer back for the caller to put on the channel.
+    /// `program` is the cookie of the program the mod is a step of.
     pub(crate) fn track(
         &mut self,
         node: NodeId,
         dpid: Dpid,
         xid: u32,
         msg: &Message,
+        program: Option<u64>,
         now: Instant,
     ) -> &[u8] {
         // Room for a typical flow or group mod without regrowing.
         let mut bytes = Vec::with_capacity(96);
         encode_into(&mut bytes, msg, xid);
-        let session = self.sessions.entry(node).or_insert_with(|| Session {
-            dpid,
-            pending: VecDeque::new(),
-            barriers: BTreeMap::new(),
-        });
+        let session = self.sessions.entry(node);
+        let session = session.or_insert_with(|| Session::new(dpid));
         debug_assert!(session.pending.back().is_none_or(|p| p.xid < xid));
         session.pending.push_back(PendingMod {
             xid,
             bytes,
             shadow: ShadowOp::of(msg),
+            program,
             sent_at: now,
             retries: 0,
         });
@@ -184,18 +286,22 @@ impl Southbound {
     pub(crate) fn retire(&mut self, from: NodeId, xid: u32) -> bool {
         self.sessions.get_mut(&from).is_some_and(|s| {
             let at = s.pending.binary_search_by_key(&xid, |p| p.xid);
-            at.is_ok_and(|i| s.pending.remove(i).is_some())
+            at.is_ok_and(|i| {
+                s.abandon(i);
+                true
+            })
         })
     }
 
-    /// Drop every pending mod of `node`'s session — they were computed
-    /// against a world that no longer holds (dirty resync, lapsed
-    /// mastership). Yields their xids, oldest first.
+    /// Drop every pending mod of `node`'s session, and every base with
+    /// them — they were computed against a world that no longer holds
+    /// (dirty resync, lapsed mastership). Yields the mods' xids, oldest
+    /// first.
     pub(crate) fn supersede(&mut self, node: NodeId) -> impl Iterator<Item = u32> + '_ {
-        self.sessions
-            .get_mut(&node)
-            .into_iter()
-            .flat_map(|s| s.pending.drain(..).map(|p| p.xid))
+        self.sessions.get_mut(&node).into_iter().flat_map(|s| {
+            s.bases.clear();
+            s.pending.drain(..).map(|p| p.xid)
+        })
     }
 
     /// Resend unacked mods older than `timeout`, oldest xid first over
@@ -236,7 +342,7 @@ impl Southbound {
                 .expect("collected above");
             let p = &mut session.pending[i];
             if p.retries >= max_retries {
-                session.pending.remove(i);
+                session.abandon(i);
                 stats.mods_failed += 1;
                 failed(xid);
                 continue;
@@ -323,7 +429,7 @@ mod tests {
 
     /// Send `msg` as `xid` to `node` the way `Ctl::send` does.
     fn send(sb: &mut Southbound, ctx: &mut Context<'_>, node: NodeId, xid: u32, msg: &Message) {
-        let bytes = sb.track(node, 7, xid, msg, ctx.now());
+        let bytes = sb.track(node, 7, xid, msg, None, ctx.now());
         ctx.send_control_with(node, |buf| buf.extend_from_slice(bytes));
     }
 
@@ -422,7 +528,7 @@ mod tests {
                     send(sb, ctx, b, 2, &add(2));
                     send(sb, ctx, a, 3, &add(3));
                     // A quarantined switch's mods wait for its resync.
-                    sb.track(NodeId(9), 8, 4, &add(4), ctx.now());
+                    sb.track(NodeId(9), 8, 4, &add(4), None, ctx.now());
                     sb.flush_barriers(ctx, &mut 100, &mut CtlStats::default());
                 }),
                 // 100 ms old: not due yet.

@@ -20,12 +20,13 @@
 //!   on the fast path (a single switch applies its mods in order, so
 //!   two-phase staging buys nothing).
 //!
-//! Flow operations carry a role: [`NetworkUpdate::edge_flow`] marks
-//! rules that stamp packets entering the network (the planner prepends
-//! `SetEpoch` at flip time), [`NetworkUpdate::internal_flow`] marks
-//! rules that should only see packets of their own epoch (the planner
-//! injects the epoch qualifier into the matcher at staging time), and
-//! plain [`NetworkUpdate::flow`] is sent verbatim. *Retire* operations
+//! Flow operations carry a role ([`NetworkUpdate::flow_as`]):
+//! [`FlowRole::Edge`] marks rules that stamp packets entering the
+//! network (the planner prepends `SetEpoch` at flip time),
+//! [`FlowRole::Internal`] marks rules that should only see packets of
+//! their own epoch (the planner injects the epoch qualifier into the
+//! matcher at staging time), and plain [`NetworkUpdate::flow`] is sent
+//! verbatim. *Retire* operations
 //! name the old configuration's footprint; the planner deletes it only
 //! after the drain wave (under `Relaxed` they execute in staging
 //! order, preserving the classic delete-then-reinstall sequence).
@@ -189,39 +190,10 @@ impl NetworkUpdate {
         self
     }
 
-    /// Make room for `additional` more operations, for a caller that
-    /// knows how many it is about to stage.
-    pub fn reserve(&mut self, additional: usize) -> &mut NetworkUpdate {
-        self.ops.reserve(additional);
-        self
-    }
-
-    /// Stage a plain flow install.
-    pub fn flow(&mut self, dpid: Dpid, table_id: u8, spec: FlowSpec) -> &mut NetworkUpdate {
-        self.ops.push(UpdateOp::Flow {
-            dpid,
-            table_id,
-            spec,
-            role: FlowRole::Plain,
-        });
-        self
-    }
-
-    /// Stage an edge (epoch-stamping) flow install; see [`FlowRole::Edge`].
-    pub fn edge_flow(&mut self, dpid: Dpid, table_id: u8, spec: FlowSpec) -> &mut NetworkUpdate {
-        self.ops.push(UpdateOp::Flow {
-            dpid,
-            table_id,
-            spec,
-            role: FlowRole::Edge,
-        });
-        self
-    }
-
-    /// Stage an internal (epoch-qualified) flow install; see
-    /// [`FlowRole::Internal`].
-    pub fn internal_flow(
+    /// Stage a flow install in the given role.
+    pub fn flow_as(
         &mut self,
+        role: FlowRole,
         dpid: Dpid,
         table_id: u8,
         spec: FlowSpec,
@@ -230,9 +202,14 @@ impl NetworkUpdate {
             dpid,
             table_id,
             spec,
-            role: FlowRole::Internal,
+            role,
         });
         self
+    }
+
+    /// Stage a plain flow install.
+    pub fn flow(&mut self, dpid: Dpid, table_id: u8, spec: FlowSpec) -> &mut NetworkUpdate {
+        self.flow_as(FlowRole::Plain, dpid, table_id, spec)
     }
 
     /// Stage an immediate delete of all flows carrying `cookie`.
