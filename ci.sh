@@ -64,9 +64,10 @@ cargo test --release -p zen-core --test consensus -- --ignored --nocapture
 cargo test --release -p zen-core --test shard -- --ignored --nocapture
 
 # Exact-count gate: the ledger's traced fixed-seed `fabric_forward`,
-# `reactive_churn` and `cluster_churn` runs must be correct, keep their
-# committed sim_digests, and hold their allocation, drop and
-# retransmission counters — no tolerance, they repeat to the last digit.
+# `reactive_churn`, `cbench_closed` and `cluster_churn` runs must be
+# correct, keep their committed sim_digests, and hold their allocation,
+# drop, flow-mod and retransmission counters — no tolerance, they repeat
+# to the last digit.
 ci/ledger_counts.sh
 
 # Perf-regression gates: each runs one experiment bench in quick mode

@@ -19,22 +19,40 @@
 #       the agent calls, makes one); no queue drops.
 #   reactive_churn — a flow setup per datagram: allocations per
 #       simulated flow setup, end to end and inside the controller.
-#   cluster_churn — the reprogram path: allocations per simulated ms,
-#       and the mods the controller had to send twice.
+#   cbench_closed — the controller and the codec alone: allocations per
+#       flow setup inside the controller, and no frame it cannot decode.
+#   cluster_churn — the reprogram path: allocations, control bytes and
+#       flow mods per simulated ms, the flow-cache flushes flow adds
+#       cause, and the mods the controller had to send twice.
 #
 # cluster_churn's digest was d8ea101f16854043 until the agent's
 # applied-xid window began evicting by age instead of by smallest xid:
 # a new master's lower-numbered mods are now acknowledged instead of
 # retransmitted until they fail (24 355 -> 9 595 retransmissions).
+# It was 1fa10105781aea43 until the fabric app began reconciling each
+# switch against a base instead of wiping its cookie and reloading the
+# whole program at every view change (flow mods per simulated ms 7.62
+# -> 1.32, control bytes 1 931 -> 846, cache flushes 231 645 -> 40 520,
+# allocations 184.9 -> 113.7); with that change a barrier batch that
+# leaves the cookie counts alone no longer gossips a shadow digest, a
+# group leaves a switch a second after the last program that held it,
+# a replica re-asserts its roles when the live set changes, a switch
+# stops vouching for mods a late-landing earlier one may have undone,
+# and a retransmission replays the queue behind it (failover hole 39
+# -> 11 ms). fabric_forward's digest was cbf83f090ca84bcc until the
+# same change: the second pass of the set-up phase now finds all 80
+# switches as they should be and sends nothing, and the fabric app
+# exports three `fabric.reconcile.*` counters.
 #
 # A change that moves a digest on purpose updates it below in the same
 # commit and says why; a change that lowers a count lowers its ceiling.
 set -eu
 
 TABLE='
-fabric_forward cbf83f090ca84bcc core.agent.allocs_per_frame<=1.01 dataplane.datapath.allocs_per_micro_hit<=2 sim.world.drops_queue<=0
+fabric_forward 5066696baa39f15d core.agent.allocs_per_frame<=1.01 dataplane.datapath.allocs_per_micro_hit<=2 sim.world.drops_queue<=0
 reactive_churn f8173f07246eeac9 trace.allocs_per_op<=57 core.controller.allocs_per_packet_in<=21
-cluster_churn 1fa10105781aea43 trace.allocs_per_op<=185 core.controller.mods_retransmitted<=9595
+cbench_closed 9f20247b19fe0559 core.controller.allocs_per_packet_in<=3.5 core.controller.decode_errors<=0
+cluster_churn ad3bca74a5747c8f trace.allocs_per_op<=114 core.controller.mods_retransmitted<=9175 core.controller.flow_mods_per_op<=1.32 sim.world.ctl_bytes_per_op<=846 dataplane.cache.invalidations<=40520
 '
 
 fail() {

@@ -8,7 +8,7 @@
 //! BARRIER and STATS, and reports PORT_STATUS and FLOW_REMOVED.
 
 use std::any::Any;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 
 use zen_dataplane::{AddOutcome, Datapath, DatapathId, Effect, MissPolicy, OverflowPolicy, PortNo};
 use zen_proto::{
@@ -169,12 +169,31 @@ const APPLIED_XIDS: usize = 4096;
 #[derive(Debug, Default)]
 struct AppliedXids(VecDeque<u32>);
 
+/// Whether two xids were numbered by one controller: replicas number
+/// from disjoint ranges (`Controller::enable_cluster`).
+fn same_sender(a: u32, b: u32) -> bool {
+    a >> 24 == b >> 24
+}
+
 impl AppliedXids {
     fn note(&mut self, xid: u32) {
         if self.0.len() == APPLIED_XIDS {
             self.0.pop_front();
         }
         self.0.push_back(xid);
+    }
+
+    /// A flow delete numbered `xid` just took effect. A controller
+    /// numbers its mods in the order it wants them applied, so any
+    /// higher-numbered mod of the same controller already in the
+    /// window overtook this one (a lost copy resent, or jitter) — and
+    /// what it added, this may have removed: a cookie wipe landing
+    /// behind the adds that followed it. Strike them. The controller
+    /// still holds them pending behind the delete and replays them;
+    /// until then a barrier must not say they took effect.
+    fn undone_by(&mut self, xid: u32) {
+        self.0
+            .retain(|&held| !(same_sender(held, xid) && held > xid));
     }
 
     fn contains(&self, xid: u32) -> bool {
@@ -212,6 +231,11 @@ pub struct SwitchAgent {
     /// BARRIER_REPLYs so the controller learns which mods survived the
     /// channel.
     applied_xids: AppliedXids,
+    /// The connection and xid that last wrote (or deleted) each group.
+    /// Groups are re-pointed at every topology change, so two mods for
+    /// one group are often in flight together; the older must not land
+    /// on top of the newer.
+    group_writers: BTreeMap<u32, (usize, u32)>,
     echo_token: u64,
     xid: u32,
     /// Token bucket gating PACKET_INs, when configured.
@@ -277,6 +301,7 @@ impl SwitchAgent {
             master_claim: (0, 0),
             generation: 0,
             applied_xids: AppliedXids::default(),
+            group_writers: BTreeMap::new(),
             echo_token: 0,
             xid: 1,
             punt_meter: cfg
@@ -322,6 +347,23 @@ impl SwitchAgent {
             .into_iter()
             .map(|(cookie, count)| zen_proto::CookieCount { cookie, count })
             .collect()
+    }
+
+    /// Lose what a reboot loses (fault injection): every flow and group,
+    /// the applied-xid window and the mutation generation, which starts
+    /// over — the one sign of it a controller gets. Ports, connections
+    /// and roles stay as they are; nothing is sent.
+    pub fn reboot(&mut self) {
+        for held in self.flow_digest() {
+            self.dp.delete_flows_by_cookie(held.cookie);
+        }
+        let groups: Vec<u32> = self.dp.groups().iter().map(|(id, _)| id).collect();
+        for id in groups {
+            self.dp.remove_group(id);
+        }
+        self.applied_xids = AppliedXids::default();
+        self.group_writers.clear();
+        self.generation = 0;
     }
 
     fn send_resync(&mut self, ctx: &mut Context<'_>, ci: usize) {
@@ -662,6 +704,7 @@ impl SwitchAgent {
                     return;
                 }
                 self.note_flow_mod_applied(ctx, now, xid);
+                self.applied_xids.undone_by(xid);
                 match cmd {
                     FlowModCmd::Add(_) => unreachable!("handled above"),
                     FlowModCmd::DeleteStrict { priority, matcher } => {
@@ -695,8 +738,16 @@ impl SwitchAgent {
                 }
             }
             Message::GroupMod { group_id, cmd } => {
-                self.generation += 1;
                 self.applied_xids.note(xid);
+                // Overtaken by a later mod of its own controller for
+                // the same group: that one's word stands, and this one
+                // is done for the asking.
+                self.generation += 1;
+                let writer = self.group_writers.entry(group_id).or_insert((ci, xid));
+                if writer.0 == ci && writer.1 > xid {
+                    return;
+                }
+                *writer = (ci, xid);
                 match cmd {
                     GroupModCmd::Add(desc) => self.dp.add_group(group_id, desc),
                     GroupModCmd::Delete => {
@@ -995,5 +1046,22 @@ mod tests {
         // And so on, in arrival order.
         window.note(7_000_000);
         assert!(!window.contains(1) && window.contains(2));
+    }
+
+    #[test]
+    fn a_late_delete_strikes_what_it_may_have_undone() {
+        let mut window = AppliedXids::default();
+        let other = (2 << 24) | 160;
+        for xid in [100, 150, other, 151, 199] {
+            window.note(xid);
+        }
+        // Xid 150's delete lands again behind 151 and 199: they count
+        // once replayed. Another controller's numbers are another
+        // sequence, and 150 itself stays.
+        window.undone_by(150);
+        assert!(window.contains(100) && window.contains(150) && window.contains(other));
+        assert!(!window.contains(151) && !window.contains(199));
+        window.note(151);
+        assert!(window.contains(151));
     }
 }

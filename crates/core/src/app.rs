@@ -74,20 +74,23 @@ pub trait App: 'static {
     /// A datapath-cache statistics reply arrived.
     fn on_cache_stats(&mut self, ctl: &mut Ctl<'_, '_>, dpid: Dpid, record: &CacheStatsRec) {}
 
-    /// A switch reconnected after a control-channel outage and its
-    /// reported flow state diverged from what the controller believes
-    /// (see [`zen_proto::Message::HelloResync`]). Apps owning proactive
-    /// state on the switch should reprogram it; the view has already
-    /// been unquarantined.
+    /// A switch may not hold what the controller believes: it
+    /// reconnected reporting other flow state or a reboot (see
+    /// [`zen_proto::Message::HelloResync`]), a program mod never
+    /// reached it, or a peer replica that presumed this one dead may
+    /// have programmed it. Apps owning proactive state on the switch
+    /// should bring it back ([`Ctl::reconcile`] knows how much that
+    /// takes); the view has already been unquarantined.
     fn on_switch_resync(&mut self, ctl: &mut Ctl<'_, '_>, dpid: Dpid) {}
 
     /// This replica's mastership over a switch changed (clustered
     /// controllers only). On gain, the replica has already re-asserted
     /// its role at the switch and requested a resync; apps owning
-    /// proactive state should compare their desired program against the
-    /// replicated program stamp ([`Ctl::program_stamp`]) and reprogram
-    /// only on mismatch — an unconditional reprogram would re-flood
-    /// every orphaned switch on failover.
+    /// proactive state hand their desired program to
+    /// [`Ctl::reconcile`], which compares it against the stamp the
+    /// previous master replicated and loads the switch only on
+    /// mismatch — an unconditional reload would re-flood every orphaned
+    /// switch on failover.
     fn on_mastership_change(&mut self, ctl: &mut Ctl<'_, '_>, dpid: Dpid, is_master: bool) {}
 
     /// A cluster-wide intent committed through the replicated log (or

@@ -12,10 +12,11 @@
 //! fabric-anycast-gateway design).
 
 use std::any::Any;
+use std::collections::BTreeMap;
 
 use zen_dataplane::{Action, Bucket, FlowMatch, FlowSpec, GroupDesc, GroupType, PortNo};
 use zen_graph::ecmp_next_hops;
-use zen_sim::Instant;
+use zen_sim::{CounterId, Instant};
 use zen_wire::{EthernetAddress, Ipv4Address, Ipv4Cidr};
 
 use crate::app::App;
@@ -25,6 +26,14 @@ use crate::txn::{Consistency, FlowRole};
 use crate::view::{Dpid, NetworkView};
 
 pub use crate::policy::{FABRIC_COOKIE, FABRIC_EPOCH_COOKIE, FABRIC_IMPORTANCE};
+
+/// The sim counters [`ProactiveFabric::mods_pushed`], `full_loads` and
+/// `switches_unchanged` are exported as.
+const RECONCILE_COUNTERS: [&str; 3] = [
+    "fabric.reconcile.mods_pushed",
+    "fabric.reconcile.full_loads",
+    "fabric.reconcile.switches_unchanged",
+];
 
 /// The virtual gateway MAC hosts send to.
 pub const FABRIC_MAC: EthernetAddress = EthernetAddress([0x02, 0xfa, 0xb0, 0x00, 0x00, 0x01]);
@@ -51,9 +60,9 @@ pub struct ProactiveFabric {
     pub expected_links: usize,
     /// Priority of installed rules.
     pub priority: u16,
-    /// How reprograms take effect: [`Consistency::Relaxed`] reinstalls
-    /// in place (the classic delete-then-add burst), per-packet stages
-    /// the whole fabric as one epoch-versioned two-phase update.
+    /// How reprograms take effect: [`Consistency::Relaxed`] reconciles
+    /// each switch in place (only what differs is sent), per-packet
+    /// stages the whole fabric as one epoch-versioned two-phase update.
     pub consistency: Consistency,
     /// Decrement the IPv4 TTL on every transit hop, so packets caught
     /// in a transient forwarding loop self-terminate instead of
@@ -68,10 +77,23 @@ pub struct ProactiveFabric {
     /// Parity-namespaced groups installed by the last epoch-mode
     /// reprogram, retired by the next one after its drain wave.
     epoch_groups: Vec<(Dpid, u32)>,
-    /// Full reprogram passes performed (metric).
+    /// [`flows_stamp`] of each switch's in-place flow half, filled in as
+    /// asked for and dropped when the inventory changes — the rules
+    /// depend on nothing else, so a view change never re-renders them.
+    flow_stamps: BTreeMap<Dpid, u64>,
+    /// Reprogram passes performed (metric).
     pub installs: u64,
     /// Rules pushed in total (metric).
     pub rules_pushed: u64,
+    /// Messages a reconcile sent — group and flow mods alike (metric).
+    pub mods_pushed: u64,
+    /// Switches loaded whole behind a cookie wipe (metric).
+    pub full_loads: u64,
+    /// Switches a reconcile found already holding their program, and
+    /// sent nothing (metric).
+    pub switches_unchanged: u64,
+    /// Handles of [`RECONCILE_COUNTERS`], registered on first use.
+    counters: Option<[CounterId; 3]>,
     /// Two-phase fabric updates committed (metric).
     pub txn_commits: u64,
     /// Two-phase fabric updates aborted (metric); each schedules a
@@ -97,8 +119,13 @@ impl ProactiveFabric {
             installed_version: None,
             stable_ticks: 0,
             epoch_groups: Vec::new(),
+            flow_stamps: BTreeMap::new(),
             installs: 0,
             rules_pushed: 0,
+            mods_pushed: 0,
+            full_loads: 0,
+            switches_unchanged: 0,
+            counters: None,
             txn_commits: 0,
             txn_aborts: 0,
         }
@@ -136,11 +163,9 @@ impl ProactiveFabric {
     /// The per-host rules this app wants on `switch`, in install order,
     /// each handed to `emit` with its role. They depend on the inventory
     /// and on nothing in the view. In place (`epoch` is `None`) that is
-    /// one plain rule per host, carrying `cookie`. Under epoch parity
-    /// `p` it is two, naming parity `p`'s groups: an internal rule for
-    /// packets already stamped with the epoch, which strips the stamp
-    /// before a local delivery, and an edge rule for *unstamped* IPv4
-    /// from attached hosts, with the same actions.
+    /// one plain rule per host; under epoch parity `p`, the internal and
+    /// the edge rule [`ProactiveFabric::install_all_epoch`] describes,
+    /// naming parity `p`'s groups.
     fn flows(
         &self,
         switch: Dpid,
@@ -191,28 +216,66 @@ impl ProactiveFabric {
         flows
     }
 
-    /// The stamp of the program this app wants on `switch` given
-    /// `view` — what it records after programming the switch, and what
-    /// a replica taking the switch over compares the record against.
-    pub fn desired_stamp(&self, view: &NetworkView, switch: Dpid) -> u64 {
-        let flows = flows_stamp(&self.plain_flows(switch));
-        ProgramBase::of(flows, &groups(view, switch, 0)).stamp()
+    /// The stamp of the flow half installed in place on `switch`.
+    fn flows_stamp(&self, switch: Dpid) -> u64 {
+        let cached = self.flow_stamps.get(&switch).copied();
+        cached.unwrap_or_else(|| flows_stamp(&self.plain_flows(switch)))
     }
 
-    /// Reprogram a single switch from the current view.
-    fn program_switch(&mut self, ctl: &mut Ctl<'_, '_>, switch: Dpid) {
-        let flows = self.plain_flows(switch);
+    /// The stamp of the program this app wants on `switch` given
+    /// `view` — what is recorded after programming the switch, and what
+    /// a replica taking the switch over compares the record against.
+    pub fn desired_stamp(&self, view: &NetworkView, switch: Dpid) -> u64 {
+        ProgramBase::of(self.flows_stamp(switch), &groups(view, switch, 0)).stamp()
+    }
+
+    /// Bring one switch to the program the current view asks for —
+    /// after a view change, when it returns diverged, when it is taken
+    /// over. [`Ctl::reconcile`] works out what, if anything, to send.
+    fn reconcile_switch(&mut self, ctl: &mut Ctl<'_, '_>, switch: Dpid) {
+        let flows_stamp = self.flows_stamp(switch);
+        self.flow_stamps.entry(switch).or_insert(flows_stamp);
         let groups = groups(ctl.view, switch, 0);
-        let sent = ctl.reconcile(switch, FABRIC_COOKIE, groups, flows_stamp(&flows), || flows);
+        let render = || self.plain_flows(switch);
+        let sent = ctl.reconcile(switch, FABRIC_COOKIE, groups, flows_stamp, render);
+        let counted = [
+            sent.mods as u64,
+            u64::from(sent.full),
+            u64::from(sent.mods == 0),
+        ];
         self.rules_pushed += sent.flows as u64;
+        self.mods_pushed += counted[0];
+        self.full_loads += counted[1];
+        self.switches_unchanged += counted[2];
+        let metrics = ctl.ctx.metrics();
+        let register = || RECONCILE_COUNTERS.map(|name| metrics.register_counter(name));
+        let ids = *self.counters.get_or_insert_with(register);
+        for (id, by) in ids.into_iter().zip(counted) {
+            metrics.add(id, by);
+        }
+    }
+
+    /// A switch needs looking at outside the tick's pass (it returned
+    /// diverged, or was taken over). Epoch mode has no per-switch
+    /// program — configurations are network-wide — so it re-stages the
+    /// whole fabric on the next tick.
+    fn reconcile_now(&mut self, ctl: &mut Ctl<'_, '_>, switch: Dpid) {
+        if self.installed_version.is_none() {
+            // Not programmed anywhere yet; the tick will get to it once
+            // discovery stabilizes.
+        } else if self.consistency == Consistency::PerPacket {
+            self.installed_version = None;
+            self.stable_ticks = 1;
+        } else {
+            self.reconcile_switch(ctl, switch);
+        }
     }
 
     fn install_all(&mut self, ctl: &mut Ctl<'_, '_>) {
         self.installs += 1;
-        // Quarantined switches are unreachable; they get their state via
-        // the resync handshake when they return. Switches mastered by a
-        // peer replica are that replica's to program — our mods would be
-        // filtered (and rejected by the agent) anyway.
+        // Quarantined switches are unreachable; they are reconciled when
+        // they return. Switches mastered by a peer replica are that
+        // replica's to program.
         let switch_list: Vec<Dpid> = ctl
             .view
             .switches
@@ -224,7 +287,7 @@ impl ProactiveFabric {
             self.install_all_epoch(ctl, &switch_list);
         } else {
             for switch in switch_list {
-                self.program_switch(ctl, switch);
+                self.reconcile_switch(ctl, switch);
             }
         }
         self.installed_version = Some(ctl.view.version);
@@ -336,6 +399,7 @@ impl App for ProactiveFabric {
         if let Some((at, ip, dpid, port)) = self.rehome {
             if ctl.now() >= at {
                 self.rehome = None;
+                self.flow_stamps.clear();
                 for host in &mut self.hosts {
                     if host.ip == ip {
                         host.dpid = dpid;
@@ -373,18 +437,7 @@ impl App for ProactiveFabric {
     }
 
     fn on_switch_resync(&mut self, ctl: &mut Ctl<'_, '_>, dpid: Dpid) {
-        // A returning switch's state diverged from ours: rebuild just
-        // that switch now instead of waiting out the stability window.
-        // Epoch mode has no per-switch program (configurations are
-        // network-wide); re-stage the whole fabric on the next tick.
-        if self.installed_version.is_some() {
-            if self.consistency == Consistency::PerPacket {
-                self.installed_version = None;
-                self.stable_ticks = 1;
-            } else {
-                self.program_switch(ctl, dpid);
-            }
-        }
+        self.reconcile_now(ctl, dpid);
     }
 
     fn on_update_committed(&mut self, _ctl: &mut Ctl<'_, '_>, owner: &'static str, _token: u64) {
@@ -406,27 +459,13 @@ impl App for ProactiveFabric {
     }
 
     fn on_mastership_change(&mut self, ctl: &mut Ctl<'_, '_>, dpid: Dpid, is_master: bool) {
-        if !is_master {
-            return;
-        }
-        if self.installed_version.is_none() {
-            // Not yet programmed anywhere; the regular tick path will
-            // pick this switch up once discovery stabilizes.
-            return;
-        }
-        if self.consistency == Consistency::PerPacket {
-            // Epoch configurations are network-wide; re-stage fully.
-            self.installed_version = None;
-            self.stable_ticks = 1;
-            return;
-        }
-        // Adopted an orphaned switch. If the previous master's stamped
-        // program (replicated through the east-west store) already
-        // matches what we would install, the takeover moves no flow
-        // state at all; only a genuine divergence — the old master died
-        // mid-convergence, or the topology changed since — reprograms.
-        if ctl.program_stamp(dpid, FABRIC_COOKIE) != Some(self.desired_stamp(ctl.view, dpid)) {
-            self.program_switch(ctl, dpid);
+        // Adopted an orphaned switch. If the stamp its previous master
+        // recorded (replicated through the east-west store) is the one
+        // we would, the takeover moves no state at all; only a genuine
+        // divergence — the old master died mid-convergence, or the
+        // topology changed since — loads it.
+        if is_master {
+            self.reconcile_now(ctl, dpid);
         }
     }
 

@@ -23,7 +23,7 @@ use zen_wire::{arp, ipv4, lldp, EthernetAddress};
 
 use crate::app::{App, Disposition};
 use crate::send_msg;
-use crate::southbound::{ProgramBase, Southbound};
+use crate::southbound::{delta, ProgramBase, Reconciled, Southbound};
 use crate::txn::{
     ActiveTxn, Consistency, FlowRole, NetworkUpdate, TxnPhase, UpdateOp, UpdatePlanner,
 };
@@ -244,17 +244,6 @@ pub struct CtlStats {
     pub intent_msgs_sent: u64,
 }
 
-/// What one [`Ctl::reconcile`] put on the wire.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Reconciled {
-    /// Messages sent; 0 when the switch already held the program.
-    pub mods: usize,
-    /// Of those, flow adds.
-    pub flows: usize,
-    /// Whether the whole program was loaded behind a cookie wipe.
-    pub full: bool,
-}
-
 /// Runtime state of one replica in a controller cluster.
 struct ClusterState {
     membership: Membership,
@@ -386,18 +375,17 @@ impl Ctl<'_, '_> {
     /// The replicated program stamp for `(dpid, cookie)`: the content
     /// hash the last master recorded for its installed program. `None`
     /// when never programmed or not clustered.
-    pub fn program_stamp(&self, dpid: Dpid, cookie: u64) -> Option<u64> {
+    fn program_stamp(&self, dpid: Dpid, cookie: u64) -> Option<u64> {
         self.cluster
             .as_ref()
             .and_then(|cl| cl.program_stamps.get(&(dpid, cookie)).copied())
     }
 
-    /// Record (and replicate east-west) the content hash of this app's
-    /// program on `dpid`. Apps call this right after programming a
-    /// switch; a standby that later takes the switch over compares the
-    /// stamp against its own desired hash and reprograms only on
+    /// Record (and replicate east-west) the stamp of the program just
+    /// sent to `dpid`; a standby that later takes the switch over
+    /// compares it against its own and loads the switch only on
     /// mismatch. No-op when not clustered or unchanged.
-    pub fn set_program_stamp(&mut self, dpid: Dpid, cookie: u64, hash: u64) {
+    fn set_program_stamp(&mut self, dpid: Dpid, cookie: u64, hash: u64) {
         if let Some(cl) = self.cluster.as_mut() {
             if cl.program_stamps.get(&(dpid, cookie)) == Some(&hash) {
                 return;
@@ -415,12 +403,11 @@ impl Ctl<'_, '_> {
     /// State-programming messages (flow/group/meter mods) are tracked
     /// by the southbound session until a barrier acknowledges them.
     pub fn send(&mut self, dpid: Dpid, msg: &Message) {
-        self.send_for(dpid, msg, None);
+        self.send_as(dpid, msg, false);
     }
 
-    /// [`Ctl::send`], for a message that is a step of the program
-    /// `program` names by its cookie.
-    fn send_for(&mut self, dpid: Dpid, msg: &Message, program: Option<u64>) {
+    /// [`Ctl::send`]; `program` marks a step of a reconciled program.
+    fn send_as(&mut self, dpid: Dpid, msg: &Message, program: bool) {
         let Some(&node) = self.registry.get(&dpid) else {
             return;
         };
@@ -485,11 +472,23 @@ impl Ctl<'_, '_> {
     /// Bring `dpid` to the program an app wants it to hold under
     /// `cookie`: `groups` in install order, and the flows `flows`
     /// renders (asked for only when they have to be sent), whose
-    /// [`crate::flows_stamp`] is `flows_stamp`. The app's cookie is
-    /// wiped and the whole program loaded behind it; what the switch
-    /// will then hold is kept as the session's base for that cookie,
-    /// and the program's stamp is recorded in the replicated view so a
-    /// peer replica can tell whether a takeover needs to reprogram.
+    /// [`crate::flows_stamp`] is `flows_stamp`. This is the one way a
+    /// program reaches a switch, whatever the occasion — a view change,
+    /// a returning switch, a takeover.
+    ///
+    /// The program is diffed against the session's *base* for the
+    /// cookie, the hashes of what the switch holds once every pending
+    /// mod has landed: only what differs is sent, and a switch with
+    /// nothing to change gets no message at all. Without a base, a
+    /// switch whose replicated stamp already equals the program's was
+    /// left that way by its previous master and is adopted as it
+    /// stands; any other gets the full load. The program then becomes
+    /// the base, and its stamp is recorded in the replicated view for
+    /// the next replica to take the switch over. A group the program
+    /// held and no longer does is not deleted on the spot but once it
+    /// has been out of every program for a second
+    /// (`southbound::GROUP_HOLD`). A switch this replica does not
+    /// master, or does not know, is left alone.
     pub fn reconcile(
         &mut self,
         dpid: Dpid,
@@ -498,28 +497,28 @@ impl Ctl<'_, '_> {
         flows_stamp: u64,
         flows: impl FnOnce() -> Vec<FlowSpec>,
     ) -> Reconciled {
+        let Some(&node) = self.registry.get(&dpid).filter(|_| self.is_master(dpid)) else {
+            return Reconciled::default();
+        };
         let desired = ProgramBase::of(flows_stamp, &groups);
         let stamp = desired.stamp();
-        let flows = flows();
-        let sent = Reconciled {
-            mods: 1 + groups.len() + flows.len(),
-            flows: flows.len(),
-            full: true,
+        let base = self.southbound.base(node, cookie);
+        if base == Some(&desired) {
+            return Reconciled::default();
+        }
+        let adopt = base.is_none() && self.program_stamp(dpid, cookie) == Some(stamp);
+        let (msgs, sent, left) = if adopt {
+            Default::default()
+        } else {
+            delta(base, &desired, cookie, groups, flows)
         };
-        let cmd = FlowModCmd::DeleteByCookie { cookie };
-        self.send_for(dpid, &Message::FlowMod { table_id: 0, cmd }, Some(cookie));
-        for (group_id, desc) in groups {
-            let cmd = GroupModCmd::Add(desc);
-            self.send_for(dpid, &Message::GroupMod { group_id, cmd }, Some(cookie));
+        for msg in &msgs {
+            self.send_as(dpid, msg, true);
         }
-        for spec in flows {
-            let cmd = FlowModCmd::Add(spec);
-            self.send_for(dpid, &Message::FlowMod { table_id: 0, cmd }, Some(cookie));
-        }
-        self.stats.txns_committed += 1;
-        if let Some(&node) = self.registry.get(&dpid).filter(|_| self.is_master(dpid)) {
-            self.southbound.set_base(node, dpid, cookie, desired);
-        }
+        self.stats.txns_committed += u64::from(!msgs.is_empty());
+        let now = self.ctx.now();
+        self.southbound
+            .rebase(node, dpid, cookie, desired, left, now);
         self.set_program_stamp(dpid, cookie, stamp);
         sent
     }
@@ -712,7 +711,9 @@ pub struct Controller {
     /// after takeovers and healed partitions), not a new handshake —
     /// the reply updates the view and nothing else.
     port_refresh: BTreeSet<Dpid>,
-    /// Latest generation each agent reported in HELLO_RESYNC.
+    /// The least each agent's mutation generation can be, short of a
+    /// reboot: what it last reported in HELLO_RESYNC, plus one for
+    /// every mod it has acknowledged since.
     agent_generations: BTreeMap<Dpid, u64>,
     /// Present when this controller is a replica in a cluster.
     cluster: Option<ClusterState>,
@@ -838,7 +839,9 @@ impl Controller {
         self.southbound.base(node, cookie).map(ProgramBase::stamp)
     }
 
-    /// The latest HELLO_RESYNC generation reported by a switch.
+    /// The least `dpid`'s mutation generation can be, short of a
+    /// reboot: its latest HELLO_RESYNC report plus the mods it has
+    /// acknowledged since.
     pub fn agent_generation(&self, dpid: Dpid) -> Option<u64> {
         self.agent_generations.get(&dpid).copied()
     }
@@ -901,8 +904,9 @@ impl Controller {
         }
     }
 
-    /// The current cookie shadow of `dpid` in wire form.
-    fn shadow_cookies(&self, dpid: Dpid) -> Vec<CookieCount> {
+    /// The current cookie shadow of `dpid` in wire form: the flow
+    /// entries this controller believes the switch holds, per cookie.
+    pub fn shadow_cookies(&self, dpid: Dpid) -> Vec<CookieCount> {
         self.shadow
             .get(&dpid)
             .map(|m| {
@@ -1425,6 +1429,7 @@ impl Controller {
                 self.stats.mods_superseded += 1;
                 self.planner.note_xid(x, false);
             }
+            self.southbound.relinquish(node);
         }
         self.note_mastership_trace(ctx, dpid, false);
         self.with_apps(ctx, |apps, ctl| {
@@ -1443,7 +1448,7 @@ impl Controller {
         };
         let now = ctx.now();
         let live_before = cl.membership.live();
-        cl.membership.scan(now);
+        let flipped = cl.membership.scan(now);
         // A peer coming back from the dead usually means a partition
         // healed — and if *we* were the isolated side, we missed every
         // PORT_STATUS broadcast in the window (we kept mastering our
@@ -1585,18 +1590,35 @@ impl Controller {
             .collect();
         let gained: Vec<Dpid> = desired.difference(&cl.my_masters).copied().collect();
         let lost: Vec<Dpid> = cl.my_masters.difference(&desired).copied().collect();
-        let refresh: Vec<Dpid> = if peer_revived {
-            // Skip the freshly gained (their takeover path refreshes).
-            desired
-                .iter()
-                .copied()
-                .filter(|d| cl.my_masters.contains(d))
-                .collect()
-        } else {
-            Vec::new()
+        // The switches kept through a change of the live set (the
+        // freshly gained are settled by their takeover path).
+        let kept = |when: bool| -> Vec<Dpid> {
+            let kept = desired.iter().filter(|d| when && cl.my_masters.contains(d));
+            kept.copied().collect()
         };
+        let (reassert, refresh) = (kept(flipped), kept(peer_revived));
         cl.my_masters = desired;
         self.cluster = Some(cl);
+
+        // A peer that flipped was cut off from us, and we from it: each
+        // side presumes the other dead and claims its switches. Say who
+        // we are now at every switch we keep, so whichever claim ranks
+        // higher holds it and the other side hears that it lost — a
+        // controller that programs by difference may not send a mod
+        // (whose bounce would tell it) for a long while.
+        let (term, replica) = claim;
+        for &dpid in &reassert {
+            let role = Role::Master;
+            self.send_direct(
+                ctx,
+                dpid,
+                &Message::RoleRequest {
+                    role,
+                    term,
+                    replica,
+                },
+            );
+        }
 
         for &dpid in &refresh {
             self.port_refresh.insert(dpid);
@@ -1609,6 +1631,14 @@ impl Controller {
         }
         for &dpid in &gained {
             self.mastership_gained(ctx, dpid);
+        }
+        // The revived peer presumed us dead for as long as we presumed
+        // it: whoever adopted our switches in the meantime pointed
+        // their groups by its own view, and our bases describe what we
+        // last sent, not that. Have the apps re-assert them.
+        for &dpid in &refresh {
+            self.southbound.distrust_groups(self.registry[&dpid]);
+            self.resync_apps(ctx, dpid);
         }
     }
 
@@ -1633,10 +1663,11 @@ impl Controller {
     }
 
     /// Resend unacked mods past their timeout; abandon ones out of
-    /// retries.
+    /// retries, and have the apps rebuild a switch that a program mod
+    /// never reached. Then delete the groups whose hold has run out.
     fn retransmit_scan(&mut self, ctx: &mut Context<'_>) {
         let planner = &mut self.planner;
-        self.southbound.retransmit_scan(
+        let short = self.southbound.retransmit_scan(
             ctx,
             &self.view,
             self.cfg.mod_timeout,
@@ -1644,6 +1675,42 @@ impl Controller {
             &mut self.stats,
             |xid| planner.note_xid(xid, false),
         );
+        for dpid in short {
+            self.forget_stamps(dpid);
+            self.resync_apps(ctx, dpid);
+        }
+        // Groups that have been out of every program for the hold: go.
+        let view = &self.view;
+        let cluster = self.cluster.as_ref();
+        let ours =
+            |d| !view.is_quarantined(d) && cluster.is_none_or(|cl| cl.my_masters.contains(&d));
+        let condemned = self.southbound.condemned(ctx.now(), ours);
+        self.with_apps(ctx, |_, ctl| {
+            for (dpid, group_id) in condemned {
+                let cmd = GroupModCmd::Delete;
+                ctl.send(dpid, &Message::GroupMod { group_id, cmd });
+            }
+        });
+    }
+
+    /// `dpid`'s bases were dropped because it may not hold what they
+    /// said. The stamps this replica recorded for it go too: they are a
+    /// takeover's shortcut past the full load, and nothing vouches for
+    /// them now.
+    fn forget_stamps(&mut self, dpid: Dpid) {
+        let ours = |cl: &&mut ClusterState| cl.my_masters.contains(&dpid);
+        if let Some(cl) = self.cluster.as_mut().filter(ours) {
+            cl.program_stamps.retain(|&(d, _), _| d != dpid);
+        }
+    }
+
+    /// Tell the apps `dpid` may not hold what this controller believed.
+    fn resync_apps(&mut self, ctx: &mut Context<'_>, dpid: Dpid) {
+        self.with_apps(ctx, |apps, ctl| {
+            for app in apps.iter_mut() {
+                app.on_switch_resync(ctl, dpid);
+            }
+        });
     }
 
     /// Fence every switch that acquired pending mods since the last
@@ -2532,6 +2599,8 @@ impl Controller {
             Message::BarrierReply { applied } => {
                 let (stats, planner, shadow) =
                     (&mut self.stats, &mut self.planner, &mut self.shadow);
+                let mut shadow_moved = false;
+                let acked_before = stats.mods_acked;
                 let dpid = self
                     .southbound
                     .barrier_reply(from, xid, applied, |dpid, p| {
@@ -2548,13 +2617,18 @@ impl Controller {
                             }
                         }
                         if let Some(op) = p.shadow {
-                            op.apply(shadow.entry(dpid).or_default());
+                            shadow_moved |= op.apply(shadow.entry(dpid).or_default());
                         }
                     });
+                if let Some(dpid) = dpid {
+                    let acked = self.stats.mods_acked - acked_before;
+                    *self.agent_generations.entry(dpid).or_insert(0) += acked;
+                }
                 // Replicate the updated digest so a standby that later
                 // takes this switch over inherits an accurate shadow
-                // (one event per barrier, not per mod).
-                if let Some(dpid) = dpid.filter(|_| self.cluster.is_some()) {
+                // (one event per barrier, not per mod — and none for a
+                // batch of group mods, which leaves the counts alone).
+                if let Some(dpid) = dpid.filter(|_| shadow_moved && self.cluster.is_some()) {
                     let cookies = self.shadow_cookies(dpid);
                     self.log_event(ViewEvent::ShadowSet { dpid, cookies });
                 }
@@ -2566,11 +2640,17 @@ impl Controller {
                 let Some(&dpid) = self.rev_registry.get(&from) else {
                     return;
                 };
-                self.agent_generations.insert(dpid, generation);
+                // The generation counts mods applied since boot. One
+                // below what the switch has reported or acknowledged
+                // is a switch that restarted, and holds nothing of what
+                // it held — groups included, which the cookie digest
+                // does not see.
+                let least = self.agent_generations.insert(dpid, generation);
+                let restarted = least.is_some_and(|least| generation < least);
                 let reported: BTreeMap<u64, u32> =
                     cookies.iter().map(|c| (c.cookie, c.count)).collect();
                 let expected = self.shadow.get(&dpid).cloned().unwrap_or_default();
-                if reported == expected {
+                if reported == expected && !restarted {
                     // The switch kept exactly the state we believe it
                     // has; unacked mods stay pending and retransmit.
                     self.stats.resyncs_clean += 1;
@@ -2592,11 +2672,8 @@ impl Controller {
                     // Unquarantine *before* notifying apps so their
                     // reprogramming sees the switch in the graph.
                     self.view.unquarantine(dpid);
-                    self.with_apps(ctx, |apps, ctl| {
-                        for app in apps.iter_mut() {
-                            app.on_switch_resync(ctl, dpid);
-                        }
-                    });
+                    self.forget_stamps(dpid);
+                    self.resync_apps(ctx, dpid);
                 }
             }
             Message::RoleReply {

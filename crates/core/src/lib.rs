@@ -40,7 +40,7 @@ pub use agent::{AgentConfig, ConnLossPolicy, ConnState, PuntMeterConfig, SwitchA
 pub use app::{App, Disposition};
 pub use cbench::{CbenchConfig, CbenchMode, CbenchStats, CbenchSwitch};
 pub use controller::{
-    AdmissionConfig, Controller, ControllerConfig, Ctl, CtlStats, Reconciled, PUSHBACK_COOKIE,
+    AdmissionConfig, Controller, ControllerConfig, Ctl, CtlStats, PUSHBACK_COOKIE,
     PUSHBACK_IMPORTANCE, PUSHBACK_PRIORITY,
 };
 pub use harness::{
@@ -49,7 +49,7 @@ pub use harness::{
 };
 pub use shard_fabric::{build_shard_fat_tree, ShardFabric, ShardSwitch, ShardTrafficHost};
 pub use snapshot::export_jsonl;
-pub use southbound::{flows_stamp, ProgramBase};
+pub use southbound::{flows_stamp, ProgramBase, Reconciled};
 pub use txn::{Consistency, NetworkUpdate, UpdatePlanner};
 pub use view::{Dpid, HostEntry, NetworkView, SwitchInfo};
 

@@ -18,7 +18,7 @@ use std::hash::{Hash, Hasher};
 
 use zen_consensus::{fnv1a_fold, CHAIN_SEED};
 use zen_dataplane::{FlowSpec, GroupDesc};
-use zen_proto::{encode_barrier_request_into, encode_into, FlowModCmd, Message};
+use zen_proto::{encode_barrier_request_into, encode_into, FlowModCmd, GroupModCmd, Message};
 use zen_sim::{Context, Duration, Instant, NodeId};
 
 use crate::controller::CtlStats;
@@ -53,13 +53,14 @@ impl ShadowOp {
         }
     }
 
-    /// Fold the op into one switch's shadow.
-    pub(crate) fn apply(self, shadow: &mut BTreeMap<u64, u32>) {
+    /// Fold the op into one switch's shadow; whether that changed it.
+    pub(crate) fn apply(self, shadow: &mut BTreeMap<u64, u32>) -> bool {
         match self {
-            ShadowOp::Add(cookie) => *shadow.entry(cookie).or_insert(0) += 1,
-            ShadowOp::DeleteByCookie(cookie) => {
-                shadow.remove(&cookie);
+            ShadowOp::Add(cookie) => {
+                *shadow.entry(cookie).or_insert(0) += 1;
+                true
             }
+            ShadowOp::DeleteByCookie(cookie) => shadow.remove(&cookie).is_some(),
         }
     }
 }
@@ -111,15 +112,82 @@ impl ProgramBase {
     }
 
     /// The program's stamp — what a master records through
-    /// [`crate::controller::Ctl::set_program_stamp`] and a replica
-    /// taking the switch over compares its own against: the fold of the
-    /// per-entry hashes. Replicas run one binary and derive the program
-    /// from the same replicated view, so equal programs stamp equal;
-    /// any field a switch would forward differently under, and the
-    /// order of the groups or of the flows, moves it.
+    /// [`crate::controller::Ctl::reconcile`] and a replica taking the
+    /// switch over compares its own against: the fold of the per-entry
+    /// hashes. Replicas run one binary and derive the program from the
+    /// same replicated view, so equal programs stamp equal; any field a
+    /// switch would forward differently under, and the order of the
+    /// groups or of the flows, moves it.
     pub fn stamp(&self) -> u64 {
         stamp_of(self)
     }
+
+    /// The hash held for group `id`, looked for first at `hint` — where
+    /// it sits when the two programs list the same groups.
+    fn group(&self, id: u32, hint: usize) -> Option<u64> {
+        let at = |&(held, hash): &(u32, u64)| (held == id).then_some(hash);
+        let hinted = self.groups.get(hint).and_then(at);
+        hinted.or_else(|| self.groups.iter().find_map(at))
+    }
+}
+
+/// What one [`crate::controller::Ctl::reconcile`] put on the wire.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Reconciled {
+    /// Messages sent; 0 when the switch already held the program.
+    pub mods: usize,
+    /// Of those, flow adds.
+    pub flows: usize,
+    /// Whether the whole program was loaded behind a cookie wipe.
+    pub full: bool,
+}
+
+/// The messages that take a switch holding `base` under `cookie` to the
+/// program `desired` hashes, in the order they must apply. While the
+/// flow half stands, that is an add (which replaces) for every group
+/// the base lacks or holds differently. When it moved, or nothing is
+/// known of the switch, it is the one full load: the cookie wiped, then
+/// every group and every flow `flows` renders. Also returned: the ids
+/// of the groups the base holds and `desired` does not — not deleted
+/// here, see [`Southbound::rebase`].
+pub(crate) fn delta(
+    base: Option<&ProgramBase>,
+    desired: &ProgramBase,
+    cookie: u64,
+    groups: Vec<(u32, GroupDesc)>,
+    flows: impl FnOnce() -> Vec<FlowSpec>,
+) -> (Vec<Message>, Reconciled, Vec<u32>) {
+    let add_group = |(group_id, desc)| {
+        let cmd = GroupModCmd::Add(desc);
+        Message::GroupMod { group_id, cmd }
+    };
+    let flow_mod = |cmd| Message::FlowMod { table_id: 0, cmd };
+    let mut sent = Reconciled::default();
+    let mut msgs = Vec::new();
+    match base {
+        Some(base) if base.flows == desired.flows => {
+            let hashes = desired.groups.iter().enumerate();
+            for (group, (i, &(id, hash))) in groups.into_iter().zip(hashes) {
+                if base.group(id, i) != Some(hash) {
+                    msgs.push(add_group(group));
+                }
+            }
+        }
+        _ => {
+            let flows = flows();
+            sent.full = true;
+            sent.flows = flows.len();
+            msgs.reserve(1 + groups.len() + flows.len());
+            msgs.push(flow_mod(FlowModCmd::DeleteByCookie { cookie }));
+            msgs.extend(groups.into_iter().map(add_group));
+            let adds = flows.into_iter().map(FlowModCmd::Add);
+            msgs.extend(adds.map(flow_mod));
+        }
+    }
+    sent.mods = msgs.len();
+    let held = base.iter().flat_map(|b| b.groups.iter().enumerate());
+    let left = held.filter(|&(i, g)| desired.group(g.0, i).is_none());
+    (msgs, sent, left.map(|(_, g)| g.0).collect())
 }
 
 /// A flow/group/meter mod awaiting barrier acknowledgement.
@@ -129,9 +197,9 @@ pub(crate) struct PendingMod {
     bytes: Vec<u8>,
     /// Applied to the cookie shadow once acked.
     pub(crate) shadow: Option<ShadowOp>,
-    /// The cookie of the program this mod is a step of, if it is one:
-    /// should it never land, that program's base is no longer true.
-    program: Option<u64>,
+    /// Whether the mod is a step of a reconciled program: should it
+    /// never land, the session's bases are no longer true.
+    program: bool,
     sent_at: Instant,
     retries: u32,
 }
@@ -143,10 +211,12 @@ struct Session {
     /// Outstanding barriers: barrier xid → last mod xid it covers.
     barriers: BTreeMap<u32, u32>,
     /// What the switch holds once every pending mod has landed, per
-    /// program cookie. An entry is dropped the moment that stops being
-    /// known: one of the program's mods failed, or the session's mods
-    /// were superseded.
+    /// program cookie. Dropped the moment that stops being known: a
+    /// program mod failed, or the session's mods were superseded.
     bases: BTreeMap<u64, ProgramBase>,
+    /// Groups the switch holds that no program does any more, and
+    /// since when: deleted once that has lasted [`GROUP_HOLD`].
+    doomed: Vec<(u32, Instant)>,
 }
 
 impl Session {
@@ -156,16 +226,36 @@ impl Session {
             pending: VecDeque::new(),
             barriers: BTreeMap::new(),
             bases: BTreeMap::new(),
+            doomed: Vec::new(),
         }
     }
 
-    /// Stop tracking the mod at `i`; its program's base goes with it.
-    fn abandon(&mut self, i: usize) {
-        if let Some(cookie) = self.pending.remove(i).and_then(|p| p.program) {
-            self.bases.remove(&cookie);
+    /// Stop tracking the mod at `i`. If it was a step of a program the
+    /// bases go with it; returns whether it was.
+    fn abandon(&mut self, i: usize) -> bool {
+        let program = self.pending.remove(i).is_some_and(|p| p.program);
+        if program {
+            self.bases.clear();
         }
+        program
+    }
+
+    /// Drop the program mods still pending: they are steps between
+    /// programs no longer known to be there. Returns how many.
+    fn give_up_programs(&mut self) -> usize {
+        let before = self.pending.len();
+        self.pending.retain(|p| !p.program);
+        before - self.pending.len()
     }
 }
+
+/// How long a group outlives the last program that held it. A program
+/// follows the view, and a view can lose its way to a destination that
+/// is still there — links age out of it while a handover or a healed
+/// partition settles. Removing the group then turns every flow that
+/// names it into a black hole; leaving it costs nothing, the flows are
+/// there either way. The hold outlasts such gaps.
+pub(crate) const GROUP_HOLD: Duration = Duration::from_secs(1);
 
 /// Reliable delivery of state mods to every connected switch.
 #[derive(Default)]
@@ -181,39 +271,77 @@ impl Southbound {
         self.sessions.values().map(|s| s.pending.len()).sum()
     }
 
+    /// `node`'s session, opened if this is the first it is heard of.
+    fn session(&mut self, node: NodeId, dpid: Dpid) -> &mut Session {
+        let session = self.sessions.entry(node);
+        session.or_insert_with(|| Session::new(dpid))
+    }
+
     /// The base of `cookie`'s program on `node`'s switch, if known.
     pub(crate) fn base(&self, node: NodeId, cookie: u64) -> Option<&ProgramBase> {
         self.sessions.get(&node)?.bases.get(&cookie)
     }
 
     /// Record what `node`'s switch holds under `cookie` once the mods
-    /// just tracked for that program have landed.
-    pub(crate) fn set_base(&mut self, node: NodeId, dpid: Dpid, cookie: u64, base: ProgramBase) {
-        let session = self.sessions.entry(node);
+    /// just tracked for that program have landed. The groups in `left`
+    /// — held before, in no program now — are doomed from `now`; one
+    /// the program holds again is reprieved.
+    pub(crate) fn rebase(
+        &mut self,
+        node: NodeId,
+        dpid: Dpid,
+        cookie: u64,
+        base: ProgramBase,
+        left: Vec<u32>,
+        now: Instant,
+    ) {
+        let session = self.session(node, dpid);
         session
-            .or_insert_with(|| Session::new(dpid))
-            .bases
-            .insert(cookie, base);
+            .doomed
+            .retain(|d| base.group(d.0, usize::MAX).is_none());
+        session.doomed.extend(left.into_iter().map(|id| (id, now)));
+        session.bases.insert(cookie, base);
+    }
+
+    /// The groups doomed for [`GROUP_HOLD`] by `now`, with their
+    /// switches, on sessions `live` accepts; they are doomed no more.
+    pub(crate) fn condemned(
+        &mut self,
+        now: Instant,
+        live: impl Fn(Dpid) -> bool,
+    ) -> Vec<(Dpid, u32)> {
+        let mut out = Vec::new();
+        for session in self.sessions.values_mut().filter(|s| live(s.dpid)) {
+            let dpid = session.dpid;
+            session.doomed.retain(|&(id, since)| {
+                let due = now.duration_since(since) >= GROUP_HOLD;
+                if due {
+                    out.push((dpid, id));
+                }
+                !due
+            });
+        }
+        out
     }
 
     /// Start tracking a mod about to be sent to `node`: encode it — the
     /// only time it ever is — into the buffer the session keeps, and
     /// lend that buffer back for the caller to put on the channel.
-    /// `program` is the cookie of the program the mod is a step of.
+    /// `program` marks a step of a reconciled program.
     pub(crate) fn track(
         &mut self,
         node: NodeId,
         dpid: Dpid,
         xid: u32,
         msg: &Message,
-        program: Option<u64>,
+        program: bool,
         now: Instant,
     ) -> &[u8] {
         // Room for a typical flow or group mod without regrowing.
         let mut bytes = Vec::with_capacity(96);
         encode_into(&mut bytes, msg, xid);
-        let session = self.sessions.entry(node);
-        let session = session.or_insert_with(|| Session::new(dpid));
+        self.dirty.insert(node);
+        let session = self.session(node, dpid);
         debug_assert!(session.pending.back().is_none_or(|p| p.xid < xid));
         session.pending.push_back(PendingMod {
             xid,
@@ -223,7 +351,6 @@ impl Southbound {
             sent_at: now,
             retries: 0,
         });
-        self.dirty.insert(node);
         &session.pending.back().expect("just pushed").bytes
     }
 
@@ -304,12 +431,37 @@ impl Southbound {
         })
     }
 
-    /// Resend unacked mods older than `timeout`, oldest xid first over
-    /// all sessions; abandon ones already resent `max_retries` times,
-    /// handing their xids to `failed`. Mods to quarantined switches
+    /// `node`'s switch is another replica's to program now, doomed
+    /// groups included.
+    pub(crate) fn relinquish(&mut self, node: NodeId) {
+        if let Some(session) = self.sessions.get_mut(&node) {
+            session.doomed.clear();
+        }
+    }
+
+    /// A peer replica may have programmed `node`'s switch since this
+    /// controller last did. Whoever did worked from the same inventory,
+    /// so the flow half stands (the cookie digest of a resync would
+    /// show otherwise); the groups follow the view and may have been
+    /// pointed anywhere. Forget what each base says of them: the next
+    /// reconcile re-asserts every one, which replaces it in place.
+    pub(crate) fn distrust_groups(&mut self, node: NodeId) {
+        let bases = self.sessions.get_mut(&node).map(|s| s.bases.values_mut());
+        bases.into_iter().flatten().for_each(|b| b.groups.clear());
+    }
+
+    /// Resend unacked mods older than `timeout`, and with each every
+    /// mod queued behind it, oldest xid first over all sessions;
+    /// abandon ones already resent `max_retries` times, handing their
+    /// xids to `failed`. Mods to quarantined switches
     /// wait (the resync handshake decides their fate when the switch
     /// returns). Then forget barriers with nothing left to ack: a
     /// reply to one would find no mod at or below its mark.
+    ///
+    /// A program mod that never landed leaves its switch short of the
+    /// program the controller believed it was getting. Such a session
+    /// gives up on its other program mods on the spot, and the switches
+    /// are returned for their apps to rebuild.
     pub(crate) fn retransmit_scan(
         &mut self,
         ctx: &mut Context<'_>,
@@ -318,33 +470,37 @@ impl Southbound {
         max_retries: u32,
         stats: &mut CtlStats,
         mut failed: impl FnMut(u32),
-    ) {
+    ) -> Vec<Dpid> {
         let now = ctx.now();
         let mut due: Vec<(u32, NodeId)> = Vec::new();
         for (&node, session) in &self.sessions {
             if view.is_quarantined(session.dpid) {
                 continue;
             }
-            due.extend(
-                session
-                    .pending
-                    .iter()
-                    .filter(|p| now.duration_since(p.sent_at) >= timeout)
-                    .map(|p| (p.xid, node)),
-            );
+            // The queue replays from its first overdue mod on: what
+            // follows it was sent after it and must land after it, or
+            // the switch stops vouching for it (`AppliedXids`).
+            let overdue = |p: &PendingMod| now.duration_since(p.sent_at) >= timeout;
+            let from = session.pending.iter().position(overdue);
+            let replay = session.pending.iter().skip(from.unwrap_or(usize::MAX));
+            due.extend(replay.map(|p| (p.xid, node)));
         }
         due.sort_unstable();
+        let mut short = Vec::new();
         for (xid, node) in due {
             let session = self.sessions.get_mut(&node).expect("collected above");
-            let i = session
-                .pending
-                .binary_search_by_key(&xid, |p| p.xid)
-                .expect("collected above");
+            // Gone already if a sibling's failure distrusted the session.
+            let Ok(i) = session.pending.binary_search_by_key(&xid, |p| p.xid) else {
+                continue;
+            };
             let p = &mut session.pending[i];
             if p.retries >= max_retries {
-                session.abandon(i);
                 stats.mods_failed += 1;
                 failed(xid);
+                if session.abandon(i) {
+                    stats.mods_superseded += session.give_up_programs() as u64;
+                    short.push(session.dpid);
+                }
                 continue;
             }
             p.retries += 1;
@@ -360,6 +516,7 @@ impl Southbound {
                 .barriers
                 .retain(|_, &mut covered| oldest.is_some_and(|x| x <= covered));
         }
+        short
     }
 }
 
@@ -429,7 +586,7 @@ mod tests {
 
     /// Send `msg` as `xid` to `node` the way `Ctl::send` does.
     fn send(sb: &mut Southbound, ctx: &mut Context<'_>, node: NodeId, xid: u32, msg: &Message) {
-        let bytes = sb.track(node, 7, xid, msg, None, ctx.now());
+        let bytes = sb.track(node, 7, xid, msg, false, ctx.now());
         ctx.send_control_with(node, |buf| buf.extend_from_slice(bytes));
     }
 
@@ -456,6 +613,89 @@ mod tests {
                 _ => None,
             })
             .collect()
+    }
+
+    /// What a message does, in a word.
+    fn kind(msg: &Message) -> String {
+        match msg {
+            Message::GroupMod { group_id, cmd } => match cmd {
+                GroupModCmd::Add(_) => format!("group {group_id}"),
+                GroupModCmd::Delete => format!("no group {group_id}"),
+            },
+            Message::FlowMod { cmd, .. } => match cmd {
+                FlowModCmd::Add(_) => "flow".to_string(),
+                _ => "wipe".to_string(),
+            },
+            other => format!("{other:?}"),
+        }
+    }
+
+    /// A program of SELECT groups `id -> ports` whose flow half stamps
+    /// `flows`: its hashes, the messages from `base` to it, and the
+    /// groups it leaves behind.
+    fn step(
+        base: Option<&ProgramBase>,
+        flows: u64,
+        groups: &[(u32, &[PortNo])],
+    ) -> (ProgramBase, Vec<String>, Reconciled, Vec<u32>) {
+        let select = |ports: &[PortNo]| GroupDesc {
+            group_type: zen_dataplane::GroupType::Select,
+            buckets: ports
+                .iter()
+                .map(|&p| zen_dataplane::Bucket::output(p))
+                .collect(),
+        };
+        let groups: Vec<_> = groups.iter().map(|&(id, p)| (id, select(p))).collect();
+        let desired = ProgramBase::of(flows, &groups);
+        let render = || vec![FlowSpec::new(1, FlowMatch::ANY, vec![]).with_cookie(9)];
+        let (msgs, sent, left) = delta(base, &desired, 9, groups, render);
+        (desired, msgs.iter().map(kind).collect(), sent, left)
+    }
+
+    /// The diff a reconcile sends, and the fix for the groups that used
+    /// to leak: an id the program no longer holds is doomed, deleted
+    /// once it has been out of every program for the hold, and
+    /// reprieved if a program takes it back first.
+    #[test]
+    fn delta_sends_what_differs_and_dooms_what_left() {
+        // Nothing known of the switch: the full load.
+        let (held, msgs, sent, left) = step(None, 7, &[(1, &[1, 2]), (2, &[3]), (3, &[4])]);
+        assert_eq!(msgs, ["wipe", "group 1", "group 2", "group 3", "flow"]);
+        assert_eq!((sent.mods, sent.flows, sent.full), (5, 1, true));
+        assert!(left.is_empty());
+
+        // Group 1 re-pointed, 2 as it was, 3 left the program.
+        let wanted: [(u32, &[PortNo]); 2] = [(1, &[2]), (2, &[3])];
+        let (next, msgs, sent, left) = step(Some(&held), 7, &wanted);
+        assert_eq!((msgs, left), (vec!["group 1".to_string()], vec![3]));
+        assert_eq!((sent.mods, sent.flows, sent.full), (1, 0, false));
+        // The same groups listed the other way round: another stamp,
+        // nothing to send.
+        let (swapped, msgs, ..) = step(Some(&next), 7, &[wanted[1], wanted[0]]);
+        assert!(msgs.is_empty() && swapped.stamp() != next.stamp());
+        // The flow half moved too: the one full load.
+        let (_, msgs, sent, left) = step(Some(&held), 8, &wanted);
+        assert_eq!(msgs, ["wipe", "group 1", "group 2", "flow"]);
+        assert!(sent.full && left == [3]);
+        // What the base says of the groups forgotten: each re-asserted.
+        let mut suspect = next.clone();
+        suspect.groups.clear();
+        assert_eq!(step(Some(&suspect), 7, &wanted).1, ["group 1", "group 2"]);
+
+        // Group 3 is deleted when it has been out of the program for
+        // the hold, on a session that is live — not before, and not
+        // if a program holds it again by then.
+        let mut sb = Southbound::default();
+        let (node, t0) = (NodeId(4), Instant::from_secs(10));
+        sb.rebase(node, 7, 9, next.clone(), vec![3], t0);
+        let early = t0 + Duration::from_millis(999);
+        assert!(sb.condemned(early, |_| true).is_empty());
+        assert!(sb.condemned(t0 + GROUP_HOLD, |_| false).is_empty());
+        assert_eq!(sb.condemned(t0 + GROUP_HOLD, |_| true), [(7, 3)]);
+        assert!(sb.condemned(t0 + GROUP_HOLD, |_| true).is_empty());
+        sb.rebase(node, 7, 9, next, vec![3], t0);
+        sb.rebase(node, 7, 9, held, vec![], t0 + Duration::from_millis(500));
+        assert!(sb.condemned(t0 + GROUP_HOLD, |_| true).is_empty());
     }
 
     #[test]
@@ -492,9 +732,8 @@ mod tests {
                 assert!(sb.retire(switch, 12) && !sb.retire(switch, 12));
                 let mut shadow = BTreeMap::new();
                 sb.barrier_reply(switch, 51, vec![11, 12, 13], |_, p| {
-                    p.shadow
-                        .expect("flow adds carry a shadow op")
-                        .apply(&mut shadow)
+                    let op = p.shadow.expect("flow adds carry a shadow op");
+                    assert!(op.apply(&mut shadow), "an add moves the shadow");
                 });
                 assert_eq!(shadow, BTreeMap::from([(11, 1), (13, 1)]));
                 assert_eq!(sb.pending_mods(), 0);
@@ -528,7 +767,7 @@ mod tests {
                     send(sb, ctx, b, 2, &add(2));
                     send(sb, ctx, a, 3, &add(3));
                     // A quarantined switch's mods wait for its resync.
-                    sb.track(NodeId(9), 8, 4, &add(4), None, ctx.now());
+                    sb.track(NodeId(9), 8, 4, &add(4), false, ctx.now());
                     sb.flush_barriers(ctx, &mut 100, &mut CtlStats::default());
                 }),
                 // 100 ms old: not due yet.

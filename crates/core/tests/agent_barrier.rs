@@ -176,3 +176,72 @@ fn a_new_master_with_lower_xids_is_still_acknowledged() {
     assert!(new.errors.is_empty(), "the takeover was granted");
     assert_eq!(new.barrier_replies, vec![(13, vec![10, 11, 12])]);
 }
+
+/// A controller numbers its mods in the order it wants them applied;
+/// the channel may deliver them in another (a lost copy resent, or
+/// jitter). Two cases where the order matters. A cookie wipe that lands
+/// behind the adds that followed it removes them, so the switch stops
+/// vouching for them until they are replayed — the controller holds
+/// them pending behind the wipe. And a group mod overtaken by a later
+/// one for the same group leaves the later one's word standing.
+#[test]
+fn a_mod_that_lands_late_neither_hides_a_loss_nor_undoes_its_successor() {
+    let mut world = World::new(1);
+    let (switch, controller) = (NodeId(0), NodeId(1));
+    world.add_node(Box::new(SwitchAgent::new(7, 1, controller)));
+    let wipe = |cookie| Message::FlowMod {
+        table_id: 0,
+        cmd: FlowModCmd::DeleteByCookie { cookie },
+    };
+    let repoint = |port| Message::GroupMod {
+        group_id: 5,
+        cmd: GroupModCmd::Add(GroupDesc {
+            group_type: GroupType::Select,
+            buckets: vec![Bucket::output(port)],
+        }),
+    };
+    let script = vec![
+        (
+            ms(1),
+            vec![
+                // Wipe 20 was lost; the adds behind it were not.
+                (21, flow_add(0, 7)),
+                (22, flow_add(0, 8)),
+                (50, barrier(&[20, 21, 22])),
+                // Its resent copy lands, then only one of theirs does.
+                (20, wipe(7)),
+                (22, flow_add(0, 8)),
+                (51, barrier(&[20, 21, 22])),
+                (21, flow_add(0, 7)),
+                (52, barrier(&[21])),
+            ],
+        ),
+        (
+            ms(2),
+            vec![
+                // Group 5 to port 2, then to port 3 — delivered the
+                // other way round.
+                (31, repoint(3)),
+                (30, repoint(2)),
+                (53, barrier(&[30, 31])),
+            ],
+        ),
+    ];
+    world.add_node(Box::new(Script::new(switch, script)));
+    world.run_until(Instant::from_millis(5));
+
+    let script = world.node_as::<Script>(controller);
+    assert_eq!(
+        script.barrier_replies,
+        vec![
+            (50, vec![21, 22]),
+            (51, vec![20, 22]),
+            (52, vec![21]),
+            (53, vec![30, 31])
+        ]
+    );
+    let agent = world.node_as::<SwitchAgent>(switch);
+    assert_eq!(agent.dp.flow_count(), 2);
+    let (_, group) = agent.dp.groups().iter().next().expect("group 5");
+    assert_eq!(group.buckets, vec![Bucket::output(3)]);
+}
