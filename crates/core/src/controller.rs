@@ -711,10 +711,6 @@ pub struct Controller {
     /// after takeovers and healed partitions), not a new handshake —
     /// the reply updates the view and nothing else.
     port_refresh: BTreeSet<Dpid>,
-    /// The least each agent's mutation generation can be, short of a
-    /// reboot: what it last reported in HELLO_RESYNC, plus one for
-    /// every mod it has acknowledged since.
-    agent_generations: BTreeMap<Dpid, u64>,
     /// Present when this controller is a replica in a cluster.
     cluster: Option<ClusterState>,
     /// Present when `cfg.admission` is set.
@@ -752,7 +748,6 @@ impl Controller {
             resync_requested: BTreeMap::new(),
             features_requested: BTreeMap::new(),
             port_refresh: BTreeSet::new(),
-            agent_generations: BTreeMap::new(),
             cluster: None,
             admission: cfg.admission.map(AdmissionState::new),
             planner: UpdatePlanner::default(),
@@ -843,7 +838,7 @@ impl Controller {
     /// reboot: its latest HELLO_RESYNC report plus the mods it has
     /// acknowledged since.
     pub fn agent_generation(&self, dpid: Dpid) -> Option<u64> {
-        self.agent_generations.get(&dpid).copied()
+        self.southbound.generation(*self.registry.get(&dpid)?)
     }
 
     /// Access an application by index (post-run inspection).
@@ -2600,7 +2595,6 @@ impl Controller {
                 let (stats, planner, shadow) =
                     (&mut self.stats, &mut self.planner, &mut self.shadow);
                 let mut shadow_moved = false;
-                let acked_before = stats.mods_acked;
                 let dpid = self
                     .southbound
                     .barrier_reply(from, xid, applied, |dpid, p| {
@@ -2620,10 +2614,6 @@ impl Controller {
                             shadow_moved |= op.apply(shadow.entry(dpid).or_default());
                         }
                     });
-                if let Some(dpid) = dpid {
-                    let acked = self.stats.mods_acked - acked_before;
-                    *self.agent_generations.entry(dpid).or_insert(0) += acked;
-                }
                 // Replicate the updated digest so a standby that later
                 // takes this switch over inherits an accurate shadow
                 // (one event per barrier, not per mod — and none for a
@@ -2640,13 +2630,7 @@ impl Controller {
                 let Some(&dpid) = self.rev_registry.get(&from) else {
                     return;
                 };
-                // The generation counts mods applied since boot. One
-                // below what the switch has reported or acknowledged
-                // is a switch that restarted, and holds nothing of what
-                // it held — groups included, which the cookie digest
-                // does not see.
-                let least = self.agent_generations.insert(dpid, generation);
-                let restarted = least.is_some_and(|least| generation < least);
+                let restarted = self.southbound.restarted(from, dpid, generation);
                 let reported: BTreeMap<u64, u32> =
                     cookies.iter().map(|c| (c.cookie, c.count)).collect();
                 let expected = self.shadow.get(&dpid).cloned().unwrap_or_default();

@@ -217,6 +217,10 @@ struct Session {
     /// Groups the switch holds that no program does any more, and
     /// since when: deleted once that has lasted [`GROUP_HOLD`].
     doomed: Vec<(u32, Instant)>,
+    /// The least the switch's mutation generation can be, short of a
+    /// reboot: what it last reported in HELLO_RESYNC, plus one for
+    /// every mod it has acknowledged since.
+    generation: u64,
 }
 
 impl Session {
@@ -227,6 +231,7 @@ impl Session {
             barriers: BTreeMap::new(),
             bases: BTreeMap::new(),
             doomed: Vec::new(),
+            generation: 0,
         }
     }
 
@@ -406,7 +411,25 @@ impl Southbound {
             let p = session.pending.pop_front().expect("front checked");
             acked(session.dpid, p);
         }
-        (session.pending.len() < before).then_some(session.dpid)
+        let retired = before - session.pending.len();
+        session.generation += retired as u64;
+        (retired > 0).then_some(session.dpid)
+    }
+
+    /// `node`'s switch reports `generation`, the count of mods it has
+    /// applied since boot. Returns whether that is fewer than it is
+    /// known to have applied: a switch that restarted, and holds
+    /// nothing of what it held — groups included, which the cookie
+    /// digest of a resync does not see.
+    pub(crate) fn restarted(&mut self, node: NodeId, dpid: Dpid, generation: u64) -> bool {
+        let known = &mut self.session(node, dpid).generation;
+        generation < std::mem::replace(known, generation)
+    }
+
+    /// The least `node`'s switch's generation can be (see
+    /// [`Southbound::restarted`]).
+    pub(crate) fn generation(&self, node: NodeId) -> Option<u64> {
+        self.sessions.get(&node).map(|s| s.generation)
     }
 
     /// Stop tracking one mod `from` bounced (TABLE_FULL, NOT_MASTER).
