@@ -10,10 +10,13 @@
 use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
 
-use zen_dataplane::{AddOutcome, Datapath, DatapathId, Effect, MissPolicy, OverflowPolicy, PortNo};
+use zen_dataplane::{
+    AddOutcome, Datapath, DatapathId, Effect, FlowEntry, MissPolicy, OverflowPolicy, PortNo,
+    RemovedReason,
+};
 use zen_proto::{
-    decode_view, ErrorCode, FlowModCmd, GroupModCmd, Message, MessageView, MeterModCmd, PortDesc,
-    Role, StatsBody, StatsKind,
+    decode_view, encode_barrier_reply_into, ErrorCode, FlowModCmd, GroupModCmd, Message,
+    MessageView, MeterModCmd, PortDesc, Role, StatsBody, StatsKind,
 };
 use zen_sim::{Context, Duration, Node, NodeId};
 use zen_telemetry::{trace_id_for_frame, TraceEvent};
@@ -201,6 +204,13 @@ impl AppliedXids {
     }
 }
 
+/// Bump the sim counter `name`, registered the first time it moves and
+/// remembered in `cid` from then on.
+fn bump(ctx: &mut Context<'_>, cid: &mut Option<zen_sim::CounterId>, name: &'static str) {
+    let cid = *cid.get_or_insert_with(|| ctx.metrics().register_counter(name));
+    ctx.metrics().incr(cid);
+}
+
 /// The switch-side control agent.
 ///
 /// An agent holds one control connection per controller replica. In the
@@ -240,11 +250,19 @@ pub struct SwitchAgent {
     xid: u32,
     /// Token bucket gating PACKET_INs, when configured.
     punt_meter: Option<zen_dataplane::Meter>,
-    /// Cached metric handle for `defense.agent_punts_shed`.
+    /// Cached metric handles for `defense.agent_punts_shed`,
+    /// `fault.nonmaster_mod_rejected` and `pressure.table_full_rejected`.
     punt_shed_cid: Option<zen_sim::CounterId>,
+    nonmaster_cid: Option<zen_sim::CounterId>,
+    table_full_cid: Option<zen_sim::CounterId>,
     /// The effects of the frame being handled; kept only to recycle
     /// its allocation from frame to frame.
     effects: Vec<Effect>,
+    /// The decoded action list of the PACKET_OUT being executed,
+    /// likewise from one to the next.
+    actions: Vec<zen_dataplane::Action>,
+    /// What an expiry sweep evicted, likewise from sweep to sweep.
+    expired: Vec<(u8, FlowEntry, RemovedReason)>,
     /// Counters.
     pub stats: AgentStats,
 }
@@ -308,7 +326,11 @@ impl SwitchAgent {
                 .punt_meter
                 .map(|m| zen_dataplane::Meter::per_packet(m.rate_pps, m.burst)),
             punt_shed_cid: None,
+            nonmaster_cid: None,
+            table_full_cid: None,
             effects: Vec::new(),
+            actions: Vec::new(),
+            expired: Vec::new(),
             stats: AgentStats::default(),
         }
     }
@@ -497,10 +519,7 @@ impl SwitchAgent {
                             // datapath's miss policy; only the
                             // controller notification is suppressed.
                             self.stats.punts_metered += 1;
-                            let cid = *self.punt_shed_cid.get_or_insert_with(|| {
-                                ctx.metrics().register_counter("defense.agent_punts_shed")
-                            });
-                            ctx.metrics().incr(cid);
+                            bump(ctx, &mut self.punt_shed_cid, "defense.agent_punts_shed");
                             let rec = ctx.recorder();
                             if rec.is_enabled() {
                                 if let Some(tid) = trace_id_for_frame(&frame) {
@@ -558,10 +577,7 @@ impl SwitchAgent {
         ) && self.conns[ci].role != Role::Master
         {
             self.stats.nonmaster_rejected += 1;
-            let counter = ctx
-                .metrics()
-                .register_counter("fault.nonmaster_mod_rejected");
-            ctx.metrics().incr(counter);
+            bump(ctx, &mut self.nonmaster_cid, "fault.nonmaster_mod_rejected");
             let err = Message::Error {
                 code: ErrorCode::NotMaster,
                 data: xid.to_be_bytes().to_vec(),
@@ -632,13 +648,6 @@ impl SwitchAgent {
                 };
                 self.reply(ctx, ci, &reply, xid);
             }
-            Message::PacketOut {
-                in_port,
-                actions,
-                frame,
-            } => {
-                self.packet_out(ctx, in_port, &actions, &frame);
-            }
             Message::FlowMod { table_id, cmd } => {
                 if usize::from(table_id) >= self.dp.table_count()
                     && !matches!(cmd, FlowModCmd::DeleteByCookie { .. })
@@ -658,10 +667,11 @@ impl SwitchAgent {
                     match self.dp.add_flow(table_id, spec, now) {
                         AddOutcome::Refused => {
                             self.stats.table_full_rejected += 1;
-                            let counter = ctx
-                                .metrics()
-                                .register_counter("pressure.table_full_rejected");
-                            ctx.metrics().incr(counter);
+                            bump(
+                                ctx,
+                                &mut self.table_full_cid,
+                                "pressure.table_full_rejected",
+                            );
                             let err = Message::Error {
                                 code: ErrorCode::TableFull,
                                 data: xid.to_be_bytes().to_vec(),
@@ -767,14 +777,6 @@ impl SwitchAgent {
                         self.dp.remove_meter(meter_id);
                     }
                 }
-            }
-            Message::BarrierRequest { xids } => {
-                // Messages apply synchronously here, so ordering holds
-                // by construction — but on a lossy channel the fence
-                // must also say *which* of the covered mods arrived.
-                let mut applied = xids;
-                applied.retain(|&x| self.applied_xids.contains(x));
-                self.reply(ctx, ci, &Message::BarrierReply { applied }, xid);
             }
             Message::ResyncRequest => {
                 self.send_resync(ctx, ci);
@@ -919,8 +921,9 @@ impl Node for SwitchAgent {
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) {
         if token == TIMER_EXPIRE {
-            let removed = self.dp.expire(ctx.now().as_nanos());
-            for (table_id, entry, reason) in removed {
+            let mut expired = std::mem::take(&mut self.expired);
+            self.dp.expire(ctx.now().as_nanos(), &mut expired);
+            for (table_id, entry, reason) in expired.drain(..) {
                 let note = Message::FlowRemoved {
                     table_id,
                     priority: entry.spec.priority,
@@ -931,6 +934,7 @@ impl Node for SwitchAgent {
                 };
                 self.send_master(ctx, &note);
             }
+            self.expired = expired;
             ctx.set_timer(self.cfg.expire_interval, TIMER_EXPIRE);
         } else if token == TIMER_ECHO {
             // Judge each session by probes still unanswered on it, then
@@ -977,7 +981,23 @@ impl Node for SwitchAgent {
                             actions,
                             frame,
                         } => {
-                            self.packet_out(ctx, in_port, &actions, frame);
+                            let mut decoded = std::mem::take(&mut self.actions);
+                            decoded.clear();
+                            decoded.extend(actions.iter());
+                            self.packet_out(ctx, in_port, &decoded, frame);
+                            self.actions = decoded;
+                        }
+                        // Messages apply synchronously here, so ordering
+                        // holds by construction — but on a lossy channel
+                        // the fence must also say *which* of the covered
+                        // mods arrived: the request's list, filtered
+                        // straight into the channel.
+                        MessageView::BarrierRequest { xids } => {
+                            let window = &self.applied_xids;
+                            let applied = xids.iter().filter(|&x| window.contains(x));
+                            ctx.send_control_with(self.conns[ci].node, |buf| {
+                                encode_barrier_reply_into(buf, applied, xid)
+                            });
                         }
                         other => self.handle_message(ctx, ci, other.into_message(), xid),
                     }

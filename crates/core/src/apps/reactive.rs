@@ -36,6 +36,9 @@ pub struct ReactiveForwarding {
     pub pressure_idle_divisor: u64,
     /// Last TABLE_FULL heard per switch.
     table_full_at: BTreeMap<Dpid, Instant>,
+    /// The path of the punt being handled; kept only to recycle its
+    /// allocation from punt to punt.
+    path: Vec<(Dpid, PortNo)>,
     /// Paths installed (metric).
     pub paths_installed: u64,
     /// Edge floods performed (metric).
@@ -56,6 +59,7 @@ impl ReactiveForwarding {
             pressure_window: Duration::from_secs(2),
             pressure_idle_divisor: 4,
             table_full_at: BTreeMap::new(),
+            path: Vec::new(),
             paths_installed: 0,
             edge_floods: 0,
             table_full_events: 0,
@@ -128,11 +132,15 @@ impl App for ReactiveForwarding {
             return Disposition::Handled;
         };
 
-        // Shortest path from the punting switch to the host's switch;
-        // unknown switch or partitioned: drop.
-        let Some(hops) = ctl.view.routes().hops(dpid, host.dpid) else {
+        // Shortest path from the punting switch to the host's switch,
+        // with the port each hop sends out of; unknown switch or
+        // partitioned: drop.
+        let mut path = std::mem::take(&mut self.path);
+        let routes = ctl.view.routes();
+        if !routes.path(dpid, host.dpid, host.port, &mut path) {
+            self.path = path;
             return Disposition::Handled;
-        };
+        }
 
         // Install (eth_src, eth_dst) flows hop by hop. Switches inside
         // their table-full backoff window are skipped — the packet is
@@ -145,22 +153,10 @@ impl App for ReactiveForwarding {
             eth_dst: Some(dst),
             ..FlowMatch::ANY
         };
-        let mut first_out_port = None;
         // One transaction per path: the whole hop-by-hop program is
         // declared (and sent) as a unit.
         let mut txn = ctl.txn();
-        for (i, &hop) in hops.iter().enumerate() {
-            let out_port = if i + 1 < hops.len() {
-                match ctl.view.port_toward(hop, hops[i + 1]) {
-                    Some(p) => p,
-                    None => return Disposition::Handled, // view changed underneath
-                }
-            } else {
-                host.port
-            };
-            if i == 0 {
-                first_out_port = Some(out_port);
-            }
+        for &(hop, out_port) in &path {
             if self.backing_off(hop, now) {
                 self.installs_suppressed += 1;
                 continue;
@@ -172,9 +168,8 @@ impl App for ReactiveForwarding {
         }
         txn.commit(ctl);
         // Release the trigger packet along the fresh path.
-        if let Some(port) = first_out_port {
-            ctl.packet_out(dpid, in_port, &[Action::Output(port)], frame);
-        }
+        ctl.packet_out(dpid, in_port, &[Action::Output(path[0].1)], frame);
+        self.path = path;
         Disposition::Handled
     }
 

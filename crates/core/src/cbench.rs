@@ -33,7 +33,7 @@
 use std::collections::VecDeque;
 
 use zen_dataplane::PortNo;
-use zen_proto::{decode_view, Message, MessageView, PortDesc};
+use zen_proto::{decode_view, encode_barrier_reply_into, Message, MessageView, PortDesc};
 use zen_sim::{Context, Duration, Instant, Node, NodeId};
 use zen_wire::builder::PacketBuilder;
 use zen_wire::{EthernetAddress, Ipv4Address};
@@ -279,11 +279,6 @@ impl CbenchSwitch {
                 self.stats.echoes += 1;
                 self.reply(ctx, &Message::EchoReply { token }, xid);
             }
-            Message::BarrierRequest { xids } => {
-                self.stats.barriers += 1;
-                // No datapath: everything the wire delivered "applied".
-                self.reply(ctx, &Message::BarrierReply { applied: xids }, xid);
-            }
             Message::FlowMod { .. } => {
                 self.stats.flow_mods += 1;
                 if let Some((sim_at, wall_at)) = self.in_flight.pop_front() {
@@ -294,15 +289,6 @@ impl CbenchSwitch {
                 }
                 if let CbenchMode::Closed { .. } = self.cfg.mode {
                     self.punt(ctx);
-                }
-            }
-            Message::PacketOut { frame, .. } => {
-                // Distinguish discovery probes from punt releases by
-                // ethertype (LLDP = 0x88cc).
-                if frame.len() >= 14 && frame[12..14] == [0x88, 0xcc] {
-                    self.stats.lldp_outs += 1;
-                } else {
-                    self.stats.packet_outs += 1;
                 }
             }
             Message::ResyncRequest => {
@@ -374,13 +360,22 @@ impl Node for CbenchSwitch {
                     at += consumed;
                     match view {
                         // Hot path: classify the frame straight out of
-                        // the receive buffer.
+                        // the receive buffer, discovery probes apart
+                        // from punt releases by ethertype (LLDP).
                         MessageView::PacketOut { frame, .. } => {
                             if frame.len() >= 14 && frame[12..14] == [0x88, 0xcc] {
                                 self.stats.lldp_outs += 1;
                             } else {
                                 self.stats.packet_outs += 1;
                             }
+                        }
+                        // No datapath: everything the wire delivered
+                        // "applied".
+                        MessageView::BarrierRequest { xids } => {
+                            self.stats.barriers += 1;
+                            ctx.send_control_with(self.controller, |buf| {
+                                encode_barrier_reply_into(buf, xids.iter(), xid)
+                            });
                         }
                         other => self.handle(ctx, other.into_message(), xid),
                     }

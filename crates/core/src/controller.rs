@@ -14,7 +14,7 @@ use zen_consensus::{fnv1a, fnv1a_fold, Applied, IntentReplica, Outbound, KEEP_TA
 use zen_dataplane::{epoch_tag, Action, FlowMatch, FlowSpec, GroupDesc, Meter, PortNo};
 use zen_proto::{
     decode_view, encode_packet_out_into, intent_entry_bytes, CookieCount, ErrorCode, FlowModCmd,
-    GroupModCmd, Intent, IntentEntry, Message, MessageView, Role, ViewEvent,
+    GroupModCmd, Intent, IntentEntry, Message, MessageView, Role, ViewEvent, XidList,
 };
 use zen_sim::{Context, Duration, Instant, Node, NodeId};
 use zen_telemetry::{control_trace, trace_id_for_frame, TraceEvent, TraceId};
@@ -337,6 +337,32 @@ impl AdmissionState {
     }
 }
 
+/// One PACKET_IN of a control delivery: its ingress port, and where in
+/// the delivery's bytes its frame lies. Positions rather than slices, so
+/// the lists that hold punts borrow nothing and are kept from one
+/// delivery to the next.
+#[derive(Clone, Copy)]
+struct Punt {
+    in_port: PortNo,
+    at: usize,
+    len: usize,
+}
+
+impl Punt {
+    /// The punt of `frame`, a slice of `bytes`.
+    fn of(bytes: &[u8], in_port: PortNo, frame: &[u8]) -> Punt {
+        let (at, len) = (
+            frame.as_ptr() as usize - bytes.as_ptr() as usize,
+            frame.len(),
+        );
+        Punt { in_port, at, len }
+    }
+
+    fn frame<'a>(&self, bytes: &'a [u8]) -> &'a [u8] {
+        &bytes[self.at..self.at + self.len]
+    }
+}
+
 /// The services handle passed to applications: the network view plus
 /// typed message-sending helpers.
 pub struct Ctl<'a, 'w> {
@@ -352,6 +378,8 @@ pub struct Ctl<'a, 'w> {
     planner: &'a mut UpdatePlanner,
     intent_owners: &'a mut BTreeMap<u64, &'static str>,
     local_intents: &'a mut Vec<(u64, Intent)>,
+    /// The emptied op list of the last update sent, for the next.
+    spare_ops: &'a mut Vec<UpdateOp>,
 }
 
 impl Ctl<'_, '_> {
@@ -530,7 +558,10 @@ impl Ctl<'_, '_> {
     /// epoch-versioned two-phase commit for multi-switch per-packet
     /// ones).
     pub fn txn(&mut self) -> NetworkUpdate {
-        NetworkUpdate::default()
+        NetworkUpdate {
+            ops: std::mem::take(self.spare_ops),
+            ..NetworkUpdate::default()
+        }
     }
 
     /// The configuration epoch a transaction staged *now* would commit
@@ -563,8 +594,9 @@ impl Ctl<'_, '_> {
     /// Multi-switch per-packet updates are queued for the controller's
     /// epoch planner, which runs them through the two-phase protocol
     /// from its timer.
-    pub(crate) fn commit_update(&mut self, update: NetworkUpdate) {
+    pub(crate) fn commit_update(&mut self, mut update: NetworkUpdate) {
         if update.is_empty() {
+            *self.spare_ops = update.ops;
             return;
         }
         let two_phase =
@@ -573,10 +605,11 @@ impl Ctl<'_, '_> {
             if update.consistency == Consistency::PerPacket {
                 self.stats.txns_fast += 1;
             }
-            for op in update.ops {
+            for op in update.ops.drain(..) {
                 let (dpid, msg) = op.into_message();
                 self.send(dpid, &msg);
             }
+            *self.spare_ops = update.ops;
             self.stats.txns_committed += 1;
         } else {
             self.planner.queue.push_back(update);
@@ -723,6 +756,13 @@ pub struct Controller {
     /// Standalone-mode intent queue: commits on the next timer tick
     /// without a cluster round.
     local_intents: Vec<(u64, Intent)>,
+    /// The PACKET_INs of the delivery being decoded, and those of them
+    /// that go on to the apps; kept only to recycle their allocations
+    /// from one delivery to the next.
+    punts: Vec<Punt>,
+    dispatch: Vec<(Punt, Option<TraceId>)>,
+    /// Likewise the op list of the last network update sent.
+    spare_ops: Vec<UpdateOp>,
     xid: u32,
     /// Counters.
     pub stats: CtlStats,
@@ -753,6 +793,9 @@ impl Controller {
             planner: UpdatePlanner::default(),
             intent_owners: BTreeMap::new(),
             local_intents: Vec::new(),
+            punts: Vec::new(),
+            dispatch: Vec::new(),
+            spare_ops: Vec::new(),
             xid: 1,
             stats: CtlStats::default(),
         }
@@ -874,6 +917,7 @@ impl Controller {
                 planner: &mut self.planner,
                 intent_owners: &mut self.intent_owners,
                 local_intents: &mut self.local_intents,
+                spare_ops: &mut self.spare_ops,
             };
             f(&mut apps, &mut ctl);
         }
@@ -1870,14 +1914,15 @@ impl Controller {
 
     /// Dispatch a batch of PACKET_INs from one control delivery into
     /// the app chain. Frames are borrowed straight from the receive
-    /// buffer; the per-dispatch overhead (session checks, mastership
-    /// lookup, app-vector swap) is paid once per batch instead of once
-    /// per punt.
+    /// buffer `bytes`; the per-dispatch overhead (session checks,
+    /// mastership lookup, app-vector swap) is paid once per batch
+    /// instead of once per punt.
     fn handle_packet_in_batch(
         &mut self,
         ctx: &mut Context<'_>,
         from: NodeId,
-        punts: &[(PortNo, &[u8])],
+        bytes: &[u8],
+        punts: &[Punt],
     ) {
         // Session preamble, once per batch. Peer replicas never punt;
         // drop rather than re-solicit a handshake from one.
@@ -1896,8 +1941,8 @@ impl Controller {
         // deferred to this switch's fair queue; queue overflow is shed
         // and charged to the offending (ingress, source MAC).
         let mut offenders_over: Vec<(PortNo, [u8; 6])> = Vec::new();
-        let within_budget: Vec<(PortNo, &[u8])>;
-        let admitted: &[(PortNo, &[u8])] = if let Some(adm) = self.admission.as_mut() {
+        let within_budget: Vec<Punt>;
+        let admitted: &[Punt] = if let Some(adm) = self.admission.as_mut() {
             let now = ctx.now();
             let cids = adm.counters(ctx);
             let recording = ctx.recorder().is_enabled();
@@ -1906,17 +1951,18 @@ impl Controller {
                 .entry(from)
                 .or_insert_with(|| Meter::per_packet(adm.cfg.rate_pps, adm.cfg.burst));
             let mut admitted = Vec::with_capacity(punts.len());
-            for &(in_port, frame) in punts {
+            for &punt in punts {
+                let (in_port, frame) = (punt.in_port, punt.frame(bytes));
                 // Discovery returns bypass the meter: losing topology
                 // under attack would turn one hostile port into a
                 // fabric-wide outage.
                 let is_lldp = frame.len() >= 14 && frame[12..14] == [0x88, 0xcc];
                 if is_lldp {
-                    admitted.push((in_port, frame));
+                    admitted.push(punt);
                     continue;
                 }
                 if meter.allow_one(now.as_nanos()) {
-                    admitted.push((in_port, frame));
+                    admitted.push(punt);
                     self.stats.punts_admitted += 1;
                     ctx.metrics().incr(cids[0]);
                     continue;
@@ -1964,20 +2010,23 @@ impl Controller {
         if !offenders_over.is_empty() {
             self.install_pushbacks(ctx, from, dpid, offenders_over);
         }
-        self.deliver_punts(ctx, dpid, admitted);
+        self.deliver_punts(ctx, dpid, bytes, admitted);
     }
 
-    /// Dispatch already-admitted punts from `dpid`: fold them into the
-    /// view (LLDP, host learning) and hand survivors to the app chain.
-    fn deliver_punts(&mut self, ctx: &mut Context<'_>, dpid: Dpid, punts: &[(PortNo, &[u8])]) {
+    /// Dispatch already-admitted punts from `dpid`, whose frames lie in
+    /// `bytes`: fold them into the view (LLDP, host learning) and hand
+    /// survivors to the app chain.
+    fn deliver_punts(&mut self, ctx: &mut Context<'_>, dpid: Dpid, bytes: &[u8], punts: &[Punt]) {
         // Stragglers: punts routed here while mastership was in flight
         // are still good observations (learned below), but only the
         // master drives the datapath in response.
         let master = self.is_master_of(dpid);
         let recording = ctx.recorder().is_enabled();
-        let mut dispatch: Vec<(PortNo, &[u8], Option<TraceId>)> = Vec::with_capacity(punts.len());
-        for &(in_port, frame) in punts {
-            if !self.observe_packet_in(ctx, dpid, in_port, frame) {
+        let mut dispatch = std::mem::take(&mut self.dispatch);
+        dispatch.clear();
+        for &punt in punts {
+            let frame = punt.frame(bytes);
+            if !self.observe_packet_in(ctx, dpid, punt.in_port, frame) {
                 continue;
             }
             if !master {
@@ -1992,13 +2041,11 @@ impl Controller {
             } else {
                 None
             };
-            dispatch.push((in_port, frame, trace));
-        }
-        if dispatch.is_empty() {
-            return;
+            dispatch.push((punt, trace));
         }
         self.with_apps(ctx, |apps, ctl| {
-            for &(in_port, frame, trace) in &dispatch {
+            for &(punt, trace) in &dispatch {
+                let (in_port, frame) = (punt.in_port, punt.frame(bytes));
                 if trace.is_some() {
                     ctl.ctx.recorder().begin_trace(trace);
                 }
@@ -2024,6 +2071,7 @@ impl Controller {
                 }
             }
         });
+        self.dispatch = dispatch;
     }
 
     /// Push back: install a targeted drop rule for each offender that
@@ -2415,28 +2463,83 @@ impl Controller {
             };
             self.stats.punts_drained += 1;
             ctx.metrics().incr(cids[2]);
-            self.deliver_punts(ctx, dpid, &[(in_port, &frame[..])]);
+            let punt = Punt::of(&frame, in_port, &frame);
+            self.deliver_punts(ctx, dpid, &frame, &[punt]);
         }
     }
 
-    fn handle_message(&mut self, ctx: &mut Context<'_>, from: NodeId, msg: Message, xid: u32) {
+    /// A switch answers a fence: retire what it confirms.
+    fn barrier_reply(
+        &mut self,
+        ctx: &mut Context<'_>,
+        from: NodeId,
+        xid: u32,
+        applied: XidList<'_>,
+    ) {
+        let (stats, planner, shadow) = (&mut self.stats, &mut self.planner, &mut self.shadow);
+        let mut shadow_moved = false;
+        let dpid = self
+            .southbound
+            .barrier_reply(from, xid, applied, |dpid, p| {
+                stats.mods_acked += 1;
+                planner.note_xid(p.xid, true);
+                let rec = ctx.recorder();
+                if rec.is_enabled() {
+                    if let Some(trace) = rec.take_xid(p.xid) {
+                        rec.record(
+                            ctx.now().as_nanos(),
+                            trace,
+                            TraceEvent::FlowModAcked { dpid, xid: p.xid },
+                        );
+                    }
+                }
+                if let Some(op) = p.shadow {
+                    shadow_moved |= op.apply(shadow.entry(dpid).or_default());
+                }
+            });
+        // Replicate the updated digest so a standby that later takes
+        // this switch over inherits an accurate shadow (one event per
+        // barrier, not per mod — and none for a batch of group mods,
+        // which leaves the counts alone).
+        if let Some(dpid) = dpid.filter(|_| shadow_moved && self.cluster.is_some()) {
+            let cookies = self.shadow_cookies(dpid);
+            self.log_event(ViewEvent::ShadowSet { dpid, cookies });
+        }
+    }
+
+    fn handle_message(
+        &mut self,
+        ctx: &mut Context<'_>,
+        from: NodeId,
+        view: MessageView<'_>,
+        xid: u32,
+    ) {
         // East-west traffic from a peer replica bypasses the switch-
         // session machinery below (quarantine, handshake re-solicit).
         if self.is_peer(from) {
-            self.handle_peer_message(ctx, msg);
+            self.handle_peer_message(ctx, view.into_message());
             return;
         }
         // Any frame from a quarantined switch means the channel is back;
         // ask for its state digest (quarantine lifts only on HelloResync,
         // so routing stays conservative until state is reconciled).
+        use MessageView::Owned;
         if let Some(&dpid) = self.rev_registry.get(&from) {
-            if self.view.is_quarantined(dpid) && !matches!(msg, Message::HelloResync { .. }) {
+            let resync = matches!(view, Owned(Message::HelloResync { .. }));
+            if self.view.is_quarantined(dpid) && !resync {
                 self.maybe_request_resync(ctx, dpid);
             }
-        } else if !matches!(msg, Message::Hello { .. } | Message::FeaturesReply { .. }) {
+        } else if !matches!(
+            view,
+            Owned(Message::Hello { .. } | Message::FeaturesReply { .. })
+        ) {
             self.resolicit_handshake(ctx, from);
         }
-        match msg {
+        if let MessageView::BarrierReply { applied } = view {
+            // Read where it lies: four of these come back per setup.
+            return self.barrier_reply(ctx, from, xid, applied);
+        }
+        match view.into_message() {
             Message::Hello { .. } => {
                 // Learn the session, ask who they are.
                 let hello = Message::Hello {
@@ -2507,11 +2610,6 @@ impl Controller {
                 });
                 // Probe its links right away.
                 self.discovery_round(ctx);
-            }
-            Message::PacketIn { in_port, frame, .. } => {
-                // Normally intercepted as a view in `on_control`; this
-                // arm only serves direct owned-message injection.
-                self.handle_packet_in_batch(ctx, from, &[(in_port, &frame)]);
             }
             Message::PortStatus { port } => {
                 let Some(&dpid) = self.rev_registry.get(&from) else {
@@ -2590,38 +2688,6 @@ impl Controller {
                         }
                     }
                 });
-            }
-            Message::BarrierReply { applied } => {
-                let (stats, planner, shadow) =
-                    (&mut self.stats, &mut self.planner, &mut self.shadow);
-                let mut shadow_moved = false;
-                let dpid = self
-                    .southbound
-                    .barrier_reply(from, xid, applied, |dpid, p| {
-                        stats.mods_acked += 1;
-                        planner.note_xid(p.xid, true);
-                        let rec = ctx.recorder();
-                        if rec.is_enabled() {
-                            if let Some(trace) = rec.take_xid(p.xid) {
-                                rec.record(
-                                    ctx.now().as_nanos(),
-                                    trace,
-                                    TraceEvent::FlowModAcked { dpid, xid: p.xid },
-                                );
-                            }
-                        }
-                        if let Some(op) = p.shadow {
-                            shadow_moved |= op.apply(shadow.entry(dpid).or_default());
-                        }
-                    });
-                // Replicate the updated digest so a standby that later
-                // takes this switch over inherits an accurate shadow
-                // (one event per barrier, not per mod — and none for a
-                // batch of group mods, which leaves the counts alone).
-                if let Some(dpid) = dpid.filter(|_| shadow_moved && self.cluster.is_some()) {
-                    let cookies = self.shadow_cookies(dpid);
-                    self.log_event(ViewEvent::ShadowSet { dpid, cookies });
-                }
             }
             Message::HelloResync {
                 generation,
@@ -2847,7 +2913,7 @@ impl Node for Controller {
         // PACKET_INs decode to borrowed views over `bytes` and are
         // collected for one batched app dispatch. Any other message
         // flushes the batch first, preserving relative order.
-        let mut punts: Vec<(PortNo, &[u8])> = Vec::new();
+        let mut punts = std::mem::take(&mut self.punts);
         while at < bytes.len() {
             match decode_view(&bytes[at..]) {
                 Ok((view, xid, consumed)) => {
@@ -2855,14 +2921,14 @@ impl Node for Controller {
                     self.stats.msgs_received += 1;
                     match view {
                         MessageView::PacketIn { in_port, frame, .. } => {
-                            punts.push((in_port, frame));
+                            punts.push(Punt::of(bytes, in_port, frame));
                         }
                         other => {
                             if !punts.is_empty() {
-                                let batch = std::mem::take(&mut punts);
-                                self.handle_packet_in_batch(ctx, from, &batch);
+                                self.handle_packet_in_batch(ctx, from, bytes, &punts);
+                                punts.clear();
                             }
-                            self.handle_message(ctx, from, other.into_message(), xid);
+                            self.handle_message(ctx, from, other, xid);
                         }
                     }
                 }
@@ -2874,8 +2940,10 @@ impl Node for Controller {
             }
         }
         if !punts.is_empty() {
-            self.handle_packet_in_batch(ctx, from, &punts);
+            self.handle_packet_in_batch(ctx, from, bytes, &punts);
+            punts.clear();
         }
+        self.punts = punts;
         self.planner_pump(ctx);
         self.flush_barriers(ctx);
     }

@@ -13,12 +13,14 @@
 //! barrier, answering a reply and sweeping dead barriers therefore
 //! touch one session's queue head and nothing else.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::hash::{Hash, Hasher};
 
 use zen_consensus::{fnv1a_fold, CHAIN_SEED};
 use zen_dataplane::{FlowSpec, GroupDesc};
-use zen_proto::{encode_barrier_request_into, encode_into, FlowModCmd, GroupModCmd, Message};
+use zen_proto::{
+    encode_barrier_request_into, encode_into, FlowModCmd, GroupModCmd, Message, XidList,
+};
 use zen_sim::{Context, Duration, Instant, NodeId};
 
 use crate::controller::CtlStats;
@@ -194,6 +196,8 @@ pub(crate) fn delta(
 pub(crate) struct PendingMod {
     pub(crate) xid: u32,
     /// The encoded frame (original xid), resent verbatim on timeout.
+    /// The buffer is one of [`Southbound::spare`]'s, and goes back there
+    /// when the mod is acknowledged.
     bytes: Vec<u8>,
     /// Applied to the cookie shadow once acked.
     pub(crate) shadow: Option<ShadowOp>,
@@ -208,8 +212,9 @@ struct Session {
     dpid: Dpid,
     /// Unacked mods, oldest first (rising xid).
     pending: VecDeque<PendingMod>,
-    /// Outstanding barriers: barrier xid → last mod xid it covers.
-    barriers: BTreeMap<u32, u32>,
+    /// Outstanding barriers, oldest first (rising xid): `(barrier xid,
+    /// last mod xid it covers)`.
+    barriers: Vec<(u32, u32)>,
     /// What the switch holds once every pending mod has landed, per
     /// program cookie. Dropped the moment that stops being known: a
     /// program mod failed, or the session's mods were superseded.
@@ -228,7 +233,7 @@ impl Session {
         Session {
             dpid,
             pending: VecDeque::new(),
-            barriers: BTreeMap::new(),
+            barriers: Vec::new(),
             bases: BTreeMap::new(),
             doomed: Vec::new(),
             generation: 0,
@@ -262,12 +267,21 @@ impl Session {
 /// there either way. The hold outlasts such gaps.
 pub(crate) const GROUP_HOLD: Duration = Duration::from_secs(1);
 
+/// How many acknowledged mods' buffers are kept for the mods to come,
+/// and the largest one worth keeping: a flow or group mod is some
+/// hundred bytes, and a fabric has tens of them in flight.
+const SPARE_BUFFERS: usize = 64;
+const SPARE_BUFFER_MAX: usize = 1 << 10;
+
 /// Reliable delivery of state mods to every connected switch.
 #[derive(Default)]
 pub(crate) struct Southbound {
     sessions: BTreeMap<NodeId, Session>,
-    /// Sessions with newly pending mods, awaiting a covering barrier.
-    dirty: BTreeSet<NodeId>,
+    /// Sessions with newly pending mods, awaiting a covering barrier:
+    /// noted as mods are tracked, put in order when flushed.
+    dirty: Vec<NodeId>,
+    /// Emptied buffers of acknowledged mods, at most [`SPARE_BUFFERS`].
+    spare: Vec<Vec<u8>>,
 }
 
 impl Southbound {
@@ -342,10 +356,11 @@ impl Southbound {
         program: bool,
         now: Instant,
     ) -> &[u8] {
-        // Room for a typical flow or group mod without regrowing.
-        let mut bytes = Vec::with_capacity(96);
+        let mut bytes = self.spare.pop().unwrap_or_default();
         encode_into(&mut bytes, msg, xid);
-        self.dirty.insert(node);
+        if self.dirty.last() != Some(&node) {
+            self.dirty.push(node);
+        }
         let session = self.session(node, dpid);
         debug_assert!(session.pending.back().is_none_or(|p| p.xid < xid));
         session.pending.push_back(PendingMod {
@@ -360,22 +375,25 @@ impl Southbound {
     }
 
     /// Fence every session that acquired pending mods since the last
-    /// flush: one BARRIER_REQUEST naming all its currently unacked
-    /// mods. The reply proves everything before it was applied.
+    /// flush, in ascending node order: one BARRIER_REQUEST naming all
+    /// its currently unacked mods. The reply proves everything before
+    /// it was applied.
     pub(crate) fn flush_barriers(
         &mut self,
         ctx: &mut Context<'_>,
         xid: &mut u32,
         stats: &mut CtlStats,
     ) {
-        while let Some(node) = self.dirty.pop_first() {
+        self.dirty.sort_unstable();
+        self.dirty.dedup();
+        for node in self.dirty.drain(..) {
             let Some(session) = self.sessions.get_mut(&node) else {
                 continue;
             };
             let Some(last) = session.pending.back() else {
                 continue;
             };
-            session.barriers.insert(*xid, last.xid);
+            session.barriers.push((*xid, last.xid));
             stats.msgs_sent += 1;
             let covered = session.pending.iter().map(|p| p.xid);
             ctx.send_control_with(node, |buf| encode_barrier_request_into(buf, covered, *xid));
@@ -393,23 +411,38 @@ impl Southbound {
     /// the retransmit path then replays it *after* the missing one.
     /// Retiring it here would let the delete land last and silently
     /// wipe state the shadow believes installed.
+    ///
+    /// The switch lists what it applied in the order the fence named
+    /// it, which is queue order, so each head is looked for where the
+    /// last one was found and on from there; a list in any other order
+    /// (or naming xids twice, or ones that are not this session's)
+    /// costs a second look from the top, nothing else.
     pub(crate) fn barrier_reply(
         &mut self,
         from: NodeId,
         xid: u32,
-        mut applied: Vec<u32>,
-        mut acked: impl FnMut(Dpid, PendingMod),
+        applied: XidList<'_>,
+        mut acked: impl FnMut(Dpid, &PendingMod),
     ) -> Option<Dpid> {
         let session = self.sessions.get_mut(&from)?;
-        let covered = session.barriers.remove(&xid)?;
-        applied.sort_unstable();
+        let at = session.barriers.iter().position(|b| b.0 == xid)?;
+        let (_, covered) = session.barriers.remove(at);
         let before = session.pending.len();
-        while let Some(head) = session.pending.front() {
-            if head.xid > covered || applied.binary_search(&head.xid).is_err() {
+        // Where the next head sits in a list that kept queue order.
+        let mut next = 0;
+        while let Some(head) = session.pending.front().filter(|p| p.xid <= covered) {
+            let listed = applied.iter().enumerate();
+            let mut from_next = listed.clone().skip(next).chain(listed.take(next));
+            let Some((at, _)) = from_next.find(|&(_, x)| x == head.xid) else {
                 break;
+            };
+            next = at + 1;
+            let mut p = session.pending.pop_front().expect("front checked");
+            acked(session.dpid, &p);
+            if self.spare.len() < SPARE_BUFFERS && p.bytes.capacity() <= SPARE_BUFFER_MAX {
+                p.bytes.clear();
+                self.spare.push(p.bytes);
             }
-            let p = session.pending.pop_front().expect("front checked");
-            acked(session.dpid, p);
         }
         let retired = before - session.pending.len();
         session.generation += retired as u64;
@@ -531,13 +564,13 @@ impl Southbound {
             stats.mods_retransmitted += 1;
             stats.msgs_sent += 1;
             ctx.send_control_with(node, |buf| buf.extend_from_slice(&p.bytes));
-            self.dirty.insert(node);
+            self.dirty.push(node);
         }
         for session in self.sessions.values_mut() {
             let oldest = session.pending.front().map(|p| p.xid);
             session
                 .barriers
-                .retain(|_, &mut covered| oldest.is_some_and(|x| x <= covered));
+                .retain(|&(_, covered)| oldest.is_some_and(|x| x <= covered));
         }
         short
     }
@@ -548,7 +581,7 @@ mod tests {
     use std::any::Any;
 
     use zen_dataplane::{FlowMatch, FlowSpec, PortNo};
-    use zen_proto::decode;
+    use zen_proto::{decode, decode_view, encode, MessageView};
     use zen_sim::{Node, World};
 
     use super::*;
@@ -611,6 +644,23 @@ mod tests {
     fn send(sb: &mut Southbound, ctx: &mut Context<'_>, node: NodeId, xid: u32, msg: &Message) {
         let bytes = sb.track(node, 7, xid, msg, false, ctx.now());
         ctx.send_control_with(node, |buf| buf.extend_from_slice(bytes));
+    }
+
+    /// `barrier_reply` as the controller calls it: on the list of a
+    /// BARRIER_REPLY naming `applied`, read where it was received.
+    fn reply(
+        sb: &mut Southbound,
+        from: NodeId,
+        xid: u32,
+        applied: &[u32],
+        acked: impl FnMut(Dpid, &PendingMod),
+    ) -> Option<Dpid> {
+        let applied = applied.to_vec();
+        let wire = encode(&Message::BarrierReply { applied }, xid);
+        let Ok((MessageView::BarrierReply { applied }, ..)) = decode_view(&wire) else {
+            panic!("a BARRIER_REPLY decodes to its view");
+        };
+        sb.barrier_reply(from, xid, applied, acked)
     }
 
     /// Run `steps` against two sinks; returns what each sink received.
@@ -734,19 +784,15 @@ mod tests {
                 sb.flush_barriers(ctx, &mut next, &mut stats); // nothing new: no second fence
                 assert_eq!((next, stats.msgs_sent), (51, 1));
 
-                // 11 never arrived; the switch lists what did, in any order.
+                // 11 never arrived; the switch lists what did, in any
+                // order, twice over, with xids that are nobody's here.
                 let mut acked = Vec::new();
-                let dpid = sb.barrier_reply(switch, 50, vec![12, 10], |_, p| acked.push(p.xid));
+                let listed = [12, 999, 10, 12, 10];
+                let dpid = reply(sb, switch, 50, &listed, |_, p| acked.push(p.xid));
                 assert_eq!((dpid, acked, sb.pending_mods()), (Some(7), vec![10], 2));
                 // A barrier answers once, and only to the switch it fenced.
-                assert_eq!(
-                    sb.barrier_reply(switch, 50, vec![11], |_, _| panic!()),
-                    None
-                );
-                assert_eq!(
-                    sb.barrier_reply(NodeId(9), 51, vec![11], |_, _| panic!()),
-                    None
-                );
+                assert_eq!(reply(sb, switch, 50, &[11], |_, _| panic!()), None);
+                assert_eq!(reply(sb, NodeId(9), 51, &[11], |_, _| panic!()), None);
 
                 // The next fence covers the survivors and the newcomer; a
                 // bounced mod in the middle is not a gap.
@@ -754,18 +800,79 @@ mod tests {
                 sb.flush_barriers(ctx, &mut next, &mut stats);
                 assert!(sb.retire(switch, 12) && !sb.retire(switch, 12));
                 let mut shadow = BTreeMap::new();
-                sb.barrier_reply(switch, 51, vec![11, 12, 13], |_, p| {
+                reply(sb, switch, 51, &[13, 12, 11], |_, p| {
                     let op = p.shadow.expect("flow adds carry a shadow op");
                     assert!(op.apply(&mut shadow), "an add moves the shadow");
                 });
                 assert_eq!(shadow, BTreeMap::from([(11, 1), (13, 1)]));
                 assert_eq!(sb.pending_mods(), 0);
+
+                // A fence covers what was pending when it went out: a
+                // reply naming a later mod does not retire it.
+                send(sb, ctx, switch, 14, &add(14));
+                sb.flush_barriers(ctx, &mut next, &mut stats);
+                send(sb, ctx, switch, 15, &add(15));
+                let mut acked = Vec::new();
+                reply(sb, switch, 52, &[14, 15], |_, p| acked.push(p.xid));
+                assert_eq!((acked, sb.pending_mods()), (vec![14], 1));
             })]
         });
         assert_eq!(
             barrier_xids(&received),
-            vec![(50, vec![10, 11, 12]), (51, vec![11, 12, 13])]
+            vec![
+                (50, vec![10, 11, 12]),
+                (51, vec![11, 12, 13]),
+                (52, vec![14])
+            ]
         );
+    }
+
+    /// An acknowledged mod's buffer serves the next mod tracked, on any
+    /// session, and holds that mod only: what is resent from it is the
+    /// new mod, whole, however long the old one was.
+    #[test]
+    fn a_reused_buffer_resends_only_its_own_mod() {
+        let long = Message::FlowMod {
+            table_id: 0,
+            cmd: FlowModCmd::Add(
+                FlowSpec::new(1, FlowMatch::ANY.with_l4_dst(53), vec![]).with_cookie(1),
+            ),
+        };
+        let short = Message::GroupMod {
+            group_id: 3,
+            cmd: GroupModCmd::Delete,
+        };
+        let [first, second] = run(|a, b| {
+            let (long, short) = (long.clone(), short.clone());
+            vec![
+                Box::new(move |sb, ctx| {
+                    send(sb, ctx, a, 1, &long);
+                    send(sb, ctx, a, 2, &add(2));
+                    sb.flush_barriers(ctx, &mut 100, &mut CtlStats::default());
+                    // Bounced from the middle of the queue, then the
+                    // head acknowledged: one buffer comes back.
+                    assert!(sb.retire(a, 2));
+                    assert_eq!(reply(sb, a, 100, &[1], |_, _| {}), Some(7));
+                    assert_eq!((sb.pending_mods(), sb.spare.len()), (0, 1));
+                    let held = sb.spare[0].capacity();
+                    send(sb, ctx, b, 3, &short);
+                    assert!(sb.spare.is_empty(), "the spare buffer is in use");
+                    let reused = &sb.sessions[&b].pending[0].bytes;
+                    assert_eq!((reused.capacity(), reused.len()), (held, 15));
+                }),
+                Box::new(|_, _| {}),
+                Box::new(|sb, ctx| {
+                    let view = NetworkView::new();
+                    let timeout = Duration::from_millis(150);
+                    let mut stats = CtlStats::default();
+                    sb.retransmit_scan(ctx, &view, timeout, 1, &mut stats, |_| panic!());
+                    assert_eq!(stats.mods_retransmitted, 1);
+                }),
+            ]
+        });
+        assert_eq!(first[0], (1, long));
+        let resent: Vec<_> = second.iter().filter(|(xid, _)| *xid == 3).collect();
+        assert_eq!(resent, [&(3, short.clone()), &(3, short)]);
     }
 
     #[test]
@@ -804,7 +911,7 @@ mod tests {
                 Box::new(move |sb, ctx| {
                     assert_eq!(scan3(sb, ctx), (vec![1, 2, 3], 0));
                     assert_eq!(sb.pending_mods(), 1);
-                    assert_eq!(sb.barrier_reply(a, 100, vec![1, 3], |_, _| panic!()), None);
+                    assert_eq!(reply(sb, a, 100, &[1, 3], |_, _| panic!()), None);
                 }),
             ]
         });

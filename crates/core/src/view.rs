@@ -52,6 +52,8 @@ pub struct Routes {
     pub dpids: Vec<Dpid>,
     /// Dpid → node index.
     pub index: BTreeMap<Dpid, NodeIx>,
+    /// Edge index → the port the link leaves its source switch by.
+    edge_ports: Vec<PortNo>,
     trees: Vec<OnceCell<ShortestPaths>>,
 }
 
@@ -70,22 +72,39 @@ impl Routes {
         &self.tree_from(src).dist
     }
 
-    /// The switches along one shortest path from `from` to `to`, both
-    /// inclusive. `None` when either is unknown or `to` is unreachable.
-    pub fn hops(&self, from: Dpid, to: Dpid) -> Option<Vec<Dpid>> {
-        let (&src, &dst) = (self.index.get(&from)?, self.index.get(&to)?);
+    /// Fill `path` with one shortest path from `from` to `to`, a
+    /// `(switch, egress port)` pair per hop in travel order: towards
+    /// the next switch the port is [`NetworkView::port_toward`]'s
+    /// answer, the lowest live one; the last switch, `to`, gets
+    /// `last_port`. `false`, and nothing in `path`, when either switch
+    /// is unknown or `to` is unreachable.
+    pub fn path(
+        &self,
+        from: Dpid,
+        to: Dpid,
+        last_port: PortNo,
+        path: &mut Vec<(Dpid, PortNo)>,
+    ) -> bool {
+        path.clear();
+        let (Some(&src), Some(&dst)) = (self.index.get(&from), self.index.get(&to)) else {
+            return false;
+        };
         let tree = self.tree_from(src);
         if !tree.reachable(dst) {
-            return None;
+            return false;
         }
-        let mut hops = vec![to];
+        path.push((to, last_port));
         let mut cur = dst;
         while let Some(e) = tree.parent_edge[cur as usize] {
-            cur = self.graph.edge(e).from;
-            hops.push(self.dpids[cur as usize]);
+            let prev = self.graph.edge(e).from;
+            // Links enter the graph in port order, so of parallel
+            // links the first found is the lowest port's.
+            let lowest = self.graph.find_edge(prev, cur).unwrap_or(e);
+            path.push((self.dpids[prev as usize], self.edge_ports[lowest as usize]));
+            cur = prev;
         }
-        hops.reverse();
-        Some(hops)
+        path.reverse();
+        true
     }
 }
 
@@ -440,6 +459,13 @@ impl NetworkView {
     /// index→dpid table, and the dpid→index map. Edge `capacity` is 0
     /// (the view does not know line rates; TE apps supply them).
     pub fn graph(&self) -> (Graph, Vec<Dpid>, BTreeMap<Dpid, u32>) {
+        let (graph, dpids, index, _) = self.graph_with_ports();
+        (graph, dpids, index)
+    }
+
+    /// [`NetworkView::graph`], and per edge the port it leaves by.
+    #[allow(clippy::type_complexity)]
+    fn graph_with_ports(&self) -> (Graph, Vec<Dpid>, BTreeMap<Dpid, u32>, Vec<PortNo>) {
         let dpids: Vec<Dpid> = self.switches.keys().copied().collect();
         let index: BTreeMap<Dpid, u32> = dpids
             .iter()
@@ -447,15 +473,17 @@ impl NetworkView {
             .map(|(i, &d)| (d, i as u32))
             .collect();
         let mut graph = Graph::with_nodes(dpids.len());
+        let mut edge_ports = Vec::new();
         for (&(src, sp), &(dst, _)) in &self.links {
             if !self.port_up(src, sp) || self.is_quarantined(src) || self.is_quarantined(dst) {
                 continue;
             }
             if let (Some(&a), Some(&b)) = (index.get(&src), index.get(&dst)) {
                 graph.add_edge(a, b, 1, 0);
+                edge_ports.push(sp);
             }
         }
-        (graph, dpids, index)
+        (graph, dpids, index, edge_ports)
     }
 
     /// The routing snapshot of the current version: [`NetworkView::graph`]
@@ -464,12 +492,13 @@ impl NetworkView {
     /// what a fresh `graph()` + `dijkstra` would.
     pub fn routes(&self) -> &Routes {
         self.routes.get_or_init(|| {
-            let (graph, dpids, index) = self.graph();
+            let (graph, dpids, index, edge_ports) = self.graph_with_ports();
             let trees = vec![OnceCell::new(); dpids.len()];
             Routes {
                 graph,
                 dpids,
                 index,
+                edge_ports,
                 trees,
             }
         })

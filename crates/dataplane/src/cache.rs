@@ -2,8 +2,8 @@
 //!
 //! The slow path classifies a packet by walking every flow table with a
 //! linear priority scan. This module memoizes the *trajectory* of that
-//! walk — which entry matched in which table, and the action list it
-//! carried — behind two caches consulted in order:
+//! walk — which entry matched in which table, as positions into the
+//! tables — behind two caches consulted in order:
 //!
 //! 1. A **microflow cache**: exact match on the full parsed [`FlowKey`]
 //!    (which includes the ingress port). One entry per active flow;
@@ -13,56 +13,86 @@
 //!    match any packet that agrees on just those fields. One megaflow
 //!    covers every microflow the tables cannot distinguish.
 //!
-//! A hit replays the recorded per-table trajectory: the saved action
-//! lists are re-executed against the *current* packet and datapath
-//! state (meters, group buckets, port liveness), and the matched
-//! entries' counters are credited exactly as the slow path would.
-//! Replaying actions rather than memoized effects keeps stateful
-//! actions (meters, SELECT group hashing, TTL decrement) bit-identical
-//! to the uncached path without widening the mask.
+//! A hit replays the recorded per-table trajectory: each matched
+//! entry's list is run where it lives, in the table, against the
+//! *current* packet and datapath state (meters, group buckets, port
+//! liveness), and the entry's counters are credited exactly as the
+//! slow path would. Replaying the entries rather than memoized effects
+//! keeps stateful steps (meters, SELECT group hashing, TTL decrement)
+//! bit-identical to the uncached path without widening the mask.
 //!
 //! Consistency is by generation: any table/meter/port mutation clears
 //! both tiers ([`FlowCache::invalidate`]) and bumps a generation
-//! counter, so a cached trajectory's `(table, entry-index)` references
-//! are always valid when consulted.
+//! counter, so a cached trajectory's `(table, entry-index)` positions
+//! always name the entries the walk matched. That invariant is all
+//! that makes a program of positions sound: a table mutation that did
+//! not flush would leave positions naming whatever entry slid into
+//! them.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-use crate::action::Action;
 use crate::hash::BuildWordHasher;
 use crate::key::FlowKey;
 use crate::matching::KeyMask;
 
-/// One step of a recorded pipeline trajectory.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One step of a recorded pipeline trajectory: eight bytes, a position
+/// and nothing copied from the tables.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Segment {
-    /// The scan of `table_id` matched the entry at `entry_idx`; its
-    /// action list (cloned at record time) is re-executed on replay.
+    /// The scan of `table_id` matched the entry at `entry_idx`, which
+    /// replay credits and runs in place.
     Hit {
         /// Which table matched.
-        table_id: usize,
+        table_id: u8,
         /// Position of the matched entry within that table (stable
         /// until the next invalidation).
-        entry_idx: usize,
-        /// The matched entry's actions, cloned at record time.
-        actions: Vec<Action>,
+        entry_idx: u32,
     },
     /// The scan of `table_id` matched nothing; the datapath's miss
     /// policy applies.
     Miss {
         /// Which table missed.
-        table_id: usize,
+        table_id: u8,
     },
 }
 
+/// Segments a [`Program`] holds inline. Pipelines here are one or two
+/// tables deep; the bound is what keeps a microflow entry narrow.
+const INLINE_SEGMENTS: usize = 2;
+
 /// A memoized classification: the table-walk trajectory for one
-/// equivalence class of packets.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Program {
+/// equivalence class of packets. Both tiers hold it by value, so
+/// recording one allocates nothing and dropping one frees nothing — a
+/// trajectory longer than [`INLINE_SEGMENTS`] excepted, whose steps sit
+/// in one heap slice every copy shares.
+#[derive(Debug, Clone)]
+pub enum Program {
+    /// The first `.0` of the segments are the steps.
+    Inline(u8, [Segment; INLINE_SEGMENTS]),
+    /// More steps than fit inline.
+    Spilled(Arc<[Segment]>),
+}
+
+impl Program {
+    /// The program whose steps are `segments`, in pipeline order.
+    pub fn new(segments: &[Segment]) -> Program {
+        if segments.len() > INLINE_SEGMENTS {
+            return Program::Spilled(segments.into());
+        }
+        let mut held = [Segment::Miss { table_id: 0 }; INLINE_SEGMENTS];
+        held[..segments.len()].copy_from_slice(segments);
+        Program::Inline(segments.len() as u8, held)
+    }
+
     /// The recorded steps, in pipeline order.
-    pub segments: Vec<Segment>,
+    pub fn segments(&self) -> &[Segment] {
+        match self {
+            Program::Inline(len, held) => &held[..usize::from(*len)],
+            Program::Spilled(all) => all,
+        }
+    }
 }
 
 /// Observable cache counters, surfaced through datapath stats.
@@ -104,7 +134,7 @@ impl CacheStats {
 /// observe: lookups, inserts, removals, `len` and `clear` only.
 ///
 /// [`WordHasher`]: crate::hash::WordHasher
-type TierMap = HashMap<FlowKey, Arc<Program>, BuildWordHasher>;
+type TierMap = HashMap<FlowKey, Program, BuildWordHasher>;
 
 /// The two-tier flow cache. See the module docs for the design.
 #[derive(Debug, Default)]
@@ -147,10 +177,10 @@ impl FlowCache {
         self.generation
     }
 
-    /// Probe the exact-match tier. The program is lent, not cloned: a
-    /// microflow hit costs one hash probe and no reference-count
-    /// traffic. On `None`, continue with [`FlowCache::lookup_mega`].
-    pub fn lookup_micro(&mut self, key: &FlowKey) -> Option<&Arc<Program>> {
+    /// Probe the exact-match tier. The program is lent, not copied: a
+    /// microflow hit costs one hash probe. On `None`, continue with
+    /// [`FlowCache::lookup_mega`].
+    pub fn lookup_micro(&mut self, key: &FlowKey) -> Option<&Program> {
         let hit = self.micro.get(key);
         if hit.is_some() {
             self.stats.micro_hits += 1;
@@ -162,7 +192,7 @@ impl FlowCache {
     /// missed. A hit promotes the program into the microflow tier so
     /// later packets of the flow take the exact-match path; no hit
     /// counts the lookup as a cache miss.
-    pub fn lookup_mega(&mut self, key: &FlowKey) -> Option<&Arc<Program>> {
+    pub fn lookup_mega(&mut self, key: &FlowKey) -> Option<&Program> {
         let found = self
             .mega
             .iter()
@@ -172,19 +202,16 @@ impl FlowCache {
             return None;
         };
         self.stats.mega_hits += 1;
-        let program = Arc::clone(program);
+        let program = program.clone();
         self.insert_micro(*key, program);
         self.micro.get(key)
     }
 
     /// Record a slow-path classification: `key` (exact, for tier 1) and
     /// its consulted-field `mask` (for tier 2) both map to `program`.
-    /// Returns the shared handle so batch processing can replay the
-    /// trajectory for sibling frames without re-probing.
-    pub fn insert(&mut self, key: FlowKey, mask: KeyMask, program: Program) -> Arc<Program> {
-        let program = Arc::new(program);
+    pub fn insert(&mut self, key: FlowKey, mask: KeyMask, program: Program) {
         self.stats.inserts += 1;
-        self.insert_micro(key, Arc::clone(&program));
+        self.insert_micro(key, program.clone());
 
         let projected = mask.project(&key);
         let map = match self.mega.iter_mut().find(|(m, _)| *m == mask) {
@@ -196,7 +223,7 @@ impl FlowCache {
             }
         };
         if let Entry::Vacant(slot) = map.entry(projected) {
-            slot.insert(Arc::clone(&program));
+            slot.insert(program);
             self.mega_fifo.push_back((mask, projected));
             if self.mega_fifo.len() > MEGA_CAP {
                 if let Some((old_mask, old_key)) = self.mega_fifo.pop_front() {
@@ -213,10 +240,9 @@ impl FlowCache {
                 }
             }
         }
-        program
     }
 
-    fn insert_micro(&mut self, key: FlowKey, program: Arc<Program>) {
+    fn insert_micro(&mut self, key: FlowKey, program: Program) {
         if let Entry::Vacant(slot) = self.micro.entry(key) {
             slot.insert(program);
             self.micro_fifo.push_back(key);
@@ -295,20 +321,34 @@ mod tests {
     }
 
     /// Both tiers in order, as the datapath probes them.
-    fn lookup(cache: &mut FlowCache, key: &FlowKey) -> Option<Arc<Program>> {
+    fn lookup(cache: &mut FlowCache, key: &FlowKey) -> Option<Program> {
         if let Some(program) = cache.lookup_micro(key) {
-            return Some(Arc::clone(program));
+            return Some(program.clone());
         }
         cache.lookup_mega(key).cloned()
     }
 
     fn program(tag: usize) -> Program {
-        Program {
-            segments: vec![Segment::Hit {
-                table_id: 0,
-                entry_idx: tag,
-                actions: vec![],
-            }],
+        Program::new(&[Segment::Hit {
+            table_id: 0,
+            entry_idx: tag as u32,
+        }])
+    }
+
+    /// A microflow entry stays narrow, and a trajectory deeper than
+    /// the inline bound keeps every step in order.
+    #[test]
+    fn programs_are_narrow_and_spill_in_order() {
+        assert_eq!(std::mem::size_of::<Segment>(), 8);
+        assert!(std::mem::size_of::<Program>() <= 24);
+        let steps: Vec<Segment> = (0..5)
+            .map(|table_id| Segment::Hit {
+                table_id,
+                entry_idx: 100 + u32::from(table_id),
+            })
+            .collect();
+        for depth in 0..=steps.len() {
+            assert_eq!(Program::new(&steps[..depth]).segments(), &steps[..depth]);
         }
     }
 
@@ -318,7 +358,7 @@ mod tests {
         assert!(lookup(&mut cache, &key(1)).is_none());
         cache.insert(key(1), KeyMask::default(), program(7));
         let hit = lookup(&mut cache, &key(1)).unwrap();
-        assert_eq!(hit.segments, program(7).segments);
+        assert_eq!(hit.segments(), program(7).segments());
         assert_eq!(cache.stats.micro_hits, 1);
         assert_eq!(cache.stats.misses, 1);
     }
@@ -476,8 +516,8 @@ mod tests {
         assert_eq!(cache.micro.len(), cache.micro_fifo.len(), "no FIFO drift");
         // The overwrite installed the new program, not the stale one.
         assert_eq!(
-            lookup(&mut cache, &key(10)).unwrap().segments,
-            program(2).segments
+            lookup(&mut cache, &key(10)).unwrap().segments(),
+            program(2).segments()
         );
     }
 }

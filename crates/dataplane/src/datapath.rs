@@ -2,7 +2,6 @@
 //! `process_batch` entry points over the same table walk.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
 
 use zen_telemetry::{trace_id_for_frame, CacheTier, Recorder, TraceEvent, TraceId};
 
@@ -155,6 +154,8 @@ pub struct Datapath {
     /// Scratch buffer holding the frame being rewritten, recycled across
     /// frames and calls.
     scratch_frame: Vec<u8>,
+    /// Scratch buffer for the trajectory a table walk records, likewise.
+    scratch_segments: Vec<Segment>,
 }
 
 /// Memoized cache-probe outcome for one microflow group within a batch.
@@ -162,7 +163,7 @@ pub struct Datapath {
 enum BatchMemo {
     /// The group's first frame resolved to this trajectory (cache hit or
     /// freshly installed); siblings replay it without re-probing.
-    Cached(Arc<Program>),
+    Cached(Program),
     /// The group's latest slow run terminated early (meter red, TTL), so
     /// nothing was cached; siblings re-run the slow path, still without
     /// re-probing.
@@ -214,8 +215,9 @@ impl Frame<'_> {
 
 /// Everything executing an action list reads or writes, borrowed field
 /// by field from the [`Datapath`] — apart from its tables and cache, so
-/// a cached trajectory can be replayed while the cache lends it and a
-/// group's buckets can run while the group table lends them.
+/// a cached trajectory can be replayed while the cache lends it, an
+/// entry's actions can run while its table lends them, and a group's
+/// buckets can run while the group table lends them.
 struct Exec<'a> {
     dpid: DatapathId,
     now: Nanos,
@@ -225,6 +227,8 @@ struct Exec<'a> {
     ports: &'a mut PortSlots,
     pipeline_drops: &'a mut u64,
     recorder: &'a Recorder,
+    /// Where [`Exec::walk`] notes the trajectory it records.
+    segments: &'a mut Vec<Segment>,
     /// Ingress port of the frame in the pipeline.
     in_port: PortNo,
     /// Its trace, set only while the recorder is enabled; lets the
@@ -400,9 +404,10 @@ impl Exec<'_> {
 
     /// Re-run a cached trajectory against the current frame and state.
     /// Mirrors [`Exec::walk`] exactly: entry and table counters are
-    /// credited as if the lookup had happened, actions execute against
-    /// live meter/group/port state, and a mid-replay drop (meter red,
-    /// TTL expired) terminates the walk just as it would uncached.
+    /// credited as if the lookup had happened, each entry's actions run
+    /// where they live against live meter/group/port state, and a
+    /// mid-replay drop (meter red, TTL expired) terminates the walk just
+    /// as it would uncached.
     fn replay(
         &mut self,
         tables: &mut [FlowTable],
@@ -412,21 +417,22 @@ impl Exec<'_> {
         effects: &mut Vec<Effect>,
     ) {
         let frame_len = frame.received.len();
-        for segment in &program.segments {
+        for &segment in program.segments() {
             match segment {
                 Segment::Hit {
                     table_id,
                     entry_idx,
-                    actions,
                 } => {
-                    tables[*table_id].record_hit(*entry_idx, frame_len, self.now);
-                    if !self.run(actions, key, frame, effects, *table_id as u8) {
+                    let entry = tables[usize::from(table_id)]
+                        .replay_hit(entry_idx as usize, frame_len, self.now)
+                        .expect("every table mutation flushes the cache");
+                    if !self.run(&entry.spec.actions, key, frame, effects, table_id) {
                         break;
                     }
                 }
                 Segment::Miss { table_id } => {
-                    tables[*table_id].record_miss();
-                    self.miss(*table_id as u8, frame.bytes(), effects);
+                    tables[usize::from(table_id)].record_miss();
+                    self.miss(table_id, frame.bytes(), effects);
                 }
             }
         }
@@ -447,31 +453,23 @@ impl Exec<'_> {
         let frame_len = frame.received.len();
         let mut table_id = 0u8;
         let mut mask = KeyMask::default();
-        let mut segments: Vec<Segment> = Vec::new();
+        self.segments.clear();
         loop {
             let table = &mut tables[table_id as usize];
             let Some((entry_idx, entry)) =
                 table.lookup_with_mask(key, frame_len, self.now, &mut mask)
             else {
-                if record {
-                    segments.push(Segment::Miss {
-                        table_id: table_id as usize,
-                    });
-                }
+                self.segments.push(Segment::Miss { table_id });
                 self.miss(table_id, frame.bytes(), effects);
                 break;
             };
-            let actions = entry.spec.actions.clone();
+            let entry_idx = entry_idx as u32;
+            self.segments.push(Segment::Hit {
+                table_id,
+                entry_idx,
+            });
             let goto = entry.spec.goto_table;
-            let forwarded = self.run(&actions, key, frame, effects, table_id);
-            if record {
-                segments.push(Segment::Hit {
-                    table_id: table_id as usize,
-                    entry_idx,
-                    actions,
-                });
-            }
-            if !forwarded {
+            if !self.run(&entry.spec.actions, key, frame, effects, table_id) {
                 // Dropped mid-pipeline (meter red or TTL expired). The
                 // tables this run never reached leave no record, so the
                 // trajectory is not a faithful classification — don't
@@ -486,7 +484,7 @@ impl Exec<'_> {
                 Some(_) | None => break,
             }
         }
-        record.then_some((mask, Program { segments }))
+        record.then(|| (mask, Program::new(self.segments)))
     }
 }
 
@@ -508,6 +506,7 @@ impl Datapath {
             recorder: Recorder::new(),
             batch_memo: HashMap::default(),
             scratch_frame: Vec::new(),
+            scratch_segments: Vec::new(),
         }
     }
 
@@ -660,18 +659,18 @@ impl Datapath {
         self.tables.iter().map(FlowTable::len).sum()
     }
 
-    /// Run table expiry; returns evicted entries for FLOW_REMOVED.
-    pub fn expire(&mut self, now: Nanos) -> Vec<(u8, FlowEntry, RemovedReason)> {
-        let mut removed = Vec::new();
+    /// Run table expiry, appending the evicted entries (for
+    /// FLOW_REMOVED) to `removed`: a caller that sweeps on a timer
+    /// keeps one buffer, and a sweep that finds nothing due touches
+    /// neither it nor the cache.
+    pub fn expire(&mut self, now: Nanos, removed: &mut Vec<(u8, FlowEntry, RemovedReason)>) {
+        let before = removed.len();
         for (id, table) in self.tables.iter_mut().enumerate() {
-            for (entry, reason) in table.expire(now) {
-                removed.push((id as u8, entry, reason));
-            }
+            table.expire_with(now, |entry, reason| removed.push((id as u8, entry, reason)));
         }
-        if !removed.is_empty() {
+        if removed.len() > before {
             self.cache.invalidate();
         }
-        removed
     }
 
     /// The group table (read-only; see [`Datapath::add_group`]).
@@ -726,6 +725,7 @@ impl Datapath {
             ports: &mut self.ports,
             pipeline_drops: &mut self.pipeline_drops,
             recorder: &self.recorder,
+            segments: &mut self.scratch_segments,
             in_port: 0,
             trace: None,
         };
@@ -866,16 +866,16 @@ impl Datapath {
                 Some((program, tier)) => {
                     exec.record_match(tier);
                     exec.replay(tables, program, &key, &mut frame, effects);
-                    (use_memo && probed).then(|| BatchMemo::Cached(Arc::clone(program)))
+                    (use_memo && probed).then(|| BatchMemo::Cached(program.clone()))
                 }
                 None => {
                     exec.record_match(CacheTier::Slow);
                     let walked = exec.walk(tables, cache_enabled, &key, &mut frame, effects);
-                    let installed = walked.map(|(mask, program)| cache.insert(key, mask, program));
-                    use_memo.then_some(match installed {
-                        Some(program) => BatchMemo::Cached(program),
-                        None => BatchMemo::SlowUncached,
-                    })
+                    let installed = walked.map(|(mask, program)| {
+                        cache.insert(key, mask, program.clone());
+                        BatchMemo::Cached(program)
+                    });
+                    use_memo.then(|| installed.unwrap_or(BatchMemo::SlowUncached))
                 }
             };
             if let Some(outcome) = remember {
@@ -1261,7 +1261,8 @@ mod tests {
             0,
         );
         assert_eq!(dp.flow_count(), 2);
-        let expired = dp.expire(100);
+        let mut expired = Vec::new();
+        dp.expire(100, &mut expired);
         assert_eq!(expired.len(), 1);
         assert_eq!(expired[0].2, RemovedReason::HardTimeout);
         assert_eq!(dp.delete_flows_by_cookie(5).len(), 1);

@@ -1,6 +1,9 @@
 //! Priority-ordered flow tables with timeouts and counters.
 
+use std::hash::BuildHasher;
+
 use crate::action::Action;
+use crate::hash::BuildWordHasher;
 use crate::key::FlowKey;
 use crate::matching::{FlowMatch, KeyMask};
 use crate::Nanos;
@@ -86,6 +89,15 @@ pub struct FlowEntry {
     /// Insertion sequence, breaking priority ties deterministically
     /// (earlier installation wins).
     seq: u64,
+    /// [`identity`] of the spec, made once when the entry is added.
+    id: u64,
+}
+
+/// A hash of what makes two specs the same entry — `(priority, match)`
+/// — so the write side can tell entries apart by one word and compare
+/// matches only when the word agrees.
+fn identity(priority: u16, matcher: &FlowMatch) -> u64 {
+    BuildWordHasher::default().hash_one((priority, matcher))
 }
 
 /// Why an entry was removed (reported to the controller).
@@ -179,19 +191,17 @@ impl FlowTable {
     /// insert into a full table follows the configured
     /// [`OverflowPolicy`]; see [`AddOutcome`].
     pub fn add(&mut self, spec: FlowSpec, now: Nanos) -> AddOutcome {
-        if let Some(existing) = self
-            .entries
-            .iter_mut()
-            .find(|e| e.spec.priority == spec.priority && e.spec.matcher == spec.matcher)
-        {
-            let seq = existing.seq;
+        let id = identity(spec.priority, &spec.matcher);
+        if let Some(pos) = self.position(id, spec.priority, &spec.matcher) {
+            let existing = &mut self.entries[pos];
             *existing = FlowEntry {
                 spec,
                 installed_at: now,
                 last_hit: now,
                 packets: 0,
                 bytes: 0,
-                seq,
+                seq: existing.seq,
+                id,
             };
             return AddOutcome::Added;
         }
@@ -222,6 +232,7 @@ impl FlowTable {
             packets: 0,
             bytes: 0,
             seq,
+            id,
         };
         // Insert keeping (priority desc, seq asc) order.
         let pos = self
@@ -233,6 +244,14 @@ impl FlowTable {
         } else {
             AddOutcome::Evicted(victims)
         }
+    }
+
+    /// Where the entry with exactly this (priority, match) sits: a scan
+    /// of identities, confirmed field by field only where one agrees.
+    fn position(&self, id: u64, priority: u16, matcher: &FlowMatch) -> Option<usize> {
+        self.entries
+            .iter()
+            .position(|e| e.id == id && e.spec.priority == priority && e.spec.matcher == *matcher)
     }
 
     /// The eviction victim: lowest `(importance, last_hit, seq)`.
@@ -247,10 +266,7 @@ impl FlowTable {
     /// Delete the entry with exactly this (priority, match). Returns it if
     /// present.
     pub fn delete_strict(&mut self, priority: u16, matcher: &FlowMatch) -> Option<FlowEntry> {
-        let pos = self
-            .entries
-            .iter()
-            .position(|e| e.spec.priority == priority && e.spec.matcher == *matcher)?;
+        let pos = self.position(identity(priority, matcher), priority, matcher)?;
         Some(self.entries.remove(pos))
     }
 
@@ -321,15 +337,18 @@ impl FlowTable {
     }
 
     /// Credit a cache-replayed packet to the entry at `idx`, exactly as
-    /// a slow-path [`FlowTable::lookup`] hit would: per-entry packet and
-    /// byte counters, idle-timeout freshness, and the table hit counter.
-    pub fn record_hit(&mut self, idx: usize, frame_len: usize, now: Nanos) {
-        if let Some(entry) = self.entries.get_mut(idx) {
-            entry.packets += 1;
-            entry.bytes += frame_len as u64;
-            entry.last_hit = now;
-            self.hits += 1;
-        }
+    /// a slow-path [`FlowTable::lookup`] hit would — per-entry packet
+    /// and byte counters, idle-timeout freshness, and the table hit
+    /// counter — and lend the entry so the replay runs its actions in
+    /// place. `None` if nothing sits at `idx` (the cache's generation
+    /// invariant says something does).
+    pub fn replay_hit(&mut self, idx: usize, frame_len: usize, now: Nanos) -> Option<&FlowEntry> {
+        let entry = self.entries.get_mut(idx)?;
+        entry.packets += 1;
+        entry.bytes += frame_len as u64;
+        entry.last_hit = now;
+        self.hits += 1;
+        Some(entry)
     }
 
     /// Credit a cache-replayed table miss, as a slow-path lookup would.
@@ -343,16 +362,20 @@ impl FlowTable {
         self.entries.iter().find(|e| e.spec.matcher.matches(key))
     }
 
-    /// Evict expired entries; returns them with the reason, for
-    /// FLOW_REMOVED notifications.
+    /// Evict expired entries, handing each to `removed` with the reason
+    /// (for FLOW_REMOVED notifications) as the scan comes to it.
+    pub fn expire_with(&mut self, now: Nanos, mut removed: impl FnMut(FlowEntry, RemovedReason)) {
+        for entry in self.entries.extract_if(.., |e| e.expiry(now).is_some()) {
+            let reason = entry.expiry(now).expect("extracted because it expired");
+            removed(entry, reason);
+        }
+    }
+
+    /// [`FlowTable::expire_with`], collected.
     pub fn expire(&mut self, now: Nanos) -> Vec<(FlowEntry, RemovedReason)> {
-        self.entries
-            .extract_if(.., |e| e.expiry(now).is_some())
-            .map(|e| {
-                let reason = e.expiry(now).expect("extracted because it expired");
-                (e, reason)
-            })
-            .collect()
+        let mut removed = Vec::new();
+        self.expire_with(now, |entry, reason| removed.push((entry, reason)));
+        removed
     }
 }
 

@@ -266,8 +266,8 @@ fn run_differential(seed: u64, batched_cache: bool, scalar_cache: bool) -> u64 {
                     );
                 }
                 10 => {
-                    let a = batched.expire(now);
-                    let b = scalar.expire(now);
+                    let a = churn::expire(&mut batched, now);
+                    let b = churn::expire(&mut scalar, now);
                     assert_eq!(a.len(), b.len(), "expiry diverged, case {case} op {op}");
                 }
                 _ => {

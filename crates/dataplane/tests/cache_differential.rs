@@ -201,8 +201,8 @@ fn cached_and_uncached_datapaths_are_observably_identical() {
                     );
                 }
                 10 => {
-                    let a = cached.expire(now);
-                    let b = uncached.expire(now);
+                    let a = churn::expire(&mut cached, now);
+                    let b = churn::expire(&mut uncached, now);
                     assert_eq!(a.len(), b.len(), "expiry diverged, case {case} op {op}");
                 }
                 _ => {

@@ -4,7 +4,9 @@
 //! asserts both the cached datapath's observable behaviour and that the
 //! invalidation counters moved.
 
-use zen_dataplane::{Action, Datapath, Effect, FlowKey, FlowMatch, FlowSpec, MissPolicy};
+use zen_dataplane::{
+    Action, Datapath, Effect, FlowEntry, FlowKey, FlowMatch, FlowSpec, MissPolicy, RemovedReason,
+};
 use zen_wire::builder::PacketBuilder;
 use zen_wire::{EthernetAddress, Ipv4Address, Ipv4Cidr};
 
@@ -23,6 +25,13 @@ fn dp() -> Datapath {
         dp.add_port(p);
     }
     dp
+}
+
+/// One expiry sweep at `now`, collected.
+fn expire(dp: &mut Datapath, now: u64) -> Vec<(u8, FlowEntry, RemovedReason)> {
+    let mut removed = Vec::new();
+    dp.expire(now, &mut removed);
+    removed
 }
 
 fn out_ports(effects: &[Effect]) -> Vec<u32> {
@@ -53,10 +62,10 @@ fn idle_timeout_expiry_mid_burst_invalidates() {
     // Replays bumped last_hit, so expiry at last_hit + idle - 1 is a
     // no-op: cached hits must count as activity exactly like slow-path
     // hits, or idle timeouts would fire under live traffic.
-    assert!(dp.expire(40 + 99).is_empty());
+    assert!(expire(&mut dp, 40 + 99).is_empty());
     // Past the idle horizon the entry goes, and the cache goes with it.
     let gen_before = dp.cache_generation();
-    let removed = dp.expire(40 + 100);
+    let removed = expire(&mut dp, 40 + 100);
     assert_eq!(removed.len(), 1);
     assert_eq!(dp.cache_generation(), gen_before + 1);
     // The stale trajectory must not serve the next packet.
@@ -78,7 +87,7 @@ fn hard_timeout_expiry_mid_burst_invalidates() {
         assert_eq!(out_ports(&dp.process(t * 10, 1, &udp(1))), vec![2]);
     }
     let invalidations_before = dp.cache_stats().invalidations;
-    assert_eq!(dp.expire(50).len(), 1);
+    assert_eq!(expire(&mut dp, 50).len(), 1);
     assert!(dp.process(51, 1, &udp(1)).is_empty());
     assert_eq!(dp.cache_stats().invalidations, invalidations_before + 1);
 }

@@ -11,7 +11,8 @@
 
 use zen_dataplane::datapath::PortStats;
 use zen_dataplane::{
-    Action, Bucket, Datapath, FlowMatch, FlowSpec, GroupDesc, GroupType, MissPolicy,
+    Action, Bucket, Datapath, FlowEntry, FlowMatch, FlowSpec, GroupDesc, GroupType, MissPolicy,
+    RemovedReason,
 };
 use zen_wire::builder::PacketBuilder;
 use zen_wire::lcg::Lcg;
@@ -192,6 +193,13 @@ pub fn build_dp(cached: bool) -> Datapath {
         0,
     );
     dp
+}
+
+/// One expiry sweep at `now`, collected.
+pub fn expire(dp: &mut Datapath, now: u64) -> Vec<(u8, FlowEntry, RemovedReason)> {
+    let mut removed = Vec::new();
+    dp.expire(now, &mut removed);
+    removed
 }
 
 /// Apply a non-frame step.

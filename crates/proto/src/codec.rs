@@ -867,6 +867,37 @@ fn put_bytes(out: &mut Vec<u8>, data: &[u8]) {
     out.put_slice(data);
 }
 
+/// A counted list of xids. The count is patched in behind the list, so
+/// a sender can filter as it writes.
+fn put_xids(out: &mut Vec<u8>, xids: impl Iterator<Item = u32>) {
+    let count_at = out.len();
+    out.put_u32(0);
+    let mut count = 0u32;
+    for x in xids {
+        out.put_u32(x);
+        count += 1;
+    }
+    out[count_at..count_at + 4].copy_from_slice(&count.to_be_bytes());
+}
+
+/// The bytes of a list of `n` elements, as a view of the receive
+/// buffer. Each is read once here, by `element`, so a list cut short
+/// reports the element that is cut and reading the view later cannot
+/// fail.
+fn get_list_view<'a, T>(
+    rd: &mut Rd<'a>,
+    field: &'static str,
+    n: usize,
+    element: impl Fn(&mut Rd<'a>) -> Result<T>,
+) -> Result<&'a [u8]> {
+    check_count(rd, field, n)?;
+    let start = rd.at;
+    for _ in 0..n {
+        element(rd)?;
+    }
+    Ok(&rd.buf[start..rd.at])
+}
+
 /// Length-prefixed bytes as a borrowed slice of the receive buffer —
 /// the zero-copy primitive behind [`MessageView`].
 fn get_bytes_view<'a>(rd: &mut Rd<'a>) -> Result<&'a [u8]> {
@@ -920,17 +951,8 @@ fn put_body(out: &mut Vec<u8>, msg: &Message) {
         }
         Message::EchoRequest { token } | Message::EchoReply { token } => out.put_u64(*token),
         Message::FeaturesRequest => {}
-        Message::BarrierRequest { xids } => {
-            out.put_u32(xids.len() as u32);
-            for &x in xids {
-                out.put_u32(x);
-            }
-        }
-        Message::BarrierReply { applied } => {
-            out.put_u32(applied.len() as u32);
-            for &x in applied {
-                out.put_u32(x);
-            }
+        Message::BarrierRequest { xids: list } | Message::BarrierReply { applied: list } => {
+            put_xids(out, list.iter().copied());
         }
         Message::FeaturesReply {
             dpid,
@@ -1296,23 +1318,55 @@ pub fn encode_barrier_request_into(
     xid: u32,
 ) {
     // 13 is Message::BarrierRequest's type id.
-    put_frame(out, 13, xid, |out| {
-        out.put_u32(xids.len() as u32);
-        for x in xids {
-            out.put_u32(x);
-        }
-    });
+    put_frame(out, 13, xid, |out| put_xids(out, xids));
+}
+
+/// Append a BARRIER_REPLY listing `applied` to `out`, byte-identical to
+/// `encode_into(out, &Message::BarrierReply { applied }, xid)`: an agent
+/// answers a fence by filtering the request's list straight into the
+/// channel.
+pub fn encode_barrier_reply_into(out: &mut Vec<u8>, applied: impl Iterator<Item = u32>, xid: u32) {
+    // 14 is Message::BarrierReply's type id.
+    put_frame(out, 14, xid, |out| put_xids(out, applied));
+}
+
+/// The xid list of a BARRIER_REQUEST or BARRIER_REPLY, borrowed from
+/// the receive buffer. [`decode_view`] has checked that every xid the
+/// count announces is there, so reading the list cannot fail.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct XidList<'a>(&'a [u8]);
+
+impl<'a> XidList<'a> {
+    /// The xids, in wire order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = u32> + Clone + 'a {
+        let xid = |b: &[u8]| u32::from_be_bytes([b[0], b[1], b[2], b[3]]);
+        self.0.chunks_exact(4).map(xid)
+    }
+}
+
+/// The action list of a PACKET_OUT, borrowed from the receive buffer
+/// and decoded as it is read. [`decode_view`] has decoded every action
+/// once already, so reading the list cannot fail.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ActionList<'a>(&'a [u8]);
+
+impl<'a> ActionList<'a> {
+    /// The actions, in wire order.
+    pub fn iter(&self) -> impl Iterator<Item = Action> + 'a {
+        let mut rd = Rd::new(self.0, 0);
+        std::iter::from_fn(move || get_action(&mut rd).ok())
+    }
 }
 
 /// A decoded message whose bulk byte payloads borrow the receive
 /// buffer (the `BinaryDecoder` idiom: typed views over wire bytes).
 ///
-/// Only the message types that carry an opaque byte blob get a
-/// borrowed variant — PACKET_IN and PACKET_OUT (the punted/released
-/// frame) and ERROR (its diagnostic data). These are the control
-/// plane's hot path, and the blob is the bulk of the frame; borrowing
-/// it makes decode allocation-free where it matters. Every other
-/// message decodes to an owned [`Message`] inside
+/// The message types on the setup path get a borrowed variant —
+/// PACKET_IN and PACKET_OUT (the punted/released frame, and the
+/// release's action list), ERROR (its diagnostic data), BARRIER_REQUEST
+/// and BARRIER_REPLY (their xid lists): four or five of each cross the
+/// channel per flow setup, and none needs anything owned to be acted
+/// on. Every other message decodes to an owned [`Message`] inside
 /// [`MessageView::Owned`]: their payloads are structured fields the
 /// consumer must own to apply anyway, so a borrowed form would buy
 /// nothing but lifetime friction.
@@ -1333,10 +1387,20 @@ pub enum MessageView<'a> {
     PacketOut {
         /// Treat the frame as if received on this port (0 = none).
         in_port: PortNo,
-        /// Actions to run on it.
-        actions: Vec<Action>,
+        /// Actions to run on it, borrowed from the receive buffer.
+        actions: ActionList<'a>,
         /// The frame, borrowed from the receive buffer.
         frame: &'a [u8],
+    },
+    /// A fence; `xids` borrows the receive buffer.
+    BarrierRequest {
+        /// The mods the sender wants acknowledged.
+        xids: XidList<'a>,
+    },
+    /// A fence's answer; `applied` borrows the receive buffer.
+    BarrierReply {
+        /// The named mods that took effect.
+        applied: XidList<'a>,
     },
     /// An error notification; `data` borrows the receive buffer.
     Error {
@@ -1370,8 +1434,14 @@ impl MessageView<'_> {
                 frame,
             } => Message::PacketOut {
                 in_port,
-                actions,
+                actions: actions.iter().collect(),
                 frame: frame.to_vec(),
+            },
+            MessageView::BarrierRequest { xids } => Message::BarrierRequest {
+                xids: xids.iter().collect(),
+            },
+            MessageView::BarrierReply { applied } => Message::BarrierReply {
+                applied: applied.iter().collect(),
             },
             MessageView::Error { code, data } => Message::Error {
                 code,
@@ -1483,7 +1553,10 @@ pub fn decode_view(buf: &[u8]) -> Result<(MessageView<'_>, u32, usize)> {
         7 => {
             let view = MessageView::PacketOut {
                 in_port: rd.u32()?,
-                actions: get_actions(&mut rd)?,
+                actions: {
+                    let n = rd.u16()? as usize;
+                    ActionList(get_list_view(&mut rd, "actions", n, get_action)?)
+                },
                 frame: get_bytes_view(&mut rd)?,
             };
             rd.finish()?;
@@ -1579,21 +1652,15 @@ pub fn decode_view(buf: &[u8]) -> Result<(MessageView<'_>, u32, usize)> {
         }
         13 => {
             let n = rd.u32()? as usize;
-            check_count(&rd, "barrier.xids", n)?;
-            let mut xids = Vec::with_capacity(n);
-            for _ in 0..n {
-                xids.push(rd.u32()?);
-            }
-            Message::BarrierRequest { xids }
+            let xids = XidList(get_list_view(&mut rd, "barrier.xids", n, Rd::u32)?);
+            rd.finish()?;
+            return Ok((MessageView::BarrierRequest { xids }, xid, length));
         }
         14 => {
             let n = rd.u32()? as usize;
-            check_count(&rd, "barrier.applied", n)?;
-            let mut applied = Vec::with_capacity(n);
-            for _ in 0..n {
-                applied.push(rd.u32()?);
-            }
-            Message::BarrierReply { applied }
+            let applied = XidList(get_list_view(&mut rd, "barrier.applied", n, Rd::u32)?);
+            rd.finish()?;
+            return Ok((MessageView::BarrierReply { applied }, xid, length));
         }
         15 => {
             let tag_at = rd.pos();

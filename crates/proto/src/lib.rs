@@ -32,9 +32,9 @@
 pub mod codec;
 
 pub use codec::{
-    decode, decode_view, encode, encode_barrier_request_into, encode_into, encode_packet_out,
-    encode_packet_out_into, ew_entry_bytes, intent_entry_bytes, match_bytes, CodecError,
-    FrameAssembler, MessageView, HEADER_LEN,
+    decode, decode_view, encode, encode_barrier_reply_into, encode_barrier_request_into,
+    encode_into, encode_packet_out, encode_packet_out_into, ew_entry_bytes, intent_entry_bytes,
+    match_bytes, ActionList, CodecError, FrameAssembler, MessageView, XidList, HEADER_LEN,
 };
 
 use zen_dataplane::{FlowMatch, FlowSpec, GroupDesc, PortNo};
