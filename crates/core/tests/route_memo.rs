@@ -191,3 +191,74 @@ fn every_view_change_reroutes_the_next_punt() {
         );
     }
 }
+
+/// The path the memo lends carries, hop by hop, the port
+/// `port_toward` answers with — the lowest live one toward the next
+/// switch — whatever parallel links, downed ports and quarantines leave
+/// of a ring whose every side is two links wide; and it is a shortest
+/// path, or `false` and nothing where there is none.
+#[test]
+fn the_lent_path_carries_what_port_toward_answers() {
+    let mut view = NetworkView::new();
+    let ports: Vec<(PortNo, bool)> = (1..=4).map(|p| (p, true)).collect();
+    for dpid in 0..4 {
+        view.add_switch(dpid, 1, &ports);
+    }
+    // Ports 1 and 2 lead clockwise, into ports 3 and 4 of the next.
+    let wire = |view: &mut NetworkView, dpid: Dpid, lane: PortNo| {
+        let next = (dpid + 1) % 4;
+        view.add_link((dpid, 1 + lane), (next, 3 + lane));
+        view.add_link((next, 3 + lane), (dpid, 1 + lane));
+    };
+    for dpid in 0..4 {
+        wire(&mut view, dpid, 0);
+        wire(&mut view, dpid, 1);
+    }
+    let check = |view: &NetworkView, what: &str| {
+        let mut path = vec![(9, 9)];
+        let (graph, _, index) = view.graph();
+        for from in 0..4 {
+            for to in 0..4 {
+                let found = view.routes().path(from, to, 77, &mut path);
+                let want = dijkstra(&graph, index[&from]).path_to(&graph, index[&to]);
+                assert_eq!(found, want.is_some(), "{what}: {from} to {to}");
+                let Some(want) = want else {
+                    assert!(path.is_empty(), "{what}: {from} to {to} left {path:?}");
+                    continue;
+                };
+                assert_eq!(path.len(), want.nodes.len(), "{what}: {from} to {to}");
+                assert_eq!((path[0].0, path[path.len() - 1]), (from, (to, 77)));
+                for hop in path.windows(2) {
+                    let toward = view.port_toward(hop[0].0, hop[1].0);
+                    assert_eq!(Some(hop[0].1), toward, "{what}: {from} to {to} at {hop:?}");
+                }
+            }
+        }
+        assert!(!view.routes().path(0, 42, 77, &mut path) && path.is_empty());
+    };
+    let first_port = |view: &NetworkView, from: Dpid, to: Dpid| {
+        let mut path = Vec::new();
+        view.routes().path(from, to, 77, &mut path).then(|| path[0])
+    };
+
+    check(&view, "whole");
+    assert_eq!(first_port(&view, 0, 1), Some((0, 1)));
+    // The lower of two parallel links goes down, and comes back.
+    view.set_port(0, 1, false);
+    check(&view, "port down");
+    assert_eq!(first_port(&view, 0, 1), Some((0, 2)));
+    view.set_port(0, 1, true);
+    wire(&mut view, 0, 0);
+    check(&view, "port up");
+    assert_eq!(first_port(&view, 0, 1), Some((0, 1)));
+    // A quarantined switch is no hop: the other way round, or no way.
+    view.quarantine(1);
+    check(&view, "one side quarantined");
+    assert_eq!(first_port(&view, 0, 2), Some((0, 3)));
+    view.quarantine(3);
+    check(&view, "both sides quarantined");
+    assert_eq!(first_port(&view, 0, 2), None);
+    view.unquarantine(1);
+    check(&view, "one side back");
+    assert_eq!(first_port(&view, 0, 2), Some((0, 1)));
+}

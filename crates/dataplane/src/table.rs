@@ -615,4 +615,169 @@ mod tests {
         assert_eq!(table.len(), 2);
         assert_eq!(table.max_entries(), Some(2));
     }
+
+    /// The table as it was before entries carried an identity: an add
+    /// and a strict delete compare (priority, match) field by field down
+    /// the whole table. Kept as the oracle for the identity scan.
+    #[derive(Default)]
+    struct Scanning {
+        entries: Vec<FlowEntry>,
+        next_seq: u64,
+        limit: Option<(usize, OverflowPolicy)>,
+    }
+
+    impl Scanning {
+        fn entry(spec: FlowSpec, now: Nanos, seq: u64) -> FlowEntry {
+            FlowEntry {
+                spec,
+                installed_at: now,
+                last_hit: now,
+                packets: 0,
+                bytes: 0,
+                seq,
+                id: 0,
+            }
+        }
+
+        fn add(&mut self, spec: FlowSpec, now: Nanos) -> AddOutcome {
+            let same = |e: &&mut FlowEntry| {
+                e.spec.priority == spec.priority && e.spec.matcher == spec.matcher
+            };
+            if let Some(existing) = self.entries.iter_mut().find(same) {
+                *existing = Scanning::entry(spec, now, existing.seq);
+                return AddOutcome::Added;
+            }
+            let mut victims = Vec::new();
+            if let Some((max, policy)) = self.limit {
+                while self.entries.len() >= max {
+                    if policy == OverflowPolicy::Refuse {
+                        return AddOutcome::Refused;
+                    }
+                    let coldest =
+                        |(_, e): &(usize, &FlowEntry)| (e.spec.importance, e.last_hit, e.seq);
+                    let victim = self.entries.iter().enumerate().min_by_key(coldest);
+                    let Some((idx, _)) = victim else { break };
+                    victims.push(self.entries.remove(idx));
+                }
+            }
+            let entry = Scanning::entry(spec, now, self.next_seq);
+            self.next_seq += 1;
+            let pos = self
+                .entries
+                .partition_point(|e| e.spec.priority >= entry.spec.priority);
+            self.entries.insert(pos, entry);
+            if victims.is_empty() {
+                AddOutcome::Added
+            } else {
+                AddOutcome::Evicted(victims)
+            }
+        }
+
+        fn delete_strict(&mut self, priority: u16, matcher: &FlowMatch) -> Option<FlowEntry> {
+            let same = |e: &FlowEntry| e.spec.priority == priority && e.spec.matcher == *matcher;
+            let pos = self.entries.iter().position(same)?;
+            Some(self.entries.remove(pos))
+        }
+
+        fn remove_where(&mut self, gone: impl Fn(&FlowEntry) -> bool) -> Vec<FlowEntry> {
+            let (removed, kept) = self.entries.drain(..).partition(|e| gone(e));
+            self.entries = kept;
+            removed
+        }
+    }
+
+    /// Everything about an entry but its identity, which the oracle
+    /// does not make.
+    fn without_id(e: &FlowEntry) -> FlowEntry {
+        FlowEntry { id: 0, ..e.clone() }
+    }
+
+    #[test]
+    fn identity_scan_matches_the_scanning_table() {
+        use zen_wire::lcg::Lcg;
+        let mut rng = Lcg::new(0x1DE4717);
+        let mut ops = 0;
+        for case in 0..40 {
+            let mut real = FlowTable::new();
+            let mut model = Scanning::default();
+            if case % 4 != 0 {
+                let policy = [OverflowPolicy::Evict, OverflowPolicy::Refuse][case % 2];
+                real.set_limit(10, policy);
+                model.limit = Some((10, policy));
+            }
+            let mut now = 0;
+            for op in 0..300 {
+                now += rng.gen_range(30);
+                let priority = rng.gen_range(3) as u16;
+                let mut matcher = FlowMatch::ANY.with_l4_dst(rng.gen_range(6) as u16);
+                if rng.gen_ratio(1, 2) {
+                    matcher = matcher.with_ip_proto(17);
+                }
+                let cookie = rng.gen_range(3);
+                let at = format!("case {case} op {op}");
+                match rng.gen_index(10) {
+                    // Adds: new, replacing (few identities, so often), and
+                    // evicting or refused once the table is full.
+                    0..=4 => {
+                        let spec = FlowSpec::new(
+                            priority,
+                            matcher,
+                            vec![Action::Output(rng.gen_range(9) as u32)],
+                        )
+                        .with_cookie(cookie)
+                        .with_importance(rng.gen_range(2) as u16)
+                        .with_timeouts(
+                            *rng.choose(&[0, 50, 200]).unwrap(),
+                            *rng.choose(&[0, 400]).unwrap(),
+                        );
+                        let (a, b) = (real.add(spec.clone(), now), model.add(spec, now));
+                        let victims = |o: &AddOutcome| match o {
+                            AddOutcome::Evicted(v) => Some(v.iter().map(without_id).collect()),
+                            _ => None::<Vec<FlowEntry>>,
+                        };
+                        assert_eq!(
+                            std::mem::discriminant(&a),
+                            std::mem::discriminant(&b),
+                            "{at}"
+                        );
+                        assert_eq!(victims(&a), victims(&b), "{at}");
+                    }
+                    5 => {
+                        let a = real.delete_strict(priority, &matcher);
+                        let b = model.delete_strict(priority, &matcher);
+                        assert_eq!(a.as_ref().map(without_id), b, "{at}");
+                    }
+                    6 => {
+                        let a = real.delete_by_cookie(cookie);
+                        let b = model.remove_where(|e| e.spec.cookie == cookie);
+                        assert_eq!(a.iter().map(without_id).collect::<Vec<_>>(), b, "{at}");
+                    }
+                    7 => {
+                        let a = real.expire(now);
+                        let b = model.remove_where(|e| e.expiry(now).is_some());
+                        let a: Vec<_> = a.iter().map(|(e, _)| without_id(e)).collect();
+                        assert_eq!(a, b, "{at}");
+                    }
+                    // A hit, so idle timers and eviction order move.
+                    _ => {
+                        if let Some(pos) = real.entries.len().checked_sub(1) {
+                            let pos = rng.gen_index(pos + 1);
+                            real.replay_hit(pos, 60, now);
+                            let hit = &mut model.entries[pos];
+                            (hit.packets, hit.bytes, hit.last_hit) =
+                                (hit.packets + 1, hit.bytes + 60, now);
+                        }
+                    }
+                }
+                let held: Vec<_> = real.entries.iter().map(without_id).collect();
+                assert_eq!(held, model.entries, "{at}");
+                assert!(real
+                    .entries
+                    .iter()
+                    .all(|e| { e.id == identity(e.spec.priority, &e.spec.matcher) }));
+                ops += 1;
+            }
+        }
+        assert!(ops >= 10_000);
+    }
 }

@@ -355,16 +355,10 @@ fn empty_batch_is_a_no_op() {
     assert_eq!(snapshot(&dp), before);
 }
 
-/// The `churn` script with each run of frames delivered as one batch:
-/// a batch of one microflow's frames, a group / port / meter / flow
-/// change, another batch of the same microflow. The batched datapath
-/// must match a scalar one with the cache off frame for frame, and
-/// spend exactly the probes the batch path has always spent.
-#[test]
-fn changes_between_batches_of_one_microflow_match_the_uncached_walk() {
-    let mut batched = churn::build_dp(true);
-    let mut uncached = churn::build_dp(false);
-    let script = churn::script(0xC4A26E, 1_500);
+/// Drive `script` with each run of frames delivered as one batch to
+/// `batched` and frame by frame to `uncached`: run by run the two must
+/// do the same and stand the same. Returns how many frames that was.
+fn run_script(batched: &mut Datapath, uncached: &mut Datapath, script: &[churn::Op]) -> u64 {
     let mut frames = 0u64;
     let mut step = 0;
     while step < script.len() {
@@ -374,8 +368,8 @@ fn changes_between_batches_of_one_microflow_match_the_uncached_walk() {
             .take_while(|op| matches!(op, churn::Op::Frame(_)))
             .count();
         if run == 0 {
-            churn::apply(&mut batched, &script[step], now);
-            churn::apply(&mut uncached, &script[step], now);
+            churn::apply(batched, &script[step], now);
+            churn::apply(uncached, &script[step], now);
             step += 1;
         } else {
             let owned: Vec<(u32, Vec<u8>)> = script[step..step + run]
@@ -400,15 +394,44 @@ fn changes_between_batches_of_one_microflow_match_the_uncached_walk() {
             step += run;
         }
         assert_eq!(
-            churn::snapshot(&batched),
-            churn::snapshot(&uncached),
+            churn::snapshot(batched),
+            churn::snapshot(uncached),
             "state diverged before step {step}"
         );
     }
+    frames
+}
+
+/// The `churn` script with each run of frames delivered as one batch:
+/// a batch of one microflow's frames, a group / port / meter / flow
+/// change, another batch of the same microflow. The batched datapath
+/// must match a scalar one with the cache off frame for frame, and
+/// spend exactly the probes the batch path has always spent.
+#[test]
+fn changes_between_batches_of_one_microflow_match_the_uncached_walk() {
+    let mut batched = churn::build_dp(true);
+    let mut uncached = churn::build_dp(false);
+    let script = churn::script(0xC4A26E, 1_500);
+    let frames = run_script(&mut batched, &mut uncached, &script);
     assert!(frames >= 5_000, "only {frames} frames");
     // Pinned from the batch path as it stood at commit 67998ec (see
     // the scalar twin in `cache_differential.rs`).
     assert_eq!(batched.cache_stats(), PINNED_BATCH_STATS);
+}
+
+/// The batch memo holds trajectories by value too: a pipeline deeper
+/// than a trajectory holds inline, and entries replaced in place
+/// between two batches of one microflow (see the scalar twin in
+/// `cache_differential.rs`).
+#[test]
+fn deep_pipelines_and_replacing_adds_match_the_uncached_walk() {
+    let mut batched = churn::build_deep_dp(true);
+    let mut uncached = churn::build_deep_dp(false);
+    let script = churn::deep_script(0xDEE9, 1_500);
+    let frames = run_script(&mut batched, &mut uncached, &script);
+    let stats = batched.cache_stats();
+    assert!(frames >= 5_000, "only {frames} frames");
+    assert!(stats.hits() > 500 && stats.invalidations > 500, "{stats:?}");
 }
 
 const PINNED_BATCH_STATS: CacheStats = CacheStats {

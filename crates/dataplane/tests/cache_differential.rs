@@ -254,17 +254,12 @@ fn cache_actually_serves_traffic_in_the_differential_mix() {
     assert!(stats.invalidations > 0);
 }
 
-/// Group, port, meter and flow changes between frames of one
-/// microflow (see `churn`): frame by frame the cached datapath must do
-/// what the uncached one does, and — group changes not being cache
-/// invalidations — it must do it with exactly the probes, inserts and
-/// invalidations the cache has always needed for this script.
-#[test]
-fn changes_between_frames_of_one_microflow_match_the_uncached_walk() {
-    let mut cached = churn::build_dp(true);
-    let mut uncached = churn::build_dp(false);
+/// Drive `script` through a cached and an uncached datapath: frame by
+/// frame the two must do the same and stand the same. Returns how many
+/// frames that was.
+fn run_script(cached: &mut Datapath, uncached: &mut Datapath, script: &[churn::Op]) -> u64 {
     let mut frames = 0u64;
-    for (step, op) in churn::script(0xC4A26E, 1_500).iter().enumerate() {
+    for (step, op) in script.iter().enumerate() {
         let now = 7 * step as u64;
         match op {
             churn::Op::Frame(flow) => {
@@ -275,21 +270,53 @@ fn changes_between_frames_of_one_microflow_match_the_uncached_walk() {
                 frames += 1;
             }
             change => {
-                churn::apply(&mut cached, change, now);
-                churn::apply(&mut uncached, change, now);
+                churn::apply(cached, change, now);
+                churn::apply(uncached, change, now);
             }
         }
         assert_eq!(
-            churn::snapshot(&cached),
-            churn::snapshot(&uncached),
+            churn::snapshot(cached),
+            churn::snapshot(uncached),
             "state diverged at step {step} ({op:?})"
         );
     }
+    frames
+}
+
+/// Group, port, meter and flow changes between frames of one
+/// microflow (see `churn`): frame by frame the cached datapath must do
+/// what the uncached one does, and — group changes not being cache
+/// invalidations — it must do it with exactly the probes, inserts and
+/// invalidations the cache has always needed for this script.
+#[test]
+fn changes_between_frames_of_one_microflow_match_the_uncached_walk() {
+    let mut cached = churn::build_dp(true);
+    let mut uncached = churn::build_dp(false);
+    let script = churn::script(0xC4A26E, 1_500);
+    let frames = run_script(&mut cached, &mut uncached, &script);
     assert!(frames >= 5_000, "only {frames} frames");
     // Pinned from the cache as it stood before group execution moved
     // to precomputed live-bucket lists (commit 67998ec): a change here
     // is a change to what invalidates or fills the cache.
     assert_eq!(cached.cache_stats(), PINNED_STATS);
+}
+
+/// A cached trajectory is positions into the tables, and replay runs
+/// the entry it finds there. Two things that must not show: a walk
+/// with more steps than a trajectory holds inline, and an ADD that
+/// replaces an entry in place — its position stands, its actions do
+/// not — between two frames of one microflow (see `churn::deep_script`).
+#[test]
+fn deep_pipelines_and_replacing_adds_match_the_uncached_walk() {
+    let mut cached = churn::build_deep_dp(true);
+    let mut uncached = churn::build_deep_dp(false);
+    let script = churn::deep_script(0xDEE9, 1_500);
+    let frames = run_script(&mut cached, &mut uncached, &script);
+    let stats = cached.cache_stats();
+    assert!(frames >= 5_000, "only {frames} frames");
+    assert!(stats.hits() > frames / 3, "cache barely used: {stats:?}");
+    // Every change was a flow mod that took: each one flushed.
+    assert!(stats.invalidations > 500, "{stats:?}");
 }
 
 const PINNED_STATS: CacheStats = CacheStats {

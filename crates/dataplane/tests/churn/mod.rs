@@ -195,6 +195,70 @@ pub fn build_dp(cached: bool) -> Datapath {
     dp
 }
 
+/// Tables of the deep pipeline: more steps than a cached trajectory
+/// holds inline.
+const DEEP_TABLES: u8 = 5;
+
+/// The standing rule of table `table` of the deep pipeline: every frame
+/// goes out of `port` and on to the next table.
+fn deep_rule(table: u8, port: u32) -> FlowSpec {
+    FlowSpec::new(0, FlowMatch::ANY, vec![Action::Output(port)]).with_goto(table + 1)
+}
+
+/// Five tables, each but the last passing every frame on behind one
+/// output; the last holds nothing, so a walk is four hits and a miss.
+pub fn build_deep_dp(cached: bool) -> Datapath {
+    let tables = usize::from(DEEP_TABLES);
+    let mut dp = Datapath::new(1, tables, MissPolicy::ToController { max_len: 64 });
+    dp.set_flow_cache_enabled(cached);
+    for p in 1..=4 {
+        dp.add_port(p);
+    }
+    for table in 0..DEEP_TABLES - 1 {
+        dp.add_flow(table, deep_rule(table, 1 + u32::from(table)), 0);
+    }
+    dp
+}
+
+/// The script for the deep pipeline: as [`script`], but the change
+/// between two runs of a flow's frames is, half the time, an ADD that
+/// *replaces* a table's standing rule in place — same priority and
+/// match, another action list, the entry where it was — and otherwise a
+/// rule over it for this flow that ends the walk there (in the last
+/// table: a hit where there was a miss), or that rule's removal.
+pub fn deep_script(seed: u64, rounds: usize) -> Vec<Op> {
+    let mut rng = Lcg::new(seed);
+    let mut ops = Vec::new();
+    for _ in 0..rounds {
+        let flow = rng.gen_index(FLOWS);
+        for half in 0..2 {
+            for _ in 0..1 + rng.gen_index(3) {
+                let microflow = flow + FLOWS * usize::from(rng.gen_ratio(1, 4));
+                ops.push(Op::Frame(microflow));
+            }
+            if half == 1 {
+                continue;
+            }
+            let port = 1 + rng.gen_range(4) as u32;
+            let table = rng.gen_range(u64::from(DEEP_TABLES)) as u8;
+            let ending = FlowSpec::new(
+                OVERRIDE_PRIORITY,
+                flow_match(flow),
+                vec![Action::Output(port)],
+            );
+            ops.push(match rng.gen_index(4) {
+                0 | 1 => {
+                    let table = table % (DEEP_TABLES - 1);
+                    Op::FlowAdd(table, deep_rule(table, port))
+                }
+                2 => Op::FlowAdd(table, ending),
+                _ => Op::FlowDelete(table, flow_match(flow)),
+            });
+        }
+    }
+    ops
+}
+
 /// One expiry sweep at `now`, collected.
 pub fn expire(dp: &mut Datapath, now: u64) -> Vec<(u8, FlowEntry, RemovedReason)> {
     let mut removed = Vec::new();

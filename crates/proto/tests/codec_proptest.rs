@@ -5,7 +5,10 @@
 //! reproducible from the fixed seeds below.
 
 use zen_dataplane::{Action, Bucket, FlowMatch, FlowSpec, GroupDesc, GroupType};
-use zen_proto::{decode, encode, encode_into, FlowModCmd, Message, StatsKind};
+use zen_proto::{
+    decode, decode_view, encode, encode_barrier_reply_into, encode_into, FlowModCmd, Message,
+    MessageView, StatsKind, HEADER_LEN,
+};
 use zen_wire::lcg::Lcg;
 use zen_wire::{EthernetAddress, Ipv4Address, Ipv4Cidr};
 
@@ -219,6 +222,74 @@ fn bitflips_never_panic() {
             let at = rng.gen_index(bytes.len());
             bytes[at] ^= rng.next_u32() as u8;
             let _ = decode(&bytes);
+        }
+    }
+}
+
+/// What the borrowed list of `view` reads, as the owned message that
+/// holds the same: reading must come to an end without a panic.
+fn read_lists(view: &MessageView<'_>) -> Option<(Vec<u32>, Vec<Action>)> {
+    match view {
+        MessageView::BarrierRequest { xids: list }
+        | MessageView::BarrierReply { applied: list } => Some((list.iter().collect(), Vec::new())),
+        MessageView::PacketOut { actions, .. } => Some((Vec::new(), actions.iter().collect())),
+        _ => None,
+    }
+}
+
+/// The lists a fence, its answer and a release carry decode to views of
+/// the receive buffer. On random lists the views read back exactly what
+/// was sent (and what the owned decode holds); a frame cut at any
+/// length is an error, with the length field left alone or rewritten to
+/// match; and with any one bit flipped it is an error or a frame whose
+/// lists still read to their end — never a panic.
+#[test]
+fn borrowed_lists_read_what_was_sent_and_survive_damage() {
+    let mut rng = Lcg::new(0xC0DEC05);
+    for round in 0..200 {
+        let xids: Vec<u32> = (0..rng.gen_index(24)).map(|_| rng.next_u32()).collect();
+        let actions = gen_actions(&mut rng, 6);
+        let frame = {
+            let n = rng.gen_index(48);
+            rng.gen_bytes(n)
+        };
+        let mut reply = Vec::new();
+        encode_barrier_reply_into(&mut reply, xids.iter().copied(), round);
+        let applied = xids.clone();
+        assert_eq!(reply, encode(&Message::BarrierReply { applied }, round));
+        let release = Message::PacketOut {
+            in_port: 3,
+            actions: actions.clone(),
+            frame,
+        };
+        let fence = Message::BarrierRequest { xids: xids.clone() };
+        let cases = [
+            (encode(&fence, round), xids.clone(), Vec::new()),
+            (reply, xids.clone(), Vec::new()),
+            (encode(&release, round), Vec::new(), actions.clone()),
+        ];
+        for (wire, sent_xids, sent_actions) in cases {
+            let (view, _, used) = decode_view(&wire).expect("intact");
+            assert_eq!(used, wire.len());
+            assert_eq!(read_lists(&view), Some((sent_xids, sent_actions)));
+            assert_eq!(view.into_message(), decode(&wire).expect("intact").0);
+
+            for cut in 0..wire.len() {
+                assert!(decode_view(&wire[..cut]).is_err(), "cut at {cut}");
+                if cut >= HEADER_LEN {
+                    let mut short = wire[..cut].to_vec();
+                    short[2..6].copy_from_slice(&(cut as u32).to_be_bytes());
+                    assert!(decode_view(&short).is_err(), "shortened to {cut}");
+                }
+            }
+            for at in 0..wire.len() {
+                let mut bad = wire.clone();
+                bad[at] ^= 1 << rng.gen_index(8);
+                if let Ok((view, ..)) = decode_view(&bad) {
+                    let _ = read_lists(&view);
+                    let _ = view.into_message();
+                }
+            }
         }
     }
 }
