@@ -496,8 +496,13 @@ impl SwitchAgent {
                         // drop (fail-secure): flooding during a
                         // mastership gap would hand standby replicas
                         // LLDP and host frames out of order and corrupt
-                        // their replicated view.
+                        // their replicated view. LLDP is link-local
+                        // and never flooded: relayed, a probe would name
+                        // a switch two hops away to the neighbour that
+                        // punts it, and plant a link that does not exist.
+                        let lldp = frame.len() >= 14 && frame[12..14] == [0x88, 0xcc];
                         if is_miss
+                            && !lldp
                             && self.conns.len() == 1
                             && self.cfg.policy == ConnLossPolicy::FailStandalone
                         {

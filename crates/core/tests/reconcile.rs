@@ -10,8 +10,8 @@ use zen_core::apps::proactive::{group_id_for, FABRIC_COOKIE, FABRIC_IMPORTANCE, 
 use zen_core::apps::ProactiveFabric;
 use zen_core::harness::{build_cluster_fabric_with_hosts, build_fabric, default_host_ip};
 use zen_core::{
-    flows_stamp, AgentConfig, App, ConnLossPolicy, Controller, ControllerConfig, Ctl, Dpid, Fabric,
-    FabricOptions, ProgramBase, SwitchAgent,
+    flows_stamp, App, Controller, ControllerConfig, Ctl, Dpid, Fabric, FabricOptions, ProgramBase,
+    SwitchAgent,
 };
 use zen_dataplane::{Action, Bucket, FlowMatch, FlowSpec, GroupDesc, GroupType};
 use zen_sim::{
@@ -451,7 +451,7 @@ fn a_quiet_fabric_holds_what_a_fresh_load_would() {
 /// Control loss heavy enough to kill a mod usually kills the LLDP
 /// returns too, and the view change that follows reprograms the switch
 /// anyway. Not here: links are slow to age and a switch that loses its
-/// controller floods nothing, so once the one pass the cut triggers is
+/// controller relays no probes, so once the one pass the cut triggers is
 /// over, nothing but the failure of the mod itself can bring the switch
 /// it never reached up to date.
 #[test]
@@ -463,10 +463,6 @@ fn a_program_mod_that_never_lands_gets_its_switch_rebuilt() {
             agent_dead_after: Duration::from_secs(1),
             link_max_age: Duration::from_secs(5),
             ..ControllerConfig::default()
-        },
-        agent_cfg: AgentConfig {
-            policy: ConnLossPolicy::FailSecure,
-            ..AgentConfig::default()
         },
         ..FabricOptions::default()
     };

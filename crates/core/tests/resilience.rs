@@ -170,6 +170,61 @@ fn fail_secure_drops_misses_while_disconnected() {
     assert_eq!(stats.standalone_floods, 0);
 }
 
+/// LLDP is link-local. A standalone switch that flooded it like any
+/// other miss would hand its neighbours a probe naming a switch two
+/// hops away, and their punts would plant a link that does not exist
+/// in the view. A line of three switches, the middle one cut off from
+/// the controller for good: its neighbours never appear adjacent, while
+/// its own hosts' unicast misses still flood.
+#[test]
+fn a_standalone_switch_does_not_relay_lldp() {
+    let topo = Topology::line(3, LinkParams::default()).with_hosts_at(1, 2);
+    let mut world = World::new(37);
+    let opts = FabricOptions::default();
+    let fabric = build_fabric_with_hosts(&mut world, &topo, vec![], opts, |i, mac, ip| {
+        let host = Host::new(mac, ip).with_static_arp(default_ip(1 - i), default_host_mac(1 - i));
+        if i == 0 {
+            host.with_workload(Workload::Udp {
+                dst: default_ip(1),
+                dst_port: 9,
+                size: 100,
+                count: 200,
+                interval: Duration::from_millis(1),
+                start: secs(2),
+            })
+        } else {
+            host
+        }
+    });
+    world.set_fault_plan(FaultPlan::default().control_burst(
+        fabric.controller,
+        fabric.switches[1],
+        Window::new(ms(500), Instant::from_nanos(u64::MAX)),
+    ));
+    world.run_until(ms(500));
+    let view = &world.node_as::<Controller>(fabric.controller).view;
+    assert_eq!(view.links.len(), 4, "the line was discovered whole");
+    for t in (550..=3_000).step_by(50) {
+        world.run_until(ms(t));
+        let view = &world.node_as::<Controller>(fabric.controller).view;
+        let bogus: Vec<_> = view
+            .links
+            .iter()
+            .filter(|(&(a, _), &(b, _))| a != 1 && b != 1)
+            .collect();
+        assert!(bogus.is_empty(), "at {t} ms the view holds {bogus:?}");
+    }
+    let agent = world.node_as::<SwitchAgent>(fabric.switches[1]);
+    assert_eq!(agent.conn_state(), ConnState::Disconnected);
+    assert!(agent.stats.standalone_floods >= 200);
+    assert!(
+        agent.stats.disconnected_drops > 0,
+        "the probes its neighbours relayed are dropped, and counted"
+    );
+    let rx = world.node_as::<Host>(fabric.hosts[1]).stats.udp_rx;
+    assert_eq!(rx, 200, "standalone flooding should deliver every datagram");
+}
+
 #[test]
 fn flow_mods_survive_lossy_control_channel() {
     // 20% uniform control loss while the fabric is being programmed.
