@@ -21,7 +21,7 @@ use zen_proto::{
 use zen_sim::{Context, Duration, Node, NodeId};
 use zen_telemetry::{trace_id_for_frame, TraceEvent};
 
-use crate::send_msg;
+use crate::{is_lldp, send_msg};
 
 const TIMER_EXPIRE: u64 = 1;
 const TIMER_ECHO: u64 = 2;
@@ -500,9 +500,8 @@ impl SwitchAgent {
                         // and never flooded: relayed, a probe would name
                         // a switch two hops away to the neighbour that
                         // punts it, and plant a link that does not exist.
-                        let lldp = frame.len() >= 14 && frame[12..14] == [0x88, 0xcc];
                         if is_miss
-                            && !lldp
+                            && !is_lldp(&frame)
                             && self.conns.len() == 1
                             && self.cfg.policy == ConnLossPolicy::FailStandalone
                         {

@@ -38,7 +38,7 @@ use zen_sim::{Context, Duration, Instant, Node, NodeId};
 use zen_wire::builder::PacketBuilder;
 use zen_wire::{EthernetAddress, Ipv4Address};
 
-use crate::send_msg;
+use crate::{is_lldp, send_msg};
 
 /// Timer token used by open-loop punting.
 const PUNT_TIMER: u64 = 0x9bec;
@@ -361,9 +361,9 @@ impl Node for CbenchSwitch {
                     match view {
                         // Hot path: classify the frame straight out of
                         // the receive buffer, discovery probes apart
-                        // from punt releases by ethertype (LLDP).
+                        // from punt releases.
                         MessageView::PacketOut { frame, .. } => {
-                            if frame.len() >= 14 && frame[12..14] == [0x88, 0xcc] {
+                            if is_lldp(frame) {
                                 self.stats.lldp_outs += 1;
                             } else {
                                 self.stats.packet_outs += 1;

@@ -22,12 +22,12 @@ use zen_wire::ethernet::{EtherType, Frame};
 use zen_wire::{arp, ipv4, lldp, EthernetAddress};
 
 use crate::app::{App, Disposition};
-use crate::send_msg;
 use crate::southbound::{delta, ProgramBase, Reconciled, Southbound};
 use crate::txn::{
     ActiveTxn, Consistency, FlowRole, NetworkUpdate, TxnPhase, UpdateOp, UpdatePlanner,
 };
 use crate::view::{Dpid, NetworkView};
+use crate::{is_lldp, send_msg};
 
 const TIMER_TICK: u64 = 1;
 /// Fair-queue drain timer for deferred PACKET_INs (admission control).
@@ -1956,8 +1956,7 @@ impl Controller {
                 // Discovery returns bypass the meter: losing topology
                 // under attack would turn one hostile port into a
                 // fabric-wide outage.
-                let is_lldp = frame.len() >= 14 && frame[12..14] == [0x88, 0xcc];
-                if is_lldp {
+                if is_lldp(frame) {
                     admitted.push(punt);
                     continue;
                 }
@@ -2523,15 +2522,14 @@ impl Controller {
         // Any frame from a quarantined switch means the channel is back;
         // ask for its state digest (quarantine lifts only on HelloResync,
         // so routing stays conservative until state is reconciled).
-        use MessageView::Owned;
         if let Some(&dpid) = self.rev_registry.get(&from) {
-            let resync = matches!(view, Owned(Message::HelloResync { .. }));
+            let resync = matches!(view, MessageView::Owned(Message::HelloResync { .. }));
             if self.view.is_quarantined(dpid) && !resync {
                 self.maybe_request_resync(ctx, dpid);
             }
         } else if !matches!(
             view,
-            Owned(Message::Hello { .. } | Message::FeaturesReply { .. })
+            MessageView::Owned(Message::Hello { .. } | Message::FeaturesReply { .. })
         ) {
             self.resolicit_handshake(ctx, from);
         }

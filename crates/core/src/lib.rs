@@ -53,6 +53,11 @@ pub use southbound::{flows_stamp, ProgramBase, Reconciled};
 pub use txn::{Consistency, NetworkUpdate, UpdatePlanner};
 pub use view::{Dpid, HostEntry, NetworkView, SwitchInfo};
 
+/// Whether `frame` is an LLDP discovery probe, by its EtherType.
+pub(crate) fn is_lldp(frame: &[u8]) -> bool {
+    frame.len() >= 14 && frame[12..14] == [0x88, 0xcc]
+}
+
 /// Send `msg` to `to`, encoded straight into the control channel's own
 /// buffer: every sender in this crate writes in place.
 pub(crate) fn send_msg(
