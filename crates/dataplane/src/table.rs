@@ -363,8 +363,12 @@ impl FlowTable {
     }
 
     /// Evict expired entries, handing each to `removed` with the reason
-    /// (for FLOW_REMOVED notifications) as the scan comes to it.
+    /// (for FLOW_REMOVED notifications) as the scan comes to it. Most
+    /// sweeps find nothing due, and a read-only look says so at once.
     pub fn expire_with(&mut self, now: Nanos, mut removed: impl FnMut(FlowEntry, RemovedReason)) {
+        if !self.entries.iter().any(|e| e.expiry(now).is_some()) {
+            return;
+        }
         for entry in self.entries.extract_if(.., |e| e.expiry(now).is_some()) {
             let reason = entry.expiry(now).expect("extracted because it expired");
             removed(entry, reason);
