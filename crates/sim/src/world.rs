@@ -705,19 +705,10 @@ impl World {
     }
 
     /// Schedule an administrative link state change at time `at`. Both
-    /// endpoints receive `on_link_status` when it takes effect.
+    /// endpoints receive `on_link_status` when it takes effect. An `at`
+    /// already in the past means now.
     pub fn schedule_link_state(&mut self, link: LinkId, up: bool, at: Instant) {
-        // Delivered to node 0 as a placeholder; AdminLink is handled by the
-        // core, not a node.
-        self.core.push(
-            at,
-            NodeId(0),
-            EventKind::AdminLink {
-                link,
-                up,
-                notify: true,
-            },
-        );
+        self.push_admin_link(link, up, true, at);
     }
 
     /// Schedule a *silent* link failure (or repair) at time `at`: frames
@@ -726,15 +717,17 @@ impl World {
     /// break, which only protocol-level liveness (hellos, LLDP, dead
     /// intervals) can detect.
     pub fn schedule_link_state_silent(&mut self, link: LinkId, up: bool, at: Instant) {
-        self.core.push(
-            at,
-            NodeId(0),
-            EventKind::AdminLink {
-                link,
-                up,
-                notify: false,
-            },
-        );
+        self.push_admin_link(link, up, false, at);
+    }
+
+    fn push_admin_link(&mut self, link: LinkId, up: bool, notify: bool, at: Instant) {
+        // The one push whose time a caller names: clamped, so that no
+        // event is ever due before `now` and the clock cannot run
+        // backwards. Delivered to node 0 as a placeholder; AdminLink is
+        // handled by the core, not a node.
+        let at = at.max(self.core.now);
+        let kind = EventKind::AdminLink { link, up, notify };
+        self.core.push(at, NodeId(0), kind);
     }
 
     /// Immediately set a link's administrative state (before or between
@@ -1201,6 +1194,47 @@ mod tests {
             assert!(w.down_seen && w.up_seen);
         }
         assert!(world.link(link).up);
+    }
+
+    /// A link change scheduled for a time already past takes effect now:
+    /// the clock never runs backwards.
+    #[test]
+    fn a_link_change_scheduled_in_the_past_happens_now() {
+        struct Watcher {
+            seen: Vec<(Instant, bool)>,
+        }
+        impl Node for Watcher {
+            fn on_packet(&mut self, _: &mut Context<'_>, _: PortNo, _: &[u8]) {}
+            fn on_link_status(&mut self, ctx: &mut Context<'_>, _: PortNo, up: bool) {
+                self.seen.push((ctx.now(), up));
+            }
+            fn as_any(&self) -> &dyn Any {
+                self
+            }
+            fn as_any_mut(&mut self) -> &mut dyn Any {
+                self
+            }
+        }
+
+        let mut world = World::new(1);
+        let a = world.add_node(Box::new(Watcher { seen: vec![] }));
+        let b = world.add_node(Box::new(Watcher { seen: vec![] }));
+        let (link, _, _) = world.connect(a, b, LinkParams::default());
+        let (silent, _, _) = world.connect(a, b, LinkParams::default());
+        world.run_until(Instant::from_millis(5));
+        world.schedule_link_state(link, false, Instant::from_millis(1));
+        world.schedule_link_state_silent(silent, false, Instant::from_millis(2));
+        let mut last = world.now();
+        while let Some(at) = world.step() {
+            assert!(at >= last && world.now() >= last, "the clock ran backwards");
+            last = world.now();
+        }
+        assert_eq!(world.now(), Instant::from_millis(5));
+        assert!(!world.link(link).up && !world.link(silent).up);
+        for node in [a, b] {
+            let seen = &world.node_as::<Watcher>(node).seen;
+            assert_eq!(seen, &vec![(Instant::from_millis(5), false)]);
+        }
     }
 
     #[test]
