@@ -38,6 +38,7 @@ pub mod fault;
 pub mod host;
 pub mod hostile;
 pub mod ports;
+mod queue;
 pub mod rng;
 pub mod shard;
 pub mod stats;

@@ -23,13 +23,13 @@
 //! is ordered (`BTreeMap`).
 
 use std::any::Any;
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 
 use zen_telemetry::{trace_id_for_frame, Recorder, TraceEvent};
 
 use crate::fault::FaultPlan;
 use crate::ports::PortTable;
+use crate::queue::EventQueue;
 use crate::rng::Rng;
 use crate::stats::{CounterId, Metrics};
 use crate::time::{queued_bytes, transmission_time, Duration, Instant};
@@ -214,29 +214,12 @@ impl EventKind {
     }
 }
 
+/// What the queue holds for an instant: the queue itself keeps the
+/// time and the push order.
 #[derive(Debug)]
 struct Event {
-    at: Instant,
-    seq: u64,
     node: NodeId,
     kind: EventKind,
-}
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Event) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for Event {}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Event) -> Option<core::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Event {
-    fn cmp(&self, other: &Event) -> core::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
 }
 
 /// Typed handles to the simulator's own counters, registered once at
@@ -278,8 +261,7 @@ impl SimCounters {
 /// Everything a node may touch while handling an event.
 struct CoreState {
     now: Instant,
-    seq: u64,
-    queue: BinaryHeap<Reverse<Event>>,
+    queue: EventQueue<Event>,
     links: Vec<Link>,
     ports: PortTable,
     /// Next free port number per node.
@@ -326,14 +308,7 @@ const FREE_BUFFER_BYTES: usize = 16 * 1024;
 
 impl CoreState {
     fn push(&mut self, at: Instant, node: NodeId, kind: EventKind) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(Reverse(Event {
-            at,
-            seq,
-            node,
-            kind,
-        }));
+        self.queue.push(at, Event { node, kind });
     }
 
     /// Deliver the control writes buffered during the event just
@@ -625,8 +600,7 @@ impl World {
             nodes: Vec::new(),
             core: CoreState {
                 now: Instant::ZERO,
-                seq: 0,
-                queue: BinaryHeap::new(),
+                queue: EventQueue::new(),
                 links: Vec::new(),
                 ports: PortTable::default(),
                 next_port: Vec::new(),
@@ -847,12 +821,16 @@ impl World {
     /// event dominates enabled-recorder overhead, so it is off unless
     /// asked for.
     pub fn step(&mut self) -> Option<Instant> {
-        let Reverse(event) = self.core.queue.pop()?;
-        debug_assert!(event.at >= self.core.now, "time went backwards");
-        let advance = event.at.duration_since(self.core.now);
-        self.core.now = event.at;
+        self.step_at_most(Instant::from_nanos(u64::MAX))
+    }
+
+    /// [`World::step`], unless the next event is due after `deadline`.
+    fn step_at_most(&mut self, deadline: Instant) -> Option<Instant> {
+        let (at, event) = self.core.queue.pop_at_most(deadline)?;
+        debug_assert!(at >= self.core.now, "time went backwards");
+        let advance = at.duration_since(self.core.now);
+        self.core.now = at;
         self.core.events_processed += 1;
-        let at = event.at;
         if !self.core.recorder.is_enabled() {
             self.dispatch(event);
             return Some(at);
@@ -925,12 +903,7 @@ impl World {
     /// at `deadline` (or the last event, if the queue drained first).
     pub fn run_until(&mut self, deadline: Instant) {
         self.started = true;
-        while let Some(Reverse(head)) = self.core.queue.peek() {
-            if head.at > deadline {
-                break;
-            }
-            self.step();
-        }
+        while self.step_at_most(deadline).is_some() {}
         if self.core.now < deadline {
             self.core.now = deadline;
         }
@@ -1314,6 +1287,139 @@ mod tests {
         assert_eq!(ctl.got_at, Some(Instant::from_micros(100)));
         assert_eq!(world.metrics().counter("sim.control_msgs"), 1);
         assert_eq!(world.metrics().counter("sim.control_bytes"), 3);
+    }
+
+    /// Whatever a node schedules — timers short and long, frames,
+    /// control messages, from every kind of callback — comes back in
+    /// the order of (due time, call order).
+    #[test]
+    fn callbacks_run_in_due_time_then_call_order() {
+        use crate::queue::tests::DELAYS;
+
+        const LINK: Duration = Duration::from_micros(3);
+        const CONTROL: Duration = Duration::from_micros(50);
+
+        /// Wired to itself: frames sent on port 1 arrive on port 2.
+        struct Scribe {
+            calls: u64,
+            /// (due, what) in call order, then what ran, when.
+            expected: Vec<(Instant, u64)>,
+            ran: Vec<(Instant, u64)>,
+        }
+        impl Scribe {
+            /// Three more calls, of kinds and delays that depend on
+            /// how many were made before; the control send last, as
+            /// the world delivers a handler's writes when it returns.
+            fn schedule(&mut self, ctx: &mut Context<'_>) {
+                if self.calls >= 600 {
+                    return;
+                }
+                let now = ctx.now();
+                let due = |this: &mut Scribe, after: Duration| {
+                    this.expected.push((now + after, this.calls));
+                    this.calls += 1;
+                    this.calls - 1
+                };
+                let delay = Duration::from_nanos(DELAYS[(self.calls / 3) as usize % DELAYS.len()]);
+                let token = due(self, delay);
+                ctx.set_timer(delay, token);
+                if self.calls.is_multiple_of(2) {
+                    let id = due(self, LINK);
+                    ctx.transmit(1, id.to_be_bytes().to_vec());
+                } else {
+                    let token = due(self, LINK);
+                    ctx.set_timer(LINK, token);
+                }
+                let id = due(self, CONTROL);
+                ctx.send_control(ctx.self_id, id.to_be_bytes().to_vec());
+            }
+            fn note(&mut self, ctx: &mut Context<'_>, what: u64) {
+                self.ran.push((ctx.now(), what));
+                self.schedule(ctx);
+            }
+        }
+        impl Node for Scribe {
+            fn on_start(&mut self, ctx: &mut Context<'_>) {
+                self.schedule(ctx);
+            }
+            fn on_packet(&mut self, ctx: &mut Context<'_>, port: PortNo, frame: &[u8]) {
+                assert_eq!(port, 2);
+                self.note(ctx, u64::from_be_bytes(frame.try_into().unwrap()));
+            }
+            fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) {
+                self.note(ctx, token);
+            }
+            fn on_control(&mut self, ctx: &mut Context<'_>, _: NodeId, bytes: &[u8]) {
+                self.note(ctx, u64::from_be_bytes(bytes.try_into().unwrap()));
+            }
+            fn as_any(&self) -> &dyn Any {
+                self
+            }
+            fn as_any_mut(&mut self) -> &mut dyn Any {
+                self
+            }
+        }
+
+        let mut world = World::new(1);
+        let n = world.add_node(Box::new(Scribe {
+            calls: 0,
+            expected: vec![],
+            ran: vec![],
+        }));
+        world.connect(n, n, LinkParams::instant(LINK));
+        world.set_control_latency(CONTROL);
+        world.run_to_quiescence(10_000);
+        let scribe = world.node_as::<Scribe>(n);
+        assert_eq!(scribe.ran.len(), 600);
+        let mut expected = scribe.expected.clone();
+        expected.sort(); // by due time, then by call number
+        assert_eq!(scribe.ran, expected);
+    }
+
+    /// `run_until` processes what is due at the deadline and nothing a
+    /// nanosecond later, and asking twice changes nothing.
+    #[test]
+    fn run_until_includes_its_deadline_and_repeats_as_nothing() {
+        use crate::queue::tests::HORIZON_NS as H;
+
+        /// Arms two timers for 3 H and two for a nanosecond later: one
+        /// of each from beyond the wheel's reach, one from inside it.
+        struct Alarms {
+            fired: Vec<u64>,
+        }
+        impl Node for Alarms {
+            fn on_start(&mut self, ctx: &mut Context<'_>) {
+                ctx.set_timer(Duration::from_nanos(3 * H), 0);
+                ctx.set_timer(Duration::from_nanos(3 * H + 1), 1);
+                ctx.set_timer(Duration::from_nanos(5 * H / 2), 2);
+            }
+            fn on_packet(&mut self, _: &mut Context<'_>, _: PortNo, _: &[u8]) {}
+            fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) {
+                self.fired.push(token);
+                if token == 2 {
+                    ctx.set_timer(Duration::from_nanos(H / 2), 3);
+                    ctx.set_timer(Duration::from_nanos(H / 2 + 1), 4);
+                }
+            }
+            fn as_any(&self) -> &dyn Any {
+                self
+            }
+            fn as_any_mut(&mut self) -> &mut dyn Any {
+                self
+            }
+        }
+
+        let mut world = World::new(1);
+        let n = world.add_node(Box::new(Alarms { fired: vec![] }));
+        let deadline = Instant::from_nanos(3 * H);
+        world.run_until(deadline);
+        assert_eq!(world.node_as::<Alarms>(n).fired, vec![2, 0, 3]);
+        let events = world.events_processed();
+        world.run_until(deadline);
+        assert_eq!(world.events_processed(), events);
+        assert_eq!(world.now(), deadline);
+        world.run_until(Instant::from_nanos(3 * H + 1));
+        assert_eq!(world.node_as::<Alarms>(n).fired, vec![2, 0, 3, 1, 4]);
     }
 
     #[test]
