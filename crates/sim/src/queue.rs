@@ -103,16 +103,18 @@ impl<T> EventQueue<T> {
             next: NIL,
             item: Some(item),
         };
-        let id = self.free;
-        let id = if id == NIL {
-            let id = u32::try_from(self.cells.len()).expect("under 2^32 events queued at once");
-            self.cells.push(cell);
-            id
-        } else {
-            let free = &mut self.cells[id as usize];
-            self.free = free.next;
-            *free = cell;
-            id
+        let id = match self.free {
+            NIL => {
+                let id = u32::try_from(self.cells.len()).expect("under 2^32 events queued at once");
+                self.cells.push(cell);
+                id
+            }
+            id => {
+                let free = &mut self.cells[id as usize];
+                self.free = free.next;
+                *free = cell;
+                id
+            }
         };
         let number = at.as_nanos() >> SLOT_SHIFT;
         if number.wrapping_sub(self.cursor) >= SLOTS as u64 {
