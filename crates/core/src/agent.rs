@@ -1006,7 +1006,6 @@ impl Node for SwitchAgent {
                         other => self.handle_message(ctx, ci, other.into_message(), xid),
                     }
                 }
-                Err(e) if e.is_truncated() && at > 0 => break,
                 Err(_) => {
                     self.stats.decode_errors += 1;
                     break;

@@ -2930,7 +2930,6 @@ impl Node for Controller {
                         }
                     }
                 }
-                Err(e) if e.is_truncated() && at > 0 => break,
                 Err(_) => {
                     self.stats.decode_errors += 1;
                     break;
