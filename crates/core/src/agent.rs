@@ -26,6 +26,13 @@ use crate::{is_lldp, send_msg};
 const TIMER_EXPIRE: u64 = 1;
 const TIMER_ECHO: u64 = 2;
 
+/// How often tables are scanned for idle/hard timeouts.
+const EXPIRE_INTERVAL: Duration = Duration::from_millis(10);
+/// Keepalive probe interval.
+const ECHO_INTERVAL: Duration = Duration::from_millis(50);
+/// Consecutive unanswered probes before `Disconnected`.
+const MISS_LIMIT: u32 = 4;
+
 /// What the agent does with table-miss traffic while it believes the
 /// controller is unreachable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -48,7 +55,7 @@ pub enum ConnState {
     Connected,
     /// At least one probe outstanding past its interval.
     Degraded,
-    /// `miss_limit` consecutive probes unanswered; the conn-loss policy
+    /// `MISS_LIMIT` (4) consecutive probes unanswered; the conn-loss policy
     /// governs miss traffic until the controller is heard from again.
     Disconnected,
 }
@@ -56,12 +63,6 @@ pub enum ConnState {
 /// Tunables for the switch agent.
 #[derive(Debug, Clone, Copy)]
 pub struct AgentConfig {
-    /// How often to scan tables for idle/hard timeouts.
-    pub expire_interval: Duration,
-    /// Keepalive probe interval.
-    pub echo_interval: Duration,
-    /// Consecutive unanswered probes before `Disconnected`.
-    pub miss_limit: u32,
     /// Behaviour for miss traffic while disconnected.
     pub policy: ConnLossPolicy,
     /// Capacity bound applied to every flow table at construction, with
@@ -88,9 +89,6 @@ pub struct PuntMeterConfig {
 impl Default for AgentConfig {
     fn default() -> AgentConfig {
         AgentConfig {
-            expire_interval: Duration::from_millis(10),
-            echo_interval: Duration::from_millis(50),
-            miss_limit: 4,
             policy: ConnLossPolicy::FailStandalone,
             table_limit: None,
             punt_meter: None,
@@ -911,8 +909,8 @@ impl Node for SwitchAgent {
                 version: zen_proto::VERSION,
             },
         );
-        ctx.set_timer(self.cfg.expire_interval, TIMER_EXPIRE);
-        ctx.set_timer(self.cfg.echo_interval, TIMER_ECHO);
+        ctx.set_timer(EXPIRE_INTERVAL, TIMER_EXPIRE);
+        ctx.set_timer(ECHO_INTERVAL, TIMER_ECHO);
     }
 
     fn on_packet(&mut self, ctx: &mut Context<'_>, port: PortNo, frame: &[u8]) {
@@ -939,14 +937,14 @@ impl Node for SwitchAgent {
                 self.send_master(ctx, &note);
             }
             self.expired = expired;
-            ctx.set_timer(self.cfg.expire_interval, TIMER_EXPIRE);
+            ctx.set_timer(EXPIRE_INTERVAL, TIMER_EXPIRE);
         } else if token == TIMER_ECHO {
             // Judge each session by probes still unanswered on it, then
             // probe every controller again. Only receipt of a message
             // from that controller (any message, not just an echo
             // reply) restores its connection to `Connected`.
             for ci in 0..self.conns.len() {
-                if self.conns[ci].outstanding >= self.cfg.miss_limit {
+                if self.conns[ci].outstanding >= MISS_LIMIT {
                     self.conns[ci].state = ConnState::Disconnected;
                 } else if self.conns[ci].outstanding > 0
                     && self.conns[ci].state == ConnState::Connected
@@ -961,7 +959,7 @@ impl Node for SwitchAgent {
                 };
                 self.send_to(ctx, ci, &probe);
             }
-            ctx.set_timer(self.cfg.echo_interval, TIMER_ECHO);
+            ctx.set_timer(ECHO_INTERVAL, TIMER_ECHO);
         }
     }
 

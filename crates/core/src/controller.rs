@@ -39,13 +39,23 @@ pub use crate::policy::{PUSHBACK_COOKIE, PUSHBACK_IMPORTANCE, PUSHBACK_PRIORITY}
 /// out on following ticks (the ack-driven suffix resend makes this safe).
 const EW_BATCH: usize = 64;
 
+/// TTL stamped into discovery LLDPs.
+const LLDP_TTL_SECS: u16 = 120;
+/// Drain wave after a two-phase update flips its edge rules: packets
+/// stamped with the old epoch get this long to exit the network before
+/// its rules are garbage-collected.
+const TXN_DRAIN: Duration = Duration::from_millis(100);
+/// Give-up budget per two-phase transaction phase. A staging
+/// transaction past its deadline aborts (a touched switch may be dead
+/// and its acks will never come); a flipping one force-advances and
+/// leaves the straggler to the resync machinery.
+const TXN_DEADLINE: Duration = Duration::from_secs(2);
+
 /// Controller configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct ControllerConfig {
     /// Discovery + app tick period.
     pub tick_interval: Duration,
-    /// TTL stamped into discovery LLDPs.
-    pub lldp_ttl_secs: u16,
     /// Age after which an unconfirmed link is declared dead (silent
     /// failure detection). Should be several tick intervals.
     pub link_max_age: Duration,
@@ -61,30 +71,17 @@ pub struct ControllerConfig {
     /// Controller-side PACKET_IN admission control. `None` = every
     /// punt is dispatched immediately (the classic behaviour).
     pub admission: Option<AdmissionConfig>,
-    /// Drain wave after a two-phase update flips its edge rules:
-    /// packets stamped with the old epoch get this long to exit the
-    /// network before its rules are garbage-collected.
-    pub txn_drain: Duration,
-    /// Give-up budget per two-phase transaction phase. A staging
-    /// transaction past its deadline aborts (a touched switch may be
-    /// dead and its acks will never come); a flipping one
-    /// force-advances and leaves the straggler to the resync
-    /// machinery.
-    pub txn_deadline: Duration,
 }
 
 impl Default for ControllerConfig {
     fn default() -> ControllerConfig {
         ControllerConfig {
             tick_interval: Duration::from_millis(50),
-            lldp_ttl_secs: 120,
             link_max_age: Duration::from_millis(175),
             agent_dead_after: Duration::from_millis(300),
             mod_timeout: Duration::from_millis(150),
             mod_max_retries: 8,
             admission: None,
-            txn_drain: Duration::from_millis(100),
-            txn_deadline: Duration::from_secs(2),
         }
     }
 }
@@ -1834,7 +1831,7 @@ impl Controller {
                 zen_wire::EthernetAddress::from_id(0x70_0000 + dpid),
                 dpid,
                 port,
-                self.cfg.lldp_ttl_secs,
+                LLDP_TTL_SECS,
             );
             self.stats.packet_outs += 1;
             let msg = Message::PacketOut {
@@ -2182,7 +2179,7 @@ impl Controller {
                     }
                     // Every internal rule is acked: flip the edge.
                     txn.phase = TxnPhase::Flipping;
-                    txn.deadline = now + self.cfg.txn_deadline;
+                    txn.deadline = now + TXN_DEADLINE;
                     let epoch = txn.epoch;
                     let msgs = std::mem::take(&mut txn.flip_msgs);
                     let mut outstanding = BTreeSet::new();
@@ -2205,7 +2202,7 @@ impl Controller {
                     }
                     if txn.outstanding.is_empty() || now >= txn.deadline {
                         txn.phase = TxnPhase::Draining;
-                        txn.drain_until = now + self.cfg.txn_drain;
+                        txn.drain_until = now + TXN_DRAIN;
                         let epoch = txn.epoch;
                         self.record_epoch_phase(ctx, epoch, TxnPhase::Draining.name());
                     }
@@ -2222,7 +2219,7 @@ impl Controller {
                     // cookies and group ids, and a retire retransmitted
                     // after a lost ack must never land on top of them.
                     txn.phase = TxnPhase::Retiring;
-                    txn.deadline = now + self.cfg.txn_deadline;
+                    txn.deadline = now + TXN_DEADLINE;
                     let epoch = txn.epoch;
                     let owner = txn.owner;
                     let token = txn.token;
@@ -2325,7 +2322,7 @@ impl Controller {
             token: update.token,
             outstanding,
             failed: false,
-            deadline: ctx.now() + self.cfg.txn_deadline,
+            deadline: ctx.now() + TXN_DEADLINE,
             drain_until: Instant::ZERO,
             flip_msgs,
             retire_msgs,

@@ -20,10 +20,9 @@
 //! Execution is a pure function of the initial configuration and the RNG
 //! seed: the event queue breaks time ties by sequence number, and every
 //! internal collection whose iteration order can influence event creation
-//! is ordered (`BTreeMap`).
+//! is ordered (a `BTreeMap` or a sorted `Vec`).
 
 use std::any::Any;
-use std::collections::BTreeMap;
 
 use zen_telemetry::{trace_id_for_frame, Recorder, TraceEvent};
 
@@ -271,7 +270,6 @@ struct CoreState {
     ids: SimCounters,
     recorder: Recorder,
     control_latency: Duration,
-    control_latency_override: BTreeMap<(NodeId, NodeId), Duration>,
     control_jitter: Duration,
     faults: FaultPlan,
     events_processed: u64,
@@ -433,13 +431,6 @@ impl CoreState {
         let link = self.ports.link(node, port);
         link.is_some_and(|l| self.links[l.0 as usize].up)
     }
-
-    fn control_latency_for(&self, from: NodeId, to: NodeId) -> Duration {
-        self.control_latency_override
-            .get(&(from, to))
-            .copied()
-            .unwrap_or(self.control_latency)
-    }
 }
 
 /// The mutable environment passed to node callbacks.
@@ -519,7 +510,7 @@ impl Context<'_> {
             }
         }
         let draw_latency = |core: &mut CoreState| {
-            let mut latency = core.control_latency_for(from, to);
+            let mut latency = core.control_latency;
             let jitter = core.control_jitter.as_nanos();
             if jitter > 0 {
                 // Each copy draws its own jitter, so duplicates reorder.
@@ -609,7 +600,6 @@ impl World {
                 ids,
                 recorder: Recorder::new(),
                 control_latency: Duration::from_micros(50),
-                control_latency_override: BTreeMap::new(),
                 control_jitter: Duration::ZERO,
                 faults: FaultPlan::default(),
                 events_processed: 0,
@@ -710,16 +700,9 @@ impl World {
         self.schedule_link_state(link, up, self.core.now);
     }
 
-    /// Set the default out-of-band control-channel latency.
+    /// Set the out-of-band control-channel latency.
     pub fn set_control_latency(&mut self, latency: Duration) {
         self.core.control_latency = latency;
-    }
-
-    /// Override control latency for a specific (from, to) pair.
-    pub fn set_control_latency_between(&mut self, from: NodeId, to: NodeId, latency: Duration) {
-        self.core
-            .control_latency_override
-            .insert((from, to), latency);
     }
 
     /// Install a fault plan; subsequent control sends and data-plane
