@@ -177,6 +177,10 @@ fn soak(seed: u64) -> TraceDigest {
 #[ignore = "chaos soak: run explicitly (CI does) — simulates ~10 s of fabric time"]
 fn chaos_soak_fat_tree_reconverges() {
     let first = soak(SOAK_SEED);
+    println!(
+        "soak chaos {:016x}",
+        zen_consensus::fnv1a(format!("{:?}", first).as_bytes())
+    );
     // The run is a pure function of the seed: a replay must produce an
     // identical trace, or debugging a chaos failure is hopeless.
     let second = soak(SOAK_SEED);

@@ -559,6 +559,10 @@ fn fixed_seed_cluster_failover_soak_is_deterministic() {
     }
 
     let first = run_soak(123);
+    println!(
+        "soak cluster {:016x}",
+        zen_consensus::fnv1a(first.as_bytes())
+    );
     let second = run_soak(123);
     assert_eq!(first, second, "cluster failover soak is nondeterministic");
 }

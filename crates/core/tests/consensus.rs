@@ -586,6 +586,10 @@ fn fixed_seed_consensus_soak_is_deterministic() {
     }
 
     let first = run_soak(131);
+    println!(
+        "soak consensus {:016x}",
+        zen_consensus::fnv1a(first.as_bytes())
+    );
     let second = run_soak(131);
     assert_eq!(first, second, "consensus soak is nondeterministic");
 }

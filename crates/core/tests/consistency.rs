@@ -239,6 +239,10 @@ fn soak(seed: u64) -> TraceDigest {
 #[ignore = "soak: run explicitly (CI release-soaks lane)"]
 fn consistency_soak_replays_byte_identical() {
     let a = soak(0xC0DE);
+    println!(
+        "soak consistency {:016x}",
+        zen_consensus::fnv1a(format!("{:?}", a).as_bytes())
+    );
     let b = soak(0xC0DE);
     assert_eq!(a, b, "same-seed soak runs diverged");
     // And the soak actually exercised the machinery under test.

@@ -244,6 +244,10 @@ fn run_flood(defended: bool) -> Outcome {
 #[ignore = "multi-second fabric soak; CI runs it in release explicitly"]
 fn packet_in_flood_soak_bounded_blackhole_and_replay() {
     let defended = run_flood(true);
+    println!(
+        "soak defense {:016x}",
+        zen_consensus::fnv1a(format!("{:?}", defended.digest).as_bytes())
+    );
 
     // Every innocent probe was sent.
     for &(tx, _, _) in &defended.digest.hosts {

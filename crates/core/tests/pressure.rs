@@ -185,6 +185,10 @@ fn evict_soak(seed: u64) -> PressureDigest {
 #[ignore = "table-pressure soak: run explicitly (CI does) — simulates ~5 s of fabric time twice"]
 fn evict_soak_bounds_occupancy_and_replays_identically() {
     let first = evict_soak(SOAK_SEED);
+    println!(
+        "soak pressure {:016x}",
+        zen_consensus::fnv1a(format!("{:?}", first).as_bytes())
+    );
     // The run is a pure function of the seed: a replay must produce an
     // identical trace down to the telemetry export bytes.
     let second = evict_soak(SOAK_SEED);

@@ -45,8 +45,7 @@ const RUN_MS: u64 = 200;
 /// floor is the quiet rate derated 2x and then lowered to sit between
 /// those last two ranges, so a busy runner passes and the scan coming
 /// back does not — the old 20 k/s floor would have let that whole gain
-/// regress unseen. The same 400 k/s is what `ci/bench_gate.sh E17`
-/// enforces (0.8 x its committed baseline).
+/// regress unseen.
 const SETUPS_PER_SEC_FLOOR: f64 = 400_000.0;
 
 /// Everything deterministic a run produces, compared across replays.
@@ -117,6 +116,10 @@ fn run_once() -> RunOutcome {
 #[ignore = "wall-clock floor; CI runs it in release explicitly"]
 fn saturation_smoke_floor_and_replay() {
     let first = run_once();
+    println!(
+        "soak saturation {:016x}",
+        zen_consensus::fnv1a(format!("{:?}", first.digest).as_bytes())
+    );
 
     // The channel is healthy: every punt decoded, and the closed loop
     // kept the pipeline full (punts lead setups by at most the

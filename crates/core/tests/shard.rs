@@ -85,6 +85,10 @@ fn run(n_shards: usize) -> RunDigest {
 #[ignore = "release soak: run explicitly in CI"]
 fn sharded_fat_tree_is_byte_identical_across_shard_counts() {
     let one = run(1);
+    println!(
+        "soak shard {:016x}",
+        zen_consensus::fnv1a(format!("{:?}", one).as_bytes())
+    );
     assert!(
         one.events > 100_000,
         "soak too small: {} events",
