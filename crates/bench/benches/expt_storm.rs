@@ -21,11 +21,9 @@
 //!   work.
 //!
 //! Machine-readable output: one JSON line per configuration to
-//! `BENCH_E18_OUT` (default `target/BENCH_E18.json`). If
-//! `BENCH_E18_BASELINE` names a committed baseline (CI points it at
-//! `ci/BENCH_E18.baseline.json`), the run fails when the attack-mode
-//! defended innocent setups/sec regresses more than 20% below it.
-//! `BENCH_E18_QUICK=1` shrinks the cbench span for CI smoke lanes.
+//! `target/BENCH_E18.json`. CI runs this for its assertions (no
+//! wall-clock floor); `BENCH_E18_QUICK=1` shrinks the cbench span for
+//! its smoke lane.
 
 use zen_core::apps::L2Learning;
 use zen_core::harness::{default_host_ip, default_host_mac};
@@ -359,26 +357,8 @@ fn run_storm(attack: bool, defended: bool, span: Duration) -> StormOutcome {
     }
 }
 
-/// Pull `"attack_defended_setups_per_sec":<num>` out of a baseline
-/// JSON-lines file by hand (the workspace is serde-free on principle).
-fn baseline_rate(path: &str) -> Option<f64> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let line = text
-        .lines()
-        .find(|l| l.contains("\"type\":\"bench_summary\"") && l.contains("\"id\":\"E18\""))?;
-    let key = "\"attack_defended_setups_per_sec\":";
-    let at = line.find(key)? + key.len();
-    let rest = &line[at..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
 fn main() {
     let quick = std::env::var("BENCH_E18_QUICK").is_ok_and(|v| v == "1");
-    let pct: f64 = std::env::var("BENCH_E18_PCT")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20.0);
     let mut json = String::new();
 
     println!("# E18 — storm survival (hostile workloads vs control-plane self-defense)");
@@ -513,50 +493,22 @@ fn main() {
         calm.p99_us, atk_def.p99_us, atk_undef.p99_us
     );
 
-    let rate = atk_def.innocent_setups_per_sec();
     Line::new("bench_summary")
         .str("id", "E18")
         .bool("quick", quick)
-        .f64("attack_defended_setups_per_sec", rate)
+        .f64(
+            "attack_defended_setups_per_sec",
+            atk_def.innocent_setups_per_sec(),
+        )
         .f64("attack_defended_p99_us", atk_def.p99_us)
         .f64("blackhole_ms_defended", fabric[2].blackhole_ms())
         .f64("blackhole_ms_undefended", fabric[3].blackhole_ms())
         .finish(&mut json);
 
     // cargo runs bench binaries with CWD = the package dir; anchor the
-    // default output at the workspace target dir so CI finds it.
-    let out_path = std::env::var("BENCH_E18_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/BENCH_E18.json").to_string()
-    });
-    if let Some(parent) = std::path::Path::new(&out_path).parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    std::fs::write(&out_path, &json).expect("write BENCH_E18.json");
+    // output at the workspace target dir so CI finds it.
+    let out_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/BENCH_E18.json");
+    std::fs::write(out_path, &json).expect("write BENCH_E18.json");
     println!();
     println!("# wrote {out_path}");
-
-    // Perf-regression gate: attack-mode defended innocent setups/sec
-    // against the committed baseline, if one is configured.
-    match std::env::var("BENCH_E18_BASELINE") {
-        Ok(path) => match baseline_rate(&path) {
-            Some(base) => {
-                let floor = base * (1.0 - pct / 100.0);
-                println!(
-                    "# baseline {base:.0} setups/s ({path}); floor {floor:.0}, measured {rate:.0}"
-                );
-                if rate < floor {
-                    eprintln!(
-                        "E18 REGRESSION: attack-mode defended innocent rate {rate:.0} setups/s \
-                         is more than {pct}% below baseline {base:.0} ({path})"
-                    );
-                    std::process::exit(1);
-                }
-            }
-            None => {
-                eprintln!("E18: baseline {path} missing or unparsable; failing the gate");
-                std::process::exit(1);
-            }
-        },
-        Err(_) => println!("# no BENCH_E18_BASELINE set; regression gate skipped"),
-    }
 }

@@ -9,7 +9,7 @@
 use std::hint::black_box;
 use std::time::Duration;
 
-use zen_bench::harness::{Bench, Throughput};
+use zen_bench::harness::Bench;
 use zen_fib::{BinaryTrieFib, Dir24Fib, Fib, LinearFib, RadixTrieFib, SyntheticTable};
 
 fn bench_lookup() {
@@ -20,7 +20,7 @@ fn bench_lookup() {
     for &n in &[1_000usize, 10_000, 100_000] {
         let table = SyntheticTable::generate(n, 42);
         let keys = table.lookup_keys(4096, 7);
-        group.throughput(Throughput::Elements(1));
+        group.throughput(1);
 
         // The linear oracle is O(n); skip its largest size to keep bench
         // time sane but keep enough points to see the collapse.
@@ -70,7 +70,7 @@ fn bench_update() {
     // Churn set: a disjoint batch of prefixes inserted and removed.
     let churn = SyntheticTable::generate(256, 999);
 
-    group.throughput(Throughput::Elements(churn.entries.len() as u64));
+    group.throughput(churn.entries.len() as u64);
 
     let mut fib = BinaryTrieFib::new();
     table.load(&mut fib);

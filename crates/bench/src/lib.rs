@@ -1,10 +1,15 @@
-//! # zen-bench — benchmarks and experiment harnesses
+//! # zen-bench — the ledger, and the experiment binaries it has not replaced yet
 //!
-//! Micro-benchmarks (E1–E4, E6) and printed-table experiment harnesses
-//! (E5, E7–E10) per the experiment index in `DESIGN.md`. All benches run
-//! on the in-tree [`harness`] — the workspace builds hermetically with
-//! no external crates. `cargo bench --workspace` regenerates everything;
-//! results are recorded in `EXPERIMENTS.md`.
+//! The repo's one benchmark is the `ledger` binary (`src/bin/ledger/`,
+//! declared in `BENCHMARK.json`; its README says what it measures).
+//! Seven printed-table experiments remain under `benches/` until a
+//! ledger workload covers them: E2 (`fib`, the only user of the
+//! [`harness`] below), E7/E13 (`expt_convergence`), E8
+//! (`expt_te_utilization`), E11 (`expt_update_disruption`), E17's
+//! open-loop sweep (`expt_saturation`), E18 (`expt_storm`) and E19
+//! (`expt_consistent_update`). `cargo bench -p zen-bench --bench <name>`
+//! runs one; `EXPERIMENTS.md` records the results, and the last tables
+//! of the experiments retired in PR 22.
 
 /// A minimal micro-benchmark harness: calibrated batch timing with
 /// median-of-samples reporting, in the spirit of criterion but ~100
@@ -12,20 +17,11 @@
 pub mod harness {
     use std::time::{Duration, Instant};
 
-    /// How to report a per-iteration rate alongside the raw time.
-    #[derive(Debug, Clone, Copy)]
-    pub enum Throughput {
-        /// Each iteration processes this many logical elements.
-        Elements(u64),
-        /// Each iteration processes this many bytes.
-        Bytes(u64),
-    }
-
     /// A named group of benchmarks sharing sampling parameters.
     ///
     /// ```no_run
     /// use zen_bench::harness::Bench;
-    /// let mut g = Bench::group("E1/flow_table_lookup");
+    /// let mut g = Bench::group("E2/fib_lookup");
     /// g.run("exact/100", || 2 + 2);
     /// ```
     pub struct Bench {
@@ -33,7 +29,8 @@ pub mod harness {
         samples: usize,
         warm_up: Duration,
         measure: Duration,
-        throughput: Option<Throughput>,
+        /// Logical elements each iteration processes, for a derived rate.
+        elements: Option<u64>,
     }
 
     impl Bench {
@@ -45,7 +42,7 @@ pub mod harness {
                 samples: 10,
                 warm_up: Duration::from_millis(200),
                 measure: Duration::from_secs(1),
-                throughput: None,
+                elements: None,
             }
         }
 
@@ -67,9 +64,10 @@ pub mod harness {
             self
         }
 
-        /// Report a derived rate with each result (sticky until changed).
-        pub fn throughput(&mut self, t: Throughput) -> &mut Bench {
-            self.throughput = Some(t);
+        /// Report elements per second with each result, at `n` elements
+        /// per iteration (sticky until changed).
+        pub fn throughput(&mut self, n: u64) -> &mut Bench {
+            self.elements = Some(n);
             self
         }
 
@@ -116,13 +114,8 @@ pub mod harness {
             per_iter.sort_by(|a, b| a.total_cmp(b));
             let median = per_iter[per_iter.len() / 2];
 
-            let rate = match self.throughput {
-                Some(Throughput::Elements(n)) => {
-                    format!("  thrpt: {}/s", si(n as f64 / (median * 1e-9)))
-                }
-                Some(Throughput::Bytes(n)) => {
-                    format!("  thrpt: {}B/s", si(n as f64 / (median * 1e-9)))
-                }
+            let rate = match self.elements {
+                Some(n) => format!("  thrpt: {}/s", si(n as f64 / (median * 1e-9))),
                 None => String::new(),
             };
             println!(
@@ -153,18 +146,5 @@ pub mod harness {
             }
         }
         format!("{v:.2} ")
-    }
-}
-
-/// Shared helpers for the experiment harnesses.
-pub mod util {
-    /// Print a table row with fixed-width columns.
-    pub fn row(cells: &[String], widths: &[usize]) -> String {
-        cells
-            .iter()
-            .zip(widths)
-            .map(|(c, w)| format!("{c:>w$}", w = w))
-            .collect::<Vec<_>>()
-            .join("  ")
     }
 }
