@@ -121,11 +121,6 @@ impl Monitor {
         self.latest.get(&(dpid, port)).copied()
     }
 
-    /// The latest sample for a flow table.
-    pub fn table_sample(&self, dpid: Dpid, table_id: u8) -> Option<TableSample> {
-        self.tables.get(&(dpid, table_id)).copied()
-    }
-
     /// A table's occupancy as a fraction of its capacity bound, in
     /// `[0, 1]`. `None` before the first sample or when unbounded.
     pub fn table_occupancy(&self, dpid: Dpid, table_id: u8) -> Option<f64> {

@@ -698,22 +698,6 @@ impl Ctl<'_, '_> {
         }
         token
     }
-
-    /// Whether this replica currently leads the intent log (always true
-    /// standalone). Proposals work from any replica; this is for
-    /// observability and tests.
-    pub fn is_intent_leader(&self) -> bool {
-        self.cluster
-            .as_ref()
-            .is_none_or(|cl| cl.intents.is_leader())
-    }
-
-    /// The committed mastership pin for `dpid`, if any.
-    pub fn pinned_master(&self, dpid: Dpid) -> Option<u32> {
-        self.cluster
-            .as_ref()
-            .and_then(|cl| cl.pins.get(&dpid).copied())
-    }
 }
 
 /// The controller node.
@@ -872,13 +856,6 @@ impl Controller {
     pub fn program_base_of(&self, dpid: Dpid, cookie: u64) -> Option<u64> {
         let node = *self.registry.get(&dpid)?;
         self.southbound.base(node, cookie).map(ProgramBase::stamp)
-    }
-
-    /// The least `dpid`'s mutation generation can be, short of a
-    /// reboot: its latest HELLO_RESYNC report plus the mods it has
-    /// acknowledged since.
-    pub fn agent_generation(&self, dpid: Dpid) -> Option<u64> {
-        self.southbound.generation(*self.registry.get(&dpid)?)
     }
 
     /// Access an application by index (post-run inspection).

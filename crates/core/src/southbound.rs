@@ -459,12 +459,6 @@ impl Southbound {
         generation < std::mem::replace(known, generation)
     }
 
-    /// The least `node`'s switch's generation can be (see
-    /// [`Southbound::restarted`]).
-    pub(crate) fn generation(&self, node: NodeId) -> Option<u64> {
-        self.sessions.get(&node).map(|s| s.generation)
-    }
-
     /// Stop tracking one mod `from` bounced (TABLE_FULL, NOT_MASTER).
     pub(crate) fn retire(&mut self, from: NodeId, xid: u32) -> bool {
         self.sessions.get_mut(&from).is_some_and(|s| {

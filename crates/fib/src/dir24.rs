@@ -59,11 +59,6 @@ impl Dir24Fib {
         }
     }
 
-    /// Approximate memory footprint in bytes (benchmark reporting).
-    pub fn memory_bytes(&self) -> usize {
-        self.tbl24.len() * 4 + self.tbl24_len.len() + self.tbl8.len() * 4 + self.tbl8_len.len()
-    }
-
     /// Number of allocated second-level blocks.
     pub fn block_count(&self) -> usize {
         self.tbl8.len() / 256

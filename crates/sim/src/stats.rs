@@ -259,12 +259,6 @@ impl Metrics {
         &mut self.histograms[id.0 as usize]
     }
 
-    /// Access a registered histogram mutably by handle.
-    #[inline]
-    pub fn histogram_mut(&mut self, id: HistogramId) -> &mut Histogram {
-        &mut self.histograms[id.0 as usize]
-    }
-
     /// Iterate counters in name order.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
         self.counter_index

@@ -136,13 +136,6 @@ impl Duration {
         }
     }
 
-    /// Construct from a float number of seconds (saturating at zero).
-    pub fn from_secs_f64(secs: f64) -> Duration {
-        Duration {
-            nanos: (secs.max(0.0) * 1e9) as u64,
-        }
-    }
-
     /// Nanoseconds in this duration.
     pub const fn as_nanos(&self) -> u64 {
         self.nanos

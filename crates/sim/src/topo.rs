@@ -181,27 +181,6 @@ impl Topology {
         t
     }
 
-    /// A leaf–spine (2-tier Clos) fabric: every leaf connects to every
-    /// spine; `hosts_per_leaf` hosts per leaf. Leaves are switches
-    /// `0..leaves`, spines `leaves..leaves+spines`.
-    pub fn leaf_spine(
-        leaves: usize,
-        spines: usize,
-        hosts_per_leaf: usize,
-        params: LinkParams,
-    ) -> Topology {
-        let mut t = Topology::new(&format!("leaf-spine-{leaves}x{spines}"), leaves + spines);
-        for l in 0..leaves {
-            for s in 0..spines {
-                t.link(l, leaves + s, params);
-            }
-            for _ in 0..hosts_per_leaf {
-                t.hosts.push(l);
-            }
-        }
-        t
-    }
-
     /// A 12-site inter-datacenter WAN in the style of Google's B4
     /// (SIGCOMM'13): three geographic clusters with rich intra-cluster
     /// connectivity and a few long-haul inter-cluster trunks. Link
@@ -361,11 +340,6 @@ impl FatTreeIndex {
         s >= self.k * self.k / 2 && s < self.k * self.k
     }
 
-    /// Whether switch `s` is a core switch.
-    pub fn is_core(&self, s: usize) -> bool {
-        s >= self.k * self.k
-    }
-
     /// The pod of an edge or aggregation switch.
     pub fn pod_of(&self, s: usize) -> Option<usize> {
         if self.is_edge(s) {
@@ -432,19 +406,9 @@ mod tests {
         let idx = FatTreeIndex::new(4);
         assert!(idx.is_edge(idx.edge(0, 0)));
         assert!(idx.is_agg(idx.agg(3, 1)));
-        assert!(idx.is_core(idx.core(3)));
         assert_eq!(idx.pod_of(idx.edge(2, 1)), Some(2));
         assert_eq!(idx.pod_of(idx.agg(2, 1)), Some(2));
         assert_eq!(idx.pod_of(idx.core(0)), None);
-    }
-
-    #[test]
-    fn leaf_spine_shape() {
-        let t = Topology::leaf_spine(4, 2, 3, LinkParams::default());
-        assert_eq!(t.switches, 6);
-        assert_eq!(t.links.len(), 8);
-        assert_eq!(t.host_count(), 12);
-        assert_eq!(t.diameter(), Some(2));
     }
 
     #[test]

@@ -132,11 +132,6 @@ impl Link {
     pub fn utilization_ab(&self, horizon: Duration) -> f64 {
         utilization(self.ab.tx_bytes, self.params.bandwidth_bps, horizon)
     }
-
-    /// Utilization of the B→A direction over `[0, horizon]`.
-    pub fn utilization_ba(&self, horizon: Duration) -> f64 {
-        utilization(self.ba.tx_bytes, self.params.bandwidth_bps, horizon)
-    }
 }
 
 fn utilization(tx_bytes: u64, rate: u64, horizon: Duration) -> f64 {
@@ -711,11 +706,6 @@ impl World {
     /// plan + seed reproduces the identical event trace.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.core.faults = plan;
-    }
-
-    /// The currently installed fault plan.
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.core.faults
     }
 
     /// Add uniform random per-message control-channel jitter in

@@ -152,38 +152,8 @@ impl PacketBuilder {
         ident: u16,
         seq: u16,
     ) -> Vec<u8> {
-        Self::icmp_echo(src_mac, src_ip, dst_mac, dst_ip, ident, seq, true)
-    }
-
-    /// A complete ICMP echo reply frame.
-    pub fn icmp_echo_reply(
-        src_mac: EthernetAddress,
-        src_ip: Ipv4Address,
-        dst_mac: EthernetAddress,
-        dst_ip: Ipv4Address,
-        ident: u16,
-        seq: u16,
-    ) -> Vec<u8> {
-        Self::icmp_echo(src_mac, src_ip, dst_mac, dst_ip, ident, seq, false)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn icmp_echo(
-        src_mac: EthernetAddress,
-        src_ip: Ipv4Address,
-        dst_mac: EthernetAddress,
-        dst_ip: Ipv4Address,
-        ident: u16,
-        seq: u16,
-        request: bool,
-    ) -> Vec<u8> {
-        let message = if request {
-            icmpv4::Message::EchoRequest { ident, seq }
-        } else {
-            icmpv4::Message::EchoReply { ident, seq }
-        };
         let icmp_repr = icmpv4::Repr {
-            message,
+            message: icmpv4::Message::EchoRequest { ident, seq },
             payload_len: 0,
         };
         let mut icmp_buf = vec![0u8; icmp_repr.buffer_len()];
