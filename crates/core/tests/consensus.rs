@@ -29,34 +29,34 @@ fn ms(v: u64) -> Instant {
     Instant::from_millis(v)
 }
 
-fn deny_udp_9() -> FlowMatch {
-    FlowMatch::ANY.with_ip_proto(17).with_l4_dst(9)
+fn deny_udp(port: u16) -> FlowMatch {
+    FlowMatch::ANY.with_ip_proto(17).with_l4_dst(port)
 }
 
-/// A test app that proposes one intent at a scheduled instant —
-/// exercising `propose_intent` from an arbitrary replica while the
-/// cluster is mid-flight.
+fn deny_udp_9() -> FlowMatch {
+    deny_udp(9)
+}
+
+/// Spacing of a [`Proposer`]'s intents.
+const PROPOSE_EVERY: Duration = Duration::from_millis(30);
+
+/// A test app that proposes its intents one every [`PROPOSE_EVERY`]
+/// from a scheduled instant — exercising `propose_intent` from an
+/// arbitrary replica while the cluster is mid-flight.
 struct Proposer {
     at: Instant,
-    intent: Option<Intent>,
+    /// Still to propose, last first.
+    intents: Vec<Intent>,
     /// Commit confirmations received back (owner callback).
     pub confirmed: u64,
 }
 
 impl Proposer {
-    fn new(at: Instant, intent: Intent) -> Proposer {
+    fn new(at: Instant, mut intents: Vec<Intent>) -> Proposer {
+        intents.reverse();
         Proposer {
             at,
-            intent: Some(intent),
-            confirmed: 0,
-        }
-    }
-
-    /// A proposer that never proposes (for replicas that only observe).
-    fn idle() -> Proposer {
-        Proposer {
-            at: Instant::ZERO,
-            intent: None,
+            intents,
             confirmed: 0,
         }
     }
@@ -68,10 +68,12 @@ impl App for Proposer {
     }
 
     fn tick(&mut self, ctl: &mut Ctl<'_, '_>) {
-        if ctl.now() >= self.at {
-            if let Some(intent) = self.intent.take() {
-                ctl.propose_intent("proposer", intent);
-            }
+        while ctl.now() >= self.at {
+            let Some(intent) = self.intents.pop() else {
+                break;
+            };
+            ctl.propose_intent("proposer", intent);
+            self.at += PROPOSE_EVERY;
         }
     }
 
@@ -113,7 +115,7 @@ impl App for BatchProposer {
 
 /// A 4-switch ring, hosts on 0 and 2, `n` replicas each running
 /// ProactiveFabric + Acl + Proposer. Replica `acl_on` seeds the deny;
-/// replica `propose_on` (if any) fires `intent` at `propose_at`;
+/// replica `propose_on` (if any) fires its intents from `propose_at`;
 /// replica `batch_on` (if any) fires its whole intent batch at once.
 #[allow(clippy::too_many_arguments)]
 fn consensus_fabric(
@@ -121,7 +123,7 @@ fn consensus_fabric(
     n: usize,
     gossip: GossipMode,
     acl_on: Option<usize>,
-    propose_on: Option<(usize, Instant, Intent)>,
+    propose_on: Option<(usize, Instant, Vec<Intent>)>,
     batch_on: Option<(usize, Instant, Vec<Intent>)>,
     workload: Option<Workload>,
 ) -> Fabric {
@@ -148,8 +150,8 @@ fn consensus_fabric(
                 vec![]
             };
             let proposer = match &propose_on {
-                Some((r, at, intent)) if *r == i => Proposer::new(*at, intent.clone()),
-                _ => Proposer::idle(),
+                Some((r, at, intents)) if *r == i => Proposer::new(*at, intents.clone()),
+                _ => Proposer::new(Instant::ZERO, Vec::new()),
             };
             let batch = match &batch_on {
                 Some((r, at, intents)) if *r == i => BatchProposer {
@@ -254,28 +256,28 @@ fn acl_intent_commits_on_every_replica_and_programs_all_switches() {
     assert_eq!(h1.stats.udp_rx, 0, "denied traffic leaked through");
 }
 
-#[test]
-fn leader_killed_mid_commit_loses_no_intents() {
-    let mut world = World::new(43);
-    // Replica 2 proposes the deny at t=1.95s; the consensus leader
-    // (replica 0, the minimum live index) is killed at t=2s — with a
-    // 50 ms controller tick the proposal is in flight or freshly
-    // appended at the leader, uncommitted. The proposer must carry it
-    // across the failover to the new leader.
+/// Replica 2 proposes `burst` denies from `first_at`; the consensus
+/// leader (replica 0, the minimum live index) is killed at t=2s and
+/// healed at 3.5s. Every deny must commit on every replica — the
+/// healed victim included — be confirmed to its proposer exactly once,
+/// and sit on every switch exactly once.
+fn leader_kill_loses_no_intents(seed: u64, replicas: usize, burst: u16, first_at: Instant) {
+    let mut world = World::new(seed);
+    let denies: Vec<FlowMatch> = (0..burst).map(|k| deny_udp(9 + k)).collect();
+    let intents = denies
+        .iter()
+        .map(|&matcher| Intent::AclDeny {
+            priority: 900,
+            matcher,
+            install: true,
+        })
+        .collect();
     let fabric = consensus_fabric(
         &mut world,
-        3,
+        replicas,
         GossipMode::Digest,
         None,
-        Some((
-            2,
-            ms(1950),
-            Intent::AclDeny {
-                priority: 900,
-                matcher: deny_udp_9(),
-                install: true,
-            },
-        )),
+        Some((2, first_at, intents)),
         None,
         None,
     );
@@ -285,33 +287,51 @@ fn leader_killed_mid_commit_loses_no_intents() {
     );
     world.run_until(secs(6));
 
-    // The intent committed on the survivors despite the leader dying
-    // mid-commit, and the healed victim caught up too.
-    for r in 0..3 {
+    for r in 0..replicas {
+        let committed = acl_committed(&world, &fabric, r);
         assert_eq!(
-            acl_committed(&world, &fabric, r),
-            vec![deny_udp_9()],
-            "replica {r} lost the in-flight intent"
+            committed.len(),
+            denies.len(),
+            "replica {r} lost or repeated an intent: {committed:?}"
         );
+        for deny in &denies {
+            assert!(committed.contains(deny), "replica {r} lost {deny:?}");
+        }
     }
-    // Exactly-once: the proposer saw one owner confirmation, and every
-    // switch carries exactly one copy of the deny.
     let proposer = world
         .node_as::<Controller>(fabric.controllers[2])
         .find_app::<Proposer>()
         .unwrap();
     assert_eq!(
-        proposer.confirmed, 1,
-        "commit confirmed {} times",
+        proposer.confirmed,
+        u64::from(burst),
+        "commits confirmed {} times",
         proposer.confirmed
     );
     for i in 0..fabric.switches.len() {
         assert_eq!(
             acl_rules_installed(&world, &fabric, i),
-            1,
+            denies.len(),
             "switch {i} deny count wrong after failover"
         );
     }
+}
+
+/// One deny proposed at t=1.95s: with a 50 ms controller tick it is in
+/// flight or freshly appended at the leader, uncommitted, when the
+/// leader dies. The proposer must carry it across the failover to the
+/// new leader.
+#[test]
+fn leader_killed_mid_commit_loses_no_intents() {
+    leader_kill_loses_no_intents(43, 3, 1, ms(1950));
+}
+
+/// E20's leader kill: 5 replicas, 20 denies 30 ms apart from t=1.8s,
+/// so some are committed before the kill, some are in flight at it and
+/// the rest are proposed while there is no leader.
+#[test]
+fn leader_killed_mid_burst_loses_no_intents() {
+    leader_kill_loses_no_intents(0xE20_0001, 5, 20, ms(1800));
 }
 
 #[test]
@@ -327,11 +347,11 @@ fn mastership_pin_intent_overrides_hash_assignment() {
         Some((
             1,
             ms(1500),
-            Intent::MastershipPin {
+            vec![Intent::MastershipPin {
                 dpid: 0,
                 replica: 2,
                 pinned: true,
-            },
+            }],
         )),
         None,
         None,
@@ -531,11 +551,11 @@ fn fixed_seed_consensus_soak_is_deterministic() {
             Some((
                 2,
                 ms(1950),
-                Intent::MastershipPin {
+                vec![Intent::MastershipPin {
                     dpid: 1,
                     replica: 2,
                     pinned: true,
-                },
+                }],
             )),
             None,
             Some(Workload::Udp {
