@@ -55,8 +55,9 @@ pub enum ConnState {
     Connected,
     /// At least one probe outstanding past its interval.
     Degraded,
-    /// `MISS_LIMIT` (4) consecutive probes unanswered; the conn-loss policy
-    /// governs miss traffic until the controller is heard from again.
+    /// `MISS_LIMIT` (4) consecutive probes unanswered; the conn-loss
+    /// policy governs miss traffic until the controller is heard from
+    /// again.
     Disconnected,
 }
 

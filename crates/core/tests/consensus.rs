@@ -45,18 +45,17 @@ const PROPOSE_EVERY: Duration = Duration::from_millis(30);
 /// arbitrary replica while the cluster is mid-flight.
 struct Proposer {
     at: Instant,
-    /// Still to propose, last first.
-    intents: Vec<Intent>,
+    /// Still to propose.
+    intents: std::vec::IntoIter<Intent>,
     /// Commit confirmations received back (owner callback).
     pub confirmed: u64,
 }
 
 impl Proposer {
-    fn new(at: Instant, mut intents: Vec<Intent>) -> Proposer {
-        intents.reverse();
+    fn new(at: Instant, intents: Vec<Intent>) -> Proposer {
         Proposer {
             at,
-            intents,
+            intents: intents.into_iter(),
             confirmed: 0,
         }
     }
@@ -69,7 +68,7 @@ impl App for Proposer {
 
     fn tick(&mut self, ctl: &mut Ctl<'_, '_>) {
         while ctl.now() >= self.at {
-            let Some(intent) = self.intents.pop() else {
+            let Some(intent) = self.intents.next() else {
                 break;
             };
             ctl.propose_intent("proposer", intent);
