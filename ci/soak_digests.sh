@@ -59,7 +59,7 @@ printf '%s\n' "$TABLE" | while read -r soak committed; do
     OUT=$(cargo test --release --offline -p zen-core --test "$soak" -- \
         --ignored --nocapture 2>&1) || fail "$soak: the soak failed:
 $OUT"
-    digest=$(printf '%s\n' "$OUT" | sed -n "s/^soak $soak \([0-9a-f]*\)\$/\1/p")
+    digest=$(printf '%s\n' "$OUT" | sed -n "s/.*soak $soak \([0-9a-f]\{16\}\)\$/\1/p")
     [ "$digest" = "$committed" ] ||
         fail "$soak: digest is '$digest', committed $committed"
     echo "soak_digests: $soak = $digest"

@@ -508,6 +508,7 @@ fn main() {
     // cargo runs bench binaries with CWD = the package dir; anchor the
     // output at the workspace target dir so CI finds it.
     let out_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/BENCH_E18.json");
+    let _ = std::fs::create_dir_all(concat!(env!("CARGO_MANIFEST_DIR"), "/../../target"));
     std::fs::write(out_path, &json).expect("write BENCH_E18.json");
     println!();
     println!("# wrote {out_path}");
