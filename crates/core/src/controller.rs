@@ -22,7 +22,7 @@ use zen_wire::ethernet::{EtherType, Frame};
 use zen_wire::{arp, ipv4, lldp, EthernetAddress};
 
 use crate::app::{App, Disposition};
-use crate::southbound::{delta, ProgramBase, Reconciled, Southbound};
+use crate::southbound::{delta, ProgramBase, Reconciled, ShadowOp, Southbound};
 use crate::txn::{
     ActiveTxn, Consistency, FlowRole, NetworkUpdate, TxnPhase, UpdateOp, UpdatePlanner,
 };
@@ -714,8 +714,9 @@ pub struct Controller {
     southbound: Southbound,
     /// What we believe each switch has installed: cookie → entry count,
     /// maintained from barrier-acked mods and FLOW_REMOVED notices, and
-    /// diffed against HELLO_RESYNC digests on reconnect.
-    shadow: BTreeMap<Dpid, BTreeMap<u64, u32>>,
+    /// diffed against HELLO_RESYNC digests on reconnect. A count is
+    /// below zero while a removal has overtaken the ack of its add.
+    shadow: BTreeMap<Dpid, BTreeMap<u64, i64>>,
     /// Throttle: last RESYNC_REQUEST sent per quarantined switch.
     resync_requested: BTreeMap<Dpid, Instant>,
     /// Throttle: last FEATURES_REQUEST re-solicitation per unregistered
@@ -918,16 +919,15 @@ impl Controller {
     }
 
     /// The current cookie shadow of `dpid` in wire form: the flow
-    /// entries this controller believes the switch holds, per cookie.
+    /// entries this controller believes the switch holds, per cookie
+    /// (the positive counts).
     pub fn shadow_cookies(&self, dpid: Dpid) -> Vec<CookieCount> {
-        self.shadow
-            .get(&dpid)
-            .map(|m| {
-                m.iter()
-                    .map(|(&cookie, &count)| CookieCount { cookie, count })
-                    .collect()
-            })
-            .unwrap_or_default()
+        let counts = self.shadow.get(&dpid).into_iter().flatten();
+        let listed = counts.filter_map(|(&cookie, &count)| {
+            let count = u32::try_from(count).ok()?;
+            Some(CookieCount { cookie, count })
+        });
+        listed.collect()
     }
 
     /// Apply a replicated view mutation a peer observed first-hand.
@@ -960,8 +960,8 @@ impl Controller {
                 // Our own barrier acks are authoritative for switches we
                 // master; a peer's digest matters for a future takeover.
                 if !self.is_master_of(dpid) {
-                    self.shadow
-                        .insert(dpid, cookies.iter().map(|c| (c.cookie, c.count)).collect());
+                    let counts = cookies.iter().map(|c| (c.cookie, c.count.into()));
+                    self.shadow.insert(dpid, counts.collect());
                 }
             }
             ViewEvent::ProgramStamp { dpid, cookie, hash } => {
@@ -2610,16 +2610,8 @@ impl Controller {
                 // Keep the cookie shadow honest for timeouts; deletions
                 // we ordered ourselves are folded in at barrier-ack time.
                 if reason != zen_proto::RemovedReason::Delete {
-                    let mut shrunk = false;
-                    if let Some(shadow) = self.shadow.get_mut(&dpid) {
-                        if let Some(count) = shadow.get_mut(&cookie) {
-                            *count = count.saturating_sub(1);
-                            if *count == 0 {
-                                shadow.remove(&cookie);
-                            }
-                            shrunk = true;
-                        }
-                    }
+                    let shadow = self.shadow.entry(dpid).or_default();
+                    let shrunk = ShadowOp::Removed(cookie).apply(shadow);
                     if shrunk && self.cluster.is_some() && self.is_master_of(dpid) {
                         let cookies = self.shadow_cookies(dpid);
                         self.log_event(ViewEvent::ShadowSet { dpid, cookies });
@@ -2669,10 +2661,7 @@ impl Controller {
                     return;
                 };
                 let restarted = self.southbound.restarted(from, dpid, generation);
-                let reported: BTreeMap<u64, u32> =
-                    cookies.iter().map(|c| (c.cookie, c.count)).collect();
-                let expected = self.shadow.get(&dpid).cloned().unwrap_or_default();
-                if reported == expected && !restarted {
+                if cookies == self.shadow_cookies(dpid) && !restarted {
                     // The switch kept exactly the state we believe it
                     // has; unacked mods stay pending and retransmit.
                     self.stats.resyncs_clean += 1;
@@ -2686,7 +2675,8 @@ impl Controller {
                         self.stats.mods_superseded += 1;
                         self.planner.note_xid(x, false);
                     }
-                    self.shadow.insert(dpid, reported);
+                    let reported = cookies.iter().map(|c| (c.cookie, c.count.into()));
+                    self.shadow.insert(dpid, reported.collect());
                     if self.cluster.is_some() && self.is_master_of(dpid) {
                         let cookies = self.shadow_cookies(dpid);
                         self.log_event(ViewEvent::ShadowSet { dpid, cookies });
@@ -2925,5 +2915,116 @@ impl Node for Controller {
 
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use zen_cluster::ClusterConfig;
+    use zen_proto::{decode, encode, RemovedReason};
+    use zen_sim::World;
+
+    use super::*;
+
+    const DPID: Dpid = 7;
+    const COOKIE: u64 = 5;
+
+    /// Installs one entry that idles out, on every switch that comes up.
+    struct Seed;
+
+    impl App for Seed {
+        fn name(&self) -> &'static str {
+            "seed"
+        }
+        fn on_switch_up(&mut self, ctl: &mut Ctl<'_, '_>, dpid: Dpid) {
+            let spec = FlowSpec::new(1, FlowMatch::ANY, vec![]).with_timeouts(1_000_000, 0);
+            let cmd = FlowModCmd::Add(spec.with_cookie(COOKIE));
+            ctl.send(dpid, &Message::FlowMod { table_id: 0, cmd });
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+    }
+
+    /// A switch stand-in: registers, then answers the first fence with
+    /// the FLOW_REMOVED of everything it names and the BARRIER_REPLY —
+    /// the removal first if `removed_first`.
+    struct Script {
+        controller: NodeId,
+        removed_first: bool,
+    }
+
+    impl Node for Script {
+        fn on_start(&mut self, ctx: &mut Context<'_>) {
+            let (dpid, n_tables, ports) = (DPID, 1, vec![]);
+            #[rustfmt::skip]
+            let up = Message::FeaturesReply { dpid, n_tables, ports };
+            ctx.send_control(self.controller, encode(&up, 0));
+        }
+        fn on_control(&mut self, ctx: &mut Context<'_>, _: NodeId, mut bytes: &[u8]) {
+            while let Ok((msg, xid, used)) = decode(bytes) {
+                bytes = &bytes[used..];
+                let Message::BarrierRequest { xids } = msg else {
+                    continue;
+                };
+                let removed = Message::FlowRemoved {
+                    table_id: 0,
+                    priority: 1,
+                    cookie: COOKIE,
+                    reason: RemovedReason::IdleTimeout,
+                    packets: 0,
+                    bytes: 0,
+                };
+                let acked = Message::BarrierReply { applied: xids };
+                let mut answer = [encode(&removed, 0), encode(&acked, xid)];
+                if !self.removed_first {
+                    answer.swap(0, 1);
+                }
+                ctx.send_control(self.controller, answer.concat());
+            }
+        }
+        fn on_packet(&mut self, _: &mut Context<'_>, _: PortNo, _: &[u8]) {}
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// The shadow one replica is left with, and the digests it gossiped,
+    /// after an entry's add is acknowledged and the entry idles out.
+    fn shadow_after(removed_first: bool) -> (Vec<CookieCount>, Vec<Vec<CookieCount>>) {
+        let mut world = World::new(1);
+        let controller = NodeId(0);
+        let mut ctl = Controller::new(vec![Box::new(Seed)]);
+        ctl.enable_cluster(ClusterConfig::new(vec![controller], 0));
+        assert_eq!(world.add_node(Box::new(ctl)), controller);
+        world.add_node(Box::new(Script {
+            controller,
+            removed_first,
+        }));
+        world.run_until(Instant::from_secs(1));
+        let ctl = world.node_as::<Controller>(controller);
+        assert_eq!((ctl.stats.mods_acked, ctl.pending_mods()), (1, 0));
+        let (_, gossiped, _) = ctl.cluster.as_ref().expect("clustered").store.snapshot();
+        let digests = gossiped.into_iter().filter_map(|e| match e.event {
+            ViewEvent::ShadowSet { cookies, .. } => Some(cookies),
+            _ => None,
+        });
+        (ctl.shadow_cookies(DPID), digests.collect())
+    }
+
+    /// A FLOW_REMOVED that overtakes the ack of the add it removes
+    /// leaves the shadow — and what a standby is told of it — where the
+    /// other order leaves them: empty.
+    #[test]
+    fn shadow_does_not_depend_on_arrival_order() {
+        let (acked_first, gossiped) = shadow_after(false);
+        assert_eq!(acked_first, []);
+        assert_eq!(gossiped.last(), Some(&Vec::new()));
+        let (removed_first, gossiped) = shadow_after(true);
+        assert_eq!(removed_first, []);
+        assert!(gossiped.last().is_none_or(|last| last.is_empty()));
     }
 }

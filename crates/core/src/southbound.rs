@@ -26,8 +26,8 @@ use zen_sim::{Context, Duration, Instant, NodeId};
 use crate::controller::CtlStats;
 use crate::view::{Dpid, NetworkView};
 
-/// What a barrier-acked mod does to the cookie shadow (cookie → entry
-/// count believed installed).
+/// What a barrier-acked mod, or a FLOW_REMOVED, does to the cookie
+/// shadow (cookie → entry count believed installed).
 ///
 /// The shadow is an approximation — strict deletes and replacing adds
 /// can drift it — but drift only ever causes a *dirty* resync verdict,
@@ -38,6 +38,8 @@ pub(crate) enum ShadowOp {
     Add(u64),
     /// Every entry under this cookie is gone.
     DeleteByCookie(u64),
+    /// One entry under this cookie timed out or was evicted.
+    Removed(u64),
 }
 
 impl ShadowOp {
@@ -55,15 +57,23 @@ impl ShadowOp {
         }
     }
 
-    /// Fold the op into one switch's shadow; whether that changed it.
-    pub(crate) fn apply(self, shadow: &mut BTreeMap<u64, u32>) -> bool {
-        match self {
-            ShadowOp::Add(cookie) => {
-                *shadow.entry(cookie).or_insert(0) += 1;
-                true
-            }
-            ShadowOp::DeleteByCookie(cookie) => shadow.remove(&cookie).is_some(),
+    /// Fold the op into one switch's shadow; whether that changed what
+    /// the shadow lists, its positive counts. An entry can time out
+    /// before the ack of its add arrives, so a count may dip below zero
+    /// until the ack lands: the two then cancel in either order.
+    pub(crate) fn apply(self, shadow: &mut BTreeMap<u64, i64>) -> bool {
+        let (cookie, step) = match self {
+            ShadowOp::Add(cookie) => (cookie, 1),
+            ShadowOp::Removed(cookie) => (cookie, -1),
+            ShadowOp::DeleteByCookie(cookie) => return shadow.remove(&cookie).is_some(),
+        };
+        let count = shadow.entry(cookie).or_insert(0);
+        *count += step;
+        let listed = (*count).max(*count - step) > 0;
+        if *count == 0 {
+            shadow.remove(&cookie);
         }
+        listed
     }
 }
 
