@@ -36,12 +36,19 @@
 #
 # A change that moves a digest on purpose updates its row in the same
 # commit and says why.
+#
+# pressure was a891770a1b0f4414 until flow adds that time out stopped
+# being fenced at the end of every dispatch (a fence per 8 of them, per
+# 50 ms, or with the next hard mod): it is the one soak that runs the
+# reactive app, so its message counts and telemetry export moved; what
+# it asserts — bounded occupancy, every eviction noted, no lost ack —
+# holds. The other seven send only hard state and did not move.
 set -eu
 
 TABLE='
 chaos f70d13edbe33fdef
 cluster 4f883756b236f864
-pressure a891770a1b0f4414
+pressure f09414a00bfa03b2
 saturation 1e4342906665bfaa
 defense 39379fec16f01001
 consistency 098e8cf15482db6b

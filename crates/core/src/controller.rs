@@ -32,6 +32,9 @@ use crate::{is_lldp, send_msg};
 const TIMER_TICK: u64 = 1;
 /// Fair-queue drain timer for deferred PACKET_INs (admission control).
 const TIMER_ADMIT: u64 = 2;
+/// One-shot: soft mods have ridden unfenced for `mod_timeout / 3`, the
+/// fence interval. Not the tick: a late fence must not cost a resend.
+const TIMER_FENCE: u64 = 3;
 
 pub use crate::policy::{PUSHBACK_COOKIE, PUSHBACK_IMPORTANCE, PUSHBACK_PRIORITY};
 
@@ -712,10 +715,11 @@ pub struct Controller {
     liveness: BTreeMap<NodeId, Instant>,
     /// Per-switch reliable delivery of state mods.
     southbound: Southbound,
+    /// Whether [`TIMER_FENCE`] is set.
+    fence_armed: bool,
     /// What we believe each switch has installed: cookie → entry count,
     /// maintained from barrier-acked mods and FLOW_REMOVED notices, and
-    /// diffed against HELLO_RESYNC digests on reconnect. A count is
-    /// below zero while a removal has overtaken the ack of its add.
+    /// diffed against HELLO_RESYNC digests on reconnect.
     shadow: BTreeMap<Dpid, BTreeMap<u64, i64>>,
     /// Throttle: last RESYNC_REQUEST sent per quarantined switch.
     resync_requested: BTreeMap<Dpid, Instant>,
@@ -766,6 +770,7 @@ impl Controller {
             rev_registry: BTreeMap::new(),
             liveness: BTreeMap::new(),
             southbound: Southbound::default(),
+            fence_armed: false,
             shadow: BTreeMap::new(),
             resync_requested: BTreeMap::new(),
             features_requested: BTreeMap::new(),
@@ -919,8 +924,7 @@ impl Controller {
     }
 
     /// The current cookie shadow of `dpid` in wire form: the flow
-    /// entries this controller believes the switch holds, per cookie
-    /// (the positive counts).
+    /// entries this controller believes the switch holds, per cookie.
     pub fn shadow_cookies(&self, dpid: Dpid) -> Vec<CookieCount> {
         let counts = self.shadow.get(&dpid).into_iter().flatten();
         let listed = counts.filter_map(|(&cookie, &count)| {
@@ -1726,11 +1730,21 @@ impl Controller {
         });
     }
 
-    /// Fence every switch that acquired pending mods since the last
-    /// flush.
+    /// Fence every switch that someone waits to hear from: those sent
+    /// hard state or a burst of soft state since the last flush, and
+    /// while a two-phase transaction awaits acks, all. Soft state left
+    /// unfenced sets the fence timer.
     fn flush_barriers(&mut self, ctx: &mut Context<'_>) {
+        let awaited = |txn: &ActiveTxn| !txn.outstanding.is_empty();
+        if self.planner.active.as_ref().is_some_and(awaited) {
+            self.southbound.fence_aged(ctx.now(), Duration::ZERO);
+        }
         self.southbound
             .flush_barriers(ctx, &mut self.xid, &mut self.stats);
+        if self.southbound.unfenced > 0 && !self.fence_armed {
+            self.fence_armed = true;
+            ctx.set_timer(self.cfg.mod_timeout.div(3), TIMER_FENCE);
+        }
     }
 
     /// Whether `from` is another replica of this cluster.
@@ -2799,6 +2813,15 @@ impl Node for Controller {
             self.flush_barriers(ctx);
             if let Some(adm) = &self.admission {
                 ctx.set_timer(adm.cfg.drain_interval, TIMER_ADMIT);
+            }
+        }
+        if token == TIMER_FENCE {
+            let due = self.cfg.mod_timeout.div(3);
+            let left = self.southbound.fence_aged(ctx.now(), due);
+            self.flush_barriers(ctx);
+            self.fence_armed = left.is_some();
+            if let Some(waited) = left {
+                ctx.set_timer(due - waited, TIMER_FENCE);
             }
         }
         if token == TIMER_TICK {

@@ -58,9 +58,8 @@ impl ShadowOp {
     }
 
     /// Fold the op into one switch's shadow; whether that changed what
-    /// the shadow lists, its positive counts. An entry can time out
-    /// before the ack of its add arrives, so a count may dip below zero
-    /// until the ack lands: the two then cancel in either order.
+    /// it lists, the positive counts. A removal can overtake the ack of
+    /// its add: the count dips below zero until the two have cancelled.
     pub(crate) fn apply(self, shadow: &mut BTreeMap<u64, i64>) -> bool {
         let (cookie, step) = match self {
             ShadowOp::Add(cookie) => (cookie, 1),
@@ -225,6 +224,9 @@ struct Session {
     /// Outstanding barriers, oldest first (rising xid): `(barrier xid,
     /// last mod xid it covers)`.
     barriers: Vec<(u32, u32)>,
+    /// Mods tracked since the last fence, and when the first was.
+    unfenced: usize,
+    unfenced_since: Instant,
     /// What the switch holds once every pending mod has landed, per
     /// program cookie. Dropped the moment that stops being known: a
     /// program mod failed, or the session's mods were superseded.
@@ -244,6 +246,8 @@ impl Session {
             dpid,
             pending: VecDeque::new(),
             barriers: Vec::new(),
+            unfenced: 0,
+            unfenced_since: Instant::ZERO,
             bases: BTreeMap::new(),
             doomed: Vec::new(),
             generation: 0,
@@ -277,10 +281,19 @@ impl Session {
 /// there either way. The hold outlasts such gaps.
 pub(crate) const GROUP_HOLD: Duration = Duration::from_secs(1);
 
+/// A fence is for whoever waits on an acknowledgement. Nobody waits on
+/// *soft* state, a flow add that times out — a lost one is punted for
+/// and installed again — so it rides unfenced until this many mods have
+/// (the depth one closed-loop delivery of punts reaches) or
+/// [`Southbound::fence_aged`] says so. Anything else is *hard*: its
+/// session is fenced at the next flush, soft mods and all.
+const FENCE_BURST: usize = 8;
+
 /// How many acknowledged mods' buffers are kept for the mods to come,
 /// and the largest one worth keeping: a flow or group mod is some
-/// hundred bytes, and a fabric has tens of them in flight.
-const SPARE_BUFFERS: usize = 64;
+/// hundred bytes, and each of a fabric's tens of sessions has up to a
+/// burst of them unfenced and another fenced and in flight.
+const SPARE_BUFFERS: usize = 256;
 const SPARE_BUFFER_MAX: usize = 1 << 10;
 
 /// Reliable delivery of state mods to every connected switch.
@@ -292,6 +305,8 @@ pub(crate) struct Southbound {
     dirty: Vec<NodeId>,
     /// Emptied buffers of acknowledged mods, at most [`SPARE_BUFFERS`].
     spare: Vec<Vec<u8>>,
+    /// How many sessions have unfenced mods.
+    pub(crate) unfenced: usize,
 }
 
 impl Southbound {
@@ -368,10 +383,18 @@ impl Southbound {
     ) -> &[u8] {
         let mut bytes = self.spare.pop().unwrap_or_default();
         encode_into(&mut bytes, msg, xid);
-        if self.dirty.last() != Some(&node) {
+        let soft = matches!(msg, Message::FlowMod { cmd: FlowModCmd::Add(spec), .. }
+            if !program && spec.idle_timeout | spec.hard_timeout != 0);
+        let session = self.sessions.entry(node);
+        let session = session.or_insert_with(|| Session::new(dpid));
+        session.unfenced += 1;
+        if session.unfenced == 1 {
+            session.unfenced_since = now;
+            self.unfenced += 1;
+        }
+        if !(soft && session.unfenced < FENCE_BURST) && self.dirty.last() != Some(&node) {
             self.dirty.push(node);
         }
-        let session = self.session(node, dpid);
         debug_assert!(session.pending.back().is_none_or(|p| p.xid < xid));
         session.pending.push_back(PendingMod {
             xid,
@@ -384,10 +407,25 @@ impl Southbound {
         &session.pending.back().expect("just pushed").bytes
     }
 
-    /// Fence every session that acquired pending mods since the last
-    /// flush, in ascending node order: one BARRIER_REQUEST naming all
-    /// its currently unacked mods. The reply proves everything before
-    /// it was applied.
+    /// Have the next flush fence every session whose oldest unfenced
+    /// mod was sent `age` before `now`; returns how long the oldest one
+    /// left unfenced has waited.
+    pub(crate) fn fence_aged(&mut self, now: Instant, age: Duration) -> Option<Duration> {
+        let mut left = None;
+        for (&node, session) in self.sessions.iter().filter(|s| s.1.unfenced > 0) {
+            let waited = now.duration_since(session.unfenced_since);
+            if waited >= age {
+                self.dirty.push(node);
+            } else {
+                left = left.max(Some(waited));
+            }
+        }
+        left
+    }
+
+    /// Fence every session marked since the last flush, in ascending
+    /// node order: one BARRIER_REQUEST naming all its currently unacked
+    /// mods. The reply proves everything before it was applied.
     pub(crate) fn flush_barriers(
         &mut self,
         ctx: &mut Context<'_>,
@@ -400,6 +438,7 @@ impl Southbound {
             let Some(session) = self.sessions.get_mut(&node) else {
                 continue;
             };
+            self.unfenced -= usize::from(std::mem::take(&mut session.unfenced) > 0);
             let Some(last) = session.pending.back() else {
                 continue;
             };
