@@ -2510,7 +2510,8 @@ impl Controller {
         // Any frame from a quarantined switch means the channel is back;
         // ask for its state digest (quarantine lifts only on HelloResync,
         // so routing stays conservative until state is reconciled).
-        if let Some(&dpid) = self.rev_registry.get(&from) {
+        let known = self.rev_registry.get(&from).copied();
+        if let Some(dpid) = known {
             let resync = matches!(view, MessageView::Owned(Message::HelloResync { .. }));
             if self.view.is_quarantined(dpid) && !resync {
                 self.maybe_request_resync(ctx, dpid);
@@ -2598,7 +2599,7 @@ impl Controller {
                 self.discovery_round(ctx);
             }
             Message::PortStatus { port } => {
-                let Some(&dpid) = self.rev_registry.get(&from) else {
+                let Some(dpid) = known else {
                     return;
                 };
                 self.view.set_port(dpid, port.port_no, port.up);
@@ -2615,7 +2616,7 @@ impl Controller {
                 reason,
                 ..
             } => {
-                let Some(&dpid) = self.rev_registry.get(&from) else {
+                let Some(dpid) = known else {
                     return;
                 };
                 if reason == zen_proto::RemovedReason::Eviction {
