@@ -2972,10 +2972,13 @@ mod tests {
 
     /// A switch stand-in: registers, then answers the first fence with
     /// the FLOW_REMOVED of everything it names and the BARRIER_REPLY —
-    /// the removal first if `removed_first`.
+    /// the removal first if `removed_first`. Keeps when each flow mod
+    /// and each fence arrived.
     struct Script {
         controller: NodeId,
         removed_first: bool,
+        mods_at: Vec<Instant>,
+        fences_at: Vec<Instant>,
     }
 
     impl Node for Script {
@@ -2988,9 +2991,13 @@ mod tests {
         fn on_control(&mut self, ctx: &mut Context<'_>, _: NodeId, mut bytes: &[u8]) {
             while let Ok((msg, xid, used)) = decode(bytes) {
                 bytes = &bytes[used..];
+                if let Message::FlowMod { .. } = msg {
+                    self.mods_at.push(ctx.now());
+                }
                 let Message::BarrierRequest { xids } = msg else {
                     continue;
                 };
+                self.fences_at.push(ctx.now());
                 let removed = Message::FlowRemoved {
                     table_id: 0,
                     priority: 1,
@@ -3016,19 +3023,26 @@ mod tests {
         }
     }
 
+    /// A world of `ctl` and one scripted switch, run for `millis`.
+    fn run(ctl: Controller, removed_first: bool, millis: u64) -> (World, NodeId, NodeId) {
+        let mut world = World::new(1);
+        let controller = world.add_node(Box::new(ctl));
+        let switch = world.add_node(Box::new(Script {
+            controller,
+            removed_first,
+            mods_at: Vec::new(),
+            fences_at: Vec::new(),
+        }));
+        world.run_until(Instant::from_millis(millis));
+        (world, controller, switch)
+    }
+
     /// The shadow one replica is left with, and the digests it gossiped,
     /// after an entry's add is acknowledged and the entry idles out.
     fn shadow_after(removed_first: bool) -> (Vec<CookieCount>, Vec<Vec<CookieCount>>) {
-        let mut world = World::new(1);
-        let controller = NodeId(0);
         let mut ctl = Controller::new(vec![Box::new(Seed)]);
-        ctl.enable_cluster(ClusterConfig::new(vec![controller], 0));
-        assert_eq!(world.add_node(Box::new(ctl)), controller);
-        world.add_node(Box::new(Script {
-            controller,
-            removed_first,
-        }));
-        world.run_until(Instant::from_secs(1));
+        ctl.enable_cluster(ClusterConfig::new(vec![NodeId(0)], 0));
+        let (world, controller, _) = run(ctl, removed_first, 1_000);
         let ctl = world.node_as::<Controller>(controller);
         assert_eq!((ctl.stats.mods_acked, ctl.pending_mods()), (1, 0));
         let (_, gossiped, _) = ctl.cluster.as_ref().expect("clustered").store.snapshot();
@@ -3037,6 +3051,27 @@ mod tests {
             _ => None,
         });
         (ctl.shadow_cookies(DPID), digests.collect())
+    }
+
+    /// A lone soft add is fenced by the fence timer, `mod_timeout / 3`
+    /// after it was sent, whatever the tick is: it is acknowledged and
+    /// never resent.
+    #[test]
+    fn a_lone_soft_add_is_fenced_at_a_third_of_the_mod_timeout() {
+        let cfg = ControllerConfig {
+            tick_interval: Duration::from_secs(1),
+            ..ControllerConfig::default()
+        };
+        let ctl = Controller::with_config(vec![Box::new(Seed)], cfg);
+        let (world, controller, switch) = run(ctl, false, 900);
+        let script = world.node_as::<Script>(switch);
+        assert_eq!((script.mods_at.len(), script.fences_at.len()), (1, 1));
+        let waited = script.fences_at[0] - script.mods_at[0];
+        assert_eq!(waited, cfg.mod_timeout.div(3));
+        let ctl = world.node_as::<Controller>(controller);
+        let stats = &ctl.stats;
+        assert_eq!((stats.mods_acked, stats.mods_retransmitted), (1, 0));
+        assert_eq!(ctl.pending_mods(), 0);
     }
 
     /// A FLOW_REMOVED that overtakes the ack of the add it removes

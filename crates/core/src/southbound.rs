@@ -300,8 +300,8 @@ const SPARE_BUFFER_MAX: usize = 1 << 10;
 #[derive(Default)]
 pub(crate) struct Southbound {
     sessions: BTreeMap<NodeId, Session>,
-    /// Sessions with newly pending mods, awaiting a covering barrier:
-    /// noted as mods are tracked, put in order when flushed.
+    /// Sessions marked for a fence, awaiting a covering barrier: noted
+    /// as they are marked, put in order when flushed.
     dirty: Vec<NodeId>,
     /// Emptied buffers of acknowledged mods, at most [`SPARE_BUFFERS`].
     spare: Vec<Vec<u8>>,
@@ -868,6 +868,133 @@ mod tests {
                 (52, vec![14])
             ]
         );
+    }
+
+    /// A flow add that times out: soft state.
+    fn soft(cookie: u64) -> Message {
+        let spec = FlowSpec::new(1, FlowMatch::ANY, vec![]).with_timeouts(20_000_000, 0);
+        let cmd = FlowModCmd::Add(spec.with_cookie(cookie));
+        Message::FlowMod { table_id: 0, cmd }
+    }
+
+    /// Soft mods ride unfenced until the session has a burst of them;
+    /// one hard mod, or someone waiting, has the session fenced in the
+    /// same dispatch; a fence names everything pending either way.
+    #[test]
+    fn soft_state_is_fenced_by_the_burst_or_with_hard_state() {
+        let [received, _] = run(|switch, _| {
+            let mut next = 50;
+            let mut stats = CtlStats::default();
+            vec![Box::new(move |sb, ctx| {
+                for xid in 10..17 {
+                    send(sb, ctx, switch, xid, &soft(1));
+                }
+                sb.flush_barriers(ctx, &mut next, &mut stats);
+                assert_eq!((next, stats.msgs_sent, sb.unfenced), (50, 0, 1));
+                // The eighth brings the fence, for all eight.
+                send(sb, ctx, switch, 17, &soft(1));
+                sb.flush_barriers(ctx, &mut next, &mut stats);
+                assert_eq!((next, stats.msgs_sent, sb.unfenced), (51, 1, 0));
+                let all: Vec<u32> = (10..18).collect();
+                let mut acked = 0;
+                reply(sb, switch, 50, &all, |_, _| acked += 1);
+                assert_eq!((acked, sb.pending_mods()), (8, 0));
+
+                // A hard mod behind three soft ones: all four, at once.
+                for xid in 20..23 {
+                    send(sb, ctx, switch, xid, &soft(1));
+                }
+                send(sb, ctx, switch, 23, &add(2));
+                sb.flush_barriers(ctx, &mut next, &mut stats);
+                // A step of a program is hard whatever its timeouts.
+                let bytes = sb.track(switch, 7, 24, &soft(3), true, ctx.now()).to_vec();
+                ctx.send_control(switch, bytes);
+                sb.flush_barriers(ctx, &mut next, &mut stats);
+                // Someone waits on an ack (a two-phase transaction is
+                // outstanding): what would have ridden is fenced at once.
+                send(sb, ctx, switch, 25, &soft(1));
+                assert_eq!(sb.fence_aged(ctx.now(), Duration::ZERO), None);
+                sb.flush_barriers(ctx, &mut next, &mut stats);
+                assert_eq!((next, sb.unfenced), (54, 0));
+            })]
+        });
+        assert_eq!(
+            barrier_xids(&received),
+            vec![
+                (50, (10..18).collect()),
+                (51, vec![20, 21, 22, 23]),
+                (52, vec![20, 21, 22, 23, 24]),
+                (53, vec![20, 21, 22, 23, 24, 25]),
+            ]
+        );
+    }
+
+    /// The fence interval: a session is marked when its oldest unfenced
+    /// mod has waited that long, and the caller is told how long the
+    /// oldest one left has, to come back for it.
+    #[test]
+    fn soft_state_is_fenced_when_it_has_waited_the_interval() {
+        let interval = Duration::from_millis(100);
+        let [first, second] = run(|a, b| {
+            let fence = move |sb: &mut Southbound, ctx: &mut Context<'_>| {
+                let left = sb.fence_aged(ctx.now(), interval);
+                sb.flush_barriers(ctx, &mut 100, &mut CtlStats::default());
+                (left, sb.unfenced)
+            };
+            vec![
+                Box::new(move |sb, ctx| {
+                    send(sb, ctx, a, 1, &soft(1));
+                    assert_eq!(fence(sb, ctx), (Some(Duration::ZERO), 1));
+                }),
+                Box::new(move |sb, ctx| {
+                    send(sb, ctx, a, 2, &soft(1));
+                    send(sb, ctx, b, 3, &soft(1));
+                    assert_eq!(fence(sb, ctx), (Some(Duration::ZERO), 1));
+                }),
+                Box::new(move |sb, ctx| assert_eq!(fence(sb, ctx), (None, 0))),
+            ]
+        });
+        assert_eq!(barrier_xids(&first), vec![(100, vec![1, 2])]);
+        assert_eq!(barrier_xids(&second), vec![(100, vec![3])]);
+    }
+
+    /// A fence over a burst of soft mods is lost: the queue is replayed
+    /// once when its head comes due, fenced again, and acknowledged.
+    #[test]
+    fn a_lost_fence_costs_one_replay_of_its_queue() {
+        let [received, _] = run(|switch, _| {
+            vec![
+                Box::new(move |sb, ctx| {
+                    for xid in 1..9 {
+                        send(sb, ctx, switch, xid, &soft(1));
+                    }
+                    sb.flush_barriers(ctx, &mut 100, &mut CtlStats::default());
+                }),
+                Box::new(|_, _| {}),
+                Box::new(move |sb, ctx| {
+                    let view = NetworkView::new();
+                    let timeout = Duration::from_millis(150);
+                    let mut stats = CtlStats::default();
+                    sb.retransmit_scan(ctx, &view, timeout, 8, &mut stats, |_| panic!());
+                    sb.flush_barriers(ctx, &mut 101, &mut stats);
+                    assert_eq!((stats.mods_retransmitted, stats.mods_failed), (8, 0));
+                    let all: Vec<u32> = (1..9).collect();
+                    let mut acked = 0;
+                    assert_eq!(reply(sb, switch, 101, &all, |_, _| acked += 1), Some(7));
+                    assert_eq!((acked, sb.pending_mods()), (8, 0));
+                }),
+            ]
+        });
+        let all: Vec<u32> = (1..9).collect();
+        assert_eq!(
+            barrier_xids(&received),
+            vec![(100, all.clone()), (101, all.clone())]
+        );
+        let mods = received
+            .iter()
+            .filter(|(_, m)| matches!(m, Message::FlowMod { .. }));
+        let sent: Vec<u32> = mods.map(|&(xid, _)| xid).collect();
+        assert_eq!(sent, [all.clone(), all].concat());
     }
 
     /// An acknowledged mod's buffer serves the next mod tracked, on any

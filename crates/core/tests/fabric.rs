@@ -3,12 +3,13 @@
 //! tunnels — all through real control-protocol messages.
 
 use zen_core::apps::proactive::FABRIC_MAC;
+use zen_core::apps::reactive::REACTIVE_COOKIE;
 use zen_core::apps::te::SiteDemand;
 use zen_core::apps::{Acl, L2Learning, ProactiveFabric, ReactiveForwarding, TrafficEngineering};
 use zen_core::harness::{build_fabric, build_fabric_with_hosts, site_host_ip, FabricOptions};
-use zen_core::{Controller, SwitchAgent};
+use zen_core::{Controller, ControllerConfig, SwitchAgent};
 use zen_dataplane::FlowMatch;
-use zen_sim::{Duration, Host, Instant, LinkParams, Topology, Workload, World};
+use zen_sim::{Duration, FaultPlan, Host, Instant, LinkParams, Topology, Window, Workload, World};
 use zen_wire::Ipv4Address;
 
 fn default_ip(i: usize) -> Ipv4Address {
@@ -81,6 +82,90 @@ fn reactive_forwarding_pings_across_ring() {
         "too many packet-ins: {}",
         controller.stats.packet_ins
     );
+}
+
+/// Soft state at rest. Every host of a reactive k=4 fat-tree pings
+/// another 30 times, 20 ms apart, from t = 1.1 s; flows idle out after
+/// a second. `loss` drops that share of all control messages from 5 ms
+/// into the traffic until it stops — after the setups, with the mods of
+/// the sessions that saw fewer than a burst still unfenced, so what it
+/// hits is their fences, the replies, the retransmissions and the
+/// probes. (A lost *add* re-punts and is installed again over what did
+/// land: a replacing add, which the shadow counts twice by design.) Once
+/// the traffic has stopped and a fence interval plus the retransmissions
+/// in play have passed, nothing is pending and each switch's shadow is
+/// that switch's own digest — with the flows in place, and again when
+/// they have all idled out — and every ping was answered.
+fn soft_state_quiesces(loss: f64) -> u64 {
+    let ms = Instant::from_millis;
+    let topo = Topology::fat_tree(4, LinkParams::default());
+    let n = topo.host_count();
+    let mut app = ReactiveForwarding::new();
+    app.idle_timeout = 1_000_000_000;
+    // Links must not age out of the view while their probes are lost:
+    // a view change has the app wipe its flows, which is another test.
+    let controller_cfg = ControllerConfig {
+        link_max_age: Duration::from_secs(5),
+        agent_dead_after: Duration::from_secs(5),
+        ..ControllerConfig::default()
+    };
+    let opts = FabricOptions {
+        controller_cfg,
+        ..FabricOptions::default()
+    };
+    let mut world = World::new(3);
+    let fabric = build_fabric_with_hosts(
+        &mut world,
+        &topo,
+        vec![Box::new(app)],
+        opts,
+        |i, mac, ip| {
+            Host::new(mac, ip)
+                .with_gratuitous_arp()
+                .with_workload(Workload::Ping {
+                    dst: default_ip((i + 3) % n),
+                    count: 30,
+                    interval: Duration::from_millis(20),
+                    start: ms(1_100),
+                })
+        },
+    );
+    let lossy = Window::new(ms(1_105), ms(1_700));
+    world.set_fault_plan(FaultPlan::default().control_loss(loss, lossy));
+
+    let at_rest = |world: &World, flows: bool| {
+        let controller = world.node_as::<Controller>(fabric.controller);
+        assert_eq!(controller.pending_mods(), 0, "mods left pending");
+        assert_eq!(controller.stats.mods_failed, 0, "mods given up on");
+        let mut holding = 0;
+        for (dpid, &switch) in fabric.switches.iter().enumerate() {
+            let digest = world.node_as::<SwitchAgent>(switch).flow_digest();
+            let shadow = controller.shadow_cookies(dpid as u64);
+            assert_eq!(shadow, digest, "the shadow of switch {dpid} is off");
+            holding += usize::from(digest.iter().any(|c| c.cookie == REACTIVE_COOKIE));
+        }
+        assert_eq!(holding > 0, flows, "{holding} switches hold flows");
+    };
+    // Traffic stops at 1.68 s; a fence is at most 50 ms late, a lost one
+    // is made up for by the retransmission 150 ms on, at the next tick.
+    world.run_until(ms(2_200));
+    at_rest(&world, true);
+    world.run_until(ms(4_000));
+    at_rest(&world, false);
+    for &host in &fabric.hosts {
+        let answered = world.node_as::<Host>(host).stats.ping_rtts.count();
+        assert_eq!(answered, 30, "pings lost");
+    }
+    world
+        .node_as::<Controller>(fabric.controller)
+        .stats
+        .mods_retransmitted
+}
+
+#[test]
+fn soft_state_quiesces_clean_and_under_control_loss() {
+    assert_eq!(soft_state_quiesces(0.0), 0, "a late fence cost a resend");
+    assert!(soft_state_quiesces(0.10) > 0, "the loss hit no fence");
 }
 
 #[test]
