@@ -32,8 +32,8 @@ use crate::{is_lldp, send_msg};
 const TIMER_TICK: u64 = 1;
 /// Fair-queue drain timer for deferred PACKET_INs (admission control).
 const TIMER_ADMIT: u64 = 2;
-/// One-shot: soft mods have ridden unfenced for `mod_timeout / 3`, the
-/// fence interval. Not the tick: a late fence must not cost a resend.
+/// One-shot: soft mods have ridden unfenced for the fence interval.
+/// Not the tick: a late fence must not cost a resend.
 const TIMER_FENCE: u64 = 3;
 
 pub use crate::policy::{PUSHBACK_COOKIE, PUSHBACK_IMPORTANCE, PUSHBACK_PRIORITY};
@@ -1741,10 +1741,16 @@ impl Controller {
         }
         self.southbound
             .flush_barriers(ctx, &mut self.xid, &mut self.stats);
-        if self.southbound.unfenced > 0 && !self.fence_armed {
+        if self.southbound.unfenced_sessions > 0 && !self.fence_armed {
             self.fence_armed = true;
-            ctx.set_timer(self.cfg.mod_timeout.div(3), TIMER_FENCE);
+            ctx.set_timer(self.fence_interval(), TIMER_FENCE);
         }
+    }
+
+    /// How long soft state may ride unfenced: acknowledged well inside
+    /// `mod_timeout` even so.
+    fn fence_interval(&self) -> Duration {
+        self.cfg.mod_timeout.div(3)
     }
 
     /// Whether `from` is another replica of this cluster.
@@ -2817,7 +2823,7 @@ impl Node for Controller {
             }
         }
         if token == TIMER_FENCE {
-            let due = self.cfg.mod_timeout.div(3);
+            let due = self.fence_interval();
             let left = self.southbound.fence_aged(ctx.now(), due);
             self.flush_barriers(ctx);
             self.fence_armed = left.is_some();

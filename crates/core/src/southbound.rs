@@ -306,7 +306,7 @@ pub(crate) struct Southbound {
     /// Emptied buffers of acknowledged mods, at most [`SPARE_BUFFERS`].
     spare: Vec<Vec<u8>>,
     /// How many sessions have unfenced mods.
-    pub(crate) unfenced: usize,
+    pub(crate) unfenced_sessions: usize,
 }
 
 impl Southbound {
@@ -390,7 +390,7 @@ impl Southbound {
         session.unfenced += 1;
         if session.unfenced == 1 {
             session.unfenced_since = now;
-            self.unfenced += 1;
+            self.unfenced_sessions += 1;
         }
         if !(soft && session.unfenced < FENCE_BURST) && self.dirty.last() != Some(&node) {
             self.dirty.push(node);
@@ -438,7 +438,7 @@ impl Southbound {
             let Some(session) = self.sessions.get_mut(&node) else {
                 continue;
             };
-            self.unfenced -= usize::from(std::mem::take(&mut session.unfenced) > 0);
+            self.unfenced_sessions -= usize::from(std::mem::take(&mut session.unfenced) > 0);
             let Some(last) = session.pending.back() else {
                 continue;
             };
@@ -890,11 +890,11 @@ mod tests {
                     send(sb, ctx, switch, xid, &soft(1));
                 }
                 sb.flush_barriers(ctx, &mut next, &mut stats);
-                assert_eq!((next, stats.msgs_sent, sb.unfenced), (50, 0, 1));
+                assert_eq!((next, stats.msgs_sent, sb.unfenced_sessions), (50, 0, 1));
                 // The eighth brings the fence, for all eight.
                 send(sb, ctx, switch, 17, &soft(1));
                 sb.flush_barriers(ctx, &mut next, &mut stats);
-                assert_eq!((next, stats.msgs_sent, sb.unfenced), (51, 1, 0));
+                assert_eq!((next, stats.msgs_sent, sb.unfenced_sessions), (51, 1, 0));
                 let all: Vec<u32> = (10..18).collect();
                 let mut acked = 0;
                 reply(sb, switch, 50, &all, |_, _| acked += 1);
@@ -915,7 +915,7 @@ mod tests {
                 send(sb, ctx, switch, 25, &soft(1));
                 assert_eq!(sb.fence_aged(ctx.now(), Duration::ZERO), None);
                 sb.flush_barriers(ctx, &mut next, &mut stats);
-                assert_eq!((next, sb.unfenced), (54, 0));
+                assert_eq!((next, sb.unfenced_sessions), (54, 0));
             })]
         });
         assert_eq!(
@@ -939,7 +939,7 @@ mod tests {
             let fence = move |sb: &mut Southbound, ctx: &mut Context<'_>| {
                 let left = sb.fence_aged(ctx.now(), interval);
                 sb.flush_barriers(ctx, &mut 100, &mut CtlStats::default());
-                (left, sb.unfenced)
+                (left, sb.unfenced_sessions)
             };
             vec![
                 Box::new(move |sb, ctx| {
