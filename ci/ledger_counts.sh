@@ -20,13 +20,13 @@
 #   reactive_churn — a flow setup per datagram: control messages,
 #       events and control bytes per simulated flow setup, allocations
 #       and allocated bytes per setup end to end, allocations
-#       inside the controller per PACKET_IN (what is left is the action
-#       list each flow spec owns, one per hop) and inside the agent per
-#       frame (the outgoing copy; a slow-path classification allocates
-#       nothing).
+#       inside the controller per PACKET_IN (what is left is a channel
+#       buffer where `World`'s free list has run dry behind a tick) and
+#       inside the agent per frame (the outgoing copy; a slow-path
+#       classification allocates nothing).
 #   cbench_closed — the controller and the codec alone: allocations per
-#       flow setup inside the controller (the one action list), and no
-#       frame it cannot decode.
+#       flow setup inside the controller (none), and no frame it cannot
+#       decode.
 #   cluster_churn — the reprogram path: allocations, control bytes and
 #       flow mods per simulated ms, the flow-cache flushes flow adds
 #       cause, and the mods the controller had to send twice.
@@ -72,16 +72,19 @@
 # retransmissions (0) are where they were, and so are the other three
 # digests: fabric programs and ACL denies carry no timeout and are
 # fenced as before, and one cbench delivery is a burst of exactly 8.
-# Allocations per setup fell (19.14 -> 19.12, 891 -> 877 bytes) but the
-# controller's share rose 4.455 -> 4.479 per PACKET_IN and its ceiling
-# with it, the one ceiling ever raised here: none of the 0.024 is the
-# controller's. Two of seed 1's flows punt 15 and 44 us after every
-# tick, when the tick's 20 probes and the 20 agents' expiry sweeps have
-# emptied `World`'s 32-buffer free list; the BARRIER_REPLYs that used to
-# land in those microseconds and hand buffers back are gone, so those
-# two setups allocate 4.6 channel buffers a tick where they allocated 2
-# (3 471 misses a run against 1 500, counted; with a free list that
-# never runs dry the figure is 4.443 against the parent's 4.440).
+# The same change made those fences' BARRIER_REPLYs stop handing
+# buffers back to `World`'s 32-buffer free list in the microseconds
+# after a tick, when the tick's 20 probes and the 20 agents' expiry
+# sweeps have emptied it: the two of seed 1's flows that punt 15 and
+# 44 us behind every tick allocate 4.6 channel buffers where they
+# allocated 2 (3 471 misses a run against 1 500, counted), and the
+# controller's allocations per PACKET_IN would have read 4.479 against
+# a ceiling of 4.46. No ceiling is raised here, so the allocation the
+# controller did own went instead: a sent flow add hands its action
+# list back and `Ctl::actions` fills it for the next spec (4.4375 lists
+# per setup, the one per cbench setup). Per PACKET_IN 4.455 -> 0.0415
+# (those misses and some 500 others), cbench_closed 1 -> 0, per setup
+# end to end 19.14 -> 14.68 and 891 -> 842 bytes.
 #
 # A change that moves a digest on purpose updates it below in the same
 # commit and says why; a change that lowers a count lowers its ceiling.
@@ -89,8 +92,8 @@ set -eu
 
 TABLE='
 fabric_forward 5066696baa39f15d core.agent.allocs_per_frame<=1.01 dataplane.datapath.allocs_per_micro_hit<=2 sim.world.drops_queue<=0
-reactive_churn 6b74393d1270ab92 core.controller.msgs_per_op<=13.74 sim.world.events_per_op<=15.65 sim.world.ctl_bytes_per_op<=743.6 trace.allocs_per_op<=19.12 trace.bytes_alloc_per_op<=878 core.controller.allocs_per_packet_in<=4.48 core.agent.allocs_per_frame<=1.08
-cbench_closed 9f20247b19fe0559 core.controller.allocs_per_packet_in<=1 core.controller.decode_errors<=0
+reactive_churn 6b74393d1270ab92 core.controller.msgs_per_op<=13.74 sim.world.events_per_op<=15.65 sim.world.ctl_bytes_per_op<=743.6 trace.allocs_per_op<=14.69 trace.bytes_alloc_per_op<=842 core.controller.allocs_per_packet_in<=0.042 core.agent.allocs_per_frame<=1.08
+cbench_closed 9f20247b19fe0559 core.controller.allocs_per_packet_in<=0 core.controller.decode_errors<=0
 cluster_churn ad3bca74a5747c8f trace.allocs_per_op<=100.7 core.controller.mods_retransmitted<=9175 core.controller.flow_mods_per_op<=1.32 sim.world.ctl_bytes_per_op<=846 dataplane.cache.invalidations<=40520
 '
 

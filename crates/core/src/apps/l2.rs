@@ -241,7 +241,7 @@ impl App for L2Learning {
                     let spec = FlowSpec::new(
                         self.priority,
                         FlowMatch::eth_to(dst),
-                        vec![Action::Output(out_port)],
+                        ctl.actions(&[Action::Output(out_port)]),
                     )
                     .with_timeouts(idle, 0);
                     let mut txn = ctl.txn();

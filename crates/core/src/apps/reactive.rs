@@ -161,7 +161,8 @@ impl App for ReactiveForwarding {
                 self.installs_suppressed += 1;
                 continue;
             }
-            let spec = FlowSpec::new(self.priority, matcher, vec![Action::Output(out_port)])
+            let out = ctl.actions(&[Action::Output(out_port)]);
+            let spec = FlowSpec::new(self.priority, matcher, out)
                 .with_timeouts(self.idle_for(hop, now), 0)
                 .with_cookie(REACTIVE_COOKIE);
             txn.flow(hop, 0, spec);

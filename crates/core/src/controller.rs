@@ -53,6 +53,8 @@ const TXN_DRAIN: Duration = Duration::from_millis(100);
 /// and its acks will never come); a flipping one force-advances and
 /// leaves the straggler to the resync machinery.
 const TXN_DEADLINE: Duration = Duration::from_secs(2);
+/// How many emptied action lists are kept for [`Ctl::actions`].
+const SPARE_ACTIONS: usize = 16;
 
 /// Controller configuration.
 #[derive(Debug, Clone, Copy)]
@@ -380,6 +382,8 @@ pub struct Ctl<'a, 'w> {
     local_intents: &'a mut Vec<(u64, Intent)>,
     /// The emptied op list of the last update sent, for the next.
     spare_ops: &'a mut Vec<UpdateOp>,
+    /// Likewise the action lists of the flow adds it carried.
+    spare_actions: &'a mut Vec<Vec<Action>>,
 }
 
 impl Ctl<'_, '_> {
@@ -608,12 +612,29 @@ impl Ctl<'_, '_> {
             for op in update.ops.drain(..) {
                 let (dpid, msg) = op.into_message();
                 self.send(dpid, &msg);
+                if let Message::FlowMod {
+                    cmd: FlowModCmd::Add(spec),
+                    ..
+                } = msg
+                {
+                    self.spare_actions.push(spec.actions);
+                }
             }
+            self.spare_actions.truncate(SPARE_ACTIONS);
             *self.spare_ops = update.ops;
             self.stats.txns_committed += 1;
         } else {
             self.planner.queue.push_back(update);
         }
+    }
+
+    /// `of` as a new [`FlowSpec`]'s action list, in the allocation of
+    /// one already sent where one is kept.
+    pub fn actions(&mut self, of: &[Action]) -> Vec<Action> {
+        let mut list = self.spare_actions.pop().unwrap_or_default();
+        list.clear();
+        list.extend_from_slice(of);
+        list
     }
 
     /// Delete all flows carrying `cookie` on a switch.
@@ -749,6 +770,7 @@ pub struct Controller {
     dispatch: Vec<(Punt, Option<TraceId>)>,
     /// Likewise the op list of the last network update sent.
     spare_ops: Vec<UpdateOp>,
+    spare_actions: Vec<Vec<Action>>,
     xid: u32,
     /// Counters.
     pub stats: CtlStats,
@@ -783,6 +805,7 @@ impl Controller {
             punts: Vec::new(),
             dispatch: Vec::new(),
             spare_ops: Vec::new(),
+            spare_actions: Vec::new(),
             xid: 1,
             stats: CtlStats::default(),
         }
@@ -898,6 +921,7 @@ impl Controller {
                 intent_owners: &mut self.intent_owners,
                 local_intents: &mut self.local_intents,
                 spare_ops: &mut self.spare_ops,
+                spare_actions: &mut self.spare_actions,
             };
             f(&mut apps, &mut ctl);
         }
