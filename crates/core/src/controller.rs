@@ -2553,7 +2553,7 @@ impl Controller {
             self.resolicit_handshake(ctx, from);
         }
         if let MessageView::BarrierReply { applied } = view {
-            // Read where it lies: four of these come back per setup.
+            // Read where it lies: owning it would copy a list walked once.
             return self.barrier_reply(ctx, from, xid, applied);
         }
         match view.into_message() {

@@ -292,8 +292,8 @@ const FENCE_BURST: usize = 8;
 /// How many acknowledged mods' buffers are kept for the mods to come,
 /// and the largest one worth keeping: a flow or group mod is some
 /// hundred bytes, and each of a fabric's tens of sessions has up to a
-/// burst of them unfenced and another fenced and in flight.
-const SPARE_BUFFERS: usize = 256;
+/// burst of them unfenced or fenced and in flight (under 128 at k=4).
+const SPARE_BUFFERS: usize = 128;
 const SPARE_BUFFER_MAX: usize = 1 << 10;
 
 /// Reliable delivery of state mods to every connected switch.
