@@ -3006,6 +3006,7 @@ mod tests {
     /// and each fence arrived.
     struct Script {
         controller: NodeId,
+        dpid: Dpid,
         removed_first: bool,
         mods_at: Vec<Instant>,
         fences_at: Vec<Instant>,
@@ -3013,7 +3014,7 @@ mod tests {
 
     impl Node for Script {
         fn on_start(&mut self, ctx: &mut Context<'_>) {
-            let (dpid, n_tables, ports) = (DPID, 1, vec![]);
+            let (dpid, n_tables, ports) = (self.dpid, 1, vec![]);
             #[rustfmt::skip]
             let up = Message::FeaturesReply { dpid, n_tables, ports };
             ctx.send_control(self.controller, encode(&up, 0));
@@ -3053,16 +3054,27 @@ mod tests {
         }
     }
 
+    /// One more scripted switch in `world`.
+    fn add_script(
+        world: &mut World,
+        controller: NodeId,
+        dpid: Dpid,
+        removed_first: bool,
+    ) -> NodeId {
+        world.add_node(Box::new(Script {
+            controller,
+            dpid,
+            removed_first,
+            mods_at: Vec::new(),
+            fences_at: Vec::new(),
+        }))
+    }
+
     /// A world of `ctl` and one scripted switch, run for `millis`.
     fn run(ctl: Controller, removed_first: bool, millis: u64) -> (World, NodeId, NodeId) {
         let mut world = World::new(1);
         let controller = world.add_node(Box::new(ctl));
-        let switch = world.add_node(Box::new(Script {
-            controller,
-            removed_first,
-            mods_at: Vec::new(),
-            fences_at: Vec::new(),
-        }));
+        let switch = add_script(&mut world, controller, DPID, removed_first);
         world.run_until(Instant::from_millis(millis));
         (world, controller, switch)
     }
@@ -3102,6 +3114,46 @@ mod tests {
         let stats = &ctl.stats;
         assert_eq!((stats.mods_acked, stats.mods_retransmitted), (1, 0));
         assert_eq!(ctl.pending_mods(), 0);
+    }
+
+    /// Commits one per-packet update, a soft add on each of two
+    /// switches, when the second comes up.
+    struct TwoPhase;
+
+    impl App for TwoPhase {
+        fn name(&self) -> &'static str {
+            "two-phase"
+        }
+        fn on_switch_up(&mut self, ctl: &mut Ctl<'_, '_>, _: Dpid) {
+            if ctl.view.switches.len() == 2 {
+                let spec = FlowSpec::new(1, FlowMatch::ANY, vec![]).with_timeouts(1_000_000, 0);
+                let mut txn = ctl.txn().per_packet();
+                txn.flow(DPID, 0, spec.clone()).flow(DPID + 1, 0, spec);
+                txn.commit(ctl);
+            }
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+    }
+
+    /// Someone waits on every ack while a two-phase transaction has
+    /// xids outstanding: the soft adds it stages are fenced in the
+    /// dispatch that sends them, not a fence interval later, and the
+    /// transaction commits on its own clock.
+    #[test]
+    fn soft_adds_of_a_two_phase_transaction_are_fenced_at_once() {
+        let mut world = World::new(1);
+        let controller = world.add_node(Box::new(Controller::new(vec![Box::new(TwoPhase)])));
+        let switches = [DPID, DPID + 1].map(|d| add_script(&mut world, controller, d, false));
+        world.run_until(Instant::from_millis(400));
+        for switch in switches {
+            let script = world.node_as::<Script>(switch);
+            assert_eq!(script.mods_at.len(), 1);
+            assert_eq!(script.fences_at, script.mods_at);
+        }
+        let stats = &world.node_as::<Controller>(controller).stats;
+        assert_eq!((stats.txns_committed, stats.mods_retransmitted), (1, 0));
     }
 
     /// A FLOW_REMOVED that overtakes the ack of the add it removes
