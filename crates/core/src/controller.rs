@@ -2571,6 +2571,18 @@ impl Controller {
                 n_tables,
                 ports,
             } => {
+                // One switch, one channel: a dpid stays with the node
+                // that first claimed it, and a node with the dpid it
+                // first gave. A second claimant is refused, or every
+                // later mod, probe and PACKET_OUT for the first one's
+                // switch would go to it.
+                let taken = self.registry.get(&dpid).is_some_and(|&node| node != from);
+                if taken || known.is_some_and(|held| held != dpid) {
+                    let (code, data) = (ErrorCode::BadRequest, Vec::new());
+                    self.stats.msgs_sent += 1;
+                    send_msg(ctx, from, &Message::Error { code, data }, xid);
+                    return;
+                }
                 self.registry.insert(dpid, from);
                 self.rev_registry.insert(from, dpid);
                 self.liveness.insert(from, ctx.now());
@@ -3154,6 +3166,74 @@ mod tests {
         }
         let stats = &world.node_as::<Controller>(controller).stats;
         assert_eq!((stats.txns_committed, stats.mods_retransmitted), (1, 0));
+    }
+
+    /// Answers FEATURES_REQUEST-less: claims each of `claims` in turn
+    /// 10 ms in, and keeps what it is sent.
+    struct Claimant {
+        controller: NodeId,
+        claims: Vec<Dpid>,
+        got: Vec<Message>,
+    }
+
+    impl Node for Claimant {
+        fn on_start(&mut self, ctx: &mut Context<'_>) {
+            ctx.set_timer(Duration::from_millis(10), 0);
+        }
+        fn on_timer(&mut self, ctx: &mut Context<'_>, _: u64) {
+            for &dpid in &self.claims {
+                let (n_tables, ports) = (1, vec![]);
+                #[rustfmt::skip]
+                let up = Message::FeaturesReply { dpid, n_tables, ports };
+                ctx.send_control(self.controller, encode(&up, 0));
+            }
+        }
+        fn on_control(&mut self, _: &mut Context<'_>, _: NodeId, mut bytes: &[u8]) {
+            while let Ok((msg, _, used)) = decode(bytes) {
+                bytes = &bytes[used..];
+                self.got.push(msg);
+            }
+        }
+        fn on_packet(&mut self, _: &mut Context<'_>, _: PortNo, _: &[u8]) {}
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// A FEATURES_REPLY naming a dpid that answers from another node,
+    /// or coming from a node that gave another dpid, is refused with an
+    /// error: the switch that registered first keeps its dpid, its mods
+    /// and its probes, and the view gains nothing.
+    #[test]
+    fn a_second_claim_to_a_dpid_is_refused() {
+        let mut world = World::new(1);
+        let controller = world.add_node(Box::new(Controller::new(vec![Box::new(Seed)])));
+        let switch = add_script(&mut world, controller, DPID, false);
+        // The switch's dpid, then one of its own, then a second one.
+        let claims = vec![DPID, DPID + 1, DPID + 2];
+        let claimant = world.add_node(Box::new(Claimant {
+            controller,
+            claims,
+            got: Vec::new(),
+        }));
+        // Short of the first resend: the claimant acknowledges nothing.
+        world.run_until(Instant::from_millis(150));
+
+        let ctl = world.node_as::<Controller>(controller);
+        let registered: Vec<(Dpid, NodeId)> = ctl.registry.iter().map(|(&d, &n)| (d, n)).collect();
+        assert_eq!(registered, [(DPID, switch), (DPID + 1, claimant)]);
+        assert_eq!(ctl.view.switches.len(), 2);
+        assert_eq!(ctl.stats.flow_mods, 2, "one seed flow per switch up");
+        assert_eq!(world.node_as::<Script>(switch).mods_at.len(), 1);
+        let got = &world.node_as::<Claimant>(claimant).got;
+        let count = |of: fn(&Message) -> bool| got.iter().filter(|m| of(m)).count();
+        #[rustfmt::skip]
+        let refused = |m: &Message| matches!(m, Message::Error { code: ErrorCode::BadRequest, .. });
+        assert_eq!(count(refused), 2);
+        assert_eq!(count(|m| matches!(m, Message::FlowMod { .. })), 1);
     }
 
     /// A FLOW_REMOVED that overtakes the ack of the add it removes
