@@ -19,11 +19,9 @@
 //!   rolling chain hash over the entries — and peers compare digests to
 //!   fetch exactly the missing ranges. A replica that has fallen behind
 //!   a retention floor bootstraps from a checksummed snapshot of the
-//!   winning entry per key instead of replaying the full log. The
-//!   legacy suffix-resend mode ([`GossipMode::Suffix`]) is kept for
-//!   comparison benchmarks. Writes to the same logical key resolve
-//!   last-writer-wins on `(term, seq, origin)`, like ONOS's eventually
-//!   consistent maps.
+//!   winning entry per key instead of replaying the full log. Writes
+//!   to the same logical key resolve last-writer-wins on `(term, seq,
+//!   origin)`, like ONOS's eventually consistent maps.
 //!
 //! Everything is deterministic: no wall-clock time, no randomness, all
 //! maps ordered.
@@ -37,13 +35,12 @@ use zen_consensus::{chain_ew, CHAIN_SEED};
 use zen_proto::{EwEntry, OriginHead, ViewEvent};
 use zen_sim::{Duration, Instant, NodeId};
 
-/// How replicas reconcile their east-west stores.
+/// How replicas reconcile their east-west stores: one way. The enum
+/// and [`ClusterConfig::gossip`] outlive the suffix-resend mode they
+/// used to select only because the benchmark's surface list names them;
+/// they go with the `benchmark` PR that drops them there.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GossipMode {
-    /// Blind suffix resend: each origin pushes its unacknowledged
-    /// contiguous suffix to every peer each round. O(log length) per
-    /// reconciliation; kept as the benchmark baseline.
-    Suffix,
     /// Digest anti-entropy: heartbeats carry per-origin
     /// `(floor, head, hash)` summaries and peers fetch exactly the
     /// missing ranges, falling back to a checksummed snapshot below
@@ -412,25 +409,6 @@ impl EwStore {
         }
     }
 
-    /// Our own entries `peer` has not yet acknowledged: the contiguous
-    /// suffix starting after its ack, capped at `max` entries. The
-    /// [`GossipMode::Suffix`] push path.
-    pub fn pending_for(&self, peer: u32, max: usize) -> Vec<EwEntry> {
-        let from = self
-            .peer_acks
-            .get(&peer)
-            .and_then(|m| m.get(&self.origin).copied())
-            .unwrap_or(0);
-        match self.logs.get(&self.origin) {
-            Some(log) => log
-                .range(from + 1..)
-                .take(max)
-                .map(|(_, e)| e.clone())
-                .collect(),
-            None => Vec::new(),
-        }
-    }
-
     /// Per-origin summaries (floor, applied head, chain hash) to carry
     /// in a heartbeat, ascending by origin. Two replicas with equal
     /// heads and hashes hold identical logs and exchange nothing.
@@ -596,17 +574,6 @@ impl EwStore {
         self.floors.get(&origin).copied().unwrap_or(0)
     }
 
-    /// `peer`'s highest acknowledged seq for our own origin log (0 when
-    /// it has never acked). A peer whose ack sits below our retention
-    /// floor can no longer be repaired by suffix replay — the entries
-    /// it needs are pruned — and must bootstrap from a snapshot.
-    pub fn peer_ack(&self, peer: u32) -> u64 {
-        self.peer_acks
-            .get(&peer)
-            .and_then(|m| m.get(&self.origin).copied())
-            .unwrap_or(0)
-    }
-
     /// The winning stamp recorded for `key`, if any.
     pub fn stamp(&self, key: EventKey) -> Option<(u64, u64, u32)> {
         self.stamps.get(&key).copied()
@@ -625,6 +592,11 @@ mod tests {
 
     fn cfg(n: usize, index: usize) -> ClusterConfig {
         ClusterConfig::new((0..n).map(|i| NodeId(i as u32)).collect(), index)
+    }
+
+    /// `store`'s own entries `from..=to`, as a fetch would carry them.
+    fn own(store: &EwStore, from: u64, to: u64) -> Vec<EwEntry> {
+        store.serve_ranges(&[(store.origin, from, to)]).0
     }
 
     fn link_add(from: u64, port: u32) -> ViewEvent {
@@ -683,7 +655,7 @@ mod tests {
         let mut b = EwStore::new(1, 2);
         a.append(1, link_add(0, 1));
         a.append(1, link_add(1, 1));
-        let batch = a.pending_for(1, 16);
+        let batch = own(&a, 1, 2);
         assert_eq!(batch.len(), 2);
         assert_eq!(b.admit(&batch[0]), Admit::Apply);
         assert_eq!(b.admit(&batch[1]), Admit::Apply);
@@ -693,7 +665,7 @@ mod tests {
         a.note_peer_acks(1, &b.acks());
         a.prune_acked(&[0, 1]);
         assert_eq!(a.log_len(), 0);
-        assert!(a.pending_for(1, 16).is_empty());
+        assert!(own(&a, 1, 2).is_empty());
     }
 
     #[test]
@@ -702,7 +674,7 @@ mod tests {
         let mut b = EwStore::new(1, 2);
         a.append(1, link_add(0, 1));
         a.append(1, link_add(1, 1));
-        let batch = a.pending_for(1, 16);
+        let batch = own(&a, 1, 2);
         // Entry 2 arrives first (reordered): held back.
         assert_eq!(b.admit(&batch[1]), Admit::Gap);
         assert_eq!(b.applied_high(0), 0);
@@ -775,7 +747,7 @@ mod tests {
         a.note_peer_acks(1, &[(0, 2)]);
         a.prune_acked(&[0, 1, 2]);
         assert_eq!(a.log_len(), 2);
-        assert_eq!(a.pending_for(2, 16).len(), 2);
+        assert_eq!(own(&a, 1, 2).len(), 2);
         // Heal: peer 2 catches up.
         a.note_peer_acks(2, &[(0, 2)]);
         a.prune_acked(&[0, 1, 2]);
@@ -807,7 +779,7 @@ mod tests {
         for i in 0..10 {
             a.append(1, link_add(i, 1));
         }
-        for e in a.pending_for(1, 4) {
+        for e in own(&a, 1, 4) {
             assert_eq!(b.admit(&e), Admit::Apply);
         }
         // b compares digests and asks for exactly seqs 5..=10.
@@ -835,7 +807,7 @@ mod tests {
         for i in 0..4 {
             a.append(1, link_add(i, 1));
         }
-        for e in a.pending_for(1, 16) {
+        for e in own(&a, 1, 4) {
             b.admit(&e);
         }
         let want = c.missing_ranges(&b.digest());
@@ -855,7 +827,7 @@ mod tests {
         for i in 0..6 {
             a.append(1, link_add(i, 1));
         }
-        for e in a.pending_for(1, 16) {
+        for e in own(&a, 1, 6) {
             b.admit(&e);
         }
         // Everyone live acked; a prunes everything.
@@ -891,7 +863,7 @@ mod tests {
         for i in 0..4 {
             a.append(1, link_add(i, 1));
         }
-        for e in a.pending_for(1, 16) {
+        for e in own(&a, 1, 4) {
             assert_eq!(b.admit(&e), Admit::Apply);
         }
         // Replica 0 loses its state and restarts. No pruning has

@@ -9,7 +9,7 @@
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use zen_cluster::{Admit, ClusterConfig, EwStore, GossipMode, Membership};
+use zen_cluster::{Admit, ClusterConfig, EwStore, Membership};
 use zen_consensus::{fnv1a, fnv1a_fold, Applied, IntentReplica, Outbound, KEEP_TAIL};
 use zen_dataplane::{epoch_tag, Action, FlowMatch, FlowSpec, GroupDesc, Meter, PortNo};
 use zen_proto::{
@@ -38,8 +38,8 @@ const TIMER_FENCE: u64 = 3;
 
 pub use crate::policy::{PUSHBACK_COOKIE, PUSHBACK_IMPORTANCE, PUSHBACK_PRIORITY};
 
-/// Cap on east-west entries gossiped to one peer per tick; the rest go
-/// out on following ticks (the ack-driven suffix resend makes this safe).
+/// Cap on east-west entries pushed to one peer per tick; the rest go
+/// out on following ticks.
 const EW_BATCH: usize = 64;
 
 /// TTL stamped into discovery LLDPs.
@@ -1506,13 +1506,11 @@ impl Controller {
         let claim = cl.membership.claim();
 
         // Heartbeat + anti-entropy to every peer, every tick. The
-        // heartbeat carries our per-origin applied marks. Suffix mode
-        // then blindly resends the peer's unacknowledged suffix of our
-        // own log; digest mode pushes each new own-origin entry once
-        // and repairs losses (and remote-origin gaps) through the
-        // digest / fetch exchange.
+        // heartbeat carries our per-origin applied marks; each new
+        // own-origin entry is pushed once, and losses (and
+        // remote-origin gaps) are repaired through the digest / fetch
+        // exchange.
         let acks = cl.store.acks();
-        let gossip = cl.membership.config().gossip;
         let me32 = me as u32;
         let replicas = cl.membership.config().replicas.clone();
         for (i, &node) in replicas.iter().enumerate() {
@@ -1531,82 +1529,39 @@ impl Controller {
                 },
                 0,
             );
-            match gossip {
-                GossipMode::Suffix => {
-                    if cl.membership.is_alive(i)
-                        && cl.store.peer_ack(i as u32) < cl.store.floor_of(me32)
-                    {
-                        // The peer fell below our retention floor (it
-                        // was dead while the live set pruned); no
-                        // suffix replay can reach it. Bootstrap it from
-                        // a checksummed snapshot, as digest mode would.
-                        let (heads, entries, checksum) = cl.store.snapshot();
-                        self.stats.msgs_sent += 1;
-                        self.stats.ew_snapshots_sent += 1;
-                        send_msg(
-                            ctx,
-                            node,
-                            &Message::EwSnapshot {
-                                replica: me32,
-                                heads,
-                                entries,
-                                checksum,
-                            },
-                            0,
-                        );
-                        continue;
-                    }
-                    let batch = cl.store.pending_for(i as u32, EW_BATCH);
-                    if !batch.is_empty() {
-                        self.stats.msgs_sent += 1;
-                        self.stats.ew_entries_sent += batch.len() as u64;
-                        send_msg(
-                            ctx,
-                            node,
-                            &Message::EwEvents {
-                                replica: me32,
-                                entries: batch,
-                            },
-                            0,
-                        );
-                    }
-                }
-                GossipMode::Digest => {
-                    let head = cl.store.applied_high(me32);
-                    let pushed = cl.pushed_high.entry(i as u32).or_insert(0);
-                    if head > *pushed {
-                        let lo = (*pushed + 1).max(cl.store.floor_of(me32) + 1);
-                        let hi = head.min(lo + EW_BATCH as u64 - 1);
-                        let (batch, _) = cl.store.serve_ranges(&[(me32, lo, hi)]);
-                        if !batch.is_empty() {
-                            self.stats.msgs_sent += 1;
-                            self.stats.ew_entries_sent += batch.len() as u64;
-                            send_msg(
-                                ctx,
-                                node,
-                                &Message::EwEvents {
-                                    replica: me32,
-                                    entries: batch,
-                                },
-                                0,
-                            );
-                        }
-                        *pushed = hi;
-                    }
+            let head = cl.store.applied_high(me32);
+            let pushed = cl.pushed_high.entry(i as u32).or_insert(0);
+            if head > *pushed {
+                let lo = (*pushed + 1).max(cl.store.floor_of(me32) + 1);
+                let hi = head.min(lo + EW_BATCH as u64 - 1);
+                let (batch, _) = cl.store.serve_ranges(&[(me32, lo, hi)]);
+                if !batch.is_empty() {
                     self.stats.msgs_sent += 1;
-                    self.stats.ew_digests_sent += 1;
+                    self.stats.ew_entries_sent += batch.len() as u64;
                     send_msg(
                         ctx,
                         node,
-                        &Message::EwDigest {
+                        &Message::EwEvents {
                             replica: me32,
-                            term,
-                            heads: cl.store.digest(),
+                            entries: batch,
                         },
                         0,
                     );
                 }
+                *pushed = hi;
             }
+            self.stats.msgs_sent += 1;
+            self.stats.ew_digests_sent += 1;
+            send_msg(
+                ctx,
+                node,
+                &Message::EwDigest {
+                    replica: me32,
+                    term,
+                    heads: cl.store.digest(),
+                },
+                0,
+            );
         }
         // Retention: prune only what every *live* replica has applied,
         // so one dead replica cannot pin the log forever (a revived one

@@ -36,8 +36,9 @@ pub struct FabricOptions {
     /// Mastership lease for multi-controller fabrics: a replica silent
     /// for this long is presumed dead and its switches taken over.
     pub cluster_lease: Duration,
-    /// East-west anti-entropy strategy for multi-controller fabrics
-    /// (digest exchange by default; suffix resend for comparison).
+    /// East-west anti-entropy strategy for multi-controller fabrics.
+    /// There is one; the field stays because the benchmark's surface
+    /// list names it, until a `benchmark` PR drops it there.
     pub cluster_gossip: GossipMode,
 }
 
