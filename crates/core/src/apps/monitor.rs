@@ -116,11 +116,6 @@ impl Monitor {
         Some(hits as f64 / total as f64)
     }
 
-    /// The latest sample for a port.
-    pub fn port_sample(&self, dpid: Dpid, port: PortNo) -> Option<PortSample> {
-        self.latest.get(&(dpid, port)).copied()
-    }
-
     /// A table's occupancy as a fraction of its capacity bound, in
     /// `[0, 1]`. `None` before the first sample or when unbounded.
     pub fn table_occupancy(&self, dpid: Dpid, table_id: u8) -> Option<f64> {
@@ -146,11 +141,6 @@ impl Monitor {
     /// Capacity evictions network-wide (sum over latest table samples).
     pub fn total_evictions(&self) -> u64 {
         self.tables.values().map(|s| s.evictions).sum()
-    }
-
-    /// TABLE_FULL refusals network-wide (sum over latest table samples).
-    pub fn total_refusals(&self) -> u64 {
-        self.tables.values().map(|s| s.refusals).sum()
     }
 
     /// Estimated transmit rate of a port in bits/sec, from the last two
@@ -332,7 +322,6 @@ mod tests {
         let mut m = Monitor::new(1);
         m.fold_port_stats(Instant::from_secs(1), 1, &[port_rec(1, 1000)]);
         assert_eq!(m.tx_rate_bps(1, 1), None);
-        assert_eq!(m.port_sample(1, 1).unwrap().tx_bytes, 1000);
     }
 
     #[test]
@@ -443,7 +432,6 @@ mod tests {
             }],
         );
         assert_eq!(m.table_occupancy(2, 0), None);
-        assert_eq!(m.total_refusals(), 3);
     }
 
     #[test]

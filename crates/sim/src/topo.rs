@@ -136,17 +136,6 @@ impl Topology {
         t
     }
 
-    /// A complete graph on `n` switches.
-    pub fn full_mesh(n: usize, params: LinkParams) -> Topology {
-        let mut t = Topology::new(&format!("mesh-{n}"), n);
-        for a in 0..n {
-            for b in a + 1..n {
-                t.link(a, b, params);
-            }
-        }
-        t
-    }
-
     /// A `k`-ary fat-tree (Al-Fares et al.): `k` pods of `k/2` edge and
     /// `k/2` aggregation switches each, plus `(k/2)²` core switches, with
     /// `k/2` hosts on every edge switch. `k` must be even and ≥ 2.
@@ -377,13 +366,6 @@ mod tests {
         assert_eq!(t.switches, 5);
         assert_eq!(t.links.len(), 4);
         assert_eq!(t.diameter(), Some(2));
-    }
-
-    #[test]
-    fn mesh_shape() {
-        let t = Topology::full_mesh(5, LinkParams::default());
-        assert_eq!(t.links.len(), 10);
-        assert_eq!(t.diameter(), Some(1));
     }
 
     #[test]

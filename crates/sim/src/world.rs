@@ -126,21 +126,6 @@ pub struct Link {
     pub ba: LinkDirStats,
 }
 
-impl Link {
-    /// Utilization of the A→B direction over `[0, horizon]`, as a fraction
-    /// of line rate. Returns 0 for infinite links.
-    pub fn utilization_ab(&self, horizon: Duration) -> f64 {
-        utilization(self.ab.tx_bytes, self.params.bandwidth_bps, horizon)
-    }
-}
-
-fn utilization(tx_bytes: u64, rate: u64, horizon: Duration) -> f64 {
-    if rate == 0 || horizon == Duration::ZERO {
-        return 0.0;
-    }
-    (tx_bytes as f64 * 8.0) / (rate as f64 * horizon.as_secs_f64())
-}
-
 /// The behaviour of a simulated node.
 ///
 /// Implementations also provide `as_any` so tests and harnesses can
@@ -1691,24 +1676,5 @@ mod tests {
             world.core.free_buffers.is_empty(),
             "the 1 MiB buffer was freed"
         );
-    }
-
-    #[test]
-    fn utilization_accounting() {
-        let mut world = World::new(1);
-        let a = world.add_node(Box::new(Burst { n: 100, size: 1250 }));
-        let b = world.add_node(Box::new(Sink {
-            rx: 0,
-            last_at: None,
-        }));
-        // 100 x 1250 B = 1 Mb on a 10 Mb/s link = 100 ms busy.
-        let (link, _, _) = world.connect(
-            a,
-            b,
-            LinkParams::new(Duration::from_micros(1), 10_000_000, 1 << 20),
-        );
-        world.run_until(Instant::from_millis(200));
-        let util = world.link(link).utilization_ab(Duration::from_millis(200));
-        assert!((util - 0.5).abs() < 0.01, "utilization was {util}");
     }
 }

@@ -54,19 +54,6 @@ impl DemandMatrix {
         self.demands.push(Demand { src, dst, rate_bps });
     }
 
-    /// Uniform all-pairs demands of `rate_bps` between the given sites.
-    pub fn all_pairs(sites: &[NodeIx], rate_bps: u64) -> DemandMatrix {
-        let mut m = DemandMatrix::new();
-        for &a in sites {
-            for &b in sites {
-                if a != b {
-                    m.push(a, b, rate_bps);
-                }
-            }
-        }
-        m
-    }
-
     /// Deterministic pseudo-random demands: `n` pairs drawn from `sites`
     /// with rates in `[lo, hi]`, from `seed`.
     pub fn random(sites: &[NodeIx], n: usize, lo: u64, hi: u64, seed: u64) -> DemandMatrix {
@@ -389,11 +376,7 @@ mod tests {
     }
 
     #[test]
-    fn all_pairs_and_random_matrices() {
-        let m = DemandMatrix::all_pairs(&[0, 1, 2], 10);
-        assert_eq!(m.demands.len(), 6);
-        assert_eq!(m.total(), 60);
-
+    fn random_matrices_repeat_from_a_seed() {
         let r1 = DemandMatrix::random(&[0, 1, 2, 3], 10, 5, 50, 7);
         let r2 = DemandMatrix::random(&[0, 1, 2, 3], 10, 5, 50, 7);
         assert_eq!(r1.demands, r2.demands);

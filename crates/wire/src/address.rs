@@ -51,11 +51,6 @@ impl EthernetAddress {
         !self.is_multicast() && *self != Self::ZERO
     }
 
-    /// Whether the locally-administered bit is set.
-    pub fn is_local(&self) -> bool {
-        self.0[0] & 0x02 != 0
-    }
-
     /// A deterministic locally-administered unicast address derived from an
     /// integer id. Useful for simulators and tests: distinct ids map to
     /// distinct addresses.
@@ -63,15 +58,6 @@ impl EthernetAddress {
         let b = id.to_be_bytes();
         // 0x02 sets local-admin, clears multicast.
         EthernetAddress([0x02, b[3], b[4], b[5], b[6], b[7]])
-    }
-
-    /// Interpret the low 40 bits as an id assigned by [`from_id`].
-    ///
-    /// [`from_id`]: EthernetAddress::from_id
-    pub fn to_id(&self) -> u64 {
-        let mut b = [0u8; 8];
-        b[3..8].copy_from_slice(&self.0[1..6]);
-        u64::from_be_bytes(b)
     }
 }
 
@@ -162,11 +148,6 @@ impl Ipv4Address {
     /// Whether this address can identify a single host.
     pub fn is_unicast(&self) -> bool {
         !self.is_broadcast() && !self.is_multicast() && !self.is_unspecified()
-    }
-
-    /// Whether this is a loopback (`127.0.0.0/8`) address.
-    pub fn is_loopback(&self) -> bool {
-        self.0[0] == 127
     }
 }
 
@@ -309,15 +290,7 @@ mod tests {
         assert!(EthernetAddress::LLDP_MULTICAST.is_multicast());
         let uni = EthernetAddress::from_id(7);
         assert!(uni.is_unicast());
-        assert!(uni.is_local());
         assert!(!uni.is_multicast());
-    }
-
-    #[test]
-    fn ethernet_id_roundtrip() {
-        for id in [0u64, 1, 42, 0xff_ffff, 0xff_ffff_ffff] {
-            assert_eq!(EthernetAddress::from_id(id).to_id(), id);
-        }
     }
 
     #[test]
@@ -354,7 +327,6 @@ mod tests {
         assert!(Ipv4Address::BROADCAST.is_broadcast());
         assert!(Ipv4Address::new(224, 0, 0, 1).is_multicast());
         assert!(Ipv4Address::UNSPECIFIED.is_unspecified());
-        assert!(Ipv4Address::new(127, 0, 0, 1).is_loopback());
         assert!(Ipv4Address::new(10, 1, 2, 3).is_unicast());
     }
 
