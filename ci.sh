@@ -5,6 +5,12 @@
 set -eux
 
 cargo build --release --workspace
+
+# The two line counts ROADMAP.md and CHANGES.md quote (non-test lines
+# under crates/*/src outside the ledger, and of controller.rs). Printed,
+# not gated.
+ci/lines.sh
+
 cargo test --workspace -q
 cargo fmt --all --check
 cargo clippy --workspace --all-targets -- -D warnings -D deprecated

@@ -7,27 +7,29 @@
 //! dispatches everything else to the application chain.
 
 use std::any::Any;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
-use zen_cluster::{Admit, ClusterConfig, EwStore, Membership};
-use zen_consensus::{fnv1a, fnv1a_fold, Applied, IntentReplica, Outbound, KEEP_TAIL};
-use zen_dataplane::{epoch_tag, Action, FlowMatch, FlowSpec, GroupDesc, Meter, PortNo};
+use zen_cluster::ClusterConfig;
+use zen_consensus::{fnv1a, fnv1a_fold, Applied, IntentReplica};
+use zen_dataplane::{epoch_tag, Action, FlowSpec, GroupDesc, PortNo};
 use zen_proto::{
     decode_view, encode_packet_out_into, intent_entry_bytes, CookieCount, ErrorCode, FlowModCmd,
     GroupModCmd, Intent, IntentEntry, Message, MessageView, Role, ViewEvent, XidList,
 };
 use zen_sim::{Context, Duration, Instant, Node, NodeId};
-use zen_telemetry::{control_trace, trace_id_for_frame, TraceEvent, TraceId};
+use zen_telemetry::{trace_id_for_frame, TraceEvent, TraceId};
 use zen_wire::ethernet::{EtherType, Frame};
-use zen_wire::{arp, ipv4, lldp, EthernetAddress};
+use zen_wire::{arp, ipv4, lldp};
 
+use crate::admission::{AdmissionConfig, AdmissionState};
 use crate::app::{App, Disposition};
-use crate::southbound::{delta, ProgramBase, Reconciled, ShadowOp, Southbound};
+use crate::replica::ClusterState;
+use crate::southbound::{delta, ProgramBase, Reconciled, Session, ShadowOp, Southbound};
 use crate::txn::{
     ActiveTxn, Consistency, FlowRole, NetworkUpdate, TxnPhase, UpdateOp, UpdatePlanner,
 };
 use crate::view::{Dpid, NetworkView};
-use crate::{is_lldp, send_msg};
+use crate::{record_control, send_msg};
 
 const TIMER_TICK: u64 = 1;
 /// Fair-queue drain timer for deferred PACKET_INs (admission control).
@@ -35,12 +37,6 @@ const TIMER_ADMIT: u64 = 2;
 /// One-shot: soft mods have ridden unfenced for the fence interval.
 /// Not the tick: a late fence must not cost a resend.
 const TIMER_FENCE: u64 = 3;
-
-pub use crate::policy::{PUSHBACK_COOKIE, PUSHBACK_IMPORTANCE, PUSHBACK_PRIORITY};
-
-/// Cap on east-west entries pushed to one peer per tick; the rest go
-/// out on following ticks.
-const EW_BATCH: usize = 64;
 
 /// TTL stamped into discovery LLDPs.
 const LLDP_TTL_SECS: u16 = 120;
@@ -87,61 +83,6 @@ impl Default for ControllerConfig {
             mod_timeout: Duration::from_millis(150),
             mod_max_retries: 8,
             admission: None,
-        }
-    }
-}
-
-/// Controller-side PACKET_IN admission control: per-switch token
-/// buckets with fair-queued overflow, so one switch's punt storm can
-/// neither starve the other switches nor monopolize the controller.
-///
-/// Punts within a switch's budget dispatch immediately. Over-budget
-/// punts are *deferred* into that switch's bounded queue and released
-/// by a round-robin drain timer — every switch gets an equal share of
-/// leftover capacity regardless of who is noisiest. When a queue
-/// overflows, the excess is *shed*, and each shed or deferred punt is
-/// charged to its `(ingress port, source MAC)`; past
-/// [`AdmissionConfig::pushback_threshold`] the controller *pushes
-/// back*, installing a targeted drop rule (cookie
-/// [`PUSHBACK_COOKIE`]) on the offending ingress so the storm dies at
-/// the edge instead of in the control plane. LLDP discovery returns
-/// bypass the meter entirely: topology must stay alive precisely when
-/// the fleet is under attack.
-#[derive(Debug, Clone, Copy)]
-pub struct AdmissionConfig {
-    /// Sustained PACKET_INs per second admitted directly, per switch.
-    pub rate_pps: u64,
-    /// Burst allowance per switch, in PACKET_INs.
-    pub burst: u64,
-    /// Per-switch deferred-punt queue capacity; overflow is shed.
-    pub queue_cap: usize,
-    /// Period of the fair-queue drain timer.
-    pub drain_interval: Duration,
-    /// Deferred punts released per drain, round-robin across switches.
-    pub drain_batch: usize,
-    /// Deferred-or-shed punts charged to one `(ingress, source MAC)`
-    /// within [`AdmissionConfig::pushback_window`] before a drop rule
-    /// is installed there. `0` disables push-back.
-    pub pushback_threshold: u64,
-    /// Offender accounting window (counts reset at this period).
-    pub pushback_window: Duration,
-    /// Hard timeout of installed push-back drop rules; a persistent
-    /// attacker is re-pinned when the rule lapses and the storm
-    /// resumes.
-    pub pushback_hold: Duration,
-}
-
-impl Default for AdmissionConfig {
-    fn default() -> AdmissionConfig {
-        AdmissionConfig {
-            rate_pps: 2_000,
-            burst: 256,
-            queue_cap: 512,
-            drain_interval: Duration::from_millis(1),
-            drain_batch: 64,
-            pushback_threshold: 200,
-            pushback_window: Duration::from_millis(1_000),
-            pushback_hold: Duration::from_millis(2_000),
         }
     }
 }
@@ -246,113 +187,20 @@ pub struct CtlStats {
     pub intent_msgs_sent: u64,
 }
 
-/// Runtime state of one replica in a controller cluster.
-struct ClusterState {
-    membership: Membership,
-    store: EwStore,
-    /// Switches this replica currently exercises mastership over.
-    my_masters: BTreeSet<Dpid>,
-    /// Claims observed at switches that outrank ours: dpid → the
-    /// `(term, replica)` that won. Cleared once our own claim grows
-    /// past the recorded one.
-    deferred: BTreeMap<Dpid, (u64, u32)>,
-    /// Replicated program stamps: (dpid, app cookie) → content hash of
-    /// the owning app's desired program. A replica gaining mastership
-    /// reprograms only when its own desired hash disagrees.
-    program_stamps: BTreeMap<(Dpid, u64), u64>,
-    /// Replicated intent log: leader election, append/ack replication,
-    /// and snapshot catch-up for linearizable control intents.
-    intents: IntentReplica,
-    /// Committed mastership pins: dpid → replica index. Overrides the
-    /// hash-based assignment while the pinned replica is alive.
-    pins: BTreeMap<Dpid, u32>,
-    /// Per-peer high-water mark of own-origin entries eagerly pushed
-    /// (digest gossip mode): peer → highest own seq already sent.
-    pushed_high: BTreeMap<u32, u64>,
-}
-
-impl ClusterState {
-    /// Whether this replica should exercise mastership over `dpid`:
-    /// a live committed pin wins, otherwise the hash assignment.
-    fn wants_mastership(&self, dpid: Dpid) -> bool {
-        if let Some(&r) = self.pins.get(&dpid) {
-            if self.membership.is_alive(r as usize) {
-                return r as usize == self.membership.config().index;
-            }
-        }
-        self.membership.assigned_master(dpid)
-    }
-}
-
-/// Runtime state of PACKET_IN admission control
-/// ([`ControllerConfig::admission`]).
-struct AdmissionState {
-    cfg: AdmissionConfig,
-    /// Per-switch punt meters (packet-rate token buckets), keyed by
-    /// control-channel peer so unmetered traffic cannot hide behind a
-    /// not-yet-registered dpid.
-    meters: BTreeMap<NodeId, Meter>,
-    /// Per-switch deferred punts: (ingress port, owned frame).
-    queues: BTreeMap<NodeId, VecDeque<(PortNo, Vec<u8>)>>,
-    /// Round-robin position: the switch served last; the drain resumes
-    /// after it.
-    cursor: Option<NodeId>,
-    /// Deferred-or-shed punt counts per (switch, ingress, source MAC)
-    /// in the current push-back window.
-    offenders: BTreeMap<(NodeId, PortNo, [u8; 6]), u64>,
-    /// When the current offender window opened.
-    window_started: Instant,
-    /// Push-back rules believed live: (switch, ingress, source MAC) →
-    /// install time. An entry lapses with the rule's hard timeout, so
-    /// a persistent offender is re-pinned on its next threshold cross.
-    active_pushbacks: BTreeMap<(NodeId, PortNo, [u8; 6]), Instant>,
-    /// Cached metric handles: [admitted, deferred, drained, shed].
-    cids: Option<[zen_sim::CounterId; 4]>,
-}
-
-impl AdmissionState {
-    fn new(cfg: AdmissionConfig) -> AdmissionState {
-        AdmissionState {
-            cfg,
-            meters: BTreeMap::new(),
-            queues: BTreeMap::new(),
-            cursor: None,
-            offenders: BTreeMap::new(),
-            window_started: Instant::ZERO,
-            active_pushbacks: BTreeMap::new(),
-            cids: None,
-        }
-    }
-
-    /// The typed counters, registered on first use: [admitted,
-    /// deferred, drained, shed].
-    fn counters(&mut self, ctx: &mut Context<'_>) -> [zen_sim::CounterId; 4] {
-        *self.cids.get_or_insert_with(|| {
-            let m = ctx.metrics();
-            [
-                m.register_counter("defense.ctl_punts_admitted"),
-                m.register_counter("defense.ctl_punts_deferred"),
-                m.register_counter("defense.ctl_punts_drained"),
-                m.register_counter("defense.ctl_punts_shed"),
-            ]
-        })
-    }
-}
-
 /// One PACKET_IN of a control delivery: its ingress port, and where in
 /// the delivery's bytes its frame lies. Positions rather than slices, so
 /// the lists that hold punts borrow nothing and are kept from one
 /// delivery to the next.
 #[derive(Clone, Copy)]
-struct Punt {
-    in_port: PortNo,
+pub(crate) struct Punt {
+    pub(crate) in_port: PortNo,
     at: usize,
     len: usize,
 }
 
 impl Punt {
     /// The punt of `frame`, a slice of `bytes`.
-    fn of(bytes: &[u8], in_port: PortNo, frame: &[u8]) -> Punt {
+    pub(crate) fn of(bytes: &[u8], in_port: PortNo, frame: &[u8]) -> Punt {
         let (at, len) = (
             frame.as_ptr() as usize - bytes.as_ptr() as usize,
             frame.len(),
@@ -360,9 +208,20 @@ impl Punt {
         Punt { in_port, at, len }
     }
 
-    fn frame<'a>(&self, bytes: &'a [u8]) -> &'a [u8] {
+    pub(crate) fn frame<'a>(&self, bytes: &'a [u8]) -> &'a [u8] {
         &bytes[self.at..self.at + self.len]
     }
+}
+
+/// Who a control delivery is from, asked once per delivery.
+#[derive(Clone, Copy)]
+enum Sender {
+    /// Another replica of this cluster.
+    Peer,
+    /// A switch that has shaken hands, with the dpid it gave.
+    Switch(Dpid),
+    /// Anyone else: a switch whose handshake has not arrived.
+    Stranger,
 }
 
 /// The services handle passed to applications: the network view plus
@@ -399,34 +258,7 @@ impl Ctl<'_, '_> {
     /// agent would reject them anyway), so apps can stay
     /// cluster-oblivious and program the whole view.
     pub fn is_master(&self, dpid: Dpid) -> bool {
-        self.cluster
-            .as_ref()
-            .is_none_or(|cl| cl.my_masters.contains(&dpid))
-    }
-
-    /// The replicated program stamp for `(dpid, cookie)`: the content
-    /// hash the last master recorded for its installed program. `None`
-    /// when never programmed or not clustered.
-    fn program_stamp(&self, dpid: Dpid, cookie: u64) -> Option<u64> {
-        self.cluster
-            .as_ref()
-            .and_then(|cl| cl.program_stamps.get(&(dpid, cookie)).copied())
-    }
-
-    /// Record (and replicate east-west) the stamp of the program just
-    /// sent to `dpid`; a standby that later takes the switch over
-    /// compares it against its own and loads the switch only on
-    /// mismatch. No-op when not clustered or unchanged.
-    fn set_program_stamp(&mut self, dpid: Dpid, cookie: u64, hash: u64) {
-        if let Some(cl) = self.cluster.as_mut() {
-            if cl.program_stamps.get(&(dpid, cookie)) == Some(&hash) {
-                return;
-            }
-            cl.program_stamps.insert((dpid, cookie), hash);
-            let term = cl.membership.term();
-            cl.store
-                .append(term, ViewEvent::ProgramStamp { dpid, cookie, hash });
-        }
+        self.cluster.as_ref().is_none_or(|cl| cl.is_master(dpid))
     }
 
     /// Send a raw protocol message to a switch. Unknown dpids are
@@ -493,7 +325,7 @@ impl Ctl<'_, '_> {
             // Encoded once, into the buffer the session keeps for
             // retransmission; the channel copies from it.
             let now = self.ctx.now();
-            let bytes = self.southbound.track(node, dpid, xid, msg, program, now);
+            let bytes = self.southbound.track(node, xid, msg, program, now);
             self.ctx
                 .send_control_with(node, |buf| buf.extend_from_slice(bytes));
         } else {
@@ -538,7 +370,10 @@ impl Ctl<'_, '_> {
         if base == Some(&desired) {
             return Reconciled::default();
         }
-        let adopt = base.is_none() && self.program_stamp(dpid, cookie) == Some(stamp);
+        // The replicated stamp: the content hash the last master
+        // recorded for the program it installed, if there was one.
+        let replicated = self.cluster.as_ref().and_then(|cl| cl.stamp(dpid, cookie));
+        let adopt = base.is_none() && replicated == Some(stamp);
         let (msgs, sent, left) = if adopt {
             Default::default()
         } else {
@@ -549,9 +384,12 @@ impl Ctl<'_, '_> {
         }
         self.stats.txns_committed += u64::from(!msgs.is_empty());
         let now = self.ctx.now();
-        self.southbound
-            .rebase(node, dpid, cookie, desired, left, now);
-        self.set_program_stamp(dpid, cookie, stamp);
+        self.southbound.rebase(node, cookie, desired, left, now);
+        // A standby that later takes the switch over compares the stamp
+        // against its own and loads the switch only on mismatch.
+        if let Some(cl) = &mut self.cluster {
+            cl.set_stamp(dpid, cookie, stamp);
+        }
         sent
     }
 
@@ -715,10 +553,9 @@ impl Ctl<'_, '_> {
         let token = h.max(1); // zero is the reserved no-op token
         self.stats.intents_proposed += 1;
         self.intent_owners.insert(token, owner);
-        if let Some(cl) = self.cluster.as_mut() {
-            cl.intents.propose_local(token, intent);
-        } else {
-            self.local_intents.push((token, intent));
+        match &mut self.cluster {
+            Some(cl) => cl.intents.propose_local(token, intent),
+            None => self.local_intents.push((token, intent)),
         }
         token
     }
@@ -730,27 +567,24 @@ pub struct Controller {
     apps: Vec<Box<dyn App>>,
     /// The network view (public for post-run inspection).
     pub view: NetworkView,
+    /// The one index beside the sessions: where an app names a dpid,
+    /// and the order of every walk that goes on the wire in dpid order.
+    /// Written at the handshake, where the session is opened.
     registry: BTreeMap<Dpid, NodeId>,
-    rev_registry: BTreeMap<NodeId, Dpid>,
-    /// Last time anything was heard from each agent.
-    liveness: BTreeMap<NodeId, Instant>,
-    /// Per-switch reliable delivery of state mods.
+    /// One session per connected switch, with everything kept per
+    /// switch, and reliable delivery of state mods over it.
     southbound: Southbound,
     /// Whether [`TIMER_FENCE`] is set.
     fence_armed: bool,
-    /// What we believe each switch has installed: cookie → entry count,
-    /// maintained from barrier-acked mods and FLOW_REMOVED notices, and
-    /// diffed against HELLO_RESYNC digests on reconnect.
-    shadow: BTreeMap<Dpid, BTreeMap<u64, i64>>,
-    /// Throttle: last RESYNC_REQUEST sent per quarantined switch.
-    resync_requested: BTreeMap<Dpid, Instant>,
-    /// Throttle: last FEATURES_REQUEST re-solicitation per unregistered
-    /// node (the handshake itself can be lost on a faulty channel).
+    /// Parked until the handshake: the cookie shadow a peer replicated
+    /// for a dpid whose switch has not shaken hands with this replica
+    /// yet, so has no session to keep it. The session adopts it when it
+    /// opens, and its first HELLO_RESYNC is compared against it.
+    early_shadow: BTreeMap<Dpid, BTreeMap<u64, i64>>,
+    /// Parked for want of a session: the last FEATURES_REQUEST
+    /// re-solicitation per node that talks without having shaken hands
+    /// (the handshake itself can be lost on a faulty channel).
     features_requested: BTreeMap<NodeId, Instant>,
-    /// Switches whose next FEATURES_REPLY is a port-map refresh (sent
-    /// after takeovers and healed partitions), not a new handshake —
-    /// the reply updates the view and nothing else.
-    port_refresh: BTreeSet<Dpid>,
     /// Present when this controller is a replica in a cluster.
     cluster: Option<ClusterState>,
     /// Present when `cfg.admission` is set.
@@ -789,14 +623,10 @@ impl Controller {
             apps,
             view: NetworkView::new(),
             registry: BTreeMap::new(),
-            rev_registry: BTreeMap::new(),
-            liveness: BTreeMap::new(),
             southbound: Southbound::default(),
             fence_armed: false,
-            shadow: BTreeMap::new(),
-            resync_requested: BTreeMap::new(),
+            early_shadow: BTreeMap::new(),
             features_requested: BTreeMap::new(),
-            port_refresh: BTreeSet::new(),
             cluster: None,
             admission: cfg.admission.map(AdmissionState::new),
             planner: UpdatePlanner::default(),
@@ -827,30 +657,19 @@ impl Controller {
     /// from different replicas cannot collide in the shared recorder.
     pub fn enable_cluster(&mut self, cfg: ClusterConfig) {
         self.xid = ((cfg.index as u32) + 1) << 24;
-        self.cluster = Some(ClusterState {
-            store: EwStore::new(cfg.index as u32, cfg.len()),
-            intents: IntentReplica::new(cfg.index as u32, cfg.len() as u32),
-            membership: Membership::new(cfg, Instant::ZERO),
-            my_masters: BTreeSet::new(),
-            deferred: BTreeMap::new(),
-            program_stamps: BTreeMap::new(),
-            pins: BTreeMap::new(),
-            pushed_high: BTreeMap::new(),
-        });
+        self.cluster = Some(ClusterState::new(cfg));
     }
 
     /// Whether this replica currently exercises mastership over `dpid`.
     /// Non-clustered controllers master everything they know.
     pub fn is_master_of(&self, dpid: Dpid) -> bool {
-        self.cluster
-            .as_ref()
-            .is_none_or(|cl| cl.my_masters.contains(&dpid))
+        self.cluster.as_ref().is_none_or(|cl| cl.is_master(dpid))
     }
 
     /// The switches this controller currently masters.
     pub fn mastered(&self) -> Vec<Dpid> {
         match &self.cluster {
-            Some(cl) => cl.my_masters.iter().copied().collect(),
+            Some(cl) => cl.masters().iter().copied().collect(),
             None => self.registry.keys().copied().collect(),
         }
     }
@@ -867,11 +686,9 @@ impl Controller {
     }
 
     /// The replicated program stamp for `(dpid, cookie)` (post-run
-    /// inspection; see [`Ctl::program_stamp`]).
+    /// inspection; see [`Ctl::reconcile`]).
     pub fn program_stamp_of(&self, dpid: Dpid, cookie: u64) -> Option<u64> {
-        self.cluster
-            .as_ref()
-            .and_then(|cl| cl.program_stamps.get(&(dpid, cookie)).copied())
+        self.cluster.as_ref()?.stamp(dpid, cookie)
     }
 
     /// Mods sent but not yet barrier-acknowledged.
@@ -928,10 +745,36 @@ impl Controller {
         self.apps = apps;
     }
 
+    /// Run `f` on every app, in dispatch order.
+    fn each_app(
+        &mut self,
+        ctx: &mut Context<'_>,
+        mut f: impl FnMut(&mut dyn App, &mut Ctl<'_, '_>),
+    ) {
+        self.with_apps(ctx, |apps, ctl| {
+            apps.iter_mut().for_each(|app| f(app.as_mut(), ctl))
+        });
+    }
+
     fn send_direct(&mut self, ctx: &mut Context<'_>, dpid: Dpid, msg: &Message) {
-        let Some(&node) = self.registry.get(&dpid) else {
-            return;
+        if let Some(&node) = self.registry.get(&dpid) {
+            self.send_to(ctx, node, msg);
+        }
+    }
+
+    /// Tell `dpid` the role this replica takes there under its claim.
+    fn send_role(&mut self, ctx: &mut Context<'_>, dpid: Dpid, role: Role, claim: (u64, u32)) {
+        let (term, replica) = claim;
+        let request = Message::RoleRequest {
+            role,
+            term,
+            replica,
         };
+        self.send_direct(ctx, dpid, &request);
+    }
+
+    /// [`Controller::send_direct`], for who holds the switch's node.
+    fn send_to(&mut self, ctx: &mut Context<'_>, node: NodeId, msg: &Message) {
         let xid = self.xid;
         self.xid += 1;
         self.stats.msgs_sent += 1;
@@ -941,16 +784,36 @@ impl Controller {
     /// Log a local view mutation into the east-west store for
     /// replication. No-op when not clustered.
     fn log_event(&mut self, event: ViewEvent) {
-        if let Some(cl) = self.cluster.as_mut() {
-            let term = cl.membership.term();
-            cl.store.append(term, event);
+        if let Some(cl) = &mut self.cluster {
+            cl.log(event);
         }
+    }
+
+    /// Replicate `dpid`'s cookie shadow as it stands, so a standby that
+    /// later takes the switch over inherits an accurate one. Only its
+    /// master's word counts; no-op otherwise, and when not clustered.
+    fn replicate_shadow(&mut self, dpid: Dpid) {
+        if self.cluster.as_ref().is_some_and(|cl| cl.is_master(dpid)) {
+            let cookies = self.shadow_cookies(dpid);
+            self.log_event(ViewEvent::ShadowSet { dpid, cookies });
+        }
+    }
+
+    /// `dpid`'s session, if its switch has shaken hands.
+    fn session_of(&mut self, dpid: Dpid) -> Option<&mut Session> {
+        self.southbound.session_mut(*self.registry.get(&dpid)?)
     }
 
     /// The current cookie shadow of `dpid` in wire form: the flow
     /// entries this controller believes the switch holds, per cookie.
     pub fn shadow_cookies(&self, dpid: Dpid) -> Vec<CookieCount> {
-        let counts = self.shadow.get(&dpid).into_iter().flatten();
+        let session = self.registry.get(&dpid);
+        let session = session.and_then(|&node| self.southbound.session(node));
+        let shadow = session.map(|s| &s.shadow);
+        let counts = shadow
+            .or(self.early_shadow.get(&dpid))
+            .into_iter()
+            .flatten();
         let listed = counts.filter_map(|(&cookie, &count)| {
             let count = u32::try_from(count).ok()?;
             Some(CookieCount { cookie, count })
@@ -989,279 +852,65 @@ impl Controller {
                 // master; a peer's digest matters for a future takeover.
                 if !self.is_master_of(dpid) {
                     let counts = cookies.iter().map(|c| (c.cookie, c.count.into()));
-                    self.shadow.insert(dpid, counts.collect());
+                    let counts = counts.collect();
+                    if let Some(session) = self.session_of(dpid) {
+                        session.shadow = counts;
+                    } else {
+                        self.early_shadow.insert(dpid, counts);
+                    }
                 }
             }
-            ViewEvent::ProgramStamp { dpid, cookie, hash } => {
-                if let Some(cl) = self.cluster.as_mut() {
-                    cl.program_stamps.insert((dpid, cookie), hash);
-                }
-            }
+            // Kept where it is read, by `ClusterState`, not handed here.
+            ViewEvent::ProgramStamp { .. } => {}
         }
     }
 
     /// East-west traffic from a peer replica (already routed past the
-    /// switch-session machinery).
+    /// switch-session machinery): `ClusterState` takes it, and hands
+    /// back what only the controller can do.
     fn handle_peer_message(&mut self, ctx: &mut Context<'_>, msg: Message) {
-        match msg {
-            Message::EwHeartbeat {
-                replica,
-                term,
-                acks,
-            } => {
-                if let Some(cl) = self.cluster.as_mut() {
-                    cl.membership.note_heartbeat(replica, term, ctx.now());
-                    cl.store.note_peer_acks(replica, &acks);
-                }
-            }
-            Message::EwEvents { entries, .. } => {
-                let now = ctx.now();
-                for entry in entries {
-                    let verdict = match self.cluster.as_mut() {
-                        Some(cl) => cl.store.admit(&entry),
-                        None => return,
-                    };
-                    if verdict == Admit::Apply {
-                        self.stats.ew_events_applied += 1;
-                        self.apply_view_event(entry.event, now);
-                    } else {
-                        self.stats.ew_events_skipped += 1;
-                    }
-                }
-            }
-            Message::EwDigest {
-                replica,
-                term,
-                heads,
-            } => {
-                let now = ctx.now();
-                let Some(cl) = self.cluster.as_mut() else {
-                    return;
-                };
-                cl.membership.note_heartbeat(replica, term, now);
-                // A digest head doubles as an applied-mark ack: the
-                // chain hash guarantees the peer holds everything up
-                // to it contiguously.
-                let acks: Vec<(u32, u64)> = heads.iter().map(|h| (h.origin, h.head)).collect();
-                cl.store.note_peer_acks(replica, &acks);
-                let ranges = cl.store.missing_ranges(&heads);
-                if ranges.is_empty() {
-                    return;
-                }
-                let me = cl.membership.index() as u32;
-                let Some(&node) = cl.membership.config().replicas.get(replica as usize) else {
-                    return;
-                };
-                self.stats.msgs_sent += 1;
-                self.stats.ew_fetches_sent += 1;
-                send_msg(
-                    ctx,
-                    node,
-                    &Message::EwFetch {
-                        replica: me,
-                        ranges,
-                    },
-                    0,
-                );
-            }
-            Message::EwFetch { replica, ranges } => {
-                let Some(cl) = self.cluster.as_mut() else {
-                    return;
-                };
-                let me = cl.membership.index() as u32;
-                let Some(&node) = cl.membership.config().replicas.get(replica as usize) else {
-                    return;
-                };
-                let (entries, want_snapshot) = cl.store.serve_ranges(&ranges);
-                if want_snapshot {
-                    let (heads, snap_entries, checksum) = cl.store.snapshot();
-                    self.stats.msgs_sent += 1;
-                    self.stats.ew_snapshots_sent += 1;
-                    send_msg(
-                        ctx,
-                        node,
-                        &Message::EwSnapshot {
-                            replica: me,
-                            heads,
-                            entries: snap_entries,
-                            checksum,
-                        },
-                        0,
-                    );
-                }
-                for chunk in entries.chunks(EW_BATCH) {
-                    self.stats.msgs_sent += 1;
-                    self.stats.ew_entries_sent += chunk.len() as u64;
-                    send_msg(
-                        ctx,
-                        node,
-                        &Message::EwEvents {
-                            replica: me,
-                            entries: chunk.to_vec(),
-                        },
-                        0,
-                    );
-                }
-            }
-            Message::EwSnapshot {
-                replica,
-                heads,
-                entries,
-                checksum,
-            } => {
-                let now = ctx.now();
-                let carried = entries.len() as u64;
-                let installed = match self.cluster.as_mut() {
-                    Some(cl) => cl.store.install_snapshot(&heads, entries, checksum),
-                    None => return,
-                };
-                // A checksum mismatch drops the snapshot; the next
-                // digest round re-requests it.
-                let Some(to_apply) = installed else {
-                    return;
-                };
-                self.stats.ew_snapshots_installed += 1;
-                {
-                    let rec = ctx.recorder();
-                    if rec.is_enabled() {
-                        rec.record(
-                            now.as_nanos(),
-                            control_trace(0),
-                            TraceEvent::EwSnapshotInstalled {
-                                from_replica: replica,
-                                entries: carried,
-                            },
-                        );
-                    }
-                }
-                for e in to_apply {
-                    self.stats.ew_events_applied += 1;
-                    self.apply_view_event(e.event, now);
-                }
-            }
-            Message::IntentPropose {
-                replica,
-                token,
-                intent,
-            } => {
-                if let Some(cl) = self.cluster.as_mut() {
-                    cl.intents.on_propose(replica, token, intent);
-                }
-            }
-            Message::IntentAppend {
-                leader,
-                term,
-                prev_index,
-                prev_term,
-                commit,
-                entries,
-            } => {
-                let outs = match self.cluster.as_mut() {
-                    Some(cl) => cl
-                        .intents
-                        .on_append(leader, term, prev_index, prev_term, commit, entries),
-                    None => return,
-                };
-                self.send_intent_outs(ctx, outs);
-                self.dispatch_committed_intents(ctx);
-            }
-            Message::IntentAck {
-                replica,
-                term,
-                match_index,
-                success,
-            } => {
-                let outs = match self.cluster.as_mut() {
-                    Some(cl) => cl.intents.on_ack(replica, term, match_index, success),
-                    None => return,
-                };
-                self.send_intent_outs(ctx, outs);
-                self.dispatch_committed_intents(ctx);
-            }
-            Message::IntentFetch {
-                replica,
-                term,
-                from_index,
-            } => {
-                let outs = match self.cluster.as_mut() {
-                    Some(cl) => cl.intents.on_fetch(replica, term, from_index),
-                    None => return,
-                };
-                self.send_intent_outs(ctx, outs);
-            }
-            Message::IntentCatchup {
-                replica,
-                term,
-                snap_index,
-                snap_term,
-                snap_state,
-                snap_tokens,
-                entries,
-                commit,
-                checksum,
-            } => {
-                let outs = match self.cluster.as_mut() {
-                    Some(cl) => cl.intents.on_catchup(
-                        replica,
-                        term,
-                        snap_index,
-                        snap_term,
-                        snap_state,
-                        snap_tokens,
-                        entries,
-                        commit,
-                        checksum,
-                    ),
-                    None => return,
-                };
-                self.send_intent_outs(ctx, outs);
-                self.dispatch_committed_intents(ctx);
-            }
-            // Peers speak only the east-west subset.
-            _ => {}
-        }
-    }
-
-    /// Encode and route consensus frames to their target replicas.
-    fn send_intent_outs(&mut self, ctx: &mut Context<'_>, outs: Vec<Outbound>) {
-        let Some(cl) = self.cluster.as_ref() else {
+        let Some(cl) = &mut self.cluster else {
             return;
         };
-        let replicas = &cl.membership.config().replicas;
-        for out in outs {
-            let Some(&node) = replicas.get(out.to as usize) else {
-                continue;
-            };
-            self.stats.msgs_sent += 1;
-            self.stats.intent_msgs_sent += 1;
-            send_msg(ctx, node, &out.msg, 0);
+        let fx = cl.on_peer(ctx, &mut self.stats, msg);
+        for event in fx.events {
+            self.apply_view_event(event, ctx.now());
+        }
+        self.send_intent_frames(ctx, fx.frames);
+        if fx.committed {
+            self.dispatch_committed_intents(ctx);
         }
     }
 
-    /// Surface intents committed since the last round: update pinned
-    /// mastership, fire every app's [`App::on_intent_committed`] hook,
-    /// and complete the proposer's `on_update_committed`.
+    /// Send consensus frames to the replicas they were routed to.
+    fn send_intent_frames(&mut self, ctx: &mut Context<'_>, frames: Vec<(NodeId, Message)>) {
+        for (node, msg) in frames {
+            self.stats.msgs_sent += 1;
+            self.stats.intent_msgs_sent += 1;
+            send_msg(ctx, node, &msg, 0);
+        }
+    }
+
+    /// Surface intents committed since the last round (pinned
+    /// mastership is `ClusterState`'s, and already taken in): fire every
+    /// app's [`App::on_intent_committed`] hook, and complete the
+    /// proposer's `on_update_committed`.
     fn dispatch_committed_intents(&mut self, ctx: &mut Context<'_>) {
-        let me = self.cluster.as_ref().map(|cl| cl.membership.index() as u32);
-        let applied: Vec<Applied> = match self.cluster.as_mut() {
-            Some(cl) => cl.intents.take_applied(),
+        let (me, applied) = match &mut self.cluster {
+            Some(cl) => (Some(cl.me()), cl.take_applied()),
             None => {
-                if self.local_intents.is_empty() {
-                    return;
-                }
                 // Standalone: commit locally, same observable order.
-                std::mem::take(&mut self.local_intents)
-                    .into_iter()
-                    .map(|(token, intent)| {
-                        Applied::Entry(IntentEntry {
-                            index: 0,
-                            term: 0,
-                            origin: 0,
-                            token,
-                            intent,
-                        })
+                let local = std::mem::take(&mut self.local_intents).into_iter();
+                let entry = |(token, intent)| {
+                    Applied::Entry(IntentEntry {
+                        index: 0,
+                        term: 0,
+                        origin: 0,
+                        token,
+                        intent,
                     })
-                    .collect()
+                };
+                (None, local.map(entry).collect::<Vec<_>>())
             }
         };
         for a in applied {
@@ -1285,31 +934,9 @@ impl Controller {
         entries: Vec<IntentEntry>,
         me: Option<u32>,
     ) {
-        if let Some(cl) = self.cluster.as_mut() {
-            cl.pins.clear();
-            for e in &entries {
-                if let Intent::MastershipPin {
-                    dpid,
-                    replica,
-                    pinned: true,
-                } = e.intent
-                {
-                    cl.pins.insert(dpid, replica);
-                }
-            }
-        }
-        {
-            let rec = ctx.recorder();
-            if rec.is_enabled() {
-                rec.record(
-                    ctx.now().as_nanos(),
-                    control_trace(0),
-                    TraceEvent::IntentSnapshotInstalled {
-                        entries: entries.len() as u64,
-                    },
-                );
-            }
-        }
+        let installed = entries.len() as u64;
+        let event = TraceEvent::IntentSnapshotInstalled { entries: installed };
+        record_control(ctx, 0, event);
         // Proposals of ours that committed while we were away complete
         // their owner callbacks now.
         let own_tokens: Vec<u64> = entries
@@ -1318,91 +945,46 @@ impl Controller {
             .map(|e| e.token)
             .collect();
         let intents: Vec<Intent> = entries.into_iter().map(|e| e.intent).collect();
-        self.with_apps(ctx, |apps, ctl| {
-            for app in apps.iter_mut() {
-                app.on_intent_snapshot(ctl, &intents);
-            }
-        });
+        self.each_app(ctx, |app, ctl| app.on_intent_snapshot(ctl, &intents));
         for token in own_tokens {
-            if let Some(owner) = self.intent_owners.remove(&token) {
-                self.with_apps(ctx, |apps, ctl| {
-                    for app in apps.iter_mut() {
-                        app.on_update_committed(ctl, owner, token);
-                    }
-                });
-            }
+            self.complete_proposal(ctx, token);
+        }
+    }
+
+    /// An intent this replica proposed has committed: its owner hears.
+    fn complete_proposal(&mut self, ctx: &mut Context<'_>, token: u64) {
+        if let Some(owner) = self.intent_owners.remove(&token) {
+            self.each_app(ctx, |app, ctl| app.on_update_committed(ctl, owner, token));
         }
     }
 
     fn apply_committed_intent(&mut self, ctx: &mut Context<'_>, e: IntentEntry, me: Option<u32>) {
         self.stats.intents_committed += 1;
-        {
-            let rec = ctx.recorder();
-            if rec.is_enabled() {
-                rec.record(
-                    ctx.now().as_nanos(),
-                    control_trace(0),
-                    TraceEvent::IntentCommitted {
-                        index: e.index,
-                        term: e.term,
-                        origin: e.origin,
-                    },
-                );
-            }
-        }
-        if let Intent::MastershipPin {
-            dpid,
-            replica,
-            pinned,
-        } = e.intent
-        {
-            if let Some(cl) = self.cluster.as_mut() {
-                if pinned {
-                    cl.pins.insert(dpid, replica);
-                } else {
-                    cl.pins.remove(&dpid);
-                }
-            }
-        }
+        let event = TraceEvent::IntentCommitted {
+            index: e.index,
+            term: e.term,
+            origin: e.origin,
+        };
+        record_control(ctx, 0, event);
         if matches!(e.intent, Intent::Noop) {
             return; // leader activation barrier, invisible to apps
         }
         let intent = e.intent;
-        self.with_apps(ctx, |apps, ctl| {
-            for app in apps.iter_mut() {
-                app.on_intent_committed(ctl, &intent);
-            }
-        });
+        self.each_app(ctx, |app, ctl| app.on_intent_committed(ctl, &intent));
         // The proposing replica also completes the owner's
         // update-committed callback, mirroring the two-phase planner.
         if me.is_none_or(|m| m == e.origin) {
-            if let Some(owner) = self.intent_owners.remove(&e.token) {
-                self.with_apps(ctx, |apps, ctl| {
-                    for app in apps.iter_mut() {
-                        app.on_update_committed(ctl, owner, e.token);
-                    }
-                });
-            }
+            self.complete_proposal(ctx, e.token);
         }
     }
 
-    fn note_mastership_trace(&mut self, ctx: &mut Context<'_>, dpid: Dpid, gained: bool) {
-        let Some(cl) = self.cluster.as_ref() else {
-            return;
+    fn note_mastership_trace(ctx: &mut Context<'_>, dpid: Dpid, replica: u32, gained: bool) {
+        let event = TraceEvent::MastershipChange {
+            dpid,
+            replica,
+            gained,
         };
-        let replica = cl.membership.index() as u32;
-        let rec = ctx.recorder();
-        if rec.is_enabled() {
-            rec.record(
-                ctx.now().as_nanos(),
-                control_trace(dpid),
-                TraceEvent::MastershipChange {
-                    dpid,
-                    replica,
-                    gained,
-                },
-            );
-        }
+        record_control(ctx, dpid, event);
     }
 
     /// Take over `dpid`: claim the Master role at the switch, give its
@@ -1410,22 +992,11 @@ impl Controller {
     /// one watching their LLDP confirmations), and reconcile installed
     /// state through the resync digest. Apps then compare their desired
     /// program against the replicated stamp and reprogram only on
-    /// mismatch — a clean takeover moves zero flow state.
-    fn mastership_gained(&mut self, ctx: &mut Context<'_>, dpid: Dpid) {
-        let Some(cl) = self.cluster.as_ref() else {
-            return;
-        };
-        let (term, replica) = cl.membership.claim();
+    /// mismatch — a clean takeover moves zero flow state. `claim` is this
+    /// replica's `(term, replica)`.
+    fn mastership_gained(&mut self, ctx: &mut Context<'_>, dpid: Dpid, claim: (u64, u32)) {
         self.stats.masterships_gained += 1;
-        self.send_direct(
-            ctx,
-            dpid,
-            &Message::RoleRequest {
-                role: Role::Master,
-                term,
-                replica,
-            },
-        );
+        self.send_role(ctx, dpid, Role::Master, claim);
         self.view.refresh_links_to(dpid, ctx.now());
         self.send_direct(ctx, dpid, &Message::ResyncRequest);
         // PORT_STATUS is broadcast, so an isolation window may have
@@ -1433,14 +1004,9 @@ impl Controller {
         // "down" port, so a stale entry would silence the LLDP
         // confirmations for its links and age them out cluster-wide.
         // The features reply replaces the port map wholesale.
-        self.port_refresh.insert(dpid);
-        self.send_direct(ctx, dpid, &Message::FeaturesRequest);
-        self.note_mastership_trace(ctx, dpid, true);
-        self.with_apps(ctx, |apps, ctl| {
-            for app in apps.iter_mut() {
-                app.on_mastership_change(ctl, dpid, true);
-            }
-        });
+        self.refresh_ports(ctx, dpid);
+        Self::note_mastership_trace(ctx, dpid, claim.1, true);
+        self.each_app(ctx, |app, ctl| app.on_mastership_change(ctl, dpid, true));
     }
 
     /// Relinquish `dpid`. In-flight mods were issued under the lapsed
@@ -1448,22 +1014,16 @@ impl Controller {
     /// they are dropped rather than retransmitted. `announce` steps the
     /// connection down to Equal at the switch (skipped when the switch
     /// itself told us we were outranked).
-    fn mastership_lost(&mut self, ctx: &mut Context<'_>, dpid: Dpid, announce: bool) {
-        let Some(cl) = self.cluster.as_ref() else {
-            return;
-        };
-        let (term, replica) = cl.membership.claim();
+    fn mastership_lost(
+        &mut self,
+        ctx: &mut Context<'_>,
+        dpid: Dpid,
+        claim: (u64, u32),
+        announce: bool,
+    ) {
         self.stats.masterships_lost += 1;
         if announce {
-            self.send_direct(
-                ctx,
-                dpid,
-                &Message::RoleRequest {
-                    role: Role::Equal,
-                    term,
-                    replica,
-                },
-            );
+            self.send_role(ctx, dpid, Role::Equal, claim);
         }
         if let Some(&node) = self.registry.get(&dpid) {
             for x in self.southbound.supersede(node) {
@@ -1472,167 +1032,46 @@ impl Controller {
             }
             self.southbound.relinquish(node);
         }
-        self.note_mastership_trace(ctx, dpid, false);
-        self.with_apps(ctx, |apps, ctl| {
-            for app in apps.iter_mut() {
-                app.on_mastership_change(ctl, dpid, false);
-            }
-        });
+        Self::note_mastership_trace(ctx, dpid, claim.1, false);
+        self.each_app(ctx, |app, ctl| app.on_mastership_change(ctl, dpid, false));
     }
 
-    /// One east-west round: refresh peer liveness, heartbeat + gossip to
-    /// every peer, and reconcile this replica's mastership set against
-    /// the deterministic assignment.
+    /// Ask `dpid` for its features again, and take the reply for a
+    /// port-map refresh, not a handshake.
+    fn refresh_ports(&mut self, ctx: &mut Context<'_>, dpid: Dpid) {
+        if let Some(session) = self.session_of(dpid) {
+            session.port_refresh = true;
+        }
+        self.send_direct(ctx, dpid, &Message::FeaturesRequest);
+    }
+
+    /// One east-west round: `ClusterState` runs it and decides who
+    /// masters what; the switches, the view and the apps hear of it
+    /// here, in the order `Round` lists.
     fn cluster_tick(&mut self, ctx: &mut Context<'_>) {
-        let Some(mut cl) = self.cluster.take() else {
-            return;
+        let Some(cl) = &mut self.cluster else {
+            // Standalone, intents commit on the tick with no round.
+            return self.dispatch_committed_intents(ctx);
         };
-        let now = ctx.now();
-        let live_before = cl.membership.live();
-        let flipped = cl.membership.scan(now);
-        // A peer coming back from the dead usually means a partition
-        // healed — and if *we* were the isolated side, we missed every
-        // PORT_STATUS broadcast in the window (we kept mastering our
-        // switches throughout, so the takeover-path refresh never
-        // runs). Stale "down" ports silence discovery probes, so
-        // refresh the port map of everything we master.
-        let peer_revived = cl
-            .membership
-            .live()
-            .iter()
-            .any(|i| !live_before.contains(i));
-        let me = cl.membership.index();
-        let term = cl.membership.term();
-        let claim = cl.membership.claim();
-
-        // Heartbeat + anti-entropy to every peer, every tick. The
-        // heartbeat carries our per-origin applied marks; each new
-        // own-origin entry is pushed once, and losses (and
-        // remote-origin gaps) are repaired through the digest / fetch
-        // exchange.
-        let acks = cl.store.acks();
-        let me32 = me as u32;
-        let replicas = cl.membership.config().replicas.clone();
-        for (i, &node) in replicas.iter().enumerate() {
-            if i == me {
-                continue;
-            }
-            self.stats.msgs_sent += 1;
-            self.stats.ew_heartbeats += 1;
-            send_msg(
-                ctx,
-                node,
-                &Message::EwHeartbeat {
-                    replica: me32,
-                    term,
-                    acks: acks.clone(),
-                },
-                0,
-            );
-            let head = cl.store.applied_high(me32);
-            let pushed = cl.pushed_high.entry(i as u32).or_insert(0);
-            if head > *pushed {
-                let lo = (*pushed + 1).max(cl.store.floor_of(me32) + 1);
-                let hi = head.min(lo + EW_BATCH as u64 - 1);
-                let (batch, _) = cl.store.serve_ranges(&[(me32, lo, hi)]);
-                if !batch.is_empty() {
-                    self.stats.msgs_sent += 1;
-                    self.stats.ew_entries_sent += batch.len() as u64;
-                    send_msg(
-                        ctx,
-                        node,
-                        &Message::EwEvents {
-                            replica: me32,
-                            entries: batch,
-                        },
-                        0,
-                    );
-                }
-                *pushed = hi;
-            }
-            self.stats.msgs_sent += 1;
-            self.stats.ew_digests_sent += 1;
-            send_msg(
-                ctx,
-                node,
-                &Message::EwDigest {
-                    replica: me32,
-                    term,
-                    heads: cl.store.digest(),
-                },
-                0,
-            );
+        let round = cl.tick(ctx, &mut self.stats, self.registry.keys().copied());
+        for &dpid in &round.reassert {
+            self.send_role(ctx, dpid, Role::Master, round.claim);
         }
-        // Retention: prune only what every *live* replica has applied,
-        // so one dead replica cannot pin the log forever (a revived one
-        // bootstraps from a snapshot instead).
-        cl.store.prune_acked(&cl.membership.live());
-
-        // Intent-log round: deterministic leader election over the live
-        // set, replication heartbeats, proposal retries, compaction.
-        let live: Vec<u32> = cl.membership.live().iter().map(|&i| i as u32).collect();
-        let intent_outs = cl.intents.tick(term, &live);
-        cl.intents.compact(KEEP_TAIL);
-
-        // Deferred overrides die once our claim outgrows them (a healed
-        // partition converges on the merged term, and the canonical
-        // assignment reasserts itself).
-        cl.deferred.retain(|_, o| *o >= claim);
-        let desired: BTreeSet<Dpid> = self
-            .registry
-            .keys()
-            .copied()
-            .filter(|&d| cl.wants_mastership(d) && !cl.deferred.contains_key(&d))
-            .collect();
-        let gained: Vec<Dpid> = desired.difference(&cl.my_masters).copied().collect();
-        let lost: Vec<Dpid> = cl.my_masters.difference(&desired).copied().collect();
-        // The switches kept through a change of the live set (the
-        // freshly gained are settled by their takeover path).
-        let kept = |when: bool| -> Vec<Dpid> {
-            let kept = desired.iter().filter(|d| when && cl.my_masters.contains(d));
-            kept.copied().collect()
-        };
-        let (reassert, refresh) = (kept(flipped), kept(peer_revived));
-        cl.my_masters = desired;
-        self.cluster = Some(cl);
-
-        // A peer that flipped was cut off from us, and we from it: each
-        // side presumes the other dead and claims its switches. Say who
-        // we are now at every switch we keep, so whichever claim ranks
-        // higher holds it and the other side hears that it lost — a
-        // controller that programs by difference may not send a mod
-        // (whose bounce would tell it) for a long while.
-        let (term, replica) = claim;
-        for &dpid in &reassert {
-            let role = Role::Master;
-            self.send_direct(
-                ctx,
-                dpid,
-                &Message::RoleRequest {
-                    role,
-                    term,
-                    replica,
-                },
-            );
+        // Stale "down" ports silence discovery probes.
+        for &dpid in &round.refresh {
+            self.refresh_ports(ctx, dpid);
         }
-
-        for &dpid in &refresh {
-            self.port_refresh.insert(dpid);
-            self.send_direct(ctx, dpid, &Message::FeaturesRequest);
-        }
-        self.send_intent_outs(ctx, intent_outs);
+        self.send_intent_frames(ctx, round.frames);
         self.dispatch_committed_intents(ctx);
-        for &dpid in &lost {
-            self.mastership_lost(ctx, dpid, true);
+        for &dpid in &round.lost {
+            self.mastership_lost(ctx, dpid, round.claim, true);
         }
-        for &dpid in &gained {
-            self.mastership_gained(ctx, dpid);
+        for &dpid in &round.gained {
+            self.mastership_gained(ctx, dpid, round.claim);
         }
-        // The revived peer presumed us dead for as long as we presumed
-        // it: whoever adopted our switches in the meantime pointed
-        // their groups by its own view, and our bases describe what we
-        // last sent, not that. Have the apps re-assert them.
-        for &dpid in &refresh {
+        // Our bases describe what we last sent, not what whoever held
+        // these switches in the meantime did: have the apps re-assert.
+        for &dpid in &round.refresh {
             self.southbound.distrust_groups(self.registry[&dpid]);
             self.resync_apps(ctx, dpid);
         }
@@ -1645,8 +1084,8 @@ impl Controller {
         let stale: Vec<Dpid> = self
             .registry
             .iter()
-            .filter(|&(_, node)| {
-                let last = self.liveness.get(node).copied().unwrap_or(now);
+            .filter(|&(_, &node)| {
+                let last = self.southbound.session(node).map_or(now, |s| s.last_heard);
                 now.duration_since(last) >= self.cfg.agent_dead_after
             })
             .map(|(&dpid, _)| dpid)
@@ -1678,8 +1117,7 @@ impl Controller {
         // Groups that have been out of every program for the hold: go.
         let view = &self.view;
         let cluster = self.cluster.as_ref();
-        let ours =
-            |d| !view.is_quarantined(d) && cluster.is_none_or(|cl| cl.my_masters.contains(&d));
+        let ours = |d| !view.is_quarantined(d) && cluster.is_none_or(|cl| cl.is_master(d));
         let condemned = self.southbound.condemned(ctx.now(), ours);
         self.with_apps(ctx, |_, ctl| {
             for (dpid, group_id) in condemned {
@@ -1694,19 +1132,14 @@ impl Controller {
     /// takeover's shortcut past the full load, and nothing vouches for
     /// them now.
     fn forget_stamps(&mut self, dpid: Dpid) {
-        let ours = |cl: &&mut ClusterState| cl.my_masters.contains(&dpid);
-        if let Some(cl) = self.cluster.as_mut().filter(ours) {
-            cl.program_stamps.retain(|&(d, _), _| d != dpid);
+        if let Some(cl) = &mut self.cluster {
+            cl.forget_stamps(dpid);
         }
     }
 
     /// Tell the apps `dpid` may not hold what this controller believed.
     fn resync_apps(&mut self, ctx: &mut Context<'_>, dpid: Dpid) {
-        self.with_apps(ctx, |apps, ctl| {
-            for app in apps.iter_mut() {
-                app.on_switch_resync(ctl, dpid);
-            }
-        });
+        self.each_app(ctx, |app, ctl| app.on_switch_resync(ctl, dpid));
     }
 
     /// Fence every switch that someone waits to hear from: those sent
@@ -1732,14 +1165,19 @@ impl Controller {
         self.cfg.mod_timeout.div(3)
     }
 
-    /// Whether `from` is another replica of this cluster.
-    fn is_peer(&self, from: NodeId) -> bool {
-        self.cluster.as_ref().is_some_and(|cl| {
-            cl.membership
-                .config()
-                .index_of(from)
-                .is_some_and(|i| i != cl.membership.index())
-        })
+    /// Who `from` is — asked once per delivery, which also notes that
+    /// its switch was heard: any bytes at all prove the channel works.
+    fn classify(&mut self, from: NodeId, now: Instant) -> Sender {
+        if self.cluster.as_ref().is_some_and(|cl| cl.is_peer(from)) {
+            return Sender::Peer;
+        }
+        match self.southbound.session_mut(from) {
+            Some(session) => {
+                session.last_heard = now;
+                Sender::Switch(session.dpid)
+            }
+            None => Sender::Stranger,
+        }
     }
 
     /// A node we never completed the handshake with is talking to us —
@@ -1758,17 +1196,18 @@ impl Controller {
         }
     }
 
-    /// Ask a quarantined switch that spoke to us for its state digest,
-    /// at most once per tick interval.
-    fn maybe_request_resync(&mut self, ctx: &mut Context<'_>, dpid: Dpid) {
-        let now = ctx.now();
-        if let Some(&last) = self.resync_requested.get(&dpid) {
-            if now.duration_since(last) < self.cfg.tick_interval {
-                return;
-            }
+    /// Ask the quarantined switch at `from`, which spoke to us, for its
+    /// state digest, at most once per tick interval.
+    fn maybe_request_resync(&mut self, ctx: &mut Context<'_>, from: NodeId) {
+        let (now, every) = (ctx.now(), self.cfg.tick_interval);
+        let Some(session) = self.southbound.session_mut(from) else {
+            return;
+        };
+        let last = &mut session.resync_requested;
+        if last.is_none_or(|last| now.duration_since(last) >= every) {
+            *last = Some(now);
+            self.send_to(ctx, from, &Message::ResyncRequest);
         }
-        self.resync_requested.insert(dpid, now);
-        self.send_direct(ctx, dpid, &Message::ResyncRequest);
     }
 
     /// Probe every registered agent's control-channel liveness with an
@@ -1894,95 +1333,31 @@ impl Controller {
         &mut self,
         ctx: &mut Context<'_>,
         from: NodeId,
+        sender: Sender,
         bytes: &[u8],
         punts: &[Punt],
     ) {
-        // Session preamble, once per batch. Peer replicas never punt;
-        // drop rather than re-solicit a handshake from one.
-        if self.is_peer(from) {
-            return;
-        }
-        let Some(&dpid) = self.rev_registry.get(&from) else {
-            self.resolicit_handshake(ctx, from);
-            return;
+        let dpid = match sender {
+            // Peer replicas never punt; drop rather than re-solicit a
+            // handshake from one.
+            Sender::Peer => return,
+            Sender::Stranger => return self.resolicit_handshake(ctx, from),
+            Sender::Switch(dpid) => dpid,
         };
         if self.view.is_quarantined(dpid) {
-            self.maybe_request_resync(ctx, dpid);
+            self.maybe_request_resync(ctx, from);
         }
-        // Admission control: charge the per-switch punt budget before
-        // anything downstream costs a cycle. Over-budget punts are
-        // deferred to this switch's fair queue; queue overflow is shed
-        // and charged to the offending (ingress, source MAC).
-        let mut offenders_over: Vec<(PortNo, [u8; 6])> = Vec::new();
-        let within_budget: Vec<Punt>;
-        let admitted: &[Punt] = if let Some(adm) = self.admission.as_mut() {
-            let now = ctx.now();
-            let cids = adm.counters(ctx);
-            let recording = ctx.recorder().is_enabled();
-            let meter = adm
-                .meters
-                .entry(from)
-                .or_insert_with(|| Meter::per_packet(adm.cfg.rate_pps, adm.cfg.burst));
-            let mut admitted = Vec::with_capacity(punts.len());
-            for &punt in punts {
-                let (in_port, frame) = (punt.in_port, punt.frame(bytes));
-                // Discovery returns bypass the meter: losing topology
-                // under attack would turn one hostile port into a
-                // fabric-wide outage.
-                if is_lldp(frame) {
-                    admitted.push(punt);
-                    continue;
-                }
-                if meter.allow_one(now.as_nanos()) {
-                    admitted.push(punt);
-                    self.stats.punts_admitted += 1;
-                    ctx.metrics().incr(cids[0]);
-                    continue;
-                }
-                // Over budget: defer or shed, and charge the offender.
-                let src_mac: [u8; 6] = frame
-                    .get(6..12)
-                    .and_then(|b| b.try_into().ok())
-                    .unwrap_or([0u8; 6]);
-                let queue = adm.queues.entry(from).or_default();
-                let deferred = queue.len() < adm.cfg.queue_cap;
-                if deferred {
-                    queue.push_back((in_port, frame.to_vec()));
-                    self.stats.punts_deferred += 1;
-                    ctx.metrics().incr(cids[1]);
-                } else {
-                    self.stats.punts_shed += 1;
-                    ctx.metrics().incr(cids[3]);
-                }
-                if recording {
-                    let tid = trace_id_for_frame(frame).unwrap_or_else(|| control_trace(dpid));
-                    let event = if deferred {
-                        TraceEvent::PuntDeferred { dpid }
-                    } else {
-                        TraceEvent::PuntShed {
-                            dpid,
-                            at_agent: false,
-                        }
-                    };
-                    ctx.recorder().record(now.as_nanos(), tid, event);
-                }
-                if adm.cfg.pushback_threshold > 0 {
-                    let count = adm.offenders.entry((from, in_port, src_mac)).or_insert(0);
-                    *count += 1;
-                    if *count == adm.cfg.pushback_threshold {
-                        offenders_over.push((in_port, src_mac));
-                    }
-                }
-            }
-            within_budget = admitted;
-            &within_budget
-        } else {
-            punts
+        // Admission control, when it is on, dispatches what is within
+        // the switch's budget and pushes back on who went far over it.
+        let Some(adm) = self.admission.as_mut() else {
+            return self.deliver_punts(ctx, dpid, bytes, punts);
         };
-        if !offenders_over.is_empty() {
-            self.install_pushbacks(ctx, from, dpid, offenders_over);
-        }
-        self.deliver_punts(ctx, dpid, bytes, admitted);
+        let Some(session) = self.southbound.session_mut(from) else {
+            return;
+        };
+        let (admitted, over) = adm.admit(ctx, &mut self.stats, from, session, bytes, punts);
+        self.install_pushbacks(ctx, from, dpid, over);
+        self.deliver_punts(ctx, dpid, bytes, &admitted);
     }
 
     /// Dispatch already-admitted punts from `dpid`, whose frames lie in
@@ -2046,11 +1421,10 @@ impl Controller {
         self.dispatch = dispatch;
     }
 
-    /// Push back: install a targeted drop rule for each offender that
-    /// crossed the admission threshold, pinning its (ingress port,
-    /// source MAC) at the switch for `pushback_hold`. The rule rides
-    /// the normal tracked send path, so it is barrier-acked,
-    /// retransmitted on loss, and visible in the cookie shadow.
+    /// Push back: install the drop rule admission control wants for each
+    /// offender that crossed its threshold. The rule rides the normal
+    /// tracked send path, so it is barrier-acked, retransmitted on loss,
+    /// and visible in the cookie shadow.
     fn install_pushbacks(
         &mut self,
         ctx: &mut Context<'_>,
@@ -2062,50 +1436,17 @@ impl Controller {
             return;
         }
         let now = ctx.now();
-        let (hold, threshold) = match self.admission.as_ref() {
-            Some(adm) => (adm.cfg.pushback_hold, adm.cfg.pushback_threshold),
-            None => return,
-        };
-        if threshold == 0 {
-            return;
-        }
         for (port, mac) in offenders {
-            // Debounce: skip offenders whose drop rule should still be
-            // live (the agent hard-expires it at `hold`, and our
-            // bookkeeping lapses on the same clock).
-            let adm = self.admission.as_mut().expect("checked");
-            let live = adm
-                .active_pushbacks
-                .get(&(from, port, mac))
-                .is_some_and(|&at| now.duration_since(at) < hold);
-            if live {
+            let adm = self.admission.as_mut();
+            let Some(spec) = adm.and_then(|adm| adm.push_back((from, port, mac), now)) else {
                 continue;
-            }
-            adm.active_pushbacks.insert((from, port, mac), now);
+            };
             self.stats.pushbacks_installed += 1;
             let cid = ctx
                 .metrics()
                 .register_counter("defense.pushbacks_installed");
             ctx.metrics().incr(cid);
-            if ctx.recorder().is_enabled() {
-                ctx.recorder().record(
-                    now.as_nanos(),
-                    control_trace(dpid),
-                    TraceEvent::PushbackInstalled { dpid, port },
-                );
-            }
-            let spec = FlowSpec::new(
-                PUSHBACK_PRIORITY,
-                FlowMatch {
-                    in_port: Some(port),
-                    eth_src: Some(EthernetAddress(mac)),
-                    ..FlowMatch::ANY
-                },
-                Vec::new(), // no actions = drop
-            )
-            .with_timeouts(0, hold.as_nanos())
-            .with_cookie(PUSHBACK_COOKIE)
-            .with_importance(PUSHBACK_IMPORTANCE);
+            record_control(ctx, dpid, TraceEvent::PushbackInstalled { dpid, port });
             self.with_apps(ctx, |_, ctl| {
                 let mut txn = ctl.txn();
                 txn.flow(dpid, 0, spec);
@@ -2130,15 +1471,14 @@ impl Controller {
         let mut planner = std::mem::take(&mut self.planner);
         self.planner.config_epoch = planner.config_epoch;
         loop {
-            if planner.active.is_none() {
+            let Some(txn) = planner.active.as_mut() else {
                 let Some(update) = planner.queue.pop_front() else {
                     break;
                 };
                 planner.active = Some(self.activate_txn(ctx, &planner, update));
                 continue;
-            }
+            };
             let now = ctx.now();
-            let txn = planner.active.as_mut().expect("checked above");
             match txn.phase {
                 TxnPhase::Staging => {
                     if txn.failed || now >= txn.deadline {
@@ -2146,8 +1486,9 @@ impl Controller {
                         // acked: the new epoch is not fully installed
                         // anywhere packets could reach it, so undo the
                         // footprint and report the abort.
-                        let txn = planner.active.take().expect("checked above");
-                        self.abort_txn(ctx, txn);
+                        if let Some(txn) = planner.active.take() {
+                            self.abort_txn(ctx, txn);
+                        }
                         continue;
                     }
                     if !txn.outstanding.is_empty() {
@@ -2203,17 +1544,12 @@ impl Controller {
                     self.record_epoch_phase(ctx, epoch, "committed");
                     let mut retired = BTreeSet::new();
                     self.send_tracked_batch(ctx, &msgs, &mut retired);
-                    let txn = planner.active.as_mut().expect("checked above");
                     txn.outstanding = retired;
                     txn.failed = false;
                     planner.config_epoch = epoch;
                     self.planner.config_epoch = epoch;
                     self.stats.txns_committed += 1;
-                    self.with_apps(ctx, |apps, ctl| {
-                        for app in apps.iter_mut() {
-                            app.on_update_committed(ctl, owner, token);
-                        }
-                    });
+                    self.each_app(ctx, |app, ctl| app.on_update_committed(ctl, owner, token));
                     continue;
                 }
                 TxnPhase::Retiring => {
@@ -2355,84 +1691,29 @@ impl Controller {
         }
         let mut scratch = BTreeSet::new();
         self.send_tracked_batch(ctx, &deletes, &mut scratch);
-        self.with_apps(ctx, |apps, ctl| {
-            for app in apps.iter_mut() {
-                app.on_update_aborted(ctl, txn.owner, txn.token);
-            }
+        self.each_app(ctx, |app, ctl| {
+            app.on_update_aborted(ctl, txn.owner, txn.token)
         });
     }
 
     /// Flight-record a two-phase transaction phase transition on the
     /// network-wide control timeline.
     fn record_epoch_phase(&mut self, ctx: &mut Context<'_>, epoch: u64, phase: &'static str) {
-        let now = ctx.now();
-        let rec = ctx.recorder();
-        if rec.is_enabled() {
-            rec.record(
-                now.as_nanos(),
-                control_trace(0),
-                TraceEvent::EpochPhase { epoch, phase },
-            );
-        }
+        record_control(ctx, 0, TraceEvent::EpochPhase { epoch, phase });
     }
 
-    /// Release deferred punts, one per switch per round (round-robin
-    /// from the cursor), up to `drain_batch` per firing — the fair
-    /// share of leftover controller capacity. Also rolls the offender
-    /// window.
+    /// Dispatch the deferred punts whose turn admission control says it
+    /// is.
     fn admission_drain(&mut self, ctx: &mut Context<'_>) {
-        let now = ctx.now();
-        let drained: Vec<(NodeId, PortNo, Vec<u8>)> = {
-            let Some(adm) = self.admission.as_mut() else {
-                return;
-            };
-            if now.duration_since(adm.window_started) >= adm.cfg.pushback_window {
-                adm.offenders.clear();
-                adm.window_started = now;
-            }
-            let mut budget = adm.cfg.drain_batch;
-            let mut drained = Vec::new();
-            while budget > 0 {
-                let keys: Vec<NodeId> = adm
-                    .queues
-                    .iter()
-                    .filter(|(_, q)| !q.is_empty())
-                    .map(|(&k, _)| k)
-                    .collect();
-                if keys.is_empty() {
-                    break;
-                }
-                let start = match adm.cursor {
-                    Some(c) => keys.iter().position(|&k| k > c).unwrap_or(0),
-                    None => 0,
-                };
-                for i in 0..keys.len() {
-                    if budget == 0 {
-                        break;
-                    }
-                    let k = keys[(start + i) % keys.len()];
-                    if let Some((port, frame)) = adm.queues.get_mut(&k).and_then(|q| q.pop_front())
-                    {
-                        drained.push((k, port, frame));
-                        budget -= 1;
-                        adm.cursor = Some(k);
-                    }
-                }
-            }
-            adm.queues.retain(|_, q| !q.is_empty());
-            drained
+        let Some(adm) = self.admission.as_mut() else {
+            return;
         };
+        let drained = adm.drain(ctx.now(), &mut self.southbound);
         if drained.is_empty() {
             return;
         }
-        let cids = match self.admission.as_mut() {
-            Some(adm) => adm.counters(ctx),
-            None => return,
-        };
-        for (node, in_port, frame) in drained {
-            let Some(&dpid) = self.rev_registry.get(&node) else {
-                continue;
-            };
+        let cids = adm.counters(ctx);
+        for (dpid, in_port, frame) in drained {
             self.stats.punts_drained += 1;
             ctx.metrics().incr(cids[2]);
             let punt = Punt::of(&frame, in_port, &frame);
@@ -2448,58 +1729,102 @@ impl Controller {
         xid: u32,
         applied: XidList<'_>,
     ) {
-        let (stats, planner, shadow) = (&mut self.stats, &mut self.planner, &mut self.shadow);
-        let mut shadow_moved = false;
-        let dpid = self
-            .southbound
-            .barrier_reply(from, xid, applied, |dpid, p| {
-                stats.mods_acked += 1;
-                planner.note_xid(p.xid, true);
-                let rec = ctx.recorder();
-                if rec.is_enabled() {
-                    if let Some(trace) = rec.take_xid(p.xid) {
-                        rec.record(
-                            ctx.now().as_nanos(),
-                            trace,
-                            TraceEvent::FlowModAcked { dpid, xid: p.xid },
-                        );
-                    }
+        let (stats, planner) = (&mut self.stats, &mut self.planner);
+        let acked = |dpid, mod_xid| {
+            stats.mods_acked += 1;
+            planner.note_xid(mod_xid, true);
+            let rec = ctx.recorder();
+            if rec.is_enabled() {
+                if let Some(trace) = rec.take_xid(mod_xid) {
+                    let event = TraceEvent::FlowModAcked { dpid, xid: mod_xid };
+                    rec.record(ctx.now().as_nanos(), trace, event);
                 }
-                if let Some(op) = p.shadow {
-                    shadow_moved |= op.apply(shadow.entry(dpid).or_default());
-                }
-            });
-        // Replicate the updated digest so a standby that later takes
-        // this switch over inherits an accurate shadow (one event per
-        // barrier, not per mod — and none for a batch of group mods,
-        // which leaves the counts alone).
-        if let Some(dpid) = dpid.filter(|_| shadow_moved && self.cluster.is_some()) {
-            let cookies = self.shadow_cookies(dpid);
-            self.log_event(ViewEvent::ShadowSet { dpid, cookies });
+            }
+        };
+        // One digest per barrier whose batch moved the cookie counts,
+        // not per mod — and none for a batch of group mods.
+        if let Some(dpid) = self.southbound.barrier_reply(from, xid, applied, acked) {
+            self.replicate_shadow(dpid);
         }
+    }
+
+    /// The FEATURES_REPLY handshake: the one place a session is opened
+    /// and the registry written.
+    fn handshake(
+        &mut self,
+        ctx: &mut Context<'_>,
+        from: NodeId,
+        sender: &mut Sender,
+        dpid: Dpid,
+        n_tables: u8,
+        ports: Vec<zen_proto::PortDesc>,
+    ) {
+        // One switch, one record: a dpid stays with the node that first
+        // claimed it, and a node with the dpid it first gave. A second
+        // claimant is refused, or every later mod, probe and PACKET_OUT
+        // for the first one's switch would go to it.
+        let taken = self.registry.get(&dpid).is_some_and(|&node| node != from);
+        if taken || matches!(*sender, Sender::Switch(held) if held != dpid) {
+            let (code, data) = (ErrorCode::BadRequest, Vec::new());
+            self.stats.msgs_sent += 1;
+            return send_msg(ctx, from, &Message::Error { code, data }, 0);
+        }
+        self.registry.insert(dpid, from);
+        *sender = Sender::Switch(dpid);
+        self.features_requested.remove(&from);
+        let session = self.southbound.open(from, Session::new(dpid, ctx.now()));
+        let refresh = std::mem::take(&mut session.port_refresh);
+        if let Some(shadow) = self.early_shadow.remove(&dpid) {
+            session.shadow = shadow;
+        }
+        let port_list: Vec<(PortNo, bool)> = ports.iter().map(|p| (p.port_no, p.up)).collect();
+        self.view.add_switch(dpid, n_tables, &port_list);
+        if refresh {
+            // A solicited port-map refresh, not a handshake: the
+            // session, role, and app state are all live. Discovery
+            // picks the fresh ports up next tick.
+            return;
+        }
+        // Clustered: settle the connection's role before any app
+        // traffic, so the agent routes punts (and accepts mods) from
+        // the first packet.
+        if let Some(cl) = &mut self.cluster {
+            let (role, newly) = cl.role_at_handshake(dpid);
+            let claim = cl.membership.claim();
+            self.stats.masterships_gained += u64::from(newly);
+            self.send_role(ctx, dpid, role, claim);
+            if newly {
+                Self::note_mastership_trace(ctx, dpid, claim.1, true);
+            }
+        }
+        self.each_app(ctx, |app, ctl| app.on_switch_up(ctl, dpid));
+        // Probe its links right away.
+        self.discovery_round(ctx);
     }
 
     fn handle_message(
         &mut self,
         ctx: &mut Context<'_>,
         from: NodeId,
+        sender: &mut Sender,
         view: MessageView<'_>,
         xid: u32,
     ) {
-        // East-west traffic from a peer replica bypasses the switch-
-        // session machinery below (quarantine, handshake re-solicit).
-        if self.is_peer(from) {
-            self.handle_peer_message(ctx, view.into_message());
-            return;
-        }
+        let known = match *sender {
+            // East-west traffic from a peer replica bypasses the
+            // switch-session machinery below (quarantine, handshake
+            // re-solicit).
+            Sender::Peer => return self.handle_peer_message(ctx, view.into_message()),
+            Sender::Switch(dpid) => Some(dpid),
+            Sender::Stranger => None,
+        };
         // Any frame from a quarantined switch means the channel is back;
         // ask for its state digest (quarantine lifts only on HelloResync,
         // so routing stays conservative until state is reconciled).
-        let known = self.rev_registry.get(&from).copied();
         if let Some(dpid) = known {
             let resync = matches!(view, MessageView::Owned(Message::HelloResync { .. }));
             if self.view.is_quarantined(dpid) && !resync {
-                self.maybe_request_resync(ctx, dpid);
+                self.maybe_request_resync(ctx, from);
             }
         } else if !matches!(
             view,
@@ -2511,7 +1836,8 @@ impl Controller {
             // Read where it lies: owning it would copy a list walked once.
             return self.barrier_reply(ctx, from, xid, applied);
         }
-        match view.into_message() {
+        // What anyone may say; the rest is a known switch's to say.
+        let msg = match view.into_message() {
             Message::Hello { .. } => {
                 // Learn the session, ask who they are.
                 let hello = Message::Hello {
@@ -2519,91 +1845,32 @@ impl Controller {
                 };
                 self.stats.msgs_sent += 2;
                 send_msg(ctx, from, &hello, 0);
-                send_msg(ctx, from, &Message::FeaturesRequest, 0);
+                return send_msg(ctx, from, &Message::FeaturesRequest, 0);
             }
             Message::FeaturesReply {
                 dpid,
                 n_tables,
                 ports,
-            } => {
-                // One switch, one channel: a dpid stays with the node
-                // that first claimed it, and a node with the dpid it
-                // first gave. A second claimant is refused, or every
-                // later mod, probe and PACKET_OUT for the first one's
-                // switch would go to it.
-                let taken = self.registry.get(&dpid).is_some_and(|&node| node != from);
-                if taken || known.is_some_and(|held| held != dpid) {
-                    let (code, data) = (ErrorCode::BadRequest, Vec::new());
-                    self.stats.msgs_sent += 1;
-                    send_msg(ctx, from, &Message::Error { code, data }, xid);
-                    return;
-                }
-                self.registry.insert(dpid, from);
-                self.rev_registry.insert(from, dpid);
-                self.liveness.insert(from, ctx.now());
-                self.features_requested.remove(&from);
-                let port_list: Vec<(PortNo, bool)> =
-                    ports.iter().map(|p| (p.port_no, p.up)).collect();
-                self.view.add_switch(dpid, n_tables, &port_list);
-                if self.port_refresh.remove(&dpid) {
-                    // A solicited port-map refresh, not a handshake:
-                    // the session, role, and app state are all live.
-                    // Discovery picks the fresh ports up next tick.
-                    return;
-                }
-                // Clustered: settle the connection's role before any app
-                // traffic, so the agent routes punts (and accepts mods)
-                // from the first packet. The deterministic assignment
-                // needs no negotiation — everyone computes the same one.
-                if self.cluster.is_some() {
-                    let (claim_master, newly, term, replica) = {
-                        let cl = self.cluster.as_mut().expect("checked above");
-                        let claim = cl.wants_mastership(dpid) && !cl.deferred.contains_key(&dpid);
-                        // A reply can also be a mid-mastership refresh
-                        // (the takeover path re-solicits features for
-                        // port state); only a first claim is a handover.
-                        let newly = claim && cl.my_masters.insert(dpid);
-                        let (term, replica) = cl.membership.claim();
-                        (claim, newly, term, replica)
-                    };
-                    let role = if claim_master {
-                        if newly {
-                            self.stats.masterships_gained += 1;
-                        }
-                        Role::Master
-                    } else {
-                        Role::Equal
-                    };
-                    self.send_direct(
-                        ctx,
-                        dpid,
-                        &Message::RoleRequest {
-                            role,
-                            term,
-                            replica,
-                        },
-                    );
-                    if newly {
-                        self.note_mastership_trace(ctx, dpid, true);
-                    }
-                }
-                self.with_apps(ctx, |apps, ctl| {
-                    for app in apps.iter_mut() {
-                        app.on_switch_up(ctl, dpid);
-                    }
-                });
-                // Probe its links right away.
-                self.discovery_round(ctx);
+            } => return self.handshake(ctx, from, sender, dpid, n_tables, ports),
+            Message::EchoRequest { token } => {
+                self.stats.msgs_sent += 1;
+                return send_msg(ctx, from, &Message::EchoReply { token }, 0);
             }
+            Message::EchoReply { .. } => return self.stats.echo_replies += 1,
+            msg => msg,
+        };
+        if let Message::Error { code, .. } = &msg {
+            self.stats.nonmaster_errors += u64::from(*code == ErrorCode::NotMaster);
+            self.stats.table_full_errors += u64::from(*code == ErrorCode::TableFull);
+        }
+        let Some(dpid) = known else {
+            return;
+        };
+        match msg {
             Message::PortStatus { port } => {
-                let Some(dpid) = known else {
-                    return;
-                };
                 self.view.set_port(dpid, port.port_no, port.up);
-                self.with_apps(ctx, |apps, ctl| {
-                    for app in apps.iter_mut() {
-                        app.on_port_status(ctl, dpid, port.port_no, port.up);
-                    }
+                self.each_app(ctx, |app, ctl| {
+                    app.on_port_status(ctl, dpid, port.port_no, port.up)
                 });
             }
             Message::FlowRemoved {
@@ -2613,66 +1880,36 @@ impl Controller {
                 reason,
                 ..
             } => {
-                let Some(dpid) = known else {
-                    return;
-                };
                 if reason == zen_proto::RemovedReason::Eviction {
                     self.stats.evictions_noted += 1;
                 }
                 // Keep the cookie shadow honest for timeouts; deletions
                 // we ordered ourselves are folded in at barrier-ack time.
-                if reason != zen_proto::RemovedReason::Delete {
-                    let shadow = self.shadow.entry(dpid).or_default();
-                    let shrunk = ShadowOp::Removed(cookie).apply(shadow);
-                    if shrunk && self.cluster.is_some() && self.is_master_of(dpid) {
-                        let cookies = self.shadow_cookies(dpid);
-                        self.log_event(ViewEvent::ShadowSet { dpid, cookies });
-                    }
+                let session = self.southbound.session_mut(from);
+                let removed = ShadowOp::Removed(cookie);
+                let shrunk = reason != zen_proto::RemovedReason::Delete
+                    && session.is_some_and(|s| removed.apply(&mut s.shadow));
+                if shrunk {
+                    self.replicate_shadow(dpid);
                 }
-                self.with_apps(ctx, |apps, ctl| {
-                    for app in apps.iter_mut() {
-                        app.on_flow_removed(ctl, dpid, table_id, priority, cookie);
-                    }
+                self.each_app(ctx, |app, ctl| {
+                    app.on_flow_removed(ctl, dpid, table_id, priority, cookie)
                 });
             }
-            Message::EchoRequest { token } => {
-                self.stats.msgs_sent += 1;
-                send_msg(ctx, from, &Message::EchoReply { token }, 0);
-            }
-            Message::EchoReply { .. } => {
-                self.stats.echo_replies += 1;
-            }
             Message::StatsReply { body } => {
-                let Some(&dpid) = self.rev_registry.get(&from) else {
-                    return;
-                };
-                self.with_apps(ctx, |apps, ctl| {
-                    for app in apps.iter_mut() {
-                        match &body {
-                            zen_proto::StatsBody::Port(records) => {
-                                app.on_port_stats(ctl, dpid, records)
-                            }
-                            zen_proto::StatsBody::Table(records) => {
-                                app.on_table_stats(ctl, dpid, records)
-                            }
-                            zen_proto::StatsBody::Flow(records) => {
-                                app.on_flow_stats(ctl, dpid, records)
-                            }
-                            zen_proto::StatsBody::Cache(record) => {
-                                app.on_cache_stats(ctl, dpid, record)
-                            }
-                        }
-                    }
+                use zen_proto::StatsBody::{Cache, Flow, Port, Table};
+                self.each_app(ctx, |app, ctl| match &body {
+                    Port(records) => app.on_port_stats(ctl, dpid, records),
+                    Table(records) => app.on_table_stats(ctl, dpid, records),
+                    Flow(records) => app.on_flow_stats(ctl, dpid, records),
+                    Cache(record) => app.on_cache_stats(ctl, dpid, record),
                 });
             }
             Message::HelloResync {
                 generation,
                 cookies,
             } => {
-                let Some(&dpid) = self.rev_registry.get(&from) else {
-                    return;
-                };
-                let restarted = self.southbound.restarted(from, dpid, generation);
+                let restarted = self.southbound.restarted(from, generation);
                 if cookies == self.shadow_cookies(dpid) && !restarted {
                     // The switch kept exactly the state we believe it
                     // has; unacked mods stay pending and retransmit.
@@ -2688,11 +1925,10 @@ impl Controller {
                         self.planner.note_xid(x, false);
                     }
                     let reported = cookies.iter().map(|c| (c.cookie, c.count.into()));
-                    self.shadow.insert(dpid, reported.collect());
-                    if self.cluster.is_some() && self.is_master_of(dpid) {
-                        let cookies = self.shadow_cookies(dpid);
-                        self.log_event(ViewEvent::ShadowSet { dpid, cookies });
+                    if let Some(session) = self.southbound.session_mut(from) {
+                        session.shadow = reported.collect();
                     }
+                    self.replicate_shadow(dpid);
                     // Unquarantine *before* notifying apps so their
                     // reprogramming sees the switch in the graph.
                     self.view.unquarantine(dpid);
@@ -2705,24 +1941,12 @@ impl Controller {
                 term,
                 replica,
             } => {
-                // Only losing claims need bookkeeping: the switch names
-                // the `(term, replica)` that outranked us, and we defer
-                // to it until our own claim grows past it.
-                let Some(&dpid) = self.rev_registry.get(&from) else {
+                let Some(cl) = &mut self.cluster else {
                     return;
                 };
-                let stepped_down = {
-                    let Some(cl) = self.cluster.as_mut() else {
-                        return;
-                    };
-                    if role == Role::Master || replica == cl.membership.index() as u32 {
-                        return;
-                    }
-                    cl.deferred.insert(dpid, (term, replica));
-                    cl.my_masters.remove(&dpid)
-                };
-                if stepped_down {
-                    self.mastership_lost(ctx, dpid, false);
+                if cl.role_reply(dpid, role, term, replica) {
+                    let claim = cl.membership.claim();
+                    self.mastership_lost(ctx, dpid, claim, false);
                 }
             }
             Message::Error {
@@ -2731,31 +1955,15 @@ impl Controller {
             } => {
                 // A mod crossed a mastership change in flight. The
                 // diagnostic bytes carry the rejected request's xid.
-                self.stats.nonmaster_errors += 1;
-                let Some(&dpid) = self.rev_registry.get(&from) else {
-                    return;
-                };
                 let mod_xid = (data.len() == 4)
                     .then(|| u32::from_be_bytes([data[0], data[1], data[2], data[3]]));
-                if self.cluster.is_some() && self.is_master_of(dpid) {
+                let ours = self.cluster.as_ref().filter(|cl| cl.is_master(dpid));
+                if let Some(claim) = ours.map(|cl| cl.membership.claim()) {
                     // We still believe we are master: our RoleRequest may
                     // have been lost, or the RoleReply demoting us is in
                     // flight. Re-assert; the mod stays pending and the
                     // retransmit path retries it under the settled role.
-                    let (term, replica) = self
-                        .cluster
-                        .as_ref()
-                        .map(|cl| cl.membership.claim())
-                        .expect("checked above");
-                    self.send_direct(
-                        ctx,
-                        dpid,
-                        &Message::RoleRequest {
-                            role: Role::Master,
-                            term,
-                            replica,
-                        },
-                    );
+                    self.send_role(ctx, dpid, Role::Master, claim);
                 } else if let Some(mx) = mod_xid {
                     // We already stepped down: the mod belongs to the new
                     // master's world now.
@@ -2774,10 +1982,6 @@ impl Controller {
                 // the refused mod's xid: retire it from the pending set
                 // as failed rather than letting it burn its whole
                 // retransmit budget — resending cannot create capacity.
-                self.stats.table_full_errors += 1;
-                let Some(&dpid) = self.rev_registry.get(&from) else {
-                    return;
-                };
                 if data.len() == 4 {
                     let mx = u32::from_be_bytes([data[0], data[1], data[2], data[3]]);
                     if self.southbound.retire(from, mx) {
@@ -2785,11 +1989,7 @@ impl Controller {
                         self.planner.note_xid(mx, false);
                     }
                 }
-                self.with_apps(ctx, |apps, ctl| {
-                    for app in apps.iter_mut() {
-                        app.on_table_full(ctl, dpid);
-                    }
-                });
+                self.each_app(ctx, |app, ctl| app.on_table_full(ctl, dpid));
             }
             // Other errors, ResyncRequest (agent-bound): informational.
             _ => {}
@@ -2838,7 +2038,7 @@ impl Node for Controller {
             let now = ctx.now();
             let removed = if let Some(cl) = &self.cluster {
                 let lease = cl.membership.config().lease_timeout;
-                let masters = cl.my_masters.clone();
+                let masters = cl.masters();
                 let mut removed = self.view.expire_links_filtered(
                     now,
                     self.cfg.link_max_age,
@@ -2858,27 +2058,14 @@ impl Node for Controller {
                     from_dpid: dpid,
                     from_port: port,
                 });
-                self.with_apps(ctx, |apps, ctl| {
-                    for app in apps.iter_mut() {
-                        app.on_port_status(ctl, dpid, port, false);
-                    }
-                });
+                self.each_app(ctx, |app, ctl| app.on_port_status(ctl, dpid, port, false));
             }
             self.quarantine_scan(ctx);
             self.retransmit_scan(ctx);
             self.cluster_tick(ctx);
-            if self.cluster.is_none() {
-                // Standalone intents commit on the tick, skipping the
-                // cluster round cluster_tick would have run.
-                self.dispatch_committed_intents(ctx);
-            }
             self.discovery_round(ctx);
             self.echo_round(ctx);
-            self.with_apps(ctx, |apps, ctl| {
-                for app in apps.iter_mut() {
-                    app.tick(ctl);
-                }
-            });
+            self.each_app(ctx, |app, ctl| app.tick(ctl));
             self.planner_pump(ctx);
             self.flush_barriers(ctx);
             ctx.set_timer(self.cfg.tick_interval, TIMER_TICK);
@@ -2890,8 +2077,8 @@ impl Node for Controller {
     }
 
     fn on_control(&mut self, ctx: &mut Context<'_>, from: NodeId, bytes: &[u8]) {
-        // Any bytes at all prove the agent's channel works.
-        self.liveness.insert(from, ctx.now());
+        // Who is talking: only a handshake in this delivery changes it.
+        let mut sender = self.classify(from, ctx.now());
         let mut at = 0;
         // PACKET_INs decode to borrowed views over `bytes` and are
         // collected for one batched app dispatch. Any other message
@@ -2908,10 +2095,10 @@ impl Node for Controller {
                         }
                         other => {
                             if !punts.is_empty() {
-                                self.handle_packet_in_batch(ctx, from, bytes, &punts);
+                                self.handle_packet_in_batch(ctx, from, sender, bytes, &punts);
                                 punts.clear();
                             }
-                            self.handle_message(ctx, from, other, xid);
+                            self.handle_message(ctx, from, &mut sender, other, xid);
                         }
                     }
                 }
@@ -2922,7 +2109,7 @@ impl Node for Controller {
             }
         }
         if !punts.is_empty() {
-            self.handle_packet_in_batch(ctx, from, bytes, &punts);
+            self.handle_packet_in_batch(ctx, from, sender, bytes, &punts);
             punts.clear();
         }
         self.punts = punts;
@@ -2942,6 +2129,7 @@ impl Node for Controller {
 #[cfg(test)]
 mod tests {
     use zen_cluster::ClusterConfig;
+    use zen_dataplane::FlowMatch;
     use zen_proto::{decode, encode, RemovedReason};
     use zen_sim::World;
 
@@ -3123,25 +2311,38 @@ mod tests {
         assert_eq!((stats.txns_committed, stats.mods_retransmitted), (1, 0));
     }
 
-    /// Answers FEATURES_REQUEST-less: claims each of `claims` in turn
+    /// Says its `lines` to the controller unasked, one every 10 ms from
     /// 10 ms in, and keeps what it is sent.
-    struct Claimant {
+    struct Talker {
         controller: NodeId,
-        claims: Vec<Dpid>,
+        lines: Vec<Message>,
         got: Vec<Message>,
     }
 
-    impl Node for Claimant {
+    /// A FEATURES_REPLY claiming `dpid`.
+    fn claim(dpid: Dpid) -> Message {
+        let (n_tables, ports) = (1, vec![]);
+        #[rustfmt::skip]
+        let up = Message::FeaturesReply { dpid, n_tables, ports };
+        up
+    }
+
+    /// One more talker in `world`.
+    fn add_talker(world: &mut World, controller: NodeId, lines: Vec<Message>) -> NodeId {
+        let got = Vec::new();
+        #[rustfmt::skip]
+        let talker = Talker { controller, lines, got };
+        world.add_node(Box::new(talker))
+    }
+
+    impl Node for Talker {
         fn on_start(&mut self, ctx: &mut Context<'_>) {
-            ctx.set_timer(Duration::from_millis(10), 0);
-        }
-        fn on_timer(&mut self, ctx: &mut Context<'_>, _: u64) {
-            for &dpid in &self.claims {
-                let (n_tables, ports) = (1, vec![]);
-                #[rustfmt::skip]
-                let up = Message::FeaturesReply { dpid, n_tables, ports };
-                ctx.send_control(self.controller, encode(&up, 0));
+            for line in 0..self.lines.len() as u64 {
+                ctx.set_timer(Duration::from_millis(10 * (line + 1)), line);
             }
+        }
+        fn on_timer(&mut self, ctx: &mut Context<'_>, line: u64) {
+            ctx.send_control(self.controller, encode(&self.lines[line as usize], 0));
         }
         fn on_control(&mut self, _: &mut Context<'_>, _: NodeId, mut bytes: &[u8]) {
             while let Ok((msg, _, used)) = decode(bytes) {
@@ -3168,12 +2369,8 @@ mod tests {
         let controller = world.add_node(Box::new(Controller::new(vec![Box::new(Seed)])));
         let switch = add_script(&mut world, controller, DPID, false);
         // The switch's dpid, then one of its own, then a second one.
-        let claims = vec![DPID, DPID + 1, DPID + 2];
-        let claimant = world.add_node(Box::new(Claimant {
-            controller,
-            claims,
-            got: Vec::new(),
-        }));
+        let claims = [DPID, DPID + 1, DPID + 2].map(claim).to_vec();
+        let claimant = add_talker(&mut world, controller, claims);
         // Short of the first resend: the claimant acknowledges nothing.
         world.run_until(Instant::from_millis(150));
 
@@ -3183,12 +2380,66 @@ mod tests {
         assert_eq!(ctl.view.switches.len(), 2);
         assert_eq!(ctl.stats.flow_mods, 2, "one seed flow per switch up");
         assert_eq!(world.node_as::<Script>(switch).mods_at.len(), 1);
-        let got = &world.node_as::<Claimant>(claimant).got;
+        let got = &world.node_as::<Talker>(claimant).got;
         let count = |of: fn(&Message) -> bool| got.iter().filter(|m| of(m)).count();
         #[rustfmt::skip]
         let refused = |m: &Message| matches!(m, Message::Error { code: ErrorCode::BadRequest, .. });
         assert_eq!(count(refused), 2);
         assert_eq!(count(|m| matches!(m, Message::FlowMod { .. })), 1);
+    }
+
+    /// The parked case: a peer's replicated shadow for a switch that has
+    /// not shaken hands with this replica has no session to live in. It
+    /// waits, the session adopts it at the handshake, and it is what the
+    /// switch's first HELLO_RESYNC is compared against.
+    #[test]
+    fn a_shadow_replicated_before_the_handshake_meets_the_first_resync() {
+        let cookies = vec![CookieCount {
+            cookie: COOKIE,
+            count: 3,
+        }];
+        let resync = || Message::HelloResync {
+            generation: 0,
+            cookies: cookies.clone(),
+        };
+        // What the peer replica (node 1) observed first-hand.
+        let entry = zen_proto::EwEntry {
+            origin: 1,
+            seq: 1,
+            term: 1,
+            event: ViewEvent::ShadowSet {
+                dpid: DPID,
+                cookies: cookies.clone(),
+            },
+        };
+        let replicated = Message::EwEvents {
+            replica: 1,
+            entries: vec![entry],
+        };
+        let run = |peer_says: Vec<Message>| {
+            let mut world = World::new(1);
+            let mut ctl = Controller::new(vec![]);
+            ctl.enable_cluster(ClusterConfig::new(vec![NodeId(0), NodeId(1)], 0));
+            let controller = world.add_node(Box::new(ctl));
+            add_talker(&mut world, controller, peer_says);
+            // A stranger's word (re-solicited, no more), the handshake
+            // after the peer has spoken, then the resync.
+            let switch = vec![Message::EchoReply { token: 0 }, claim(DPID), resync()];
+            add_talker(&mut world, controller, switch);
+            world.run_until(Instant::from_millis(45));
+            let ctl = world.node_as::<Controller>(controller);
+            assert!(ctl.early_shadow.is_empty(), "nothing stays parked");
+            (ctl.shadow_cookies(DPID), ctl.stats)
+        };
+
+        let (shadow, stats) = run(vec![replicated]);
+        assert_eq!(shadow, cookies);
+        assert_eq!((stats.resyncs_clean, stats.resyncs_dirty), (1, 0));
+        // With nothing replicated the same resync diverges from the
+        // empty shadow, and is taken for the truth.
+        let (shadow, stats) = run(vec![]);
+        assert_eq!(shadow, cookies);
+        assert_eq!((stats.resyncs_clean, stats.resyncs_dirty), (0, 1));
     }
 
     /// A FLOW_REMOVED that overtakes the ack of the add it removes

@@ -23,6 +23,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod admission;
 pub mod agent;
 pub mod app;
 pub mod apps;
@@ -30,19 +31,18 @@ pub mod cbench;
 pub mod controller;
 pub mod harness;
 pub mod policy;
+mod replica;
 pub mod shard_fabric;
 pub mod snapshot;
 mod southbound;
 pub mod txn;
 pub mod view;
 
+pub use admission::{AdmissionConfig, PUSHBACK_COOKIE, PUSHBACK_IMPORTANCE, PUSHBACK_PRIORITY};
 pub use agent::{AgentConfig, ConnLossPolicy, ConnState, PuntMeterConfig, SwitchAgent};
 pub use app::{App, Disposition};
 pub use cbench::{CbenchConfig, CbenchMode, CbenchStats, CbenchSwitch};
-pub use controller::{
-    AdmissionConfig, Controller, ControllerConfig, Ctl, CtlStats, PUSHBACK_COOKIE,
-    PUSHBACK_IMPORTANCE, PUSHBACK_PRIORITY,
-};
+pub use controller::{Controller, ControllerConfig, Ctl, CtlStats};
 pub use harness::{
     build_cluster_fabric, build_cluster_fabric_with_hosts, build_fabric, build_fabric_with_hosts,
     Fabric, FabricOptions,
@@ -67,4 +67,21 @@ pub(crate) fn send_msg(
     xid: u32,
 ) {
     ctx.send_control_with(to, |buf| zen_proto::encode_into(buf, msg, xid));
+}
+
+/// Flight-record `event` on `dpid`'s control timeline (0: the
+/// network-wide one), if the recorder is on.
+pub(crate) fn record_control(
+    ctx: &mut zen_sim::Context<'_>,
+    dpid: Dpid,
+    event: zen_telemetry::TraceEvent,
+) {
+    let rec = ctx.recorder();
+    if rec.is_enabled() {
+        rec.record(
+            ctx.now().as_nanos(),
+            zen_telemetry::control_trace(dpid),
+            event,
+        );
+    }
 }

@@ -1,4 +1,12 @@
-//! Southbound reliable delivery: one session per switch.
+//! Southbound: one session per connected switch, and reliable delivery
+//! over it.
+//!
+//! A [`Session`] is the controller's one record of a switch. It is
+//! opened when the FEATURES_REPLY handshake names the switch's dpid —
+//! the only place the controller's `Dpid → NodeId` registry is written —
+//! and everything the controller keeps per switch lives in it: when the
+//! switch was last heard, what it is believed to hold, what it has been
+//! sent and not acknowledged, and admission control's meter and queue.
 //!
 //! State-programming messages (flow/group/meter mods) are tracked from
 //! the moment they are sent until a barrier acknowledges them, and are
@@ -17,7 +25,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::hash::{Hash, Hasher};
 
 use zen_consensus::{fnv1a_fold, CHAIN_SEED};
-use zen_dataplane::{FlowSpec, GroupDesc};
+use zen_dataplane::{FlowSpec, GroupDesc, Meter, PortNo};
 use zen_proto::{
     encode_barrier_request_into, encode_into, FlowModCmd, GroupModCmd, Message, XidList,
 };
@@ -202,14 +210,14 @@ pub(crate) fn delta(
 }
 
 /// A flow/group/meter mod awaiting barrier acknowledgement.
-pub(crate) struct PendingMod {
-    pub(crate) xid: u32,
+struct PendingMod {
+    xid: u32,
     /// The encoded frame (original xid), resent verbatim on timeout.
     /// The buffer is one of [`Southbound::spare`]'s, and goes back there
     /// when the mod is acknowledged.
     bytes: Vec<u8>,
     /// Applied to the cookie shadow once acked.
-    pub(crate) shadow: Option<ShadowOp>,
+    shadow: Option<ShadowOp>,
     /// Whether the mod is a step of a reconciled program: should it
     /// never land, the session's bases are no longer true.
     program: bool,
@@ -217,8 +225,25 @@ pub(crate) struct PendingMod {
     retries: u32,
 }
 
-struct Session {
-    dpid: Dpid,
+/// The one record of a connected switch.
+pub(crate) struct Session {
+    pub(crate) dpid: Dpid,
+    /// The last time anything at all arrived from the switch.
+    pub(crate) last_heard: Instant,
+    /// What the switch is believed to have installed: cookie → entry
+    /// count, maintained from barrier-acked mods and FLOW_REMOVED
+    /// notices, and diffed against HELLO_RESYNC digests on reconnect.
+    pub(crate) shadow: BTreeMap<u64, i64>,
+    /// Throttle: the last RESYNC_REQUEST sent while quarantined.
+    pub(crate) resync_requested: Option<Instant>,
+    /// Whether the next FEATURES_REPLY is a port-map refresh (asked for
+    /// after takeovers and healed partitions), not a new handshake —
+    /// the reply updates the view and nothing else.
+    pub(crate) port_refresh: bool,
+    /// Admission control's punt meter (a packet-rate token bucket) and
+    /// deferred punts, `(ingress port, owned frame)`, when it is on.
+    pub(crate) punt_meter: Option<Meter>,
+    pub(crate) deferred: VecDeque<(PortNo, Vec<u8>)>,
     /// Unacked mods, oldest first (rising xid).
     pending: VecDeque<PendingMod>,
     /// Outstanding barriers, oldest first (rising xid): `(barrier xid,
@@ -241,9 +266,16 @@ struct Session {
 }
 
 impl Session {
-    fn new(dpid: Dpid) -> Session {
+    /// The record of a switch that gave `dpid` at its handshake, `now`.
+    pub(crate) fn new(dpid: Dpid, now: Instant) -> Session {
         Session {
             dpid,
+            last_heard: now,
+            shadow: BTreeMap::new(),
+            resync_requested: None,
+            port_refresh: false,
+            punt_meter: None,
+            deferred: VecDeque::new(),
             pending: VecDeque::new(),
             barriers: Vec::new(),
             unfenced: 0,
@@ -315,10 +347,23 @@ impl Southbound {
         self.sessions.values().map(|s| s.pending.len()).sum()
     }
 
-    /// `node`'s session, opened if this is the first it is heard of.
-    fn session(&mut self, node: NodeId, dpid: Dpid) -> &mut Session {
-        let session = self.sessions.entry(node);
-        session.or_insert_with(|| Session::new(dpid))
+    /// `node`'s session as the handshake finds it: `fresh` if this is
+    /// the first, the one it has, as it is, otherwise.
+    pub(crate) fn open(&mut self, node: NodeId, fresh: Session) -> &mut Session {
+        self.sessions.entry(node).or_insert(fresh)
+    }
+
+    pub(crate) fn session(&self, node: NodeId) -> Option<&Session> {
+        self.sessions.get(&node)
+    }
+
+    pub(crate) fn session_mut(&mut self, node: NodeId) -> Option<&mut Session> {
+        self.sessions.get_mut(&node)
+    }
+
+    /// Every session, in ascending node order.
+    pub(crate) fn sessions_mut(&mut self) -> impl Iterator<Item = (NodeId, &mut Session)> {
+        self.sessions.iter_mut().map(|(&node, s)| (node, s))
     }
 
     /// The base of `cookie`'s program on `node`'s switch, if known.
@@ -333,13 +378,14 @@ impl Southbound {
     pub(crate) fn rebase(
         &mut self,
         node: NodeId,
-        dpid: Dpid,
         cookie: u64,
         base: ProgramBase,
         left: Vec<u32>,
         now: Instant,
     ) {
-        let session = self.session(node, dpid);
+        let Some(session) = self.sessions.get_mut(&node) else {
+            return;
+        };
         session
             .doomed
             .retain(|d| base.group(d.0, usize::MAX).is_none());
@@ -371,11 +417,11 @@ impl Southbound {
     /// Start tracking a mod about to be sent to `node`: encode it — the
     /// only time it ever is — into the buffer the session keeps, and
     /// lend that buffer back for the caller to put on the channel.
-    /// `program` marks a step of a reconciled program.
+    /// `program` marks a step of a reconciled program. The caller found
+    /// `node` in the registry, which names only opened sessions.
     pub(crate) fn track(
         &mut self,
         node: NodeId,
-        dpid: Dpid,
         xid: u32,
         msg: &Message,
         program: bool,
@@ -385,8 +431,8 @@ impl Southbound {
         encode_into(&mut bytes, msg, xid);
         let soft = matches!(msg, Message::FlowMod { cmd: FlowModCmd::Add(spec), .. }
             if !program && spec.idle_timeout | spec.hard_timeout != 0);
-        let session = self.sessions.entry(node);
-        let session = session.or_insert_with(|| Session::new(dpid));
+        let session = self.sessions.get_mut(&node);
+        let session = session.expect("the registry names only opened sessions");
         session.unfenced += 1;
         if session.unfenced == 1 {
             session.unfenced_since = now;
@@ -451,8 +497,9 @@ impl Southbound {
     }
 
     /// A BARRIER_REPLY from `from`: retire the covered mods the switch
-    /// confirmed, oldest first, handing each to `acked`; returns the
-    /// session's dpid if any were.
+    /// confirmed, oldest first, folding each into the session's shadow
+    /// and handing it to `acked`; returns the session's dpid if any
+    /// moved what the shadow lists.
     ///
     /// Only an in-order prefix is retired. Mods apply in transmission
     /// order, so if an earlier mod is still in flight (say a lost
@@ -471,12 +518,13 @@ impl Southbound {
         from: NodeId,
         xid: u32,
         applied: XidList<'_>,
-        mut acked: impl FnMut(Dpid, &PendingMod),
+        mut acked: impl FnMut(Dpid, u32),
     ) -> Option<Dpid> {
         let session = self.sessions.get_mut(&from)?;
         let at = session.barriers.iter().position(|b| b.0 == xid)?;
         let (_, covered) = session.barriers.remove(at);
         let before = session.pending.len();
+        let mut shadow_moved = false;
         // Where the next head sits in a list that kept queue order.
         let mut next = 0;
         while let Some(head) = session.pending.front().filter(|p| p.xid <= covered) {
@@ -487,7 +535,10 @@ impl Southbound {
             };
             next = at + 1;
             let mut p = session.pending.pop_front().expect("front checked");
-            acked(session.dpid, &p);
+            acked(session.dpid, p.xid);
+            if let Some(op) = p.shadow {
+                shadow_moved |= op.apply(&mut session.shadow);
+            }
             if self.spare.len() < SPARE_BUFFERS && p.bytes.capacity() <= SPARE_BUFFER_MAX {
                 p.bytes.clear();
                 self.spare.push(p.bytes);
@@ -495,7 +546,7 @@ impl Southbound {
         }
         let retired = before - session.pending.len();
         session.generation += retired as u64;
-        (retired > 0).then_some(session.dpid)
+        shadow_moved.then_some(session.dpid)
     }
 
     /// `node`'s switch reports `generation`, the count of mods it has
@@ -503,9 +554,9 @@ impl Southbound {
     /// known to have applied: a switch that restarted, and holds
     /// nothing of what it held — groups included, which the cookie
     /// digest of a resync does not see.
-    pub(crate) fn restarted(&mut self, node: NodeId, dpid: Dpid, generation: u64) -> bool {
-        let known = &mut self.session(node, dpid).generation;
-        generation < std::mem::replace(known, generation)
+    pub(crate) fn restarted(&mut self, node: NodeId, generation: u64) -> bool {
+        let known = self.sessions.get_mut(&node).map(|s| &mut s.generation);
+        known.is_some_and(|known| generation < std::mem::replace(known, generation))
     }
 
     /// Stop tracking one mod `from` bounced (TABLE_FULL, NOT_MASTER).
@@ -683,9 +734,11 @@ mod tests {
         }
     }
 
-    /// Send `msg` as `xid` to `node` the way `Ctl::send` does.
+    /// Send `msg` as `xid` to `node`, shaken hands with as dpid 7 if
+    /// this is the first, the way `Ctl::send` does.
     fn send(sb: &mut Southbound, ctx: &mut Context<'_>, node: NodeId, xid: u32, msg: &Message) {
-        let bytes = sb.track(node, 7, xid, msg, false, ctx.now());
+        sb.open(node, Session::new(7, ctx.now()));
+        let bytes = sb.track(node, xid, msg, false, ctx.now());
         ctx.send_control_with(node, |buf| buf.extend_from_slice(bytes));
     }
 
@@ -696,7 +749,7 @@ mod tests {
         from: NodeId,
         xid: u32,
         applied: &[u32],
-        acked: impl FnMut(Dpid, &PendingMod),
+        acked: impl FnMut(Dpid, u32),
     ) -> Option<Dpid> {
         let applied = applied.to_vec();
         let wire = encode(&Message::BarrierReply { applied }, xid);
@@ -803,14 +856,15 @@ mod tests {
         // if a program holds it again by then.
         let mut sb = Southbound::default();
         let (node, t0) = (NodeId(4), Instant::from_secs(10));
-        sb.rebase(node, 7, 9, next.clone(), vec![3], t0);
+        sb.open(node, Session::new(7, t0));
+        sb.rebase(node, 9, next.clone(), vec![3], t0);
         let early = t0 + Duration::from_millis(999);
         assert!(sb.condemned(early, |_| true).is_empty());
         assert!(sb.condemned(t0 + GROUP_HOLD, |_| false).is_empty());
         assert_eq!(sb.condemned(t0 + GROUP_HOLD, |_| true), [(7, 3)]);
         assert!(sb.condemned(t0 + GROUP_HOLD, |_| true).is_empty());
-        sb.rebase(node, 7, 9, next, vec![3], t0);
-        sb.rebase(node, 7, 9, held, vec![], t0 + Duration::from_millis(500));
+        sb.rebase(node, 9, next, vec![3], t0);
+        sb.rebase(node, 9, held, vec![], t0 + Duration::from_millis(500));
         assert!(sb.condemned(t0 + GROUP_HOLD, |_| true).is_empty());
     }
 
@@ -831,7 +885,7 @@ mod tests {
                 // order, twice over, with xids that are nobody's here.
                 let mut acked = Vec::new();
                 let listed = [12, 999, 10, 12, 10];
-                let dpid = reply(sb, switch, 50, &listed, |_, p| acked.push(p.xid));
+                let dpid = reply(sb, switch, 50, &listed, |_, xid| acked.push(xid));
                 assert_eq!((dpid, acked, sb.pending_mods()), (Some(7), vec![10], 2));
                 // A barrier answers once, and only to the switch it fenced.
                 assert_eq!(reply(sb, switch, 50, &[11], |_, _| panic!()), None);
@@ -842,12 +896,10 @@ mod tests {
                 send(sb, ctx, switch, 13, &add(13));
                 sb.flush_barriers(ctx, &mut next, &mut stats);
                 assert!(sb.retire(switch, 12) && !sb.retire(switch, 12));
-                let mut shadow = BTreeMap::new();
-                reply(sb, switch, 51, &[13, 12, 11], |_, p| {
-                    let op = p.shadow.expect("flow adds carry a shadow op");
-                    assert!(op.apply(&mut shadow), "an add moves the shadow");
-                });
-                assert_eq!(shadow, BTreeMap::from([(11, 1), (13, 1)]));
+                let moved = reply(sb, switch, 51, &[13, 12, 11], |_, _| {});
+                assert_eq!(moved, Some(7), "an add moves the shadow");
+                let shadow = &sb.session(switch).expect("opened").shadow;
+                assert_eq!(*shadow, BTreeMap::from([(10, 1), (11, 1), (13, 1)]));
                 assert_eq!(sb.pending_mods(), 0);
 
                 // A fence covers what was pending when it went out: a
@@ -856,7 +908,7 @@ mod tests {
                 sb.flush_barriers(ctx, &mut next, &mut stats);
                 send(sb, ctx, switch, 15, &add(15));
                 let mut acked = Vec::new();
-                reply(sb, switch, 52, &[14, 15], |_, p| acked.push(p.xid));
+                reply(sb, switch, 52, &[14, 15], |_, xid| acked.push(xid));
                 assert_eq!((acked, sb.pending_mods()), (vec![14], 1));
             })]
         });
@@ -907,7 +959,7 @@ mod tests {
                 send(sb, ctx, switch, 23, &add(2));
                 sb.flush_barriers(ctx, &mut next, &mut stats);
                 // A step of a program is hard whatever its timeouts.
-                let bytes = sb.track(switch, 7, 24, &soft(3), true, ctx.now()).to_vec();
+                let bytes = sb.track(switch, 24, &soft(3), true, ctx.now()).to_vec();
                 ctx.send_control(switch, bytes);
                 sb.flush_barriers(ctx, &mut next, &mut stats);
                 // Someone waits on an ack (a two-phase transaction is
@@ -1067,7 +1119,8 @@ mod tests {
                     send(sb, ctx, b, 2, &add(2));
                     send(sb, ctx, a, 3, &add(3));
                     // A quarantined switch's mods wait for its resync.
-                    sb.track(NodeId(9), 8, 4, &add(4), false, ctx.now());
+                    sb.open(NodeId(9), Session::new(8, ctx.now()));
+                    sb.track(NodeId(9), 4, &add(4), false, ctx.now());
                     sb.flush_barriers(ctx, &mut 100, &mut CtlStats::default());
                 }),
                 // 100 ms old: not due yet.
