@@ -17,9 +17,10 @@
 //! +---------+--------+----------------+------------+----------------+
 //! ```
 //!
-//! [`codec`] provides [`codec::encode`] / [`codec::decode`] and a
-//! [`codec::FrameAssembler`] for reassembling messages from a byte
-//! stream. Decoding is total: malformed input yields
+//! [`codec`] provides [`codec::encode`] / [`codec::decode`] and
+//! [`codec::frames`], which walks the frames of one delivery. Each wire
+//! type is described once there, and that description is both its
+//! encoder and its decoder. Decoding is total: malformed input yields
 //! [`CodecError`], never a panic.
 //!
 //! Match, action, flow-spec and group types are the native
@@ -33,8 +34,8 @@ pub mod codec;
 
 pub use codec::{
     decode, decode_view, encode, encode_barrier_reply_into, encode_barrier_request_into,
-    encode_into, encode_packet_out, encode_packet_out_into, ew_entry_bytes, intent_entry_bytes,
-    match_bytes, ActionList, CodecError, FrameAssembler, MessageView, XidList, HEADER_LEN,
+    encode_into, encode_packet_out, encode_packet_out_into, ew_entry_bytes, frames,
+    intent_entry_bytes, match_bytes, ActionList, CodecError, MessageView, XidList, HEADER_LEN,
 };
 
 use zen_dataplane::{FlowMatch, FlowSpec, GroupDesc, PortNo};
@@ -698,43 +699,4 @@ pub enum Message {
         /// for integrity.
         checksum: u64,
     },
-}
-
-impl Message {
-    /// The wire type tag (used by the codec and for telemetry).
-    pub fn type_id(&self) -> u8 {
-        match self {
-            Message::Hello { .. } => 0,
-            Message::Error { .. } => 1,
-            Message::EchoRequest { .. } => 2,
-            Message::EchoReply { .. } => 3,
-            Message::FeaturesRequest => 4,
-            Message::FeaturesReply { .. } => 5,
-            Message::PacketIn { .. } => 6,
-            Message::PacketOut { .. } => 7,
-            Message::FlowMod { .. } => 8,
-            Message::GroupMod { .. } => 9,
-            Message::MeterMod { .. } => 10,
-            Message::PortStatus { .. } => 11,
-            Message::FlowRemoved { .. } => 12,
-            Message::BarrierRequest { .. } => 13,
-            Message::BarrierReply { .. } => 14,
-            Message::StatsRequest { .. } => 15,
-            Message::StatsReply { .. } => 16,
-            Message::HelloResync { .. } => 17,
-            Message::ResyncRequest => 18,
-            Message::RoleRequest { .. } => 19,
-            Message::RoleReply { .. } => 20,
-            Message::EwHeartbeat { .. } => 21,
-            Message::EwEvents { .. } => 22,
-            Message::EwDigest { .. } => 23,
-            Message::EwFetch { .. } => 24,
-            Message::EwSnapshot { .. } => 25,
-            Message::IntentPropose { .. } => 26,
-            Message::IntentAppend { .. } => 27,
-            Message::IntentAck { .. } => 28,
-            Message::IntentFetch { .. } => 29,
-            Message::IntentCatchup { .. } => 30,
-        }
-    }
 }
