@@ -6,9 +6,9 @@ set -eux
 
 cargo build --release --workspace
 
-# The two line counts ROADMAP.md and CHANGES.md quote (non-test lines
-# under crates/*/src outside the ledger, and of controller.rs). Printed,
-# not gated.
+# The line counts ROADMAP.md and CHANGES.md quote (non-test lines under
+# crates/*/src outside the ledger, of controller.rs and of zen-proto).
+# Printed, not gated.
 ci/lines.sh
 
 cargo test --workspace -q

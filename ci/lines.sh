@@ -1,14 +1,14 @@
 #!/bin/sh
-# The two line counts ROADMAP.md and CHANGES.md quote:
+# The line counts ROADMAP.md and CHANGES.md quote:
 #
 #   ci/lines.sh
 #
 # Non-test lines are everything before a file's first `#[cfg(test)]`
 # (the whole file when it has none), over the `.rs` files under
 # `crates/*/src` outside the benchmark's own directory,
-# `crates/bench/src/bin/ledger`. Printed for the workspace and for
-# `controller.rs`; `ci.sh` runs this after the build. It prints, it does
-# not gate.
+# `crates/bench/src/bin/ledger`. Printed for the workspace, for
+# `controller.rs` and for zen-proto (`codec.rs` + `lib.rs`); `ci.sh`
+# runs this after the build. It prints, it does not gate.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -21,3 +21,4 @@ count() {
 echo "lines: workspace non-test $(count $(find crates/*/src -name '*.rs' \
     -not -path 'crates/bench/src/bin/ledger/*'))"
 echo "lines: controller.rs non-test $(count crates/core/src/controller.rs)"
+echo "lines: zen-proto non-test $(count crates/proto/src/*.rs)"
