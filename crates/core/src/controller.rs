@@ -7,11 +7,11 @@
 //! dispatches everything else to the application chain.
 
 use std::any::Any;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use zen_cluster::ClusterConfig;
 use zen_consensus::{fnv1a, fnv1a_fold, Applied, IntentReplica};
-use zen_dataplane::{epoch_tag, Action, FlowSpec, GroupDesc, PortNo};
+use zen_dataplane::{Action, FlowSpec, GroupDesc, PortNo};
 use zen_proto::{
     encode_packet_out_into, frames, intent_entry_bytes, CookieCount, ErrorCode, FlowModCmd,
     GroupModCmd, Intent, IntentEntry, Message, MessageView, Role, ViewEvent, XidList,
@@ -25,9 +25,7 @@ use crate::admission::{AdmissionConfig, AdmissionState};
 use crate::app::{App, Disposition};
 use crate::replica::ClusterState;
 use crate::southbound::{delta, ProgramBase, Reconciled, Session, ShadowOp, Southbound};
-use crate::txn::{
-    ActiveTxn, Consistency, FlowRole, NetworkUpdate, TxnPhase, UpdateOp, UpdatePlanner,
-};
+use crate::txn::{Consistency, NetworkUpdate, Notice, UpdateOp, UpdatePlanner};
 use crate::view::{Dpid, NetworkView};
 use crate::{record_control, send_msg};
 
@@ -40,15 +38,6 @@ const TIMER_FENCE: u64 = 3;
 
 /// TTL stamped into discovery LLDPs.
 const LLDP_TTL_SECS: u16 = 120;
-/// Drain wave after a two-phase update flips its edge rules: packets
-/// stamped with the old epoch get this long to exit the network before
-/// its rules are garbage-collected.
-const TXN_DRAIN: Duration = Duration::from_millis(100);
-/// Give-up budget per two-phase transaction phase. A staging
-/// transaction past its deadline aborts (a touched switch may be dead
-/// and its acks will never come); a flipping one force-advances and
-/// leaves the straggler to the resync machinery.
-const TXN_DEADLINE: Duration = Duration::from_secs(2);
 /// How many emptied action lists are kept for [`Ctl::actions`].
 const SPARE_ACTIONS: usize = 16;
 
@@ -271,10 +260,9 @@ impl Ctl<'_, '_> {
     }
 
     /// [`Ctl::send`]; `program` marks a step of a reconciled program.
-    fn send_as(&mut self, dpid: Dpid, msg: &Message, program: bool) {
-        let Some(&node) = self.registry.get(&dpid) else {
-            return;
-        };
+    /// The xid the message took, if it was sent.
+    fn send_as(&mut self, dpid: Dpid, msg: &Message, program: bool) -> Option<u32> {
+        let &node = self.registry.get(&dpid)?;
         let is_mod = matches!(
             msg,
             Message::FlowMod { .. } | Message::GroupMod { .. } | Message::MeterMod { .. }
@@ -282,7 +270,7 @@ impl Ctl<'_, '_> {
         // Clustered: only the master programs a switch. Packet-outs and
         // stats requests pass (Equal connections may inject and read).
         if is_mod && !self.is_master(dpid) {
-            return;
+            return None;
         }
         let xid = *self.xid;
         *self.xid += 1;
@@ -331,6 +319,7 @@ impl Ctl<'_, '_> {
         } else {
             send_msg(self.ctx, node, msg, xid);
         }
+        Some(xid)
     }
 
     /// Bring `dpid` to the program an app wants it to hold under
@@ -419,14 +408,6 @@ impl Ctl<'_, '_> {
         self.planner.config_epoch()
     }
 
-    /// The xid the next [`Ctl::send`] would allocate. The planner
-    /// brackets sends with this to learn which xids a batch actually
-    /// consumed (sends to unknown or non-mastered switches allocate
-    /// none).
-    pub(crate) fn peek_xid(&self) -> u32 {
-        *self.xid
-    }
-
     /// Commit a staged network update (the target of
     /// [`NetworkUpdate::commit`]).
     ///
@@ -462,7 +443,7 @@ impl Ctl<'_, '_> {
             *self.spare_ops = update.ops;
             self.stats.txns_committed += 1;
         } else {
-            self.planner.queue.push_back(update);
+            self.planner.submit(update);
         }
     }
 
@@ -1147,8 +1128,7 @@ impl Controller {
     /// while a two-phase transaction awaits acks, all. Soft state left
     /// unfenced sets the fence timer.
     fn flush_barriers(&mut self, ctx: &mut Context<'_>) {
-        let awaited = |txn: &ActiveTxn| !txn.outstanding.is_empty();
-        if self.planner.active.as_ref().is_some_and(awaited) {
+        if self.planner.awaits_acks() {
             self.southbound.fence_aged(ctx.now(), Duration::ZERO);
         }
         self.southbound
@@ -1455,251 +1435,33 @@ impl Controller {
         }
     }
 
-    /// Drive the epoch-versioned two-phase update planner: activate the
-    /// next queued [`NetworkUpdate`] when idle, and advance the active
-    /// transaction through staging → flipping → draining as its barrier
-    /// acks arrive. Called from the tick timer and after every control
+    /// Drive the epoch-versioned two-phase update planner: act on each
+    /// step it takes. Called from the tick timer and after every control
     /// batch (acks resolve there), so phase transitions happen promptly.
     fn planner_pump(&mut self, ctx: &mut Context<'_>) {
         if !self.planner.is_busy() {
             return;
         }
-        // The standard take/put dance: the planner must be out of
-        // `self` while we call `with_apps` (callbacks get a fresh
-        // default planner). Mirror the epoch into the stand-in so
-        // callbacks that consult `staged_epoch` pick the right parity.
-        let mut planner = std::mem::take(&mut self.planner);
-        self.planner.config_epoch = planner.config_epoch;
-        loop {
-            let Some(txn) = planner.active.as_mut() else {
-                let Some(update) = planner.queue.pop_front() else {
-                    break;
-                };
-                planner.active = Some(self.activate_txn(ctx, &planner, update));
-                continue;
-            };
-            let now = ctx.now();
-            match txn.phase {
-                TxnPhase::Staging => {
-                    if txn.failed || now >= txn.deadline {
-                        // A staged mod failed or a touched switch never
-                        // acked: the new epoch is not fully installed
-                        // anywhere packets could reach it, so undo the
-                        // footprint and report the abort.
-                        if let Some(txn) = planner.active.take() {
-                            self.abort_txn(ctx, txn);
-                        }
-                        continue;
-                    }
-                    if !txn.outstanding.is_empty() {
-                        break;
-                    }
-                    // Every internal rule is acked: flip the edge.
-                    txn.phase = TxnPhase::Flipping;
-                    txn.deadline = now + TXN_DEADLINE;
-                    let epoch = txn.epoch;
-                    let msgs = std::mem::take(&mut txn.flip_msgs);
-                    let mut outstanding = BTreeSet::new();
-                    self.record_epoch_phase(ctx, epoch, TxnPhase::Flipping.name());
-                    self.send_tracked_batch(ctx, &msgs, &mut outstanding);
-                    txn.outstanding = outstanding;
-                    if !txn.outstanding.is_empty() {
-                        break;
-                    }
+        while let Some(step) = self.planner.step(ctx.now(), &mut self.stats) {
+            let (epoch, phase) = (step.epoch, step.phase);
+            record_control(ctx, 0, TraceEvent::EpochPhase { epoch, phase });
+            let mut xids = Vec::with_capacity(step.mods.len());
+            self.with_apps(ctx, |_, ctl| {
+                for (dpid, msg) in &step.mods {
+                    xids.extend(ctl.send_as(*dpid, msg, false));
                 }
-                TxnPhase::Flipping => {
-                    if txn.failed {
-                        // A flip mod failed. The new epoch is fully
-                        // staged and other edges already stamp it, so
-                        // aborting now would be worse than finishing:
-                        // count it and leave the straggler edge to the
-                        // quarantine/resync machinery.
-                        self.stats.epoch_flip_failures += 1;
-                        txn.failed = false;
-                    }
-                    if txn.outstanding.is_empty() || now >= txn.deadline {
-                        txn.phase = TxnPhase::Draining;
-                        txn.drain_until = now + TXN_DRAIN;
-                        let epoch = txn.epoch;
-                        self.record_epoch_phase(ctx, epoch, TxnPhase::Draining.name());
-                    }
-                    break;
+            });
+            self.planner.sent(xids);
+            match step.notice {
+                Some(Notice::Committed { owner, token }) => {
+                    self.each_app(ctx, |app, ctl| app.on_update_committed(ctl, owner, token))
                 }
-                TxnPhase::Draining => {
-                    if now < txn.drain_until {
-                        break;
-                    }
-                    // Old-epoch packets have drained: the epoch is
-                    // committed. Send the old configuration's retire
-                    // wave, but keep the transaction open until it is
-                    // acked — the next epoch reuses this parity's
-                    // cookies and group ids, and a retire retransmitted
-                    // after a lost ack must never land on top of them.
-                    txn.phase = TxnPhase::Retiring;
-                    txn.deadline = now + TXN_DEADLINE;
-                    let epoch = txn.epoch;
-                    let owner = txn.owner;
-                    let token = txn.token;
-                    let msgs = std::mem::take(&mut txn.retire_msgs);
-                    self.record_epoch_phase(ctx, epoch, "committed");
-                    let mut retired = BTreeSet::new();
-                    self.send_tracked_batch(ctx, &msgs, &mut retired);
-                    txn.outstanding = retired;
-                    txn.failed = false;
-                    planner.config_epoch = epoch;
-                    self.planner.config_epoch = epoch;
-                    self.stats.txns_committed += 1;
-                    self.each_app(ctx, |app, ctl| app.on_update_committed(ctl, owner, token));
-                    continue;
+                Some(Notice::Aborted { owner, token }) => {
+                    self.each_app(ctx, |app, ctl| app.on_update_aborted(ctl, owner, token))
                 }
-                TxnPhase::Retiring => {
-                    // Retires are best-effort garbage collection: a
-                    // failed one (switch died, resync superseded it)
-                    // stops retransmitting and leaves stale rules only
-                    // a resync will rebuild anyway — keep waiting for
-                    // the rest, they are still on the wire.
-                    txn.failed = false;
-                    if txn.outstanding.is_empty() || now >= txn.deadline {
-                        planner.active = None;
-                        continue;
-                    }
-                    break;
-                }
+                None => {}
             }
         }
-        // Updates committed by callbacks during the pump landed in the
-        // stand-in's queue: carry them over.
-        planner.queue.extend(self.planner.queue.drain(..));
-        self.planner = planner;
-    }
-
-    /// Stage a committed update under the next epoch: decorate and send
-    /// everything except the edge flips (held back for the flip) and
-    /// the retire ops (held back for after the drain).
-    fn activate_txn(
-        &mut self,
-        ctx: &mut Context<'_>,
-        planner: &UpdatePlanner,
-        update: NetworkUpdate,
-    ) -> ActiveTxn {
-        let epoch = planner.config_epoch + 1;
-        let tag = epoch_tag(epoch);
-        let mut stage_msgs: Vec<(Dpid, Message)> = Vec::new();
-        let mut flip_msgs: Vec<(Dpid, Message)> = Vec::new();
-        let mut retire_msgs: Vec<(Dpid, Message)> = Vec::new();
-        let mut staged_cookies = BTreeSet::new();
-        let mut staged_groups = BTreeSet::new();
-        for mut op in update.ops {
-            let batch = match &mut op {
-                UpdateOp::Flow {
-                    spec,
-                    role: FlowRole::Edge,
-                    ..
-                } => {
-                    // The flip: the rule starts stamping the new epoch
-                    // the moment it replaces its predecessor (same
-                    // priority + match).
-                    spec.actions.insert(0, Action::SetEpoch(tag));
-                    &mut flip_msgs
-                }
-                UpdateOp::Flow {
-                    dpid, spec, role, ..
-                } => {
-                    if *role == FlowRole::Internal {
-                        spec.matcher.epoch = Some(Some(tag));
-                    }
-                    staged_cookies.insert((*dpid, spec.cookie));
-                    &mut stage_msgs
-                }
-                UpdateOp::Group { dpid, group_id, .. } => {
-                    staged_groups.insert((*dpid, *group_id));
-                    &mut stage_msgs
-                }
-                UpdateOp::RetireFlowsByCookie { .. } | UpdateOp::RetireGroup { .. } => {
-                    &mut retire_msgs
-                }
-                UpdateOp::DeleteFlowsByCookie { .. }
-                | UpdateOp::DeleteGroup { .. }
-                | UpdateOp::Meter { .. } => &mut stage_msgs,
-            };
-            batch.push(op.into_message());
-        }
-        self.record_epoch_phase(ctx, epoch, TxnPhase::Staging.name());
-        let mut outstanding = BTreeSet::new();
-        self.send_tracked_batch(ctx, &stage_msgs, &mut outstanding);
-        ActiveTxn {
-            epoch,
-            phase: TxnPhase::Staging,
-            owner: update.owner,
-            token: update.token,
-            outstanding,
-            failed: false,
-            deadline: ctx.now() + TXN_DEADLINE,
-            drain_until: Instant::ZERO,
-            flip_msgs,
-            retire_msgs,
-            staged_cookies,
-            staged_groups,
-        }
-    }
-
-    /// Send a batch over the tracked path, recording which xids it
-    /// actually consumed. Sends to unknown or non-mastered switches
-    /// allocate no xid and therefore join no wait set — a dead switch
-    /// fails a transaction by deadline, never by wedging it.
-    fn send_tracked_batch(
-        &mut self,
-        ctx: &mut Context<'_>,
-        msgs: &[(Dpid, Message)],
-        outstanding: &mut BTreeSet<u32>,
-    ) {
-        self.with_apps(ctx, |_, ctl| {
-            for (dpid, msg) in msgs {
-                let x = ctl.peek_xid();
-                ctl.send(*dpid, msg);
-                if ctl.peek_xid() != x {
-                    outstanding.insert(x);
-                }
-            }
-        });
-    }
-
-    /// Tear down an active transaction that cannot complete: delete the
-    /// staged new-epoch footprint (no packet is stamped with that epoch
-    /// yet, so this is invisible to traffic) and notify the owner.
-    fn abort_txn(&mut self, ctx: &mut Context<'_>, txn: ActiveTxn) {
-        self.record_epoch_phase(ctx, txn.epoch, "aborted");
-        self.stats.txns_aborted += 1;
-        let mut deletes: Vec<(Dpid, Message)> = Vec::new();
-        for &(dpid, cookie) in &txn.staged_cookies {
-            deletes.push((
-                dpid,
-                Message::FlowMod {
-                    table_id: 0,
-                    cmd: FlowModCmd::DeleteByCookie { cookie },
-                },
-            ));
-        }
-        for &(dpid, group_id) in &txn.staged_groups {
-            deletes.push((
-                dpid,
-                Message::GroupMod {
-                    group_id,
-                    cmd: GroupModCmd::Delete,
-                },
-            ));
-        }
-        let mut scratch = BTreeSet::new();
-        self.send_tracked_batch(ctx, &deletes, &mut scratch);
-        self.each_app(ctx, |app, ctl| {
-            app.on_update_aborted(ctl, txn.owner, txn.token)
-        });
-    }
-
-    /// Flight-record a two-phase transaction phase transition on the
-    /// network-wide control timeline.
-    fn record_epoch_phase(&mut self, ctx: &mut Context<'_>, epoch: u64, phase: &'static str) {
-        record_control(ctx, 0, TraceEvent::EpochPhase { epoch, phase });
     }
 
     /// Dispatch the deferred punts whose turn admission control says it
@@ -2301,6 +2063,64 @@ mod tests {
         }
         let stats = &world.node_as::<Controller>(controller).stats;
         assert_eq!((stats.txns_committed, stats.mods_retransmitted), (1, 0));
+    }
+
+    /// Commits two-switch per-packet updates, each owned by the epoch
+    /// `staged_epoch` promised it: two when the second switch comes up
+    /// and one more from the first commit callback. Keeps each commit's
+    /// token beside the epoch it committed as.
+    #[derive(Default)]
+    struct Promised {
+        committed: Vec<(u64, u64)>,
+    }
+
+    impl Promised {
+        fn commit(ctl: &mut Ctl<'_, '_>) {
+            let spec = FlowSpec::new(1, FlowMatch::ANY, vec![]).with_timeouts(1_000_000, 0);
+            let epoch = ctl.staged_epoch();
+            let mut txn = ctl.txn().per_packet().owned_by("promised", epoch);
+            txn.flow(DPID, 0, spec.clone()).flow(DPID + 1, 0, spec);
+            txn.commit(ctl);
+        }
+    }
+
+    impl App for Promised {
+        fn name(&self) -> &'static str {
+            "promised"
+        }
+        fn on_switch_up(&mut self, ctl: &mut Ctl<'_, '_>, _: Dpid) {
+            if ctl.view.switches.len() == 2 {
+                Promised::commit(ctl);
+                Promised::commit(ctl);
+            }
+        }
+        fn on_update_committed(&mut self, ctl: &mut Ctl<'_, '_>, _: &'static str, token: u64) {
+            self.committed.push((token, ctl.config_epoch()));
+            if self.committed.len() == 1 {
+                Promised::commit(ctl);
+            }
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+    }
+
+    /// An update committed from a commit callback, while another waits
+    /// in the planner's queue, installs under the epoch `staged_epoch`
+    /// promised it — and so with that epoch's cookies and group ids.
+    #[test]
+    fn an_update_committed_from_a_callback_gets_the_epoch_it_was_promised() {
+        let mut world = World::new(1);
+        let ctl = Controller::new(vec![Box::new(Promised::default())]);
+        let controller = world.add_node(Box::new(ctl));
+        for dpid in [DPID, DPID + 1] {
+            add_script(&mut world, controller, dpid, false);
+        }
+        world.run_until(Instant::from_millis(1_000));
+        let ctl = world.node_as::<Controller>(controller);
+        let app = ctl.find_app::<Promised>().expect("installed");
+        assert_eq!(app.committed, [(1, 1), (2, 2), (3, 3)]);
+        assert!(!ctl.txn_busy());
     }
 
     /// Says its `lines` to the controller unasked, one every 10 ms from
