@@ -11,6 +11,17 @@ cargo build --release --workspace
 # Printed, not gated.
 ci/lines.sh
 
+# The controller's cores take the time and hand back what to send; only
+# `ctl::write` puts it on the wire. None of them may name the simulator's
+# `Context` outside its tests, or a bounded explorer could not drive it.
+for core in southbound replica txn; do
+    if awk '/#\[cfg\(test\)\]/ { exit } /Context/ { named = 1 } END { exit !named }' \
+        "crates/core/src/$core.rs"; then
+        echo "crates/core/src/$core.rs names Context outside its tests" >&2
+        exit 1
+    fi
+done
+
 cargo test --workspace -q
 cargo fmt --all --check
 cargo clippy --workspace --all-targets -- -D warnings -D deprecated

@@ -10,11 +10,11 @@ use std::any::Any;
 use std::collections::BTreeMap;
 
 use zen_cluster::ClusterConfig;
-use zen_consensus::{fnv1a, fnv1a_fold, Applied, IntentReplica};
-use zen_dataplane::{Action, FlowSpec, GroupDesc, PortNo};
+use zen_consensus::{Applied, IntentReplica};
+use zen_dataplane::PortNo;
 use zen_proto::{
-    encode_packet_out_into, frames, intent_entry_bytes, CookieCount, ErrorCode, FlowModCmd,
-    GroupModCmd, Intent, IntentEntry, Message, MessageView, Role, ViewEvent, XidList,
+    frames, CookieCount, ErrorCode, GroupModCmd, Intent, IntentEntry, Message, MessageView, Role,
+    ViewEvent, XidList,
 };
 use zen_sim::{Context, Duration, Instant, Node, NodeId};
 use zen_telemetry::{trace_id_for_frame, TraceEvent, TraceId};
@@ -23,11 +23,13 @@ use zen_wire::{arp, ipv4, lldp};
 
 use crate::admission::{AdmissionConfig, AdmissionState};
 use crate::app::{App, Disposition};
+pub use crate::ctl::Ctl;
+use crate::ctl::{write, Core};
+use crate::record_control;
 use crate::replica::ClusterState;
-use crate::southbound::{delta, ProgramBase, Reconciled, Session, ShadowOp, Southbound};
-use crate::txn::{Consistency, NetworkUpdate, Notice, UpdateOp, UpdatePlanner};
+use crate::southbound::{ProgramBase, Session, ShadowOp};
+use crate::txn::Notice;
 use crate::view::{Dpid, NetworkView};
-use crate::{record_control, send_msg};
 
 const TIMER_TICK: u64 = 1;
 /// Fair-queue drain timer for deferred PACKET_INs (admission control).
@@ -38,8 +40,6 @@ const TIMER_FENCE: u64 = 3;
 
 /// TTL stamped into discovery LLDPs.
 const LLDP_TTL_SECS: u16 = 120;
-/// How many emptied action lists are kept for [`Ctl::actions`].
-const SPARE_ACTIONS: usize = 16;
 
 /// Controller configuration.
 #[derive(Debug, Clone, Copy)]
@@ -213,348 +213,15 @@ enum Sender {
     Stranger,
 }
 
-/// The services handle passed to applications: the network view plus
-/// typed message-sending helpers.
-pub struct Ctl<'a, 'w> {
-    /// The simulator context (time, RNG, metrics).
-    pub ctx: &'a mut Context<'w>,
-    /// The controller's network view.
-    pub view: &'a mut NetworkView,
-    registry: &'a BTreeMap<Dpid, NodeId>,
-    xid: &'a mut u32,
-    stats: &'a mut CtlStats,
-    southbound: &'a mut Southbound,
-    cluster: Option<&'a mut ClusterState>,
-    planner: &'a mut UpdatePlanner,
-    intent_owners: &'a mut BTreeMap<u64, &'static str>,
-    local_intents: &'a mut Vec<(u64, Intent)>,
-    /// The emptied op list of the last update sent, for the next.
-    spare_ops: &'a mut Vec<UpdateOp>,
-    /// Likewise the action lists of the flow adds it carried.
-    spare_actions: &'a mut Vec<Vec<Action>>,
-}
-
-impl Ctl<'_, '_> {
-    /// Current simulated time.
-    pub fn now(&self) -> Instant {
-        self.ctx.now()
-    }
-
-    /// Whether this controller currently exercises mastership over
-    /// `dpid`. A non-clustered controller masters every switch it
-    /// knows; a clustered replica masters its deterministic share.
-    /// State mods to non-mastered switches are silently filtered (the
-    /// agent would reject them anyway), so apps can stay
-    /// cluster-oblivious and program the whole view.
-    pub fn is_master(&self, dpid: Dpid) -> bool {
-        self.cluster.as_ref().is_none_or(|cl| cl.is_master(dpid))
-    }
-
-    /// Send a raw protocol message to a switch. Unknown dpids are
-    /// silently dropped (the switch may have disconnected).
-    ///
-    /// State-programming messages (flow/group/meter mods) are tracked
-    /// by the southbound session until a barrier acknowledges them.
-    pub fn send(&mut self, dpid: Dpid, msg: &Message) {
-        self.send_as(dpid, msg, false);
-    }
-
-    /// [`Ctl::send`]; `program` marks a step of a reconciled program.
-    /// The xid the message took, if it was sent.
-    fn send_as(&mut self, dpid: Dpid, msg: &Message, program: bool) -> Option<u32> {
-        let &node = self.registry.get(&dpid)?;
-        let is_mod = matches!(
-            msg,
-            Message::FlowMod { .. } | Message::GroupMod { .. } | Message::MeterMod { .. }
-        );
-        // Clustered: only the master programs a switch. Packet-outs and
-        // stats requests pass (Equal connections may inject and read).
-        if is_mod && !self.is_master(dpid) {
-            return None;
-        }
-        let xid = *self.xid;
-        *self.xid += 1;
-        self.stats.msgs_sent += 1;
-        match msg {
-            Message::FlowMod { .. } => self.stats.flow_mods += 1,
-            Message::GroupMod { .. } => self.stats.group_mods += 1,
-            Message::PacketOut { .. } => self.stats.packet_outs += 1,
-            _ => {}
-        }
-        {
-            // Flight recorder: attribute control messages sent while an
-            // app chain is processing a traced PACKET_IN.
-            let rec = self.ctx.recorder();
-            if rec.is_enabled() {
-                if let Some(trace) = rec.current_trace() {
-                    let at = self.ctx.now().as_nanos();
-                    match msg {
-                        Message::FlowMod { cmd, .. } => {
-                            let cookie = match cmd {
-                                FlowModCmd::Add(spec) => spec.cookie,
-                                FlowModCmd::DeleteByCookie { cookie } => *cookie,
-                                FlowModCmd::DeleteStrict { .. } => 0,
-                            };
-                            rec.record(at, trace, TraceEvent::FlowModSent { dpid, xid, cookie });
-                            rec.bind_xid(xid, trace);
-                        }
-                        Message::GroupMod { .. } | Message::MeterMod { .. } => {
-                            rec.bind_xid(xid, trace);
-                        }
-                        Message::PacketOut { .. } => {
-                            rec.record(at, trace, TraceEvent::PacketOutSent { dpid });
-                        }
-                        _ => {}
-                    }
-                }
-            }
-        }
-        if is_mod {
-            // Encoded once, into the buffer the session keeps for
-            // retransmission; the channel copies from it.
-            let now = self.ctx.now();
-            let bytes = self.southbound.track(node, xid, msg, program, now);
-            self.ctx
-                .send_control_with(node, |buf| buf.extend_from_slice(bytes));
-        } else {
-            send_msg(self.ctx, node, msg, xid);
-        }
-        Some(xid)
-    }
-
-    /// Bring `dpid` to the program an app wants it to hold under
-    /// `cookie`: `groups` in install order, and the flows `flows`
-    /// renders (asked for only when they have to be sent), whose
-    /// [`crate::flows_stamp`] is `flows_stamp`. This is the one way a
-    /// program reaches a switch, whatever the occasion — a view change,
-    /// a returning switch, a takeover.
-    ///
-    /// The program is diffed against the session's *base* for the
-    /// cookie, the hashes of what the switch holds once every pending
-    /// mod has landed: only what differs is sent, and a switch with
-    /// nothing to change gets no message at all. Without a base, a
-    /// switch whose replicated stamp already equals the program's was
-    /// left that way by its previous master and is adopted as it
-    /// stands; any other gets the full load. The program then becomes
-    /// the base, and its stamp is recorded in the replicated view for
-    /// the next replica to take the switch over. A group the program
-    /// held and no longer does is not deleted on the spot but once it
-    /// has been out of every program for a second
-    /// (`southbound::GROUP_HOLD`). A switch this replica does not
-    /// master, or does not know, is left alone.
-    pub fn reconcile(
-        &mut self,
-        dpid: Dpid,
-        cookie: u64,
-        groups: Vec<(u32, GroupDesc)>,
-        flows_stamp: u64,
-        flows: impl FnOnce() -> Vec<FlowSpec>,
-    ) -> Reconciled {
-        let Some(&node) = self.registry.get(&dpid).filter(|_| self.is_master(dpid)) else {
-            return Reconciled::default();
-        };
-        let desired = ProgramBase::of(flows_stamp, &groups);
-        let stamp = desired.stamp();
-        let base = self.southbound.base(node, cookie);
-        if base == Some(&desired) {
-            return Reconciled::default();
-        }
-        // The replicated stamp: the content hash the last master
-        // recorded for the program it installed, if there was one.
-        let replicated = self.cluster.as_ref().and_then(|cl| cl.stamp(dpid, cookie));
-        let adopt = base.is_none() && replicated == Some(stamp);
-        let (msgs, sent, left) = if adopt {
-            Default::default()
-        } else {
-            delta(base, &desired, cookie, groups, flows)
-        };
-        for msg in &msgs {
-            self.send_as(dpid, msg, true);
-        }
-        self.stats.txns_committed += u64::from(!msgs.is_empty());
-        let now = self.ctx.now();
-        self.southbound.rebase(node, cookie, desired, left, now);
-        // A standby that later takes the switch over compares the stamp
-        // against its own and loads the switch only on mismatch.
-        if let Some(cl) = &mut self.cluster {
-            cl.set_stamp(dpid, cookie, stamp);
-        }
-        sent
-    }
-
-    /// Open a network update transaction. Stage flow/group/meter ops on
-    /// the returned [`NetworkUpdate`], then [`NetworkUpdate::commit`] it
-    /// back through this handle — the whole batch lands atomically
-    /// (immediately for relaxed/single-switch updates, via an
-    /// epoch-versioned two-phase commit for multi-switch per-packet
-    /// ones).
-    pub fn txn(&mut self) -> NetworkUpdate {
-        NetworkUpdate {
-            ops: std::mem::take(self.spare_ops),
-            ..NetworkUpdate::default()
-        }
-    }
-
-    /// The configuration epoch a transaction staged *now* would commit
-    /// as: current epoch + 1 + every transaction already in flight or
-    /// queued ahead of it. Apps use the parity to pick alternating
-    /// cookies/group ids so the lame epoch stays addressable for GC.
-    pub fn staged_epoch(&self) -> u64 {
-        self.planner.staged_epoch()
-    }
-
-    /// The currently committed configuration epoch.
-    pub fn config_epoch(&self) -> u64 {
-        self.planner.config_epoch()
-    }
-
-    /// Commit a staged network update (the target of
-    /// [`NetworkUpdate::commit`]).
-    ///
-    /// Relaxed updates — and per-packet updates that touch a single
-    /// switch, where the agent's own barrier ordering already gives
-    /// per-packet semantics — are sent immediately, in staging order.
-    /// Multi-switch per-packet updates are queued for the controller's
-    /// epoch planner, which runs them through the two-phase protocol
-    /// from its timer.
-    pub(crate) fn commit_update(&mut self, mut update: NetworkUpdate) {
-        if update.is_empty() {
-            *self.spare_ops = update.ops;
-            return;
-        }
-        let two_phase =
-            update.consistency == Consistency::PerPacket && update.switches_touched() > 1;
-        if !two_phase {
-            if update.consistency == Consistency::PerPacket {
-                self.stats.txns_fast += 1;
-            }
-            for op in update.ops.drain(..) {
-                let (dpid, msg) = op.into_message();
-                self.send(dpid, &msg);
-                if let Message::FlowMod {
-                    cmd: FlowModCmd::Add(spec),
-                    ..
-                } = msg
-                {
-                    self.spare_actions.push(spec.actions);
-                }
-            }
-            self.spare_actions.truncate(SPARE_ACTIONS);
-            *self.spare_ops = update.ops;
-            self.stats.txns_committed += 1;
-        } else {
-            self.planner.submit(update);
-        }
-    }
-
-    /// `of` as a new [`FlowSpec`]'s action list, in the allocation of
-    /// one already sent where one is kept.
-    pub fn actions(&mut self, of: &[Action]) -> Vec<Action> {
-        let mut list = self.spare_actions.pop().unwrap_or_default();
-        list.clear();
-        list.extend_from_slice(of);
-        list
-    }
-
-    /// Delete all flows carrying `cookie` on a switch.
-    pub fn delete_flows_by_cookie(&mut self, dpid: Dpid, cookie: u64) {
-        self.send(
-            dpid,
-            &Message::FlowMod {
-                table_id: 0,
-                cmd: FlowModCmd::DeleteByCookie { cookie },
-            },
-        );
-    }
-
-    /// Inject a frame at a switch with the given actions.
-    ///
-    /// The frame is borrowed: it is copied exactly once, straight into
-    /// the wire buffer. PACKET_OUT is fire-and-forget (never tracked
-    /// for retransmission), so no owned [`Message`] is ever built.
-    pub fn packet_out(
-        &mut self,
-        dpid: Dpid,
-        in_port: PortNo,
-        actions: &[zen_dataplane::Action],
-        frame: &[u8],
-    ) {
-        let Some(&node) = self.registry.get(&dpid) else {
-            return;
-        };
-        let xid = *self.xid;
-        *self.xid += 1;
-        self.stats.msgs_sent += 1;
-        self.stats.packet_outs += 1;
-        let rec = self.ctx.recorder();
-        if rec.is_enabled() {
-            if let Some(trace) = rec.current_trace() {
-                let at = self.ctx.now().as_nanos();
-                rec.record(at, trace, TraceEvent::PacketOutSent { dpid });
-            }
-        }
-        self.ctx.send_control_with(node, |buf| {
-            encode_packet_out_into(buf, in_port, actions, frame, xid)
-        });
-    }
-
-    /// Fence a switch (answered asynchronously). App-issued fences
-    /// cover no mod xids — delivery tracking uses its own barriers.
-    pub fn barrier(&mut self, dpid: Dpid) {
-        self.send(dpid, &Message::BarrierRequest { xids: Vec::new() });
-    }
-
-    /// Propose a cluster-wide intent for linearizable commitment and
-    /// return its token.
-    ///
-    /// Clustered, the intent enters the replicated log: it is forwarded
-    /// to the current leader and resent until a quorum commits it.
-    /// Standalone, it commits locally on the next timer tick. Either
-    /// way every app's [`App::on_intent_committed`] hook fires exactly
-    /// once per commit, and the proposing app additionally gets
-    /// [`App::on_update_committed`] with the returned token.
-    pub fn propose_intent(&mut self, owner: &'static str, intent: Intent) -> u64 {
-        // Token: content hash salted with the monotone xid counter, so
-        // a withdraw/re-install cycle of identical content still gets a
-        // fresh identity (committed tokens deduplicate forever).
-        let salt = *self.xid;
-        *self.xid += 1;
-        let mut h = fnv1a(owner.as_bytes());
-        h = fnv1a_fold(h, &salt.to_le_bytes());
-        h = fnv1a_fold(
-            h,
-            &intent_entry_bytes(&IntentEntry {
-                index: 0,
-                term: 0,
-                origin: 0,
-                token: 0,
-                intent: intent.clone(),
-            }),
-        );
-        let token = h.max(1); // zero is the reserved no-op token
-        self.stats.intents_proposed += 1;
-        self.intent_owners.insert(token, owner);
-        match &mut self.cluster {
-            Some(cl) => cl.intents.propose_local(token, intent),
-            None => self.local_intents.push((token, intent)),
-        }
-        token
-    }
-}
-
 /// The controller node.
 pub struct Controller {
     cfg: ControllerConfig,
+    /// The app chain, borrowed apart from the core it is handed.
     apps: Vec<Box<dyn App>>,
     /// The network view (public for post-run inspection).
     pub view: NetworkView,
-    /// The one index beside the sessions: where an app names a dpid,
-    /// and the order of every walk that goes on the wire in dpid order.
-    /// Written at the handshake, where the session is opened.
-    registry: BTreeMap<Dpid, NodeId>,
-    /// One session per connected switch, with everything kept per
-    /// switch, and reliable delivery of state mods over it.
-    southbound: Southbound,
+    /// Everything else an app's [`Ctl`] reaches through.
+    core: Core,
     /// Whether [`TIMER_FENCE`] is set.
     fence_armed: bool,
     /// Parked until the handshake: the cookie shadow a peer replicated
@@ -566,27 +233,13 @@ pub struct Controller {
     /// re-solicitation per node that talks without having shaken hands
     /// (the handshake itself can be lost on a faulty channel).
     features_requested: BTreeMap<NodeId, Instant>,
-    /// Present when this controller is a replica in a cluster.
-    cluster: Option<ClusterState>,
     /// Present when `cfg.admission` is set.
     admission: Option<AdmissionState>,
-    /// Epoch-versioned two-phase update planner.
-    planner: UpdatePlanner,
-    /// Proposed-intent tokens → owning app name, consumed when the
-    /// intent commits to route the `on_update_committed` callback.
-    intent_owners: BTreeMap<u64, &'static str>,
-    /// Standalone-mode intent queue: commits on the next timer tick
-    /// without a cluster round.
-    local_intents: Vec<(u64, Intent)>,
     /// The PACKET_INs of the delivery being decoded, and those of them
     /// that go on to the apps; kept only to recycle their allocations
     /// from one delivery to the next.
     punts: Vec<Punt>,
     dispatch: Vec<(Punt, Option<TraceId>)>,
-    /// Likewise the op list of the last network update sent.
-    spare_ops: Vec<UpdateOp>,
-    spare_actions: Vec<Vec<Action>>,
-    xid: u32,
     /// Counters.
     pub stats: CtlStats,
 }
@@ -603,33 +256,28 @@ impl Controller {
             cfg,
             apps,
             view: NetworkView::new(),
-            registry: BTreeMap::new(),
-            southbound: Southbound::default(),
+            core: Core {
+                xid: 1,
+                ..Core::default()
+            },
             fence_armed: false,
             early_shadow: BTreeMap::new(),
             features_requested: BTreeMap::new(),
-            cluster: None,
             admission: cfg.admission.map(AdmissionState::new),
-            planner: UpdatePlanner::default(),
-            intent_owners: BTreeMap::new(),
-            local_intents: Vec::new(),
             punts: Vec::new(),
             dispatch: Vec::new(),
-            spare_ops: Vec::new(),
-            spare_actions: Vec::new(),
-            xid: 1,
             stats: CtlStats::default(),
         }
     }
 
     /// The committed configuration epoch (post-run inspection).
     pub fn config_epoch(&self) -> u64 {
-        self.planner.config_epoch()
+        self.core.planner.config_epoch()
     }
 
     /// Whether a two-phase network update is active or queued.
     pub fn txn_busy(&self) -> bool {
-        self.planner.is_busy()
+        self.core.planner.is_busy()
     }
 
     /// Turn this controller into replica `cfg.index` of a cluster. Call
@@ -637,52 +285,53 @@ impl Controller {
     /// replica index so xid-keyed telemetry (flow-mod trace bindings)
     /// from different replicas cannot collide in the shared recorder.
     pub fn enable_cluster(&mut self, cfg: ClusterConfig) {
-        self.xid = ((cfg.index as u32) + 1) << 24;
-        self.cluster = Some(ClusterState::new(cfg));
+        self.core.xid = ((cfg.index as u32) + 1) << 24;
+        self.core.cluster = Some(ClusterState::new(cfg));
     }
 
     /// Whether this replica currently exercises mastership over `dpid`.
     /// Non-clustered controllers master everything they know.
     pub fn is_master_of(&self, dpid: Dpid) -> bool {
-        self.cluster.as_ref().is_none_or(|cl| cl.is_master(dpid))
+        self.core.is_master(dpid)
     }
 
     /// The switches this controller currently masters.
     pub fn mastered(&self) -> Vec<Dpid> {
-        match &self.cluster {
+        match &self.core.cluster {
             Some(cl) => cl.masters().iter().copied().collect(),
-            None => self.registry.keys().copied().collect(),
+            None => self.core.registry.keys().copied().collect(),
         }
     }
 
     /// The cluster mastership term, if clustered.
     pub fn cluster_term(&self) -> Option<u64> {
-        self.cluster.as_ref().map(|cl| cl.membership.term())
+        self.core.cluster.as_ref().map(|cl| cl.membership.term())
     }
 
     /// The replicated intent log, if clustered (post-run inspection:
     /// role, term, commit index, compaction floor).
     pub fn intent_replica(&self) -> Option<&IntentReplica> {
-        self.cluster.as_ref().map(|cl| &cl.intents)
+        self.core.cluster.as_ref().map(|cl| &cl.intents)
     }
 
     /// The replicated program stamp for `(dpid, cookie)` (post-run
     /// inspection; see [`Ctl::reconcile`]).
     pub fn program_stamp_of(&self, dpid: Dpid, cookie: u64) -> Option<u64> {
-        self.cluster.as_ref()?.stamp(dpid, cookie)
+        self.core.cluster.as_ref()?.stamp(dpid, cookie)
     }
 
     /// Mods sent but not yet barrier-acknowledged.
     pub fn pending_mods(&self) -> usize {
-        self.southbound.pending_mods()
+        self.core.southbound.pending_mods()
     }
 
     /// The stamp of the base held for `cookie`'s program on `dpid`:
     /// what this controller believes the switch holds, if it still
     /// knows (post-run inspection; see [`Ctl::reconcile`]).
     pub fn program_base_of(&self, dpid: Dpid, cookie: u64) -> Option<u64> {
-        let node = *self.registry.get(&dpid)?;
-        self.southbound.base(node, cookie).map(ProgramBase::stamp)
+        let node = *self.core.registry.get(&dpid)?;
+        let base = self.core.southbound.base(node, cookie);
+        base.map(ProgramBase::stamp)
     }
 
     /// Access an application by index (post-run inspection).
@@ -698,49 +347,34 @@ impl Controller {
             .find_map(|a| a.as_any().downcast_ref::<T>())
     }
 
-    /// Run `f` with the services handle and the app list temporarily
-    /// split apart (the standard take/put dance).
-    fn with_apps(
-        &mut self,
-        ctx: &mut Context<'_>,
-        f: impl FnOnce(&mut Vec<Box<dyn App>>, &mut Ctl<'_, '_>),
-    ) {
-        let mut apps = std::mem::take(&mut self.apps);
-        {
-            let mut ctl = Ctl {
-                ctx,
-                view: &mut self.view,
-                registry: &self.registry,
-                xid: &mut self.xid,
-                stats: &mut self.stats,
-                southbound: &mut self.southbound,
-                cluster: self.cluster.as_mut(),
-                planner: &mut self.planner,
-                intent_owners: &mut self.intent_owners,
-                local_intents: &mut self.local_intents,
-                spare_ops: &mut self.spare_ops,
-                spare_actions: &mut self.spare_actions,
-            };
-            f(&mut apps, &mut ctl);
-        }
-        self.apps = apps;
-    }
-
     /// Run `f` on every app, in dispatch order.
     fn each_app(
         &mut self,
         ctx: &mut Context<'_>,
         mut f: impl FnMut(&mut dyn App, &mut Ctl<'_, '_>),
     ) {
-        self.with_apps(ctx, |apps, ctl| {
-            apps.iter_mut().for_each(|app| f(app.as_mut(), ctl))
-        });
+        let (apps, mut ctl) = self.split(ctx);
+        apps.iter_mut().for_each(|app| f(app.as_mut(), &mut ctl));
     }
 
-    fn send_direct(&mut self, ctx: &mut Context<'_>, dpid: Dpid, msg: &Message) {
-        if let Some(&node) = self.registry.get(&dpid) {
-            self.send_to(ctx, node, msg);
-        }
+    /// The app chain, and the handle its apps are passed over the rest.
+    fn split<'a, 'w>(
+        &'a mut self,
+        ctx: &'a mut Context<'w>,
+    ) -> (&'a mut [Box<dyn App>], Ctl<'a, 'w>) {
+        let (view, stats, core) = (&mut self.view, &mut self.stats, &mut self.core);
+        let ctl = Ctl {
+            ctx,
+            view,
+            stats,
+            core,
+        };
+        (&mut self.apps, ctl)
+    }
+
+    /// The handle over the core, for what the controller sends itself.
+    fn ctl<'a, 'w>(&'a mut self, ctx: &'a mut Context<'w>) -> Ctl<'a, 'w> {
+        self.split(ctx).1
     }
 
     /// Tell `dpid` the role this replica takes there under its claim.
@@ -751,21 +385,13 @@ impl Controller {
             term,
             replica,
         };
-        self.send_direct(ctx, dpid, &request);
-    }
-
-    /// [`Controller::send_direct`], for who holds the switch's node.
-    fn send_to(&mut self, ctx: &mut Context<'_>, node: NodeId, msg: &Message) {
-        let xid = self.xid;
-        self.xid += 1;
-        self.stats.msgs_sent += 1;
-        send_msg(ctx, node, msg, xid);
+        self.ctl(ctx).send(dpid, &request);
     }
 
     /// Log a local view mutation into the east-west store for
     /// replication. No-op when not clustered.
     fn log_event(&mut self, event: ViewEvent) {
-        if let Some(cl) = &mut self.cluster {
+        if let Some(cl) = &mut self.core.cluster {
             cl.log(event);
         }
     }
@@ -774,7 +400,8 @@ impl Controller {
     /// later takes the switch over inherits an accurate one. Only its
     /// master's word counts; no-op otherwise, and when not clustered.
     fn replicate_shadow(&mut self, dpid: Dpid) {
-        if self.cluster.as_ref().is_some_and(|cl| cl.is_master(dpid)) {
+        let cluster = self.core.cluster.as_ref();
+        if cluster.is_some_and(|cl| cl.is_master(dpid)) {
             let cookies = self.shadow_cookies(dpid);
             self.log_event(ViewEvent::ShadowSet { dpid, cookies });
         }
@@ -782,14 +409,15 @@ impl Controller {
 
     /// `dpid`'s session, if its switch has shaken hands.
     fn session_of(&mut self, dpid: Dpid) -> Option<&mut Session> {
-        self.southbound.session_mut(*self.registry.get(&dpid)?)
+        let node = *self.core.registry.get(&dpid)?;
+        self.core.southbound.session_mut(node)
     }
 
     /// The current cookie shadow of `dpid` in wire form: the flow
     /// entries this controller believes the switch holds, per cookie.
     pub fn shadow_cookies(&self, dpid: Dpid) -> Vec<CookieCount> {
-        let session = self.registry.get(&dpid);
-        let session = session.and_then(|&node| self.southbound.session(node));
+        let session = self.core.registry.get(&dpid);
+        let session = session.and_then(|&node| self.core.southbound.session(node));
         let shadow = session.map(|s| &s.shadow);
         let counts = shadow
             .or(self.early_shadow.get(&dpid))
@@ -850,25 +478,20 @@ impl Controller {
     /// switch-session machinery): `ClusterState` takes it, and hands
     /// back what only the controller can do.
     fn handle_peer_message(&mut self, ctx: &mut Context<'_>, msg: Message) {
-        let Some(cl) = &mut self.cluster else {
+        let core = &mut self.core;
+        let Some(cl) = &mut core.cluster else {
             return;
         };
-        let fx = cl.on_peer(ctx, &mut self.stats, msg);
+        let fx = cl.on_peer(ctx.now(), &mut self.stats, msg, &mut core.frames);
+        if let Some(event) = fx.trace {
+            record_control(ctx, 0, event);
+        }
         for event in fx.events {
             self.apply_view_event(event, ctx.now());
         }
-        self.send_intent_frames(ctx, fx.frames);
+        self.ctl(ctx).write_frames();
         if fx.committed {
             self.dispatch_committed_intents(ctx);
-        }
-    }
-
-    /// Send consensus frames to the replicas they were routed to.
-    fn send_intent_frames(&mut self, ctx: &mut Context<'_>, frames: Vec<(NodeId, Message)>) {
-        for (node, msg) in frames {
-            self.stats.msgs_sent += 1;
-            self.stats.intent_msgs_sent += 1;
-            send_msg(ctx, node, &msg, 0);
         }
     }
 
@@ -877,11 +500,11 @@ impl Controller {
     /// app's [`App::on_intent_committed`] hook, and complete the
     /// proposer's `on_update_committed`.
     fn dispatch_committed_intents(&mut self, ctx: &mut Context<'_>) {
-        let (me, applied) = match &mut self.cluster {
+        let (me, applied) = match &mut self.core.cluster {
             Some(cl) => (Some(cl.me()), cl.take_applied()),
             None => {
                 // Standalone: commit locally, same observable order.
-                let local = std::mem::take(&mut self.local_intents).into_iter();
+                let local = std::mem::take(&mut self.core.local_intents).into_iter();
                 let entry = |(token, intent)| {
                     Applied::Entry(IntentEntry {
                         index: 0,
@@ -934,7 +557,7 @@ impl Controller {
 
     /// An intent this replica proposed has committed: its owner hears.
     fn complete_proposal(&mut self, ctx: &mut Context<'_>, token: u64) {
-        if let Some(owner) = self.intent_owners.remove(&token) {
+        if let Some(owner) = self.core.intent_owners.remove(&token) {
             self.each_app(ctx, |app, ctl| app.on_update_committed(ctl, owner, token));
         }
     }
@@ -979,7 +602,7 @@ impl Controller {
         self.stats.masterships_gained += 1;
         self.send_role(ctx, dpid, Role::Master, claim);
         self.view.refresh_links_to(dpid, ctx.now());
-        self.send_direct(ctx, dpid, &Message::ResyncRequest);
+        self.ctl(ctx).send(dpid, &Message::ResyncRequest);
         // PORT_STATUS is broadcast, so an isolation window may have
         // left us with stale port state — and discovery never probes a
         // "down" port, so a stale entry would silence the LLDP
@@ -1006,12 +629,13 @@ impl Controller {
         if announce {
             self.send_role(ctx, dpid, Role::Equal, claim);
         }
-        if let Some(&node) = self.registry.get(&dpid) {
-            for x in self.southbound.supersede(node) {
+        let core = &mut self.core;
+        if let Some(&node) = core.registry.get(&dpid) {
+            for x in core.southbound.supersede(node) {
                 self.stats.mods_superseded += 1;
-                self.planner.note_xid(x, false);
+                core.planner.note_xid(x, false);
             }
-            self.southbound.relinquish(node);
+            core.southbound.relinquish(node);
         }
         Self::note_mastership_trace(ctx, dpid, claim.1, false);
         self.each_app(ctx, |app, ctl| app.on_mastership_change(ctl, dpid, false));
@@ -1023,18 +647,21 @@ impl Controller {
         if let Some(session) = self.session_of(dpid) {
             session.port_refresh = true;
         }
-        self.send_direct(ctx, dpid, &Message::FeaturesRequest);
+        self.ctl(ctx).send(dpid, &Message::FeaturesRequest);
     }
 
     /// One east-west round: `ClusterState` runs it and decides who
-    /// masters what; the switches, the view and the apps hear of it
-    /// here, in the order `Round` lists.
+    /// masters what; the peers, the switches, the view and the apps hear
+    /// of it here — the gossip first, then in the order `Round` lists.
     fn cluster_tick(&mut self, ctx: &mut Context<'_>) {
-        let Some(cl) = &mut self.cluster else {
+        let core = &mut self.core;
+        let Some(cl) = &mut core.cluster else {
             // Standalone, intents commit on the tick with no round.
             return self.dispatch_committed_intents(ctx);
         };
-        let round = cl.tick(ctx, &mut self.stats, self.registry.keys().copied());
+        let switches = core.registry.keys().copied();
+        let round = cl.tick(ctx.now(), &mut self.stats, switches, &mut core.frames);
+        self.ctl(ctx).write_frames();
         for &dpid in &round.reassert {
             self.send_role(ctx, dpid, Role::Master, round.claim);
         }
@@ -1042,7 +669,9 @@ impl Controller {
         for &dpid in &round.refresh {
             self.refresh_ports(ctx, dpid);
         }
-        self.send_intent_frames(ctx, round.frames);
+        for (to, msg) in &round.frames {
+            self.ctl(ctx).answer(*to, msg);
+        }
         self.dispatch_committed_intents(ctx);
         for &dpid in &round.lost {
             self.mastership_lost(ctx, dpid, round.claim, true);
@@ -1053,7 +682,8 @@ impl Controller {
         // Our bases describe what we last sent, not what whoever held
         // these switches in the meantime did: have the apps re-assert.
         for &dpid in &round.refresh {
-            self.southbound.distrust_groups(self.registry[&dpid]);
+            let node = self.core.registry[&dpid];
+            self.core.southbound.distrust_groups(node);
             self.resync_apps(ctx, dpid);
         }
     }
@@ -1061,12 +691,12 @@ impl Controller {
     /// Quarantine agents that have been silent past the deadline. Apps
     /// see the view-version bump and route around them.
     fn quarantine_scan(&mut self, ctx: &mut Context<'_>) {
-        let now = ctx.now();
-        let stale: Vec<Dpid> = self
+        let (now, core) = (ctx.now(), &self.core);
+        let stale: Vec<Dpid> = core
             .registry
             .iter()
             .filter(|&(_, &node)| {
-                let last = self.southbound.session(node).map_or(now, |s| s.last_heard);
+                let last = core.southbound.session(node).map_or(now, |s| s.last_heard);
                 now.duration_since(last) >= self.cfg.agent_dead_after
             })
             .map(|(&dpid, _)| dpid)
@@ -1082,30 +712,32 @@ impl Controller {
     /// retries, and have the apps rebuild a switch that a program mod
     /// never reached. Then delete the groups whose hold has run out.
     fn retransmit_scan(&mut self, ctx: &mut Context<'_>) {
-        let planner = &mut self.planner;
-        let short = self.southbound.retransmit_scan(
-            ctx,
-            &self.view,
+        let (core, stats, view) = (&mut self.core, &mut self.stats, &self.view);
+        let planner = &mut core.planner;
+        let gave_up = core.southbound.retransmit_scan(
+            ctx.now(),
+            |dpid| view.is_quarantined(dpid),
             self.cfg.mod_timeout,
             self.cfg.mod_max_retries,
-            &mut self.stats,
             |xid| planner.note_xid(xid, false),
+            |to, body| write(ctx, stats, &mut core.xid, to, body),
         );
-        for dpid in short {
+        self.stats.mods_failed += gave_up.failed;
+        self.stats.mods_superseded += gave_up.superseded;
+        for dpid in gave_up.short {
             self.forget_stamps(dpid);
             self.resync_apps(ctx, dpid);
         }
         // Groups that have been out of every program for the hold: go.
         let view = &self.view;
-        let cluster = self.cluster.as_ref();
+        let cluster = self.core.cluster.as_ref();
         let ours = |d| !view.is_quarantined(d) && cluster.is_none_or(|cl| cl.is_master(d));
-        let condemned = self.southbound.condemned(ctx.now(), ours);
-        self.with_apps(ctx, |_, ctl| {
-            for (dpid, group_id) in condemned {
-                let cmd = GroupModCmd::Delete;
-                ctl.send(dpid, &Message::GroupMod { group_id, cmd });
-            }
-        });
+        let condemned = self.core.southbound.condemned(ctx.now(), ours);
+        for (dpid, group_id) in condemned {
+            let cmd = GroupModCmd::Delete;
+            self.ctl(ctx)
+                .send(dpid, &Message::GroupMod { group_id, cmd });
+        }
     }
 
     /// `dpid`'s bases were dropped because it may not hold what they
@@ -1113,7 +745,7 @@ impl Controller {
     /// takeover's shortcut past the full load, and nothing vouches for
     /// them now.
     fn forget_stamps(&mut self, dpid: Dpid) {
-        if let Some(cl) = &mut self.cluster {
+        if let Some(cl) = &mut self.core.cluster {
             cl.forget_stamps(dpid);
         }
     }
@@ -1128,12 +760,13 @@ impl Controller {
     /// while a two-phase transaction awaits acks, all. Soft state left
     /// unfenced sets the fence timer.
     fn flush_barriers(&mut self, ctx: &mut Context<'_>) {
-        if self.planner.awaits_acks() {
-            self.southbound.fence_aged(ctx.now(), Duration::ZERO);
+        let (core, stats) = (&mut self.core, &mut self.stats);
+        if core.planner.awaits_acks() {
+            core.southbound.fence_aged(ctx.now(), Duration::ZERO);
         }
-        self.southbound
-            .flush_barriers(ctx, &mut self.xid, &mut self.stats);
-        if self.southbound.unfenced_sessions > 0 && !self.fence_armed {
+        core.southbound
+            .flush_barriers(|to, body| write(ctx, stats, &mut core.xid, to, body));
+        if core.southbound.unfenced_sessions > 0 && !self.fence_armed {
             self.fence_armed = true;
             ctx.set_timer(self.fence_interval(), TIMER_FENCE);
         }
@@ -1148,10 +781,11 @@ impl Controller {
     /// Who `from` is — asked once per delivery, which also notes that
     /// its switch was heard: any bytes at all prove the channel works.
     fn classify(&mut self, from: NodeId, now: Instant) -> Sender {
-        if self.cluster.as_ref().is_some_and(|cl| cl.is_peer(from)) {
+        let core = &mut self.core;
+        if core.cluster.as_ref().is_some_and(|cl| cl.is_peer(from)) {
             return Sender::Peer;
         }
-        match self.southbound.session_mut(from) {
+        match core.southbound.session_mut(from) {
             Some(session) => {
                 session.last_heard = now;
                 Sender::Switch(session.dpid)
@@ -1171,8 +805,7 @@ impl Controller {
             .is_none_or(|&last| now.duration_since(last) >= self.cfg.tick_interval);
         if due {
             self.features_requested.insert(from, now);
-            self.stats.msgs_sent += 1;
-            send_msg(ctx, from, &Message::FeaturesRequest, 0);
+            self.ctl(ctx).answer(from, &Message::FeaturesRequest);
         }
     }
 
@@ -1180,13 +813,14 @@ impl Controller {
     /// state digest, at most once per tick interval.
     fn maybe_request_resync(&mut self, ctx: &mut Context<'_>, from: NodeId) {
         let (now, every) = (ctx.now(), self.cfg.tick_interval);
-        let Some(session) = self.southbound.session_mut(from) else {
+        let Some(session) = self.core.southbound.session_mut(from) else {
             return;
         };
         let last = &mut session.resync_requested;
         if last.is_none_or(|last| now.duration_since(last) >= every) {
             *last = Some(now);
-            self.send_to(ctx, from, &Message::ResyncRequest);
+            let dpid = session.dpid;
+            self.ctl(ctx).send(dpid, &Message::ResyncRequest);
         }
     }
 
@@ -1194,11 +828,11 @@ impl Controller {
     /// ECHO_REQUEST (the token encodes the send time, so a reply dates
     /// the probe it answers).
     fn echo_round(&mut self, ctx: &mut Context<'_>) {
-        let targets: Vec<Dpid> = self.registry.keys().copied().collect();
+        let targets: Vec<Dpid> = self.core.registry.keys().copied().collect();
         let token = ctx.now().as_nanos();
         for dpid in targets {
             self.stats.echo_probes += 1;
-            self.send_direct(ctx, dpid, &Message::EchoRequest { token });
+            self.ctl(ctx).send(dpid, &Message::EchoRequest { token });
         }
     }
 
@@ -1228,13 +862,12 @@ impl Controller {
                 port,
                 LLDP_TTL_SECS,
             );
-            self.stats.packet_outs += 1;
             let msg = Message::PacketOut {
                 in_port: 0,
                 actions: vec![zen_dataplane::Action::Output(port)],
                 frame,
             };
-            self.send_direct(ctx, dpid, &msg);
+            self.ctl(ctx).send(dpid, &msg);
         }
     }
 
@@ -1332,7 +965,7 @@ impl Controller {
         let Some(adm) = self.admission.as_mut() else {
             return self.deliver_punts(ctx, dpid, bytes, punts);
         };
-        let Some(session) = self.southbound.session_mut(from) else {
+        let Some(session) = self.core.southbound.session_mut(from) else {
             return;
         };
         let (admitted, over) = adm.admit(ctx, &mut self.stats, from, session, bytes, punts);
@@ -1370,34 +1003,33 @@ impl Controller {
             };
             dispatch.push((punt, trace));
         }
-        self.with_apps(ctx, |apps, ctl| {
-            for &(punt, trace) in &dispatch {
-                let (in_port, frame) = (punt.in_port, punt.frame(bytes));
-                if trace.is_some() {
-                    ctl.ctx.recorder().begin_trace(trace);
-                }
-                let mut claimed: Option<&'static str> = None;
-                for app in apps.iter_mut() {
-                    if app.on_packet_in(ctl, dpid, in_port, frame) == Disposition::Handled {
-                        claimed = Some(app.name());
-                        break;
-                    }
-                }
-                if let Some(t) = trace {
-                    let at = ctl.ctx.now().as_nanos();
-                    let rec = ctl.ctx.recorder();
-                    rec.record(
-                        at,
-                        t,
-                        TraceEvent::AppDispatch {
-                            app: claimed.unwrap_or("none"),
-                            claimed: claimed.is_some(),
-                        },
-                    );
-                    rec.end_trace();
+        let (apps, mut ctl) = self.split(ctx);
+        for &(punt, trace) in &dispatch {
+            let (in_port, frame) = (punt.in_port, punt.frame(bytes));
+            if trace.is_some() {
+                ctl.ctx.recorder().begin_trace(trace);
+            }
+            let mut claimed: Option<&'static str> = None;
+            for app in apps.iter_mut() {
+                if app.on_packet_in(&mut ctl, dpid, in_port, frame) == Disposition::Handled {
+                    claimed = Some(app.name());
+                    break;
                 }
             }
-        });
+            if let Some(t) = trace {
+                let at = ctl.ctx.now().as_nanos();
+                let rec = ctl.ctx.recorder();
+                rec.record(
+                    at,
+                    t,
+                    TraceEvent::AppDispatch {
+                        app: claimed.unwrap_or("none"),
+                        claimed: claimed.is_some(),
+                    },
+                );
+                rec.end_trace();
+            }
+        }
         self.dispatch = dispatch;
     }
 
@@ -1427,11 +1059,10 @@ impl Controller {
                 .register_counter("defense.pushbacks_installed");
             ctx.metrics().incr(cid);
             record_control(ctx, dpid, TraceEvent::PushbackInstalled { dpid, port });
-            self.with_apps(ctx, |_, ctl| {
-                let mut txn = ctl.txn();
-                txn.flow(dpid, 0, spec);
-                txn.commit(ctl);
-            });
+            let mut ctl = self.ctl(ctx);
+            let mut txn = ctl.txn();
+            txn.flow(dpid, 0, spec);
+            txn.commit(&mut ctl);
         }
     }
 
@@ -1439,19 +1070,17 @@ impl Controller {
     /// step it takes. Called from the tick timer and after every control
     /// batch (acks resolve there), so phase transitions happen promptly.
     fn planner_pump(&mut self, ctx: &mut Context<'_>) {
-        if !self.planner.is_busy() {
+        if !self.core.planner.is_busy() {
             return;
         }
-        while let Some(step) = self.planner.step(ctx.now(), &mut self.stats) {
+        while let Some(step) = self.core.planner.step(ctx.now(), &mut self.stats) {
             let (epoch, phase) = (step.epoch, step.phase);
             record_control(ctx, 0, TraceEvent::EpochPhase { epoch, phase });
             let mut xids = Vec::with_capacity(step.mods.len());
-            self.with_apps(ctx, |_, ctl| {
-                for (dpid, msg) in &step.mods {
-                    xids.extend(ctl.send_as(*dpid, msg, false));
-                }
-            });
-            self.planner.sent(xids);
+            for (dpid, msg) in &step.mods {
+                xids.extend(self.ctl(ctx).send_as(*dpid, msg, false));
+            }
+            self.core.planner.sent(xids);
             match step.notice {
                 Some(Notice::Committed { owner, token }) => {
                     self.each_app(ctx, |app, ctl| app.on_update_committed(ctl, owner, token))
@@ -1470,7 +1099,7 @@ impl Controller {
         let Some(adm) = self.admission.as_mut() else {
             return;
         };
-        let drained = adm.drain(ctx.now(), &mut self.southbound);
+        let drained = adm.drain(ctx.now(), &mut self.core.southbound);
         if drained.is_empty() {
             return;
         }
@@ -1491,7 +1120,8 @@ impl Controller {
         xid: u32,
         applied: XidList<'_>,
     ) {
-        let (stats, planner) = (&mut self.stats, &mut self.planner);
+        let (stats, core) = (&mut self.stats, &mut self.core);
+        let planner = &mut core.planner;
         let acked = |dpid, mod_xid| {
             stats.mods_acked += 1;
             planner.note_xid(mod_xid, true);
@@ -1505,7 +1135,7 @@ impl Controller {
         };
         // One digest per barrier whose batch moved the cookie counts,
         // not per mod — and none for a batch of group mods.
-        if let Some(dpid) = self.southbound.barrier_reply(from, xid, applied, acked) {
+        if let Some(dpid) = core.southbound.barrier_reply(from, xid, applied, acked) {
             self.replicate_shadow(dpid);
         }
     }
@@ -1525,16 +1155,17 @@ impl Controller {
         // claimed it, and a node with the dpid it first gave. A second
         // claimant is refused, or every later mod, probe and PACKET_OUT
         // for the first one's switch would go to it.
-        let taken = self.registry.get(&dpid).is_some_and(|&node| node != from);
+        let claimed = self.core.registry.get(&dpid);
+        let taken = claimed.is_some_and(|&node| node != from);
         if taken || matches!(*sender, Sender::Switch(held) if held != dpid) {
             let (code, data) = (ErrorCode::BadRequest, Vec::new());
-            self.stats.msgs_sent += 1;
-            return send_msg(ctx, from, &Message::Error { code, data }, 0);
+            return self.ctl(ctx).answer(from, &Message::Error { code, data });
         }
-        self.registry.insert(dpid, from);
+        self.core.registry.insert(dpid, from);
         *sender = Sender::Switch(dpid);
         self.features_requested.remove(&from);
-        let session = self.southbound.open(from, Session::new(dpid, ctx.now()));
+        let fresh = Session::new(dpid, ctx.now());
+        let session = self.core.southbound.open(from, fresh);
         let refresh = std::mem::take(&mut session.port_refresh);
         if let Some(shadow) = self.early_shadow.remove(&dpid) {
             session.shadow = shadow;
@@ -1550,7 +1181,7 @@ impl Controller {
         // Clustered: settle the connection's role before any app
         // traffic, so the agent routes punts (and accepts mods) from
         // the first packet.
-        if let Some(cl) = &mut self.cluster {
+        if let Some(cl) = &mut self.core.cluster {
             let (role, newly) = cl.role_at_handshake(dpid);
             let claim = cl.membership.claim();
             self.stats.masterships_gained += u64::from(newly);
@@ -1605,9 +1236,9 @@ impl Controller {
                 let hello = Message::Hello {
                     version: zen_proto::VERSION,
                 };
-                self.stats.msgs_sent += 2;
-                send_msg(ctx, from, &hello, 0);
-                return send_msg(ctx, from, &Message::FeaturesRequest, 0);
+                let mut ctl = self.ctl(ctx);
+                ctl.answer(from, &hello);
+                return ctl.answer(from, &Message::FeaturesRequest);
             }
             Message::FeaturesReply {
                 dpid,
@@ -1615,8 +1246,7 @@ impl Controller {
                 ports,
             } => return self.handshake(ctx, from, sender, dpid, n_tables, ports),
             Message::EchoRequest { token } => {
-                self.stats.msgs_sent += 1;
-                return send_msg(ctx, from, &Message::EchoReply { token }, 0);
+                return self.ctl(ctx).answer(from, &Message::EchoReply { token });
             }
             Message::EchoReply { .. } => return self.stats.echo_replies += 1,
             msg => msg,
@@ -1647,7 +1277,7 @@ impl Controller {
                 }
                 // Keep the cookie shadow honest for timeouts; deletions
                 // we ordered ourselves are folded in at barrier-ack time.
-                let session = self.southbound.session_mut(from);
+                let session = self.core.southbound.session_mut(from);
                 let removed = ShadowOp::Removed(cookie);
                 let shrunk = reason != zen_proto::RemovedReason::Delete
                     && session.is_some_and(|s| removed.apply(&mut s.shadow));
@@ -1671,7 +1301,7 @@ impl Controller {
                 generation,
                 cookies,
             } => {
-                let restarted = self.southbound.restarted(from, generation);
+                let restarted = self.core.southbound.restarted(from, generation);
                 if cookies == self.shadow_cookies(dpid) && !restarted {
                     // The switch kept exactly the state we believe it
                     // has; unacked mods stay pending and retransmit.
@@ -1682,12 +1312,12 @@ impl Controller {
                     // stale world — drop them and let the owning apps
                     // reprogram from the reported truth.
                     self.stats.resyncs_dirty += 1;
-                    for x in self.southbound.supersede(from) {
+                    for x in self.core.southbound.supersede(from) {
                         self.stats.mods_superseded += 1;
-                        self.planner.note_xid(x, false);
+                        self.core.planner.note_xid(x, false);
                     }
                     let reported = cookies.iter().map(|c| (c.cookie, c.count.into()));
-                    if let Some(session) = self.southbound.session_mut(from) {
+                    if let Some(session) = self.core.southbound.session_mut(from) {
                         session.shadow = reported.collect();
                     }
                     self.replicate_shadow(dpid);
@@ -1703,7 +1333,7 @@ impl Controller {
                 term,
                 replica,
             } => {
-                let Some(cl) = &mut self.cluster else {
+                let Some(cl) = &mut self.core.cluster else {
                     return;
                 };
                 if cl.role_reply(dpid, role, term, replica) {
@@ -1719,7 +1349,7 @@ impl Controller {
                 // diagnostic bytes carry the rejected request's xid.
                 let mod_xid = (data.len() == 4)
                     .then(|| u32::from_be_bytes([data[0], data[1], data[2], data[3]]));
-                let ours = self.cluster.as_ref().filter(|cl| cl.is_master(dpid));
+                let ours = self.core.cluster.as_ref().filter(|cl| cl.is_master(dpid));
                 if let Some(claim) = ours.map(|cl| cl.membership.claim()) {
                     // We still believe we are master: our RoleRequest may
                     // have been lost, or the RoleReply demoting us is in
@@ -1729,9 +1359,9 @@ impl Controller {
                 } else if let Some(mx) = mod_xid {
                     // We already stepped down: the mod belongs to the new
                     // master's world now.
-                    if self.southbound.retire(from, mx) {
+                    if self.core.southbound.retire(from, mx) {
                         self.stats.mods_superseded += 1;
-                        self.planner.note_xid(mx, false);
+                        self.core.planner.note_xid(mx, false);
                     }
                 }
             }
@@ -1746,9 +1376,9 @@ impl Controller {
                 // retransmit budget — resending cannot create capacity.
                 if data.len() == 4 {
                     let mx = u32::from_be_bytes([data[0], data[1], data[2], data[3]]);
-                    if self.southbound.retire(from, mx) {
+                    if self.core.southbound.retire(from, mx) {
                         self.stats.mods_failed += 1;
-                        self.planner.note_xid(mx, false);
+                        self.core.planner.note_xid(mx, false);
                     }
                 }
                 self.each_app(ctx, |app, ctl| app.on_table_full(ctl, dpid));
@@ -1777,7 +1407,7 @@ impl Node for Controller {
         }
         if token == TIMER_FENCE {
             let due = self.fence_interval();
-            let left = self.southbound.fence_aged(ctx.now(), due);
+            let left = self.core.southbound.fence_aged(ctx.now(), due);
             self.flush_barriers(ctx);
             self.fence_armed = left.is_some();
             if let Some(waited) = left {
@@ -1798,7 +1428,7 @@ impl Node for Controller {
             // plain max-age would tear down every link out of a dead
             // master's switches before failover can even start.
             let now = ctx.now();
-            let removed = if let Some(cl) = &self.cluster {
+            let removed = if let Some(cl) = &self.core.cluster {
                 let lease = cl.membership.config().lease_timeout;
                 let masters = cl.masters();
                 let mut removed = self.view.expire_links_filtered(
@@ -1883,8 +1513,8 @@ impl Node for Controller {
 #[cfg(test)]
 mod tests {
     use zen_cluster::ClusterConfig;
-    use zen_dataplane::FlowMatch;
-    use zen_proto::{decode, encode, RemovedReason};
+    use zen_dataplane::{FlowMatch, FlowSpec};
+    use zen_proto::{decode, encode, FlowModCmd, RemovedReason};
     use zen_sim::World;
 
     use super::*;
@@ -1996,7 +1626,13 @@ mod tests {
         let (world, controller, _) = run(ctl, removed_first, 1_000);
         let ctl = world.node_as::<Controller>(controller);
         assert_eq!((ctl.stats.mods_acked, ctl.pending_mods()), (1, 0));
-        let (_, gossiped, _) = ctl.cluster.as_ref().expect("clustered").store.snapshot();
+        let (_, gossiped, _) = ctl
+            .core
+            .cluster
+            .as_ref()
+            .expect("clustered")
+            .store
+            .snapshot();
         let digests = gossiped.into_iter().filter_map(|e| match e.event {
             ViewEvent::ShadowSet { cookies, .. } => Some(cookies),
             _ => None,
@@ -2187,7 +1823,8 @@ mod tests {
         world.run_until(Instant::from_millis(150));
 
         let ctl = world.node_as::<Controller>(controller);
-        let registered: Vec<(Dpid, NodeId)> = ctl.registry.iter().map(|(&d, &n)| (d, n)).collect();
+        let registered: Vec<(Dpid, NodeId)> =
+            ctl.core.registry.iter().map(|(&d, &n)| (d, n)).collect();
         assert_eq!(registered, [(DPID, switch), (DPID + 1, claimant)]);
         assert_eq!(ctl.view.switches.len(), 2);
         assert_eq!(ctl.stats.flow_mods, 2, "one seed flow per switch up");

@@ -29,6 +29,7 @@ pub mod app;
 pub mod apps;
 pub mod cbench;
 pub mod controller;
+mod ctl;
 pub mod harness;
 pub mod policy;
 mod replica;

@@ -3,20 +3,19 @@
 //!
 //! The state owns its code. A peer's message, the gossip round and the
 //! mastership decision are methods of [`ClusterState`]; what they cannot
-//! do themselves — touch the view, a switch session or the app chain —
-//! they hand back for `Controller` to act on.
+//! do themselves — touch the view, a switch session or the app chain,
+//! write a frame — they hand back for `Controller` to act on.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use zen_cluster::{Admit, ClusterConfig, EwStore, Membership};
 use zen_consensus::{Applied, IntentReplica, Outbound, KEEP_TAIL};
 use zen_proto::{Intent, Message, Role, ViewEvent};
-use zen_sim::{Context, Instant, NodeId};
+use zen_sim::{Instant, NodeId};
 use zen_telemetry::TraceEvent;
 
 use crate::controller::CtlStats;
 use crate::view::Dpid;
-use crate::{record_control, send_msg};
 
 /// Cap on east-west entries pushed to one peer per tick; the rest go
 /// out on following ticks.
@@ -47,18 +46,20 @@ pub(crate) struct ClusterState {
     pushed_high: BTreeMap<u32, u64>,
 }
 
-/// What a peer's message leaves for the controller to do.
+/// What a peer's message leaves for the controller to do, beside the
+/// frames it answers with.
 #[derive(Default)]
 pub(crate) struct PeerEffects {
     /// Replicated view mutations that won admission, to apply in order.
     pub(crate) events: Vec<ViewEvent>,
-    /// Consensus frames to send, each with its replica's node.
-    pub(crate) frames: Vec<(NodeId, Message)>,
+    /// What to flight-record on the network-wide control timeline.
+    pub(crate) trace: Option<TraceEvent>,
     /// Whether the intent log may have committed entries to surface.
     pub(crate) committed: bool,
 }
 
-/// What one east-west round decided, in the order it is acted on.
+/// What one east-west round decided beyond its gossip, in the order it
+/// is acted on (the gossip goes out first).
 #[derive(Debug, Default, PartialEq, Eq)]
 pub(crate) struct Round {
     /// This replica's `(term, replica)` claim, for the role requests.
@@ -68,7 +69,8 @@ pub(crate) struct Round {
     /// Switches kept while a peer came back: their port maps, bases and
     /// programs may be stale.
     pub(crate) refresh: Vec<Dpid>,
-    /// The intent log's frames for this round.
+    /// The intent log's frames for this round, written after the
+    /// re-asserts and refreshes.
     pub(crate) frames: Vec<(NodeId, Message)>,
     pub(crate) lost: Vec<Dpid>,
     pub(crate) gained: Vec<Dpid>,
@@ -176,11 +178,14 @@ impl ClusterState {
         replicas.get(index as usize).copied()
     }
 
-    /// Consensus frames, each with the node of the replica it is for.
-    fn route(&self, outs: Vec<Outbound>) -> Vec<(NodeId, Message)> {
+    /// Consensus frames, each with the node of the replica it is for
+    /// (collected in the allocation of `outs`).
+    fn route(&self, outs: Vec<Outbound>, stats: &mut CtlStats) -> Vec<(NodeId, Message)> {
         let routed = outs.into_iter();
         let routed = routed.filter_map(|out| Some((self.node_of(out.to)?, out.msg)));
-        routed.collect()
+        let frames: Vec<_> = routed.collect();
+        stats.intent_msgs_sent += frames.len() as u64;
+        frames
     }
 
     /// A replicated mutation that won admission: a program stamp is
@@ -194,15 +199,16 @@ impl ClusterState {
         }
     }
 
-    /// East-west traffic from a peer replica.
+    /// East-west traffic from a peer replica, at `now`; the frames it
+    /// answers with go onto `out`.
     pub(crate) fn on_peer(
         &mut self,
-        ctx: &mut Context<'_>,
+        now: Instant,
         stats: &mut CtlStats,
         msg: Message,
+        out: &mut Vec<(NodeId, Message)>,
     ) -> PeerEffects {
         let mut fx = PeerEffects::default();
-        let now = ctx.now();
         let me = self.me();
         let outs = match msg {
             Message::EwHeartbeat {
@@ -237,13 +243,12 @@ impl ClusterState {
                 self.store.note_peer_acks(replica, &acks);
                 let ranges = self.store.missing_ranges(&heads);
                 if let Some(node) = self.node_of(replica).filter(|_| !ranges.is_empty()) {
-                    stats.msgs_sent += 1;
                     stats.ew_fetches_sent += 1;
                     let fetch = Message::EwFetch {
                         replica: me,
                         ranges,
                     };
-                    send_msg(ctx, node, &fetch, 0);
+                    out.push((node, fetch));
                 }
                 return fx;
             }
@@ -254,7 +259,6 @@ impl ClusterState {
                 let (entries, want_snapshot) = self.store.serve_ranges(&ranges);
                 if want_snapshot {
                     let (heads, entries, checksum) = self.store.snapshot();
-                    stats.msgs_sent += 1;
                     stats.ew_snapshots_sent += 1;
                     let snapshot = Message::EwSnapshot {
                         replica: me,
@@ -262,16 +266,15 @@ impl ClusterState {
                         entries,
                         checksum,
                     };
-                    send_msg(ctx, node, &snapshot, 0);
+                    out.push((node, snapshot));
                 }
                 for chunk in entries.chunks(EW_BATCH) {
-                    stats.msgs_sent += 1;
                     stats.ew_entries_sent += chunk.len() as u64;
                     let events = Message::EwEvents {
                         replica: me,
                         entries: chunk.to_vec(),
                     };
-                    send_msg(ctx, node, &events, 0);
+                    out.push((node, events));
                 }
                 return fx;
             }
@@ -288,11 +291,10 @@ impl ClusterState {
                     return fx;
                 };
                 stats.ew_snapshots_installed += 1;
-                let event = TraceEvent::EwSnapshotInstalled {
+                fx.trace = Some(TraceEvent::EwSnapshotInstalled {
                     from_replica: replica,
                     entries: carried,
-                };
-                record_control(ctx, 0, event);
+                });
                 for e in won {
                     self.admit(e.event, stats, &mut fx);
                 }
@@ -359,7 +361,7 @@ impl ClusterState {
             // Peers speak only the east-west subset.
             _ => return fx,
         };
-        fx.frames = self.route(outs);
+        out.extend(self.route(outs, stats));
         fx
     }
 
@@ -400,18 +402,19 @@ impl ClusterState {
         applied
     }
 
-    /// One east-west round: refresh peer liveness, heartbeat + gossip to
-    /// every peer, tick the intent log, and reconcile this replica's
-    /// mastership set over `switches` against the deterministic
-    /// assignment.
+    /// One east-west round at `now`: refresh peer liveness, heartbeat +
+    /// gossip to every peer onto `gossip`, tick the intent log, and
+    /// reconcile this replica's mastership set over `switches` against
+    /// the deterministic assignment.
     pub(crate) fn tick(
         &mut self,
-        ctx: &mut Context<'_>,
+        now: Instant,
         stats: &mut CtlStats,
         switches: impl Iterator<Item = Dpid>,
+        gossip: &mut Vec<(NodeId, Message)>,
     ) -> Round {
-        let (flipped, peer_revived) = self.scan(ctx.now());
-        self.gossip(ctx, stats);
+        let (flipped, peer_revived) = self.scan(now);
+        self.gossip(stats, gossip);
         // Retention: prune only what every *live* replica has applied,
         // so one dead replica cannot pin the log forever (a revived one
         // bootstraps from a snapshot instead).
@@ -424,7 +427,7 @@ impl ClusterState {
         self.intents.compact(KEEP_TAIL);
 
         let mut round = self.rebalance(flipped, peer_revived, switches);
-        round.frames = self.route(outs);
+        round.frames = self.route(outs, stats);
         round
     }
 
@@ -441,7 +444,7 @@ impl ClusterState {
     /// heartbeat carries our per-origin applied marks; each new
     /// own-origin entry is pushed once, and losses (and remote-origin
     /// gaps) are repaired through the digest / fetch exchange.
-    fn gossip(&mut self, ctx: &mut Context<'_>, stats: &mut CtlStats) {
+    fn gossip(&mut self, stats: &mut CtlStats, out: &mut Vec<(NodeId, Message)>) {
         let (me, term) = (self.me(), self.membership.term());
         let acks = self.store.acks();
         let replicas = self.membership.config().replicas.clone();
@@ -450,14 +453,13 @@ impl ClusterState {
             if peer == me {
                 continue;
             }
-            stats.msgs_sent += 1;
             stats.ew_heartbeats += 1;
             let heartbeat = Message::EwHeartbeat {
                 replica: me,
                 term,
                 acks: acks.clone(),
             };
-            send_msg(ctx, node, &heartbeat, 0);
+            out.push((node, heartbeat));
             let head = self.store.applied_high(me);
             let pushed = self.pushed_high.entry(peer).or_insert(0);
             if head > *pushed {
@@ -465,24 +467,22 @@ impl ClusterState {
                 let hi = head.min(lo + EW_BATCH as u64 - 1);
                 let (entries, _) = self.store.serve_ranges(&[(me, lo, hi)]);
                 if !entries.is_empty() {
-                    stats.msgs_sent += 1;
                     stats.ew_entries_sent += entries.len() as u64;
                     let events = Message::EwEvents {
                         replica: me,
                         entries,
                     };
-                    send_msg(ctx, node, &events, 0);
+                    out.push((node, events));
                 }
                 *pushed = hi;
             }
-            stats.msgs_sent += 1;
             stats.ew_digests_sent += 1;
             let digest = Message::EwDigest {
                 replica: me,
                 term,
                 heads: self.store.digest(),
             };
-            send_msg(ctx, node, &digest, 0);
+            out.push((node, digest));
         }
     }
 
@@ -535,7 +535,148 @@ impl ClusterState {
 
 #[cfg(test)]
 mod tests {
+    use zen_proto::OriginHead;
+
     use super::*;
+
+    /// Replica 0 of three, on nodes 10, 11 and 12, with `events` view
+    /// mutations of its own logged.
+    fn replica_with(events: u32) -> ClusterState {
+        let replicas = vec![NodeId(10), NodeId(11), NodeId(12)];
+        let mut cl = ClusterState::new(ClusterConfig::new(replicas, 0));
+        for port in 0..events {
+            let (from_dpid, from_port) = (1, port);
+            cl.log(ViewEvent::LinkDel {
+                from_dpid,
+                from_port,
+            });
+        }
+        cl
+    }
+
+    /// A peer's digest that shows it holds entries we lack is answered
+    /// with one fetch for exactly those, to that peer, and nothing else.
+    #[test]
+    fn a_digest_that_shows_a_gap_yields_one_fetch_to_that_peer() {
+        let mut cl = replica_with(0);
+        let (mut stats, mut out) = (CtlStats::default(), Vec::new());
+        let head = |origin, head| OriginHead {
+            origin,
+            floor: 0,
+            head,
+            hash: 7,
+        };
+        let digest = Message::EwDigest {
+            replica: 1,
+            term: 1,
+            heads: vec![head(0, 0), head(1, 5), head(2, 0)],
+        };
+        let now = Instant::from_millis(10);
+        let fx = cl.on_peer(now, &mut stats, digest, &mut out);
+        let fetch = Message::EwFetch {
+            replica: 0,
+            ranges: vec![(1, 1, 5)],
+        };
+        assert_eq!(out, [(NodeId(11), fetch)]);
+        assert!(fx.events.is_empty() && fx.trace.is_none() && !fx.committed);
+        assert_eq!((stats.ew_fetches_sent, stats.msgs_sent), (1, 0));
+    }
+
+    /// A fetch from a peer below our floor asks for the snapshot beside
+    /// the ranges it can take from the log: the snapshot goes first, then
+    /// the entries in chunks of `EW_BATCH`.
+    #[test]
+    fn a_fetch_below_the_floor_yields_the_snapshot_then_batched_events() {
+        let mut cl = replica_with(100);
+        let (heads, entries, checksum) = cl.store.snapshot();
+        let (logged, _) = cl.store.serve_ranges(&[(0, 1, 100)]);
+        let (mut stats, mut out) = (CtlStats::default(), Vec::new());
+        let fetch = Message::EwFetch {
+            replica: 2,
+            ranges: vec![(1, 0, 0), (0, 1, 100)],
+        };
+        cl.on_peer(Instant::from_millis(10), &mut stats, fetch, &mut out);
+        let snapshot = Message::EwSnapshot {
+            replica: 0,
+            heads,
+            entries,
+            checksum,
+        };
+        let events = |entries: &[zen_proto::EwEntry]| Message::EwEvents {
+            replica: 0,
+            entries: entries.to_vec(),
+        };
+        let expected = [
+            (NodeId(12), snapshot),
+            (NodeId(12), events(&logged[..EW_BATCH])),
+            (NodeId(12), events(&logged[EW_BATCH..])),
+        ];
+        assert_eq!(out, expected);
+        let sent = (stats.ew_snapshots_sent, stats.ew_entries_sent);
+        assert_eq!((sent, stats.msgs_sent), ((1, 100), 0));
+    }
+
+    /// A tick's gossip goes to each peer in ascending order — a
+    /// heartbeat, at most `EW_BATCH` of our new entries, a digest — and
+    /// the intent log's frames come back beside it, in the round.
+    #[test]
+    fn a_tick_yields_per_peer_gossip_in_order_then_the_intent_frames() {
+        let mut cl = replica_with(70);
+        let (mut stats, mut gossip) = (CtlStats::default(), Vec::new());
+        let (acks, heads) = (cl.store.acks(), cl.store.digest());
+        let (logged, _) = cl.store.serve_ranges(&[(0, 1, 70)]);
+        let round = cl.tick(Instant::from_millis(50), &mut stats, 1..=6, &mut gossip);
+        let term = cl.membership.term();
+        let to_peer = |node, entries: &[zen_proto::EwEntry]| {
+            let heartbeat = Message::EwHeartbeat {
+                replica: 0,
+                term,
+                acks: acks.clone(),
+            };
+            let events = Message::EwEvents {
+                replica: 0,
+                entries: entries.to_vec(),
+            };
+            let digest = Message::EwDigest {
+                replica: 0,
+                term,
+                heads: heads.clone(),
+            };
+            [(node, heartbeat), (node, events), (node, digest)]
+        };
+        let pushed = &logged[..EW_BATCH];
+        let expected = [to_peer(NodeId(11), pushed), to_peer(NodeId(12), pushed)];
+        assert_eq!(gossip, expected.concat());
+        let fetch = |to: &(NodeId, Message), node| {
+            let fetch = matches!(to.1, Message::IntentFetch { replica: 0, .. });
+            fetch && to.0 == node
+        };
+        let frames = &round.frames;
+        assert!(
+            frames.len() == 2 && fetch(&frames[0], NodeId(11)) && fetch(&frames[1], NodeId(12))
+        );
+        let ew = (
+            stats.ew_heartbeats,
+            stats.ew_entries_sent,
+            stats.ew_digests_sent,
+        );
+        assert_eq!(
+            (ew, stats.intent_msgs_sent, stats.msgs_sent),
+            ((2, 128, 2), 2, 0)
+        );
+
+        // The rest of our entries go out on the next tick.
+        gossip.clear();
+        cl.tick(Instant::from_millis(100), &mut stats, 1..=6, &mut gossip);
+        let rest = |at: usize| match &gossip[at].1 {
+            Message::EwEvents { entries, .. } => entries.clone(),
+            other => panic!("events expected, got {other:?}"),
+        };
+        assert_eq!(
+            (rest(1), rest(4)),
+            (logged[EW_BATCH..].to_vec(), logged[EW_BATCH..].to_vec())
+        );
+    }
 
     /// Replica 0 of three, with six switches, through a partition that
     /// cuts it off from both peers and a heal that brings one back: the

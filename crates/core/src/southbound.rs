@@ -26,13 +26,11 @@ use std::hash::{Hash, Hasher};
 
 use zen_consensus::{fnv1a_fold, CHAIN_SEED};
 use zen_dataplane::{FlowSpec, GroupDesc, Meter, PortNo};
-use zen_proto::{
-    encode_barrier_request_into, encode_into, FlowModCmd, GroupModCmd, Message, XidList,
-};
-use zen_sim::{Context, Duration, Instant, NodeId};
+use zen_proto::{FlowModCmd, GroupModCmd, Message, XidList};
+use zen_sim::{Duration, Instant, NodeId};
 
-use crate::controller::CtlStats;
-use crate::view::{Dpid, NetworkView};
+use crate::ctl::Body;
+use crate::view::Dpid;
 
 /// What a barrier-acked mod, or a FLOW_REMOVED, does to the cookie
 /// shadow (cookie → entry count believed installed).
@@ -414,21 +412,26 @@ impl Southbound {
         out
     }
 
-    /// Start tracking a mod about to be sent to `node`: encode it — the
-    /// only time it ever is — into the buffer the session keeps, and
-    /// lend that buffer back for the caller to put on the channel.
-    /// `program` marks a step of a reconciled program. The caller found
-    /// `node` in the registry, which names only opened sessions.
+    /// A buffer for the next mod to be tracked: one an acknowledged mod
+    /// left behind, where one is kept.
+    pub(crate) fn spare(&mut self) -> Vec<u8> {
+        self.spare.pop().unwrap_or_default()
+    }
+
+    /// Start tracking `msg`, just sent to `node` as `xid` and encoded —
+    /// the only time it ever is — into `bytes`, which the session keeps
+    /// to resend. `program` marks a step of a reconciled program. The
+    /// caller found `node` in the registry, which names only opened
+    /// sessions.
     pub(crate) fn track(
         &mut self,
         node: NodeId,
         xid: u32,
         msg: &Message,
+        bytes: Vec<u8>,
         program: bool,
         now: Instant,
-    ) -> &[u8] {
-        let mut bytes = self.spare.pop().unwrap_or_default();
-        encode_into(&mut bytes, msg, xid);
+    ) {
         let soft = matches!(msg, Message::FlowMod { cmd: FlowModCmd::Add(spec), .. }
             if !program && spec.idle_timeout | spec.hard_timeout != 0);
         let session = self.sessions.get_mut(&node);
@@ -450,7 +453,6 @@ impl Southbound {
             sent_at: now,
             retries: 0,
         });
-        &session.pending.back().expect("just pushed").bytes
     }
 
     /// Have the next flush fence every session whose oldest unfenced
@@ -471,12 +473,11 @@ impl Southbound {
 
     /// Fence every session marked since the last flush, in ascending
     /// node order: one BARRIER_REQUEST naming all its currently unacked
-    /// mods. The reply proves everything before it was applied.
+    /// mods, handed to `write`, which returns the xid it took. The reply
+    /// proves everything before it was applied.
     pub(crate) fn flush_barriers(
         &mut self,
-        ctx: &mut Context<'_>,
-        xid: &mut u32,
-        stats: &mut CtlStats,
+        mut write: impl FnMut((NodeId, Dpid), Body<'_>) -> u32,
     ) {
         self.dirty.sort_unstable();
         self.dirty.dedup();
@@ -488,11 +489,9 @@ impl Southbound {
             let Some(last) = session.pending.back() else {
                 continue;
             };
-            session.barriers.push((*xid, last.xid));
-            stats.msgs_sent += 1;
-            let covered = session.pending.iter().map(|p| p.xid);
-            ctx.send_control_with(node, |buf| encode_barrier_request_into(buf, covered, *xid));
-            *xid += 1;
+            let mut covered = session.pending.iter().map(|p| p.xid);
+            let xid = write((node, session.dpid), Body::Barrier(&mut covered));
+            session.barriers.push((xid, last.xid));
         }
     }
 
@@ -600,13 +599,14 @@ impl Southbound {
         bases.into_iter().flatten().for_each(|b| b.groups.clear());
     }
 
-    /// Resend unacked mods older than `timeout`, and with each every
-    /// mod queued behind it, oldest xid first over all sessions;
-    /// abandon ones already resent `max_retries` times, handing their
-    /// xids to `failed`. Mods to quarantined switches
-    /// wait (the resync handshake decides their fate when the switch
-    /// returns). Then forget barriers with nothing left to ack: a
-    /// reply to one would find no mod at or below its mark.
+    /// Resend unacked mods sent `timeout` before `now` or earlier, and
+    /// with each every mod queued behind it, oldest xid first over all
+    /// sessions, handing each to `write`; abandon ones already resent
+    /// `max_retries` times, handing their xids to `failed`. Mods to
+    /// switches `quarantined` names wait (the resync handshake decides
+    /// their fate when the switch returns). Then forget barriers with
+    /// nothing left to ack: a reply to one would find no mod at or below
+    /// its mark.
     ///
     /// A program mod that never landed leaves its switch short of the
     /// program the controller believed it was getting. Such a session
@@ -614,17 +614,16 @@ impl Southbound {
     /// are returned for their apps to rebuild.
     pub(crate) fn retransmit_scan(
         &mut self,
-        ctx: &mut Context<'_>,
-        view: &NetworkView,
+        now: Instant,
+        quarantined: impl Fn(Dpid) -> bool,
         timeout: Duration,
         max_retries: u32,
-        stats: &mut CtlStats,
         mut failed: impl FnMut(u32),
-    ) -> Vec<Dpid> {
-        let now = ctx.now();
+        mut write: impl FnMut((NodeId, Dpid), Body<'_>) -> u32,
+    ) -> GaveUp {
         let mut due: Vec<(u32, NodeId)> = Vec::new();
         for (&node, session) in &self.sessions {
-            if view.is_quarantined(session.dpid) {
+            if quarantined(session.dpid) {
                 continue;
             }
             // The queue replays from its first overdue mod on: what
@@ -636,28 +635,27 @@ impl Southbound {
             due.extend(replay.map(|p| (p.xid, node)));
         }
         due.sort_unstable();
-        let mut short = Vec::new();
+        let mut gave_up = GaveUp::default();
         for (xid, node) in due {
             let session = self.sessions.get_mut(&node).expect("collected above");
             // Gone already if a sibling's failure distrusted the session.
             let Ok(i) = session.pending.binary_search_by_key(&xid, |p| p.xid) else {
                 continue;
             };
+            let dpid = session.dpid;
             let p = &mut session.pending[i];
             if p.retries >= max_retries {
-                stats.mods_failed += 1;
+                gave_up.failed += 1;
                 failed(xid);
                 if session.abandon(i) {
-                    stats.mods_superseded += session.give_up_programs() as u64;
-                    short.push(session.dpid);
+                    gave_up.superseded += session.give_up_programs() as u64;
+                    gave_up.short.push(dpid);
                 }
                 continue;
             }
             p.retries += 1;
             p.sent_at = now;
-            stats.mods_retransmitted += 1;
-            stats.msgs_sent += 1;
-            ctx.send_control_with(node, |buf| buf.extend_from_slice(&p.bytes));
+            write((node, dpid), Body::Resent(&p.bytes));
             self.dirty.push(node);
         }
         for session in self.sessions.values_mut() {
@@ -666,65 +664,97 @@ impl Southbound {
                 .barriers
                 .retain(|&(_, covered)| oldest.is_some_and(|x| x <= covered));
         }
-        short
+        gave_up
     }
+}
+
+/// What a [`Southbound::retransmit_scan`] gave up on.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub(crate) struct GaveUp {
+    /// Mods abandoned out of retries.
+    pub(crate) failed: u64,
+    /// Program mods dropped with them: steps toward programs their
+    /// switches are now known to fall short of.
+    pub(crate) superseded: u64,
+    /// Those switches, for their apps to rebuild.
+    pub(crate) short: Vec<Dpid>,
 }
 
 #[cfg(test)]
 mod tests {
-    use std::any::Any;
-
     use zen_dataplane::{FlowMatch, FlowSpec, PortNo};
-    use zen_proto::{decode, decode_view, encode, MessageView};
-    use zen_sim::{Node, World};
+    use zen_proto::{decode, decode_view, encode, encode_into, MessageView};
 
     use super::*;
 
-    type Step = Box<dyn FnMut(&mut Southbound, &mut Context<'_>)>;
-
-    /// Runs one scripted step against its `Southbound` every 100 ms.
-    struct Driver {
-        southbound: Southbound,
-        steps: Vec<Step>,
+    /// A writer that numbers what it is handed the way the controller's
+    /// does, and keeps each frame: its node, xid and message.
+    struct Wire {
+        next: u32,
+        sent: Vec<(NodeId, u32, Message)>,
     }
 
-    /// A switch stand-in that keeps every control message it is sent.
-    #[derive(Default)]
-    struct Sink(Vec<(u32, Message)>);
+    impl Wire {
+        fn new(next: u32) -> Wire {
+            let sent = Vec::new();
+            Wire { next, sent }
+        }
 
-    macro_rules! node_boilerplate {
-        () => {
-            fn on_packet(&mut self, _: &mut Context<'_>, _: PortNo, _: &[u8]) {}
-            fn as_any(&self) -> &dyn Any {
-                self
+        fn write(&mut self, (node, _): (NodeId, Dpid), body: Body<'_>) -> u32 {
+            let mut xid = 0;
+            if body.numbered() {
+                xid = self.next;
+                self.next += 1;
             }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
-        };
+            let mut bytes = Vec::new();
+            body.put(&mut bytes, xid);
+            let (msg, xid, _) = decode(&bytes).expect("one whole frame");
+            self.sent.push((node, xid, msg));
+            xid
+        }
+
+        /// What `node` was sent, in order.
+        fn to(&self, node: NodeId) -> Vec<(u32, Message)> {
+            let sent = self.sent.iter().filter(|(to, ..)| *to == node);
+            sent.map(|(_, xid, msg)| (*xid, msg.clone())).collect()
+        }
+
+        /// The fences `node` was sent: each one's xid and list.
+        fn barriers(&self, node: NodeId) -> Vec<(u32, Vec<u32>)> {
+            let fences = self.to(node).into_iter();
+            let fences = fences.filter_map(|(xid, msg)| match msg {
+                Message::BarrierRequest { xids } => Some((xid, xids)),
+                _ => None,
+            });
+            fences.collect()
+        }
     }
 
-    impl Node for Driver {
-        fn on_start(&mut self, ctx: &mut Context<'_>) {
-            ctx.set_timer(Duration::from_millis(100), 0);
-        }
-        fn on_timer(&mut self, ctx: &mut Context<'_>, step: u64) {
-            (self.steps[step as usize])(&mut self.southbound, ctx);
-            if (step as usize) + 1 < self.steps.len() {
-                ctx.set_timer(Duration::from_millis(100), step + 1);
-            }
-        }
-        node_boilerplate!();
+    /// Flush the fences through `wire`.
+    fn fence(sb: &mut Southbound, wire: &mut Wire) {
+        sb.flush_barriers(|to, body| wire.write(to, body));
     }
 
-    impl Node for Sink {
-        fn on_control(&mut self, _: &mut Context<'_>, _: NodeId, mut bytes: &[u8]) {
-            while let Ok((msg, xid, used)) = decode(bytes) {
-                self.0.push((xid, msg));
-                bytes = &bytes[used..];
-            }
-        }
-        node_boilerplate!();
+    /// A retransmit scan through `wire` at `now`, with a 150 ms timeout
+    /// and dpid 8 quarantined: what it gave up on, the xids it failed,
+    /// and how many mods it resent.
+    fn scan(
+        sb: &mut Southbound,
+        wire: &mut Wire,
+        now: Instant,
+        max_retries: u32,
+    ) -> (GaveUp, Vec<u32>, usize) {
+        let (mut failed, before) = (Vec::new(), wire.sent.len());
+        let timeout = Duration::from_millis(150);
+        let gave_up = sb.retransmit_scan(
+            now,
+            |dpid| dpid == 8,
+            timeout,
+            max_retries,
+            |xid| failed.push(xid),
+            |to, body| wire.write(to, body),
+        );
+        (gave_up, failed, wire.sent.len() - before)
     }
 
     fn add(cookie: u64) -> Message {
@@ -734,12 +764,34 @@ mod tests {
         }
     }
 
-    /// Send `msg` as `xid` to `node`, shaken hands with as dpid 7 if
-    /// this is the first, the way `Ctl::send` does.
-    fn send(sb: &mut Southbound, ctx: &mut Context<'_>, node: NodeId, xid: u32, msg: &Message) {
-        sb.open(node, Session::new(7, ctx.now()));
-        let bytes = sb.track(node, xid, msg, false, ctx.now());
-        ctx.send_control_with(node, |buf| buf.extend_from_slice(bytes));
+    /// Track `msg`, sent to `node` as `xid` at `now`, the way the
+    /// controller's writer leaves it to the session.
+    fn track(
+        sb: &mut Southbound,
+        node: NodeId,
+        xid: u32,
+        msg: &Message,
+        program: bool,
+        now: Instant,
+    ) {
+        let mut bytes = sb.spare();
+        encode_into(&mut bytes, msg, xid);
+        sb.track(node, xid, msg, bytes, program, now);
+    }
+
+    /// Send `msg` as `xid` to `node` at `now`, shaken hands with as dpid
+    /// 7 if this is the first, the way `Ctl::send` does.
+    fn send(
+        sb: &mut Southbound,
+        wire: &mut Wire,
+        node: NodeId,
+        xid: u32,
+        msg: &Message,
+        now: Instant,
+    ) {
+        sb.open(node, Session::new(7, now));
+        track(sb, node, xid, msg, false, now);
+        wire.sent.push((node, xid, msg.clone()));
     }
 
     /// `barrier_reply` as the controller calls it: on the list of a
@@ -759,29 +811,11 @@ mod tests {
         sb.barrier_reply(from, xid, applied, acked)
     }
 
-    /// Run `steps` against two sinks; returns what each sink received.
-    fn run(steps: impl FnOnce(NodeId, NodeId) -> Vec<Step>) -> [Vec<(u32, Message)>; 2] {
-        let mut world = World::new(1);
-        let sinks = [
-            world.add_node(Box::new(Sink::default())),
-            world.add_node(Box::new(Sink::default())),
-        ];
-        world.add_node(Box::new(Driver {
-            southbound: Southbound::default(),
-            steps: steps(sinks[0], sinks[1]),
-        }));
-        world.run_until(Instant::from_secs(5));
-        sinks.map(|id| std::mem::take(&mut world.node_as_mut::<Sink>(id).0))
-    }
-
-    fn barrier_xids(received: &[(u32, Message)]) -> Vec<(u32, Vec<u32>)> {
-        received
-            .iter()
-            .filter_map(|(xid, msg)| match msg {
-                Message::BarrierRequest { xids } => Some((*xid, xids.clone())),
-                _ => None,
-            })
-            .collect()
+    /// The switches the tests talk to, and the times their steps run at.
+    const A: NodeId = NodeId(0);
+    const B: NodeId = NodeId(1);
+    fn at(step: u64) -> Instant {
+        Instant::from_millis(100 * step)
     }
 
     /// What a message does, in a word.
@@ -870,50 +904,46 @@ mod tests {
 
     #[test]
     fn barrier_retires_only_an_in_order_prefix() {
-        let [received, _] = run(|switch, _| {
-            let mut next = 50;
-            let mut stats = CtlStats::default();
-            vec![Box::new(move |sb, ctx| {
-                for xid in [10, 11, 12] {
-                    send(sb, ctx, switch, xid, &add(u64::from(xid)));
-                }
-                sb.flush_barriers(ctx, &mut next, &mut stats);
-                sb.flush_barriers(ctx, &mut next, &mut stats); // nothing new: no second fence
-                assert_eq!((next, stats.msgs_sent), (51, 1));
+        let (mut sb, mut wire, now) = (Southbound::default(), Wire::new(50), at(1));
+        for xid in [10, 11, 12] {
+            send(&mut sb, &mut wire, A, xid, &add(u64::from(xid)), now);
+        }
+        fence(&mut sb, &mut wire);
+        fence(&mut sb, &mut wire); // nothing new: no second fence
+        assert_eq!((wire.next, wire.barriers(A).len()), (51, 1));
 
-                // 11 never arrived; the switch lists what did, in any
-                // order, twice over, with xids that are nobody's here.
-                let mut acked = Vec::new();
-                let listed = [12, 999, 10, 12, 10];
-                let dpid = reply(sb, switch, 50, &listed, |_, xid| acked.push(xid));
-                assert_eq!((dpid, acked, sb.pending_mods()), (Some(7), vec![10], 2));
-                // A barrier answers once, and only to the switch it fenced.
-                assert_eq!(reply(sb, switch, 50, &[11], |_, _| panic!()), None);
-                assert_eq!(reply(sb, NodeId(9), 51, &[11], |_, _| panic!()), None);
+        // 11 never arrived; the switch lists what did, in any
+        // order, twice over, with xids that are nobody's here.
+        let mut acked = Vec::new();
+        let listed = [12, 999, 10, 12, 10];
+        let dpid = reply(&mut sb, A, 50, &listed, |_, xid| acked.push(xid));
+        assert_eq!((dpid, acked, sb.pending_mods()), (Some(7), vec![10], 2));
+        // A barrier answers once, and only to the switch it fenced.
+        assert_eq!(reply(&mut sb, A, 50, &[11], |_, _| panic!()), None);
+        assert_eq!(reply(&mut sb, NodeId(9), 51, &[11], |_, _| panic!()), None);
 
-                // The next fence covers the survivors and the newcomer; a
-                // bounced mod in the middle is not a gap.
-                send(sb, ctx, switch, 13, &add(13));
-                sb.flush_barriers(ctx, &mut next, &mut stats);
-                assert!(sb.retire(switch, 12) && !sb.retire(switch, 12));
-                let moved = reply(sb, switch, 51, &[13, 12, 11], |_, _| {});
-                assert_eq!(moved, Some(7), "an add moves the shadow");
-                let shadow = &sb.session(switch).expect("opened").shadow;
-                assert_eq!(*shadow, BTreeMap::from([(10, 1), (11, 1), (13, 1)]));
-                assert_eq!(sb.pending_mods(), 0);
+        // The next fence covers the survivors and the newcomer; a
+        // bounced mod in the middle is not a gap.
+        send(&mut sb, &mut wire, A, 13, &add(13), now);
+        fence(&mut sb, &mut wire);
+        assert!(sb.retire(A, 12) && !sb.retire(A, 12));
+        let moved = reply(&mut sb, A, 51, &[13, 12, 11], |_, _| {});
+        assert_eq!(moved, Some(7), "an add moves the shadow");
+        let shadow = &sb.session(A).expect("opened").shadow;
+        assert_eq!(*shadow, BTreeMap::from([(10, 1), (11, 1), (13, 1)]));
+        assert_eq!(sb.pending_mods(), 0);
 
-                // A fence covers what was pending when it went out: a
-                // reply naming a later mod does not retire it.
-                send(sb, ctx, switch, 14, &add(14));
-                sb.flush_barriers(ctx, &mut next, &mut stats);
-                send(sb, ctx, switch, 15, &add(15));
-                let mut acked = Vec::new();
-                reply(sb, switch, 52, &[14, 15], |_, xid| acked.push(xid));
-                assert_eq!((acked, sb.pending_mods()), (vec![14], 1));
-            })]
-        });
+        // A fence covers what was pending when it went out: a
+        // reply naming a later mod does not retire it.
+        send(&mut sb, &mut wire, A, 14, &add(14), now);
+        fence(&mut sb, &mut wire);
+        send(&mut sb, &mut wire, A, 15, &add(15), now);
+        let mut acked = Vec::new();
+        reply(&mut sb, A, 52, &[14, 15], |_, xid| acked.push(xid));
+        assert_eq!((acked, sb.pending_mods()), (vec![14], 1));
+
         assert_eq!(
-            barrier_xids(&received),
+            wire.barriers(A),
             vec![
                 (50, vec![10, 11, 12]),
                 (51, vec![11, 12, 13]),
@@ -934,44 +964,40 @@ mod tests {
     /// same dispatch; a fence names everything pending either way.
     #[test]
     fn soft_state_is_fenced_by_the_burst_or_with_hard_state() {
-        let [received, _] = run(|switch, _| {
-            let mut next = 50;
-            let mut stats = CtlStats::default();
-            vec![Box::new(move |sb, ctx| {
-                for xid in 10..17 {
-                    send(sb, ctx, switch, xid, &soft(1));
-                }
-                sb.flush_barriers(ctx, &mut next, &mut stats);
-                assert_eq!((next, stats.msgs_sent, sb.unfenced_sessions), (50, 0, 1));
-                // The eighth brings the fence, for all eight.
-                send(sb, ctx, switch, 17, &soft(1));
-                sb.flush_barriers(ctx, &mut next, &mut stats);
-                assert_eq!((next, stats.msgs_sent, sb.unfenced_sessions), (51, 1, 0));
-                let all: Vec<u32> = (10..18).collect();
-                let mut acked = 0;
-                reply(sb, switch, 50, &all, |_, _| acked += 1);
-                assert_eq!((acked, sb.pending_mods()), (8, 0));
+        let (mut sb, mut wire, now) = (Southbound::default(), Wire::new(50), at(1));
+        for xid in 10..17 {
+            send(&mut sb, &mut wire, A, xid, &soft(1), now);
+        }
+        fence(&mut sb, &mut wire);
+        let fenced = |wire: &Wire| wire.barriers(A).len();
+        assert_eq!((wire.next, fenced(&wire), sb.unfenced_sessions), (50, 0, 1));
+        // The eighth brings the fence, for all eight.
+        send(&mut sb, &mut wire, A, 17, &soft(1), now);
+        fence(&mut sb, &mut wire);
+        assert_eq!((wire.next, fenced(&wire), sb.unfenced_sessions), (51, 1, 0));
+        let all: Vec<u32> = (10..18).collect();
+        let mut acked = 0;
+        reply(&mut sb, A, 50, &all, |_, _| acked += 1);
+        assert_eq!((acked, sb.pending_mods()), (8, 0));
 
-                // A hard mod behind three soft ones: all four, at once.
-                for xid in 20..23 {
-                    send(sb, ctx, switch, xid, &soft(1));
-                }
-                send(sb, ctx, switch, 23, &add(2));
-                sb.flush_barriers(ctx, &mut next, &mut stats);
-                // A step of a program is hard whatever its timeouts.
-                let bytes = sb.track(switch, 24, &soft(3), true, ctx.now()).to_vec();
-                ctx.send_control(switch, bytes);
-                sb.flush_barriers(ctx, &mut next, &mut stats);
-                // Someone waits on an ack (a two-phase transaction is
-                // outstanding): what would have ridden is fenced at once.
-                send(sb, ctx, switch, 25, &soft(1));
-                assert_eq!(sb.fence_aged(ctx.now(), Duration::ZERO), None);
-                sb.flush_barriers(ctx, &mut next, &mut stats);
-                assert_eq!((next, sb.unfenced_sessions), (54, 0));
-            })]
-        });
+        // A hard mod behind three soft ones: all four, at once.
+        for xid in 20..23 {
+            send(&mut sb, &mut wire, A, xid, &soft(1), now);
+        }
+        send(&mut sb, &mut wire, A, 23, &add(2), now);
+        fence(&mut sb, &mut wire);
+        // A step of a program is hard whatever its timeouts.
+        track(&mut sb, A, 24, &soft(3), true, now);
+        fence(&mut sb, &mut wire);
+        // Someone waits on an ack (a two-phase transaction is
+        // outstanding): what would have ridden is fenced at once.
+        send(&mut sb, &mut wire, A, 25, &soft(1), now);
+        assert_eq!(sb.fence_aged(now, Duration::ZERO), None);
+        fence(&mut sb, &mut wire);
+        assert_eq!((wire.next, sb.unfenced_sessions), (54, 0));
+
         assert_eq!(
-            barrier_xids(&received),
+            wire.barriers(A),
             vec![
                 (50, (10..18).collect()),
                 (51, vec![20, 21, 22, 23]),
@@ -987,61 +1013,47 @@ mod tests {
     #[test]
     fn soft_state_is_fenced_when_it_has_waited_the_interval() {
         let interval = Duration::from_millis(100);
-        let [first, second] = run(|a, b| {
-            let fence = move |sb: &mut Southbound, ctx: &mut Context<'_>| {
-                let left = sb.fence_aged(ctx.now(), interval);
-                sb.flush_barriers(ctx, &mut 100, &mut CtlStats::default());
-                (left, sb.unfenced_sessions)
-            };
-            vec![
-                Box::new(move |sb, ctx| {
-                    send(sb, ctx, a, 1, &soft(1));
-                    assert_eq!(fence(sb, ctx), (Some(Duration::ZERO), 1));
-                }),
-                Box::new(move |sb, ctx| {
-                    send(sb, ctx, a, 2, &soft(1));
-                    send(sb, ctx, b, 3, &soft(1));
-                    assert_eq!(fence(sb, ctx), (Some(Duration::ZERO), 1));
-                }),
-                Box::new(move |sb, ctx| assert_eq!(fence(sb, ctx), (None, 0))),
-            ]
-        });
-        assert_eq!(barrier_xids(&first), vec![(100, vec![1, 2])]);
-        assert_eq!(barrier_xids(&second), vec![(100, vec![3])]);
+        let (mut sb, mut wire) = (Southbound::default(), Wire::new(100));
+        let fence = |sb: &mut Southbound, wire: &mut Wire, now| {
+            let left = sb.fence_aged(now, interval);
+            wire.next = 100;
+            fence(sb, wire);
+            (left, sb.unfenced_sessions)
+        };
+        send(&mut sb, &mut wire, A, 1, &soft(1), at(1));
+        assert_eq!(fence(&mut sb, &mut wire, at(1)), (Some(Duration::ZERO), 1));
+        send(&mut sb, &mut wire, A, 2, &soft(1), at(2));
+        send(&mut sb, &mut wire, B, 3, &soft(1), at(2));
+        assert_eq!(fence(&mut sb, &mut wire, at(2)), (Some(Duration::ZERO), 1));
+        assert_eq!(fence(&mut sb, &mut wire, at(3)), (None, 0));
+        assert_eq!(wire.barriers(A), vec![(100, vec![1, 2])]);
+        assert_eq!(wire.barriers(B), vec![(100, vec![3])]);
     }
 
     /// A fence over a burst of soft mods is lost: the queue is replayed
     /// once when its head comes due, fenced again, and acknowledged.
     #[test]
     fn a_lost_fence_costs_one_replay_of_its_queue() {
-        let [received, _] = run(|switch, _| {
-            vec![
-                Box::new(move |sb, ctx| {
-                    for xid in 1..9 {
-                        send(sb, ctx, switch, xid, &soft(1));
-                    }
-                    sb.flush_barriers(ctx, &mut 100, &mut CtlStats::default());
-                }),
-                Box::new(|_, _| {}),
-                Box::new(move |sb, ctx| {
-                    let view = NetworkView::new();
-                    let timeout = Duration::from_millis(150);
-                    let mut stats = CtlStats::default();
-                    sb.retransmit_scan(ctx, &view, timeout, 8, &mut stats, |_| panic!());
-                    sb.flush_barriers(ctx, &mut 101, &mut stats);
-                    assert_eq!((stats.mods_retransmitted, stats.mods_failed), (8, 0));
-                    let all: Vec<u32> = (1..9).collect();
-                    let mut acked = 0;
-                    assert_eq!(reply(sb, switch, 101, &all, |_, _| acked += 1), Some(7));
-                    assert_eq!((acked, sb.pending_mods()), (8, 0));
-                }),
-            ]
-        });
+        let (mut sb, mut wire) = (Southbound::default(), Wire::new(100));
+        for xid in 1..9 {
+            send(&mut sb, &mut wire, A, xid, &soft(1), at(1));
+        }
+        fence(&mut sb, &mut wire);
+
+        let (gave_up, failed, resent) = scan(&mut sb, &mut wire, at(3), 8);
+        fence(&mut sb, &mut wire);
+        assert_eq!((resent, gave_up.failed), (8, 0));
+        assert!(failed.is_empty());
         let all: Vec<u32> = (1..9).collect();
+        let mut acked = 0;
+        assert_eq!(reply(&mut sb, A, 101, &all, |_, _| acked += 1), Some(7));
+        assert_eq!((acked, sb.pending_mods()), (8, 0));
+
         assert_eq!(
-            barrier_xids(&received),
+            wire.barriers(A),
             vec![(100, all.clone()), (101, all.clone())]
         );
+        let received = wire.to(A);
         let mods = received
             .iter()
             .filter(|(_, m)| matches!(m, Message::FlowMod { .. }));
@@ -1064,87 +1076,63 @@ mod tests {
             group_id: 3,
             cmd: GroupModCmd::Delete,
         };
-        let [first, second] = run(|a, b| {
-            let (long, short) = (long.clone(), short.clone());
-            vec![
-                Box::new(move |sb, ctx| {
-                    send(sb, ctx, a, 1, &long);
-                    send(sb, ctx, a, 2, &add(2));
-                    sb.flush_barriers(ctx, &mut 100, &mut CtlStats::default());
-                    // Bounced from the middle of the queue, then the
-                    // head acknowledged: one buffer comes back.
-                    assert!(sb.retire(a, 2));
-                    assert_eq!(reply(sb, a, 100, &[1], |_, _| {}), Some(7));
-                    assert_eq!((sb.pending_mods(), sb.spare.len()), (0, 1));
-                    let held = sb.spare[0].capacity();
-                    send(sb, ctx, b, 3, &short);
-                    assert!(sb.spare.is_empty(), "the spare buffer is in use");
-                    let reused = &sb.sessions[&b].pending[0].bytes;
-                    assert_eq!((reused.capacity(), reused.len()), (held, 15));
-                }),
-                Box::new(|_, _| {}),
-                Box::new(|sb, ctx| {
-                    let view = NetworkView::new();
-                    let timeout = Duration::from_millis(150);
-                    let mut stats = CtlStats::default();
-                    sb.retransmit_scan(ctx, &view, timeout, 1, &mut stats, |_| panic!());
-                    assert_eq!(stats.mods_retransmitted, 1);
-                }),
-            ]
-        });
-        assert_eq!(first[0], (1, long));
+        let (mut sb, mut wire, now) = (Southbound::default(), Wire::new(100), at(1));
+        send(&mut sb, &mut wire, A, 1, &long, now);
+        send(&mut sb, &mut wire, A, 2, &add(2), now);
+        fence(&mut sb, &mut wire);
+        // Bounced from the middle of the queue, then the
+        // head acknowledged: one buffer comes back.
+        assert!(sb.retire(A, 2));
+        assert_eq!(reply(&mut sb, A, 100, &[1], |_, _| {}), Some(7));
+        assert_eq!((sb.pending_mods(), sb.spare.len()), (0, 1));
+        let held = sb.spare[0].capacity();
+        send(&mut sb, &mut wire, B, 3, &short, now);
+        assert!(sb.spare.is_empty(), "the spare buffer is in use");
+        let reused = &sb.sessions[&B].pending[0].bytes;
+        assert_eq!((reused.capacity(), reused.len()), (held, 15));
+
+        let (_, failed, resent) = scan(&mut sb, &mut wire, at(3), 1);
+        assert_eq!((resent, failed), (1, vec![]));
+        assert_eq!(wire.to(A)[0], (1, long));
+        let second = wire.to(B);
         let resent: Vec<_> = second.iter().filter(|(xid, _)| *xid == 3).collect();
         assert_eq!(resent, [&(3, short.clone()), &(3, short)]);
     }
 
     #[test]
     fn retransmit_resends_then_gives_up_in_xid_order() {
-        let timeout = Duration::from_millis(150);
-        let [first, second] = run(|a, b| {
-            let view = std::rc::Rc::new({
-                let mut view = NetworkView::new();
-                view.quarantine(8);
-                view
-            });
-            let scan = move |sb: &mut Southbound, ctx: &mut Context<'_>| {
-                let mut failed = Vec::new();
-                let mut stats = CtlStats::default();
-                sb.retransmit_scan(ctx, &view, timeout, 1, &mut stats, |x| failed.push(x));
-                (failed, stats.mods_retransmitted)
-            };
-            let (scan1, scan2, scan3) = (scan.clone(), scan.clone(), scan);
-            vec![
-                Box::new(move |sb, ctx| {
-                    send(sb, ctx, a, 1, &add(1));
-                    send(sb, ctx, b, 2, &add(2));
-                    send(sb, ctx, a, 3, &add(3));
-                    // A quarantined switch's mods wait for its resync.
-                    sb.open(NodeId(9), Session::new(8, ctx.now()));
-                    sb.track(NodeId(9), 4, &add(4), false, ctx.now());
-                    sb.flush_barriers(ctx, &mut 100, &mut CtlStats::default());
-                }),
-                // 100 ms old: not due yet.
-                Box::new(move |sb, ctx| assert_eq!(scan1(sb, ctx), (vec![], 0))),
-                // 200 ms old: everything live is resent, once.
-                Box::new(move |sb, ctx| assert_eq!(scan2(sb, ctx), (vec![], 3))),
-                Box::new(|_, _| {}),
-                // 200 ms after the resend, out of retries: abandoned
-                // oldest xid first whichever session holds it, and the
-                // fences over them are forgotten.
-                Box::new(move |sb, ctx| {
-                    assert_eq!(scan3(sb, ctx), (vec![1, 2, 3], 0));
-                    assert_eq!(sb.pending_mods(), 1);
-                    assert_eq!(reply(sb, a, 100, &[1, 3], |_, _| panic!()), None);
-                }),
-            ]
-        });
-        let flow_mod_xids = |received: &[(u32, Message)]| -> Vec<u32> {
-            let mods = received
-                .iter()
-                .filter(|(_, m)| matches!(m, Message::FlowMod { .. }));
-            mods.map(|&(xid, _)| xid).collect()
+        let (mut sb, mut wire, now) = (Southbound::default(), Wire::new(100), at(1));
+        send(&mut sb, &mut wire, A, 1, &add(1), now);
+        send(&mut sb, &mut wire, B, 2, &add(2), now);
+        send(&mut sb, &mut wire, A, 3, &add(3), now);
+        // A quarantined switch's mods wait for its resync.
+        sb.open(NodeId(9), Session::new(8, now));
+        track(&mut sb, NodeId(9), 4, &add(4), false, now);
+        fence(&mut sb, &mut wire);
+        let mut scan = |at| {
+            let (gave_up, failed, resent) = scan(&mut sb, &mut wire, at, 1);
+            assert_eq!(gave_up.failed, failed.len() as u64);
+            (failed, resent)
         };
-        assert_eq!(flow_mod_xids(&first), vec![1, 3, 1, 3]);
-        assert_eq!(flow_mod_xids(&second), vec![2, 2]);
+
+        // 100 ms old: not due yet.
+        assert_eq!(scan(at(2)), (vec![], 0));
+        // 200 ms old: everything live is resent, once.
+        assert_eq!(scan(at(3)), (vec![], 3));
+        // 200 ms after the resend, out of retries: abandoned
+        // oldest xid first whichever session holds it, and the
+        // fences over them are forgotten.
+        assert_eq!(scan(at(5)), (vec![1, 2, 3], 0));
+        assert_eq!(sb.pending_mods(), 1);
+        assert_eq!(reply(&mut sb, A, 100, &[1, 3], |_, _| panic!()), None);
+
+        let flow_mod_xids = |received: Vec<(u32, Message)>| -> Vec<u32> {
+            let mods = received
+                .into_iter()
+                .filter(|(_, m)| matches!(m, Message::FlowMod { .. }));
+            mods.map(|(xid, _)| xid).collect()
+        };
+        assert_eq!(flow_mod_xids(wire.to(A)), vec![1, 3, 1, 3]);
+        assert_eq!(flow_mod_xids(wire.to(B)), vec![2, 2]);
     }
 }
