@@ -86,13 +86,22 @@
 # (those misses and some 500 others), cbench_closed 1 -> 0, per setup
 # end to end 19.14 -> 14.68 and 891 -> 842 bytes.
 #
+# reactive_churn's digest was 6b74393d1270ab92 until a repeated
+# FEATURES_REPLY stopped re-running the handshake: each of its 8 edge
+# switches punts before its handshake lands, is re-solicited at once and
+# answers twice, and the second reply used to bring a second
+# `on_switch_up` and discovery round. Now it refreshes the port map and
+# nothing else. That happens while the fabric is set up, before anything
+# is measured: every exact line and count gated here is where it was,
+# and the other three digests did not move.
+#
 # A change that moves a digest on purpose updates it below in the same
 # commit and says why; a change that lowers a count lowers its ceiling.
 set -eu
 
 TABLE='
 fabric_forward 5066696baa39f15d core.agent.allocs_per_frame<=1.01 dataplane.datapath.allocs_per_micro_hit<=2 sim.world.drops_queue<=0
-reactive_churn 6b74393d1270ab92 core.controller.msgs_per_op<=13.74 sim.world.events_per_op<=15.65 sim.world.ctl_bytes_per_op<=743.6 trace.allocs_per_op<=14.69 trace.bytes_alloc_per_op<=842 core.controller.allocs_per_packet_in<=0.042 core.agent.allocs_per_frame<=1.08
+reactive_churn f35e9243c16f79fb core.controller.msgs_per_op<=13.74 sim.world.events_per_op<=15.65 sim.world.ctl_bytes_per_op<=743.6 trace.allocs_per_op<=14.69 trace.bytes_alloc_per_op<=842 core.controller.allocs_per_packet_in<=0.042 core.agent.allocs_per_frame<=1.08
 cbench_closed 9f20247b19fe0559 core.controller.allocs_per_packet_in<=0 core.controller.decode_errors<=0
 cluster_churn ad3bca74a5747c8f trace.allocs_per_op<=100.7 core.controller.mods_retransmitted<=9175 core.controller.flow_mods_per_op<=1.32 sim.world.ctl_bytes_per_op<=846 dataplane.cache.invalidations<=40520
 '
