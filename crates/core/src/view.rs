@@ -9,6 +9,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use zen_dataplane::PortNo;
 use zen_graph::{dijkstra, Graph, NodeIx, ShortestPaths};
+use zen_proto::ViewEvent;
 use zen_sim::{Duration, Instant};
 use zen_wire::{EthernetAddress, Ipv4Address};
 
@@ -264,6 +265,37 @@ impl NetworkView {
             self.bump();
         }
         to
+    }
+
+    /// Apply a view mutation a peer replica observed first-hand, at
+    /// `now`. A shadow is a session's to keep, and a program stamp is
+    /// kept where it is read, by `ClusterState`.
+    pub(crate) fn apply(&mut self, event: &ViewEvent, now: Instant) {
+        match *event {
+            ViewEvent::LinkAdd {
+                from_dpid,
+                from_port,
+                to_dpid,
+                to_port,
+            } => {
+                self.add_link_at((from_dpid, from_port), (to_dpid, to_port), now);
+            }
+            ViewEvent::LinkDel {
+                from_dpid,
+                from_port,
+            } => {
+                self.remove_link((from_dpid, from_port));
+            }
+            ViewEvent::HostLearned {
+                mac,
+                dpid,
+                port,
+                ip,
+            } => {
+                self.learn_host(mac, dpid, port, ip, now);
+            }
+            ViewEvent::ShadowSet { .. } | ViewEvent::ProgramStamp { .. } => {}
+        }
     }
 
     /// Record a host sighting. Returns `true` if the host is new or
