@@ -10,9 +10,15 @@
 # per function, the share of samples it was running in (self: the
 # innermost frame, inlined callees told apart, under the short names
 # DWARF gives them) and the share it was anywhere on the stack of
-# (inclusive) — the top 40 of each. Needs gcc and binutils, so ci.sh
-# does not run it. 250 samples per CPU second: shares move a point or
-# two from run to run; compare shapes, not decimals.
+# (inclusive) — the top 40 of each. A third table charges each sample
+# to a source line, `function @ crate/src/file.rs:line`: that of its
+# innermost frame, inlined ones included, that resolves under
+# `crates/*/src`. Frames outside the binary and in the standard
+# library are passed over, so a `memcmp`, `clock_gettime` or `malloc`
+# is charged to the workspace line that called it. Needs gcc and
+# binutils, so ci.sh does not run it. 250 samples per CPU second:
+# shares move a point or two from run to run; compare shapes, not
+# decimals.
 set -eu
 
 WORKLOAD="${1:?usage: ci/profile.sh <workload> [seed] [seconds]}"
@@ -71,19 +77,27 @@ awk -v top=40 '
         if (++n % 2) {
             sub(/::h[0-9a-f]+$/, "")
             fns[addr] = fns[addr] (fns[addr] == "" ? "" : "\t") $0
+        } else {
+            sub(/ \(discriminator [0-9]+\)$/, "")
+            locs[addr] = locs[addr] (locs[addr] == "" ? "" : "\t") $0
         }
         next
     }
     {
         samples++
         split("", seen)
+        at = ""
         for (f = 1; f <= NF; f++) {
             k = split($f == "-" ? "[outside the binary]" : fns[$f], names, "\t")
+            split($f == "-" ? "" : locs[$f], locs_of, "\t")
             for (i = 1; i <= k; i++) {
                 if (f == 1 && i == 1) self[names[i]]++
                 if (!(names[i] in seen)) { seen[names[i]] = 1; incl[names[i]]++ }
+                if (at == "" && match("/" locs_of[i], /\/crates\/[^\/]+\/src\//))
+                    at = names[i] " @ " substr("/" locs_of[i], RSTART + 8)
             }
         }
+        line[at == "" ? "[no workspace frame]" : at]++
     }
     function report(title, count,    name, cmd) {
         printf "\n%s, %% of %d samples\n", title, samples
@@ -92,5 +106,5 @@ awk -v top=40 '
             printf "%6.2f  %s\n", 100 * count[name] / samples, name | cmd
         close(cmd)
     }
-    END { report("self", self); report("inclusive", incl) }
+    END { report("self", self); report("inclusive", incl); report("line", line) }
 ' "$DIR/resolved.txt" "$DIR/stacks.txt"

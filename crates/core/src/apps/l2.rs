@@ -122,25 +122,23 @@ impl L2Learning {
             .is_some()
     }
 
-    /// Flap-damper gate for learning `mac` at `in_port`: `true` means
-    /// the caller may update the table. Only *moves* (a learned entry
-    /// changing port) are tracked; first sightings and confirmations
-    /// of the current port always pass.
+    /// Flap-damper gate for learning `mac` at `in_port`, where the
+    /// switch's table has it at `known`: `true` means the caller may
+    /// update the table. Only *moves* (a learned entry changing port)
+    /// are tracked; first sightings and confirmations of the current
+    /// port always pass.
     fn allow_learn(
         &mut self,
         dpid: Dpid,
         mac: EthernetAddress,
+        known: Option<PortNo>,
         in_port: PortNo,
         now: Instant,
     ) -> bool {
         if self.flap_limit == 0 {
             return true;
         }
-        let moved = self
-            .tables
-            .get(&dpid)
-            .and_then(|t| t.get(&mac))
-            .is_some_and(|&p| p != in_port);
+        let moved = known.is_some_and(|p| p != in_port);
         let Some(flap) = self.flaps.get_mut(&(dpid, mac)) else {
             if moved {
                 if self.flaps.len() >= FLAP_TRACK_CAP {
@@ -211,12 +209,23 @@ impl App for L2Learning {
         let Ok(eth) = Frame::new_checked(frame) else {
             return Disposition::Continue;
         };
-        let src = eth.src_addr();
-        if src.is_unicast() && self.allow_learn(dpid, src, in_port, ctl.now()) {
+        let (src, dst) = (eth.src_addr(), eth.dst_addr());
+        let table = self.tables.entry(dpid).or_default();
+        let (known, mut out) = (table.get(&src).copied(), table.get(&dst).copied());
+        // A repeat sighting changes nothing. The damper is asked about
+        // one only while it tracks some MAC, whose hold it may lift.
+        let repeat = known == Some(in_port);
+        let allowed = src.is_unicast()
+            && (!repeat || !self.flaps.is_empty())
+            && self.allow_learn(dpid, src, known, in_port, ctl.now());
+        if allowed && !repeat {
             self.tables.entry(dpid).or_default().insert(src, in_port);
+            // A frame to its own source goes where that was just learned.
+            if dst == src {
+                out = Some(in_port);
+            }
         }
-        let dst = eth.dst_addr();
-        match self.tables.entry(dpid).or_default().get(&dst).copied() {
+        match out {
             Some(out_port) if !dst.is_multicast() => {
                 // Install the forward flow (unless the switch is inside
                 // its table-full backoff), then release the packet.
@@ -266,5 +275,115 @@ impl App for L2Learning {
 
     fn as_any(&self) -> &dyn Any {
         self
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::any::Any;
+
+    use zen_sim::{Context, LinkParams, Node, NodeId, World};
+    use zen_wire::builder::PacketBuilder;
+    use zen_wire::Ipv4Address;
+
+    use super::*;
+    use crate::{Controller, SwitchAgent};
+
+    /// Hosts the test moves at will: each scripted frame leaves on its
+    /// own port of one switch at its own time. Floods back are dropped.
+    struct Wire {
+        sends: Vec<(Instant, PortNo, Vec<u8>)>,
+    }
+
+    impl Node for Wire {
+        fn on_start(&mut self, ctx: &mut Context<'_>) {
+            for (i, (at, _, _)) in self.sends.iter().enumerate() {
+                ctx.set_timer(at.duration_since(ctx.now()), i as u64);
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut Context<'_>, i: u64) {
+            let (_, port, frame) = &self.sends[i as usize];
+            ctx.transmit(*port, frame.clone());
+        }
+        fn on_packet(&mut self, _: &mut Context<'_>, _: PortNo, _: &[u8]) {}
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// One MAC through a controller's L2 app, a step at a time: learned,
+    /// confirmed, moved `flap_limit` times, damped, confirmed and
+    /// refused during the hold, freed after it, then used as a
+    /// destination. After each step: where the app has it, whether it
+    /// is damped, and the app's counters.
+    #[test]
+    fn learning_and_the_flap_damper_step_by_step() {
+        let (m, n) = (EthernetAddress::from_id(1), EthernetAddress::from_id(2));
+        // Never a source: a frame to it floods.
+        let nowhere = EthernetAddress::from_id(9);
+        // (ms, port, src, dst), then M's port, damped, flap_events,
+        // flaps_damped, flows_installed, floods.
+        #[rustfmt::skip]
+        let steps = [
+            // The first sighting learns; a repeat changes nothing.
+            ((100, 1, m, nowhere), (Some(1), false, 0, 0, 0, 1)),
+            ((120, 1, m, nowhere), (Some(1), false, 0, 0, 0, 2)),
+            // `flap_limit` (8) moves inside the window are learned...
+            ((140, 2, m, nowhere), (Some(2), false, 0, 0, 0, 3)),
+            ((160, 1, m, nowhere), (Some(1), false, 0, 0, 0, 4)),
+            ((180, 2, m, nowhere), (Some(2), false, 0, 0, 0, 5)),
+            ((200, 1, m, nowhere), (Some(1), false, 0, 0, 0, 6)),
+            ((220, 2, m, nowhere), (Some(2), false, 0, 0, 0, 7)),
+            ((240, 1, m, nowhere), (Some(1), false, 0, 0, 0, 8)),
+            ((260, 2, m, nowhere), (Some(2), false, 0, 0, 0, 9)),
+            ((280, 1, m, nowhere), (Some(1), false, 0, 0, 0, 10)),
+            // ...and the next is damped: the entry holds its port.
+            ((300, 2, m, nowhere), (Some(1), true, 1, 1, 0, 11)),
+            // During the hold the stable port passes, a move does not.
+            ((320, 1, m, nowhere), (Some(1), true, 1, 1, 0, 12)),
+            ((340, 3, m, nowhere), (Some(1), true, 1, 2, 0, 13)),
+            // The hold (2 s) is over: a sighting lifts it, a move is
+            // learned again.
+            ((2_400, 1, m, nowhere), (Some(1), false, 1, 2, 0, 14)),
+            ((2_420, 3, m, nowhere), (Some(3), false, 1, 2, 0, 15)),
+            // A known destination installs; an unknown one floods.
+            ((2_440, 2, n, m), (Some(3), false, 1, 2, 1, 15)),
+            ((2_460, 2, n, nowhere), (Some(3), false, 1, 2, 1, 16)),
+        ];
+        let frame = |src, dst| {
+            let ip = Ipv4Address::new(10, 0, 0, 1);
+            PacketBuilder::udp(src, ip, 9, dst, ip, 9, &[0; 16])
+        };
+        let mut world = World::new(1);
+        let controller =
+            world.add_node(Box::new(Controller::new(vec![Box::new(L2Learning::new())])));
+        let switch = world.add_node(Box::new(SwitchAgent::new(0, 1, controller)));
+        let sends = steps
+            .iter()
+            .map(|&((ms, port, src, dst), _)| (Instant::from_millis(ms), port, frame(src, dst)))
+            .collect();
+        let wire: NodeId = world.add_node(Box::new(Wire { sends }));
+        for _ in 0..3 {
+            world.connect(wire, switch, LinkParams::default());
+        }
+        for (step, &((ms, ..), want)) in steps.iter().enumerate() {
+            world.run_until(Instant::from_millis(ms + 10));
+            let l2 = world
+                .node_as::<Controller>(controller)
+                .find_app::<L2Learning>()
+                .expect("L2 app is installed");
+            let seen = (
+                l2.location(0, m),
+                l2.is_damped(0, m),
+                l2.flap_events,
+                l2.flaps_damped,
+                l2.flows_installed,
+                l2.floods,
+            );
+            assert_eq!(seen, want, "step {step}, at {ms} ms");
+        }
     }
 }

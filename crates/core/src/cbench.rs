@@ -124,13 +124,14 @@ pub struct CbenchSwitch {
     dpid: u64,
     controller: NodeId,
     cfg: CbenchConfig,
-    /// Pre-built punt frames, source MAC cycling per punt.
-    frames: Vec<Vec<u8>>,
+    /// Pre-built steady-state PACKET_INs, source MAC cycling per punt,
+    /// encoded by reference so that a punt allocates nothing.
+    punts: Vec<Message>,
     /// Frame from the target MAC (broadcast dst): teaches the L2 app
     /// where the steady-state destination lives, eliciting a flood
     /// rather than an install.
     primer: Vec<u8>,
-    next_frame: usize,
+    next_punt: usize,
     session_up: bool,
     xid: u32,
     /// Punt timestamps awaiting their FLOW_MOD, in send order. The
@@ -142,8 +143,10 @@ pub struct CbenchSwitch {
     /// Simulated punt→FLOW_MOD latency per setup, nanoseconds.
     /// Deterministic; digestible.
     pub sim_setup_ns: Vec<u64>,
-    /// Wall-clock punt→FLOW_MOD latency per setup, nanoseconds.
-    /// NOT deterministic; reporting only.
+    /// Wall-clock punt→FLOW_MOD latency per setup, nanoseconds. The
+    /// clock is read once per control delivery, at its first FLOW_MOD:
+    /// that stamp ends each of the delivery's setups and starts each
+    /// punt they trigger. NOT deterministic; reporting only.
     pub wall_setup_ns: Vec<u64>,
 }
 
@@ -154,9 +157,12 @@ impl CbenchSwitch {
         let target_mac = EthernetAddress::from_id(0x61_0000 + dpid);
         let target_ip = Ipv4Address::new(10, 200, (dpid % 250) as u8, 1);
         let payload = vec![0u8; cfg.payload_len];
-        let frames = (0..cfg.sources.max(1))
-            .map(|i| {
-                PacketBuilder::udp(
+        let punts = (0..cfg.sources.max(1))
+            .map(|i| Message::PacketIn {
+                in_port: PUNT_PORT,
+                table_id: 0,
+                is_miss: true,
+                frame: PacketBuilder::udp(
                     EthernetAddress::from_id(0x60_0000 + (dpid << 8) + i as u64),
                     Ipv4Address::new(10, 100, (dpid % 250) as u8, (i % 250 + 1) as u8),
                     1024 + i as u16,
@@ -164,7 +170,7 @@ impl CbenchSwitch {
                     target_ip,
                     53,
                     &payload,
-                )
+                ),
             })
             .collect();
         let primer = PacketBuilder::udp(
@@ -180,9 +186,9 @@ impl CbenchSwitch {
             dpid,
             controller,
             cfg,
-            frames,
+            punts,
             primer,
-            next_frame: 0,
+            next_punt: 0,
             session_up: false,
             xid: 0,
             in_flight: VecDeque::new(),
@@ -203,13 +209,13 @@ impl CbenchSwitch {
         send_msg(ctx, self.controller, msg, xid);
     }
 
-    /// Send one steady-state PACKET_IN and start its latency clock.
-    fn punt(&mut self, ctx: &mut Context<'_>) {
-        let frame = self.frames[self.next_frame].clone();
-        self.next_frame = (self.next_frame + 1) % self.frames.len();
+    /// Send one steady-state PACKET_IN, its wall-clock latency started
+    /// at `wall`.
+    fn punt(&mut self, ctx: &mut Context<'_>, wall: std::time::Instant) {
+        let next = self.next_punt;
+        self.next_punt = (next + 1) % self.punts.len();
         self.stats.punts_sent += 1;
-        self.in_flight
-            .push_back((ctx.now(), std::time::Instant::now()));
+        self.in_flight.push_back((ctx.now(), wall));
         if self.in_flight.len() > self.cfg.in_flight_cap.max(1) {
             // The oldest punt's FLOW_MOD evidently isn't coming: count
             // it as a lost setup instead of letting FIFO pairing hand
@@ -217,18 +223,19 @@ impl CbenchSwitch {
             self.in_flight.pop_front();
             self.stats.setups_lost += 1;
         }
-        self.send(
-            ctx,
-            &Message::PacketIn {
-                in_port: PUNT_PORT,
-                table_id: 0,
-                is_miss: true,
-                frame,
-            },
-        );
+        self.xid = self.xid.wrapping_add(1);
+        send_msg(ctx, self.controller, &self.punts[next], self.xid);
     }
 
-    fn handle(&mut self, ctx: &mut Context<'_>, msg: Message, xid: u32) {
+    /// Act on one message of a delivery whose wall-clock stamp, once
+    /// read, is `wall`.
+    fn handle(
+        &mut self,
+        ctx: &mut Context<'_>,
+        msg: Message,
+        xid: u32,
+        wall: &mut Option<std::time::Instant>,
+    ) {
         match msg {
             Message::FeaturesRequest => {
                 self.reply(
@@ -265,8 +272,9 @@ impl CbenchSwitch {
                     );
                     match self.cfg.mode {
                         CbenchMode::Closed { outstanding } => {
+                            let wall = *wall.get_or_insert_with(std::time::Instant::now);
                             for _ in 0..outstanding.max(1) {
-                                self.punt(ctx);
+                                self.punt(ctx, wall);
                             }
                         }
                         CbenchMode::Open { interval } => {
@@ -281,14 +289,15 @@ impl CbenchSwitch {
             }
             Message::FlowMod { .. } => {
                 self.stats.flow_mods += 1;
+                let wall = *wall.get_or_insert_with(std::time::Instant::now);
                 if let Some((sim_at, wall_at)) = self.in_flight.pop_front() {
                     self.sim_setup_ns
                         .push(ctx.now().duration_since(sim_at).as_nanos());
-                    self.wall_setup_ns
-                        .push(wall_at.elapsed().as_nanos().min(u64::MAX as u128) as u64);
+                    let ns = wall.duration_since(wall_at).as_nanos();
+                    self.wall_setup_ns.push(ns.min(u64::MAX as u128) as u64);
                 }
                 if let CbenchMode::Closed { .. } = self.cfg.mode {
-                    self.punt(ctx);
+                    self.punt(ctx, wall);
                 }
             }
             Message::ResyncRequest => {
@@ -346,13 +355,14 @@ impl Node for CbenchSwitch {
     fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) {
         if token == PUNT_TIMER && self.session_up {
             if let CbenchMode::Open { interval } = self.cfg.mode {
-                self.punt(ctx);
+                self.punt(ctx, std::time::Instant::now());
                 ctx.set_timer(interval, PUNT_TIMER);
             }
         }
     }
 
     fn on_control(&mut self, ctx: &mut Context<'_>, _from: NodeId, bytes: &[u8]) {
+        let mut wall = None;
         for frame in frames(bytes) {
             match frame {
                 // Hot path: classify the frame straight out of the
@@ -372,7 +382,7 @@ impl Node for CbenchSwitch {
                         encode_barrier_reply_into(buf, xids.iter(), xid)
                     });
                 }
-                Ok((other, xid)) => self.handle(ctx, other.into_message(), xid),
+                Ok((other, xid)) => self.handle(ctx, other.into_message(), xid, &mut wall),
                 Err(_) => self.stats.decode_errors += 1,
             }
         }

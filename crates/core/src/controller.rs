@@ -771,8 +771,7 @@ impl Controller {
             };
             let now = ctx.now();
             let mac = eth.src_addr();
-            let recorded = self.view.hosts().get(&mac).and_then(|e| e.ip);
-            let moved = self.view.learn_host(mac, dpid, in_port, ip, now);
+            let (moved, recorded) = self.view.learn_host(mac, dpid, in_port, ip, now);
             // A sighting only ever adds to or replaces the recorded IP.
             let known_ip = ip.or(recorded);
             if moved || known_ip != recorded {

@@ -298,8 +298,10 @@ impl NetworkView {
         }
     }
 
-    /// Record a host sighting. Returns `true` if the host is new or
-    /// moved (location change), which callers propagate to apps.
+    /// Record a host sighting, in one lookup when it repeats what is on
+    /// record. Returns whether the host is new or moved (location
+    /// change), which callers propagate to apps, and the IP it had on
+    /// record before the sighting.
     ///
     /// A sighting makes `mac` the one claimant of the IP it carries,
     /// evicting the host that held it before (a NIC swap, or resync-era
@@ -316,13 +318,13 @@ impl NetworkView {
         port: PortNo,
         ip: Option<Ipv4Address>,
         now: Instant,
-    ) -> bool {
+    ) -> (bool, Option<Ipv4Address>) {
         // The common case, one lookup: a repeat sighting that tells the
         // index nothing new.
         let known = match self.hosts.get_mut(&mac) {
             Some(e) if e.dpid == dpid && e.port == port && (ip.is_none() || e.ip == ip) => {
                 e.last_seen = now;
-                return false;
+                return (false, e.ip);
             }
             other => other.map(|e| *e),
         };
@@ -350,7 +352,7 @@ impl NetworkView {
         if moved {
             self.bump();
         }
-        moved
+        (moved, recorded)
     }
 
     /// Mark a switch's control session dead: routing helpers and the
@@ -610,15 +612,16 @@ mod tests {
         let mut v = two_switch_view();
         let mac = EthernetAddress::from_id(5);
         let t = Instant::from_millis(1);
-        assert!(v.learn_host(mac, 1, 1, None, t));
-        assert!(!v.learn_host(mac, 1, 1, Some(Ipv4Address::new(10, 0, 0, 1)), t));
+        let ip = Some(Ipv4Address::new(10, 0, 0, 1));
+        assert_eq!(v.learn_host(mac, 1, 1, None, t), (true, None));
+        assert_eq!(v.learn_host(mac, 1, 1, ip, t), (false, None));
         // IP was filled in without a "moved" signal.
         assert_eq!(
             v.host_by_ip(Ipv4Address::new(10, 0, 0, 1)).map(|(m, _)| m),
             Some(mac)
         );
-        // Moving ports reports true.
-        assert!(v.learn_host(mac, 2, 2, None, t));
+        // Moving ports reports true, with the IP on record.
+        assert_eq!(v.learn_host(mac, 2, 2, None, t), (true, ip));
         assert_eq!(v.hosts()[&mac].dpid, 2);
         // The IP survives the move.
         assert_eq!(v.hosts()[&mac].ip, Some(Ipv4Address::new(10, 0, 0, 1)));
@@ -636,7 +639,7 @@ mod tests {
         // re-learning after handoff): the stale entry must go, or
         // host_by_ip keeps answering with the dead attachment.
         let before = v.version;
-        assert!(v.learn_host(new_mac, 2, 2, Some(ip), t));
+        assert!(v.learn_host(new_mac, 2, 2, Some(ip), t).0);
         assert!(v.version > before);
         assert!(!v.hosts().contains_key(&old_mac), "stale claimant evicted");
         assert_eq!(
@@ -678,7 +681,7 @@ mod tests {
             Some(stale_mac),
             "stale claimant shadows the live host before the move"
         );
-        assert!(v.learn_host(live_mac, 2, 2, None, t), "location change");
+        assert!(v.learn_host(live_mac, 2, 2, None, t).0, "location change");
         assert!(
             !v.hosts().contains_key(&stale_mac),
             "stale claim evicted on IP-less move"
@@ -864,9 +867,11 @@ mod tests {
             let ip = (!rng.gen_ratio(1, 3))
                 .then(|| Ipv4Address::new(10, 0, 0, 1 + rng.gen_range(u64::from(IPS)) as u8));
             let now = Instant::from_millis(step);
+            // A sighting also returns the IP the model held before it.
+            let prior_ip = model.hosts.get(&mac).and_then(|e| e.ip);
             assert_eq!(
                 view.learn_host(mac, dpid, port, ip, now),
-                model.learn_host(mac, dpid, port, ip, now),
+                (model.learn_host(mac, dpid, port, ip, now), prior_ip),
                 "step {step}: return value"
             );
             assert_eq!(view.hosts(), &model.hosts, "step {step}: hosts");

@@ -1,12 +1,15 @@
 //! Link-layer and network-layer address types.
 
+use core::cmp::Ordering;
 use core::fmt;
 use core::str::FromStr;
 
 use crate::{Error, Result};
 
-/// A six-octet IEEE 802 MAC address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+/// A six-octet IEEE 802 MAC address. Addresses order as the integers
+/// their bytes spell, big-endian: the order of the bytes, in one
+/// comparison instead of a `memcmp`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct EthernetAddress(pub [u8; 6]);
 
 impl EthernetAddress {
@@ -61,6 +64,19 @@ impl EthernetAddress {
     }
 }
 
+impl PartialOrd for EthernetAddress {
+    fn partial_cmp(&self, other: &EthernetAddress) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for EthernetAddress {
+    fn cmp(&self, other: &EthernetAddress) -> Ordering {
+        let int = |[a, b, c, d, e, f]: [u8; 6]| u64::from_be_bytes([0, 0, a, b, c, d, e, f]);
+        int(self.0).cmp(&int(other.0))
+    }
+}
+
 impl fmt::Display for EthernetAddress {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let b = &self.0;
@@ -89,8 +105,9 @@ impl FromStr for EthernetAddress {
     }
 }
 
-/// An IPv4 address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+/// An IPv4 address. Addresses order as their host-order `u32`, which is
+/// the order of their bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Ipv4Address(pub [u8; 4]);
 
 impl Ipv4Address {
@@ -148,6 +165,18 @@ impl Ipv4Address {
     /// Whether this address can identify a single host.
     pub fn is_unicast(&self) -> bool {
         !self.is_broadcast() && !self.is_multicast() && !self.is_unspecified()
+    }
+}
+
+impl PartialOrd for Ipv4Address {
+    fn partial_cmp(&self, other: &Ipv4Address) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Ipv4Address {
+    fn cmp(&self, other: &Ipv4Address) -> Ordering {
+        self.to_u32().cmp(&other.to_u32())
     }
 }
 
@@ -355,6 +384,64 @@ mod tests {
     fn cidr_rejects_long_prefix() {
         assert!(Ipv4Cidr::new(Ipv4Address::UNSPECIFIED, 33).is_err());
         assert!("10.0.0.0/33".parse::<Ipv4Cidr>().is_err());
+    }
+
+    /// The hand-written orders are the byte orders the derived ones were,
+    /// so every ordered map keyed by an address iterates as before.
+    #[test]
+    fn address_order_is_byte_order() {
+        let mut rng = crate::lcg::Lcg::new(0x0dde_5eed);
+        let mut macs = vec![
+            EthernetAddress::ZERO,
+            EthernetAddress::BROADCAST,
+            EthernetAddress([0x01, 0, 0, 0, 0, 0]),
+            EthernetAddress([0x02, 0, 0, 0, 0, 0]),
+            EthernetAddress([0, 0, 0, 0, 0, 0x01]),
+            EthernetAddress([0, 0, 0, 0, 0, 0x02]),
+            EthernetAddress([0x80, 0, 0, 0, 0, 0xff]),
+            EthernetAddress([0x7f, 0xff, 0xff, 0xff, 0xff, 0xff]),
+        ];
+        let mut ips = vec![
+            Ipv4Address::UNSPECIFIED,
+            Ipv4Address::BROADCAST,
+            Ipv4Address::new(1, 0, 0, 0),
+            Ipv4Address::new(2, 0, 0, 0),
+            Ipv4Address::new(0, 0, 0, 1),
+            Ipv4Address::new(0, 0, 0, 2),
+            Ipv4Address::new(128, 0, 0, 255),
+            Ipv4Address::new(127, 255, 255, 255),
+        ];
+        for _ in 0..200 {
+            // Each random address with a twin one random byte away: the
+            // pair is decided by that byte alone.
+            let mac = EthernetAddress::from_bytes(&rng.gen_bytes(6));
+            let mut twin = mac;
+            twin.0[rng.gen_index(6)] = rng.next_u32() as u8;
+            macs.extend([mac, twin]);
+            let ip = Ipv4Address::from_u32(rng.next_u32());
+            let mut twin = ip;
+            twin.0[rng.gen_index(4)] = rng.next_u32() as u8;
+            ips.extend([ip, twin]);
+        }
+        for a in &macs {
+            for b in &macs {
+                assert_eq!(a.cmp(b), a.0.cmp(&b.0), "{a} against {b}");
+                assert_eq!(a.partial_cmp(b), Some(a.0.cmp(&b.0)), "{a} against {b}");
+            }
+        }
+        for a in &ips {
+            for b in &ips {
+                assert_eq!(a.cmp(b), a.0.cmp(&b.0), "{a} against {b}");
+                assert_eq!(a.partial_cmp(b), Some(a.0.cmp(&b.0)), "{a} against {b}");
+                // A CIDR block orders by address, then prefix length.
+                for (la, lb) in [(8, 24), (24, 8), (16, 16)] {
+                    let ca = Ipv4Cidr::new(*a, la).unwrap();
+                    let cb = Ipv4Cidr::new(*b, lb).unwrap();
+                    let bytes = (a.0, la).cmp(&(b.0, lb));
+                    assert_eq!(ca.cmp(&cb), bytes, "{ca} against {cb}");
+                }
+            }
+        }
     }
 
     #[test]
