@@ -72,7 +72,9 @@ impl PartialOrd for EthernetAddress {
 
 impl Ord for EthernetAddress {
     fn cmp(&self, other: &EthernetAddress) -> Ordering {
-        let int = |[a, b, c, d, e, f]: [u8; 6]| u64::from_be_bytes([0, 0, a, b, c, d, e, f]);
+        // Padded at the low end, which keeps the order and compiles to
+        // two loads and a byte swap.
+        let int = |[a, b, c, d, e, f]: [u8; 6]| u64::from_be_bytes([a, b, c, d, e, f, 0, 0]);
         int(self.0).cmp(&int(other.0))
     }
 }
