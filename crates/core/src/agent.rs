@@ -165,11 +165,23 @@ const APPLIED_XIDS: usize = 4096;
 ///
 /// Filing is a push. A barrier names mods sent just before it, so the
 /// membership test walks from the newest arrival back and nearly always
-/// stops within a burst's length; only an xid that never arrived costs
-/// a walk of the whole window. A mod applied twice (a retransmission)
-/// is filed twice — the window holds applications, not distinct xids.
+/// stops within a burst's length; only an xid that never arrived, yet is
+/// older than its sender's newest, costs a walk of the whole window. A
+/// mod applied twice (a retransmission) is filed twice — the window
+/// holds applications, not distinct xids.
+///
+/// Beside the window it keeps the newest xid ever filed per sender.
+/// The window only ever holds filed xids, so an xid above its sender's
+/// newest cannot be in it, and a delete with nothing newer of its
+/// sender ever filed cannot have been overtaken: [`AppliedXids::contains`]
+/// and [`AppliedXids::undone_by`] answer those at once, exactly, without
+/// walking the window.
 #[derive(Debug, Default)]
-struct AppliedXids(VecDeque<u32>);
+struct AppliedXids {
+    window: VecDeque<u32>,
+    /// The highest xid filed per sender, one entry per sender seen.
+    newest: Vec<u32>,
+}
 
 /// Whether two xids were numbered by one controller: replicas number
 /// from disjoint ranges (`Controller::enable_cluster`).
@@ -179,10 +191,19 @@ fn same_sender(a: u32, b: u32) -> bool {
 
 impl AppliedXids {
     fn note(&mut self, xid: u32) {
-        if self.0.len() == APPLIED_XIDS {
-            self.0.pop_front();
+        if self.window.len() == APPLIED_XIDS {
+            self.window.pop_front();
         }
-        self.0.push_back(xid);
+        self.window.push_back(xid);
+        match self.newest.iter_mut().find(|n| same_sender(**n, xid)) {
+            Some(newest) => *newest = (*newest).max(xid),
+            None => self.newest.push(xid),
+        }
+    }
+
+    /// The newest xid filed from `xid`'s sender, if any ever was.
+    fn newest_of(&self, xid: u32) -> Option<u32> {
+        self.newest.iter().copied().find(|&n| same_sender(n, xid))
     }
 
     /// A flow delete numbered `xid` just took effect. A controller
@@ -194,12 +215,18 @@ impl AppliedXids {
     /// still holds them pending behind the delete and replays them;
     /// until then a barrier must not say they took effect.
     fn undone_by(&mut self, xid: u32) {
-        self.0
+        if self.newest_of(xid).is_none_or(|newest| newest <= xid) {
+            return;
+        }
+        self.window
             .retain(|&held| !(same_sender(held, xid) && held > xid));
     }
 
     fn contains(&self, xid: u32) -> bool {
-        self.0.iter().rev().any(|&held| held == xid)
+        if self.newest_of(xid).is_none_or(|newest| xid > newest) {
+            return false;
+        }
+        self.window.iter().rev().any(|&held| held == xid)
     }
 }
 
@@ -1050,14 +1077,14 @@ mod tests {
         for xid in 1..APPLIED_XIDS as u32 {
             window.note(xid);
         }
-        assert_eq!(window.0.len(), APPLIED_XIDS);
+        assert_eq!(window.window.len(), APPLIED_XIDS);
         assert!(window.contains(u32::MAX) && window.contains(1));
         // One more, smaller than everything held: it stays, and what
         // goes is the oldest arrival, not the smallest xid.
         window.note(0);
         assert!(window.contains(0) && window.contains(1));
         assert!(!window.contains(u32::MAX));
-        assert_eq!(window.0.len(), APPLIED_XIDS);
+        assert_eq!(window.window.len(), APPLIED_XIDS);
         // And so on, in arrival order.
         window.note(7_000_000);
         assert!(!window.contains(1) && window.contains(2));
@@ -1078,5 +1105,88 @@ mod tests {
         assert!(!window.contains(151) && !window.contains(199));
         window.note(151);
         assert!(window.contains(151));
+    }
+
+    /// The window as it was before it kept the newest xid per sender: a
+    /// plain queue, a `retain` over all of it per delete and an `any`
+    /// over all of it per question.
+    #[derive(Default)]
+    struct WindowModel(VecDeque<u32>);
+
+    impl WindowModel {
+        fn note(&mut self, xid: u32) {
+            if self.0.len() == APPLIED_XIDS {
+                self.0.pop_front();
+            }
+            self.0.push_back(xid);
+        }
+
+        fn undone_by(&mut self, xid: u32) {
+            self.0
+                .retain(|&held| !(same_sender(held, xid) && held > xid));
+        }
+
+        fn contains(&self, xid: u32) -> bool {
+            self.0.iter().any(|&held| held == xid)
+        }
+    }
+
+    /// Three senders whose mods arrive out of order, retransmitted, and
+    /// struck by deletes that land late, over enough filings to evict
+    /// several windows' worth: after every step the window holds what
+    /// the model does and answers every question as it would — xids
+    /// above a sender's newest, of a sender never heard from, and
+    /// deletes nothing overtook included.
+    #[test]
+    fn applied_window_answers_as_a_plain_queue_would() {
+        let mut rng = zen_wire::lcg::Lcg::new(0xa9_9e1d);
+        let mut window = AppliedXids::default();
+        let mut model = WindowModel::default();
+        // Per sender, the next xid it numbers; senders 1 to 3 of 4, so
+        // sender 0 is never heard from.
+        let mut next = [0u32, (1 << 24) | 1, (2 << 24) | 1, (3 << 24) | 1];
+        let mut filed: Vec<u32> = Vec::new();
+        let (mut notes, mut struck) = (0, 0);
+        for step in 0..30_000u32 {
+            let sender = 1 + rng.gen_index(3);
+            // Mostly the sender's next mod, or one a few back (jitter);
+            // sometimes a copy of one filed long ago (a retransmission).
+            let xid = match rng.gen_range(10) {
+                0 if !filed.is_empty() => filed[rng.gen_index(filed.len())],
+                1 => next[sender] - rng.gen_range(6) as u32,
+                _ => {
+                    next[sender] += 1;
+                    next[sender] - 1
+                }
+            };
+            match rng.gen_range(8) {
+                0 => {
+                    let before = model.0.len();
+                    window.undone_by(xid);
+                    model.undone_by(xid);
+                    struck += before - model.0.len();
+                }
+                _ => {
+                    window.note(xid);
+                    model.note(xid);
+                    filed.push(xid);
+                    notes += 1;
+                }
+            }
+            assert!(window.window.iter().eq(&model.0), "step {step}: window");
+            // Questions about xids at, below and above what was filed,
+            // and of the silent sender.
+            let quiet = rng.gen_range(1 << 24) as u32;
+            let ahead = next[sender] + rng.gen_range(3) as u32;
+            for ask in [xid, xid.wrapping_sub(1), xid + 1, ahead, quiet] {
+                assert_eq!(
+                    window.contains(ask),
+                    model.contains(ask),
+                    "step {step}: {ask}"
+                );
+            }
+        }
+        assert!(notes > 4 * APPLIED_XIDS, "{notes} filings evict too little");
+        assert!(struck > 100, "only {struck} xids struck");
     }
 }

@@ -260,11 +260,12 @@ impl Ctl<'_, '_> {
     }
 
     /// Bring `dpid` to the program an app wants it to hold under
-    /// `cookie`: `groups` in install order, and the flows `flows`
-    /// renders (asked for only when they have to be sent), whose
-    /// [`crate::flows_stamp`] is `flows_stamp`. This is the one way a
-    /// program reaches a switch, whatever the occasion — a view change,
-    /// a returning switch, a takeover.
+    /// `cookie`, whose hashes are `desired`: the groups `groups` renders
+    /// from the view, in install order, and the flows `flows` renders.
+    /// Each is asked for only when it has to be sent, so a switch that
+    /// already holds its program costs a comparison of hashes. This is
+    /// the one way a program reaches a switch, whatever the occasion —
+    /// a view change, a returning switch, a takeover.
     ///
     /// The program is diffed against the session's *base* for the
     /// cookie, the hashes of what the switch holds once every pending
@@ -283,35 +284,35 @@ impl Ctl<'_, '_> {
         &mut self,
         dpid: Dpid,
         cookie: u64,
-        groups: Vec<(u32, GroupDesc)>,
-        flows_stamp: u64,
+        desired: &ProgramBase,
+        groups: impl FnOnce(&NetworkView) -> Vec<(u32, GroupDesc)>,
         flows: impl FnOnce() -> Vec<FlowSpec>,
     ) -> Reconciled {
         let core = &*self.core;
         let Some(node) = core.southbound.node(dpid).filter(|_| core.is_master(dpid)) else {
             return Reconciled::default();
         };
-        let desired = ProgramBase::of(flows_stamp, &groups);
-        let stamp = desired.stamp();
         let base = core.southbound.base(node, cookie);
-        if base == Some(&desired) {
+        if base == Some(desired) {
             return Reconciled::default();
         }
         // The replicated stamp: the content hash the last master
         // recorded for the program it installed, if there was one.
+        let stamp = desired.stamp();
         let replicated = core.cluster.as_ref().and_then(|cl| cl.stamp(dpid, cookie));
         let adopt = base.is_none() && replicated == Some(stamp);
         let (msgs, sent, left) = if adopt {
             Default::default()
         } else {
-            delta(base, &desired, cookie, groups, flows)
+            delta(base, desired, cookie, groups(self.view), flows)
         };
         for msg in &msgs {
             self.send_as(dpid, msg, true);
         }
         self.stats.txns_committed += u64::from(!msgs.is_empty());
         let (core, now) = (&mut *self.core, self.ctx.now());
-        core.southbound.rebase(node, cookie, desired, left, now);
+        core.southbound
+            .rebase(node, cookie, desired.clone(), left, now);
         // A standby that later takes the switch over compares the stamp
         // against its own and loads the switch only on mismatch.
         if let Some(cl) = &mut core.cluster {

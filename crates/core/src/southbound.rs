@@ -180,6 +180,11 @@ impl ProgramBase {
         }
     }
 
+    /// The stamp of the flow half.
+    pub fn flows_stamp(&self) -> u64 {
+        self.flows
+    }
+
     /// The program's stamp — what a master records through
     /// [`crate::controller::Ctl::reconcile`] and a replica taking the
     /// switch over compares its own against: the fold of the per-entry

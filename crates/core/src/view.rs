@@ -4,7 +4,7 @@
 //! links from LLDP round trips, hosts from the source addresses of
 //! punted edge-port traffic — never taken from simulator ground truth.
 
-use std::cell::OnceCell;
+use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
 
 use zen_dataplane::PortNo;
@@ -38,13 +38,19 @@ pub struct HostEntry {
     pub last_seen: Instant,
 }
 
-/// The routing snapshot of one view [`version`](NetworkView::version):
-/// the graph [`NetworkView::graph`] builds, its dpid↔index tables, and
-/// one shortest-path tree per source switch, each computed the first
-/// time it is asked for. Apps read it through [`NetworkView::routes`]
-/// instead of rebuilding the graph per punt.
+/// The routing snapshot of one routing graph: the graph
+/// [`NetworkView::graph`] builds, its dpid↔index tables, and one
+/// shortest-path tree per source switch, each computed the first time
+/// it is asked for. Apps read it through [`NetworkView::routes`]
+/// instead of rebuilding the graph per punt. It lives as long as the
+/// graph does, not as long as one view version: a change that leaves
+/// the graph as it was (a host learned, a port up with no link yet)
+/// keeps it, trees and all.
 #[derive(Debug)]
 pub struct Routes {
+    /// Moves when, and only when, the graph's content moves: two
+    /// snapshots of one view with equal generations route alike.
+    pub generation: u64,
     /// One node per known switch, one directed edge (weight 1,
     /// capacity 0) per discovered link whose source port is up and
     /// whose endpoints are live.
@@ -132,9 +138,14 @@ pub struct NetworkView {
     /// Bumped on every structural change; apps compare against it to
     /// know when to recompute.
     pub version: u64,
-    /// The routing snapshot of `version`, built on first use and
-    /// dropped by the next `bump`.
+    /// The routing snapshot of `version`, built on first use and set
+    /// aside by the next `bump`.
     routes: OnceCell<Routes>,
+    /// The snapshot the last `bump` set aside: the next `routes` takes
+    /// it back if the graph it was built from still stands.
+    set_aside: RefCell<Option<Routes>>,
+    /// Snapshots built so far: the next one's generation.
+    built: Cell<u64>,
 }
 
 impl NetworkView {
@@ -145,7 +156,9 @@ impl NetworkView {
 
     fn bump(&mut self) {
         self.version += 1;
-        self.routes.take();
+        if let Some(routes) = self.routes.take() {
+            *self.set_aside.get_mut() = Some(routes);
+        }
     }
 
     /// Register or refresh a switch. A refresh that confirms what we
@@ -195,49 +208,48 @@ impl NetworkView {
         self.add_link_at(from, to, Instant::ZERO)
     }
 
-    /// Drop links not LLDP-confirmed within `max_age` — how the
-    /// controller notices *silent* failures. Returns the removed links.
+    /// Drop links not LLDP-confirmed within their maximum age — how the
+    /// controller notices *silent* failures. `max_age(from, to)` gives
+    /// each link its age, or `None` to leave it be: a clustered
+    /// controller only ages links whose *destination* switch it
+    /// masters, since LLDP confirmations arrive at the destination's
+    /// master and everyone else's staleness clock says nothing about
+    /// the link. One walk of `links` and `link_seen` in lockstep.
+    /// Returns the removed links, the shortest maximum age first and in
+    /// key order within one age.
     #[allow(clippy::type_complexity)]
     pub fn expire_links(
         &mut self,
         now: Instant,
-        max_age: Duration,
+        mut max_age: impl FnMut((Dpid, PortNo), (Dpid, PortNo)) -> Option<Duration>,
     ) -> Vec<((Dpid, PortNo), (Dpid, PortNo))> {
-        self.expire_links_filtered(now, max_age, |_, _| true)
-    }
-
-    /// [`NetworkView::expire_links`] restricted to links accepted by
-    /// `pred(from, to)`. A clustered controller only ages links whose
-    /// *destination* switch it masters: LLDP confirmations arrive at the
-    /// destination's master, so everyone else's staleness clock says
-    /// nothing about the link.
-    #[allow(clippy::type_complexity)]
-    pub fn expire_links_filtered(
-        &mut self,
-        now: Instant,
-        max_age: Duration,
-        pred: impl Fn((Dpid, PortNo), (Dpid, PortNo)) -> bool,
-    ) -> Vec<((Dpid, PortNo), (Dpid, PortNo))> {
-        let stale: Vec<(Dpid, PortNo)> = self
-            .links
-            .iter()
-            .filter(|(&from, &to)| {
-                let seen = self.link_seen.get(&from).copied().unwrap_or(Instant::ZERO);
-                now.duration_since(seen) >= max_age && pred(from, to)
-            })
-            .map(|(&from, _)| from)
-            .collect();
-        let mut removed = Vec::new();
-        for key in stale {
-            if let Some(peer) = self.links.remove(&key) {
-                removed.push((key, peer));
+        let mut seen = self.link_seen.iter().peekable();
+        let mut stale = Vec::new();
+        for (&from, &to) in &self.links {
+            let mut last = Instant::ZERO;
+            while let Some((&key, &at)) = seen.peek() {
+                if key > from {
+                    break;
+                }
+                if key == from {
+                    last = at;
+                }
+                seen.next();
             }
-            self.link_seen.remove(&key);
+            if let Some(age) = max_age(from, to).filter(|&age| now.duration_since(last) >= age) {
+                stale.push((age, from, to));
+            }
         }
-        if !removed.is_empty() {
-            self.bump();
+        if stale.is_empty() {
+            return Vec::new();
         }
-        removed
+        stale.sort_by_key(|&(age, ..)| age);
+        for &(_, from, _) in &stale {
+            self.links.remove(&from);
+            self.link_seen.remove(&from);
+        }
+        self.bump();
+        stale.into_iter().map(|(_, from, to)| (from, to)).collect()
     }
 
     /// Reset the staleness clock of every link *into* `dpid` to `now`.
@@ -508,32 +520,67 @@ impl NetworkView {
             .collect();
         let mut graph = Graph::with_nodes(dpids.len());
         let mut edge_ports = Vec::new();
-        for (&(src, sp), &(dst, _)) in &self.links {
-            if !self.port_up(src, sp) || self.is_quarantined(src) || self.is_quarantined(dst) {
-                continue;
-            }
-            if let (Some(&a), Some(&b)) = (index.get(&src), index.get(&dst)) {
-                graph.add_edge(a, b, 1, 0);
-                edge_ports.push(sp);
-            }
+        for (a, b, port) in self.graph_edges(&index) {
+            graph.add_edge(a, b, 1, 0);
+            edge_ports.push(port);
         }
         (graph, dpids, index, edge_ports)
     }
 
+    /// The routing graph's edges in the order they are added, as
+    /// `(source index, destination index, source port)`: every
+    /// discovered link whose source port is up, between switches in
+    /// `index` that are not quarantined.
+    fn graph_edges<'a>(
+        &'a self,
+        index: &'a BTreeMap<Dpid, u32>,
+    ) -> impl Iterator<Item = (NodeIx, NodeIx, PortNo)> + 'a {
+        self.links
+            .iter()
+            .filter_map(move |(&(src, sp), &(dst, _))| {
+                if !self.port_up(src, sp) || self.is_quarantined(src) || self.is_quarantined(dst) {
+                    return None;
+                }
+                Some((*index.get(&src)?, *index.get(&dst)?, sp))
+            })
+    }
+
+    /// Whether `routes` is what [`NetworkView::graph_with_ports`] would
+    /// build now: the same switches, and the same edges with the same
+    /// ports in the same order. One walk in build order, allocating
+    /// nothing.
+    fn still_routes(&self, routes: &Routes) -> bool {
+        if !self.switches.keys().eq(&routes.dpids) {
+            return false;
+        }
+        let built = routes.graph.edges().iter().zip(&routes.edge_ports);
+        let built = built.map(|(edge, &port)| (edge.from, edge.to, port));
+        self.graph_edges(&routes.index).eq(built)
+    }
+
     /// The routing snapshot of the current version: [`NetworkView::graph`]
     /// built once, shortest-path trees filled in as they are asked for.
-    /// Every structural change drops it, so what it answers is always
-    /// what a fresh `graph()` + `dijkstra` would.
+    /// A structural change sets it aside, and the next call takes it
+    /// back if the graph still is what it was built from, so what it
+    /// answers is always what a fresh `graph()` + `dijkstra` would.
     pub fn routes(&self) -> &Routes {
         self.routes.get_or_init(|| {
-            let (graph, dpids, index, edge_ports) = self.graph_with_ports();
-            let trees = vec![OnceCell::new(); dpids.len()];
-            Routes {
-                graph,
-                dpids,
-                index,
-                edge_ports,
-                trees,
+            let set_aside = self.set_aside.borrow_mut().take();
+            match set_aside {
+                Some(routes) if self.still_routes(&routes) => routes,
+                _ => {
+                    let (graph, dpids, index, edge_ports) = self.graph_with_ports();
+                    let trees = vec![OnceCell::new(); dpids.len()];
+                    let generation = self.built.replace(self.built.get() + 1);
+                    Routes {
+                        generation,
+                        graph,
+                        dpids,
+                        index,
+                        edge_ports,
+                        trees,
+                    }
+                }
             }
         })
     }
@@ -699,16 +746,38 @@ mod tests {
         let age = Duration::from_millis(100);
         // Only links *into* dpid 2 may expire: (1,2)->(2,1) goes, the
         // reverse direction stays even though it is just as stale.
-        let removed = v.expire_links_filtered(late, age, |_, (to, _)| to == 2);
+        let removed = v.expire_links(late, |_, (to, _)| (to == 2).then_some(age));
         assert_eq!(removed, vec![((1, 2), (2, 1))]);
         assert!(v.links.contains_key(&(2, 1)));
 
         // refresh_links_to resets the staleness clock for inbound links.
         let mut v2 = two_switch_view();
         v2.refresh_links_to(1, late);
-        let removed = v2.expire_links(late, age);
+        let removed = v2.expire_links(late, |_, _| Some(age));
         assert_eq!(removed, vec![((1, 2), (2, 1))], "refreshed link survives");
         assert_eq!(v2.link_seen[&(2, 1)], late);
+
+        // Removals come shortest maximum age first, key order within an
+        // age, whatever the key order across ages; a link with no entry
+        // in `link_seen` counts as last seen at zero.
+        let mut v3 = two_switch_view();
+        v3.add_switch(3, 1, &[(1, true)]);
+        v3.add_link((3, 1), (1, 1));
+        v3.link_seen.remove(&(3, 1));
+        let before = v3.version;
+        let removed = v3.expire_links(late, |(from, _), _| {
+            Some(if from == 1 {
+                Duration::from_millis(200)
+            } else {
+                age
+            })
+        });
+        assert_eq!(
+            removed,
+            vec![((2, 1), (1, 2)), ((3, 1), (1, 1)), ((1, 2), (2, 1))]
+        );
+        assert_eq!(v3.version, before + 1, "one bump for the whole walk");
+        assert!(v3.links.is_empty() && v3.link_seen.is_empty());
     }
 
     #[test]

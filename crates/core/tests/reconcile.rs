@@ -291,6 +291,76 @@ fn a_flap_sends_the_groups_that_moved_and_nothing_else() {
     );
 }
 
+/// A host-facing port going down and coming back bumps the view twice
+/// and moves no link: each bump's pass finds every mastered switch
+/// holding its program, sends nothing, and — the routing snapshot
+/// outliving both bumps, its generation where it was — works every
+/// switch's program out from the hashes kept for that generation
+/// instead of rendering a group.
+#[test]
+fn a_bump_that_moves_no_link_sends_nothing_and_renders_no_group() {
+    let mut world = World::new(11);
+    let (topo, fabric) = fat_tree_fabric(
+        &mut world,
+        FabricOptions::default(),
+        0,
+        Instant::from_secs(3_600),
+    );
+    let host = fabric.hosts[0];
+    let (link, _) = world
+        .links()
+        .find(|(_, l)| l.a.0 == host || l.b.0 == host)
+        .expect("the host is attached");
+    world.schedule_link_state(link, false, ms(2_000));
+    world.schedule_link_state(link, true, ms(2_300));
+
+    /// (view version, routing generation, reprogram passes, switches
+    /// left alone, flow mods, group mods, mods applied per switch)
+    type Snapshot = (u64, u64, u64, u64, u64, u64, Vec<u64>);
+    let snapshot = |world: &World| -> Snapshot {
+        let ctl = world.node_as::<Controller>(fabric.controller);
+        let app = fabric_app(ctl);
+        let applied = fabric.switches.iter();
+        (
+            ctl.view.version,
+            ctl.view.routes().generation,
+            app.installs,
+            app.switches_unchanged,
+            ctl.stats.flow_mods,
+            ctl.stats.group_mods,
+            applied
+                .map(|&sw| world.node_as::<SwitchAgent>(sw).generation())
+                .collect(),
+        )
+    };
+    world.run_until(ms(1_900));
+    let mastered = world
+        .node_as::<Controller>(fabric.controller)
+        .mastered()
+        .len() as u64;
+    assert_eq!(mastered, topo.switches as u64);
+    let mut before = snapshot(&world);
+    assert!(fabric_app(world.node_as::<Controller>(fabric.controller)).programmed());
+    for (what, until) in [("down", 2_200), ("up", 2_500)] {
+        world.run_until(ms(until));
+        let after = snapshot(&world);
+        assert!(after.0 > before.0, "port {what}: the view did not move");
+        assert_eq!(after.1, before.1, "port {what}: the routing graph moved");
+        assert_eq!(after.2, before.2 + 1, "port {what}: one pass");
+        assert_eq!(
+            after.3,
+            before.3 + mastered,
+            "port {what}: a switch was not left alone"
+        );
+        assert_eq!(
+            (after.4, after.5, &after.6),
+            (before.4, before.5, &before.6),
+            "port {what}: a mod was sent"
+        );
+        before = after;
+    }
+}
+
 /// Everything a switch forwards by, and the flow count per cookie it
 /// would report in a resync.
 fn held(world: &World, switch: NodeId) -> (String, Vec<(u64, u32)>) {

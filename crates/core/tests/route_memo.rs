@@ -1,7 +1,9 @@
-//! The view memoises its routing snapshot per version. After every kind
-//! of structural change the next reactive punt must install exactly the
-//! path an uncached `graph()` + `dijkstra` over the changed view gives —
-//! a stale snapshot surviving a change would install the old one.
+//! The view memoises its routing snapshot per routing graph: a version
+//! bump sets it aside, and the next use takes it back only if the graph
+//! it was built from still stands. After every kind of structural change
+//! the next reactive punt must install exactly the path an uncached
+//! `graph()` + `dijkstra` over the changed view gives — a stale snapshot
+//! surviving a change would install the old one.
 //!
 //! A 4-switch ring carries two senders on switch 0 and a sink on switch
 //! 2, so there are always two equal-cost ways round. Flows idle out
@@ -110,7 +112,7 @@ fn every_view_change_reroutes_the_next_punt() {
             0,
             3,
             |v, port, _, _, now| {
-                v.expire_links_filtered(now, Duration::ZERO, |from, _| from == (0, port));
+                v.expire_links(now, |from, _| (from == (0, port)).then_some(Duration::ZERO));
             },
             Some(true),
         ),
@@ -261,4 +263,140 @@ fn the_lent_path_carries_what_port_toward_answers() {
     view.unquarantine(1);
     check(&view, "one side back");
     assert_eq!(first_port(&view, 0, 2), Some((0, 1)));
+}
+
+/// What the routing graph of `view` is made of, worked out apart from
+/// the view's own builder: its switches, and per discovered link whose
+/// source port is up, between known switches neither of which is
+/// quarantined, `(source, destination, source port)` in key order.
+fn graph_content(view: &NetworkView) -> (Vec<Dpid>, Vec<(Dpid, Dpid, PortNo)>) {
+    let dpids = view.switches.keys().copied().collect();
+    let usable = |d: &Dpid| view.switches.contains_key(d) && !view.is_quarantined(*d);
+    let edges = view
+        .links
+        .iter()
+        .filter(|(&(a, p), (b, _))| view.port_up(a, p) && usable(&a) && usable(b))
+        .map(|(&(a, p), &(b, _))| (a, b, p))
+        .collect();
+    (dpids, edges)
+}
+
+/// A seeded run of every kind of view change — ports down and up, links
+/// discovered, aged out and torn, quarantines laid and lifted, switch
+/// refreshes that do and do not move a port, hosts learned, and flaps
+/// undone before anyone asks for routes. After every step the snapshot
+/// answers what a fresh `graph()` and a `dijkstra` per source do, its
+/// generation moves exactly when the graph's content did, and a
+/// snapshot that outlived a bump lends the trees it had already
+/// computed.
+#[test]
+fn a_snapshot_outlives_every_bump_that_leaves_the_graph_alone() {
+    const SWITCHES: Dpid = 5;
+    const PORTS: PortNo = 4;
+    let mut rng = zen_wire::lcg::Lcg::new(0x5eed_0d0e);
+    let mut view = NetworkView::new();
+    let all_up: Vec<(PortNo, bool)> = (1..=PORTS).map(|p| (p, true)).collect();
+    for dpid in 0..SWITCHES {
+        view.add_switch(dpid, 1, &all_up);
+    }
+    let mut last = (view.routes().generation, graph_content(&view));
+    let mut tree_of_zero = view.routes().dists_from(0).as_ptr();
+    let (mut moves, mut stays) = (0, 0);
+    for step in 0..1_500u64 {
+        let now = Instant::from_millis(step);
+        let dpid = rng.gen_range(SWITCHES);
+        let port = 1 + rng.gen_range(u64::from(PORTS)) as PortNo;
+        let version = view.version;
+        match rng.gen_range(9) {
+            0 => view.set_port(dpid, port, false),
+            1 => view.set_port(dpid, port, true),
+            2 | 3 => {
+                // A link both ways, to a port of another switch.
+                let peer = (dpid + 1 + rng.gen_range(SWITCHES - 1)) % SWITCHES;
+                let peer_port = 1 + rng.gen_range(u64::from(PORTS)) as PortNo;
+                view.add_link_at((dpid, port), (peer, peer_port), now);
+                view.add_link_at((peer, peer_port), (dpid, port), now);
+            }
+            4 => {
+                let aged = |from, _| (from == (dpid, port)).then_some(Duration::ZERO);
+                view.expire_links(now, aged);
+            }
+            5 => {
+                if !view.quarantine(dpid) {
+                    view.unquarantine(dpid);
+                }
+            }
+            6 => {
+                // A refresh: the same ports, or one of them flipped.
+                let mut ports = view.switches[&dpid].ports.clone();
+                if rng.gen_ratio(1, 2) {
+                    *ports.get_mut(&port).unwrap() ^= true;
+                }
+                let ports: Vec<(PortNo, bool)> = ports.into_iter().collect();
+                view.add_switch(dpid, 1, &ports);
+            }
+            7 => {
+                let mac = zen_wire::EthernetAddress::from_id(rng.gen_range(8));
+                view.learn_host(mac, dpid, port, None, now);
+            }
+            _ => {
+                // A flap undone before routes are asked for again.
+                if let Some(&(peer, peer_port)) = view.links.get(&(dpid, port)) {
+                    view.set_port(dpid, port, false);
+                    view.set_port(dpid, port, true);
+                    view.add_link_at((dpid, port), (peer, peer_port), now);
+                    view.add_link_at((peer, peer_port), (dpid, port), now);
+                }
+            }
+        }
+        let content = graph_content(&view);
+        let routes = view.routes();
+        let (graph, dpids, index) = view.graph();
+        assert_eq!(
+            (&routes.graph, &routes.dpids, &routes.index),
+            (&graph, &dpids, &index),
+            "step {step}: the snapshot is not a fresh graph()"
+        );
+        let mut path = Vec::new();
+        for src in 0..SWITCHES {
+            let tree = dijkstra(&graph, index[&src]);
+            assert_eq!(
+                routes.dists_from(index[&src]),
+                &tree.dist[..],
+                "step {step}"
+            );
+            for dst in 0..SWITCHES {
+                let found = routes.path(src, dst, 77, &mut path);
+                assert_eq!(
+                    found,
+                    tree.reachable(index[&dst]),
+                    "step {step}: {src} to {dst}"
+                );
+                for hop in path.windows(2) {
+                    let toward = view.port_toward(hop[0].0, hop[1].0);
+                    assert_eq!(Some(hop[0].1), toward, "step {step}: {src} to {dst}");
+                }
+            }
+        }
+        let moved = content != last.1;
+        assert_eq!(
+            routes.generation != last.0,
+            moved,
+            "step {step}: the generation does not follow the graph"
+        );
+        if moved {
+            moves += 1;
+        } else if view.version != version {
+            // Bumped, graph untouched: the trees are the ones computed
+            // before the bump.
+            assert_eq!(routes.dists_from(0).as_ptr(), tree_of_zero, "step {step}");
+            stays += 1;
+        }
+        tree_of_zero = routes.dists_from(0).as_ptr();
+        last = (routes.generation, content);
+    }
+    assert!(
+        moves > 200 && stays > 200,
+        "{moves} moves, {stays} bumps kept"
+    );
 }

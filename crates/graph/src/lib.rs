@@ -43,8 +43,10 @@ pub struct Edge {
     pub capacity: u64,
 }
 
-/// A directed weighted graph with dense node indices.
-#[derive(Debug, Clone, Default)]
+/// A directed weighted graph with dense node indices. Two graphs are
+/// equal when they hold the same nodes and the same edges, added in
+/// the same order.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Graph {
     edges: Vec<Edge>,
     out: Vec<Vec<EdgeIx>>,

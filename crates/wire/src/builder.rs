@@ -202,19 +202,35 @@ impl PacketBuilder {
 
     /// An LLDP discovery frame announcing (chassis, port).
     pub fn lldp(src_mac: EthernetAddress, chassis_id: u64, port_id: u32, ttl_secs: u16) -> Vec<u8> {
+        let mut buf = Vec::new();
+        Self::lldp_into(&mut buf, src_mac, chassis_id, port_id, ttl_secs);
+        buf
+    }
+
+    /// [`PacketBuilder::lldp`], written over `buf`: a prober that keeps
+    /// one buffer encodes every probe without allocating.
+    pub fn lldp_into(
+        buf: &mut Vec<u8>,
+        src_mac: EthernetAddress,
+        chassis_id: u64,
+        port_id: u32,
+        ttl_secs: u16,
+    ) {
         let repr = lldp::Repr {
             chassis_id,
             port_id,
             ttl_secs,
         };
-        let mut lldp_buf = vec![0u8; repr.buffer_len()];
-        repr.emit(&mut lldp_buf);
-        Self::ethernet(
-            src_mac,
-            EthernetAddress::LLDP_MULTICAST,
-            EtherType::Lldp,
-            &lldp_buf,
-        )
+        buf.clear();
+        buf.resize(ethernet::HEADER_LEN + repr.buffer_len(), 0);
+        let mut frame = ethernet::Frame::new_unchecked(&mut buf[..]);
+        ethernet::Repr {
+            src_addr: src_mac,
+            dst_addr: EthernetAddress::LLDP_MULTICAST,
+            ethertype: EtherType::Lldp,
+        }
+        .emit(&mut frame);
+        repr.emit(frame.payload_mut());
     }
 }
 
@@ -291,6 +307,23 @@ mod tests {
         assert_eq!(reply.operation, arp::Operation::Reply);
         assert_eq!(reply.sender_hardware_addr, DST_MAC);
         assert_eq!(reply.sender_protocol_addr, DST_IP);
+    }
+
+    #[test]
+    fn lldp_into_overwrites_what_the_buffer_held() {
+        let repr = lldp::Repr {
+            chassis_id: 9,
+            port_id: 3,
+            ttl_secs: 120,
+        };
+        let mut pdu = vec![0; repr.buffer_len()];
+        repr.emit(&mut pdu);
+        let dst = EthernetAddress::LLDP_MULTICAST;
+        let want = PacketBuilder::ethernet(SRC_MAC, dst, EtherType::Lldp, &pdu);
+        let mut buf = vec![0xee; 200];
+        PacketBuilder::lldp_into(&mut buf, SRC_MAC, 9, 3, 120);
+        assert_eq!(buf, want);
+        assert_eq!(PacketBuilder::lldp(SRC_MAC, 9, 3, 120), want);
     }
 
     #[test]
