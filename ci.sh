@@ -7,15 +7,18 @@ set -eux
 cargo build --release --workspace
 
 # The line counts ROADMAP.md and CHANGES.md quote (non-test lines under
-# crates/*/src outside the ledger, of controller.rs, of zen-proto and of
-# southbound.rs).
+# crates/*/src outside the ledger, of controller.rs, of zen-proto, of
+# southbound.rs and of agent.rs).
 # Printed, not gated.
 ci/lines.sh
 
 # The controller's cores take the time and hand back what to send; only
-# `ctl::write` puts it on the wire. None of them may name the simulator's
-# `Context` outside its tests, or a bounded explorer could not drive it.
-for core in southbound replica txn; do
+# `ctl::write` puts it on the wire. The switch side is held to the same
+# rule: the agent takes the time and writes through the `SwitchIo` it is
+# handed, and only its node adapter (`agent_node.rs`) names `Context`.
+# None of them may name the simulator's `Context` outside its tests, or a
+# bounded explorer could not drive it.
+for core in southbound replica txn agent; do
     if awk '/#\[cfg\(test\)\]/ { exit } /Context/ { named = 1 } END { exit !named }' \
         "crates/core/src/$core.rs"; then
         echo "crates/core/src/$core.rs names Context outside its tests" >&2

@@ -7,9 +7,10 @@
 # (the whole file when it has none), over the `.rs` files under
 # `crates/*/src` outside the benchmark's own directory,
 # `crates/bench/src/bin/ledger`. Printed for the workspace, for
-# `controller.rs`, for zen-proto (`codec.rs` + `lib.rs`) and for
-# `southbound.rs`, the switch-session core the controller asks; `ci.sh`
-# runs this after the build. It prints, it does not gate.
+# `controller.rs`, for zen-proto (`codec.rs` + `lib.rs`), for
+# `southbound.rs`, the switch-session core the controller asks, and for
+# `agent.rs`, the switch's own core; `ci.sh` runs this after the build.
+# It prints, it does not gate.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -24,3 +25,4 @@ echo "lines: workspace non-test $(count $(find crates/*/src -name '*.rs' \
 echo "lines: controller.rs non-test $(count crates/core/src/controller.rs)"
 echo "lines: zen-proto non-test $(count crates/proto/src/*.rs)"
 echo "lines: southbound.rs non-test $(count crates/core/src/southbound.rs)"
+echo "lines: agent.rs non-test $(count crates/core/src/agent.rs)"

@@ -33,12 +33,12 @@
 use std::collections::VecDeque;
 
 use zen_dataplane::PortNo;
-use zen_proto::{encode_barrier_reply_into, frames, Message, MessageView, PortDesc};
+use zen_proto::{encode_barrier_reply_into, encode_into, frames, Message, MessageView, PortDesc};
 use zen_sim::{Context, Duration, Instant, Node, NodeId};
 use zen_wire::builder::PacketBuilder;
 use zen_wire::{EthernetAddress, Ipv4Address};
 
-use crate::{is_lldp, send_msg};
+use crate::is_lldp;
 
 /// Timer token used by open-loop punting.
 const PUNT_TIMER: u64 = 0x9bec;
@@ -200,13 +200,13 @@ impl CbenchSwitch {
 
     fn send(&mut self, ctx: &mut Context<'_>, msg: &Message) {
         self.xid = self.xid.wrapping_add(1);
-        send_msg(ctx, self.controller, msg, self.xid);
+        self.reply(ctx, msg, self.xid);
     }
 
     /// Answer a request, echoing its xid (the controller correlates
     /// BARRIER_REPLYs and friends by transaction id).
     fn reply(&mut self, ctx: &mut Context<'_>, msg: &Message, xid: u32) {
-        send_msg(ctx, self.controller, msg, xid);
+        ctx.send_control_with(self.controller, |buf| encode_into(buf, msg, xid));
     }
 
     /// Send one steady-state PACKET_IN, its wall-clock latency started
@@ -224,7 +224,8 @@ impl CbenchSwitch {
             self.stats.setups_lost += 1;
         }
         self.xid = self.xid.wrapping_add(1);
-        send_msg(ctx, self.controller, &self.punts[next], self.xid);
+        let (punt, xid) = (&self.punts[next], self.xid);
+        ctx.send_control_with(self.controller, |buf| encode_into(buf, punt, xid));
     }
 
     /// Act on one message of a delivery whose wall-clock stamp, once

@@ -462,15 +462,13 @@ impl Ctl<'_, '_> {
 
 #[cfg(test)]
 mod tests {
-    use std::any::Any;
-
     use zen_cluster::ClusterConfig;
-    use zen_proto::{decode, encode, PortDesc};
-    use zen_sim::{Node, World};
+    use zen_sim::{LinkParams, World};
 
     use super::*;
     use crate::apps::L2Learning;
     use crate::controller::Controller;
+    use crate::SwitchAgent;
 
     /// The control messages `world`'s channel carried.
     fn carried(world: &World) -> u64 {
@@ -498,76 +496,27 @@ mod tests {
         assert_eq!(sent, carried(&world));
     }
 
-    /// A switch stand-in: says HELLO, then answers FEATURES_REQUEST (as
-    /// `dpid`, two ports up), ECHO_REQUEST and BARRIER_REQUEST, and
-    /// counts what it writes.
-    struct Stub {
-        controller: NodeId,
-        dpid: Dpid,
-        writes: u64,
-    }
-
-    impl Stub {
-        fn say(&mut self, ctx: &mut Context<'_>, msg: &Message, xid: u32) {
-            self.writes += 1;
-            ctx.send_control(self.controller, encode(msg, xid));
-        }
-    }
-
-    impl Node for Stub {
-        fn on_start(&mut self, ctx: &mut Context<'_>) {
-            let version = zen_proto::VERSION;
-            self.say(ctx, &Message::Hello { version }, 0);
-        }
-        fn on_control(&mut self, ctx: &mut Context<'_>, _: NodeId, mut bytes: &[u8]) {
-            while let Ok((msg, xid, used)) = decode(bytes) {
-                bytes = &bytes[used..];
-                let answer = match msg {
-                    Message::FeaturesRequest => {
-                        let port = |port_no| PortDesc { port_no, up: true };
-                        let (dpid, n_tables, ports) = (self.dpid, 1, vec![port(1), port(2)]);
-                        #[rustfmt::skip]
-                        let up = Message::FeaturesReply { dpid, n_tables, ports };
-                        up
-                    }
-                    Message::EchoRequest { token } => Message::EchoReply { token },
-                    Message::BarrierRequest { xids } => Message::BarrierReply { applied: xids },
-                    _ => continue,
-                };
-                self.say(ctx, &answer, xid);
-            }
-        }
-        fn on_packet(&mut self, _: &mut Context<'_>, _: PortNo, _: &[u8]) {}
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
-    }
-
-    /// One controller and four switches that shake hands and answer,
-    /// for 2 s: what the controller counts sent and what the switches
-    /// wrote add up to what the channel carried.
+    /// One controller and a ring of four real switches that shake
+    /// hands, answer and carry discovery, for 2 s: what the controller
+    /// counts sent and what the switches count written add up to what
+    /// the channel carried.
     #[test]
     fn msgs_sent_and_the_switches_writes_are_what_the_channel_carried() {
         let mut world = World::new(1);
         let controller = Controller::new(vec![Box::new(L2Learning::new())]);
         let controller = world.add_node(Box::new(controller));
-        let stubs: Vec<NodeId> = (1..=4)
-            .map(|dpid| {
-                let writes = 0;
-                world.add_node(Box::new(Stub {
-                    controller,
-                    dpid,
-                    writes,
-                }))
-            })
+        let switches: Vec<NodeId> = (1..=4)
+            .map(|dpid| world.add_node(Box::new(SwitchAgent::new(dpid, 1, controller))))
             .collect();
+        for (i, &a) in switches.iter().enumerate() {
+            world.connect(a, switches[(i + 1) % 4], LinkParams::default());
+        }
         world.run_until(Instant::from_secs(2));
         let ctl = world.node_as::<Controller>(controller);
         assert_eq!(ctl.view.switches.len(), 4);
-        let written: u64 = stubs.iter().map(|&s| world.node_as::<Stub>(s).writes).sum();
+        assert_eq!(ctl.view.links.len(), 8, "both ways of each ring link");
+        let written = switches.iter().map(|&s| world.node_as::<SwitchAgent>(s));
+        let written: u64 = written.map(|agent| agent.stats.msgs_sent).sum();
         assert_eq!(ctl.stats.msgs_sent + written, carried(&world));
     }
 }

@@ -25,6 +25,7 @@
 
 mod admission;
 pub mod agent;
+mod agent_node;
 pub mod app;
 pub mod apps;
 pub mod cbench;
@@ -57,17 +58,6 @@ pub use view::{Dpid, HostEntry, NetworkView, SwitchInfo};
 /// Whether `frame` is an LLDP discovery probe, by its EtherType.
 pub(crate) fn is_lldp(frame: &[u8]) -> bool {
     frame.len() >= 14 && frame[12..14] == [0x88, 0xcc]
-}
-
-/// Send `msg` to `to`, encoded straight into the control channel's own
-/// buffer: every sender in this crate writes in place.
-pub(crate) fn send_msg(
-    ctx: &mut zen_sim::Context<'_>,
-    to: zen_sim::NodeId,
-    msg: &zen_proto::Message,
-    xid: u32,
-) {
-    ctx.send_control_with(to, |buf| zen_proto::encode_into(buf, msg, xid));
 }
 
 /// Flight-record `event` on `dpid`'s control timeline (0: the

@@ -837,9 +837,11 @@ impl Southbound {
 #[cfg(test)]
 mod tests {
     use zen_dataplane::{FlowMatch, FlowSpec, PortNo};
-    use zen_proto::{decode, decode_view, encode, encode_into, MessageView};
+    use zen_proto::{decode, decode_view, encode, encode_into, frames, MessageView};
+    use zen_telemetry::Recorder;
 
     use super::*;
+    use crate::agent::{SwitchAgent, SwitchIo};
     use crate::controller::CtlStats;
     use crate::txn::{NetworkUpdate, UpdatePlanner};
 
@@ -975,6 +977,66 @@ mod tests {
             xid
         });
         (moved, acked.collect())
+    }
+
+    /// What a real switch answers with, driven without a world: the
+    /// bytes it writes. It has no ports, and its frames and timers go
+    /// nowhere.
+    #[derive(Default)]
+    struct Answers {
+        bytes: Vec<u8>,
+        recorder: Recorder,
+    }
+
+    impl SwitchIo for Answers {
+        fn send_control_with(&mut self, _: NodeId, put: impl FnOnce(&mut Vec<u8>)) {
+            put(&mut self.bytes);
+        }
+        fn transmit(&mut self, _: PortNo, _: Vec<u8>) {}
+        fn set_timer(&mut self, _: Duration, _: u64) {}
+        fn ports(&self) -> Vec<PortNo> {
+            Vec::new()
+        }
+        fn port_up(&self, _: PortNo) -> bool {
+            false
+        }
+        fn recorder(&self) -> &Recorder {
+            &self.recorder
+        }
+    }
+
+    /// The node the real switches are homed to.
+    const CONTROLLER: NodeId = NodeId(9);
+
+    /// Deliver to `switch`, `node`'s real agent, what `wire` sent `node`
+    /// past its first `skip` frames, as one delivery at `now`. Each
+    /// BARRIER_REPLY it answers goes to `barrier_reply` as the
+    /// controller hands it; returned are the xids acknowledged, each
+    /// `node`'s.
+    fn relay(
+        sb: &mut Southbound,
+        wire: &Wire,
+        (node, switch): (NodeId, &mut SwitchAgent),
+        skip: usize,
+        now: Instant,
+    ) -> Vec<u32> {
+        let mut bytes = Vec::new();
+        for (xid, msg) in wire.to(node).iter().skip(skip) {
+            encode_into(&mut bytes, msg, *xid);
+        }
+        let mut answers = Answers::default();
+        switch.control(now, CONTROLLER, &bytes, &mut answers);
+        let mut acked = Vec::new();
+        for frame in frames(&answers.bytes) {
+            if let Ok((MessageView::BarrierReply { applied }, xid)) = frame {
+                sb.barrier_reply(node, xid, applied);
+                acked.extend(sb.ends().map(|(xid, end)| {
+                    assert_eq!(end, End::Acked(dpid(node)));
+                    xid
+                }));
+            }
+        }
+        acked
     }
 
     /// A bounce of `xid` from `node`, its xid in the ERROR's bytes.
@@ -1326,7 +1388,9 @@ mod tests {
     /// Every way a tracked mod ends — acknowledged, out of retries, a
     /// dirty resync, a lost mastership, NOT_MASTER, TABLE_FULL — is
     /// listed once, as it is decided, and only once however often the
-    /// deciding message comes again. Handed to the planner the way the
+    /// deciding message comes again. A's acknowledgement is a real
+    /// switch's answer to what the southbound wrote it; the frames to
+    /// the other switches are lost. Handed to the planner the way the
     /// controller settles them, a staged mod superseded by a dirty
     /// resync aborts its transaction at the next step, not at its
     /// deadline.
@@ -1340,10 +1404,12 @@ mod tests {
             send(&mut sb, &mut wire, node, xid, &add(u64::from(xid)), at(1));
         }
         fence(&mut sb, &mut wire);
+        let mut switch_a = SwitchAgent::new(dpid(A), 1, CONTROLLER);
         let mut ended = Vec::new();
-        for _ in 0..2 {
-            // A's fence lists its 2: acknowledged.
-            let (_, acked) = reply(&mut sb, A, 100, &[2]);
+        for skip in 0..2 {
+            // A's switch gets its mod and fence, then the fence alone
+            // again: its reply lists 2, acknowledged once.
+            let acked = relay(&mut sb, &wire, (A, &mut switch_a), skip, at(2));
             ended.extend(acked.into_iter().map(|xid| (xid, End::Acked(7))));
             // B's 1 is out of retries.
             ended.extend(scan(&mut sb, &mut wire, at(2), 0).1);
