@@ -1335,7 +1335,9 @@ mod tests {
     /// A switch stand-in: registers, then answers the first fence with
     /// the FLOW_REMOVED of everything it names and the BARRIER_REPLY —
     /// the removal first if `removed_first`. Keeps when each flow mod
-    /// and each fence arrived.
+    /// and each fence arrived. Not a real `SwitchAgent`: a real switch
+    /// reports a flow removed only when it removes one, never for a
+    /// fence, and not in an order the test picks.
     struct Script {
         controller: NodeId,
         dpid: Dpid,
@@ -1553,7 +1555,9 @@ mod tests {
     }
 
     /// Says its `lines` to the controller unasked, one every 10 ms from
-    /// 10 ms in, and keeps what it is sent.
+    /// 10 ms in, and keeps what it is sent. Not a real `SwitchAgent`: a
+    /// real switch sends a FEATURES_REPLY only when asked, and only for
+    /// its own dpid, where a talker claims any dpid, unasked.
     struct Talker {
         controller: NodeId,
         lines: Vec<Message>,
