@@ -13,12 +13,14 @@ cargo build --release --workspace
 ci/lines.sh
 
 # The controller's cores take the time and hand back what to send; only
-# `ctl::write` puts it on the wire. The switch side is held to the same
-# rule: the agent takes the time and writes through the `SwitchIo` it is
-# handed, and only its node adapter (`agent_node.rs`) names `Context`.
-# None of them may name the simulator's `Context` outside its tests, or a
-# bounded explorer could not drive it.
-for core in southbound replica txn agent; do
+# `ctl::write` puts it on the wire. The controller itself, its app handle
+# (`ctl`) and its admission control take the time and write through the
+# `ControlIo` they are handed; the agent does the same through
+# `SwitchIo`, which extends it. Only the two node adapters
+# (`controller_node.rs`, `agent_node.rs`) and the cbench load generator
+# name `Context`. None of these may name the simulator's `Context` outside
+# its tests, or a bounded explorer could not drive it.
+for core in southbound replica txn agent controller ctl admission; do
     if awk '/#\[cfg\(test\)\]/ { exit } /Context/ { named = 1 } END { exit !named }' \
         "crates/core/src/$core.rs"; then
         echo "crates/core/src/$core.rs names Context outside its tests" >&2

@@ -7,8 +7,8 @@
 use std::collections::BTreeMap;
 
 use zen_dataplane::{FlowMatch, FlowSpec, Meter, PortNo};
-use zen_sim::{Context, CounterId, Duration, Instant, NodeId};
-use zen_telemetry::{control_trace, trace_id_for_frame, TraceEvent};
+use zen_sim::{Duration, Instant, NodeId};
+use zen_telemetry::{control_trace, trace_id_for_frame, Recorder, TraceEvent};
 use zen_wire::EthernetAddress;
 
 use crate::controller::{CtlStats, Punt};
@@ -78,6 +78,7 @@ type Offender = (NodeId, PortNo, [u8; 6]);
 /// Runtime state of PACKET_IN admission control
 /// ([`crate::ControllerConfig::admission`]): what is kept per offender
 /// and for the fleet. What is kept per switch is in its session.
+#[derive(Default)]
 pub(crate) struct AdmissionState {
     pub(crate) cfg: AdmissionConfig,
     /// Round-robin position: the switch served last; the drain resumes
@@ -91,53 +92,30 @@ pub(crate) struct AdmissionState {
     /// entry lapses with the rule's hard timeout, so a persistent
     /// offender is re-pinned on its next threshold cross.
     active_pushbacks: BTreeMap<Offender, Instant>,
-    /// Cached metric handles: [admitted, deferred, drained, shed].
-    cids: Option<[CounterId; 4]>,
 }
 
 impl AdmissionState {
     pub(crate) fn new(cfg: AdmissionConfig) -> AdmissionState {
-        AdmissionState {
-            cfg,
-            cursor: None,
-            offenders: BTreeMap::new(),
-            window_started: Instant::ZERO,
-            active_pushbacks: BTreeMap::new(),
-            cids: None,
-        }
+        let empty = AdmissionState::default();
+        AdmissionState { cfg, ..empty }
     }
 
-    /// The typed counters, registered on first use: [admitted,
-    /// deferred, drained, shed].
-    pub(crate) fn counters(&mut self, ctx: &mut Context<'_>) -> [CounterId; 4] {
-        *self.cids.get_or_insert_with(|| {
-            let m = ctx.metrics();
-            [
-                m.register_counter("defense.ctl_punts_admitted"),
-                m.register_counter("defense.ctl_punts_deferred"),
-                m.register_counter("defense.ctl_punts_drained"),
-                m.register_counter("defense.ctl_punts_shed"),
-            ]
-        })
-    }
-
-    /// Charge one delivery's `punts` from `from` to its switch's budget,
-    /// before anything downstream costs a cycle. Returns the punts to
+    /// Charge one delivery's `punts` from `from` to its switch's budget
+    /// at `now`, before anything downstream costs a cycle; what is
+    /// deferred or shed is flight-recorded to `rec`. Returns the punts to
     /// dispatch now, and the `(ingress, source MAC)`s this delivery
     /// took over the push-back threshold. Over-budget punts are
     /// deferred to the session's queue; queue overflow is shed.
     pub(crate) fn admit(
         &mut self,
-        ctx: &mut Context<'_>,
+        (now, rec): (Instant, &Recorder),
         stats: &mut CtlStats,
         from: NodeId,
         session: &mut Session,
         bytes: &[u8],
         punts: &[Punt],
     ) -> (Vec<Punt>, Vec<(PortNo, [u8; 6])>) {
-        let now = ctx.now();
-        let cids = self.counters(ctx);
-        let recording = ctx.recorder().is_enabled();
+        let recording = rec.is_enabled();
         let cfg = self.cfg;
         let meter = session
             .punt_meter
@@ -156,7 +134,6 @@ impl AdmissionState {
             if meter.allow_one(now.as_nanos()) {
                 admitted.push(punt);
                 stats.punts_admitted += 1;
-                ctx.metrics().incr(cids[0]);
                 continue;
             }
             // Over budget: defer or shed, and charge the offender.
@@ -168,10 +145,8 @@ impl AdmissionState {
             if deferred {
                 session.deferred.push_back((in_port, frame.to_vec()));
                 stats.punts_deferred += 1;
-                ctx.metrics().incr(cids[1]);
             } else {
                 stats.punts_shed += 1;
-                ctx.metrics().incr(cids[3]);
             }
             if recording {
                 let dpid = session.dpid;
@@ -182,7 +157,7 @@ impl AdmissionState {
                     let at_agent = false;
                     TraceEvent::PuntShed { dpid, at_agent }
                 };
-                ctx.recorder().record(now.as_nanos(), tid, event);
+                rec.record(now.as_nanos(), tid, event);
             }
             if cfg.pushback_threshold > 0 {
                 let count = self.offenders.entry((from, in_port, src_mac)).or_insert(0);
@@ -266,27 +241,7 @@ impl AdmissionState {
 
 #[cfg(test)]
 mod tests {
-    use std::any::Any;
-
-    use zen_sim::{Node, World};
-
     use super::*;
-
-    /// Runs its closure once, at start, with the simulator's context.
-    struct Probe<F>(Option<F>);
-
-    impl<F: FnOnce(&mut Context<'_>) + 'static> Node for Probe<F> {
-        fn on_start(&mut self, ctx: &mut Context<'_>) {
-            (self.0.take().expect("started once"))(ctx);
-        }
-        fn on_packet(&mut self, _: &mut Context<'_>, _: PortNo, _: &[u8]) {}
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
-    }
 
     /// An Ethernet header of `ethertype` from source MAC `src`.
     fn frame(ethertype: [u8; 2], src: u8) -> Vec<u8> {
@@ -305,41 +260,38 @@ mod tests {
     /// room, then shed.
     #[test]
     fn lldp_bypasses_the_meter() {
-        let probe = |ctx: &mut Context<'_>| {
-            let cfg = AdmissionConfig {
-                rate_pps: 1,
-                burst: 2,
-                queue_cap: 1,
-                ..AdmissionConfig::default()
-            };
-            let mut adm = AdmissionState::new(cfg);
-            let mut southbound = Southbound::default();
-            let (from, mut stats) = (NodeId(7), CtlStats::default());
-            southbound.open(from, 70, ctx.now());
-            let session = southbound.session_mut(from).expect("opened");
-
-            let kinds = [LLDP, IPV4, IPV4, LLDP, IPV4, IPV4, LLDP];
-            let frames: Vec<Vec<u8>> = kinds.iter().map(|&k| frame(k, 1)).collect();
-            let bytes = frames.concat();
-            let punts: Vec<Punt> = (0..kinds.len())
-                .map(|i| Punt::of(&bytes, i as PortNo, &bytes[14 * i..14 * (i + 1)]))
-                .collect();
-            let (admitted, over) = adm.admit(ctx, &mut stats, from, session, &bytes, &punts);
-            let ports: Vec<PortNo> = admitted.iter().map(|p| p.in_port).collect();
-            assert_eq!(ports, [0, 1, 2, 3, 6], "three probes, and a burst of two");
-            let counted = (stats.punts_admitted, stats.punts_deferred, stats.punts_shed);
-            assert_eq!(counted, (2, 1, 1), "probes are not counted against anyone");
-            assert_eq!(session.deferred.len(), 1);
-            assert!(over.is_empty());
-
-            // The bucket is dry and the queue full: probes still pass.
-            let (admitted, _) = adm.admit(ctx, &mut stats, from, session, &bytes, &punts[..1]);
-            assert_eq!(admitted.len(), 1);
-            assert_eq!((stats.punts_admitted, stats.punts_shed), (2, 1));
+        let cfg = AdmissionConfig {
+            rate_pps: 1,
+            burst: 2,
+            queue_cap: 1,
+            ..AdmissionConfig::default()
         };
-        let mut world = World::new(1);
-        world.add_node(Box::new(Probe(Some(probe))));
-        world.run_until(Instant::from_millis(1));
+        let mut adm = AdmissionState::new(cfg);
+        let mut southbound = Southbound::default();
+        let (from, mut stats) = (NodeId(7), CtlStats::default());
+        let (now, rec) = (Instant::ZERO, Recorder::default());
+        southbound.open(from, 70, now);
+        let session = southbound.session_mut(from).expect("opened");
+
+        let kinds = [LLDP, IPV4, IPV4, LLDP, IPV4, IPV4, LLDP];
+        let frames: Vec<Vec<u8>> = kinds.iter().map(|&k| frame(k, 1)).collect();
+        let bytes = frames.concat();
+        let punts: Vec<Punt> = (0..kinds.len())
+            .map(|i| Punt::of(&bytes, i as PortNo, &bytes[14 * i..14 * (i + 1)]))
+            .collect();
+        let at = (now, &rec);
+        let (admitted, over) = adm.admit(at, &mut stats, from, session, &bytes, &punts);
+        let ports: Vec<PortNo> = admitted.iter().map(|p| p.in_port).collect();
+        assert_eq!(ports, [0, 1, 2, 3, 6], "three probes, and a burst of two");
+        let counted = (stats.punts_admitted, stats.punts_deferred, stats.punts_shed);
+        assert_eq!(counted, (2, 1, 1), "probes are not counted against anyone");
+        assert_eq!(session.deferred.len(), 1);
+        assert!(over.is_empty());
+
+        // The bucket is dry and the queue full: probes still pass.
+        let (admitted, _) = adm.admit(at, &mut stats, from, session, &bytes, &punts[..1]);
+        assert_eq!(admitted.len(), 1);
+        assert_eq!((stats.punts_admitted, stats.punts_shed), (2, 1));
     }
 
     /// The drain serves the switches with punts waiting one each per

@@ -24,7 +24,7 @@ use zen_proto::{
 use zen_sim::{Duration, Instant, NodeId};
 use zen_telemetry::{trace_id_for_frame, Recorder, TraceEvent, TraceId};
 
-use crate::is_lldp;
+use crate::{is_lldp, ControlIo};
 
 const TIMER_EXPIRE: u64 = 1;
 const TIMER_ECHO: u64 = 2;
@@ -36,24 +36,16 @@ const ECHO_INTERVAL: Duration = Duration::from_millis(50);
 /// Consecutive unanswered probes before `Disconnected`.
 const MISS_LIMIT: u32 = 4;
 
-/// What the agent asks of the switch it runs on: a channel to each
-/// controller, its ports, timers and the flight recorder. The agent
-/// calls it the moment it decides, in its own order: a fault plan draws
-/// from the world's generator per message and per frame.
-pub trait SwitchIo {
-    /// Write one message to controller `to`: `put` appends it.
-    fn send_control_with(&mut self, to: NodeId, put: impl FnOnce(&mut Vec<u8>));
+/// What the agent asks of the switch it runs on: what any protocol end
+/// asks of its node ([`ControlIo`]), and the switch's ports.
+pub trait SwitchIo: ControlIo {
     /// Send `frame` out of `port`.
     fn transmit(&mut self, port: PortNo, frame: Vec<u8>);
-    /// Hand `token` to [`SwitchAgent::timer`] after `delay`.
-    fn set_timer(&mut self, delay: Duration, token: u64);
     /// The switch's ports, ascending.
     fn ports(&self) -> Vec<PortNo>;
     /// Whether the link on `port` carries frames. The carrier decides: a
     /// silent cut is down here while the datapath still holds it up.
     fn port_up(&self, port: PortNo) -> bool;
-    /// The flight recorder the agent's trace events go to.
-    fn recorder(&self) -> &Recorder;
 }
 
 /// What the agent does with table-miss traffic while it believes the
@@ -246,9 +238,9 @@ impl AppliedXids {
 }
 
 /// The one way the agent writes to a controller, counted in `sent`.
-fn write(io: &mut impl SwitchIo, sent: &mut u64, to: NodeId, put: impl FnOnce(&mut Vec<u8>)) {
+fn write(io: &mut impl SwitchIo, sent: &mut u64, to: NodeId, mut put: impl FnMut(&mut Vec<u8>)) {
     *sent += 1;
-    io.send_control_with(to, put);
+    io.send_control_with(to, &mut put);
 }
 
 /// The FLOW_REMOVED reporting that `entry` left table `table_id`.
@@ -535,9 +527,9 @@ impl SwitchAgent {
                 // request's list, filtered straight into the channel.
                 Ok((MessageView::BarrierRequest { xids }, xid)) => {
                     let window = &self.applied_xids;
-                    let applied = xids.iter().filter(|&x| window.contains(x));
+                    let mut applied = xids.iter().filter(|&x| window.contains(x));
                     write(io, &mut self.stats.msgs_sent, self.conns[ci].node, |buf| {
-                        encode_barrier_reply_into(buf, applied, xid)
+                        encode_barrier_reply_into(buf, applied.by_ref(), xid)
                     });
                 }
                 Ok((other, xid)) => self.handle(io, now, ci, other.into_message(), xid),

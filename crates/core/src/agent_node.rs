@@ -5,29 +5,21 @@
 use std::any::Any;
 
 use zen_dataplane::PortNo;
-use zen_sim::{Context, Duration, Node, NodeId};
-use zen_telemetry::Recorder;
+use zen_sim::{Context, Node, NodeId};
 
 use crate::agent::{AgentStats, SwitchAgent, SwitchIo};
 
+/// The switch's own part of its I/O; the part any protocol end asks of
+/// its node is `controller_node.rs`'s.
 impl SwitchIo for Context<'_> {
-    fn send_control_with(&mut self, to: NodeId, put: impl FnOnce(&mut Vec<u8>)) {
-        Context::send_control_with(self, to, put);
-    }
     fn transmit(&mut self, port: PortNo, frame: Vec<u8>) {
         Context::transmit(self, port, frame);
-    }
-    fn set_timer(&mut self, delay: Duration, token: u64) {
-        Context::set_timer(self, delay, token);
     }
     fn ports(&self) -> Vec<PortNo> {
         Context::ports(self)
     }
     fn port_up(&self, port: PortNo) -> bool {
         Context::port_up(self, port)
-    }
-    fn recorder(&self) -> &Recorder {
-        Context::recorder(self)
     }
 }
 

@@ -265,7 +265,7 @@ impl ProactiveFabric {
         self.mods_pushed += counted[0];
         self.full_loads += counted[1];
         self.switches_unchanged += counted[2];
-        let metrics = ctl.ctx.metrics();
+        let metrics = ctl.io.sink.metrics();
         let register = || RECONCILE_COUNTERS.map(|name| metrics.register_counter(name));
         let ids = *self.counters.get_or_insert_with(register);
         for (id, by) in ids.into_iter().zip(counted) {

@@ -1,12 +1,11 @@
 //! The logically centralized controller.
 //!
-//! The controller is itself a simulator node; switch agents reach it
-//! over the out-of-band control channel. It owns the
+//! Switch agents reach it over the out-of-band control channel: it takes
+//! the time and what arrived, and writes through the [`ControlIo`] it is
+//! handed (`controller_node.rs` makes it a simulator node). It owns the
 //! [`view::NetworkView`](crate::view::NetworkView), runs LLDP topology
 //! discovery, learns host locations from punted edge traffic, and
 //! dispatches everything else to the application chain.
-
-use std::any::Any;
 
 use zen_cluster::ClusterConfig;
 use zen_consensus::{Applied, IntentReplica};
@@ -15,7 +14,7 @@ use zen_proto::{
     frames, CookieCount, ErrorCode, GroupModCmd, Intent, IntentEntry, Message, MessageView, Role,
     ViewEvent,
 };
-use zen_sim::{Context, Duration, Node, NodeId};
+use zen_sim::{Duration, Instant, NodeId};
 use zen_telemetry::{trace_id_for_frame, TraceEvent, TraceId};
 use zen_wire::builder::PacketBuilder;
 use zen_wire::ethernet::{EtherType, Frame};
@@ -24,12 +23,12 @@ use zen_wire::{arp, ipv4, lldp};
 use crate::admission::{AdmissionConfig, AdmissionState};
 use crate::app::{App, Disposition};
 pub use crate::ctl::Ctl;
-use crate::ctl::{write, Core};
-use crate::record_control;
+use crate::ctl::{write, Core, Io};
 use crate::replica::ClusterState;
 use crate::southbound::{End, Opened, ProgramBase};
 use crate::txn::Notice;
 use crate::view::{Dpid, NetworkView};
+use crate::ControlIo;
 
 const TIMER_TICK: u64 = 1;
 /// Fair-queue drain timer for deferred PACKET_INs (admission control).
@@ -202,7 +201,7 @@ impl Punt {
     }
 }
 
-/// The controller node.
+/// The controller.
 pub struct Controller {
     cfg: ControllerConfig,
     /// The app chain, borrowed apart from the core it is handed.
@@ -330,24 +329,17 @@ impl Controller {
     }
 
     /// Run `f` on every app, in dispatch order.
-    fn each_app(
-        &mut self,
-        ctx: &mut Context<'_>,
-        mut f: impl FnMut(&mut dyn App, &mut Ctl<'_, '_>),
-    ) {
-        let (apps, mut ctl) = self.split(ctx);
+    fn each_app(&mut self, io: &mut Io<'_>, mut f: impl FnMut(&mut dyn App, &mut Ctl<'_, '_>)) {
+        let (apps, mut ctl) = self.split(io);
         apps.iter_mut().for_each(|app| f(app.as_mut(), &mut ctl));
     }
 
     /// The app chain, and the handle its apps are passed over the rest.
-    fn split<'a, 'w>(
-        &'a mut self,
-        ctx: &'a mut Context<'w>,
-    ) -> (&'a mut [Box<dyn App>], Ctl<'a, 'w>) {
+    fn split<'a, 'w>(&'a mut self, io: &'a mut Io<'w>) -> (&'a mut [Box<dyn App>], Ctl<'a, 'w>) {
         let (view, stats, core) = (&mut self.view, &mut self.stats, &mut self.core);
         let ctl = Ctl {
-            ctx,
             view,
+            io,
             stats,
             core,
         };
@@ -355,19 +347,19 @@ impl Controller {
     }
 
     /// The handle over the core, for what the controller sends itself.
-    fn ctl<'a, 'w>(&'a mut self, ctx: &'a mut Context<'w>) -> Ctl<'a, 'w> {
-        self.split(ctx).1
+    fn ctl<'a, 'w>(&'a mut self, io: &'a mut Io<'w>) -> Ctl<'a, 'w> {
+        self.split(io).1
     }
 
     /// Tell `dpid` the role this replica takes there under its claim.
-    fn send_role(&mut self, ctx: &mut Context<'_>, dpid: Dpid, role: Role, claim: (u64, u32)) {
+    fn send_role(&mut self, io: &mut Io<'_>, dpid: Dpid, role: Role, claim: (u64, u32)) {
         let (term, replica) = claim;
         let request = Message::RoleRequest {
             role,
             term,
             replica,
         };
-        self.ctl(ctx).send(dpid, &request);
+        self.ctl(io).send(dpid, &request);
     }
 
     /// Log a local view mutation into the east-west store for
@@ -398,14 +390,14 @@ impl Controller {
     /// East-west traffic from a peer replica (already routed past the
     /// switch-session machinery): `ClusterState` takes it, and hands
     /// back what only the controller can do.
-    fn handle_peer_message(&mut self, ctx: &mut Context<'_>, msg: Message) {
+    fn handle_peer_message(&mut self, io: &mut Io<'_>, msg: Message) {
         let core = &mut self.core;
         let Some(cl) = &mut core.cluster else {
             return;
         };
-        let fx = cl.on_peer(ctx.now(), &mut self.stats, msg, &mut core.frames);
+        let fx = cl.on_peer(io.now, &mut self.stats, msg, &mut core.frames);
         if let Some(event) = fx.trace {
-            record_control(ctx, 0, event);
+            io.record(0, event);
         }
         // What a peer observed first-hand, to its owner. Our own barrier
         // acks are authoritative for switches we master; a peer's shadow
@@ -415,12 +407,12 @@ impl Controller {
                 ViewEvent::ShadowSet { dpid, cookies } if !self.is_master_of(dpid) => {
                     self.core.southbound.shadow_set(dpid, &cookies);
                 }
-                event => self.view.apply(&event, ctx.now()),
+                event => self.view.apply(&event, io.now),
             }
         }
-        self.ctl(ctx).write_frames();
+        self.ctl(io).write_frames();
         if fx.committed {
-            self.dispatch_committed_intents(ctx);
+            self.dispatch_committed_intents(io);
         }
     }
 
@@ -428,7 +420,7 @@ impl Controller {
     /// mastership is `ClusterState`'s, and already taken in): fire every
     /// app's [`App::on_intent_committed`] hook, and complete the
     /// proposer's `on_update_committed`.
-    fn dispatch_committed_intents(&mut self, ctx: &mut Context<'_>) {
+    fn dispatch_committed_intents(&mut self, io: &mut Io<'_>) {
         let (me, applied) = match &mut self.core.cluster {
             Some(cl) => (Some(cl.me()), cl.take_applied()),
             // Standalone: commit locally, same observable order.
@@ -436,8 +428,8 @@ impl Controller {
         };
         for a in applied {
             match a {
-                Applied::Snapshot(entries) => self.apply_intent_snapshot(ctx, entries, me),
-                Applied::Entry(e) => self.apply_committed_intent(ctx, e, me),
+                Applied::Snapshot(entries) => self.apply_intent_snapshot(io, entries, me),
+                Applied::Entry(e) => self.apply_committed_intent(io, e, me),
             }
         }
     }
@@ -451,13 +443,15 @@ impl Controller {
     /// entries this replica already applied.
     fn apply_intent_snapshot(
         &mut self,
-        ctx: &mut Context<'_>,
+        io: &mut Io<'_>,
         entries: Vec<IntentEntry>,
         me: Option<u32>,
     ) {
         let installed = entries.len() as u64;
-        let event = TraceEvent::IntentSnapshotInstalled { entries: installed };
-        record_control(ctx, 0, event);
+        io.record(
+            0,
+            TraceEvent::IntentSnapshotInstalled { entries: installed },
+        );
         // Proposals of ours that committed while we were away complete
         // their owner callbacks now.
         let own_tokens: Vec<u64> = entries
@@ -466,46 +460,46 @@ impl Controller {
             .map(|e| e.token)
             .collect();
         let intents: Vec<Intent> = entries.into_iter().map(|e| e.intent).collect();
-        self.each_app(ctx, |app, ctl| app.on_intent_snapshot(ctl, &intents));
+        self.each_app(io, |app, ctl| app.on_intent_snapshot(ctl, &intents));
         for token in own_tokens {
-            self.complete_proposal(ctx, token);
+            self.complete_proposal(io, token);
         }
     }
 
     /// An intent this replica proposed has committed: its owner hears.
-    fn complete_proposal(&mut self, ctx: &mut Context<'_>, token: u64) {
+    fn complete_proposal(&mut self, io: &mut Io<'_>, token: u64) {
         if let Some(owner) = self.core.intent_owners.remove(&token) {
-            self.each_app(ctx, |app, ctl| app.on_update_committed(ctl, owner, token));
+            self.each_app(io, |app, ctl| app.on_update_committed(ctl, owner, token));
         }
     }
 
-    fn apply_committed_intent(&mut self, ctx: &mut Context<'_>, e: IntentEntry, me: Option<u32>) {
+    fn apply_committed_intent(&mut self, io: &mut Io<'_>, e: IntentEntry, me: Option<u32>) {
         self.stats.intents_committed += 1;
         let event = TraceEvent::IntentCommitted {
             index: e.index,
             term: e.term,
             origin: e.origin,
         };
-        record_control(ctx, 0, event);
+        io.record(0, event);
         if matches!(e.intent, Intent::Noop) {
             return; // leader activation barrier, invisible to apps
         }
         let intent = e.intent;
-        self.each_app(ctx, |app, ctl| app.on_intent_committed(ctl, &intent));
+        self.each_app(io, |app, ctl| app.on_intent_committed(ctl, &intent));
         // The proposing replica also completes the owner's
         // update-committed callback, mirroring the two-phase planner.
         if me.is_none_or(|m| m == e.origin) {
-            self.complete_proposal(ctx, e.token);
+            self.complete_proposal(io, e.token);
         }
     }
 
-    fn note_mastership_trace(ctx: &mut Context<'_>, dpid: Dpid, replica: u32, gained: bool) {
+    fn note_mastership_trace(io: &mut Io<'_>, dpid: Dpid, replica: u32, gained: bool) {
         let event = TraceEvent::MastershipChange {
             dpid,
             replica,
             gained,
         };
-        record_control(ctx, dpid, event);
+        io.record(dpid, event);
     }
 
     /// Take over `dpid`: claim the Master role at the switch, give its
@@ -515,19 +509,19 @@ impl Controller {
     /// program against the replicated stamp and reprogram only on
     /// mismatch — a clean takeover moves zero flow state. `claim` is this
     /// replica's `(term, replica)`.
-    fn mastership_gained(&mut self, ctx: &mut Context<'_>, dpid: Dpid, claim: (u64, u32)) {
+    fn mastership_gained(&mut self, io: &mut Io<'_>, dpid: Dpid, claim: (u64, u32)) {
         self.stats.masterships_gained += 1;
-        self.send_role(ctx, dpid, Role::Master, claim);
-        self.view.refresh_links_to(dpid, ctx.now());
-        self.ctl(ctx).send(dpid, &Message::ResyncRequest);
+        self.send_role(io, dpid, Role::Master, claim);
+        self.view.refresh_links_to(dpid, io.now);
+        self.ctl(io).send(dpid, &Message::ResyncRequest);
         // PORT_STATUS is broadcast, so an isolation window may have
         // left us with stale port state — and discovery never probes a
         // "down" port, so a stale entry would silence the LLDP
         // confirmations for its links and age them out cluster-wide.
         // The features reply replaces the port map wholesale.
-        self.ctl(ctx).send(dpid, &Message::FeaturesRequest);
-        Self::note_mastership_trace(ctx, dpid, claim.1, true);
-        self.each_app(ctx, |app, ctl| app.on_mastership_change(ctl, dpid, true));
+        self.ctl(io).send(dpid, &Message::FeaturesRequest);
+        Self::note_mastership_trace(io, dpid, claim.1, true);
+        self.each_app(io, |app, ctl| app.on_mastership_change(ctl, dpid, true));
     }
 
     /// Relinquish `dpid`. In-flight mods were issued under the lapsed
@@ -535,64 +529,58 @@ impl Controller {
     /// they are dropped rather than retransmitted. `announce` steps the
     /// connection down to Equal at the switch (skipped when the switch
     /// itself told us we were outranked).
-    fn mastership_lost(
-        &mut self,
-        ctx: &mut Context<'_>,
-        dpid: Dpid,
-        claim: (u64, u32),
-        announce: bool,
-    ) {
+    fn mastership_lost(&mut self, io: &mut Io<'_>, dpid: Dpid, claim: (u64, u32), announce: bool) {
         self.stats.masterships_lost += 1;
         if announce {
-            self.send_role(ctx, dpid, Role::Equal, claim);
+            self.send_role(io, dpid, Role::Equal, claim);
         }
         self.core.southbound.step_down(dpid);
-        self.settle(ctx);
-        Self::note_mastership_trace(ctx, dpid, claim.1, false);
-        self.each_app(ctx, |app, ctl| app.on_mastership_change(ctl, dpid, false));
+        self.settle(io);
+        Self::note_mastership_trace(io, dpid, claim.1, false);
+        self.each_app(io, |app, ctl| app.on_mastership_change(ctl, dpid, false));
     }
 
     /// One east-west round: `ClusterState` runs it and decides who
     /// masters what; the peers, the switches, the view and the apps hear
     /// of it here — the gossip first, then in the order `Round` lists.
-    fn cluster_tick(&mut self, ctx: &mut Context<'_>) {
+    fn cluster_tick(&mut self, io: &mut Io<'_>) {
         let core = &mut self.core;
         let Some(cl) = &mut core.cluster else {
             // Standalone, intents commit on the tick with no round.
-            return self.dispatch_committed_intents(ctx);
+            return self.dispatch_committed_intents(io);
         };
         let switches = core.southbound.dpids();
-        let round = cl.tick(ctx.now(), &mut self.stats, switches, &mut core.frames);
-        self.ctl(ctx).write_frames();
+        let round = cl.tick(io.now, &mut self.stats, switches, &mut core.frames);
+        self.ctl(io).write_frames();
         for &dpid in &round.reassert {
-            self.send_role(ctx, dpid, Role::Master, round.claim);
+            self.send_role(io, dpid, Role::Master, round.claim);
         }
         // Stale "down" ports silence discovery probes.
         for &dpid in &round.refresh {
-            self.ctl(ctx).send(dpid, &Message::FeaturesRequest);
+            self.ctl(io).send(dpid, &Message::FeaturesRequest);
         }
         for (to, msg) in &round.frames {
-            self.ctl(ctx).answer(*to, msg);
+            self.ctl(io).answer(*to, msg);
         }
-        self.dispatch_committed_intents(ctx);
+        self.dispatch_committed_intents(io);
         for &dpid in &round.lost {
-            self.mastership_lost(ctx, dpid, round.claim, true);
+            self.mastership_lost(io, dpid, round.claim, true);
         }
         for &dpid in &round.gained {
-            self.mastership_gained(ctx, dpid, round.claim);
+            self.mastership_gained(io, dpid, round.claim);
         }
         // Our bases describe what we last sent, not what whoever held
         // these switches in the meantime did: have the apps re-assert.
         for &dpid in &round.refresh {
             self.core.southbound.distrust_groups(dpid);
-            self.each_app(ctx, |app, ctl| app.on_switch_resync(ctl, dpid));
+            self.each_app(io, |app, ctl| app.on_switch_resync(ctl, dpid));
         }
     }
 
     /// Quarantine agents that have been silent past the deadline. Apps
     /// see the view-version bump and route around them.
-    fn quarantine_scan(&mut self, ctx: &mut Context<'_>) {
-        let (now, after) = (ctx.now(), self.cfg.agent_dead_after);
+    fn quarantine_scan(&mut self, io: &mut Io<'_>) {
+        let (now, after) = (io.now, self.cfg.agent_dead_after);
         for dpid in self.core.southbound.silent(now, after) {
             self.stats.quarantines += u64::from(self.view.quarantine(dpid));
         }
@@ -601,27 +589,27 @@ impl Controller {
     /// Resend unacked mods past their timeout; abandon ones out of
     /// retries, and have the apps rebuild a switch that a program mod
     /// never reached. Then delete the groups whose hold has run out.
-    fn retransmit_scan(&mut self, ctx: &mut Context<'_>) {
+    fn retransmit_scan(&mut self, io: &mut Io<'_>) {
         let (core, stats, view) = (&mut self.core, &mut self.stats, &self.view);
         let short = core.southbound.retransmit_scan(
-            ctx.now(),
+            io.now,
             |dpid| view.is_quarantined(dpid),
             self.cfg.mod_timeout,
             self.cfg.mod_max_retries,
-            |to, body| write(ctx, stats, &mut core.xid, to, body),
+            |to, body| write(io, stats, &mut core.xid, to, body),
         );
-        self.settle(ctx);
+        self.settle(io);
         for dpid in short {
-            self.rebuild(ctx, dpid);
+            self.rebuild(io, dpid);
         }
         // Groups that have been out of every program for the hold: go.
         let view = &self.view;
         let cluster = self.core.cluster.as_ref();
         let ours = |d| !view.is_quarantined(d) && cluster.is_none_or(|cl| cl.is_master(d));
-        let condemned = self.core.southbound.condemned(ctx.now(), ours);
+        let condemned = self.core.southbound.condemned(io.now, ours);
         for (dpid, group_id) in condemned {
             let cmd = GroupModCmd::Delete;
-            self.ctl(ctx)
+            self.ctl(io)
                 .send(dpid, &Message::GroupMod { group_id, cmd });
         }
     }
@@ -630,27 +618,27 @@ impl Controller {
     /// said. The stamps this replica recorded for it go too: they are a
     /// takeover's shortcut past the full load, and nothing vouches for
     /// them now. The apps hear that it needs rebuilding.
-    fn rebuild(&mut self, ctx: &mut Context<'_>, dpid: Dpid) {
+    fn rebuild(&mut self, io: &mut Io<'_>, dpid: Dpid) {
         if let Some(cl) = &mut self.core.cluster {
             cl.forget_stamps(dpid);
         }
-        self.each_app(ctx, |app, ctl| app.on_switch_resync(ctl, dpid));
+        self.each_app(io, |app, ctl| app.on_switch_resync(ctl, dpid));
     }
 
     /// Fence every switch that someone waits to hear from: those sent
     /// hard state or a burst of soft state since the last flush, and
     /// while a two-phase transaction awaits acks, all. Soft state left
     /// unfenced sets the fence timer.
-    fn flush_barriers(&mut self, ctx: &mut Context<'_>) {
+    fn flush_barriers(&mut self, io: &mut Io<'_>) {
         let (core, stats) = (&mut self.core, &mut self.stats);
         if core.planner.awaits_acks() {
-            core.southbound.fence_aged(ctx.now(), Duration::ZERO);
+            core.southbound.fence_aged(io.now, Duration::ZERO);
         }
         core.southbound
-            .flush_barriers(|to, body| write(ctx, stats, &mut core.xid, to, body));
+            .flush_barriers(|to, body| write(io, stats, &mut core.xid, to, body));
         if core.southbound.unfenced_sessions > 0 && !self.fence_armed {
             self.fence_armed = true;
-            ctx.set_timer(self.fence_interval(), TIMER_FENCE);
+            io.sink.set_timer(self.fence_interval(), TIMER_FENCE);
         }
     }
 
@@ -663,31 +651,31 @@ impl Controller {
     /// A node we never completed the handshake with is talking to us —
     /// the Hello exchange was lost in transit. Re-solicit (at most once
     /// per tick interval) so a faulty channel can't orphan a switch.
-    fn resolicit_handshake(&mut self, ctx: &mut Context<'_>, from: NodeId) {
+    fn resolicit_handshake(&mut self, io: &mut Io<'_>, from: NodeId) {
         let every = self.cfg.tick_interval;
-        if self.core.southbound.resolicit(from, ctx.now(), every) {
-            self.ctl(ctx).answer(from, &Message::FeaturesRequest);
+        if self.core.southbound.resolicit(from, io.now, every) {
+            self.ctl(io).answer(from, &Message::FeaturesRequest);
         }
     }
 
     /// Ask `dpid`'s switch at `from`, which spoke to us, for its state
     /// digest if it is quarantined, at most once per tick interval.
-    fn maybe_request_resync(&mut self, ctx: &mut Context<'_>, from: NodeId, dpid: Dpid) {
+    fn maybe_request_resync(&mut self, io: &mut Io<'_>, from: NodeId, dpid: Dpid) {
         let (every, southbound) = (self.cfg.tick_interval, &mut self.core.southbound);
-        if self.view.is_quarantined(dpid) && southbound.resync_due(from, ctx.now(), every) {
-            self.ctl(ctx).send(dpid, &Message::ResyncRequest);
+        if self.view.is_quarantined(dpid) && southbound.resync_due(from, io.now, every) {
+            self.ctl(io).send(dpid, &Message::ResyncRequest);
         }
     }
 
     /// Probe every registered agent's control-channel liveness with an
     /// ECHO_REQUEST (the token encodes the send time, so a reply dates
     /// the probe it answers).
-    fn echo_round(&mut self, ctx: &mut Context<'_>) {
+    fn echo_round(&mut self, io: &mut Io<'_>) {
         let targets: Vec<Dpid> = self.core.southbound.dpids().collect();
-        let token = ctx.now().as_nanos();
+        let token = io.now.as_nanos();
         for dpid in targets {
             self.stats.echo_probes += 1;
-            self.ctl(ctx).send(dpid, &Message::EchoRequest { token });
+            self.ctl(io).send(dpid, &Message::EchoRequest { token });
         }
     }
 
@@ -697,7 +685,7 @@ impl Controller {
     /// probed exactly once per round cluster-wide, and each probe's
     /// punt lands at the *destination* switch's master (which is why
     /// link expiry is filtered to destination-mastered links).
-    fn discovery_round(&mut self, ctx: &mut Context<'_>) {
+    fn discovery_round(&mut self, io: &mut Io<'_>) {
         let (mut targets, mut frame) = std::mem::take(&mut self.probes);
         targets.clear();
         for (&dpid, info) in &self.view.switches {
@@ -710,7 +698,7 @@ impl Controller {
             let mac = zen_wire::EthernetAddress::from_id(0x70_0000 + dpid);
             PacketBuilder::lldp_into(&mut frame, mac, dpid, port, LLDP_TTL_SECS);
             let out = [zen_dataplane::Action::Output(port)];
-            self.ctl(ctx).packet_out(dpid, 0, &out, &frame);
+            self.ctl(io).packet_out(dpid, 0, &out, &frame);
         }
         self.probes = (targets, frame);
     }
@@ -720,7 +708,7 @@ impl Controller {
     /// chain (discovery probes and unparsable frames stop here).
     fn observe_packet_in(
         &mut self,
-        ctx: &mut Context<'_>,
+        io: &mut Io<'_>,
         dpid: Dpid,
         in_port: PortNo,
         frame: &[u8],
@@ -732,7 +720,7 @@ impl Controller {
         if eth.ethertype() == EtherType::Lldp {
             self.stats.lldp_ins += 1;
             if let Ok(repr) = lldp::Repr::parse(eth.payload()) {
-                let now = ctx.now();
+                let now = io.now;
                 let new =
                     self.view
                         .add_link_at((repr.chassis_id, repr.port_id), (dpid, in_port), now);
@@ -763,7 +751,7 @@ impl Controller {
                     .filter(|ip| ip.is_unicast()),
                 _ => None,
             };
-            let now = ctx.now();
+            let now = io.now;
             let mac = eth.src_addr();
             let (moved, recorded) = self.view.learn_host(mac, dpid, in_port, ip, now);
             // A sighting only ever adds to or replaces the recorded IP.
@@ -787,43 +775,44 @@ impl Controller {
     /// instead of once per punt.
     fn handle_packet_in_batch(
         &mut self,
-        ctx: &mut Context<'_>,
+        io: &mut Io<'_>,
         from: NodeId,
         known: Option<Dpid>,
         bytes: &[u8],
         punts: &[Punt],
     ) {
         let Some(dpid) = known else {
-            return self.resolicit_handshake(ctx, from);
+            return self.resolicit_handshake(io, from);
         };
-        self.maybe_request_resync(ctx, from, dpid);
+        self.maybe_request_resync(io, from, dpid);
         // Admission control, when it is on, dispatches what is within
         // the switch's budget and pushes back on who went far over it.
         let Some(adm) = self.admission.as_mut() else {
-            return self.deliver_punts(ctx, dpid, bytes, punts);
+            return self.deliver_punts(io, dpid, bytes, punts);
         };
         let Some(session) = self.core.southbound.session_mut(from) else {
             return;
         };
-        let (admitted, over) = adm.admit(ctx, &mut self.stats, from, session, bytes, punts);
-        self.install_pushbacks(ctx, from, dpid, over);
-        self.deliver_punts(ctx, dpid, bytes, &admitted);
+        let at = (io.now, io.sink.recorder());
+        let (admitted, over) = adm.admit(at, &mut self.stats, from, session, bytes, punts);
+        self.install_pushbacks(io, from, dpid, over);
+        self.deliver_punts(io, dpid, bytes, &admitted);
     }
 
     /// Dispatch already-admitted punts from `dpid`, whose frames lie in
     /// `bytes`: fold them into the view (LLDP, host learning) and hand
     /// survivors to the app chain.
-    fn deliver_punts(&mut self, ctx: &mut Context<'_>, dpid: Dpid, bytes: &[u8], punts: &[Punt]) {
+    fn deliver_punts(&mut self, io: &mut Io<'_>, dpid: Dpid, bytes: &[u8], punts: &[Punt]) {
         // Stragglers: punts routed here while mastership was in flight
         // are still good observations (learned below), but only the
         // master drives the datapath in response.
         let master = self.is_master_of(dpid);
-        let recording = ctx.recorder().is_enabled();
+        let recording = io.sink.recorder().is_enabled();
         let mut dispatch = std::mem::take(&mut self.dispatch);
         dispatch.clear();
         for &punt in punts {
             let frame = punt.frame(bytes);
-            if !self.observe_packet_in(ctx, dpid, punt.in_port, frame) {
+            if !self.observe_packet_in(io, dpid, punt.in_port, frame) {
                 continue;
             }
             if !master {
@@ -840,11 +829,11 @@ impl Controller {
             };
             dispatch.push((punt, trace));
         }
-        let (apps, mut ctl) = self.split(ctx);
+        let (apps, mut ctl) = self.split(io);
         for &(punt, trace) in &dispatch {
             let (in_port, frame) = (punt.in_port, punt.frame(bytes));
             if trace.is_some() {
-                ctl.ctx.recorder().begin_trace(trace);
+                ctl.io.sink.recorder().begin_trace(trace);
             }
             let mut claimed: Option<&'static str> = None;
             for app in apps.iter_mut() {
@@ -854,8 +843,8 @@ impl Controller {
                 }
             }
             if let Some(t) = trace {
-                let at = ctl.ctx.now().as_nanos();
-                let rec = ctl.ctx.recorder();
+                let at = ctl.io.now.as_nanos();
+                let rec = ctl.io.sink.recorder();
                 rec.record(
                     at,
                     t,
@@ -876,7 +865,7 @@ impl Controller {
     /// and visible in the cookie shadow.
     fn install_pushbacks(
         &mut self,
-        ctx: &mut Context<'_>,
+        io: &mut Io<'_>,
         from: NodeId,
         dpid: Dpid,
         offenders: Vec<(PortNo, [u8; 6])>,
@@ -884,19 +873,15 @@ impl Controller {
         if !self.is_master_of(dpid) {
             return;
         }
-        let now = ctx.now();
+        let now = io.now;
         for (port, mac) in offenders {
             let adm = self.admission.as_mut();
             let Some(spec) = adm.and_then(|adm| adm.push_back((from, port, mac), now)) else {
                 continue;
             };
             self.stats.pushbacks_installed += 1;
-            let cid = ctx
-                .metrics()
-                .register_counter("defense.pushbacks_installed");
-            ctx.metrics().incr(cid);
-            record_control(ctx, dpid, TraceEvent::PushbackInstalled { dpid, port });
-            let mut ctl = self.ctl(ctx);
+            io.record(dpid, TraceEvent::PushbackInstalled { dpid, port });
+            let mut ctl = self.ctl(io);
             let mut txn = ctl.txn();
             txn.flow(dpid, 0, spec);
             txn.commit(&mut ctl);
@@ -906,24 +891,24 @@ impl Controller {
     /// Drive the epoch-versioned two-phase update planner: act on each
     /// step it takes. Called from the tick timer and after every control
     /// batch (acks resolve there), so phase transitions happen promptly.
-    fn planner_pump(&mut self, ctx: &mut Context<'_>) {
+    fn planner_pump(&mut self, io: &mut Io<'_>) {
         if !self.core.planner.is_busy() {
             return;
         }
-        while let Some(step) = self.core.planner.step(ctx.now(), &mut self.stats) {
+        while let Some(step) = self.core.planner.step(io.now, &mut self.stats) {
             let (epoch, phase) = (step.epoch, step.phase);
-            record_control(ctx, 0, TraceEvent::EpochPhase { epoch, phase });
+            io.record(0, TraceEvent::EpochPhase { epoch, phase });
             let mut xids = Vec::with_capacity(step.mods.len());
             for (dpid, msg) in &step.mods {
-                xids.extend(self.ctl(ctx).send_as(*dpid, msg, false));
+                xids.extend(self.ctl(io).send_as(*dpid, msg, false));
             }
             self.core.planner.sent(xids);
             match step.notice {
                 Some(Notice::Committed { owner, token }) => {
-                    self.each_app(ctx, |app, ctl| app.on_update_committed(ctl, owner, token))
+                    self.each_app(io, |app, ctl| app.on_update_committed(ctl, owner, token))
                 }
                 Some(Notice::Aborted { owner, token }) => {
-                    self.each_app(ctx, |app, ctl| app.on_update_aborted(ctl, owner, token))
+                    self.each_app(io, |app, ctl| app.on_update_aborted(ctl, owner, token))
                 }
                 None => {}
             }
@@ -932,20 +917,18 @@ impl Controller {
 
     /// Dispatch the deferred punts whose turn admission control says it
     /// is.
-    fn admission_drain(&mut self, ctx: &mut Context<'_>) {
+    fn admission_drain(&mut self, io: &mut Io<'_>) {
         let Some(adm) = self.admission.as_mut() else {
             return;
         };
-        let drained = adm.drain(ctx.now(), &mut self.core.southbound);
+        let drained = adm.drain(io.now, &mut self.core.southbound);
         if drained.is_empty() {
             return;
         }
-        let cids = adm.counters(ctx);
         for (dpid, in_port, frame) in drained {
             self.stats.punts_drained += 1;
-            ctx.metrics().incr(cids[2]);
             let punt = Punt::of(&frame, in_port, &frame);
-            self.deliver_punts(ctx, dpid, &frame, &[punt]);
+            self.deliver_punts(io, dpid, &frame, &[punt]);
         }
     }
 
@@ -954,7 +937,7 @@ impl Controller {
     /// it for the planner's phase gate, and record an ack on the trace
     /// its mod was sent under. The one place a tracked mod ends; called
     /// right after each southbound call that can end one.
-    fn settle(&mut self, ctx: &mut Context<'_>) {
+    fn settle(&mut self, io: &mut Io<'_>) {
         let (core, stats) = (&mut self.core, &mut self.stats);
         for (xid, end) in core.southbound.ends() {
             let (count, acked) = match end {
@@ -964,11 +947,11 @@ impl Controller {
             };
             *count += 1;
             core.planner.note_xid(xid, acked.is_some());
-            let rec = ctx.recorder();
+            let rec = io.sink.recorder();
             if let Some(dpid) = acked.filter(|_| rec.is_enabled()) {
                 if let Some(trace) = rec.take_xid(xid) {
                     let event = TraceEvent::FlowModAcked { dpid, xid };
-                    rec.record(ctx.now().as_nanos(), trace, event);
+                    rec.record(io.now.as_nanos(), trace, event);
                 }
             }
         }
@@ -977,17 +960,17 @@ impl Controller {
     /// A FEATURES_REPLY: the southbound says whether it is a handshake.
     fn handshake(
         &mut self,
-        ctx: &mut Context<'_>,
+        io: &mut Io<'_>,
         from: NodeId,
         known: &mut Option<Dpid>,
         dpid: Dpid,
         n_tables: u8,
         ports: Vec<zen_proto::PortDesc>,
     ) {
-        let opened = self.core.southbound.open(from, dpid, ctx.now());
+        let opened = self.core.southbound.open(from, dpid, io.now);
         if opened == Opened::Refused {
             let (code, data) = (ErrorCode::BadRequest, Vec::new());
-            return self.ctl(ctx).answer(from, &Message::Error { code, data });
+            return self.ctl(io).answer(from, &Message::Error { code, data });
         }
         *known = Some(dpid);
         let port_list: Vec<(PortNo, bool)> = ports.iter().map(|p| (p.port_no, p.up)).collect();
@@ -1005,19 +988,19 @@ impl Controller {
             let (role, newly) = cl.role_at_handshake(dpid);
             let claim = cl.membership.claim();
             self.stats.masterships_gained += u64::from(newly);
-            self.send_role(ctx, dpid, role, claim);
+            self.send_role(io, dpid, role, claim);
             if newly {
-                Self::note_mastership_trace(ctx, dpid, claim.1, true);
+                Self::note_mastership_trace(io, dpid, claim.1, true);
             }
         }
-        self.each_app(ctx, |app, ctl| app.on_switch_up(ctl, dpid));
+        self.each_app(io, |app, ctl| app.on_switch_up(ctl, dpid));
         // Probe its links right away.
-        self.discovery_round(ctx);
+        self.discovery_round(io);
     }
 
     fn handle_message(
         &mut self,
-        ctx: &mut Context<'_>,
+        io: &mut Io<'_>,
         from: NodeId,
         known: &mut Option<Dpid>,
         view: MessageView<'_>,
@@ -1028,18 +1011,18 @@ impl Controller {
         // so routing stays conservative until state is reconciled).
         if let Some(dpid) = *known {
             if !matches!(view, MessageView::Owned(Message::HelloResync { .. })) {
-                self.maybe_request_resync(ctx, from, dpid);
+                self.maybe_request_resync(io, from, dpid);
             }
         } else if !matches!(
             view,
             MessageView::Owned(Message::Hello { .. } | Message::FeaturesReply { .. })
         ) {
-            self.resolicit_handshake(ctx, from);
+            self.resolicit_handshake(io, from);
         }
         if let MessageView::BarrierReply { applied } = view {
             // Read where it lies: owning it would copy a list walked once.
             let moved = self.core.southbound.barrier_reply(from, xid, applied);
-            self.settle(ctx);
+            self.settle(io);
             // One digest per barrier whose batch moved the cookie counts,
             // not per mod — and none for a batch of group mods.
             if let Some(dpid) = moved {
@@ -1052,7 +1035,7 @@ impl Controller {
             Message::Hello { .. } => {
                 // Learn the session, ask who they are.
                 let version = zen_proto::VERSION;
-                let mut ctl = self.ctl(ctx);
+                let mut ctl = self.ctl(io);
                 ctl.answer(from, &Message::Hello { version });
                 return ctl.answer(from, &Message::FeaturesRequest);
             }
@@ -1060,9 +1043,9 @@ impl Controller {
                 dpid,
                 n_tables,
                 ports,
-            } => return self.handshake(ctx, from, known, dpid, n_tables, ports),
+            } => return self.handshake(io, from, known, dpid, n_tables, ports),
             Message::EchoRequest { token } => {
-                return self.ctl(ctx).answer(from, &Message::EchoReply { token });
+                return self.ctl(io).answer(from, &Message::EchoReply { token });
             }
             Message::EchoReply { .. } => return self.stats.echo_replies += 1,
             msg => msg,
@@ -1077,7 +1060,7 @@ impl Controller {
         match msg {
             Message::PortStatus { port } => {
                 self.view.set_port(dpid, port.port_no, port.up);
-                self.each_app(ctx, |app, ctl| {
+                self.each_app(io, |app, ctl| {
                     app.on_port_status(ctl, dpid, port.port_no, port.up)
                 });
             }
@@ -1095,13 +1078,13 @@ impl Controller {
                 if self.core.southbound.removed(from, cookie, reason) {
                     self.replicate_shadow(dpid);
                 }
-                self.each_app(ctx, |app, ctl| {
+                self.each_app(io, |app, ctl| {
                     app.on_flow_removed(ctl, dpid, table_id, priority, cookie)
                 });
             }
             Message::StatsReply { body } => {
                 use zen_proto::StatsBody::{Cache, Flow, Port, Table};
-                self.each_app(ctx, |app, ctl| match &body {
+                self.each_app(io, |app, ctl| match &body {
                     Port(records) => app.on_port_stats(ctl, dpid, records),
                     Table(records) => app.on_table_stats(ctl, dpid, records),
                     Flow(records) => app.on_flow_stats(ctl, dpid, records),
@@ -1113,7 +1096,7 @@ impl Controller {
                 cookies,
             } => {
                 let clean = self.core.southbound.resync(from, generation, &cookies);
-                self.settle(ctx);
+                self.settle(io);
                 // Unquarantined *before* the apps hear of a divergence,
                 // so their reprogramming sees the switch in the graph.
                 self.view.unquarantine(dpid);
@@ -1125,7 +1108,7 @@ impl Controller {
                     // from the reported truth.
                     self.stats.resyncs_dirty += 1;
                     self.replicate_shadow(dpid);
-                    self.rebuild(ctx, dpid);
+                    self.rebuild(io, dpid);
                 }
             }
             Message::RoleReply {
@@ -1138,7 +1121,7 @@ impl Controller {
                 };
                 if cl.role_reply(dpid, role, term, replica) {
                     let claim = cl.membership.claim();
-                    self.mastership_lost(ctx, dpid, claim, false);
+                    self.mastership_lost(io, dpid, claim, false);
                 }
             }
             Message::Error {
@@ -1152,10 +1135,10 @@ impl Controller {
                     // have been lost, or the RoleReply demoting us is in
                     // flight. Re-assert; the mod stays pending and the
                     // retransmit path retries it under the settled role.
-                    self.send_role(ctx, dpid, Role::Master, claim);
+                    self.send_role(io, dpid, Role::Master, claim);
                 } else {
                     self.core.southbound.bounce(from, &data, End::Superseded);
-                    self.settle(ctx);
+                    self.settle(io);
                 }
             }
             Message::Error {
@@ -1165,38 +1148,39 @@ impl Controller {
                 // A switch refused a flow add for lack of table capacity
                 // (refuse overflow policy).
                 self.core.southbound.bounce(from, &data, End::Failed);
-                self.settle(ctx);
-                self.each_app(ctx, |app, ctl| app.on_table_full(ctl, dpid));
+                self.settle(io);
+                self.each_app(io, |app, ctl| app.on_table_full(ctl, dpid));
             }
             // Other errors, ResyncRequest (agent-bound): informational.
             _ => {}
         }
     }
-}
 
-impl Node for Controller {
-    fn on_start(&mut self, ctx: &mut Context<'_>) {
-        ctx.set_timer(self.cfg.tick_interval, TIMER_TICK);
+    /// Arm the tick, and admission's drain when it is on.
+    pub fn start(&mut self, io: &mut dyn ControlIo) {
+        io.set_timer(self.cfg.tick_interval, TIMER_TICK);
         if let Some(adm) = &self.admission {
-            ctx.set_timer(adm.cfg.drain_interval, TIMER_ADMIT);
+            io.set_timer(adm.cfg.drain_interval, TIMER_ADMIT);
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) {
+    /// Timer `token`, set through `io`, fires at `now`.
+    pub fn timer(&mut self, now: Instant, token: u64, io: &mut dyn ControlIo) {
+        let io = &mut Io { now, sink: io };
         if token == TIMER_ADMIT {
-            self.admission_drain(ctx);
-            self.flush_barriers(ctx);
+            self.admission_drain(io);
+            self.flush_barriers(io);
             if let Some(adm) = &self.admission {
-                ctx.set_timer(adm.cfg.drain_interval, TIMER_ADMIT);
+                io.sink.set_timer(adm.cfg.drain_interval, TIMER_ADMIT);
             }
         }
         if token == TIMER_FENCE {
             let due = self.fence_interval();
-            let left = self.core.southbound.fence_aged(ctx.now(), due);
-            self.flush_barriers(ctx);
+            let left = self.core.southbound.fence_aged(io.now, due);
+            self.flush_barriers(io);
             self.fence_armed = left.is_some();
             if let Some(waited) = left {
-                ctx.set_timer(due - waited, TIMER_FENCE);
+                io.sink.set_timer(due - waited, TIMER_FENCE);
             }
         }
         if token == TIMER_TICK {
@@ -1212,7 +1196,7 @@ impl Node for Controller {
             // lapses and the takeover re-solicits — expiring at the
             // plain max-age would tear down every link out of a dead
             // master's switches before failover can even start.
-            let (now, max_age) = (ctx.now(), self.cfg.link_max_age);
+            let (now, max_age) = (io.now, self.cfg.link_max_age);
             let removed = if let Some(cl) = &self.core.cluster {
                 let lease = cl.membership.config().lease_timeout;
                 let masters = cl.masters();
@@ -1231,31 +1215,30 @@ impl Node for Controller {
                     from_dpid: dpid,
                     from_port: port,
                 });
-                self.each_app(ctx, |app, ctl| app.on_port_status(ctl, dpid, port, false));
+                self.each_app(io, |app, ctl| app.on_port_status(ctl, dpid, port, false));
             }
-            self.quarantine_scan(ctx);
-            self.retransmit_scan(ctx);
-            self.cluster_tick(ctx);
-            self.discovery_round(ctx);
-            self.echo_round(ctx);
-            self.each_app(ctx, |app, ctl| app.tick(ctl));
-            self.planner_pump(ctx);
-            self.flush_barriers(ctx);
-            ctx.set_timer(self.cfg.tick_interval, TIMER_TICK);
+            self.quarantine_scan(io);
+            self.retransmit_scan(io);
+            self.cluster_tick(io);
+            self.discovery_round(io);
+            self.echo_round(io);
+            self.each_app(io, |app, ctl| app.tick(ctl));
+            self.planner_pump(io);
+            self.flush_barriers(io);
+            io.sink.set_timer(self.cfg.tick_interval, TIMER_TICK);
         }
     }
 
-    fn on_packet(&mut self, _ctx: &mut Context<'_>, _port: PortNo, _frame: &[u8]) {
-        // The controller has no data-plane ports (out-of-band control).
-    }
-
-    fn on_control(&mut self, ctx: &mut Context<'_>, from: NodeId, bytes: &[u8]) {
+    /// `from` wrote `bytes`, which arrive at `now`: one delivery of
+    /// whole frames.
+    pub fn control(&mut self, now: Instant, from: NodeId, bytes: &[u8], io: &mut dyn ControlIo) {
+        let io = &mut Io { now, sink: io };
         // East-west traffic from a peer replica bypasses the switch-session
         // machinery (quarantine, handshake re-solicit); peers never punt,
         // nor shake hands. A switch is known once it has (only a handshake
         // in this delivery changes that), and any bytes at all prove its
         // channel works.
-        let (core, now) = (&mut self.core, ctx.now());
+        let core = &mut self.core;
         let peer = core.cluster.as_ref().is_some_and(|cl| cl.is_peer(from));
         let mut known = core.southbound.heard(from, now);
         // PACKET_INs decode to borrowed views over `bytes` and are
@@ -1273,47 +1256,46 @@ impl Node for Controller {
                 Ok((other, xid)) => {
                     self.stats.msgs_received += 1;
                     if peer {
-                        self.handle_peer_message(ctx, other.into_message());
+                        self.handle_peer_message(io, other.into_message());
                         continue;
                     }
                     if !punts.is_empty() {
-                        self.handle_packet_in_batch(ctx, from, known, bytes, &punts);
+                        self.handle_packet_in_batch(io, from, known, bytes, &punts);
                         punts.clear();
                     }
-                    self.handle_message(ctx, from, &mut known, other, xid);
+                    self.handle_message(io, from, &mut known, other, xid);
                 }
                 Err(_) => self.stats.decode_errors += 1,
             }
         }
         if !punts.is_empty() {
-            self.handle_packet_in_batch(ctx, from, known, bytes, &punts);
+            self.handle_packet_in_batch(io, from, known, bytes, &punts);
             punts.clear();
         }
         self.punts = punts;
-        self.planner_pump(ctx);
-        self.flush_barriers(ctx);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
+        self.planner_pump(io);
+        self.flush_barriers(io);
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::any::Any;
+    use std::collections::BTreeMap;
+
     use zen_cluster::ClusterConfig;
     use zen_dataplane::{FlowMatch, FlowSpec};
-    use zen_proto::{decode, encode, FlowModCmd, RemovedReason};
-    use zen_sim::{Instant, World};
+    use zen_proto::{decode, encode_into, FlowModCmd, RemovedReason};
+    use zen_sim::Metrics;
+    use zen_telemetry::Recorder;
 
     use super::*;
 
     const DPID: Dpid = 7;
     const COOKIE: u64 = 5;
+    /// The nodes switches speak from: clear of the replicas, 0 and 1.
+    const A: NodeId = NodeId(2);
+    const B: NodeId = NodeId(3);
 
     /// Installs one entry that idles out, on every switch that comes up.
     struct Seed;
@@ -1332,85 +1314,176 @@ mod tests {
         }
     }
 
-    /// A switch stand-in: registers, then answers the first fence with
-    /// the FLOW_REMOVED of everything it names and the BARRIER_REPLY —
-    /// the removal first if `removed_first`. Keeps when each flow mod
-    /// and each fence arrived. Not a real `SwitchAgent`: a real switch
-    /// reports a flow removed only when it removes one, never for a
-    /// fence, and not in an order the test picks.
-    struct Script {
-        controller: NodeId,
-        dpid: Dpid,
-        removed_first: bool,
-        mods_at: Vec<Instant>,
-        fences_at: Vec<Instant>,
+    /// Where a controller driven without a world writes: each message,
+    /// decoded, with the node it went to, and each timer it set.
+    #[derive(Default)]
+    struct Sink {
+        sent: Vec<(NodeId, u32, Message)>,
+        timers: Vec<(Duration, u64)>,
+        recorder: Recorder,
+        metrics: Metrics,
     }
 
-    impl Node for Script {
-        fn on_start(&mut self, ctx: &mut Context<'_>) {
-            let (dpid, n_tables, ports) = (self.dpid, 1, vec![]);
-            #[rustfmt::skip]
-            let up = Message::FeaturesReply { dpid, n_tables, ports };
-            ctx.send_control(self.controller, encode(&up, 0));
+    impl ControlIo for Sink {
+        fn send_control_with(&mut self, to: NodeId, put: &mut dyn FnMut(&mut Vec<u8>)) {
+            let mut bytes = Vec::new();
+            put(&mut bytes);
+            let (msg, xid, used) = decode(&bytes).expect("a whole message");
+            assert_eq!(used, bytes.len(), "one message per write");
+            self.sent.push((to, xid, msg));
         }
-        fn on_control(&mut self, ctx: &mut Context<'_>, _: NodeId, mut bytes: &[u8]) {
-            while let Ok((msg, xid, used)) = decode(bytes) {
-                bytes = &bytes[used..];
-                if let Message::FlowMod { .. } = msg {
-                    self.mods_at.push(ctx.now());
+        fn set_timer(&mut self, delay: Duration, token: u64) {
+            self.timers.push((delay, token));
+        }
+        fn recorder(&self) -> &Recorder {
+            &self.recorder
+        }
+        fn metrics(&mut self) -> &mut Metrics {
+            &mut self.metrics
+        }
+    }
+
+    /// A real controller driven without a world, over a channel with no
+    /// latency: each test says what a node sends it and when, the timers
+    /// it sets fire when the clock reaches them, and a scripted switch
+    /// answers each fence the moment it is sent one.
+    struct Rig {
+        ctl: Controller,
+        sink: Sink,
+        now: Instant,
+        /// The timers set and not yet fired: when each fires, its token.
+        timers: Vec<(Instant, u64)>,
+        /// The scripted switches, and whether each reports the removal
+        /// before the ack.
+        scripts: BTreeMap<NodeId, bool>,
+        /// Every message the controller wrote: when, to whom, what.
+        sent: Vec<(Instant, NodeId, Message)>,
+    }
+
+    impl Rig {
+        fn new(mut ctl: Controller) -> Rig {
+            let mut sink = Sink::default();
+            ctl.start(&mut sink);
+            let (now, timers) = (Instant::ZERO, Vec::new());
+            let (scripts, sent) = (BTreeMap::new(), Vec::new());
+            #[rustfmt::skip]
+            let mut rig = Rig { ctl, sink, now, timers, scripts, sent };
+            rig.collect();
+            rig
+        }
+
+        /// At `ms` milliseconds, `from` says `msgs`, as one delivery.
+        fn say(&mut self, ms: u64, from: NodeId, msgs: &[Message]) {
+            self.run(ms);
+            let mut bytes = Vec::new();
+            for msg in msgs {
+                encode_into(&mut bytes, msg, 0);
+            }
+            self.deliver(from, &bytes);
+        }
+
+        /// A switch at `from` that claims `dpid` at `ms` milliseconds,
+        /// then answers each fence with the FLOW_REMOVED of everything
+        /// it names and the BARRIER_REPLY — the removal first if
+        /// `removed_first`. Not a real `SwitchAgent`: a real switch
+        /// reports a flow removed only when it removes one, never for a
+        /// fence, and not in an order the test picks.
+        fn script(&mut self, ms: u64, from: NodeId, dpid: Dpid, removed_first: bool) {
+            self.scripts.insert(from, removed_first);
+            self.say(ms, from, &[claim(dpid)]);
+        }
+
+        /// Fire each timer due by `ms` milliseconds, earliest first; the
+        /// clock is then at `ms`.
+        fn run(&mut self, ms: u64) {
+            let until = Instant::from_millis(ms);
+            let due = |timers: &Vec<(Instant, u64)>| {
+                let due = timers.iter().enumerate().filter(|(_, t)| t.0 <= until);
+                due.min_by_key(|(_, t)| t.0).map(|(i, _)| i)
+            };
+            while let Some(i) = due(&self.timers) {
+                let (at, token) = self.timers.remove(i);
+                self.now = at;
+                self.ctl.timer(at, token, &mut self.sink);
+                self.collect();
+            }
+            self.now = until;
+        }
+
+        fn deliver(&mut self, from: NodeId, bytes: &[u8]) {
+            self.ctl.control(self.now, from, bytes, &mut self.sink);
+            self.collect();
+        }
+
+        /// Take in what the controller just wrote and set, and deliver
+        /// the scripted switches' answers to it.
+        fn collect(&mut self) {
+            let now = self.now;
+            let timers = self.sink.timers.drain(..);
+            self.timers
+                .extend(timers.map(|(delay, token)| (now + delay, token)));
+            let mut answers = Vec::new();
+            for (to, xid, msg) in std::mem::take(&mut self.sink.sent) {
+                let script = self.scripts.get(&to).copied();
+                if let (Some(removed_first), Message::BarrierRequest { xids }) = (script, &msg) {
+                    let removed = Message::FlowRemoved {
+                        table_id: 0,
+                        priority: 1,
+                        cookie: COOKIE,
+                        reason: RemovedReason::IdleTimeout,
+                        packets: 0,
+                        bytes: 0,
+                    };
+                    let acked = Message::BarrierReply {
+                        applied: xids.clone(),
+                    };
+                    let mut answer = [(removed, 0), (acked, xid)];
+                    if !removed_first {
+                        answer.swap(0, 1);
+                    }
+                    let mut bytes = Vec::new();
+                    for (msg, xid) in &answer {
+                        encode_into(&mut bytes, msg, *xid);
+                    }
+                    answers.push((to, bytes));
                 }
-                let Message::BarrierRequest { xids } = msg else {
-                    continue;
-                };
-                self.fences_at.push(ctx.now());
-                let removed = Message::FlowRemoved {
-                    table_id: 0,
-                    priority: 1,
-                    cookie: COOKIE,
-                    reason: RemovedReason::IdleTimeout,
-                    packets: 0,
-                    bytes: 0,
-                };
-                let acked = Message::BarrierReply { applied: xids };
-                let mut answer = [encode(&removed, 0), encode(&acked, xid)];
-                if !self.removed_first {
-                    answer.swap(0, 1);
-                }
-                ctx.send_control(self.controller, answer.concat());
+                self.sent.push((now, to, msg));
+            }
+            for (from, bytes) in answers {
+                self.deliver(from, &bytes);
             }
         }
-        fn on_packet(&mut self, _: &mut Context<'_>, _: PortNo, _: &[u8]) {}
-        fn as_any(&self) -> &dyn Any {
-            self
+
+        /// When `to` was sent each message `of` picks.
+        fn times(&self, to: NodeId, of: fn(&Message) -> bool) -> Vec<Instant> {
+            let sent = self
+                .sent
+                .iter()
+                .filter(|(_, node, msg)| *node == to && of(msg));
+            sent.map(|(at, ..)| *at).collect()
         }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
+
+        /// What `to` was sent.
+        fn got(&self, to: NodeId) -> Vec<&Message> {
+            let sent = self.sent.iter().filter(|(_, node, _)| *node == to);
+            sent.map(|(.., msg)| msg).collect()
         }
     }
 
-    /// One more scripted switch in `world`.
-    fn add_script(
-        world: &mut World,
-        controller: NodeId,
-        dpid: Dpid,
-        removed_first: bool,
-    ) -> NodeId {
-        world.add_node(Box::new(Script {
-            controller,
-            dpid,
-            removed_first,
-            mods_at: Vec::new(),
-            fences_at: Vec::new(),
-        }))
+    fn is_mod(msg: &Message) -> bool {
+        matches!(msg, Message::FlowMod { .. })
     }
 
-    /// A world of `ctl` and one scripted switch, run for `millis`.
-    fn run(ctl: Controller, removed_first: bool, millis: u64) -> (World, NodeId, NodeId) {
-        let mut world = World::new(1);
-        let controller = world.add_node(Box::new(ctl));
-        let switch = add_script(&mut world, controller, DPID, removed_first);
-        world.run_until(Instant::from_millis(millis));
-        (world, controller, switch)
+    fn is_fence(msg: &Message) -> bool {
+        matches!(msg, Message::BarrierRequest { .. })
+    }
+
+    /// A FEATURES_REPLY claiming `dpid`.
+    fn claim(dpid: Dpid) -> Message {
+        let (n_tables, ports) = (1, vec![]);
+        #[rustfmt::skip]
+        let up = Message::FeaturesReply { dpid, n_tables, ports };
+        up
     }
 
     /// The shadow one replica is left with, and the digests it gossiped,
@@ -1418,8 +1491,10 @@ mod tests {
     fn shadow_after(removed_first: bool) -> (Vec<CookieCount>, Vec<Vec<CookieCount>>) {
         let mut ctl = Controller::new(vec![Box::new(Seed)]);
         ctl.enable_cluster(ClusterConfig::new(vec![NodeId(0)], 0));
-        let (world, controller, _) = run(ctl, removed_first, 1_000);
-        let ctl = world.node_as::<Controller>(controller);
+        let mut rig = Rig::new(ctl);
+        rig.script(0, A, DPID, removed_first);
+        rig.run(1_000);
+        let ctl = &rig.ctl;
         assert_eq!((ctl.stats.mods_acked, ctl.pending_mods()), (1, 0));
         let (_, gossiped, _) = ctl
             .core
@@ -1444,16 +1519,16 @@ mod tests {
             tick_interval: Duration::from_secs(1),
             ..ControllerConfig::default()
         };
-        let ctl = Controller::with_config(vec![Box::new(Seed)], cfg);
-        let (world, controller, switch) = run(ctl, false, 900);
-        let script = world.node_as::<Script>(switch);
-        assert_eq!((script.mods_at.len(), script.fences_at.len()), (1, 1));
-        let waited = script.fences_at[0] - script.mods_at[0];
+        let mut rig = Rig::new(Controller::with_config(vec![Box::new(Seed)], cfg));
+        rig.script(0, A, DPID, false);
+        rig.run(900);
+        let (mods, fences) = (rig.times(A, is_mod), rig.times(A, is_fence));
+        assert_eq!((mods.len(), fences.len()), (1, 1));
+        let waited = fences[0] - mods[0];
         assert_eq!(waited, cfg.mod_timeout.div(3));
-        let ctl = world.node_as::<Controller>(controller);
-        let stats = &ctl.stats;
+        let stats = &rig.ctl.stats;
         assert_eq!((stats.mods_acked, stats.mods_retransmitted), (1, 0));
-        assert_eq!(ctl.pending_mods(), 0);
+        assert_eq!(rig.ctl.pending_mods(), 0);
     }
 
     /// Commits one per-packet update, a soft add on each of two
@@ -1483,17 +1558,50 @@ mod tests {
     /// transaction commits on its own clock.
     #[test]
     fn soft_adds_of_a_two_phase_transaction_are_fenced_at_once() {
-        let mut world = World::new(1);
-        let controller = world.add_node(Box::new(Controller::new(vec![Box::new(TwoPhase)])));
-        let switches = [DPID, DPID + 1].map(|d| add_script(&mut world, controller, d, false));
-        world.run_until(Instant::from_millis(400));
-        for switch in switches {
-            let script = world.node_as::<Script>(switch);
-            assert_eq!(script.mods_at.len(), 1);
-            assert_eq!(script.fences_at, script.mods_at);
+        let mut rig = Rig::new(Controller::new(vec![Box::new(TwoPhase)]));
+        rig.script(0, A, DPID, false);
+        rig.script(0, B, DPID + 1, false);
+        rig.run(400);
+        for switch in [A, B] {
+            let mods = rig.times(switch, is_mod);
+            assert_eq!(mods.len(), 1);
+            assert_eq!(rig.times(switch, is_fence), mods);
         }
-        let stats = &world.node_as::<Controller>(controller).stats;
+        let stats = &rig.ctl.stats;
         assert_eq!((stats.txns_committed, stats.mods_retransmitted), (1, 0));
+    }
+
+    /// A transaction staged on two switches that never answer: the
+    /// first's HELLO_RESYNC reports what its shadow does not hold, so its
+    /// staged mod is superseded, and the transaction aborts at the next
+    /// step — in that delivery, not at its deadline.
+    #[test]
+    fn a_staged_mod_superseded_by_a_dirty_resync_aborts_its_transaction_at_once() {
+        let mut rig = Rig::new(Controller::new(vec![Box::new(TwoPhase)]));
+        rig.say(0, A, &[claim(DPID)]);
+        rig.say(0, B, &[claim(DPID + 1)]);
+        assert_eq!(
+            (rig.times(A, is_mod).len(), rig.times(B, is_mod).len()),
+            (1, 1)
+        );
+        assert!(rig.ctl.txn_busy(), "staging");
+
+        let cookies = vec![CookieCount {
+            cookie: COOKIE,
+            count: 1,
+        }];
+        rig.say(
+            10,
+            A,
+            &[Message::HelloResync {
+                generation: 0,
+                cookies,
+            }],
+        );
+        let stats = &rig.ctl.stats;
+        assert_eq!((stats.resyncs_dirty, stats.mods_superseded), (1, 1));
+        assert_eq!(stats.txns_aborted, 1);
+        assert!(!rig.ctl.txn_busy());
     }
 
     /// Commits two-switch per-packet updates, each owned by the epoch
@@ -1541,103 +1649,48 @@ mod tests {
     /// promised it — and so with that epoch's cookies and group ids.
     #[test]
     fn an_update_committed_from_a_callback_gets_the_epoch_it_was_promised() {
-        let mut world = World::new(1);
-        let ctl = Controller::new(vec![Box::new(Promised::default())]);
-        let controller = world.add_node(Box::new(ctl));
-        for dpid in [DPID, DPID + 1] {
-            add_script(&mut world, controller, dpid, false);
-        }
-        world.run_until(Instant::from_millis(1_000));
-        let ctl = world.node_as::<Controller>(controller);
-        let app = ctl.find_app::<Promised>().expect("installed");
+        let mut rig = Rig::new(Controller::new(vec![Box::new(Promised::default())]));
+        rig.script(0, A, DPID, false);
+        rig.script(0, B, DPID + 1, false);
+        rig.run(1_000);
+        let app = rig.ctl.find_app::<Promised>().expect("installed");
         assert_eq!(app.committed, [(1, 1), (2, 2), (3, 3)]);
-        assert!(!ctl.txn_busy());
-    }
-
-    /// Says its `lines` to the controller unasked, one every 10 ms from
-    /// 10 ms in, and keeps what it is sent. Not a real `SwitchAgent`: a
-    /// real switch sends a FEATURES_REPLY only when asked, and only for
-    /// its own dpid, where a talker claims any dpid, unasked.
-    struct Talker {
-        controller: NodeId,
-        lines: Vec<Message>,
-        got: Vec<Message>,
-    }
-
-    /// A FEATURES_REPLY claiming `dpid`.
-    fn claim(dpid: Dpid) -> Message {
-        let (n_tables, ports) = (1, vec![]);
-        #[rustfmt::skip]
-        let up = Message::FeaturesReply { dpid, n_tables, ports };
-        up
-    }
-
-    /// One more talker in `world`.
-    fn add_talker(world: &mut World, controller: NodeId, lines: Vec<Message>) -> NodeId {
-        let got = Vec::new();
-        #[rustfmt::skip]
-        let talker = Talker { controller, lines, got };
-        world.add_node(Box::new(talker))
-    }
-
-    impl Node for Talker {
-        fn on_start(&mut self, ctx: &mut Context<'_>) {
-            for line in 0..self.lines.len() as u64 {
-                ctx.set_timer(Duration::from_millis(10 * (line + 1)), line);
-            }
-        }
-        fn on_timer(&mut self, ctx: &mut Context<'_>, line: u64) {
-            ctx.send_control(self.controller, encode(&self.lines[line as usize], 0));
-        }
-        fn on_control(&mut self, _: &mut Context<'_>, _: NodeId, mut bytes: &[u8]) {
-            while let Ok((msg, _, used)) = decode(bytes) {
-                bytes = &bytes[used..];
-                self.got.push(msg);
-            }
-        }
-        fn on_packet(&mut self, _: &mut Context<'_>, _: PortNo, _: &[u8]) {}
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
+        assert!(!rig.ctl.txn_busy());
     }
 
     /// A FEATURES_REPLY naming a dpid that answers from another node,
     /// or coming from a node that gave another dpid, is refused with an
     /// error: the switch that registered first keeps its dpid, its mods
-    /// and its probes, and the view gains nothing.
+    /// and its probes, and the view gains nothing. The claimant is no
+    /// real `SwitchAgent`: a real switch sends a FEATURES_REPLY only when
+    /// asked, and only for its own dpid.
     #[test]
     fn a_second_claim_to_a_dpid_is_refused() {
-        let mut world = World::new(1);
-        let controller = world.add_node(Box::new(Controller::new(vec![Box::new(Seed)])));
-        let switch = add_script(&mut world, controller, DPID, false);
+        let mut rig = Rig::new(Controller::new(vec![Box::new(Seed)]));
+        rig.script(0, A, DPID, false);
         // The switch's dpid, then one of its own, then a second one.
-        let claims = [DPID, DPID + 1, DPID + 2].map(claim).to_vec();
-        let claimant = add_talker(&mut world, controller, claims);
+        for (ms, dpid) in [(10, DPID), (20, DPID + 1), (30, DPID + 2)] {
+            rig.say(ms, B, &[claim(dpid)]);
+        }
         // Short of the first resend: the claimant acknowledges nothing.
-        world.run_until(Instant::from_millis(150));
+        rig.run(150);
 
-        let ctl = world.node_as::<Controller>(controller);
+        let ctl = &rig.ctl;
         let southbound = &ctl.core.southbound;
         let registered: Vec<(Dpid, Option<NodeId>)> = southbound
             .dpids()
             .map(|d| (d, southbound.node(d)))
             .collect();
-        assert_eq!(
-            registered,
-            [(DPID, Some(switch)), (DPID + 1, Some(claimant))]
-        );
+        assert_eq!(registered, [(DPID, Some(A)), (DPID + 1, Some(B))]);
         assert_eq!(ctl.view.switches.len(), 2);
         assert_eq!(ctl.stats.flow_mods, 2, "one seed flow per switch up");
-        assert_eq!(world.node_as::<Script>(switch).mods_at.len(), 1);
-        let got = &world.node_as::<Talker>(claimant).got;
+        assert_eq!(rig.times(A, is_mod).len(), 1);
+        let got = rig.got(B);
         let count = |of: fn(&Message) -> bool| got.iter().filter(|m| of(m)).count();
         #[rustfmt::skip]
         let refused = |m: &Message| matches!(m, Message::Error { code: ErrorCode::BadRequest, .. });
         assert_eq!(count(refused), 2);
-        assert_eq!(count(|m| matches!(m, Message::FlowMod { .. })), 1);
+        assert_eq!(count(is_mod), 1);
     }
 
     /// Counts the switches it hears come up.
@@ -1660,13 +1713,12 @@ mod tests {
     /// its ports and is no second handshake.
     #[test]
     fn a_repeated_features_reply_is_not_a_second_handshake() {
-        let mut world = World::new(1);
-        let controller = world.add_node(Box::new(Controller::new(vec![Box::new(Ups(0))])));
-        add_talker(&mut world, controller, vec![claim(DPID), claim(DPID)]);
-        world.run_until(Instant::from_millis(50));
-        let ctl = world.node_as::<Controller>(controller);
-        assert_eq!(ctl.view.switches.len(), 1);
-        assert_eq!(ctl.find_app::<Ups>().expect("installed").0, 1);
+        let mut rig = Rig::new(Controller::new(vec![Box::new(Ups(0))]));
+        rig.say(10, A, &[claim(DPID)]);
+        rig.say(20, A, &[claim(DPID)]);
+        rig.run(50);
+        assert_eq!(rig.ctl.view.switches.len(), 1);
+        assert_eq!(rig.ctl.find_app::<Ups>().expect("installed").0, 1);
     }
 
     /// The parked case: a peer's replicated shadow for a switch that has
@@ -1697,29 +1749,30 @@ mod tests {
             replica: 1,
             entries: vec![entry],
         };
-        let run = |peer_says: Vec<Message>| {
-            let mut world = World::new(1);
+        let run = |peer_says: Option<Message>| {
             let mut ctl = Controller::new(vec![]);
             ctl.enable_cluster(ClusterConfig::new(vec![NodeId(0), NodeId(1)], 0));
-            let controller = world.add_node(Box::new(ctl));
-            add_talker(&mut world, controller, peer_says);
+            let mut rig = Rig::new(ctl);
+            if let Some(msg) = peer_says {
+                rig.say(10, NodeId(1), &[msg]);
+            }
             // A stranger's word (re-solicited, no more), the handshake
             // after the peer has spoken, then the resync.
-            let switch = vec![Message::EchoReply { token: 0 }, claim(DPID), resync()];
-            add_talker(&mut world, controller, switch);
-            world.run_until(Instant::from_millis(45));
-            let ctl = world.node_as::<Controller>(controller);
-            let parked = ctl.core.southbound.parked();
+            rig.say(10, A, &[Message::EchoReply { token: 0 }]);
+            rig.say(20, A, &[claim(DPID)]);
+            rig.say(30, A, &[resync()]);
+            rig.run(45);
+            let parked = rig.ctl.core.southbound.parked();
             assert_eq!(parked.count(), 0, "nothing stays parked");
-            (ctl.shadow_cookies(DPID), ctl.stats)
+            (rig.ctl.shadow_cookies(DPID), rig.ctl.stats)
         };
 
-        let (shadow, stats) = run(vec![replicated]);
+        let (shadow, stats) = run(Some(replicated));
         assert_eq!(shadow, cookies);
         assert_eq!((stats.resyncs_clean, stats.resyncs_dirty), (1, 0));
         // With nothing replicated the same resync diverges from the
         // empty shadow, and is taken for the truth.
-        let (shadow, stats) = run(vec![]);
+        let (shadow, stats) = run(None);
         assert_eq!(shadow, cookies);
         assert_eq!((stats.resyncs_clean, stats.resyncs_dirty), (0, 1));
     }

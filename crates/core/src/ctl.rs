@@ -2,7 +2,7 @@
 //! the one writer every controller message goes onto the wire through.
 //!
 //! [`Core`] is what the controller keeps beside the view, the counters
-//! and the app list. [`Ctl`] is an app's handle: the context, the view,
+//! and the app list. [`Ctl`] is an app's handle: the [`Io`], the view,
 //! the counters and the core, nothing more. [`write`] numbers a message,
 //! counts it and attributes it to the PACKET_IN being traced; nothing
 //! else in the controller writes to the channel. The cores it drives —
@@ -17,14 +17,15 @@ use zen_proto::{
     encode_barrier_request_into, encode_into, encode_packet_out_into, intent_entry_bytes,
     FlowModCmd, Intent, IntentEntry, Message,
 };
-use zen_sim::{Context, Instant, NodeId};
-use zen_telemetry::TraceEvent;
+use zen_sim::{Instant, NodeId};
+use zen_telemetry::{control_trace, TraceEvent};
 
 use crate::controller::CtlStats;
 use crate::replica::ClusterState;
 use crate::southbound::{delta, ProgramBase, Reconciled, Southbound};
 use crate::txn::{Consistency, NetworkUpdate, UpdateOp, UpdatePlanner};
 use crate::view::{Dpid, NetworkView};
+use crate::ControlIo;
 
 /// How many emptied action lists are kept for [`Ctl::actions`].
 const SPARE_ACTIONS: usize = 16;
@@ -58,15 +59,33 @@ impl Body<'_> {
     }
 
     /// Append the body, numbered `xid`, to `buf`.
-    pub(crate) fn put(self, buf: &mut Vec<u8>, xid: u32) {
+    pub(crate) fn put(&mut self, buf: &mut Vec<u8>, xid: u32) {
         match self {
             Body::Msg(msg) | Body::Unnumbered(msg) => encode_into(buf, msg, xid),
             Body::Tracked(_, bytes) => buf.extend_from_slice(bytes),
             Body::Resent(bytes) => buf.extend_from_slice(bytes),
             Body::PacketOut(port, actions, frame) => {
-                encode_packet_out_into(buf, port, actions, frame, xid)
+                encode_packet_out_into(buf, *port, actions, frame, xid)
             }
-            Body::Barrier(xids) => encode_barrier_request_into(buf, xids, xid),
+            Body::Barrier(xids) => encode_barrier_request_into(buf, &mut **xids, xid),
+        }
+    }
+}
+
+/// What one controller callback runs with: the time it runs at, and the
+/// sink its writes, timers, trace events and counters go to.
+pub(crate) struct Io<'a> {
+    pub(crate) now: Instant,
+    pub(crate) sink: &'a mut (dyn ControlIo + 'a),
+}
+
+impl Io<'_> {
+    /// Flight-record `event` on `dpid`'s control timeline (0: the
+    /// network-wide one), if the recorder is on.
+    pub(crate) fn record(&self, dpid: Dpid, event: TraceEvent) {
+        let rec = self.sink.recorder();
+        if rec.is_enabled() {
+            rec.record(self.now.as_nanos(), control_trace(dpid), event);
         }
     }
 }
@@ -79,7 +98,7 @@ impl Body<'_> {
 /// app chain processes a traced PACKET_IN, it is attributed to that
 /// trace. Returns the xid it took.
 pub(crate) fn write(
-    ctx: &mut Context<'_>,
+    io: &mut Io<'_>,
     stats: &mut CtlStats,
     next: &mut u32,
     (to, dpid): (NodeId, Dpid),
@@ -121,11 +140,11 @@ pub(crate) fn write(
         (_, Body::Resent(_)) => stats.mods_retransmitted += 1,
         _ => {}
     }
-    let rec = ctx.recorder();
+    let rec = io.sink.recorder();
     if rec.is_enabled() {
         if let Some(trace) = rec.current_trace() {
             if let Some(event) = event {
-                rec.record(ctx.now().as_nanos(), trace, event);
+                rec.record(io.now.as_nanos(), trace, event);
             }
             if bind {
                 rec.bind_xid(xid, trace);
@@ -137,7 +156,7 @@ pub(crate) fn write(
     if let Body::Tracked(msg, kept) = &mut body {
         encode_into(kept, msg, xid);
     }
-    ctx.send_control_with(to, |buf| body.put(buf, xid));
+    io.sink.send_control_with(to, &mut |buf| body.put(buf, xid));
     xid
 }
 
@@ -164,7 +183,7 @@ pub(crate) struct Core {
     /// Likewise the action lists of the flow adds it carried.
     pub(crate) spare_actions: Vec<Vec<Action>>,
     /// East-west frames `ClusterState` decided and
-    /// [`Core::write_frames`] has yet to write; kept for its allocation.
+    /// [`Ctl::write_frames`] has yet to write; kept for its allocation.
     pub(crate) frames: Vec<(NodeId, Message)>,
     /// The xid the next numbered message takes.
     pub(crate) xid: u32,
@@ -183,10 +202,9 @@ impl Core {
 /// typed message-sending helpers — and the controller's own way onto
 /// the wire: a handle over its [`Core`].
 pub struct Ctl<'a, 'w> {
-    /// The simulator context (time, RNG, metrics).
-    pub ctx: &'a mut Context<'w>,
     /// The controller's network view.
     pub view: &'a mut NetworkView,
+    pub(crate) io: &'a mut Io<'w>,
     pub(crate) stats: &'a mut CtlStats,
     pub(crate) core: &'a mut Core,
 }
@@ -194,7 +212,7 @@ pub struct Ctl<'a, 'w> {
 impl Ctl<'_, '_> {
     /// Current simulated time.
     pub fn now(&self) -> Instant {
-        self.ctx.now()
+        self.io.now
     }
 
     /// Whether this controller currently exercises mastership over
@@ -236,14 +254,14 @@ impl Ctl<'_, '_> {
         // retransmission; the channel copies from it.
         let mut kept = self.core.southbound.spare();
         let xid = self.write((node, dpid), Body::Tracked(msg, &mut kept));
-        let (southbound, now) = (&mut self.core.southbound, self.ctx.now());
+        let (southbound, now) = (&mut self.core.southbound, self.io.now);
         southbound.track(node, xid, msg, kept, program, now);
         Some(xid)
     }
 
     /// [`write`], through this handle.
     fn write(&mut self, to: (NodeId, Dpid), body: Body<'_>) -> u32 {
-        write(self.ctx, self.stats, &mut self.core.xid, to, body)
+        write(self.io, self.stats, &mut self.core.xid, to, body)
     }
 
     /// Write `msg` to `to` under xid 0 (see [`Body::Unnumbered`]).
@@ -255,7 +273,7 @@ impl Ctl<'_, '_> {
     pub(crate) fn write_frames(&mut self) {
         for (to, msg) in self.core.frames.drain(..) {
             let body = Body::Unnumbered(&msg);
-            write(self.ctx, self.stats, &mut self.core.xid, (to, 0), body);
+            write(self.io, self.stats, &mut self.core.xid, (to, 0), body);
         }
     }
 
@@ -310,7 +328,7 @@ impl Ctl<'_, '_> {
             self.send_as(dpid, msg, true);
         }
         self.stats.txns_committed += u64::from(!msgs.is_empty());
-        let (core, now) = (&mut *self.core, self.ctx.now());
+        let (core, now) = (&mut *self.core, self.io.now);
         core.southbound
             .rebase(node, cookie, desired.clone(), left, now);
         // A standby that later takes the switch over compares the stamp

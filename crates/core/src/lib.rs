@@ -30,6 +30,7 @@ pub mod app;
 pub mod apps;
 pub mod cbench;
 pub mod controller;
+mod controller_node;
 mod ctl;
 pub mod harness;
 pub mod policy;
@@ -60,19 +61,16 @@ pub(crate) fn is_lldp(frame: &[u8]) -> bool {
     frame.len() >= 14 && frame[12..14] == [0x88, 0xcc]
 }
 
-/// Flight-record `event` on `dpid`'s control timeline (0: the
-/// network-wide one), if the recorder is on.
-pub(crate) fn record_control(
-    ctx: &mut zen_sim::Context<'_>,
-    dpid: Dpid,
-    event: zen_telemetry::TraceEvent,
-) {
-    let rec = ctx.recorder();
-    if rec.is_enabled() {
-        rec.record(
-            ctx.now().as_nanos(),
-            zen_telemetry::control_trace(dpid),
-            event,
-        );
-    }
+/// What either protocol end asks of its node: a channel to each peer, timers,
+/// the flight recorder and the counters ([`agent::SwitchIo`] adds ports). Each
+/// end calls it the moment it decides: a fault plan draws per message.
+pub trait ControlIo {
+    /// Write one message to node `to`: `put`, called once, appends it.
+    fn send_control_with(&mut self, to: zen_sim::NodeId, put: &mut dyn FnMut(&mut Vec<u8>));
+    /// Hand `token` back to the end's `timer` after `delay`.
+    fn set_timer(&mut self, delay: zen_sim::Duration, token: u64);
+    /// The flight recorder trace events go to.
+    fn recorder(&self) -> &zen_telemetry::Recorder;
+    /// The registry counters are kept in.
+    fn metrics(&mut self) -> &mut zen_sim::Metrics;
 }

@@ -838,12 +838,12 @@ impl Southbound {
 mod tests {
     use zen_dataplane::{FlowMatch, FlowSpec, PortNo};
     use zen_proto::{decode, decode_view, encode, encode_into, frames, MessageView};
+    use zen_sim::Metrics;
     use zen_telemetry::Recorder;
 
     use super::*;
     use crate::agent::{SwitchAgent, SwitchIo};
-    use crate::controller::CtlStats;
-    use crate::txn::{NetworkUpdate, UpdatePlanner};
+    use crate::ControlIo;
 
     /// A writer that numbers what it is handed the way the controller's
     /// does, and keeps each frame: its node, xid and message.
@@ -858,7 +858,7 @@ mod tests {
             Wire { next, sent }
         }
 
-        fn write(&mut self, (node, _): (NodeId, Dpid), body: Body<'_>) -> u32 {
+        fn write(&mut self, (node, _): (NodeId, Dpid), mut body: Body<'_>) -> u32 {
             let mut xid = 0;
             if body.numbered() {
                 xid = self.next;
@@ -986,22 +986,29 @@ mod tests {
     struct Answers {
         bytes: Vec<u8>,
         recorder: Recorder,
+        metrics: Metrics,
+    }
+
+    impl ControlIo for Answers {
+        fn send_control_with(&mut self, _: NodeId, put: &mut dyn FnMut(&mut Vec<u8>)) {
+            put(&mut self.bytes);
+        }
+        fn set_timer(&mut self, _: Duration, _: u64) {}
+        fn recorder(&self) -> &Recorder {
+            &self.recorder
+        }
+        fn metrics(&mut self) -> &mut Metrics {
+            &mut self.metrics
+        }
     }
 
     impl SwitchIo for Answers {
-        fn send_control_with(&mut self, _: NodeId, put: impl FnOnce(&mut Vec<u8>)) {
-            put(&mut self.bytes);
-        }
         fn transmit(&mut self, _: PortNo, _: Vec<u8>) {}
-        fn set_timer(&mut self, _: Duration, _: u64) {}
         fn ports(&self) -> Vec<PortNo> {
             Vec::new()
         }
         fn port_up(&self, _: PortNo) -> bool {
             false
-        }
-        fn recorder(&self) -> &Recorder {
-            &self.recorder
         }
     }
 
@@ -1390,10 +1397,7 @@ mod tests {
     /// listed once, as it is decided, and only once however often the
     /// deciding message comes again. A's acknowledgement is a real
     /// switch's answer to what the southbound wrote it; the frames to
-    /// the other switches are lost. Handed to the planner the way the
-    /// controller settles them, a staged mod superseded by a dirty
-    /// resync aborts its transaction at the next step, not at its
-    /// deadline.
+    /// the other switches are lost.
     #[test]
     fn every_end_of_a_tracked_mod_is_settled_once() {
         let (mut sb, mut wire) = (Southbound::default(), Wire::new(100));
@@ -1439,28 +1443,6 @@ mod tests {
             ]
         );
         assert_eq!(sb.pending_mods(), 0);
-
-        // A transaction staged on c and d, settled as the controller
-        // settles: c's next resync says it diverged.
-        let mut stats = CtlStats::default();
-        let mut planner = UpdatePlanner::default();
-        let mut update = NetworkUpdate::default().per_packet().owned_by("test", 1);
-        let spec = FlowSpec::new(1, FlowMatch::ANY, vec![]).with_cookie(9);
-        update.flow(dpid(c), 0, spec.clone()).flow(dpid(d), 0, spec);
-        planner.submit(update);
-        let staged = planner.step(at(3), &mut stats).expect("activates");
-        assert_eq!((staged.phase, staged.mods.len()), ("staging", 2));
-        let sent = [(c, 10), (d, 11)].into_iter().zip(&staged.mods);
-        for ((node, xid), (_, msg)) in sent {
-            track(&mut sb, node, xid, msg, false, at(3));
-        }
-        planner.sent([10, 11]);
-        sb.resync(c, 0, &[]);
-        for (xid, end) in sb.ends() {
-            planner.note_xid(xid, matches!(end, End::Acked(_)));
-        }
-        let next = planner.step(at(3), &mut stats).expect("aborts at once");
-        assert_eq!((next.phase, stats.txns_aborted), ("aborted", 1));
     }
 
     /// The handshake, parked shadows and the two throttles, at the core:

@@ -5,12 +5,12 @@
 //! deliveries and reads back what it wrote.
 
 use zen_core::agent::SwitchIo;
-use zen_core::{AgentConfig, SwitchAgent};
+use zen_core::{AgentConfig, ControlIo, SwitchAgent};
 use zen_dataplane::{Bucket, FlowMatch, FlowSpec, GroupDesc, GroupType, PortNo};
 use zen_proto::{
     decode, encode_into, ErrorCode, FlowModCmd, GroupModCmd, Message, Role, StatsBody, StatsKind,
 };
-use zen_sim::{Duration, Instant, NodeId};
+use zen_sim::{Duration, Instant, Metrics, NodeId};
 use zen_telemetry::Recorder;
 
 /// Where a switch driven without a world writes: every control message,
@@ -20,26 +20,33 @@ use zen_telemetry::Recorder;
 struct Wire {
     sent: Vec<(NodeId, u32, Message)>,
     recorder: Recorder,
+    metrics: Metrics,
 }
 
-impl SwitchIo for Wire {
-    fn send_control_with(&mut self, to: NodeId, put: impl FnOnce(&mut Vec<u8>)) {
+impl ControlIo for Wire {
+    fn send_control_with(&mut self, to: NodeId, put: &mut dyn FnMut(&mut Vec<u8>)) {
         let mut bytes = Vec::new();
         put(&mut bytes);
         let (msg, xid, used) = decode(&bytes).expect("a whole message");
         assert_eq!(used, bytes.len(), "one message per write");
         self.sent.push((to, xid, msg));
     }
-    fn transmit(&mut self, _: PortNo, _: Vec<u8>) {}
     fn set_timer(&mut self, _: Duration, _: u64) {}
+    fn recorder(&self) -> &Recorder {
+        &self.recorder
+    }
+    fn metrics(&mut self) -> &mut Metrics {
+        &mut self.metrics
+    }
+}
+
+impl SwitchIo for Wire {
+    fn transmit(&mut self, _: PortNo, _: Vec<u8>) {}
     fn ports(&self) -> Vec<PortNo> {
         Vec::new()
     }
     fn port_up(&self, _: PortNo) -> bool {
         false
-    }
-    fn recorder(&self) -> &Recorder {
-        &self.recorder
     }
 }
 
