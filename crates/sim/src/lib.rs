@@ -52,7 +52,7 @@ pub use hostile::{Attack, Churn, HostileConfig, HostileHost, HostileStats, Traff
 pub use ports::PortTable;
 pub use rng::Rng;
 pub use shard::{ShardCtx, ShardNode, ShardedWorld};
-pub use stats::{Counter, CounterId, Histogram, HistogramId, Metrics, TimeSeries};
+pub use stats::{Counter, CounterId, Histogram, HistogramId, Metrics};
 pub use time::{Duration, Instant};
 pub use topo::{FatTreeIndex, Topology};
 pub use world::{Context, Link, LinkId, LinkParams, Node, NodeId, PortNo, World};

@@ -1,8 +1,6 @@
-//! Measurement primitives: counters, sample histograms, and time series.
+//! Measurement primitives: counters, sample histograms.
 
 use std::collections::BTreeMap;
-
-use crate::time::Instant;
 
 /// A monotonically increasing counter.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -119,48 +117,6 @@ impl Histogram {
     /// this: sorting happens in a separate cached buffer.
     pub fn samples(&self) -> &[f64] {
         &self.samples
-    }
-}
-
-/// A time series of `(Instant, value)` observations.
-#[derive(Debug, Clone, Default)]
-pub struct TimeSeries {
-    points: Vec<(Instant, f64)>,
-}
-
-impl TimeSeries {
-    /// An empty series.
-    pub fn new() -> TimeSeries {
-        TimeSeries::default()
-    }
-
-    /// Append an observation; `at` values should be non-decreasing.
-    pub fn record(&mut self, at: Instant, value: f64) {
-        self.points.push((at, value));
-    }
-
-    /// The raw points.
-    pub fn points(&self) -> &[(Instant, f64)] {
-        &self.points
-    }
-
-    /// Number of observations.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Whether the series is empty.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// The last value recorded at or before `at`, or `None`.
-    pub fn value_at(&self, at: Instant) -> Option<f64> {
-        self.points
-            .iter()
-            .take_while(|(t, _)| *t <= at)
-            .last()
-            .map(|(_, v)| *v)
     }
 }
 
@@ -369,17 +325,6 @@ mod tests {
             h.record(i as f64);
         }
         assert_eq!(h.p99(), Some(98.0));
-    }
-
-    #[test]
-    fn time_series_lookup() {
-        let mut ts = TimeSeries::new();
-        ts.record(Instant::from_secs(1), 10.0);
-        ts.record(Instant::from_secs(2), 20.0);
-        assert_eq!(ts.value_at(Instant::from_millis(500)), None);
-        assert_eq!(ts.value_at(Instant::from_secs(1)), Some(10.0));
-        assert_eq!(ts.value_at(Instant::from_millis(1500)), Some(10.0));
-        assert_eq!(ts.value_at(Instant::from_secs(3)), Some(20.0));
     }
 
     #[test]
