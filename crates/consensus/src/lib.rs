@@ -38,28 +38,14 @@ use zen_proto::{
     ew_entry_bytes, intent_entry_bytes, match_bytes, EwEntry, Intent, IntentEntry, Message,
 };
 
-/// FNV-1a 64-bit offset basis; the seed of every chain hash.
-pub const CHAIN_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+pub use zen_wire::fnv::{fnv1a, fnv1a_fold};
 
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// FNV-1a 64-bit offset basis; the seed of every chain hash.
+pub const CHAIN_SEED: u64 = zen_wire::fnv::OFFSET_BASIS;
 
 /// Uncommitted tail kept in the log after compaction, so peers lagging
 /// by a few entries are served deltas instead of full snapshots.
 pub const KEEP_TAIL: u64 = 32;
-
-/// Fold `bytes` into an FNV-1a state `h` and return the new state.
-pub fn fnv1a_fold(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// FNV-1a hash of `bytes` from the standard offset basis.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    fnv1a_fold(CHAIN_SEED, bytes)
-}
 
 /// Advance an east-west chain hash by one log entry: the new state is
 /// the old state folded with the entry's canonical wire bytes.
@@ -1017,12 +1003,6 @@ mod tests {
             }
         }
         out
-    }
-
-    #[test]
-    fn fnv1a_known_vectors() {
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 
     #[test]

@@ -1185,6 +1185,7 @@ pub fn frames(bytes: &[u8]) -> impl Iterator<Item = Result<(MessageView<'_>, u32
 mod tests {
     use super::*;
     use zen_dataplane::FlowSpec;
+    use zen_wire::fnv::fnv1a;
 
     fn spec_sample() -> FlowSpec {
         FlowSpec::new(
@@ -1715,13 +1716,6 @@ mod tests {
         encode_barrier_request_into(&mut buf, xids.iter().copied(), 77);
         expected.extend(encode(&Message::BarrierRequest { xids }, 77));
         assert_eq!(buf, expected, "barrier-request writer");
-    }
-
-    /// 64-bit FNV-1a; zen-proto takes no dependency for a hash.
-    fn fnv1a(bytes: &[u8]) -> u64 {
-        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        })
     }
 
     /// The exact bytes of every writer, pinned: a frame of each sample,

@@ -8,6 +8,7 @@ use std::any::Any;
 
 use zen_proto::{encode, encode_into, Message};
 use zen_sim::{Context, Duration, FaultPlan, Instant, Node, NodeId, PortNo, Window, World};
+use zen_wire::fnv::{fnv1a_fold, OFFSET_BASIS};
 
 /// How the scripted sender hands a message to the channel.
 #[derive(Clone, Copy)]
@@ -135,12 +136,8 @@ fn run(
 
 /// FNV-1a over everything in an outcome, to pin it in one number.
 fn fingerprint(outcome: &Outcome) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut fold = |bytes: &[u8]| {
-        for &b in bytes {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut h = OFFSET_BASIS;
+    let mut fold = |bytes: &[u8]| h = fnv1a_fold(h, bytes);
     for deliveries in &outcome.0 {
         for (at, from, bytes) in deliveries {
             fold(&at.as_nanos().to_le_bytes());

@@ -10,6 +10,7 @@
 //! host and never touched again, and they sit well inside the punt
 //! truncation window.
 
+use zen_wire::fnv::{fnv1a, fnv1a_fold};
 use zen_wire::{ethernet, ipv4, udp};
 
 /// Magic tag in the first four bytes of every workload probe payload
@@ -31,27 +32,15 @@ impl core::fmt::Display for TraceId {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
-    let mut h = state;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 /// Derive the trace ID for a probe identified by its addresses, sequence
 /// number, and emission time. This is what an emitting host calls — it
 /// already holds the fields and need not re-parse its own frame.
 pub fn probe_trace_id(src: u32, dst: u32, seq: u64, sent_nanos: u64) -> TraceId {
-    let mut h = fnv1a(FNV_OFFSET, &PROBE_MAGIC.to_be_bytes());
-    h = fnv1a(h, &src.to_be_bytes());
-    h = fnv1a(h, &dst.to_be_bytes());
-    h = fnv1a(h, &seq.to_be_bytes());
-    h = fnv1a(h, &sent_nanos.to_be_bytes());
+    let mut h = fnv1a(&PROBE_MAGIC.to_be_bytes());
+    h = fnv1a_fold(h, &src.to_be_bytes());
+    h = fnv1a_fold(h, &dst.to_be_bytes());
+    h = fnv1a_fold(h, &seq.to_be_bytes());
+    h = fnv1a_fold(h, &sent_nanos.to_be_bytes());
     TraceId(h)
 }
 

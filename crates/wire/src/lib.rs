@@ -30,6 +30,7 @@ pub mod arp;
 pub mod builder;
 pub mod checksum;
 pub mod ethernet;
+pub mod fnv;
 pub mod icmpv4;
 pub mod ipv4;
 pub mod lcg;
