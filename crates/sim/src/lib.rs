@@ -17,9 +17,8 @@
 //! * **Deterministic fault injection** — a seeded, schedulable
 //!   [`fault::FaultPlan`] of control-channel loss, partitions, message
 //!   duplication and lossy links, replayable from the world seed.
-//! * **Standard topologies** — fat-trees, leaf–spine fabrics, the Abilene
-//!   and B4-style WANs, rings, meshes and seeded random graphs
-//!   ([`topo::Topology`]).
+//! * **Standard topologies** — fat-trees, lines, rings, stars and the
+//!   Abilene and B4-style WANs ([`topo::Topology`]).
 //! * **Instrumented hosts** — ARP, ICMP echo, and timestamped UDP probe
 //!   flows that measure one-way latency and loss in-band ([`host::Host`]).
 //! * **Hostile workloads** — production-shaped traffic (Zipf host

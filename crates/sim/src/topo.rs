@@ -6,7 +6,6 @@
 //! benchmark suite) instantiate concrete nodes from it, so the same shape
 //! can be driven by either control plane.
 
-use crate::rng::Rng;
 use crate::world::LinkParams;
 
 /// A switch-to-switch link in a topology description.
@@ -241,49 +240,6 @@ impl Topology {
         }
         t
     }
-
-    /// A random connected graph: a random spanning tree plus
-    /// `extra_edges` additional distinct random edges.
-    pub fn random_connected(
-        n: usize,
-        extra_edges: usize,
-        params: LinkParams,
-        seed: u64,
-    ) -> Topology {
-        assert!(n >= 2);
-        let mut rng = Rng::new(seed);
-        let mut t = Topology::new(&format!("rand-{n}-{extra_edges}"), n);
-        // Random spanning tree: attach each node to a random earlier one.
-        let mut order: Vec<usize> = (0..n).collect();
-        rng.shuffle(&mut order);
-        let mut present = std::collections::BTreeSet::new();
-        let mut edges = std::collections::BTreeSet::new();
-        present.insert(order[0]);
-        for &v in &order[1..] {
-            let anchors: Vec<usize> = present.iter().copied().collect();
-            let u = *rng.choose(&anchors).unwrap();
-            edges.insert((u.min(v), u.max(v)));
-            present.insert(v);
-        }
-        let max_edges = n * (n - 1) / 2;
-        let mut added = 0;
-        let mut attempts = 0;
-        while added < extra_edges && edges.len() < max_edges && attempts < extra_edges * 100 {
-            attempts += 1;
-            let a = rng.gen_index(n);
-            let b = rng.gen_index(n);
-            if a == b {
-                continue;
-            }
-            if edges.insert((a.min(b), a.max(b))) {
-                added += 1;
-            }
-        }
-        for (a, b) in edges {
-            t.link(a, b, params);
-        }
-        t
-    }
 }
 
 /// Index arithmetic for [`Topology::fat_tree`] switch roles.
@@ -317,27 +273,6 @@ impl FatTreeIndex {
     /// Core switch `c`.
     pub fn core(&self, c: usize) -> usize {
         self.k * self.k + c
-    }
-
-    /// Whether switch `s` is an edge switch.
-    pub fn is_edge(&self, s: usize) -> bool {
-        s < self.k * self.k / 2
-    }
-
-    /// Whether switch `s` is an aggregation switch.
-    pub fn is_agg(&self, s: usize) -> bool {
-        s >= self.k * self.k / 2 && s < self.k * self.k
-    }
-
-    /// The pod of an edge or aggregation switch.
-    pub fn pod_of(&self, s: usize) -> Option<usize> {
-        if self.is_edge(s) {
-            Some(s / (self.k / 2))
-        } else if self.is_agg(s) {
-            Some((s - self.k * self.k / 2) / (self.k / 2))
-        } else {
-            None
-        }
     }
 }
 
@@ -384,16 +319,6 @@ mod tests {
     }
 
     #[test]
-    fn fat_tree_index_roles() {
-        let idx = FatTreeIndex::new(4);
-        assert!(idx.is_edge(idx.edge(0, 0)));
-        assert!(idx.is_agg(idx.agg(3, 1)));
-        assert_eq!(idx.pod_of(idx.edge(2, 1)), Some(2));
-        assert_eq!(idx.pod_of(idx.agg(2, 1)), Some(2));
-        assert_eq!(idx.pod_of(idx.core(0)), None);
-    }
-
-    #[test]
     fn wan_topologies_connected() {
         let b4 = Topology::b4(10_000_000_000);
         assert_eq!(b4.switches, 12);
@@ -403,20 +328,6 @@ mod tests {
         assert_eq!(ab.switches, 11);
         assert_eq!(ab.links.len(), 14);
         assert!(ab.is_connected());
-    }
-
-    #[test]
-    fn random_graphs_connected_and_deterministic() {
-        for seed in 0..5 {
-            let t = Topology::random_connected(20, 15, LinkParams::default(), seed);
-            assert!(t.is_connected(), "seed {seed} disconnected");
-            assert_eq!(t.links.len(), 19 + 15);
-        }
-        let a = Topology::random_connected(20, 15, LinkParams::default(), 7);
-        let b = Topology::random_connected(20, 15, LinkParams::default(), 7);
-        let ea: Vec<(usize, usize)> = a.links.iter().map(|l| (l.a, l.b)).collect();
-        let eb: Vec<(usize, usize)> = b.links.iter().map(|l| (l.a, l.b)).collect();
-        assert_eq!(ea, eb);
     }
 
     #[test]

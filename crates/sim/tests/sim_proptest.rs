@@ -13,29 +13,6 @@ use zen_wire::lcg::Lcg;
 use zen_wire::{EthernetAddress, Ipv4Address};
 
 #[test]
-fn random_topologies_are_connected() {
-    let mut rng = Lcg::new(0x5101);
-    for _ in 0..100 {
-        let n = 2 + rng.gen_index(38);
-        let extra = rng.gen_index(40);
-        let seed = rng.next_u64();
-        let t = Topology::random_connected(n, extra, LinkParams::default(), seed);
-        assert!(t.is_connected());
-        assert_eq!(t.switches, n);
-        // Spanning tree + extras, capped by the complete graph.
-        let max_edges = n * (n - 1) / 2;
-        assert!(t.links.len() >= n - 1);
-        assert!(t.links.len() <= max_edges);
-        // No self loops or duplicate undirected edges.
-        let mut seen = std::collections::BTreeSet::new();
-        for l in &t.links {
-            assert!(l.a != l.b);
-            assert!(seen.insert((l.a.min(l.b), l.a.max(l.b))), "duplicate edge");
-        }
-    }
-}
-
-#[test]
 fn fat_tree_structure() {
     for k in 1usize..6 {
         let k = k * 2; // even arities only
