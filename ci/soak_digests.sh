@@ -53,6 +53,13 @@
 # port map and nothing else. Those three soaks re-handshook 2, 3 and 2
 # switches a run; what each asserts holds. The other five have no such
 # switch and did not move.
+#
+# defense was 3a09e1540d79dbfc until the rogue became a `Host` running a
+# flood workload: its digest hashed the `Debug` text of the rogue's old
+# stats type, which is gone, and now holds the rogue's attack-frame count
+# instead (20000 at both trees). Every other field of the digest —
+# agents, controller, innocent hosts, L2 — printed identically at both
+# trees, and the other seven soaks did not move.
 set -eu
 
 TABLE='
@@ -60,7 +67,7 @@ chaos f70d13edbe33fdef
 cluster 4f883756b236f864
 pressure f146945f8a90f8cd
 saturation 1e4342906665bfaa
-defense 3a09e1540d79dbfc
+defense a00a3feec9506982
 consistency 82a2f090a1958758
 consensus f302478e7ac0e1d6
 shard 2ba813ff7a22a01a

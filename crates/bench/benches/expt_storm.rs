@@ -4,8 +4,9 @@
 //! defenses (agent punt meter + controller admission + push-back) on
 //! or off:
 //!
-//! * **Fabric black-hole** — the `zen-sim` hostile engine floods
-//!   unknown-destination frames from one rogue edge port at 10x the
+//! * **Fabric black-hole** — a `zen-sim` host running the PACKET_IN
+//!   flood workload sends unknown-destination frames from one rogue
+//!   edge port at 10x the
 //!   innocent aggregate while two innocent hosts exchange probes over
 //!   narrow access links. Measures innocent probe loss (each lost
 //!   probe is one probe interval of black-hole time), controller
@@ -31,10 +32,7 @@ use zen_core::{
     build_fabric_with_hosts, AdmissionConfig, CbenchConfig, CbenchMode, CbenchSwitch, Controller,
     FabricOptions, PuntMeterConfig, SwitchAgent,
 };
-use zen_sim::{
-    Attack, Duration, Histogram, Host, HostileConfig, HostileHost, Instant, LinkParams, NodeId,
-    Topology, Workload, World,
-};
+use zen_sim::{Duration, Histogram, Host, Instant, LinkParams, NodeId, Topology, Workload, World};
 use zen_telemetry::json::Line;
 
 /// Fixed seed: the simulated side of every run is a pure function of it.
@@ -52,6 +50,9 @@ const PROBE_COUNT: u64 = 1_900;
 const FLOOD_INTERVAL: Duration = Duration::from_micros(100);
 const ATTACK_START: Instant = Instant::from_millis(1_000);
 const ATTACK_STOP: Instant = Instant::from_millis(3_000);
+/// Flood frames: one per `FLOOD_INTERVAL` across the attack window.
+const FLOOD_COUNT: u64 =
+    (ATTACK_STOP.as_nanos() - ATTACK_START.as_nanos()).div_ceil(FLOOD_INTERVAL.as_nanos());
 const FABRIC_RUN: Instant = Instant::from_millis(4_000);
 
 struct FabricOutcome {
@@ -153,20 +154,20 @@ fn run_fabric(attack: bool, defended: bool) -> FabricOutcome {
                 })
         },
     );
-    let mut rogue_cfg = HostileConfig::new(
+    let mut rogue = Host::new(
         zen_wire::EthernetAddress([0x66, 0x66, 0x66, 0, 0, 1]),
         zen_wire::Ipv4Address::new(10, 0, 9, 9),
     );
     if attack {
-        rogue_cfg.attack = Attack::PacketInFlood {
-            interval: FLOOD_INTERVAL,
+        rogue = rogue.with_workload(Workload::PacketInFlood {
             rotate_src: false,
             payload_len: 600,
-        };
-        rogue_cfg.attack_start = ATTACK_START;
-        rogue_cfg.attack_stop = Some(ATTACK_STOP);
+            count: FLOOD_COUNT,
+            interval: FLOOD_INTERVAL,
+            start: ATTACK_START,
+        });
     }
-    let rogue = world.add_node(Box::new(HostileHost::new(rogue_cfg)));
+    let rogue = world.add_node(Box::new(rogue));
     world.connect(rogue, fabric.switches[0], rogue_link);
 
     world.run_until(FABRIC_RUN);

@@ -1,5 +1,6 @@
-//! Control-plane self-defense soaks: hostile workloads from `zen-sim`
-//! against the metered/admitted/damped control plane.
+//! Control-plane self-defense soaks: a rogue `zen-sim` host running an
+//! attack workload (PACKET_IN flood, MAC flap, ARP storm) against the
+//! metered/admitted/damped control plane.
 //!
 //! The headline test is a fixed-seed PACKET_IN-flood soak: one rogue
 //! edge host floods unknown-destination frames at 10x the innocent
@@ -28,10 +29,7 @@ use zen_core::{
     build_fabric_with_hosts, AdmissionConfig, Controller, Fabric, FabricOptions, PuntMeterConfig,
     SwitchAgent,
 };
-use zen_sim::{
-    Attack, Duration, Host, HostileConfig, HostileHost, HostileStats, Instant, LinkParams,
-    Topology, Workload, World,
-};
+use zen_sim::{Duration, Host, Instant, LinkParams, Topology, Workload, World};
 use zen_wire::{EthernetAddress, Ipv4Address};
 
 /// The fixed seed: every number asserted below reproduces exactly by
@@ -54,6 +52,10 @@ const FLOOD_INTERVAL: Duration = Duration::from_micros(100);
 const ATTACK_START: Instant = Instant::from_millis(1_000);
 const ATTACK_STOP: Instant = Instant::from_millis(3_000);
 
+/// Flood frames: one per `FLOOD_INTERVAL` across the attack window.
+const FLOOD_COUNT: u64 =
+    (ATTACK_STOP.as_nanos() - ATTACK_START.as_nanos()).div_ceil(FLOOD_INTERVAL.as_nanos());
+
 /// Fabric time simulated per run.
 const RUN: Instant = Instant::from_millis(4_000);
 
@@ -72,7 +74,8 @@ struct ReplayDigest {
     hosts: Vec<(u64, u64, u64)>,
     /// (flows_installed, floods, flap_events, flaps_damped).
     l2: (u64, u64, u64, u64),
-    rogue: HostileStats,
+    /// Attack frames the rogue sent.
+    rogue: u64,
 }
 
 struct Outcome {
@@ -158,15 +161,16 @@ fn run_flood(defended: bool) -> Outcome {
         },
     );
 
-    let mut rogue_cfg = HostileConfig::new(ROGUE_MAC, Ipv4Address::new(10, 0, 9, 9));
-    rogue_cfg.attack = Attack::PacketInFlood {
-        interval: FLOOD_INTERVAL,
-        rotate_src: false,
-        payload_len: 600,
-    };
-    rogue_cfg.attack_start = ATTACK_START;
-    rogue_cfg.attack_stop = Some(ATTACK_STOP);
-    let rogue = world.add_node(Box::new(HostileHost::new(rogue_cfg)));
+    let rogue = Host::new(ROGUE_MAC, Ipv4Address::new(10, 0, 9, 9)).with_workload(
+        Workload::PacketInFlood {
+            rotate_src: false,
+            payload_len: 600,
+            count: FLOOD_COUNT,
+            interval: FLOOD_INTERVAL,
+            start: ATTACK_START,
+        },
+    );
+    let rogue = world.add_node(Box::new(rogue));
     world.connect(rogue, fabric.switches[0], rogue_link);
 
     world.run_until(RUN);
@@ -185,7 +189,7 @@ fn run_flood(defended: bool) -> Outcome {
         l2.flap_events,
         l2.flaps_damped,
     );
-    let rogue_stats = world.node_as::<HostileHost>(rogue).stats;
+    let rogue_frames = world.node_as::<Host>(rogue).stats.attack_tx;
 
     let mut hosts = Vec::new();
     let mut lost = Vec::new();
@@ -225,7 +229,7 @@ fn run_flood(defended: bool) -> Outcome {
             ],
             hosts,
             l2: l2_digest,
-            rogue: rogue_stats,
+            rogue: rogue_frames,
         },
         lost,
         pushbacks: cs.pushbacks_installed,
@@ -255,9 +259,9 @@ fn packet_in_flood_soak_bounded_blackhole_and_replay() {
     }
     // The rogue actually flooded for the whole window.
     assert!(
-        defended.digest.rogue.attack_frames >= 19_000,
+        defended.digest.rogue >= 19_000,
         "rogue under-delivered: {} attack frames",
-        defended.digest.rogue.attack_frames
+        defended.digest.rogue
     );
 
     // (a) Bounded black-hole: each lost probe represents PROBE_INTERVAL
@@ -370,16 +374,18 @@ fn mac_flap_damper_trips_and_traffic_survives() {
         },
     );
 
-    let mut rogue_cfg = HostileConfig::new(
+    let rogue = Host::new(
         EthernetAddress([0x66, 0, 0, 0, 0, 2]),
         Ipv4Address::new(10, 0, 9, 8),
-    );
-    rogue_cfg.attack = Attack::MacFlap {
+    )
+    .with_workload(Workload::MacFlap {
         victim_mac,
+        // Flaps until the run ends.
+        count: u64::MAX,
         interval: Duration::from_millis(5),
-    };
-    rogue_cfg.attack_start = Instant::from_millis(500);
-    let rogue = world.add_node(Box::new(HostileHost::new(rogue_cfg)));
+        start: Instant::from_millis(500),
+    });
+    let rogue = world.add_node(Box::new(rogue));
     world.connect(rogue, fabric.switches[0], LinkParams::default());
 
     world.run_until(Instant::from_millis(2_000));
@@ -445,17 +451,18 @@ fn arp_storm_bounded_by_punt_meter_and_admission() {
             opts,
             |_i, mac, ip| Host::new(mac, ip).with_gratuitous_arp(),
         );
-        let mut rogue_cfg = HostileConfig::new(
+        // One request a millisecond over [200 ms, 1 200 ms).
+        let rogue = Host::new(
             EthernetAddress([0x66, 0, 0, 0, 0, 3]),
             Ipv4Address::new(10, 0, 9, 7),
-        );
-        rogue_cfg.attack = Attack::ArpStorm {
-            interval: Duration::from_millis(1),
+        )
+        .with_workload(Workload::ArpStorm {
             spoof_sources: true,
-        };
-        rogue_cfg.attack_start = Instant::from_millis(200);
-        rogue_cfg.attack_stop = Some(Instant::from_millis(1_200));
-        let rogue = world.add_node(Box::new(HostileHost::new(rogue_cfg)));
+            count: 1_000,
+            interval: Duration::from_millis(1),
+            start: Instant::from_millis(200),
+        });
+        let rogue = world.add_node(Box::new(rogue));
         world.connect(rogue, fabric.switches[0], LinkParams::default());
         world.run_until(Instant::from_millis(1_500));
 

@@ -6,6 +6,12 @@
 //! and send timestamps, so receivers measure one-way latency and loss
 //! without any out-of-band channel.
 //!
+//! The same workloads model a compromised host attacking the control
+//! plane: a PACKET_IN flood ([`Workload::PacketInFlood`]), an ARP
+//! broadcast storm ([`Workload::ArpStorm`]) and a MAC-flapping rogue
+//! ([`Workload::MacFlap`]). Their frames carry explicit addresses, so they
+//! never wait on ARP, and [`HostStats::attack_tx`] counts them.
+//!
 //! A host has exactly one network port (port 1).
 
 use std::any::Any;
@@ -63,6 +69,92 @@ pub enum Workload {
         /// First datagram time.
         start: Instant,
     },
+    /// PACKET_IN flood: `count` UDP frames, one every `interval`, starting
+    /// at `start`, whose destination MAC rotates on every frame, so no
+    /// learned entry or installed flow ever matches — every frame punts to
+    /// the controller (and, under L2 learning, floods the fabric).
+    PacketInFlood {
+        /// Also rotate the *source* MAC per frame. A fixed source
+        /// models a compromised-but-honest NIC that targeted push-back
+        /// rules can pin; a rotating source evades per-MAC push-back
+        /// and must be caught by the agent's punt meter instead.
+        rotate_src: bool,
+        /// UDP payload bytes per flood frame.
+        payload_len: usize,
+        /// Number of frames.
+        count: u64,
+        /// Inter-frame gap (the flood rate).
+        interval: Duration,
+        /// First frame time.
+        start: Instant,
+    },
+    /// ARP broadcast storm: `count` who-has requests for rotating target
+    /// IPs, one every `interval`, starting at `start`. Every broadcast
+    /// floods to every edge port, so a single storm port can saturate
+    /// innocent access links.
+    ArpStorm {
+        /// Also rotate the claimed sender MAC per request, polluting
+        /// L2 learning tables as a side effect.
+        spoof_sources: bool,
+        /// Number of requests.
+        count: u64,
+        /// Inter-request gap (the storm rate).
+        interval: Duration,
+        /// First request time.
+        start: Instant,
+    },
+    /// MAC-flapping rogue: `count` frames whose *source* MAC is the
+    /// victim's, one every `interval`, starting at `start`, sent from this
+    /// (wrong) port, bouncing the victim's learned location back and forth
+    /// until the L2 flap damper pins it.
+    MacFlap {
+        /// The MAC being claimed.
+        victim_mac: EthernetAddress,
+        /// Number of frames.
+        count: u64,
+        /// Inter-frame gap (the flap rate).
+        interval: Duration,
+        /// First frame time.
+        start: Instant,
+    },
+}
+
+impl Workload {
+    /// The first shot's time, the number of shots and the gap between them.
+    fn schedule(&self) -> (Instant, u64, Duration) {
+        match *self {
+            Workload::Ping {
+                start,
+                count,
+                interval,
+                ..
+            }
+            | Workload::Udp {
+                start,
+                count,
+                interval,
+                ..
+            }
+            | Workload::PacketInFlood {
+                start,
+                count,
+                interval,
+                ..
+            }
+            | Workload::ArpStorm {
+                start,
+                count,
+                interval,
+                ..
+            }
+            | Workload::MacFlap {
+                start,
+                count,
+                interval,
+                ..
+            } => (start, count, interval),
+        }
+    }
 }
 
 /// Measured host statistics, exposed after a run.
@@ -84,6 +176,8 @@ pub struct HostStats {
     pub arp_answered: u64,
     /// UDP probe datagrams sent.
     pub udp_tx: u64,
+    /// Attack frames sent (flood, storm and flap shots).
+    pub attack_tx: u64,
 }
 
 /// A simulated IPv4 host. See the module docs.
@@ -279,20 +373,84 @@ impl Host {
                 }
                 self.send_ip(ctx, dst, frame);
             }
+            Workload::PacketInFlood {
+                rotate_src,
+                payload_len,
+                ..
+            } => {
+                // Rotating destination MACs are never learned, so every
+                // frame misses every installed flow and punts.
+                let nonce = seq + 1;
+                let dst_mac = EthernetAddress::from_id(0x6D_0000_0000 + nonce);
+                let dst_ip = Ipv4Address::new(
+                    172,
+                    16,
+                    ((nonce >> 8) & 0xff) as u8,
+                    (nonce & 0xff).max(1) as u8,
+                );
+                let src_mac = if rotate_src {
+                    EthernetAddress::from_id(0x6C_0000_0000 + nonce)
+                } else {
+                    self.mac
+                };
+                let payload = vec![0u8; payload_len];
+                let frame = PacketBuilder::udp(
+                    src_mac,
+                    self.ip,
+                    (4000 + (nonce & 0xfff)) as u16,
+                    dst_mac,
+                    dst_ip,
+                    (4000 + ((nonce >> 12) & 0xfff)) as u16,
+                    &payload,
+                );
+                self.attack(ctx, frame);
+            }
+            Workload::ArpStorm { spoof_sources, .. } => {
+                let nonce = seq + 1;
+                let src_mac = if spoof_sources {
+                    EthernetAddress::from_id(0x6B_0000_0000 + nonce)
+                } else {
+                    self.mac
+                };
+                let target = Ipv4Address::new(
+                    10,
+                    250,
+                    ((nonce >> 8) & 0xff) as u8,
+                    (nonce & 0xff).max(1) as u8,
+                );
+                let frame = PacketBuilder::arp_request(src_mac, self.ip, target);
+                self.attack(ctx, frame);
+            }
+            Workload::MacFlap { victim_mac, .. } => {
+                // Claim the victim's source MAC from this port. The
+                // destination is a fixed unknown unicast so the frame
+                // itself goes nowhere interesting; the damage is done
+                // by the L2 source-learning flap.
+                let payload = [0u8; 20];
+                let frame = PacketBuilder::udp(
+                    victim_mac,
+                    self.ip,
+                    4001,
+                    EthernetAddress::from_id(0x6E_0000_0001),
+                    Ipv4Address::new(172, 31, 0, 1),
+                    4001,
+                    &payload,
+                );
+                self.attack(ctx, frame);
+            }
         }
         // Schedule the next shot if any remain.
-        let w = &self.workloads[idx];
-        let (count, interval) = match &w.spec {
-            Workload::Ping {
-                count, interval, ..
-            }
-            | Workload::Udp {
-                count, interval, ..
-            } => (*count, *interval),
-        };
-        if w.sent < count {
+        let (_, count, interval) = spec.schedule();
+        if self.workloads[idx].sent < count {
             ctx.set_timer(interval, Self::workload_timer_token(idx));
         }
+    }
+
+    /// Send an attack frame as built: its addresses are explicit, so it
+    /// never enters ARP resolution.
+    fn attack(&mut self, ctx: &mut Context<'_>, frame: Vec<u8>) {
+        self.stats.attack_tx += 1;
+        ctx.transmit(HOST_PORT, frame);
     }
 
     fn handle_arp(&mut self, ctx: &mut Context<'_>, payload: &[u8]) {
@@ -401,9 +559,7 @@ impl Node for Host {
         }
         let now = ctx.now();
         for idx in 0..self.workloads.len() {
-            let start = match &self.workloads[idx].spec {
-                Workload::Ping { start, .. } | Workload::Udp { start, .. } => *start,
-            };
+            let (start, ..) = self.workloads[idx].spec.schedule();
             let delay = start.duration_since(now);
             ctx.set_timer(delay, Self::workload_timer_token(idx));
         }
@@ -450,6 +606,7 @@ impl Node for Host {
 mod tests {
     use super::*;
     use crate::world::{LinkParams, World};
+    use zen_wire::fnv::{fnv1a_fold, OFFSET_BASIS};
 
     fn host(id: u64) -> Host {
         Host::new(
@@ -545,6 +702,93 @@ mod tests {
         );
         // But did not answer it (target was not b's IP).
         assert_eq!(hb.stats.arp_answered, 0);
+    }
+
+    /// The three attack workloads' frames and send times, pinned: each
+    /// runs 300 shots into a zero-latency tap, which folds every frame
+    /// with its arrival time (its send time) into one FNV-1a.
+    #[test]
+    fn attack_frames_and_schedule_are_pinned() {
+        struct Tap(u64, u64);
+        impl Node for Tap {
+            fn on_packet(&mut self, ctx: &mut Context<'_>, _: PortNo, frame: &[u8]) {
+                self.0 = fnv1a_fold(self.0, &ctx.now().as_nanos().to_le_bytes());
+                self.0 = fnv1a_fold(self.0, frame);
+                self.1 += 1;
+            }
+            fn as_any(&self) -> &dyn Any {
+                self
+            }
+            fn as_any_mut(&mut self) -> &mut dyn Any {
+                self
+            }
+        }
+        let (count, interval, start) = (300, Duration::from_micros(10), Instant::from_millis(1));
+        let victim_mac = EthernetAddress::from_id(0x42);
+        let cases = [
+            (
+                Workload::PacketInFlood {
+                    rotate_src: false,
+                    payload_len: 600,
+                    count,
+                    interval,
+                    start,
+                },
+                0x5c22_d81b_12ec_fb77,
+            ),
+            (
+                Workload::PacketInFlood {
+                    rotate_src: true,
+                    payload_len: 20,
+                    count,
+                    interval,
+                    start,
+                },
+                0x2a33_f5ed_c43f_91c2,
+            ),
+            (
+                Workload::ArpStorm {
+                    spoof_sources: true,
+                    count,
+                    interval,
+                    start,
+                },
+                0xc46a_6e53_1fb9_a1c3,
+            ),
+            (
+                Workload::ArpStorm {
+                    spoof_sources: false,
+                    count,
+                    interval,
+                    start,
+                },
+                0x6d11_8111_ed23_79e7,
+            ),
+            (
+                Workload::MacFlap {
+                    victim_mac,
+                    count,
+                    interval,
+                    start,
+                },
+                0x9fba_2ffe_7ed7_7195,
+            ),
+        ];
+        for (spec, pinned) in cases {
+            let mut world = World::new(1);
+            let rogue = Host::new(
+                EthernetAddress([0x66, 0, 0, 0, 0, 1]),
+                Ipv4Address::new(10, 0, 9, 9),
+            );
+            let rogue = world.add_node(Box::new(rogue.with_workload(spec.clone())));
+            let tap = world.add_node(Box::new(Tap(OFFSET_BASIS, 0)));
+            world.connect(rogue, tap, LinkParams::instant(Duration::ZERO));
+            world.run_until(Instant::from_millis(10));
+            let tap = world.node_as::<Tap>(tap);
+            assert_eq!((tap.1, tap.0), (count, pinned), "{spec:?}");
+            assert_eq!(world.node_as::<Host>(rogue).stats.attack_tx, count);
+            assert_eq!(world.node_as::<Host>(rogue).stats.udp_tx, 0);
+        }
     }
 
     #[test]

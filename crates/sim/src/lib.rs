@@ -20,11 +20,9 @@
 //! * **Standard topologies** — fat-trees, lines, rings, stars and the
 //!   Abilene and B4-style WANs ([`topo::Topology`]).
 //! * **Instrumented hosts** — ARP, ICMP echo, and timestamped UDP probe
-//!   flows that measure one-way latency and loss in-band ([`host::Host`]).
-//! * **Hostile workloads** — production-shaped traffic (Zipf host
-//!   popularity, heavy-tailed elephant/mice flows, identity churn) and
-//!   seeded attack scenarios: PACKET_IN floods, ARP broadcast storms,
-//!   MAC-flapping rogues ([`hostile::HostileHost`]).
+//!   flows that measure one-way latency and loss in-band, plus the attacks
+//!   a compromised host mounts on the control plane: PACKET_IN floods, ARP
+//!   broadcast storms and MAC flapping ([`host::Host`], [`host::Workload`]).
 //!
 //! Nodes implement [`world::Node`] and interact with the world only
 //! through [`world::Context`], which keeps every interaction observable
@@ -35,7 +33,6 @@
 
 pub mod fault;
 pub mod host;
-pub mod hostile;
 pub mod ports;
 mod queue;
 pub mod rng;
@@ -47,7 +44,6 @@ pub mod world;
 
 pub use fault::{FaultPlan, Scope, Window};
 pub use host::{Host, Workload};
-pub use hostile::{Attack, Churn, HostileConfig, HostileHost, HostileStats, TrafficProfile, Zipf};
 pub use ports::PortTable;
 pub use rng::Rng;
 pub use shard::{ShardCtx, ShardNode, ShardedWorld};

@@ -78,12 +78,6 @@ impl Rng {
         self.gen_f64() < p
     }
 
-    /// An exponentially distributed float with the given mean.
-    pub fn gen_exp(&mut self, mean: f64) -> f64 {
-        // Inverse-CDF; (1 - f) avoids ln(0).
-        -mean * (1.0 - self.gen_f64()).ln()
-    }
-
     /// Fisher–Yates shuffle.
     pub fn shuffle<T>(&mut self, slice: &mut [T]) {
         for i in (1..slice.len()).rev() {
@@ -165,15 +159,6 @@ mod tests {
             let f = rng.gen_f64();
             assert!((0.0..1.0).contains(&f));
         }
-    }
-
-    #[test]
-    fn gen_exp_mean_roughly_correct() {
-        let mut rng = Rng::new(5);
-        let n = 20_000;
-        let sum: f64 = (0..n).map(|_| rng.gen_exp(3.0)).sum();
-        let mean = sum / n as f64;
-        assert!((mean - 3.0).abs() < 0.15, "mean was {mean}");
     }
 
     #[test]
