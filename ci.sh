@@ -41,6 +41,10 @@ cargo test --workspace -q
 cargo fmt --all --check
 cargo clippy --workspace --all-targets -- -D warnings -D deprecated
 
+# The library docs build clean: every intra-doc link resolves and none
+# points at a private item. `--lib` leaves out the ledger binary.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib
+
 # Telemetry determinism gate: the same seeded scenario run twice must
 # produce byte-identical JSONL exports (metrics, controller counters,
 # monitor state, trace ring), in release mode where any UB or

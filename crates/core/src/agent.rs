@@ -459,7 +459,7 @@ impl SwitchAgent {
         self.run_effects(io, now);
     }
 
-    /// A timer armed through [`SwitchIo::set_timer`] fired at `now`:
+    /// A timer armed through [`ControlIo::set_timer`] fired at `now`:
     /// sweep for expired flows, or judge and probe every connection.
     pub fn timer(&mut self, now: Instant, token: u64, io: &mut impl SwitchIo) {
         if token == TIMER_EXPIRE {

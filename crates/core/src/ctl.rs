@@ -200,7 +200,7 @@ impl Core {
 
 /// The services handle passed to applications — the network view plus
 /// typed message-sending helpers — and the controller's own way onto
-/// the wire: a handle over its [`Core`].
+/// the wire: a handle over its `Core`.
 pub struct Ctl<'a, 'w> {
     /// The controller's network view.
     pub view: &'a mut NetworkView,

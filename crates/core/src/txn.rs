@@ -430,7 +430,7 @@ pub(crate) enum Notice {
 /// The controller's consistent-update planner: a queue of committed
 /// [`NetworkUpdate`]s awaiting two-phase installation, at most one
 /// active at a time, plus the committed configuration epoch. It is
-/// driven by time and acks alone and says what to send in [`Step`]s;
+/// driven by time and acks alone and says what to send in `Step`s;
 /// the controller does the sending and the callbacks.
 #[derive(Default)]
 pub struct UpdatePlanner {

@@ -65,7 +65,7 @@ const INLINE_SEGMENTS: usize = 2;
 /// A memoized classification: the table-walk trajectory for one
 /// equivalence class of packets. Both tiers hold it by value, so
 /// recording one allocates nothing and dropping one frees nothing — a
-/// trajectory longer than [`INLINE_SEGMENTS`] excepted, whose steps sit
+/// trajectory longer than `INLINE_SEGMENTS` excepted, whose steps sit
 /// in one heap slice every copy shares.
 #[derive(Debug, Clone)]
 pub enum Program {

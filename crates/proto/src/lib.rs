@@ -269,7 +269,7 @@ pub enum Role {
 
 /// One replicated network-view mutation, gossiped between controller
 /// replicas (the east-west interface). Events carry enough to rebuild
-/// the shared portions of a [`NetworkView`]-like store; switch liveness
+/// the shared portions of a `NetworkView`-like store; switch liveness
 /// and port state are *not* replicated because every replica observes
 /// them first-hand over its own switch connections.
 #[derive(Debug, Clone, PartialEq, Eq)]
