@@ -280,6 +280,12 @@ struct ControlSlot {
 const FRESH_BUFFER_BYTES: usize = 256;
 /// How many spent control buffers the world keeps for reuse.
 const FREE_BUFFERS: usize = 32;
+/// The capacity of each buffer the free list starts with: about one
+/// batch of replies a controller app writes back to one delivered
+/// burst of punts. Starting the list full at this size makes a run's
+/// allocations after set-up independent of how much control traffic
+/// set-up happened to make, and so of which buffers it left grown.
+const PREFILL_BUFFER_BYTES: usize = 2 * 1024;
 /// The largest capacity a kept buffer may have: one outsized message
 /// must not pin its allocation for the rest of the run.
 const FREE_BUFFER_BYTES: usize = 16 * 1024;
@@ -584,7 +590,9 @@ impl World {
                 faults: FaultPlan::default(),
                 events_processed: 0,
                 pending_control: Vec::new(),
-                free_buffers: Vec::new(),
+                free_buffers: (0..FREE_BUFFERS)
+                    .map(|_| Vec::with_capacity(PREFILL_BUFFER_BYTES))
+                    .collect(),
             },
             started: false,
         }
