@@ -221,11 +221,13 @@ impl ProactiveFabric {
         flows
     }
 
-    /// The stamp of the flow half installed in place on `switch`.
-    fn flows_stamp(&self, switch: Dpid) -> u64 {
+    /// The stamp of the flow half installed in place on `switch`. If
+    /// the flows had to be rendered to work it out, they are left in
+    /// `rendered`.
+    fn flows_stamp(&self, switch: Dpid, rendered: &mut Option<Vec<FlowSpec>>) -> u64 {
         match self.desired.get(&switch) {
             Some((_, base)) => base.flows_stamp(),
-            None => flows_stamp(&self.plain_flows(switch)),
+            None => flows_stamp(rendered.insert(self.plain_flows(switch))),
         }
     }
 
@@ -233,7 +235,8 @@ impl ProactiveFabric {
     /// `view` — what is recorded after programming the switch, and what
     /// a replica taking the switch over compares the record against.
     pub fn desired_stamp(&self, view: &NetworkView, switch: Dpid) -> u64 {
-        ProgramBase::of(self.flows_stamp(switch), &groups(view, switch, 0)).stamp()
+        let flows_stamp = self.flows_stamp(switch, &mut None);
+        ProgramBase::of(flows_stamp, &groups(view, switch, 0)).stamp()
     }
 
     /// Bring one switch to the program the current view asks for —
@@ -241,11 +244,11 @@ impl ProactiveFabric {
     /// over. [`Ctl::reconcile`] works out what, if anything, to send.
     fn reconcile_switch(&mut self, ctl: &mut Ctl<'_, '_>, switch: Dpid) {
         let generation = ctl.view.routes().generation;
-        // Groups rendered to work the hashes out are the ones sent, if
-        // anything is.
-        let mut rendered = None;
+        // Groups and flows rendered to work the hashes out are the ones
+        // sent, if anything is.
+        let (mut rendered, mut flows) = (None, None);
         if !matches!(self.desired.get(&switch), Some(&(at, _)) if at == generation) {
-            let flows_stamp = self.flows_stamp(switch);
+            let flows_stamp = self.flows_stamp(switch, &mut flows);
             let toward = groups(ctl.view, switch, 0);
             let base = ProgramBase::of(flows_stamp, &toward);
             self.desired.insert(switch, (generation, base));
@@ -254,7 +257,7 @@ impl ProactiveFabric {
         let desired = &self.desired[&switch].1;
         let render_groups =
             |view: &NetworkView| rendered.unwrap_or_else(|| groups(view, switch, 0));
-        let render_flows = || self.plain_flows(switch);
+        let render_flows = || flows.unwrap_or_else(|| self.plain_flows(switch));
         let sent = ctl.reconcile(switch, FABRIC_COOKIE, desired, render_groups, render_flows);
         let counted = [
             sent.mods as u64,
