@@ -7,6 +7,8 @@
 //! discovery, learns host locations from punted edge traffic, and
 //! dispatches everything else to the application chain.
 
+use std::ops::RangeBounds;
+
 use zen_cluster::ClusterConfig;
 use zen_consensus::{Applied, IntentReplica};
 use zen_dataplane::PortNo;
@@ -679,16 +681,17 @@ impl Controller {
         }
     }
 
-    /// Send one LLDP probe out of every known up port of every switch.
-    /// Clustered, each replica probes only the switches it masters —
-    /// every switch has exactly one master, so every port is still
-    /// probed exactly once per round cluster-wide, and each probe's
-    /// punt lands at the *destination* switch's master (which is why
-    /// link expiry is filtered to destination-mastered links).
-    fn discovery_round(&mut self, io: &mut Io<'_>) {
+    /// Send one LLDP probe out of every known up port of the switches
+    /// in `which`: every switch on the tick, the new switch alone on a
+    /// handshake. Clustered, each replica probes only the switches it
+    /// masters — every switch has exactly one master, so every port is
+    /// still probed exactly once per tick cluster-wide, and each
+    /// probe's punt lands at the *destination* switch's master (which
+    /// is why link expiry is filtered to destination-mastered links).
+    fn discovery_round(&mut self, io: &mut Io<'_>, which: impl RangeBounds<Dpid>) {
         let (mut targets, mut frame) = std::mem::take(&mut self.probes);
         targets.clear();
-        for (&dpid, info) in &self.view.switches {
+        for (&dpid, info) in self.view.switches.range(which) {
             if self.is_master_of(dpid) {
                 let up = info.ports.iter().filter(|&(_, &up)| up);
                 targets.extend(up.map(|(&port, _)| (dpid, port)));
@@ -958,6 +961,8 @@ impl Controller {
     }
 
     /// A FEATURES_REPLY: the southbound says whether it is a handshake.
+    /// A handshake probes the new switch's own up ports; the tick's
+    /// discovery round probes every port this replica masters.
     fn handshake(
         &mut self,
         io: &mut Io<'_>,
@@ -994,8 +999,10 @@ impl Controller {
             }
         }
         self.each_app(io, |app, ctl| app.on_switch_up(ctl, dpid));
-        // Probe its links right away.
-        self.discovery_round(io);
+        // Probe its own links right away. A link out of it is learned
+        // from this probe if the far end's handshake has landed by the
+        // time the probe comes back, and from the next tick's otherwise.
+        self.discovery_round(io, dpid..=dpid);
     }
 
     fn handle_message(
@@ -1220,7 +1227,7 @@ impl Controller {
             self.quarantine_scan(io);
             self.retransmit_scan(io);
             self.cluster_tick(io);
-            self.discovery_round(io);
+            self.discovery_round(io, ..);
             self.echo_round(io);
             self.each_app(io, |app, ctl| app.tick(ctl));
             self.planner_pump(io);

@@ -42,6 +42,21 @@ fn discovery_learns_full_topology_and_hosts() {
     }
 }
 
+/// Bring-up learns each directed link from one probe: a handshake
+/// probes the new switch's own ports, not every connected switch's, and
+/// all 20 handshakes land in one burst, before any probe returns.
+#[test]
+fn bring_up_learns_each_link_from_one_probe() {
+    let topo = Topology::fat_tree(4, LinkParams::default());
+    let mut world = World::new(1);
+    let fabric = build_fabric(&mut world, &topo, vec![], FabricOptions::default());
+    world.run_until(Instant::from_millis(10));
+
+    let controller = world.node_as::<Controller>(fabric.controller);
+    assert_eq!(controller.view.links.len(), 64, "every directed link");
+    assert_eq!(controller.stats.lldp_ins, 64, "one probe per link");
+}
+
 #[test]
 fn reactive_forwarding_pings_across_ring() {
     let topo = Topology::ring(4, LinkParams::default()).with_host_per_switch();
