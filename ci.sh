@@ -12,30 +12,11 @@ cargo build --release --workspace
 # Printed, not gated.
 ci/lines.sh
 
-# The controller's cores take the time and hand back what to send; only
-# `ctl::write` puts it on the wire. The controller itself, its app handle
-# (`ctl`) and its admission control take the time and write through the
-# `ControlIo` they are handed; the agent does the same through
-# `SwitchIo`, which extends it. Only the two node adapters
-# (`controller_node.rs`, `agent_node.rs`) and the cbench load generator
-# name `Context`. None of these may name the simulator's `Context` outside
-# its tests, or a bounded explorer could not drive it.
-for core in southbound replica txn agent controller ctl admission; do
-    if awk '/#\[cfg\(test\)\]/ { exit } /Context/ { named = 1 } END { exit !named }' \
-        "crates/core/src/$core.rs"; then
-        echo "crates/core/src/$core.rs names Context outside its tests" >&2
-        exit 1
-    fi
-done
-
-# A switch's session is the southbound's: the controller asks it, and
-# names neither the session record nor its shadow ops outside its tests.
-if awk '/#\[cfg\(test\)\]/ { exit }
-        /(^|[^A-Za-z0-9_])(Session|ShadowOp)([^A-Za-z0-9_]|$)/ { named = 1 }
-        END { exit !named }' crates/core/src/controller.rs; then
-    echo "crates/core/src/controller.rs names Session or ShadowOp outside its tests" >&2
-    exit 1
-fi
+# Source checks on library code, each explained in the script's header:
+# the controller's and the agent's cores name no simulator `Context`,
+# `controller.rs` names no southbound session record, and no library
+# file outside the bench crate reads the host clock.
+ci/purity.sh
 
 cargo test --workspace -q
 cargo fmt --all --check

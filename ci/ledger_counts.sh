@@ -26,8 +26,9 @@
 #       classification allocates nothing).
 #   cbench_closed — the controller and the codec alone: allocations per
 #       flow setup inside the controller (none) and end to end (the one
-#       left is the emulated switch's owned decode of the FLOW_MOD), and
-#       no frame it cannot decode.
+#       left is the emulated switch's owned decode of the FLOW_MOD), the
+#       bytes allocated per setup end to end, and no frame it cannot
+#       decode.
 #   cluster_churn — the reprogram path: allocations, control bytes and
 #       flow mods per simulated ms, the flow-cache flushes flow adds
 #       cause, and the mods the controller had to send twice.
@@ -132,6 +133,14 @@
 # starts full of 2 KiB buffers; the parent's probe storm used to leave
 # it full of grown ones.
 #
+# cbench_closed's allocated bytes per setup end to end, 63.26 while the
+# emulated switch kept a second, wall-clock latency series beside its
+# simulated one, are gated from there on at 36 (35.63): the series was
+# a `Vec<u64>` growing by one sample per setup and its in-flight queue
+# held a host-clock stamp beside each simulated one. Its allocations
+# per setup, 1.00025 with that series' regrowths, are gated at 1.0002
+# (1.00014). No digest moved.
+#
 # A change that moves a digest on purpose updates it below in the same
 # commit and says why; a change that lowers a count lowers its ceiling.
 set -eu
@@ -139,7 +148,7 @@ set -eu
 TABLE='
 fabric_forward 3f4a2218053b6630 core.agent.allocs_per_frame<=1.01 dataplane.datapath.allocs_per_micro_hit<=2 sim.world.drops_queue<=0
 reactive_churn 02afd9272d9c37d9 core.controller.msgs_per_op<=13.74 sim.world.events_per_op<=15.65 sim.world.ctl_bytes_per_op<=743.6 trace.allocs_per_op<=12.76 trace.bytes_alloc_per_op<=767 core.controller.allocs_per_packet_in<=0.042 core.agent.allocs_per_frame<=1.08
-cbench_closed 0b1ede174b320c8d core.controller.allocs_per_packet_in<=0 core.controller.decode_errors<=0 trace.allocs_per_op<=1.001
+cbench_closed 0b1ede174b320c8d core.controller.allocs_per_packet_in<=0 core.controller.decode_errors<=0 trace.allocs_per_op<=1.0002 trace.bytes_alloc_per_op<=36
 cluster_churn 9318e53601f29cce trace.allocs_per_op<=52.68 core.controller.mods_retransmitted<=9175 core.controller.flow_mods_per_op<=1.32 sim.world.ctl_bytes_per_op<=846 dataplane.cache.invalidations<=40520
 '
 

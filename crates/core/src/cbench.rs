@@ -22,13 +22,10 @@
 //! * **Open loop** (`cbench -t`-ish): punt on a fixed timer regardless
 //!   of completions. Measures behaviour under a fixed offered rate.
 //!
-//! The switch records two latency series per setup. **Simulated-time**
-//! latency is a pure function of the world seed and is safe to fold
-//! into determinism digests. **Wall-clock** latency measures the real
-//! CPU cost of the controller stack (decode, dispatch, app, encode)
-//! between punt and FLOW_MOD; it is *not* deterministic and must stay
-//! out of replay comparisons — it exists for the E17 saturation
-//! numbers.
+//! The switch records one latency series: the simulated time from each
+//! punt to its FLOW_MOD. It is a pure function of the world seed and is
+//! safe to fold into determinism digests. The real CPU cost of the
+//! controller stack is measured from outside, by timing a whole run.
 
 use std::collections::VecDeque;
 
@@ -114,7 +111,7 @@ pub struct CbenchStats {
     /// Punts whose FLOW_MOD never arrived before
     /// [`CbenchConfig::in_flight_cap`] later punts were sent — shed by
     /// controller admission control or left behind by a saturated
-    /// controller. Their ages are excluded from both latency series so
+    /// controller. Their ages are excluded from the latency series so
     /// defended runs report honest percentiles.
     pub setups_lost: u64,
 }
@@ -137,17 +134,12 @@ pub struct CbenchSwitch {
     /// Punt timestamps awaiting their FLOW_MOD, in send order. The
     /// control channel is FIFO per (src, dst), so completions pair
     /// with the oldest outstanding punt.
-    in_flight: VecDeque<(Instant, std::time::Instant)>,
+    in_flight: VecDeque<Instant>,
     /// Deterministic counters.
     pub stats: CbenchStats,
     /// Simulated punt→FLOW_MOD latency per setup, nanoseconds.
     /// Deterministic; digestible.
     pub sim_setup_ns: Vec<u64>,
-    /// Wall-clock punt→FLOW_MOD latency per setup, nanoseconds. The
-    /// clock is read once per control delivery, at its first FLOW_MOD:
-    /// that stamp ends each of the delivery's setups and starts each
-    /// punt they trigger. NOT deterministic; reporting only.
-    pub wall_setup_ns: Vec<u64>,
 }
 
 impl CbenchSwitch {
@@ -194,7 +186,6 @@ impl CbenchSwitch {
             in_flight: VecDeque::new(),
             stats: CbenchStats::default(),
             sim_setup_ns: Vec::new(),
-            wall_setup_ns: Vec::new(),
         }
     }
 
@@ -209,13 +200,12 @@ impl CbenchSwitch {
         ctx.send_control_with(self.controller, |buf| encode_into(buf, msg, xid));
     }
 
-    /// Send one steady-state PACKET_IN, its wall-clock latency started
-    /// at `wall`.
-    fn punt(&mut self, ctx: &mut Context<'_>, wall: std::time::Instant) {
+    /// Send one steady-state PACKET_IN.
+    fn punt(&mut self, ctx: &mut Context<'_>) {
         let next = self.next_punt;
         self.next_punt = (next + 1) % self.punts.len();
         self.stats.punts_sent += 1;
-        self.in_flight.push_back((ctx.now(), wall));
+        self.in_flight.push_back(ctx.now());
         if self.in_flight.len() > self.cfg.in_flight_cap.max(1) {
             // The oldest punt's FLOW_MOD evidently isn't coming: count
             // it as a lost setup instead of letting FIFO pairing hand
@@ -228,15 +218,8 @@ impl CbenchSwitch {
         ctx.send_control_with(self.controller, |buf| encode_into(buf, punt, xid));
     }
 
-    /// Act on one message of a delivery whose wall-clock stamp, once
-    /// read, is `wall`.
-    fn handle(
-        &mut self,
-        ctx: &mut Context<'_>,
-        msg: Message,
-        xid: u32,
-        wall: &mut Option<std::time::Instant>,
-    ) {
+    /// Act on one decoded message.
+    fn handle(&mut self, ctx: &mut Context<'_>, msg: Message, xid: u32) {
         match msg {
             Message::FeaturesRequest => {
                 self.reply(
@@ -273,9 +256,8 @@ impl CbenchSwitch {
                     );
                     match self.cfg.mode {
                         CbenchMode::Closed { outstanding } => {
-                            let wall = *wall.get_or_insert_with(std::time::Instant::now);
                             for _ in 0..outstanding.max(1) {
-                                self.punt(ctx, wall);
+                                self.punt(ctx);
                             }
                         }
                         CbenchMode::Open { interval } => {
@@ -290,15 +272,12 @@ impl CbenchSwitch {
             }
             Message::FlowMod { .. } => {
                 self.stats.flow_mods += 1;
-                let wall = *wall.get_or_insert_with(std::time::Instant::now);
-                if let Some((sim_at, wall_at)) = self.in_flight.pop_front() {
+                if let Some(sent) = self.in_flight.pop_front() {
                     self.sim_setup_ns
-                        .push(ctx.now().duration_since(sim_at).as_nanos());
-                    let ns = wall.duration_since(wall_at).as_nanos();
-                    self.wall_setup_ns.push(ns.min(u64::MAX as u128) as u64);
+                        .push(ctx.now().duration_since(sent).as_nanos());
                 }
                 if let CbenchMode::Closed { .. } = self.cfg.mode {
-                    self.punt(ctx, wall);
+                    self.punt(ctx);
                 }
             }
             Message::ResyncRequest => {
@@ -356,14 +335,13 @@ impl Node for CbenchSwitch {
     fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) {
         if token == PUNT_TIMER && self.session_up {
             if let CbenchMode::Open { interval } = self.cfg.mode {
-                self.punt(ctx, std::time::Instant::now());
+                self.punt(ctx);
                 ctx.set_timer(interval, PUNT_TIMER);
             }
         }
     }
 
     fn on_control(&mut self, ctx: &mut Context<'_>, _from: NodeId, bytes: &[u8]) {
-        let mut wall = None;
         for frame in frames(bytes) {
             match frame {
                 // Hot path: classify the frame straight out of the
@@ -383,9 +361,76 @@ impl Node for CbenchSwitch {
                         encode_barrier_reply_into(buf, xids.iter(), xid)
                     });
                 }
-                Ok((other, xid)) => self.handle(ctx, other.into_message(), xid, &mut wall),
+                Ok((other, xid)) => self.handle(ctx, other.into_message(), xid),
                 Err(_) => self.stats.decode_errors += 1,
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::any::Any;
+
+    use zen_sim::World;
+
+    use super::*;
+
+    /// Shakes hands with every switch and counts its steady-state
+    /// punts, but never installs a flow.
+    #[derive(Default)]
+    struct Mute {
+        punts: u64,
+    }
+
+    impl Node for Mute {
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+
+        fn on_packet(&mut self, _ctx: &mut Context<'_>, _port: PortNo, _frame: &[u8]) {}
+
+        fn on_control(&mut self, ctx: &mut Context<'_>, from: NodeId, bytes: &[u8]) {
+            for frame in frames(bytes) {
+                match frame {
+                    Ok((MessageView::Owned(Message::Hello { .. }), xid)) => {
+                        let request = Message::FeaturesRequest;
+                        ctx.send_control_with(from, |buf| encode_into(buf, &request, xid));
+                    }
+                    Ok((MessageView::PacketIn { in_port, .. }, _)) if in_port == PUNT_PORT => {
+                        self.punts += 1;
+                    }
+                    _ => {}
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn punts_past_the_in_flight_cap_are_lost_setups() {
+        const CAP: usize = 4;
+        let mut world = World::new(1);
+        let controller = world.add_node(Box::new(Mute::default()));
+        let cfg = CbenchConfig {
+            mode: CbenchMode::Open {
+                interval: Duration::from_millis(1),
+            },
+            in_flight_cap: CAP,
+            ..CbenchConfig::default()
+        };
+        let switch = world.add_node(Box::new(CbenchSwitch::new(1, controller, cfg)));
+        world.run_until(Instant::from_millis(50));
+
+        let sw = world.node_as::<CbenchSwitch>(switch);
+        let n = sw.stats.punts_sent;
+        assert!(n > CAP as u64 * 4, "only {n} punts");
+        assert_eq!(world.node_as::<Mute>(controller).punts, n);
+        assert_eq!(sw.stats.flow_mods, 0);
+        assert_eq!(sw.stats.setups_lost, n - CAP as u64);
+        assert!(sw.sim_setup_ns.is_empty());
     }
 }

@@ -49,7 +49,6 @@ const RUN_MS: u64 = 200;
 const SETUPS_PER_SEC_FLOOR: f64 = 400_000.0;
 
 /// Everything deterministic a run produces, compared across replays.
-/// Wall-clock latencies stay out: they are real time, not fabric time.
 #[derive(Debug, PartialEq, Eq)]
 struct ReplayDigest {
     punts_sent: Vec<u64>,

@@ -450,14 +450,12 @@ impl ShardWorker<'_> {
         let mut advance_nanos = advance.as_nanos();
         self.core.now = t;
         let rec_on = self.core.recorder.is_enabled();
-        let wall_on = rec_on && self.core.recorder.wall_profile_enabled();
         let mut consumed = vec![false; events.len()];
         for i in 0..events.len() {
             if consumed[i] {
                 continue;
             }
             let kind = events[i].kind.name();
-            let started = wall_on.then(std::time::Instant::now);
             // How many globally-counted events this arm dispatched. Admin
             // flips are replicated to every shard, so only shard 0 accounts
             // them — keeping event totals and loop-span counts
@@ -527,10 +525,9 @@ impl ShardWorker<'_> {
             }
             self.core.events_processed += dispatched;
             if rec_on && dispatched > 0 {
-                let wall = started.map(|s| s.elapsed().as_nanos() as u64).unwrap_or(0);
-                self.core.recorder.note_loop(kind, wall, advance_nanos);
+                self.core.recorder.note_loop(kind, advance_nanos);
                 for _ in 1..dispatched {
-                    self.core.recorder.note_loop(kind, 0, 0);
+                    self.core.recorder.note_loop(kind, 0);
                 }
                 advance_nanos = 0;
             }
@@ -698,7 +695,6 @@ impl ShardedWorld {
         // sees the same draws. Each shard computes the full table (cheap)
         // and uses only the nodes it owns.
         let rec_enabled = self.recorder.is_enabled();
-        let wall_profile = self.recorder.wall_profile_enabled();
 
         let mut workers: Vec<ShardWorker<'_>> = (0..n_shards)
             .map(|shard_id| {
@@ -706,7 +702,6 @@ impl ShardedWorld {
                 let ids = ShardCounters::register(&mut metrics);
                 let recorder = Recorder::new();
                 recorder.set_enabled(rec_enabled);
-                recorder.set_wall_profile(wall_profile);
                 let mut base = Rng::new(self.seed);
                 let rngs = (0..n_nodes).map(|i| base.fork(i as u64)).collect();
                 ShardWorker {

@@ -780,12 +780,8 @@ impl World {
     /// the queue is empty.
     ///
     /// When the flight recorder is enabled, each dispatch is accounted to
-    /// its event type: how far simulated time advanced to reach it (part
-    /// of the deterministic export) and — only when wall profiling is
-    /// opted into via [`zen_telemetry::Recorder::set_wall_profile`] —
-    /// the wall-clock dispatch cost. Sampling the OS clock twice per
-    /// event dominates enabled-recorder overhead, so it is off unless
-    /// asked for.
+    /// its event type with how far simulated time advanced to reach it
+    /// (part of the deterministic export).
     pub fn step(&mut self) -> Option<Instant> {
         self.step_at_most(Instant::from_nanos(u64::MAX))
     }
@@ -802,15 +798,8 @@ impl World {
             return Some(at);
         }
         let kind = event.kind.name();
-        if !self.core.recorder.wall_profile_enabled() {
-            self.dispatch(event);
-            self.core.recorder.note_loop(kind, 0, advance.as_nanos());
-            return Some(at);
-        }
-        let t0 = std::time::Instant::now();
         self.dispatch(event);
-        let wall = t0.elapsed().as_nanos() as u64;
-        self.core.recorder.note_loop(kind, wall, advance.as_nanos());
+        self.core.recorder.note_loop(kind, advance.as_nanos());
         Some(at)
     }
 

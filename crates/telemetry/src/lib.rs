@@ -16,9 +16,8 @@
 //!   telemetry, making snapshots diffable across runs, seeds, and PRs.
 //!
 //! The simulator world owns the canonical [`Recorder`] and clones it into
-//! datapaths, the controller, and hosts at fabric-build time. Wall-clock
-//! measurements (event-loop span timing) are kept in memory for profiling
-//! APIs but never written to the deterministic export.
+//! datapaths, the controller, and hosts at fabric-build time. Nothing in
+//! it reads the host clock: every timestamp and span is simulated time.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

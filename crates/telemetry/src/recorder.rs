@@ -270,9 +270,6 @@ pub struct TraceRecord {
 pub struct LoopSpan {
     /// Number of events of this type processed.
     pub count: u64,
-    /// Wall-clock nanoseconds spent dispatching them. Excluded from the
-    /// deterministic export; read it via [`Recorder::loop_profile`].
-    pub wall_nanos: u64,
     /// Simulated nanoseconds the clock advanced to reach these events.
     pub sim_advance_nanos: u64,
 }
@@ -290,7 +287,6 @@ struct Inner {
 #[derive(Debug)]
 struct Shared {
     enabled: AtomicBool,
-    profile_wall: AtomicBool,
     inner: Mutex<Inner>,
 }
 
@@ -322,7 +318,6 @@ impl Recorder {
         Recorder {
             shared: Arc::new(Shared {
                 enabled: AtomicBool::new(false),
-                profile_wall: AtomicBool::new(false),
                 inner: Mutex::new(Inner {
                     ring: VecDeque::with_capacity(capacity.min(4096)),
                     capacity,
@@ -358,22 +353,6 @@ impl Recorder {
     #[inline]
     pub fn is_enabled(&self) -> bool {
         self.shared.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Opt in to wall-clock sampling of event-loop dispatches.
-    ///
-    /// Off by default: the deterministic span export (counts + simulated
-    /// advance) never needs wall time, and sampling `Instant::now` twice
-    /// per event dominates enabled-recorder overhead. Flip this on only
-    /// when [`Recorder::loop_profile`] wall costs are actually wanted.
-    pub fn set_wall_profile(&self, on: bool) {
-        self.shared.profile_wall.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether event-loop dispatches should sample wall-clock time.
-    #[inline]
-    pub fn wall_profile_enabled(&self) -> bool {
-        self.shared.profile_wall.load(Ordering::Relaxed)
     }
 
     /// Append a record to the ring, overwriting the oldest when full.
@@ -450,16 +429,15 @@ impl Recorder {
     }
 
     /// Account one simulator event-loop dispatch: `kind` is the event type
-    /// name, `wall_nanos` the wall-clock dispatch cost, `sim_advance` how
-    /// far simulated time jumped to reach the event.
-    pub fn note_loop(&self, kind: &'static str, wall_nanos: u64, sim_advance_nanos: u64) {
+    /// name, `sim_advance` how far simulated time jumped to reach the
+    /// event.
+    pub fn note_loop(&self, kind: &'static str, sim_advance_nanos: u64) {
         if !self.is_enabled() {
             return;
         }
         let mut inner = self.inner();
         let span = inner.spans.entry(kind).or_default();
         span.count += 1;
-        span.wall_nanos += wall_nanos;
         span.sim_advance_nanos += sim_advance_nanos;
     }
 
@@ -484,7 +462,7 @@ impl Recorder {
     }
 
     /// Fold another recorder's event-loop profile into this one, summing
-    /// counts, wall time, and simulated advance per event type. Used to
+    /// counts and simulated advance per event type. Used to
     /// merge per-shard recorders after a sharded run; a handle sharing
     /// state with `other` is left unchanged.
     pub fn merge_loop_profile(&self, other: &Recorder) {
@@ -496,7 +474,6 @@ impl Recorder {
         for (kind, span) in spans {
             let merged = inner.spans.entry(kind).or_default();
             merged.count += span.count;
-            merged.wall_nanos += span.wall_nanos;
             merged.sim_advance_nanos += span.sim_advance_nanos;
         }
     }
@@ -509,10 +486,8 @@ impl Recorder {
     /// Serialize the trace ring and the event-loop profile as
     /// deterministic JSON-lines.
     ///
-    /// Wall-clock span costs are deliberately excluded — they differ run
-    /// to run. Everything emitted here (event counts, simulated-time
-    /// accounting, trace records) is a pure function of the scenario and
-    /// its seed.
+    /// Everything emitted here (event counts, simulated-time accounting,
+    /// trace records) is a pure function of the scenario and its seed.
     pub fn write_jsonl(&self, out: &mut String) {
         let inner = self.inner();
         for (kind, span) in &inner.spans {
@@ -625,7 +600,7 @@ mod tests {
         let r = Recorder::new();
         r.record(1, tid(1), TraceEvent::HostEmit { node: 0 });
         r.bind_xid(1, tid(1));
-        r.note_loop("packet", 10, 10);
+        r.note_loop("packet", 10);
         assert!(r.records().is_empty());
         assert_eq!(r.xid_trace(1), None);
         assert!(r.loop_profile().is_empty());
@@ -688,7 +663,7 @@ mod tests {
     fn export_shape_is_stable() {
         let r = Recorder::with_capacity(8);
         r.set_enabled(true);
-        r.note_loop("packet", 999, 50);
+        r.note_loop("packet", 50);
         r.record(
             7,
             tid(0xabcd),
