@@ -279,7 +279,7 @@ struct ControlSlot {
 /// for a few typical messages, so the first ones do not regrow it.
 const FRESH_BUFFER_BYTES: usize = 256;
 /// How many spent control buffers the world keeps for reuse.
-const FREE_BUFFERS: usize = 32;
+const FREE_BUFFERS: usize = 64;
 /// The capacity of each buffer the free list starts with: about one
 /// batch of replies a controller app writes back to one delivered
 /// burst of punts. Starting the list full at this size makes a run's
