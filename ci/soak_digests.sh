@@ -99,16 +99,26 @@
 # Each soak's assertions hold. saturation's emulated switches count the
 # probes they get apart from the PACKET_OUTs its digest holds, and its
 # setups' simulated latencies are equal; shard has no control channel.
+# chaos was ebd1244f8023aee7, cluster 57a7af4bb17f6690, pressure
+# 9cc2f4dec2e1e0fc, consistency bd1edec61c742b62 and consensus
+# 1fb3c09904846c30 until each control channel kept one keepalive: the
+# controller stopped sending every switch an ECHO_REQUEST each tick
+# (the agent's own 50 ms echo keeps its session fresh) and replicas
+# stopped sending an east-west heartbeat beside the digest that carries
+# the same term and acks. Those five count control messages or print
+# the controller's counters, three of which are gone. Each soak's
+# assertions hold. saturation, defense and shard did not move.
+#
 set -eu
 
 TABLE='
-chaos ebd1244f8023aee7
-cluster 57a7af4bb17f6690
-pressure 9cc2f4dec2e1e0fc
+chaos 73ccc5ff48da96e4
+cluster db74dbc3aa27b541
+pressure f7832bf741f0a678
 saturation 1e4342906665bfaa
 defense 2bb7ad6c680e2ac3
-consistency bd1edec61c742b62
-consensus 1fb3c09904846c30
+consistency f810e8eb3cd671a4
+consensus 99d524aef8b832e3
 shard 2ba813ff7a22a01a
 '
 

@@ -3,9 +3,11 @@
 //! The mechanisms a controller replica needs to be part of an
 //! ONOS-style cluster, independent of the controller itself:
 //!
-//! * [`Membership`] — lease-based liveness over east-west heartbeats
-//!   plus a deterministic per-switch mastership function. There is no
-//!   separate election protocol: every replica computes the same
+//! * [`Membership`] — lease-based liveness over east-west digests
+//!   (each replica's per-tick [`EwStore::digest`] to every peer is its
+//!   keepalive, and its heads are its acks) plus a deterministic
+//!   per-switch mastership function. There is no separate election
+//!   protocol: every replica computes the same
 //!   `master(dpid) = live_replicas[dpid % n_live]` assignment from its
 //!   own live set, and divergent live sets (partitions) are resolved at
 //!   the switch by comparing `(term, replica)` claims — the mastership
@@ -41,10 +43,10 @@ use zen_sim::{Duration, Instant, NodeId};
 /// they go with the `benchmark` PR that drops them there.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GossipMode {
-    /// Digest anti-entropy: heartbeats carry per-origin
-    /// `(floor, head, hash)` summaries and peers fetch exactly the
-    /// missing ranges, falling back to a checksummed snapshot below
-    /// the retention floor.
+    /// Digest anti-entropy: each replica's keepalive is a digest of
+    /// per-origin `(floor, head, hash)` summaries, and peers fetch
+    /// exactly the missing ranges, falling back to a checksummed
+    /// snapshot below the retention floor.
     Digest,
 }
 
@@ -95,7 +97,8 @@ impl ClusterConfig {
 #[derive(Debug)]
 pub struct Membership {
     cfg: ClusterConfig,
-    /// Last heartbeat per replica index; our own slot tracks `now`.
+    /// When each replica was last heard from (its last digest); our
+    /// own slot tracks `now`.
     last_heard: Vec<Instant>,
     alive: Vec<bool>,
     term: u64,
@@ -103,7 +106,7 @@ pub struct Membership {
 
 impl Membership {
     /// A membership view that starts with every replica presumed alive
-    /// (bring-up grace: nobody has heartbeated yet at t=0).
+    /// (bring-up grace: nobody has been heard from yet at t=0).
     pub fn new(cfg: ClusterConfig, now: Instant) -> Membership {
         let n = cfg.replicas.len();
         Membership {
@@ -129,7 +132,8 @@ impl Membership {
         self.term
     }
 
-    /// Record a heartbeat from `replica` carrying its `term`. Terms
+    /// Record a sign of life — a digest — from `replica` carrying its
+    /// `term`. Terms
     /// merge by max, so a healed partition converges on the highest
     /// term either side reached.
     pub fn note_heartbeat(&mut self, replica: u32, term: u64, now: Instant) {
@@ -360,15 +364,10 @@ impl EwStore {
         }
     }
 
-    /// Per-origin applied high-water marks to carry in a heartbeat,
-    /// ascending by origin.
-    pub fn acks(&self) -> Vec<(u32, u64)> {
-        self.applied.iter().map(|(&o, &s)| (o, s)).collect()
-    }
-
-    /// Record the acks a peer's heartbeat carried. Pruning is a
-    /// separate, liveness-aware step — [`prune_acked`](Self::prune_acked)
-    /// — so a dead replica cannot pin the log forever.
+    /// Record the acks a peer's digest carried: each head it sent, as
+    /// `(origin, head)`. Pruning is a separate, liveness-aware step —
+    /// [`prune_acked`](Self::prune_acked) — so a dead replica cannot
+    /// pin the log forever.
     pub fn note_peer_acks(&mut self, peer: u32, acks: &[(u32, u64)]) {
         if peer == self.origin {
             return;
@@ -415,7 +414,7 @@ impl EwStore {
     }
 
     /// Per-origin summaries (floor, applied head, chain hash) to carry
-    /// in a heartbeat, ascending by origin. Two replicas with equal
+    /// in a digest, ascending by origin. Two replicas with equal
     /// heads and hashes hold identical logs and exchange nothing.
     pub fn digest(&self) -> Vec<OriginHead> {
         (0..self.n_replicas as u32)
@@ -604,6 +603,11 @@ mod tests {
         store.serve_ranges(&[(store.origin, from, to)]).0
     }
 
+    /// The acks `store`'s digest carries: its head per origin.
+    fn acks(store: &EwStore) -> Vec<(u32, u64)> {
+        store.digest().iter().map(|h| (h.origin, h.head)).collect()
+    }
+
     fn link_add(from: u64, port: u32) -> ViewEvent {
         ViewEvent::LinkAdd {
             from_dpid: from,
@@ -666,8 +670,8 @@ mod tests {
         assert_eq!(b.admit(&batch[1]), Admit::Apply);
         // Redelivery is a no-op.
         assert_eq!(b.admit(&batch[0]), Admit::Duplicate);
-        // b's acks let a prune.
-        a.note_peer_acks(1, &b.acks());
+        // b's digest acks what it holds, and lets a prune.
+        a.note_peer_acks(1, &acks(&b));
         a.prune_acked(&[0, 1]);
         assert_eq!(a.log_len(), 0);
         assert!(own(&a, 1, 2).is_empty());
@@ -957,10 +961,9 @@ mod tests {
                     }
                 }
                 _ => {
-                    // A peer's heartbeat, carrying acks some way behind.
+                    // A peer's digest, carrying acks some way behind.
                     let peer = (i + 1 + rng.gen_index(2)) % 3;
-                    let acks: Vec<(u32, u64)> = stores[peer]
-                        .acks()
+                    let acks: Vec<(u32, u64)> = acks(&stores[peer])
                         .into_iter()
                         .map(|(o, seq)| (o, seq - rng.gen_range(seq + 1).min(3)))
                         .collect();

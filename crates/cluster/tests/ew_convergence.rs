@@ -101,7 +101,9 @@ fn seeded_schedules_converge_after_heal() {
                     let i = (xorshift(&mut rng) as usize) % N;
                     let j = (xorshift(&mut rng) as usize) % N;
                     if i != j && sides[i] == sides[j] {
-                        let acks = stores[j].acks();
+                        let digest = stores[j].digest();
+                        let acks: Vec<(u32, u64)> =
+                            digest.iter().map(|h| (h.origin, h.head)).collect();
                         stores[i].note_peer_acks(j as u32, &acks);
                         let live = live_of(&sides, i);
                         stores[i].prune_acked(&live);

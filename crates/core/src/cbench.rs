@@ -104,8 +104,6 @@ pub struct CbenchStats {
     pub lldp_outs: u64,
     /// BARRIER_REQUESTs acknowledged.
     pub barriers: u64,
-    /// ECHO_REQUESTs answered.
-    pub echoes: u64,
     /// Messages that failed to decode (always 0 on a healthy channel).
     pub decode_errors: u64,
     /// Punts whose FLOW_MOD never arrived before
@@ -265,10 +263,6 @@ impl CbenchSwitch {
                         }
                     }
                 }
-            }
-            Message::EchoRequest { token } => {
-                self.stats.echoes += 1;
-                self.reply(ctx, &Message::EchoReply { token }, xid);
             }
             Message::FlowMod { .. } => {
                 self.stats.flow_mods += 1;

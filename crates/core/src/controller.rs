@@ -50,9 +50,9 @@ pub struct ControllerConfig {
     /// Age after which an unconfirmed link is declared dead (silent
     /// failure detection). Should be several tick intervals.
     pub link_max_age: Duration,
-    /// Silence from an agent (no message of any kind, echo replies
-    /// included) before it is quarantined in the view. Should be
-    /// several echo intervals.
+    /// Silence from an agent (no message of any kind, its own echo
+    /// probes included) before it is quarantined in the view. Should
+    /// be several of the agent's echo intervals.
     pub agent_dead_after: Duration,
     /// Age of an unacknowledged flow/group/meter mod before it is
     /// retransmitted.
@@ -96,10 +96,6 @@ pub struct CtlStats {
     pub msgs_received: u64,
     /// Protocol decode errors.
     pub decode_errors: u64,
-    /// ECHO_REQUEST liveness probes sent to agents.
-    pub echo_probes: u64,
-    /// ECHO_REPLYs received from agents.
-    pub echo_replies: u64,
     /// Mods confirmed applied by a barrier acknowledgement.
     pub mods_acked: u64,
     /// Mods resent after their barrier ack timed out.
@@ -114,8 +110,6 @@ pub struct CtlStats {
     pub resyncs_clean: u64,
     /// Reconnect resyncs that diverged and triggered reprogramming.
     pub resyncs_dirty: u64,
-    /// East-west heartbeats sent to peer replicas.
-    pub ew_heartbeats: u64,
     /// East-west events applied from peer replicas.
     pub ew_events_applied: u64,
     /// East-west events skipped (duplicate, out of order, or losing a
@@ -669,18 +663,6 @@ impl Controller {
         }
     }
 
-    /// Probe every registered agent's control-channel liveness with an
-    /// ECHO_REQUEST (the token encodes the send time, so a reply dates
-    /// the probe it answers).
-    fn echo_round(&mut self, io: &mut Io<'_>) {
-        let targets: Vec<Dpid> = self.core.southbound.dpids().collect();
-        let token = io.now.as_nanos();
-        for dpid in targets {
-            self.stats.echo_probes += 1;
-            self.ctl(io).send(dpid, &Message::EchoRequest { token });
-        }
-    }
-
     /// Send one LLDP probe out of every known up port of the switches
     /// in `which`: every switch on the tick, the new switch alone on a
     /// handshake. Clustered, each replica probes only the switches it
@@ -1054,7 +1036,6 @@ impl Controller {
             Message::EchoRequest { token } => {
                 return self.ctl(io).answer(from, &Message::EchoReply { token });
             }
-            Message::EchoReply { .. } => return self.stats.echo_replies += 1,
             msg => msg,
         };
         if let Message::Error { code, .. } = &msg {
@@ -1228,7 +1209,6 @@ impl Controller {
             self.retransmit_scan(io);
             self.cluster_tick(io);
             self.discovery_round(io, ..);
-            self.echo_round(io);
             self.each_app(io, |app, ctl| app.tick(ctl));
             self.planner_pump(io);
             self.flush_barriers(io);
@@ -1663,6 +1643,34 @@ mod tests {
         let app = rig.ctl.find_app::<Promised>().expect("installed");
         assert_eq!(app.committed, [(1, 1), (2, 2), (3, 3)]);
         assert!(!rig.ctl.txn_busy());
+    }
+
+    /// A switch whose only words after its handshake are its own echo
+    /// probes, one every 50 ms for a second: the controller answers
+    /// each at once, probes no one, and never quarantines it. A sibling
+    /// that says nothing after its handshake is quarantined on the
+    /// first tick that finds it silent for `agent_dead_after`.
+    #[test]
+    fn a_switch_kept_live_by_its_own_echoes_is_never_probed_or_quarantined() {
+        let mut rig = Rig::new(Controller::new(vec![]));
+        rig.say(0, A, &[claim(DPID)]);
+        rig.say(0, B, &[claim(DPID + 1)]);
+        let after = rig.ctl.cfg.agent_dead_after.as_millis();
+        let tokens: Vec<u64> = (50..=1_000).step_by(50).collect();
+        for &ms in &tokens {
+            rig.say(ms, A, &[Message::EchoRequest { token: ms }]);
+            let view = &rig.ctl.view;
+            assert!(!view.is_quarantined(DPID), "at {ms} ms");
+            assert_eq!(view.is_quarantined(DPID + 1), ms >= after, "at {ms} ms");
+        }
+        let probe = |m: &Message| matches!(m, Message::EchoRequest { .. });
+        assert!(rig.times(A, probe).is_empty() && rig.times(B, probe).is_empty());
+        let answered = rig.got(A).into_iter().filter_map(|m| match m {
+            Message::EchoReply { token } => Some(*token),
+            _ => None,
+        });
+        assert_eq!(answered.collect::<Vec<u64>>(), tokens);
+        assert_eq!(rig.ctl.stats.quarantines, 1);
     }
 
     /// A FEATURES_REPLY naming a dpid that answers from another node,

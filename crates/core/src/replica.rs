@@ -211,15 +211,6 @@ impl ClusterState {
         let mut fx = PeerEffects::default();
         let me = self.me();
         let outs = match msg {
-            Message::EwHeartbeat {
-                replica,
-                term,
-                acks,
-            } => {
-                self.membership.note_heartbeat(replica, term, now);
-                self.store.note_peer_acks(replica, &acks);
-                return fx;
-            }
             Message::EwEvents { entries, .. } => {
                 for entry in entries {
                     if self.store.admit(&entry) == Admit::Apply {
@@ -402,8 +393,8 @@ impl ClusterState {
         applied
     }
 
-    /// One east-west round at `now`: refresh peer liveness, heartbeat +
-    /// gossip to every peer onto `gossip`, tick the intent log, and
+    /// One east-west round at `now`: refresh peer liveness, gossip to
+    /// every peer onto `gossip`, tick the intent log, and
     /// reconcile this replica's mastership set over `switches` against
     /// the deterministic assignment.
     pub(crate) fn tick(
@@ -440,26 +431,19 @@ impl ClusterState {
         (flipped, live.iter().any(|i| !live_before.contains(i)))
     }
 
-    /// Heartbeat + anti-entropy to every peer, every tick. The
-    /// heartbeat carries our per-origin applied marks; each new
-    /// own-origin entry is pushed once, and losses (and remote-origin
-    /// gaps) are repaired through the digest / fetch exchange.
+    /// Anti-entropy to every peer, every tick: each new own-origin
+    /// entry is pushed once, then a digest, which is also the peer's
+    /// keepalive and carries our per-origin applied marks as acks.
+    /// Losses (and remote-origin gaps) are repaired through the digest
+    /// / fetch exchange.
     fn gossip(&mut self, stats: &mut CtlStats, out: &mut Vec<(NodeId, Message)>) {
         let (me, term) = (self.me(), self.membership.term());
-        let acks = self.store.acks();
         let replicas = self.membership.config().replicas.clone();
         for (i, &node) in replicas.iter().enumerate() {
             let peer = i as u32;
             if peer == me {
                 continue;
             }
-            stats.ew_heartbeats += 1;
-            let heartbeat = Message::EwHeartbeat {
-                replica: me,
-                term,
-                acks: acks.clone(),
-            };
-            out.push((node, heartbeat));
             let head = self.store.applied_high(me);
             let pushed = self.pushed_high.entry(peer).or_insert(0);
             if head > *pushed {
@@ -616,23 +600,18 @@ mod tests {
         assert_eq!((sent, stats.msgs_sent), ((1, 100), 0));
     }
 
-    /// A tick's gossip goes to each peer in ascending order — a
-    /// heartbeat, at most `EW_BATCH` of our new entries, a digest — and
-    /// the intent log's frames come back beside it, in the round.
+    /// A tick's gossip goes to each peer in ascending order — at most
+    /// `EW_BATCH` of our new entries, then a digest — and the intent
+    /// log's frames come back beside it, in the round.
     #[test]
     fn a_tick_yields_per_peer_gossip_in_order_then_the_intent_frames() {
         let mut cl = replica_with(70);
         let (mut stats, mut gossip) = (CtlStats::default(), Vec::new());
-        let (acks, heads) = (cl.store.acks(), cl.store.digest());
+        let heads = cl.store.digest();
         let (logged, _) = cl.store.serve_ranges(&[(0, 1, 70)]);
         let round = cl.tick(Instant::from_millis(50), &mut stats, 1..=6, &mut gossip);
         let term = cl.membership.term();
         let to_peer = |node, entries: &[zen_proto::EwEntry]| {
-            let heartbeat = Message::EwHeartbeat {
-                replica: 0,
-                term,
-                acks: acks.clone(),
-            };
             let events = Message::EwEvents {
                 replica: 0,
                 entries: entries.to_vec(),
@@ -642,7 +621,7 @@ mod tests {
                 term,
                 heads: heads.clone(),
             };
-            [(node, heartbeat), (node, events), (node, digest)]
+            [(node, events), (node, digest)]
         };
         let pushed = &logged[..EW_BATCH];
         let expected = [to_peer(NodeId(11), pushed), to_peer(NodeId(12), pushed)];
@@ -655,14 +634,10 @@ mod tests {
         assert!(
             frames.len() == 2 && fetch(&frames[0], NodeId(11)) && fetch(&frames[1], NodeId(12))
         );
-        let ew = (
-            stats.ew_heartbeats,
-            stats.ew_entries_sent,
-            stats.ew_digests_sent,
-        );
+        let ew = (stats.ew_entries_sent, stats.ew_digests_sent);
         assert_eq!(
             (ew, stats.intent_msgs_sent, stats.msgs_sent),
-            ((2, 128, 2), 2, 0)
+            ((128, 2), 2, 0)
         );
 
         // The rest of our entries go out on the next tick.
@@ -673,9 +648,50 @@ mod tests {
             other => panic!("events expected, got {other:?}"),
         };
         assert_eq!(
-            (rest(1), rest(4)),
+            (rest(0), rest(2)),
             (logged[EW_BATCH..].to_vec(), logged[EW_BATCH..].to_vec())
         );
+    }
+
+    /// Peers that send only digests stay live, and each digest's heads
+    /// ack what that peer holds: the log is pruned to the lowest head
+    /// among the live peers. One that falls silent is presumed dead a
+    /// lease later and holds the log back no longer.
+    #[test]
+    fn digests_alone_keep_peers_live_and_ack_their_heads() {
+        let mut cl = replica_with(70);
+        let (mut stats, mut out) = (CtlStats::default(), Vec::new());
+        let digest = |replica, held| {
+            let head = |origin, head| OriginHead {
+                origin,
+                floor: 0,
+                head,
+                hash: 0,
+            };
+            let heads = vec![head(0, held), head(1, 0), head(2, 0)];
+            #[rustfmt::skip]
+            let digest = Message::EwDigest { replica, term: 1, heads };
+            digest
+        };
+        let lease = cl.membership.config().lease_timeout.as_millis();
+        for at in (50..=1_000).step_by(50) {
+            let now = Instant::from_millis(at);
+            cl.on_peer(now, &mut stats, digest(1, 60), &mut out);
+            if at <= 500 {
+                cl.on_peer(now, &mut stats, digest(2, 40), &mut out);
+            }
+            cl.tick(now, &mut stats, 1..=6, &mut out);
+            let live = (cl.membership.live(), cl.membership.term());
+            let pruned = (cl.store.floor_of(0), cl.store.log_len());
+            let want = if at < 500 + lease {
+                ((vec![0, 1, 2], 1), (40, 30))
+            } else {
+                ((vec![0, 1], 2), (60, 10))
+            };
+            assert_eq!((live, pruned), want, "at {at} ms");
+        }
+        let fetch = |(_, msg): &(NodeId, Message)| matches!(msg, Message::EwFetch { .. });
+        assert!(!out.iter().any(fetch), "the digests showed nothing missing");
     }
 
     /// Replica 0 of three, with six switches, through a partition that
