@@ -566,18 +566,6 @@ pub enum Message {
         /// Current master's replica index.
         replica: u32,
     },
-    /// East-west liveness + anti-entropy summary between replicas: the
-    /// sender's identity, mastership term, and per-origin applied
-    /// high-water marks, from which a peer computes what to resend.
-    EwHeartbeat {
-        /// Sender's replica index.
-        replica: u32,
-        /// Sender's mastership term.
-        term: u64,
-        /// `(origin, highest contiguous seq applied)` pairs, ascending
-        /// by origin.
-        acks: Vec<(u32, u64)>,
-    },
     /// A batch of east-west log entries, contiguous per origin.
     EwEvents {
         /// Sender's replica index.
@@ -585,10 +573,13 @@ pub enum Message {
         /// The entries, ascending by seq.
         entries: Vec<EwEntry>,
     },
-    /// Digest-mode anti-entropy summary: per-origin log heads and chain
-    /// hashes instead of a blind suffix resend. A peer compares the
-    /// digest against its own applied marks and pulls exactly the
-    /// missing ranges with [`Message::EwFetch`].
+    /// East-west keepalive and anti-entropy summary between replicas:
+    /// the sender's identity, mastership term, and per-origin log heads
+    /// and chain hashes. A peer counts it as life, takes each head as
+    /// an ack (the chain hash vouches that the sender holds everything
+    /// up to it), and pulls exactly the missing ranges with
+    /// [`Message::EwFetch`]. Wire type 21, the heartbeat this replaced,
+    /// is retired.
     EwDigest {
         /// Sender's replica index.
         replica: u32,
