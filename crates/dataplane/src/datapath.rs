@@ -733,22 +733,9 @@ impl Datapath {
     }
 
     /// Execute a controller-supplied action list on an injected frame
-    /// (the PACKET_OUT path). `in_port` is used by `Flood` exclusion and
-    /// may be 0 for "none".
-    pub fn inject(
-        &mut self,
-        now: Nanos,
-        in_port: PortNo,
-        actions: &[Action],
-        frame: &[u8],
-    ) -> Vec<Effect> {
-        let mut effects = Vec::new();
-        self.inject_into(now, in_port, actions, frame, &mut effects);
-        effects
-    }
-
-    /// [`Datapath::inject`], appending the outcomes to `effects` so a
-    /// caller can recycle one buffer across frames.
+    /// (the PACKET_OUT path), appending the outcomes to `effects` so a
+    /// caller can recycle one buffer across frames. `in_port` is used
+    /// by `Flood` exclusion and may be 0 for "none".
     pub fn inject_into(
         &mut self,
         now: Nanos,
@@ -884,18 +871,6 @@ impl Datapath {
         }
         self.batch_memo = memo;
         self.scratch_frame = working;
-    }
-
-    /// Drop `Output` effects aimed at down ports (the embedding calls
-    /// this before transmitting; `process` already counted them).
-    pub fn filter_live_outputs(&self, effects: Vec<Effect>) -> Vec<Effect> {
-        effects
-            .into_iter()
-            .filter(|e| match e {
-                Effect::Output { port, .. } => self.port_up(*port),
-                Effect::ToController { .. } => true,
-            })
-            .collect()
     }
 }
 
@@ -1242,7 +1217,7 @@ mod tests {
         let effects = dp.process(0, 1, &udp(1));
         assert_eq!(effects.len(), 1, "process still reports the intent");
         assert_eq!(dp.port_stats(2).tx_dropped, 1);
-        assert!(dp.filter_live_outputs(effects).is_empty());
+        assert!(!dp.port_up(2), "the agent skips it");
     }
 
     #[test]
