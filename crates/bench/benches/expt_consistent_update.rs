@@ -27,11 +27,10 @@
 //! Loops are counted from the flight recorder: a data packet whose
 //! trace matches at the same datapath twice has revisited a switch.
 //! The regression gate is the two-phase rewrite's staging→commit time
-//! in *simulated* milliseconds (exact for a fixed seed): the run fails
-//! if it is more than 20% over the file `BENCH_E19_BASELINE` names (CI
-//! points it at `ci/BENCH_E19.baseline.json`). `BENCH_E19_QUICK=1`
-//! shrinks the stream for smoke lanes; output goes to
-//! `target/BENCH_E19.json`.
+//! in *simulated* milliseconds: deterministic for the fixed seed, so
+//! the run asserts it exactly ([`COMMIT_MS`]).
+//! `BENCH_E19_QUICK=1` shrinks the stream for smoke lanes; output goes
+//! to `target/BENCH_E19.json`.
 
 use std::collections::BTreeMap;
 
@@ -262,22 +261,9 @@ fn run(two_phase: bool, quick: bool) -> Outcome {
     }
 }
 
-/// Allowed growth of the commit latency over the baseline, percent.
-const PCT: f64 = 20.0;
-
-/// Pull `"twophase_commit_ms":<num>` out of the committed baseline by
-/// hand (the workspace is serde-free on principle).
-fn baseline_commit_ms(path: &str) -> Option<f64> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let line = text
-        .lines()
-        .find(|l| l.contains("\"type\":\"bench_summary\"") && l.contains("\"id\":\"E19\""))?;
-    let key = "\"twophase_commit_ms\":";
-    let at = line.find(key)? + key.len();
-    let rest = &line[at..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
+/// The two-phase rewrite's simulated staging→commit time, in ms, the
+/// same in both modes. A change that moves it on purpose edits it here.
+const COMMIT_MS: f64 = 149.9;
 
 fn main() {
     let quick = std::env::var("BENCH_E19_QUICK").is_ok_and(|v| v == "1");
@@ -333,6 +319,7 @@ fn main() {
     assert_eq!(tp.txns_aborted, 0, "two-phase txn aborted");
     assert!(tp.txns_committed >= 3, "rewrites never committed");
     assert!(tp.commit_ms > 0.0, "rewrite epoch not observed in-window");
+    assert_eq!(tp.commit_ms, COMMIT_MS, "two-phase commit latency moved");
     assert!(
         naive.lost() > 0 || naive.loop_packets > 0,
         "naive burst showed no disruption; the comparison is vacuous"
@@ -385,30 +372,4 @@ fn main() {
     std::fs::write(out_path, &json).expect("write BENCH_E19.json");
     println!();
     println!("# wrote {out_path}");
-
-    // Perf-regression gate: the two-phase rewrite's simulated commit
-    // latency against the committed baseline, if one is configured.
-    match std::env::var("BENCH_E19_BASELINE") {
-        Ok(path) => match baseline_commit_ms(&path) {
-            Some(base) => {
-                let ceiling = base * (1.0 + PCT / 100.0);
-                let measured = tp.commit_ms;
-                println!(
-                    "# baseline {base:.2} ms ({path}); ceiling {ceiling:.2}, measured {measured:.2}"
-                );
-                if measured > ceiling {
-                    eprintln!(
-                        "E19 REGRESSION: two-phase rewrite commit {measured:.2} ms is more than \
-                         {PCT}% above baseline {base:.2} ms ({path})"
-                    );
-                    std::process::exit(1);
-                }
-            }
-            None => {
-                eprintln!("E19: baseline {path} missing or unparsable; failing the gate");
-                std::process::exit(1);
-            }
-        },
-        Err(_) => println!("# no BENCH_E19_BASELINE set; regression gate skipped"),
-    }
 }
