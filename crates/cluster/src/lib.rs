@@ -133,9 +133,8 @@ impl Membership {
     }
 
     /// Record a sign of life — a digest — from `replica` carrying its
-    /// `term`. Terms
-    /// merge by max, so a healed partition converges on the highest
-    /// term either side reached.
+    /// `term`. Terms merge by max, so a healed partition converges on
+    /// the highest term either side reached.
     pub fn note_heartbeat(&mut self, replica: u32, term: u64, now: Instant) {
         if let Some(slot) = self.last_heard.get_mut(replica as usize) {
             *slot = now;

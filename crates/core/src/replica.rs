@@ -394,9 +394,9 @@ impl ClusterState {
     }
 
     /// One east-west round at `now`: refresh peer liveness, gossip to
-    /// every peer onto `gossip`, tick the intent log, and
-    /// reconcile this replica's mastership set over `switches` against
-    /// the deterministic assignment.
+    /// every peer onto `gossip`, tick the intent log, and reconcile
+    /// this replica's mastership set over `switches` against the
+    /// deterministic assignment.
     pub(crate) fn tick(
         &mut self,
         now: Instant,

@@ -578,8 +578,7 @@ pub enum Message {
     /// and chain hashes. A peer counts it as life, takes each head as
     /// an ack (the chain hash vouches that the sender holds everything
     /// up to it), and pulls exactly the missing ranges with
-    /// [`Message::EwFetch`]. Wire type 21, the heartbeat this replaced,
-    /// is retired.
+    /// [`Message::EwFetch`].
     EwDigest {
         /// Sender's replica index.
         replica: u32,
