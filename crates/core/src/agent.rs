@@ -170,18 +170,22 @@ const APPLIED_XIDS: usize = 4096;
 /// usually behind the old one's, and its mods would be forgotten the
 /// moment they were filed.)
 ///
-/// Filing is a push. A barrier names mods sent just before it, so the
-/// membership test walks from the newest arrival back and nearly always
-/// stops within a burst's length; only an xid that never arrived, yet is
-/// older than its sender's newest, costs a walk of the whole window. A
-/// mod applied twice (a retransmission) is filed twice — the window
-/// holds applications, not distinct xids.
+/// Filing is a push. A mod applied twice (a retransmission) is filed
+/// twice — the window holds applications, not distinct xids.
+///
+/// A fence is answered in one pass ([`AppliedXids::applied`]). It lists
+/// its mods in the order they were sent, which is nearly always the
+/// order they arrived: its first xid is looked for from the newest
+/// arrival back, and each next one from just past where the previous
+/// one was found on. A burst of n mods fenced together costs a walk of
+/// n, whatever its size; only an xid that never arrived, yet is older
+/// than its sender's newest, costs a walk of the whole window.
 ///
 /// Beside the window it keeps the newest xid ever filed per sender.
 /// The window only ever holds filed xids, so an xid above its sender's
 /// newest cannot be in it, and a delete with nothing newer of its
-/// sender ever filed cannot have been overtaken: [`AppliedXids::contains`]
-/// and [`AppliedXids::undone_by`] answer those at once, exactly, without
+/// sender ever filed cannot have been overtaken: a fence and
+/// [`AppliedXids::undone_by`] answer those at once, exactly, without
 /// walking the window.
 #[derive(Debug, Default)]
 struct AppliedXids {
@@ -229,11 +233,32 @@ impl AppliedXids {
             .retain(|&held| !(same_sender(held, xid) && held > xid));
     }
 
-    fn contains(&self, xid: u32) -> bool {
-        if self.newest_of(xid).is_none_or(|newest| xid > newest) {
-            return false;
-        }
-        self.window.iter().rev().any(|&held| held == xid)
+    /// Of `xids`, in order, the ones the window holds: what a fence
+    /// listing them is answered with.
+    fn applied<'a>(
+        &'a self,
+        xids: impl Iterator<Item = u32> + 'a,
+    ) -> impl Iterator<Item = u32> + 'a {
+        // Just past where the last listed xid was found, once one was.
+        let mut next = None;
+        xids.filter(move |&xid| {
+            if self.newest_of(xid).is_none_or(|newest| xid > newest) {
+                return false;
+            }
+            let held = |&held: &u32| held == xid;
+            let at = match next {
+                None => self.window.iter().rposition(held),
+                Some(from) => {
+                    let on = self.window.range(from..).position(held);
+                    let on = on.map(|i| from + i);
+                    on.or_else(|| self.window.range(..from).position(held))
+                }
+            };
+            if let Some(at) = at {
+                next = Some(at + 1);
+            }
+            at.is_some()
+        })
     }
 }
 
@@ -526,8 +551,7 @@ impl SwitchAgent {
                 // also say *which* of the covered mods arrived: the
                 // request's list, filtered straight into the channel.
                 Ok((MessageView::BarrierRequest { xids }, xid)) => {
-                    let window = &self.applied_xids;
-                    let mut applied = xids.iter().filter(|&x| window.contains(x));
+                    let mut applied = self.applied_xids.applied(xids.iter());
                     write(io, &mut self.stats.msgs_sent, self.conns[ci].node, |buf| {
                         encode_barrier_reply_into(buf, applied.by_ref(), xid)
                     });
@@ -960,6 +984,17 @@ impl SwitchAgent {
 mod tests {
     use super::*;
 
+    impl AppliedXids {
+        /// Whether the window holds `xid`: one question, the oracle a
+        /// fence's one-pass answer is held to.
+        fn contains(&self, xid: u32) -> bool {
+            if self.newest_of(xid).is_none_or(|newest| xid > newest) {
+                return false;
+            }
+            self.window.iter().rev().any(|&held| held == xid)
+        }
+    }
+
     #[test]
     fn applied_window_finds_out_of_order_and_repeated_xids() {
         let mut window = AppliedXids::default();
@@ -1011,6 +1046,80 @@ mod tests {
         assert!(!window.contains(151) && !window.contains(199));
         window.note(151);
         assert!(window.contains(151));
+    }
+
+    /// Fences over random windows — wrapped past [`APPLIED_XIDS`] or
+    /// not, filed by two senders, struck by late deletes, holding
+    /// re-filed duplicates and missing lost mods — listing runs of one
+    /// sender's xids in order, out of order, repeated, and mixed with
+    /// xids never filed or of a sender never heard from: each is
+    /// answered, in one pass, with exactly the xids `contains` holds.
+    #[test]
+    fn a_fence_is_answered_as_asking_per_xid_would() {
+        let mut rng = zen_wire::lcg::Lcg::new(0xfe9ce);
+        let (mut listed, mut held) = (0, 0);
+        for case in 0..400 {
+            let mut window = AppliedXids::default();
+            let mut next = [4u32, (1 << 24) | 4];
+            let mut filed: Vec<u32> = Vec::new();
+            let filings = match case % 8 {
+                0 => APPLIED_XIDS + rng.gen_index(APPLIED_XIDS),
+                _ => rng.gen_index(400),
+            };
+            for _ in 0..filings {
+                let sender = rng.gen_index(2);
+                let xid = match rng.gen_range(12) {
+                    0 if !filed.is_empty() => filed[rng.gen_index(filed.len())],
+                    1 => next[sender] - rng.gen_range(4) as u32,
+                    _ => {
+                        next[sender] += 1;
+                        next[sender] - 1
+                    }
+                };
+                match rng.gen_range(40) {
+                    0 => window.undone_by(xid),
+                    // Lost on the way: never filed.
+                    1 | 2 => {}
+                    _ => {
+                        window.note(xid);
+                        filed.push(xid);
+                    }
+                }
+            }
+            let sender = rng.gen_index(2);
+            // A run of the sender's xids ending up to 30 behind its next.
+            let len = rng.gen_index(100) as u32;
+            let back = (len + rng.gen_range(30) as u32).min(next[sender] & 0xff_ffff);
+            let first = next[sender] - back;
+            let mut fence: Vec<u32> = (first..first + len).collect();
+            for _ in 0..rng.gen_index(4) {
+                let at = rng.gen_index(fence.len() + 1);
+                let odd = match rng.gen_range(3) {
+                    0 => (2 << 24) | rng.gen_range(1000) as u32,
+                    1 => next[sender] + rng.gen_range(5) as u32,
+                    _ => rng.choose(&fence).copied().unwrap_or(first),
+                };
+                fence.insert(at, odd);
+            }
+            if rng.gen_ratio(1, 3) && !fence.is_empty() {
+                for _ in 0..1 + rng.gen_index(4) {
+                    let (i, j) = (rng.gen_index(fence.len()), rng.gen_index(fence.len()));
+                    fence.swap(i, j);
+                }
+            }
+            let answer: Vec<u32> = window.applied(fence.iter().copied()).collect();
+            let asked: Vec<u32> = fence
+                .iter()
+                .copied()
+                .filter(|&x| window.contains(x))
+                .collect();
+            assert_eq!(answer, asked, "case {case}: {fence:?}");
+            (listed, held) = (listed + fence.len(), held + asked.len());
+        }
+        assert!(
+            held > 4_000 && listed - held > 2_000,
+            "{held} of {listed} held"
+        );
     }
 
     /// The window as it was before it kept the newest xid per sender: a

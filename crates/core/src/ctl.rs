@@ -39,8 +39,10 @@ pub(crate) enum Body<'a> {
     /// FEATURES_REQUEST behind it, a re-solicited FEATURES_REQUEST, an
     /// ECHO_REPLY, the ERROR refusing a handshake.
     Unnumbered(&'a Message),
-    /// A state mod under the next xid, encoded into the buffer its
-    /// session keeps for resending, and copied from there.
+    /// A state mod under the next xid, encoded straight into the
+    /// channel and copied from there into the buffer its session keeps
+    /// for resending: an empty buffer is allocated once, at the
+    /// frame's length.
     Tracked(&'a Message, &'a mut Vec<u8>),
     /// A tracked mod resent as first sent, xid included.
     Resent(&'a [u8]),
@@ -62,7 +64,11 @@ impl Body<'_> {
     pub(crate) fn put(&mut self, buf: &mut Vec<u8>, xid: u32) {
         match self {
             Body::Msg(msg) | Body::Unnumbered(msg) => encode_into(buf, msg, xid),
-            Body::Tracked(_, bytes) => buf.extend_from_slice(bytes),
+            Body::Tracked(msg, kept) => {
+                let start = buf.len();
+                encode_into(buf, msg, xid);
+                kept.extend_from_slice(&buf[start..]);
+            }
             Body::Resent(bytes) => buf.extend_from_slice(bytes),
             Body::PacketOut(port, actions, frame) => {
                 encode_packet_out_into(buf, *port, actions, frame, xid)
@@ -151,12 +157,14 @@ pub(crate) fn write(
             }
         }
     }
-    // Encoded before the channel is asked: a write the fault plan drops
-    // is never encoded, and the session must keep the mod regardless.
-    if let Body::Tracked(msg, kept) = &mut body {
-        encode_into(kept, msg, xid);
-    }
     io.sink.send_control_with(to, &mut |buf| body.put(buf, xid));
+    // A write the fault plan drops is never encoded, and the session
+    // must keep the mod regardless.
+    if let Body::Tracked(msg, kept) = &mut body {
+        if kept.is_empty() {
+            encode_into(kept, msg, xid);
+        }
+    }
     xid
 }
 
@@ -250,8 +258,8 @@ impl Ctl<'_, '_> {
         if !self.is_master(dpid) {
             return None;
         }
-        // Encoded once, into the buffer the session keeps for
-        // retransmission; the channel copies from it.
+        // Encoded once, into the channel; the session keeps a copy for
+        // retransmission.
         let mut kept = self.core.southbound.spare();
         let xid = self.write((node, dpid), Body::Tracked(msg, &mut kept));
         let (southbound, now) = (&mut self.core.southbound, self.io.now);

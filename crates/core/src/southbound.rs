@@ -623,7 +623,8 @@ impl Southbound {
     }
 
     /// A buffer for the next mod to be tracked: one an acknowledged mod
-    /// left behind, where one is kept.
+    /// left behind, where one is kept, else an empty one the writer
+    /// allocates once, at the frame's length ([`Body::Tracked`]).
     pub(crate) fn spare(&mut self) -> Vec<u8> {
         self.spare.pop().unwrap_or_default()
     }
@@ -718,10 +719,12 @@ impl Southbound {
     /// wipe state the shadow believes installed.
     ///
     /// The switch lists what it applied in the order the fence named
-    /// it, which is queue order, so each head is looked for where the
-    /// last one was found and on from there; a list in any other order
-    /// (or naming xids twice, or ones that are not this session's)
-    /// costs a second look from the top, nothing else.
+    /// it, which is queue order, so each head is first looked for at
+    /// the index just past where the last one was found: a reply in
+    /// queue order retires its whole list in one pass. A list in any
+    /// other order (or naming xids twice, or ones that are not this
+    /// session's) costs a search of the list per head that is not
+    /// where expected, nothing else.
     pub(crate) fn barrier_reply(
         &mut self,
         from: NodeId,
@@ -736,9 +739,11 @@ impl Southbound {
         // Where the next head sits in a list that kept queue order.
         let mut next = 0;
         while let Some(head) = session.pending.front().filter(|p| p.xid <= covered) {
-            let listed = applied.iter().enumerate();
-            let mut from_next = listed.clone().skip(next).chain(listed.take(next));
-            let Some((at, _)) = from_next.find(|&(_, x)| x == head.xid) else {
+            let at = match applied.get(next) {
+                Some(x) if x == head.xid => Some(next),
+                _ => applied.iter().position(|x| x == head.xid),
+            };
+            let Some(at) = at else {
                 break;
             };
             next = at + 1;
@@ -1190,6 +1195,60 @@ mod tests {
                 (52, vec![14])
             ]
         );
+    }
+
+    /// A fence of 4 096 mods answered in queue order retires all of
+    /// them; a reply shuffled, repeating xids, naming foreign ones or
+    /// missing some retires exactly the prefix that looking for each
+    /// head in the whole list would.
+    #[test]
+    fn a_reply_retires_the_prefix_a_naive_search_would() {
+        let (mut sb, mut wire, now) = (Southbound::default(), Wire::new(1 << 20), at(1));
+        for xid in 1..=4096 {
+            send(&mut sb, &mut wire, A, xid, &add(u64::from(xid)), now);
+        }
+        fence(&mut sb, &mut wire);
+        let [(fence_xid, listed)] = &wire.barriers(A)[..] else {
+            panic!("one fence");
+        };
+        let (_, acked) = reply(&mut sb, A, *fence_xid, listed);
+        assert_eq!((acked, sb.pending_mods()), (listed.clone(), 0));
+
+        let mut rng = zen_wire::lcg::Lcg::new(0xba441e5);
+        for case in 0..500 {
+            let (mut sb, mut wire) = (Southbound::default(), Wire::new(1 << 20));
+            let n = 1 + rng.gen_index(40) as u32;
+            for xid in 100..100 + n {
+                send(&mut sb, &mut wire, A, xid, &add(u64::from(xid)), now);
+            }
+            fence(&mut sb, &mut wire);
+            let (fence_xid, mut applied) = wire.barriers(A).remove(0);
+            // Lose some, repeat some, name some nobody sent, then swap
+            // a few pairs.
+            applied.retain(|_| !rng.gen_ratio(1, 12));
+            for _ in 0..rng.gen_index(4) {
+                if let Some(&again) = rng.choose(&applied) {
+                    let at = rng.gen_index(applied.len() + 1);
+                    applied.insert(at, again);
+                }
+            }
+            for _ in 0..rng.gen_index(3) {
+                let at = rng.gen_index(applied.len() + 1);
+                applied.insert(at, 10_000 + rng.next_u32() % 100);
+            }
+            for _ in 0..rng.gen_index(3) {
+                if !applied.is_empty() {
+                    let (i, j) = (rng.gen_index(applied.len()), rng.gen_index(applied.len()));
+                    applied.swap(i, j);
+                }
+            }
+            let naive: Vec<u32> = (100..100 + n)
+                .take_while(|xid| applied.contains(xid))
+                .collect();
+            let (_, acked) = reply(&mut sb, A, fence_xid, &applied);
+            assert_eq!(acked, naive, "case {case}: {applied:?}");
+            assert_eq!(sb.pending_mods(), (n as usize) - naive.len(), "case {case}");
+        }
     }
 
     /// A flow add that times out: soft state.

@@ -1,5 +1,6 @@
 //! Priority-ordered flow tables with timeouts and counters.
 
+use std::collections::HashMap;
 use std::hash::BuildHasher;
 
 use crate::action::Action;
@@ -71,6 +72,11 @@ impl FlowSpec {
         self.importance = importance;
         self
     }
+
+    /// Whether either timeout is set.
+    fn is_timed(&self) -> bool {
+        self.idle_timeout | self.hard_timeout != 0
+    }
 }
 
 /// An installed entry: the spec plus its counters.
@@ -135,11 +141,43 @@ pub enum AddOutcome {
     Evicted(Vec<FlowEntry>),
 }
 
+/// What a table keeps beside its entries so that neither a fresh add
+/// nor an idle sweep has to walk them.
+#[derive(Debug, Clone, Default)]
+struct Census {
+    /// How many entries hold each [`identity`] (two identities may
+    /// share a hash): an add whose hash no entry holds is new.
+    ids: HashMap<u64, u32, BuildWordHasher>,
+    /// How many entries have an idle or a hard timeout.
+    timed: usize,
+}
+
+impl Census {
+    fn holds(&self, id: u64) -> bool {
+        self.ids.contains_key(&id)
+    }
+
+    fn note(&mut self, e: &FlowEntry) {
+        *self.ids.entry(e.id).or_insert(0) += 1;
+        self.timed += usize::from(e.spec.is_timed());
+    }
+
+    fn forget(&mut self, e: &FlowEntry) {
+        let held = self.ids.get_mut(&e.id).expect("a held entry is counted");
+        *held -= 1;
+        if *held == 0 {
+            self.ids.remove(&e.id);
+        }
+        self.timed -= usize::from(e.spec.is_timed());
+    }
+}
+
 /// A single flow table.
 #[derive(Debug, Clone, Default)]
 pub struct FlowTable {
     /// Sorted by (priority desc, seq asc).
     entries: Vec<FlowEntry>,
+    census: Census,
     next_seq: u64,
     /// Capacity bound and overflow policy; `None` = unbounded.
     limit: Option<(usize, OverflowPolicy)>,
@@ -190,10 +228,15 @@ impl FlowTable {
     /// reset) — replacement never counts against capacity. A fresh
     /// insert into a full table follows the configured
     /// [`OverflowPolicy`]; see [`AddOutcome`].
+    ///
+    /// The table counts the identities it holds, so an add of one it
+    /// does not hold is known to be fresh without a look at any entry.
     pub fn add(&mut self, spec: FlowSpec, now: Nanos) -> AddOutcome {
         let id = identity(spec.priority, &spec.matcher);
         if let Some(pos) = self.position(id, spec.priority, &spec.matcher) {
             let existing = &mut self.entries[pos];
+            self.census.timed -= usize::from(existing.spec.is_timed());
+            self.census.timed += usize::from(spec.is_timed());
             *existing = FlowEntry {
                 spec,
                 installed_at: now,
@@ -215,7 +258,9 @@ impl FlowTable {
                     }
                     OverflowPolicy::Evict => match self.pick_victim() {
                         Some(idx) => {
-                            victims.push(self.entries.remove(idx));
+                            let victim = self.entries.remove(idx);
+                            self.census.forget(&victim);
+                            victims.push(victim);
                             self.evictions += 1;
                         }
                         None => break,
@@ -234,6 +279,7 @@ impl FlowTable {
             seq,
             id,
         };
+        self.census.note(&entry);
         // Insert keeping (priority desc, seq asc) order.
         let pos = self
             .entries
@@ -246,9 +292,13 @@ impl FlowTable {
         }
     }
 
-    /// Where the entry with exactly this (priority, match) sits: a scan
-    /// of identities, confirmed field by field only where one agrees.
+    /// Where the entry with exactly this (priority, match) sits: none
+    /// if no entry holds its identity, else a scan of identities,
+    /// confirmed field by field only where one agrees.
     fn position(&self, id: u64, priority: u16, matcher: &FlowMatch) -> Option<usize> {
+        if !self.census.holds(id) {
+            return None;
+        }
         self.entries
             .iter()
             .position(|e| e.id == id && e.spec.priority == priority && e.spec.matcher == *matcher)
@@ -267,18 +317,21 @@ impl FlowTable {
     /// present.
     pub fn delete_strict(&mut self, priority: u16, matcher: &FlowMatch) -> Option<FlowEntry> {
         let pos = self.position(identity(priority, matcher), priority, matcher)?;
-        Some(self.entries.remove(pos))
+        let entry = self.entries.remove(pos);
+        self.census.forget(&entry);
+        Some(entry)
     }
 
     /// Delete every entry whose cookie equals `cookie`; returns them.
     pub fn delete_by_cookie(&mut self, cookie: u64) -> Vec<FlowEntry> {
-        self.entries
-            .extract_if(.., |e| e.spec.cookie == cookie)
-            .collect()
+        let census = &mut self.census;
+        let gone = self.entries.extract_if(.., |e| e.spec.cookie == cookie);
+        gone.inspect(|e| census.forget(e)).collect()
     }
 
     /// Delete all entries; returns them.
     pub fn clear(&mut self) -> Vec<FlowEntry> {
+        self.census = Census::default();
         self.entries.drain(..).collect()
     }
 
@@ -364,12 +417,14 @@ impl FlowTable {
 
     /// Evict expired entries, handing each to `removed` with the reason
     /// (for FLOW_REMOVED notifications) as the scan comes to it. Most
-    /// sweeps find nothing due, and a read-only look says so at once.
+    /// sweeps find nothing due: a table with no timed entry says so
+    /// without a look, any other with a read-only one.
     pub fn expire_with(&mut self, now: Nanos, mut removed: impl FnMut(FlowEntry, RemovedReason)) {
-        if !self.entries.iter().any(|e| e.expiry(now).is_some()) {
+        if self.census.timed == 0 || !self.entries.iter().any(|e| e.expiry(now).is_some()) {
             return;
         }
         for entry in self.entries.extract_if(.., |e| e.expiry(now).is_some()) {
+            self.census.forget(&entry);
             let reason = entry.expiry(now).expect("extracted because it expired");
             removed(entry, reason);
         }
@@ -696,11 +751,16 @@ mod tests {
         FlowEntry { id: 0, ..e.clone() }
     }
 
+    /// 12 000 random ops on the table and on the oracle hold the same
+    /// entries. After every op the table's census is a recount of its
+    /// entries (the identities it holds, how many entries are timed),
+    /// and a table it counts no timed entry in has none that could ever
+    /// fall due.
     #[test]
     fn identity_scan_matches_the_scanning_table() {
         use zen_wire::lcg::Lcg;
         let mut rng = Lcg::new(0x1DE4717);
-        let mut ops = 0;
+        let (mut ops, mut retimed, mut untimed) = (0, 0, 0);
         for case in 0..40 {
             let mut real = FlowTable::new();
             let mut model = Scanning::default();
@@ -733,6 +793,18 @@ mod tests {
                         .with_timeouts(
                             *rng.choose(&[0, 50, 200]).unwrap(),
                             *rng.choose(&[0, 400]).unwrap(),
+                        );
+                        // Every third table is mostly programmed: no timeouts.
+                        let spec = match case % 3 == 0 && !rng.gen_ratio(1, 8) {
+                            true => spec.with_timeouts(0, 0),
+                            false => spec,
+                        };
+                        let same = |e: &&FlowEntry| {
+                            e.spec.priority == priority && e.spec.matcher == matcher
+                        };
+                        let replaced = model.entries.iter().find(same);
+                        retimed += usize::from(
+                            replaced.is_some_and(|e| e.spec.is_timed() != spec.is_timed()),
                         );
                         let (a, b) = (real.add(spec.clone(), now), model.add(spec, now));
                         let victims = |o: &AddOutcome| match o {
@@ -779,9 +851,18 @@ mod tests {
                     .entries
                     .iter()
                     .all(|e| { e.id == identity(e.spec.priority, &e.spec.matcher) }));
+                let mut recount = Census::default();
+                real.entries.iter().for_each(|e| recount.note(e));
+                assert_eq!(real.census.ids, recount.ids, "{at}");
+                assert_eq!(real.census.timed, recount.timed, "{at}");
+                if real.census.timed == 0 {
+                    assert!(real.entries.iter().all(|e| e.expiry(Nanos::MAX).is_none()));
+                    untimed += usize::from(!real.is_empty());
+                }
                 ops += 1;
             }
         }
         assert!(ops >= 10_000);
+        assert!(retimed > 200 && untimed > 1_000, "{retimed} {untimed}");
     }
 }

@@ -1005,6 +1005,11 @@ impl<'a> XidList<'a> {
     pub fn iter(&self) -> impl ExactSizeIterator<Item = u32> + Clone + 'a {
         self.0.as_chunks().0.iter().map(|&b| u32::from_be_bytes(b))
     }
+
+    /// The `i`-th xid in wire order, if the list is that long.
+    pub fn get(&self, i: usize) -> Option<u32> {
+        self.0.as_chunks().0.get(i).map(|&b| u32::from_be_bytes(b))
+    }
 }
 
 impl<'a> List<'a> for XidList<'a> {
