@@ -30,6 +30,10 @@ use crate::trace::TraceId;
 /// Default capacity of the trace ring, in records.
 pub const DEFAULT_RING_CAPACITY: usize = 65_536;
 
+/// How many records the ring makes room for at its first record; it
+/// grows from there up to its capacity.
+const RING_FIRST_ALLOCATION: usize = 4096;
+
 /// Maximum number of in-flight xid→trace bindings retained.
 const XID_MAP_CAPACITY: usize = 65_536;
 
@@ -319,7 +323,7 @@ impl Recorder {
             shared: Arc::new(Shared {
                 enabled: AtomicBool::new(false),
                 inner: Mutex::new(Inner {
-                    ring: VecDeque::with_capacity(capacity.min(4096)),
+                    ring: VecDeque::new(),
                     capacity,
                     dropped: 0,
                     current: None,
@@ -362,6 +366,12 @@ impl Recorder {
             return;
         }
         let mut inner = self.inner();
+        // The ring is allocated by the first record: most recorders are
+        // never enabled, and an empty one costs nothing.
+        if inner.ring.capacity() == 0 {
+            let first = inner.capacity.min(RING_FIRST_ALLOCATION);
+            inner.ring.reserve_exact(first);
+        }
         if inner.ring.len() == inner.capacity {
             inner.ring.pop_front();
             inner.dropped += 1;
