@@ -32,10 +32,11 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 
 use zen_proto::{
-    ew_entry_bytes, intent_entry_bytes, match_bytes, EwEntry, Intent, IntentEntry, Message,
+    ew_entry_bytes_into, intent_entry_bytes, match_bytes, EwEntry, Intent, IntentEntry, Message,
 };
 
 pub use zen_wire::fnv::{fnv1a, fnv1a_fold};
@@ -48,9 +49,17 @@ pub const CHAIN_SEED: u64 = zen_wire::fnv::OFFSET_BASIS;
 pub const KEEP_TAIL: u64 = 32;
 
 /// Advance an east-west chain hash by one log entry: the new state is
-/// the old state folded with the entry's canonical wire bytes.
+/// the old state folded with the entry's canonical wire bytes, encoded
+/// into a buffer each thread keeps for the next entry.
 pub fn chain_ew(h: u64, entry: &EwEntry) -> u64 {
-    fnv1a_fold(h, &ew_entry_bytes(entry))
+    thread_local! {
+        static BYTES: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+    }
+    BYTES.with_borrow_mut(|bytes| {
+        bytes.clear();
+        ew_entry_bytes_into(bytes, entry);
+        fnv1a_fold(h, bytes)
+    })
 }
 
 /// Checksum pinning a catchup payload: a chain hash over the snapshot

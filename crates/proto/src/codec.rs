@@ -894,8 +894,13 @@ messages! {
 /// digests agree on the exact bytes being summarized.
 pub fn ew_entry_bytes(entry: &EwEntry) -> Vec<u8> {
     let mut out = Vec::with_capacity(32);
-    entry.put(&mut out);
+    ew_entry_bytes_into(&mut out, entry);
     out
+}
+
+/// [`ew_entry_bytes`], appended to `out`.
+pub fn ew_entry_bytes_into(out: &mut Vec<u8>, entry: &EwEntry) {
+    entry.put(out);
 }
 
 /// The canonical wire bytes of one flow match (used as a stable state

@@ -34,8 +34,9 @@ pub mod codec;
 
 pub use codec::{
     decode, decode_view, encode, encode_barrier_reply_into, encode_barrier_request_into,
-    encode_into, encode_packet_out, encode_packet_out_into, ew_entry_bytes, frames,
-    intent_entry_bytes, match_bytes, ActionList, CodecError, MessageView, XidList, HEADER_LEN,
+    encode_into, encode_packet_out, encode_packet_out_into, ew_entry_bytes, ew_entry_bytes_into,
+    frames, intent_entry_bytes, match_bytes, ActionList, CodecError, MessageView, XidList,
+    HEADER_LEN,
 };
 
 use zen_dataplane::{FlowMatch, FlowSpec, GroupDesc, PortNo};
