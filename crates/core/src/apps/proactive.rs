@@ -73,6 +73,10 @@ pub struct ProactiveFabric {
     /// reprograms (the update-consistency experiment's trigger).
     rehome: Option<(Instant, Ipv4Address, Dpid, PortNo)>,
     installed_version: Option<u64>,
+    /// Stage the fabric again though the view has not moved: the last
+    /// epoch was aborted, or a switch came back diverged. Unlike the
+    /// first program, it does not wait for the expected topology.
+    restage: bool,
     stable_ticks: u32,
     /// Parity-namespaced groups installed by the last epoch-mode
     /// reprogram, retired by the next one after its drain wave.
@@ -122,6 +126,7 @@ impl ProactiveFabric {
             dec_ttl: false,
             rehome: None,
             installed_version: None,
+            restage: false,
             stable_ticks: 0,
             epoch_groups: Vec::new(),
             desired: BTreeMap::new(),
@@ -285,7 +290,7 @@ impl ProactiveFabric {
             // Not programmed anywhere yet; the tick will get to it once
             // discovery stabilizes.
         } else if self.consistency == Consistency::PerPacket {
-            self.installed_version = None;
+            self.restage = true;
             self.stable_ticks = 1;
         } else {
             self.reconcile_switch(ctl, switch);
@@ -312,6 +317,7 @@ impl ProactiveFabric {
             }
         }
         self.installed_version = Some(ctl.view.version);
+        self.restage = false;
     }
 
     /// Stage the whole fabric as one epoch-versioned two-phase update.
@@ -443,7 +449,7 @@ impl App for ProactiveFabric {
             return;
         }
         match self.installed_version {
-            Some(v) if v == ctl.view.version => {}
+            Some(v) if v == ctl.view.version && !self.restage => {}
             _ => {
                 // Require two quiet ticks so discovery bursts settle.
                 self.stable_ticks += 1;
@@ -479,7 +485,7 @@ impl App for ProactiveFabric {
         // never acked). The old configuration still carries traffic;
         // re-stage against the current view on the next tick.
         self.txn_aborts += 1;
-        self.installed_version = None;
+        self.restage = true;
         self.stable_ticks = 1;
     }
 

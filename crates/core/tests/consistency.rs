@@ -154,6 +154,49 @@ fn switch_cut_off_mid_commit_does_not_wedge_epoch_flip() {
     assert!(rx >= 250, "too much loss across the failure: {rx}/500");
 }
 
+/// The diamond at `seed`, streaming 1 000 datagrams, with switch 1 cut
+/// off from the controller from 1.9 s to 4.6 s and the ring link
+/// between switches 2 and 3 cut for good at 2 s. The only path left
+/// between the hosts crosses switch 1, and the rewrite the cut starts
+/// cannot be acked there before its staging deadline.
+fn cut_off_past_the_deadline(seed: u64) -> (World, zen_core::Fabric) {
+    let (mut world, fabric) = build_diamond(seed, 1_000);
+    world.set_fault_plan(FaultPlan::default().partition(
+        fabric.controller,
+        fabric.switches[1],
+        Window::new(Instant::from_millis(1_900), Instant::from_millis(4_600)),
+    ));
+    world.schedule_link_state(fabric.switch_links[2], false, Instant::from_secs(2));
+    (world, fabric)
+}
+
+/// What host 1 has received.
+fn rx(world: &World, fabric: &zen_core::Fabric) -> u64 {
+    world.node_as::<Host>(fabric.hosts[1]).stats.udp_rx
+}
+
+/// An aborted epoch is staged again at once, though the link that went
+/// down stays down: only the first program waits for the expected
+/// topology. Traffic resumes within a second of the heal and loses
+/// nothing after that.
+#[test]
+fn an_epoch_aborted_while_a_link_stays_down_is_staged_again() {
+    for seed in [0xC0_0002, 1, 2, 3, 42] {
+        let (mut world, fabric) = cut_off_past_the_deadline(seed);
+        world.run_until(Instant::from_millis(4_600));
+        let healed = rx(&world, &fabric);
+        world.run_until(Instant::from_millis(5_600));
+        let resumed = rx(&world, &fabric);
+        assert!(resumed > healed, "seed {seed}: nothing since {healed}");
+        world.run_until(Instant::from_secs(10));
+        let ctl = world.node_as::<Controller>(fabric.controller);
+        assert!(ctl.stats.txns_aborted >= 1, "seed {seed}: nothing aborted");
+        // One datagram every 10 ms from 5.6 s to 10 s.
+        let lost = 440 - (rx(&world, &fabric) - resumed);
+        assert_eq!(lost, 0, "seed {seed}");
+    }
+}
+
 /// Everything the soak compares between two same-seed runs. Any
 /// divergence — one event, one message, one counter — fails the
 /// equality below.
