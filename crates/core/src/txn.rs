@@ -434,7 +434,9 @@ pub(crate) enum Notice {
 /// the controller does the sending and the callbacks.
 #[derive(Default)]
 pub struct UpdatePlanner {
-    queue: VecDeque<NetworkUpdate>,
+    /// Committed updates, each beside the epoch
+    /// [`UpdatePlanner::staged_epoch`] promised it.
+    queue: VecDeque<(u64, NetworkUpdate)>,
     active: Option<ActiveTxn>,
     config_epoch: u64,
 }
@@ -464,9 +466,10 @@ impl UpdatePlanner {
         self.active.is_some() || !self.queue.is_empty()
     }
 
-    /// Queue a committed multi-switch per-packet update.
+    /// Queue a committed multi-switch per-packet update under the epoch
+    /// [`UpdatePlanner::staged_epoch`] promises it.
     pub(crate) fn submit(&mut self, update: NetworkUpdate) {
-        self.queue.push_back(update);
+        self.queue.push_back((self.staged_epoch(), update));
     }
 
     /// Whether the active transaction waits on acks: then every switch
@@ -500,7 +503,8 @@ impl UpdatePlanner {
     }
 
     /// The next step at `now`, if there is one: activate the next
-    /// queued update when idle, and move the active transaction through
+    /// queued update when idle (or abort it unsent, if it can no longer
+    /// have the epoch it was promised), and move the active transaction through
     /// staging → flipping → draining → retiring as its acks arrive and
     /// its deadlines pass. Call until `None`, handing each step's xids
     /// to [`UpdatePlanner::sent`] before the next call. `stats` counts
@@ -508,8 +512,22 @@ impl UpdatePlanner {
     pub(crate) fn step(&mut self, now: Instant, stats: &mut CtlStats) -> Option<Step> {
         loop {
             let Some(txn) = self.active.as_mut() else {
-                let update = self.queue.pop_front()?;
-                return Some(self.activate(update, now));
+                let (epoch, update) = self.queue.pop_front()?;
+                if epoch == self.config_epoch + 1 {
+                    return Some(self.activate(update, now));
+                }
+                // An update ahead of it aborted, so its epoch is not the
+                // next one, and the cookies and group ids its owner
+                // chose by that epoch's parity are the live
+                // configuration's. Hand it back unsent.
+                stats.txns_aborted += 1;
+                let (owner, token) = (update.owner, update.token);
+                return Some(Step {
+                    epoch,
+                    phase: "aborted",
+                    mods: Vec::new(),
+                    notice: Some(Notice::Aborted { owner, token }),
+                });
             };
             match txn.phase {
                 TxnPhase::Staging if txn.failed || now >= txn.deadline => {
@@ -797,6 +815,34 @@ mod tests {
             assert_eq!(done, None);
             assert!(!planner.is_busy());
         }
+    }
+
+    /// An update queued behind one that aborts was promised the epoch
+    /// after it, and its owner named its cookies and groups by that
+    /// epoch's parity: it is aborted unsent, never staged under the
+    /// epoch the aborted one left free.
+    #[test]
+    fn an_update_queued_behind_an_abort_is_aborted_unsent() {
+        let mut stats = CtlStats::default();
+        let mut planner = staging(&mut stats);
+        assert_eq!(planner.staged_epoch(), 2);
+        planner.submit(update(2));
+        planner.note_xid(1, false);
+        let first = planner.step(T0, &mut stats).expect("aborts");
+        assert_eq!((first.epoch, first.phase), (1, "aborted"));
+        let second = planner.step(T0, &mut stats).expect("aborts unsent");
+        let notice = Some(Notice::Aborted {
+            owner: "test",
+            token: 2,
+        });
+        assert_eq!(
+            (second.epoch, second.phase, second.mods, second.notice),
+            (2, "aborted", vec![], notice)
+        );
+        assert_eq!((stats.txns_aborted, planner.config_epoch()), (2, 0));
+        assert_eq!(planner.step(T0, &mut stats), None);
+        assert!(!planner.is_busy());
+        assert_eq!(planner.staged_epoch(), 1);
     }
 
     #[test]

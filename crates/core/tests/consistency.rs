@@ -10,7 +10,7 @@
 use zen_core::apps::proactive::FABRIC_MAC;
 use zen_core::apps::ProactiveFabric;
 use zen_core::harness::default_host_ip as default_ip;
-use zen_core::{build_fabric, build_fabric_with_hosts, Controller, FabricOptions};
+use zen_core::{build_fabric, build_fabric_with_hosts, Controller, FabricOptions, SwitchAgent};
 use zen_sim::{Duration, FaultPlan, Host, Instant, Topology, Window, Workload, World};
 
 /// Diamond fabric (4-switch ring, hosts at opposite corners) running
@@ -194,6 +194,34 @@ fn an_epoch_aborted_while_a_link_stays_down_is_staged_again() {
         // One datagram every 10 ms from 5.6 s to 10 s.
         let lost = 440 - (rx(&world, &fabric) - resumed);
         assert_eq!(lost, 0, "seed {seed}");
+    }
+}
+
+/// A rewrite re-staged while the aborting one still stages is queued
+/// behind it, under the next epoch's parity. Once the cut-off switch is
+/// back and the fabric has settled, every switch holds the groups of
+/// the committed epoch's parity and no other: the queued rewrite was
+/// never staged over the live groups, and the live parity's groups
+/// were retired when the next epoch committed.
+#[test]
+fn every_switch_ends_holding_only_the_committed_paritys_groups() {
+    for seed in [0xC0_0002, 1, 2, 3, 42] {
+        let (mut world, fabric) = cut_off_past_the_deadline(seed);
+        world.run_until(Instant::from_secs(10));
+        let ctl = world.node_as::<Controller>(fabric.controller);
+        assert!(!ctl.txn_busy() && ctl.stats.txns_aborted >= 1);
+        let parity = (ctl.config_epoch() % 2) as u32;
+        for &switch in &fabric.switches {
+            let agent = world.node_as::<SwitchAgent>(switch);
+            let groups: Vec<u32> = agent.dp.groups().iter().map(|(id, _)| id).collect();
+            assert!(!groups.is_empty(), "seed {seed}");
+            let stray = groups.iter().filter(|&&id| (id >= 0x5000) != (parity == 1));
+            assert_eq!(
+                stray.count(),
+                0,
+                "seed {seed}: {groups:x?}, parity {parity}"
+            );
+        }
     }
 }
 
