@@ -176,6 +176,14 @@
 # allocations inside the controller per PACKET_IN (0.00525 -> 0.00266):
 # both ceilings follow.
 #
+# cluster_churn's allocations per simulated ms, 40.388 while a tracked
+# mod's kept buffer was allocated at its frame's exact length, are gated
+# from there on at 40.34 (40.337): a spare that had held a shorter mod
+# grew on reuse, 5 118 times a run; kept buffers are now allocated at
+# the power of two at or above the frame's length. No digest moved, and
+# reactive_churn, where no spare ever grew, reads 588.81 bytes a setup
+# as before.
+#
 # A change that moves a digest on purpose updates it below in the same
 # commit and says why; a change that lowers a count lowers its ceiling.
 set -eu
@@ -184,7 +192,7 @@ TABLE='
 fabric_forward 7f5821b7a36bbdf0 core.agent.allocs_per_frame<=1.01 dataplane.datapath.allocs_per_micro_hit<=2 sim.world.drops_queue<=0
 reactive_churn d7c53360dc63f869 core.controller.msgs_per_op<=13.43 sim.world.events_per_op<=15.50 sim.world.ctl_bytes_per_op<=738 trace.allocs_per_op<=12.23 trace.bytes_alloc_per_op<=589 core.controller.allocs_per_packet_in<=0.0027 core.agent.allocs_per_frame<=1.042
 cbench_closed 41e331e4b6dbcf15 core.controller.allocs_per_packet_in<=0 core.controller.decode_errors<=0 trace.allocs_per_op<=1.0002 trace.bytes_alloc_per_op<=36
-cluster_churn 2233316a803ccbbf trace.allocs_per_op<=40.39 core.controller.mods_retransmitted<=9175 core.controller.flow_mods_per_op<=1.32 sim.world.ctl_bytes_per_op<=734 dataplane.cache.invalidations<=40520
+cluster_churn 2233316a803ccbbf trace.allocs_per_op<=40.34 core.controller.mods_retransmitted<=9175 core.controller.flow_mods_per_op<=1.32 sim.world.ctl_bytes_per_op<=734 dataplane.cache.invalidations<=40520
 '
 
 fail() {

@@ -41,8 +41,8 @@ pub(crate) enum Body<'a> {
     Unnumbered(&'a Message),
     /// A state mod under the next xid, encoded straight into the
     /// channel and copied from there into the buffer its session keeps
-    /// for resending: an empty buffer is allocated once, at the
-    /// frame's length.
+    /// for resending: a spare that holds the frame, else one allocated
+    /// once, at the power of two at or above the frame's length.
     Tracked(&'a Message, &'a mut Vec<u8>),
     /// A tracked mod resent as first sent, xid included.
     Resent(&'a [u8]),
@@ -67,7 +67,11 @@ impl Body<'_> {
             Body::Tracked(msg, kept) => {
                 let start = buf.len();
                 encode_into(buf, msg, xid);
-                kept.extend_from_slice(&buf[start..]);
+                // Sized to a class, not to the frame: a spare that held
+                // one mod then fits the next of a like size.
+                let frame = &buf[start..];
+                kept.reserve_exact(frame.len().next_power_of_two());
+                kept.extend_from_slice(frame);
             }
             Body::Resent(bytes) => buf.extend_from_slice(bytes),
             Body::PacketOut(port, actions, frame) => {
@@ -499,6 +503,23 @@ mod tests {
     /// The control messages `world`'s channel carried.
     fn carried(world: &World) -> u64 {
         world.metrics().counter("sim.control_msgs")
+    }
+
+    /// A tracked mod's kept buffer is allocated at the power of two at
+    /// or above its frame's length, and a spare that holds the frame is
+    /// filled as it is.
+    #[test]
+    fn a_kept_buffer_is_allocated_to_a_size_class() {
+        let msg = Message::GroupMod {
+            group_id: 3,
+            cmd: zen_proto::GroupModCmd::Delete,
+        };
+        let (mut buf, mut kept) = (Vec::new(), Vec::new());
+        Body::Tracked(&msg, &mut kept).put(&mut buf, 7);
+        assert_eq!((kept.len(), kept.capacity()), (buf.len(), 16));
+        let mut spare = Vec::with_capacity(24);
+        Body::Tracked(&msg, &mut spare).put(&mut buf, 8);
+        assert_eq!((spare.len(), spare.capacity()), (kept.len(), 24));
     }
 
     /// Three replicas and no switch, for 3 s: all they write is gossip,

@@ -624,7 +624,7 @@ impl Southbound {
 
     /// A buffer for the next mod to be tracked: one an acknowledged mod
     /// left behind, where one is kept, else an empty one the writer
-    /// allocates once, at the frame's length ([`Body::Tracked`]).
+    /// allocates once, at its frame's size class ([`Body::Tracked`]).
     pub(crate) fn spare(&mut self) -> Vec<u8> {
         self.spare.pop().unwrap_or_default()
     }
