@@ -16,22 +16,36 @@
 //! Compare with `k = 1` (single shortest path) to reproduce the
 //! "centralized TE drives utilization" experiment.
 //!
-//! ## Update strategies
+//! ## Rollouts
 //!
-//! Reconfiguration (demand or topology change) can be applied two ways
-//! ([`UpdateStrategy`]):
+//! A reconfiguration (demand or topology change) is one
+//! [`NetworkUpdate`](crate::txn::NetworkUpdate), staged in this order:
+//! retire the live generation's cookie and groups, stage the new
+//! generation's tunnels and SELECT groups under the cookie, VLAN tags
+//! and group ids of its epoch's parity, then stage the ingress
+//! classifiers as [`FlowRole::Cutover`] rules. [`consistency`] decides
+//! what the controller makes of it:
 //!
-//! * **TearDownFirst** — delete the old generation, then install the
-//!   new one. Simple, but under asynchronous rule application (control
-//!   channel jitter) switches transition at unpredictable relative
-//!   times and traffic blackholes transiently.
-//! * **MakeBeforeBreak** — the consistency-aware scheme of the
-//!   congestion-free-update literature (zUpdate/SWAN): install the new
-//!   generation's tunnels under fresh VLAN tags alongside the old,
-//!   *then* atomically swap the ingress classifiers, *then* (one more
-//!   round later) garbage-collect the old generation. Every packet is
-//!   handled entirely by one generation, so reconfiguration is
-//!   hitless.
+//! * [`Consistency::PerPacket`] — make-before-break, the
+//!   consistency-aware scheme of the congestion-free-update literature
+//!   (zUpdate/SWAN). The update planner sends the tunnels and groups,
+//!   waits until every switch has acked them, then sends the
+//!   classifiers, each replacing its predecessor in place (same
+//!   priority and match), and retires the old generation after the
+//!   drain wave. Every packet is handled entirely by one generation,
+//!   so reconfiguration is hitless. The tags carry the version, so no
+//!   epoch stamp is added.
+//! * [`Consistency::Relaxed`] — teardown-first: every op goes out at
+//!   once, in staging order, so the retires lead. Relaxed updates never
+//!   move the epoch, so each generation replaces its own parity's.
+//!   Under asynchronous rule application (control-channel jitter)
+//!   switches transition at unpredictable relative times and traffic
+//!   blackholes transiently.
+//!
+//! The local-delivery rules ([`TE_STATIC_COOKIE`]) are their own
+//! relaxed update: an aborted rollout deletes every cookie it staged.
+//!
+//! [`consistency`]: TrafficEngineering::consistency
 
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -44,58 +58,19 @@ use zen_wire::Ipv4Cidr;
 use crate::app::App;
 use crate::apps::proactive::StaticHost;
 use crate::controller::Ctl;
+use crate::txn::{Consistency, FlowRole};
 use crate::view::Dpid;
 
 pub use crate::policy::{TE_GEN0_COOKIE, TE_GEN1_COOKIE, TE_STATIC_COOKIE};
 
-/// How reconfigurations are rolled out.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UpdateStrategy {
-    /// Delete the old rules, then install the new ones. Disruptive
-    /// under asynchronous application.
-    TearDownFirst,
-    /// Install new-generation tunnels alongside the old, swap ingress
-    /// classifiers one round later, collect garbage the round after —
-    /// hitless.
-    MakeBeforeBreak,
-}
+/// The name rollouts are owned by.
+const OWNER: &str = "traffic-engineering";
 
-fn gen_cookie(generation: u8) -> u64 {
-    if generation == 0 {
-        TE_GEN0_COOKIE
-    } else {
-        TE_GEN1_COOKIE
-    }
-}
-
-fn gen_tag_base(generation: u8) -> u16 {
-    // Disjoint VLAN tag spaces per generation.
-    if generation == 0 {
-        100
-    } else {
-        2100
-    }
-}
-
-fn gen_gid_base(generation: u8) -> u32 {
-    if generation == 0 {
-        0x2000
-    } else {
-        0x3000
-    }
-}
-
-/// The deferred phases of a make-before-break rollout.
-struct PendingSwap {
-    /// Ingress classifier rules pointing at the new generation.
-    ingress: Vec<(Dpid, zen_dataplane::FlowSpec)>,
-    /// The previous generation's cookie to purge.
-    old_cookie: u64,
-    /// The previous generation's groups to delete.
-    old_groups: Vec<(Dpid, u32)>,
-    /// Whether the ingress swap has been sent (phase 2 of 3).
-    swap_sent: bool,
-}
+/// A generation's cookie, first VLAN tag and first group id, by its
+/// epoch's parity: disjoint spaces, so two generations coexist.
+const GEN_COOKIE: [u64; 2] = [TE_GEN0_COOKIE, TE_GEN1_COOKIE];
+const GEN_TAG_BASE: [u16; 2] = [100, 2100];
+const GEN_GID_BASE: [u32; 2] = [0x2000, 0x3000];
 
 /// A traffic demand between sites.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,17 +103,21 @@ pub struct TrafficEngineering {
     pub expected_switches: usize,
     /// Expected directed link count before programming.
     pub expected_links: usize,
-    /// Rollout strategy for reconfigurations.
-    pub strategy: UpdateStrategy,
+    /// How a rollout takes effect: make-before-break under
+    /// [`Consistency::PerPacket`] (the default), teardown-first under
+    /// [`Consistency::Relaxed`] (see the module docs).
+    pub consistency: Consistency,
     /// Swap the demand matrix at a scheduled time (nanoseconds), forcing
     /// a live reconfiguration — the trigger the update-disruption
     /// experiment uses.
     pub scheduled_demands: Option<(u64, Vec<SiteDemand>)>,
     installed_version: Option<u64>,
     stable_ticks: u32,
-    installed_groups: Vec<(Dpid, u32)>,
-    generation: u8,
-    pending: Option<PendingSwap>,
+    /// The groups each parity's generation was last staged with, retired
+    /// by the rollout that replaces it.
+    groups: [Vec<(Dpid, u32)>; 2],
+    /// Roll out again though the view has not moved: the demands
+    /// changed, or the last rollout was aborted.
     force_reinstall: bool,
     /// Reprogram passes (metric).
     pub installs: u64,
@@ -170,13 +149,11 @@ impl TrafficEngineering {
             buckets: 8,
             expected_switches,
             expected_links,
-            strategy: UpdateStrategy::MakeBeforeBreak,
+            consistency: Consistency::PerPacket,
             scheduled_demands: None,
             installed_version: None,
             stable_ticks: 0,
-            installed_groups: Vec::new(),
-            generation: 1,
-            pending: None,
+            groups: Default::default(),
             force_reinstall: false,
             installs: 0,
             last_rates: Vec::new(),
@@ -208,10 +185,47 @@ impl TrafficEngineering {
 
     fn install_all(&mut self, ctl: &mut Ctl<'_, '_>) {
         self.installs += 1;
-        // The whole generation rollout is declared as one relaxed
-        // transaction: operations go out in staging order, exactly as
-        // the loose calls used to.
-        let mut txn = ctl.txn();
+        let switch_list: Vec<Dpid> = ctl.view.switches.keys().copied().collect();
+
+        // Own-site shortcut and local delivery, on every switch: outside
+        // the rollout, whose abort deletes every cookie it staged.
+        let mut statics = ctl.txn();
+        for &switch in &switch_list {
+            if let Some(&prefix) = self.site_prefixes.get(&switch) {
+                let spec = FlowSpec::new(75, FlowMatch::ipv4_to(prefix), vec![])
+                    .with_goto(1)
+                    .with_cookie(TE_STATIC_COOKIE);
+                statics.flow(switch, 0, spec);
+            }
+            for host in self.hosts.iter().filter(|h| h.dpid == switch) {
+                let matcher = FlowMatch::ipv4_to(Ipv4Cidr::new(host.ip, 32).expect("/32 is valid"));
+                let actions = vec![Action::SetEthDst(host.mac), Action::Output(host.port)];
+                let spec = FlowSpec::new(10, matcher, actions).with_cookie(TE_STATIC_COOKIE);
+                statics.flow(switch, 1, spec);
+            }
+        }
+        statics.commit(ctl);
+
+        // The new generation takes its epoch's parity; a relaxed one
+        // moves no epoch and so replaces its own parity's.
+        let epoch = ctl.staged_epoch();
+        let live = match self.consistency {
+            Consistency::PerPacket => epoch - 1,
+            Consistency::Relaxed => epoch,
+        };
+        let (parity, live) = ((epoch % 2) as usize, (live % 2) as usize);
+        let cookie = GEN_COOKIE[parity];
+        let mut txn = ctl.txn().owned_by(OWNER, epoch);
+        txn.consistency = self.consistency;
+        for &switch in &switch_list {
+            txn.retire_flows_by_cookie(switch, GEN_COOKIE[live]);
+        }
+        for (switch, gid) in std::mem::take(&mut self.groups[live]) {
+            txn.retire_group(switch, gid);
+        }
+        // An aborted rollout's groups under this parity are gone.
+        self.groups[parity].clear();
+
         // The shared topology with this app's line rate on every edge
         // (same edge order, so path edge indices agree).
         let routes = ctl.view.routes();
@@ -219,22 +233,6 @@ impl TrafficEngineering {
         let mut graph = Graph::with_nodes(dpids.len());
         for e in routes.graph.edges() {
             graph.add_edge(e.from, e.to, e.weight, self.capacity_bps);
-        }
-        let switch_list: Vec<Dpid> = ctl.view.switches.keys().copied().collect();
-
-        let new_gen = self.generation ^ 1;
-        let cookie = gen_cookie(new_gen);
-        let old_cookie = gen_cookie(self.generation);
-        let old_groups = std::mem::take(&mut self.installed_groups);
-
-        if self.strategy == UpdateStrategy::TearDownFirst {
-            // Tear down the previous generation before building the new.
-            for &switch in &switch_list {
-                txn.delete_flows_by_cookie(switch, old_cookie);
-            }
-            for &(switch, gid) in &old_groups {
-                txn.delete_group(switch, gid);
-            }
         }
 
         // Allocate.
@@ -252,7 +250,7 @@ impl TrafficEngineering {
 
         // Realize tunnels.
         let mut ingress_rules: Vec<(Dpid, FlowSpec)> = Vec::new();
-        let mut next_tag: u16 = gen_tag_base(new_gen);
+        let mut next_tag: u16 = GEN_TAG_BASE[parity];
         for (di, demand) in demands.iter().enumerate() {
             let used_paths = &alloc.paths[di];
             if used_paths.is_empty() {
@@ -304,7 +302,7 @@ impl TrafficEngineering {
             if buckets.is_empty() {
                 continue;
             }
-            let gid = gen_gid_base(new_gen) + di as u32;
+            let gid = GEN_GID_BASE[parity] + di as u32;
             txn.group(
                 demand.src,
                 gid,
@@ -313,108 +311,31 @@ impl TrafficEngineering {
                     buckets,
                 },
             );
-            self.installed_groups.push((demand.src, gid));
+            self.groups[parity].push((demand.src, gid));
 
-            // Ingress classification. Replacing the previous generation's
-            // classifier is the atomic switchover point: FlowTable ADD
-            // replaces an identical (priority, match) entry in place.
+            // Ingress classification: replacing the live generation's
+            // classifier in place (same priority and match) is the
+            // switchover.
             if let Some(&prefix) = self.site_prefixes.get(&demand.dst) {
                 let spec = FlowSpec::new(70, FlowMatch::ipv4_to(prefix), vec![Action::Group(gid)])
                     .with_cookie(cookie);
                 ingress_rules.push((demand.src, spec));
             }
         }
-
-        // Own-site shortcut and local delivery, on every switch.
-        let hosts = self.hosts.clone();
-        for &switch in &switch_list {
-            if let Some(&prefix) = self.site_prefixes.get(&switch) {
-                let spec = FlowSpec::new(75, FlowMatch::ipv4_to(prefix), vec![])
-                    .with_goto(1)
-                    .with_cookie(TE_STATIC_COOKIE);
-                txn.flow(switch, 0, spec);
-            }
-            for host in hosts.iter().filter(|h| h.dpid == switch) {
-                let matcher = FlowMatch::ipv4_to(Ipv4Cidr::new(host.ip, 32).expect("/32 is valid"));
-                let spec = FlowSpec::new(
-                    10,
-                    matcher,
-                    vec![Action::SetEthDst(host.mac), Action::Output(host.port)],
-                )
-                .with_cookie(TE_STATIC_COOKIE);
-                txn.flow(switch, 1, spec);
-            }
-        }
-
-        match self.strategy {
-            UpdateStrategy::TearDownFirst => {
-                // Swap immediately; old state is already gone.
-                for (dpid, spec) in ingress_rules {
-                    txn.flow(dpid, 0, spec);
-                }
-                txn.commit(ctl);
-            }
-            UpdateStrategy::MakeBeforeBreak => {
-                // Fence phase 1, then defer the swap and the garbage
-                // collection to the next two ticks, leaving room for
-                // jittered installs to land everywhere first.
-                txn.commit(ctl);
-                for &switch in &switch_list {
-                    ctl.barrier(switch);
-                }
-                self.pending = Some(PendingSwap {
-                    ingress: ingress_rules,
-                    old_cookie,
-                    old_groups,
-                    swap_sent: false,
-                });
-            }
-        }
-        self.generation = new_gen;
-        self.installed_version = Some(ctl.view.version);
-    }
-
-    /// Advance a pending make-before-break rollout by one phase.
-    fn advance_pending(&mut self, ctl: &mut Ctl<'_, '_>) {
-        let Some(pending) = self.pending.as_mut() else {
-            return;
-        };
-        if !pending.swap_sent {
-            // Phase 2: atomic ingress swap.
-            let ingress = std::mem::take(&mut pending.ingress);
-            pending.swap_sent = true;
-            let mut txn = ctl.txn();
-            for (dpid, spec) in ingress {
-                txn.flow(dpid, 0, spec);
-            }
-            txn.commit(ctl);
-            return;
-        }
-        // Phase 3: garbage-collect the old generation.
-        let pending = self.pending.take().expect("checked above");
-        let switches: Vec<Dpid> = ctl.view.switches.keys().copied().collect();
-        let mut txn = ctl.txn();
-        for dpid in switches {
-            txn.delete_flows_by_cookie(dpid, pending.old_cookie);
-        }
-        for (dpid, gid) in pending.old_groups {
-            txn.delete_group(dpid, gid);
+        for (dpid, spec) in ingress_rules {
+            txn.flow_as(FlowRole::Cutover, dpid, 0, spec);
         }
         txn.commit(ctl);
+        self.installed_version = Some(ctl.view.version);
     }
 }
 
 impl App for TrafficEngineering {
     fn name(&self) -> &'static str {
-        "traffic-engineering"
+        OWNER
     }
 
     fn tick(&mut self, ctl: &mut Ctl<'_, '_>) {
-        // Finish any in-flight rollout before considering new work.
-        if self.pending.is_some() {
-            self.advance_pending(ctl);
-            return;
-        }
         // A scheduled demand change forces a live reconfiguration.
         if let Some((at, demands)) = self.scheduled_demands.take() {
             if ctl.now().as_nanos() >= at {
@@ -423,6 +344,11 @@ impl App for TrafficEngineering {
             } else {
                 self.scheduled_demands = Some((at, demands));
             }
+        }
+        // One rollout at a time: the next is staged against the
+        // generation the last one leaves.
+        if ctl.staged_epoch() > ctl.config_epoch() + 1 {
+            return;
         }
         // `ready` gates only the *initial* programming; once programmed,
         // any topology change (including lost links) must reprogram.
@@ -442,6 +368,14 @@ impl App for TrafficEngineering {
 
     fn on_port_status(&mut self, _ctl: &mut Ctl<'_, '_>, _dpid: Dpid, _port: PortNo, _up: bool) {
         self.stable_ticks = 1;
+    }
+
+    fn on_update_aborted(&mut self, _ctl: &mut Ctl<'_, '_>, owner: &'static str, _token: u64) {
+        // The new generation was torn down and the live one still
+        // carries traffic: stage the rollout again.
+        if owner == OWNER {
+            self.force_reinstall = true;
+        }
     }
 
     fn as_any(&self) -> &dyn Any {

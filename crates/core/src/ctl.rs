@@ -447,12 +447,6 @@ impl Ctl<'_, '_> {
         }
     }
 
-    /// Fence a switch (answered asynchronously). App-issued fences
-    /// cover no mod xids — delivery tracking uses its own barriers.
-    pub fn barrier(&mut self, dpid: Dpid) {
-        self.send(dpid, &Message::BarrierRequest { xids: Vec::new() });
-    }
-
     /// Propose a cluster-wide intent for linearizable commitment and
     /// return its token.
     ///

@@ -25,11 +25,14 @@
 //! network (the planner prepends `SetEpoch` at flip time),
 //! [`FlowRole::Internal`] marks rules that should only see packets of
 //! their own epoch (the planner injects the epoch qualifier into the
-//! matcher at staging time), and plain [`NetworkUpdate::flow`] is sent
-//! verbatim. *Retire* operations
-//! name the old configuration's footprint; the planner deletes it only
-//! after the drain wave (under `Relaxed` they execute in staging
-//! order, preserving the classic delete-then-reinstall sequence).
+//! matcher at staging time), [`FlowRole::Cutover`] marks rules that
+//! carry their own version (TE's tunnel tags) and are sent unchanged at
+//! the flip, and plain [`NetworkUpdate::flow`] is sent verbatim.
+//! *Retire* operations name the old configuration's footprint; the
+//! planner deletes it only after the drain wave (under `Relaxed` they
+//! execute in staging order, so staged first they tear down first).
+//! This is the one consistent-update mechanism: the fabric's epoch
+//! flip and TE's make-before-break are both updates to it.
 
 use std::collections::{BTreeSet, VecDeque};
 
@@ -65,6 +68,11 @@ pub enum FlowRole {
     /// the planner injects `matcher.epoch = Some(Some(tag))` at
     /// staging time.
     Internal,
+    /// A rule whose configuration is named by what it matches and
+    /// pushes (a tunnel tag, say), not by the epoch tag: held back
+    /// until every staged rule is acked, then sent unchanged at the
+    /// flip.
+    Cutover,
 }
 
 /// One staged operation of a [`NetworkUpdate`].
@@ -77,16 +85,12 @@ pub(crate) enum UpdateOp {
         spec: FlowSpec,
         role: FlowRole,
     },
-    /// Delete flows by cookie at staging time.
-    DeleteFlowsByCookie { dpid: Dpid, cookie: u64 },
     /// Install or replace a group.
     Group {
         dpid: Dpid,
         group_id: u32,
         desc: GroupDesc,
     },
-    /// Delete a group at staging time.
-    DeleteGroup { dpid: Dpid, group_id: u32 },
     /// Install or replace a meter.
     Meter {
         dpid: Dpid,
@@ -117,8 +121,7 @@ impl UpdateOp {
                 let cmd = FlowModCmd::Add(spec);
                 (dpid, Message::FlowMod { table_id, cmd })
             }
-            UpdateOp::DeleteFlowsByCookie { dpid, cookie }
-            | UpdateOp::RetireFlowsByCookie { dpid, cookie } => {
+            UpdateOp::RetireFlowsByCookie { dpid, cookie } => {
                 let cmd = FlowModCmd::DeleteByCookie { cookie };
                 (dpid, Message::FlowMod { table_id: 0, cmd })
             }
@@ -130,7 +133,7 @@ impl UpdateOp {
                 let cmd = GroupModCmd::Add(desc);
                 (dpid, Message::GroupMod { group_id, cmd })
             }
-            UpdateOp::DeleteGroup { dpid, group_id } | UpdateOp::RetireGroup { dpid, group_id } => {
+            UpdateOp::RetireGroup { dpid, group_id } => {
                 let cmd = GroupModCmd::Delete;
                 (dpid, Message::GroupMod { group_id, cmd })
             }
@@ -152,9 +155,7 @@ impl UpdateOp {
     pub(crate) fn dpid(&self) -> Dpid {
         match *self {
             UpdateOp::Flow { dpid, .. }
-            | UpdateOp::DeleteFlowsByCookie { dpid, .. }
             | UpdateOp::Group { dpid, .. }
-            | UpdateOp::DeleteGroup { dpid, .. }
             | UpdateOp::Meter { dpid, .. }
             | UpdateOp::RetireFlowsByCookie { dpid, .. }
             | UpdateOp::RetireGroup { dpid, .. } => dpid,
@@ -213,13 +214,6 @@ impl NetworkUpdate {
         self.flow_as(FlowRole::Plain, dpid, table_id, spec)
     }
 
-    /// Stage an immediate delete of all flows carrying `cookie`.
-    pub fn delete_flows_by_cookie(&mut self, dpid: Dpid, cookie: u64) -> &mut NetworkUpdate {
-        self.ops
-            .push(UpdateOp::DeleteFlowsByCookie { dpid, cookie });
-        self
-    }
-
     /// Stage a group install (or replace).
     pub fn group(&mut self, dpid: Dpid, group_id: u32, desc: GroupDesc) -> &mut NetworkUpdate {
         self.ops.push(UpdateOp::Group {
@@ -227,12 +221,6 @@ impl NetworkUpdate {
             group_id,
             desc,
         });
-        self
-    }
-
-    /// Stage an immediate group delete.
-    pub fn delete_group(&mut self, dpid: Dpid, group_id: u32) -> &mut NetworkUpdate {
-        self.ops.push(UpdateOp::DeleteGroup { dpid, group_id });
         self
     }
 
@@ -393,11 +381,11 @@ impl ActiveTxn {
         let flows = self
             .staged_cookies
             .into_iter()
-            .map(|(dpid, cookie)| UpdateOp::DeleteFlowsByCookie { dpid, cookie });
+            .map(|(dpid, cookie)| UpdateOp::RetireFlowsByCookie { dpid, cookie });
         let groups = self
             .staged_groups
             .into_iter()
-            .map(|(dpid, group_id)| UpdateOp::DeleteGroup { dpid, group_id });
+            .map(|(dpid, group_id)| UpdateOp::RetireGroup { dpid, group_id });
         let (owner, token) = (self.owner, self.token);
         Step {
             epoch: self.epoch,
@@ -594,8 +582,8 @@ impl UpdatePlanner {
     }
 
     /// Stage `update` under the next epoch: decorate every op, and send
-    /// all but the edge flips (held back for the flip) and the retire
-    /// ops (held back for after the drain).
+    /// all but the edge and cutover flows (held back for the flip) and
+    /// the retire ops (held back for after the drain).
     fn activate(&mut self, update: NetworkUpdate, now: Instant) -> Step {
         let epoch = self.config_epoch + 1;
         let tag = epoch_tag(epoch);
@@ -627,6 +615,10 @@ impl UpdatePlanner {
                     &mut txn.flip_msgs
                 }
                 UpdateOp::Flow {
+                    role: FlowRole::Cutover,
+                    ..
+                } => &mut txn.flip_msgs,
+                UpdateOp::Flow {
                     dpid, spec, role, ..
                 } => {
                     if *role == FlowRole::Internal {
@@ -642,9 +634,7 @@ impl UpdatePlanner {
                 UpdateOp::RetireFlowsByCookie { .. } | UpdateOp::RetireGroup { .. } => {
                     &mut txn.retire_msgs
                 }
-                UpdateOp::DeleteFlowsByCookie { .. }
-                | UpdateOp::DeleteGroup { .. }
-                | UpdateOp::Meter { .. } => &mut stage_msgs,
+                UpdateOp::Meter { .. } => &mut stage_msgs,
             };
             batch.push(op.into_message());
         }
@@ -664,8 +654,8 @@ mod tests {
     const NS: Duration = Duration::from_nanos(1);
 
     /// A two-switch update with one op of every kind: a plain and an
-    /// internal flow, a group, a meter and a delete to stage, an edge
-    /// flow to flip, and a flow and a group to retire.
+    /// internal flow, a group and a meter to stage, an edge and a
+    /// cutover flow to flip, and a flow and a group to retire.
     fn update(token: u64) -> NetworkUpdate {
         let spec = |cookie| FlowSpec::new(1, FlowMatch::ANY, vec![]).with_cookie(cookie);
         let mut update = NetworkUpdate::default()
@@ -683,8 +673,8 @@ mod tests {
                 },
             )
             .meter(2, 3, 1_000, 100)
-            .delete_flows_by_cookie(2, 8)
             .flow_as(FlowRole::Edge, 2, 0, spec(12))
+            .flow_as(FlowRole::Cutover, 1, 0, spec(13))
             .retire_flows_by_cookie(1, 9)
             .retire_group(2, 4);
         update
@@ -701,17 +691,17 @@ mod tests {
         }
     }
 
-    /// A planner with `update(1)` active at `T0`, its five staged mods
-    /// sent as xids 1–5.
+    /// A planner with `update(1)` active at `T0`, its four staged mods
+    /// sent as xids 1–4.
     fn staging(stats: &mut CtlStats) -> UpdatePlanner {
         let mut planner = UpdatePlanner::default();
         planner.submit(update(1));
         let step = planner.step(T0, stats).expect("activates");
-        assert_eq!((step.epoch, step.phase, step.mods.len()), (1, "staging", 5));
+        assert_eq!((step.epoch, step.phase, step.mods.len()), (1, "staging", 4));
         assert_eq!(added(&step.mods[0]).matcher.epoch, None, "plain");
         let internal = added(&step.mods[1]).matcher.epoch;
         assert_eq!(internal, Some(Some(epoch_tag(1))));
-        planner.sent(1..=5);
+        planner.sent(1..=4);
         planner
     }
 
@@ -767,11 +757,12 @@ mod tests {
     fn a_flip_failure_is_counted_and_the_flip_goes_on_to_drain() {
         let mut stats = CtlStats::default();
         let mut planner = staging(&mut stats);
-        let flip = ack(&mut planner, &[1, 2, 3, 4, 5], T0).expect("flips");
-        assert_eq!((flip.phase, flip.mods.len()), ("flipping", 1));
+        let flip = ack(&mut planner, &[1, 2, 3, 4], T0).expect("flips");
+        assert_eq!((flip.phase, flip.mods.len()), ("flipping", 2));
         let stamp = &added(&flip.mods[0]).actions[0];
         assert_eq!(stamp, &Action::SetEpoch(epoch_tag(1)));
-        planner.sent([6]);
+        planner.sent([5, 6]);
+        planner.note_xid(5, true);
         planner.note_xid(6, false);
         let step = planner.step(T0, &mut stats).expect("drains");
         assert_eq!((step.phase, step.mods.len()), ("draining", 0));
@@ -780,14 +771,40 @@ mod tests {
         assert_eq!((commit.phase, stats.epoch_flip_failures), ("committed", 1));
     }
 
+    /// A cutover flow is held back through staging and sent at the flip
+    /// as staged, with neither an epoch stamp nor an epoch qualifier;
+    /// the retires go out only once the drain wave has passed.
+    #[test]
+    fn a_cutover_flow_is_sent_unchanged_at_the_flip_and_retires_after_the_drain() {
+        let mut stats = CtlStats::default();
+        let mut planner = staging(&mut stats);
+        let flip = ack(&mut planner, &[1, 2, 3, 4], T0).expect("flips");
+        let spec = FlowSpec::new(1, FlowMatch::ANY, vec![]).with_cookie(13);
+        let cmd = FlowModCmd::Add(spec);
+        assert_eq!(flip.mods[1], (1, Message::FlowMod { table_id: 0, cmd }));
+        planner.sent([5, 6]);
+        let drain = ack(&mut planner, &[5, 6], T0).expect("drains");
+        assert_eq!((drain.phase, drain.mods.len()), ("draining", 0));
+        assert_eq!(planner.step(T0 + (TXN_DRAIN - NS), &mut stats), None);
+        let commit = planner.step(T0 + TXN_DRAIN, &mut stats).expect("commits");
+        let cmd = FlowModCmd::DeleteByCookie { cookie: 9 };
+        let flows = (1, Message::FlowMod { table_id: 0, cmd });
+        let cmd = GroupModCmd::Delete;
+        let group = (2, Message::GroupMod { group_id: 4, cmd });
+        assert_eq!(
+            (commit.phase, commit.mods),
+            ("committed", vec![flows, group])
+        );
+    }
+
     #[test]
     fn the_retire_wave_keeps_the_planner_busy_until_acked_or_its_deadline() {
         for acked in [true, false] {
             let mut stats = CtlStats::default();
             let mut planner = staging(&mut stats);
-            ack(&mut planner, &[1, 2, 3, 4, 5], T0).expect("flips");
-            planner.sent([6]);
-            let drain = ack(&mut planner, &[6], T0).expect("drains");
+            ack(&mut planner, &[1, 2, 3, 4], T0).expect("flips");
+            planner.sent([5, 6]);
+            let drain = ack(&mut planner, &[5, 6], T0).expect("drains");
             assert_eq!(drain.phase, "draining");
             assert_eq!(planner.step(T0 + (TXN_DRAIN - NS), &mut stats), None);
             let commit = planner.step(T0 + TXN_DRAIN, &mut stats).expect("commits");
@@ -853,9 +870,9 @@ mod tests {
         planner.submit(update(3));
         // Epoch 1 is staging; 2 and 3 are queued behind it.
         assert_eq!(planner.staged_epoch(), 4);
-        ack(&mut planner, &[1, 2, 3, 4, 5], T0).expect("flips");
-        planner.sent([6]);
-        ack(&mut planner, &[6], T0).expect("drains");
+        ack(&mut planner, &[1, 2, 3, 4], T0).expect("flips");
+        planner.sent([5, 6]);
+        ack(&mut planner, &[5, 6], T0).expect("drains");
         planner.step(T0 + TXN_DRAIN, &mut stats).expect("commits");
         // Epoch 1 is committed and retiring: it no longer counts.
         assert_eq!((planner.config_epoch(), planner.staged_epoch()), (1, 4));

@@ -648,12 +648,12 @@ fn monitor_app_collects_port_and_table_stats() {
 
 #[test]
 fn make_before_break_reconfig_is_hitless_under_jitter() {
-    use zen_core::apps::te::UpdateStrategy;
+    use zen_core::Consistency;
 
     // A triangle of sites; site 0 streams to site 1 continuously while
     // the demand matrix changes at t=2s, forcing a live tunnel
     // reconfiguration under 10 ms control-channel jitter.
-    fn run(strategy: UpdateStrategy) -> u64 {
+    fn run(consistency: Consistency) -> u64 {
         let topo = {
             let mut t = Topology::ring(3, LinkParams::default());
             t.hosts = vec![0, 1, 2];
@@ -701,7 +701,7 @@ fn make_before_break_reconfig_is_hitless_under_jitter() {
             3,
             expected_links,
         );
-        te.strategy = strategy;
+        te.consistency = consistency;
         te.scheduled_demands = Some((2_000_000_000, changed));
 
         let mut world = World::new(13);
@@ -743,11 +743,102 @@ fn make_before_break_reconfig_is_hitless_under_jitter() {
         probes - world.node_as::<Host>(fabric.hosts[1]).stats.udp_rx
     }
 
-    let hitless = run(UpdateStrategy::MakeBeforeBreak);
-    let teardown = run(UpdateStrategy::TearDownFirst);
+    let hitless = run(Consistency::PerPacket);
+    let teardown = run(Consistency::Relaxed);
     assert_eq!(hitless, 0, "make-before-break must be hitless");
     assert!(
         teardown > hitless,
         "teardown-first should lose packets under jitter (lost {teardown})"
     );
+}
+
+/// A TE rollout that cannot be acked before its staging deadline —
+/// switch 3 is cut off from the controller from 1.9 s to 4.6 s, and the
+/// demand change at 2 s lays a tunnel through it — is aborted whole: a
+/// stream from site 0 to site 1, whose tunnel avoids switch 3, loses
+/// nothing, and the rollout staged again once the switch is back
+/// commits and carries site 0's traffic to site 3.
+#[test]
+fn an_aborted_te_rollout_leaves_the_live_tunnels_forwarding() {
+    let topo = {
+        let mut t = Topology::ring(4, LinkParams::default());
+        t.hosts = vec![0, 1, 2, 3];
+        t
+    };
+    let expected_links = 2 * topo.links.len();
+    let site_ip = |site: usize| site_host_ip(site, 0);
+    let inventory: Vec<zen_core::apps::proactive::StaticHost> = {
+        let mut scratch = World::new(17);
+        let f = build_fabric_with_hosts(
+            &mut scratch,
+            &topo,
+            vec![],
+            FabricOptions::default(),
+            |i, mac, _| Host::new(mac, site_ip(i)),
+        );
+        f.static_hosts()
+    };
+    let prefixes = (0..4u64)
+        .map(|s| (s, format!("10.{s}.0.0/16").parse().unwrap()))
+        .collect();
+    let demand = |dst| SiteDemand {
+        src: 0,
+        dst,
+        rate_bps: 50_000_000,
+    };
+    let mut te = TrafficEngineering::new(
+        prefixes,
+        inventory,
+        vec![demand(1)],
+        1_000_000_000,
+        1,
+        4,
+        expected_links,
+    );
+    te.scheduled_demands = Some((2_000_000_000, vec![demand(1), demand(3)]));
+
+    let mut world = World::new(17);
+    let stream = |dst, count, start| Workload::Udp {
+        dst,
+        dst_port: 9,
+        size: 200,
+        count,
+        interval: Duration::from_millis(10),
+        start: Instant::from_millis(start),
+    };
+    let fabric = build_fabric_with_hosts(
+        &mut world,
+        &topo,
+        vec![Box::new(te)],
+        FabricOptions::default(),
+        |i, mac, _| {
+            let mut host = Host::new(mac, site_ip(i));
+            for site in 0..4 {
+                host = host.with_static_arp(site_ip(site), FABRIC_MAC);
+            }
+            if i == 0 {
+                host.with_workload(stream(site_ip(1), 600, 1_000))
+                    .with_workload(stream(site_ip(3), 100, 7_000))
+            } else {
+                host
+            }
+        },
+    );
+    world.set_fault_plan(FaultPlan::default().partition(
+        fabric.controller,
+        fabric.switches[3],
+        Window::new(Instant::from_millis(1_900), Instant::from_millis(4_600)),
+    ));
+    world.run_until(Instant::from_secs(9));
+
+    let controller = world.node_as::<Controller>(fabric.controller);
+    let rx = |site: usize| world.node_as::<Host>(fabric.hosts[site]).stats.udp_rx;
+    assert_eq!(
+        controller.stats.txns_aborted, 1,
+        "the rollout never aborted"
+    );
+    assert!(controller.config_epoch() >= 2, "no rollout after the abort");
+    assert!(!controller.txn_busy());
+    assert_eq!(rx(1), 600, "the live tunnel lost traffic");
+    assert_eq!(rx(3), 100, "the re-staged tunnel does not carry traffic");
 }
