@@ -44,11 +44,14 @@ ci/soak_digests.sh
 # to the last digit.
 ci/ledger_counts.sh
 
-# The two experiment benches the ledger has no workload for yet, in
-# quick mode. E18 (storm survival) runs for its assertions: bounded
-# black-hole, every defense layer engaged, a starving undefended
+# The three experiment benches the ledger has no workload for yet, E18
+# and E19 in quick mode. E18 (storm survival) runs for its assertions:
+# bounded black-hole, every defense layer engaged, a starving undefended
 # contrast. E19 (consistent update) asserts the two-phase rewrite loses
 # and loops nothing while the naive burst does, and that its simulated
-# commit latency is exactly the one the bench names.
+# commit latency is exactly the one the bench names. E11 (TE
+# reconfiguration) asserts a per-packet rollout loses nothing at any
+# jitter while a teardown-first one does.
 BENCH_E18_QUICK=1 cargo bench -p zen-bench --bench expt_storm
 BENCH_E19_QUICK=1 cargo bench -p zen-bench --bench expt_consistent_update
+cargo bench -p zen-bench --bench expt_update_disruption
