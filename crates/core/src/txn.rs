@@ -492,9 +492,9 @@ impl UpdatePlanner {
 
     /// The next step at `now`, if there is one: activate the next
     /// queued update when idle (or abort it unsent, if it can no longer
-    /// have the epoch it was promised), and move the active transaction through
-    /// staging → flipping → draining → retiring as its acks arrive and
-    /// its deadlines pass. Call until `None`, handing each step's xids
+    /// have the epoch it was promised), and move the active transaction
+    /// through staging → flipping → draining → retiring as its acks
+    /// arrive and its deadlines pass. Call until `None`, handing each step's xids
     /// to [`UpdatePlanner::sent`] before the next call. `stats` counts
     /// commits, aborts and flip failures.
     pub(crate) fn step(&mut self, now: Instant, stats: &mut CtlStats) -> Option<Step> {
