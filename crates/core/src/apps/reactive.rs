@@ -180,8 +180,12 @@ impl App for ReactiveForwarding {
         self.table_full_at.insert(dpid, now);
     }
 
-    fn on_port_status(&mut self, ctl: &mut Ctl<'_, '_>, _dpid: Dpid, _port: PortNo, _up: bool) {
-        // Topology changed: our installed paths may now traverse a dead
+    fn on_port_status(&mut self, ctl: &mut Ctl<'_, '_>, _dpid: Dpid, _port: PortNo, up: bool) {
+        // A port coming up leaves every installed path valid.
+        if up {
+            return;
+        }
+        // A port went down: our installed paths may now traverse a dead
         // link. Purge them everywhere; traffic re-punts and re-routes
         // over the updated view (ONOS flow re-computation, simplified).
         let switches: Vec<Dpid> = ctl.view.switches.keys().copied().collect();

@@ -221,6 +221,55 @@ fn first_packet_pays_setup_latency() {
     );
 }
 
+/// A link that comes up leaves every installed path valid. Reactive
+/// traffic crosses switches 0 → 1 of a 4-ring while the opposite link
+/// (2–3) goes down, which wipes the reactive flows so the stream punts
+/// once more, and comes back up, after which the stream never punts.
+#[test]
+fn a_port_coming_up_keeps_the_reactive_paths() {
+    let mut topo = Topology::ring(4, LinkParams::default());
+    topo.hosts = vec![0, 1];
+    let mut world = World::new(11);
+    let fabric = build_fabric_with_hosts(
+        &mut world,
+        &topo,
+        vec![Box::new(ReactiveForwarding::new())],
+        FabricOptions::default(),
+        |i, mac, ip| {
+            let host = Host::new(mac, ip).with_gratuitous_arp();
+            if i == 0 {
+                host.with_workload(Workload::Udp {
+                    dst: default_ip(1),
+                    dst_port: 9,
+                    size: 100,
+                    count: 300,
+                    interval: Duration::from_millis(10),
+                    start: Instant::from_millis(500),
+                })
+            } else {
+                host
+            }
+        },
+    );
+    let off_path = fabric.switch_links[2];
+    world.schedule_link_state(off_path, false, Instant::from_millis(1500));
+    world.schedule_link_state(off_path, true, Instant::from_millis(2500));
+    let punts = |world: &World| {
+        world
+            .node_as::<Controller>(fabric.controller)
+            .stats
+            .packet_ins
+    };
+    world.run_until(Instant::from_millis(1400));
+    let before_down = punts(&world);
+    world.run_until(Instant::from_millis(2400));
+    let before_up = punts(&world);
+    assert!(before_up > before_down, "the port down wipes the path");
+    world.run_until(Instant::from_millis(3500));
+    assert_eq!(punts(&world), before_up, "the port up wipes nothing");
+    assert_eq!(world.node_as::<Host>(fabric.hosts[1]).stats.udp_rx, 300);
+}
+
 #[test]
 fn l2_learning_works_on_a_tree() {
     let topo = Topology::star(3, LinkParams::default()).with_host_per_switch();
