@@ -23,14 +23,15 @@ use crate::view::Dpid;
 
 pub use crate::policy::{ACL_COOKIE, ACL_IMPORTANCE};
 
+/// Priority of deny rules (must beat forwarding apps).
+const PRIORITY: u16 = 900;
+
 /// The ACL application.
 pub struct Acl {
     /// Rules awaiting proposal (drained into the intent log on tick).
     queued: Vec<(FlowMatch, bool)>,
     /// Rules the cluster has committed, in commit order.
     committed: Vec<FlowMatch>,
-    /// Priority of deny rules (must beat forwarding apps).
-    pub priority: u16,
     /// Rules pushed to switches (metric).
     pub rules_pushed: u64,
     /// Intents proposed (metric).
@@ -43,7 +44,6 @@ impl Acl {
         Acl {
             queued: denies.into_iter().map(|m| (m, true)).collect(),
             committed: Vec::new(),
-            priority: 900,
             rules_pushed: 0,
             intents_proposed: 0,
         }
@@ -74,15 +74,34 @@ impl Acl {
         let mut txn = ctl.txn();
         for &matcher in &self.committed {
             self.rules_pushed += 1;
-            // Deny rules are a security boundary: never the first thing
-            // a full table sheds.
-            let spec = FlowSpec::new(self.priority, matcher, vec![])
-                .with_cookie(ACL_COOKIE)
-                .with_importance(ACL_IMPORTANCE);
-            txn.flow(dpid, 0, spec);
+            txn.flow(dpid, 0, deny(matcher));
         }
         txn.commit(ctl);
     }
+
+    /// Replace the ACL rules on every switch this replica masters with
+    /// the committed set: a cookie-scoped delete, then the set whole.
+    fn reload(&mut self, ctl: &mut Ctl<'_, '_>) {
+        for dpid in mastered(ctl) {
+            ctl.delete_flows_by_cookie(dpid, ACL_COOKIE);
+            self.program_switch(ctl, dpid);
+        }
+    }
+}
+
+/// The deny rule for `matcher`. Deny rules are a security boundary:
+/// never the first thing a full table sheds.
+fn deny(matcher: FlowMatch) -> FlowSpec {
+    FlowSpec::new(PRIORITY, matcher, vec![])
+        .with_cookie(ACL_COOKIE)
+        .with_importance(ACL_IMPORTANCE)
+}
+
+/// The switches in the view this replica masters.
+fn mastered(ctl: &Ctl<'_, '_>) -> Vec<Dpid> {
+    let mut dpids: Vec<Dpid> = ctl.view.switches.keys().copied().collect();
+    dpids.retain(|&dpid| ctl.is_master(dpid));
+    dpids
 }
 
 impl App for Acl {
@@ -96,7 +115,7 @@ impl App for Acl {
             ctl.propose_intent(
                 "acl",
                 Intent::AclDeny {
-                    priority: self.priority,
+                    priority: PRIORITY,
                     matcher,
                     install,
                 },
@@ -114,35 +133,20 @@ impl App for Acl {
             return;
         };
         if install {
-            if self.priority == priority && !self.committed.contains(&matcher) {
+            if PRIORITY == priority && !self.committed.contains(&matcher) {
                 self.committed.push(matcher);
-                let dpids: Vec<Dpid> = ctl.view.switches.keys().copied().collect();
-                for dpid in dpids {
-                    if !ctl.is_master(dpid) {
-                        continue;
-                    }
+                for dpid in mastered(ctl) {
                     self.rules_pushed += 1;
-                    let spec = FlowSpec::new(self.priority, matcher, vec![])
-                        .with_cookie(ACL_COOKIE)
-                        .with_importance(ACL_IMPORTANCE);
                     let mut txn = ctl.txn();
-                    txn.flow(dpid, 0, spec);
+                    txn.flow(dpid, 0, deny(matcher));
                     txn.commit(ctl);
                 }
             }
         } else if let Some(pos) = self.committed.iter().position(|m| *m == matcher) {
             self.committed.remove(pos);
-            // Cookie-scoped delete drops every ACL rule; the survivors
-            // are re-pushed from the committed set, so the withdrawn
-            // matcher is the only observable change.
-            let dpids: Vec<Dpid> = ctl.view.switches.keys().copied().collect();
-            for dpid in dpids {
-                if !ctl.is_master(dpid) {
-                    continue;
-                }
-                ctl.delete_flows_by_cookie(dpid, ACL_COOKIE);
-                self.program_switch(ctl, dpid);
-            }
+            // The survivors are re-pushed, so the withdrawn matcher is
+            // the only observable change.
+            self.reload(ctl);
         }
     }
 
@@ -158,21 +162,12 @@ impl App for Acl {
                     priority,
                     matcher,
                     install: true,
-                } if priority == self.priority => Some(matcher),
+                } if priority == PRIORITY => Some(matcher),
                 _ => None,
             })
             .collect();
-        // Cookie-scoped delete clears whatever the pre-partition rule
-        // set left behind on switches we master, then the rebuilt set
-        // is pushed whole.
-        let dpids: Vec<Dpid> = ctl.view.switches.keys().copied().collect();
-        for dpid in dpids {
-            if !ctl.is_master(dpid) {
-                continue;
-            }
-            ctl.delete_flows_by_cookie(dpid, ACL_COOKIE);
-            self.program_switch(ctl, dpid);
-        }
+        // What the pre-partition rule set left behind goes with it.
+        self.reload(ctl);
     }
 
     fn on_switch_up(&mut self, ctl: &mut Ctl<'_, '_>, dpid: Dpid) {

@@ -9,11 +9,10 @@
 //! Learning carries a **MAC-flap damper**: a rogue host claiming a
 //! victim's source MAC from another port would otherwise bounce the
 //! learned location on every frame, re-steering installed flows to the
-//! attacker. When one MAC moves ports more than `flap_limit` times
-//! inside `flap_window` on the same switch, its entry freezes at the
-//! last stable port for `flap_hold` — the legitimate host keeps
-//! working, the flapper's claims are ignored, and the counters expose
-//! the event to telemetry.
+//! attacker. When one MAC moves ports more than 8 times inside 500 ms
+//! on the same switch, its entry freezes at the last stable port for
+//! 2 s — the legitimate host keeps working, the flapper's claims are
+//! ignored, and the counters expose the event to telemetry.
 
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -23,35 +22,18 @@ use zen_sim::{Duration, Instant};
 use zen_wire::ethernet::Frame;
 use zen_wire::EthernetAddress;
 
+use super::TablePressure;
 use crate::app::{App, Disposition};
 use crate::controller::Ctl;
 use crate::view::Dpid;
 
 /// The learning-switch application.
+#[derive(Default)]
 pub struct L2Learning {
     /// dpid → (MAC → port).
     tables: BTreeMap<Dpid, BTreeMap<EthernetAddress, PortNo>>,
-    /// Idle timeout for installed flows, in nanoseconds (0 = none).
-    pub idle_timeout: u64,
-    /// Priority of installed flows.
-    pub priority: u16,
-    /// After a TABLE_FULL from a switch, suppress installs there for
-    /// this long; frames still move via PACKET_OUT.
-    pub pressure_backoff: Duration,
-    /// After a TABLE_FULL, install with a shortened idle timeout for
-    /// this long, so the congested table drains on its own.
-    pub pressure_window: Duration,
-    /// Divider applied to `idle_timeout` inside the pressure window.
-    pub pressure_idle_divisor: u64,
-    /// Last TABLE_FULL heard per switch.
-    table_full_at: BTreeMap<Dpid, Instant>,
-    /// Port moves of one MAC tolerated within `flap_window` before its
-    /// entry is damped (frozen). 0 disables the damper.
-    pub flap_limit: u32,
-    /// Window over which port moves are counted.
-    pub flap_window: Duration,
-    /// How long a damped MAC's entry stays frozen.
-    pub flap_hold: Duration,
+    /// The TABLE_FULL back-off.
+    pressure: TablePressure,
     /// Move tracking, created only for MACs that actually change port
     /// (so a rotating-MAC flood cannot balloon this map).
     flaps: BTreeMap<(Dpid, EthernetAddress), FlapState>,
@@ -80,6 +62,18 @@ struct FlapState {
     held_until: Option<Instant>,
 }
 
+/// Idle timeout of installed flows, in nanoseconds.
+const IDLE_TIMEOUT: u64 = 5_000_000_000;
+/// Priority of installed flows.
+const PRIORITY: u16 = 10;
+/// Port moves of one MAC tolerated within [`FLAP_WINDOW`] before its
+/// entry is damped (frozen).
+const FLAP_LIMIT: u32 = 8;
+/// Window over which port moves are counted.
+const FLAP_WINDOW: Duration = Duration::from_millis(500);
+/// How long a damped MAC's entry stays frozen.
+const FLAP_HOLD: Duration = Duration::from_secs(2);
+
 /// Cap on tracked flapping MACs per controller; oldest-keyed entries
 /// are discarded beyond it so an adversary cannot balloon the map.
 const FLAP_TRACK_CAP: usize = 4096;
@@ -87,25 +81,7 @@ const FLAP_TRACK_CAP: usize = 4096;
 impl L2Learning {
     /// A learning app with a 5-second idle timeout.
     pub fn new() -> L2Learning {
-        L2Learning {
-            tables: BTreeMap::new(),
-            idle_timeout: 5_000_000_000,
-            priority: 10,
-            pressure_backoff: Duration::from_millis(200),
-            pressure_window: Duration::from_secs(2),
-            pressure_idle_divisor: 4,
-            table_full_at: BTreeMap::new(),
-            flap_limit: 8,
-            flap_window: Duration::from_millis(500),
-            flap_hold: Duration::from_secs(2),
-            flaps: BTreeMap::new(),
-            flows_installed: 0,
-            floods: 0,
-            table_full_events: 0,
-            installs_suppressed: 0,
-            flap_events: 0,
-            flaps_damped: 0,
-        }
+        L2Learning::default()
     }
 
     /// The learned location of `mac` on `dpid`, if any.
@@ -135,9 +111,6 @@ impl L2Learning {
         in_port: PortNo,
         now: Instant,
     ) -> bool {
-        if self.flap_limit == 0 {
-            return true;
-        }
         let moved = known.is_some_and(|p| p != in_port);
         let Some(flap) = self.flaps.get_mut(&(dpid, mac)) else {
             if moved {
@@ -173,24 +146,18 @@ impl L2Learning {
         if !moved {
             return true;
         }
-        if now.duration_since(flap.window_start) >= self.flap_window {
+        if now.duration_since(flap.window_start) >= FLAP_WINDOW {
             flap.moves = 0;
             flap.window_start = now;
         }
         flap.moves += 1;
-        if flap.moves > self.flap_limit {
-            flap.held_until = Some(now + self.flap_hold);
+        if flap.moves > FLAP_LIMIT {
+            flap.held_until = Some(now + FLAP_HOLD);
             self.flap_events += 1;
             self.flaps_damped += 1;
             return false;
         }
         true
-    }
-}
-
-impl Default for L2Learning {
-    fn default() -> L2Learning {
-        L2Learning::new()
     }
 }
 
@@ -229,26 +196,10 @@ impl App for L2Learning {
             Some(out_port) if !dst.is_multicast() => {
                 // Install the forward flow (unless the switch is inside
                 // its table-full backoff), then release the packet.
-                let now = ctl.now();
-                let backing_off = self
-                    .table_full_at
-                    .get(&dpid)
-                    .is_some_and(|&at| now.duration_since(at) < self.pressure_backoff);
-                if backing_off {
-                    self.installs_suppressed += 1;
-                } else {
-                    let pressured = self
-                        .table_full_at
-                        .get(&dpid)
-                        .is_some_and(|&at| now.duration_since(at) < self.pressure_window);
-                    let idle = if pressured {
-                        self.idle_timeout / self.pressure_idle_divisor.max(1)
-                    } else {
-                        self.idle_timeout
-                    };
+                if let Some(idle) = self.pressure.idle_for(dpid, ctl.now(), IDLE_TIMEOUT) {
                     self.flows_installed += 1;
                     let spec = FlowSpec::new(
-                        self.priority,
+                        PRIORITY,
                         FlowMatch::eth_to(dst),
                         ctl.actions(&[Action::Output(out_port)]),
                     )
@@ -256,6 +207,8 @@ impl App for L2Learning {
                     let mut txn = ctl.txn();
                     txn.flow(dpid, 0, spec);
                     txn.commit(ctl);
+                } else {
+                    self.installs_suppressed += 1;
                 }
                 ctl.packet_out(dpid, in_port, &[Action::Output(out_port)], frame);
             }
@@ -269,8 +222,7 @@ impl App for L2Learning {
 
     fn on_table_full(&mut self, ctl: &mut Ctl<'_, '_>, dpid: Dpid) {
         self.table_full_events += 1;
-        let now = ctl.now();
-        self.table_full_at.insert(dpid, now);
+        self.pressure.on_table_full(dpid, ctl.now());
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -315,7 +267,7 @@ mod tests {
     }
 
     /// One MAC through a controller's L2 app, a step at a time: learned,
-    /// confirmed, moved `flap_limit` times, damped, confirmed and
+    /// confirmed, moved `FLAP_LIMIT` times, damped, confirmed and
     /// refused during the hold, freed after it, then used as a
     /// destination. After each step: where the app has it, whether it
     /// is damped, and the app's counters.
@@ -331,7 +283,7 @@ mod tests {
             // The first sighting learns; a repeat changes nothing.
             ((100, 1, m, nowhere), (Some(1), false, 0, 0, 0, 1)),
             ((120, 1, m, nowhere), (Some(1), false, 0, 0, 0, 2)),
-            // `flap_limit` (8) moves inside the window are learned...
+            // `FLAP_LIMIT` (8) moves inside the window are learned...
             ((140, 2, m, nowhere), (Some(2), false, 0, 0, 0, 3)),
             ((160, 1, m, nowhere), (Some(1), false, 0, 0, 0, 4)),
             ((180, 2, m, nowhere), (Some(2), false, 0, 0, 0, 5)),

@@ -19,6 +19,7 @@ use zen_graph::ecmp_next_hops;
 use zen_sim::{CounterId, Instant};
 use zen_wire::{EthernetAddress, Ipv4Address, Ipv4Cidr};
 
+use super::ProgramGate;
 use crate::app::App;
 use crate::controller::Ctl;
 use crate::southbound::{flows_stamp, ProgramBase};
@@ -34,6 +35,9 @@ const RECONCILE_COUNTERS: [&str; 3] = [
     "fabric.reconcile.full_loads",
     "fabric.reconcile.switches_unchanged",
 ];
+
+/// The priority of the fabric's rules.
+const PRIORITY: u16 = 200;
 
 /// The virtual gateway MAC hosts send to.
 pub const FABRIC_MAC: EthernetAddress = EthernetAddress([0x02, 0xfa, 0xb0, 0x00, 0x00, 0x01]);
@@ -54,12 +58,9 @@ pub struct StaticHost {
 /// The proactive fabric application.
 pub struct ProactiveFabric {
     hosts: Vec<StaticHost>,
-    /// Number of switches expected before programming starts.
-    pub expected_switches: usize,
-    /// Number of directed links expected before programming starts.
-    pub expected_links: usize,
-    /// Priority of installed rules.
-    pub priority: u16,
+    /// When the fabric is programmed; a re-stage (an aborted epoch, a
+    /// switch back diverged) goes at the next tick.
+    gate: ProgramGate,
     /// How reprograms take effect: [`Consistency::Relaxed`] reconciles
     /// each switch in place (only what differs is sent), per-packet
     /// stages the whole fabric as one epoch-versioned two-phase update.
@@ -72,12 +73,6 @@ pub struct ProactiveFabric {
     /// the given IP moves to a new attachment point and the fabric
     /// reprograms (the update-consistency experiment's trigger).
     rehome: Option<(Instant, Ipv4Address, Dpid, PortNo)>,
-    installed_version: Option<u64>,
-    /// Stage the fabric again though the view has not moved: the last
-    /// epoch was aborted, or a switch came back diverged. Unlike the
-    /// first program, it does not wait for the expected topology.
-    restage: bool,
-    stable_ticks: u32,
     /// Parity-namespaced groups installed by the last epoch-mode
     /// reprogram, retired by the next one after its drain wave.
     epoch_groups: Vec<(Dpid, u32)>,
@@ -119,15 +114,10 @@ impl ProactiveFabric {
     ) -> ProactiveFabric {
         ProactiveFabric {
             hosts,
-            expected_switches,
-            expected_links,
-            priority: 200,
+            gate: ProgramGate::new(expected_switches, expected_links),
             consistency: Consistency::Relaxed,
             dec_ttl: false,
             rehome: None,
-            installed_version: None,
-            restage: false,
-            stable_ticks: 0,
             epoch_groups: Vec::new(),
             desired: BTreeMap::new(),
             installs: 0,
@@ -162,12 +152,7 @@ impl ProactiveFabric {
 
     /// Whether the fabric has been programmed for the current topology.
     pub fn programmed(&self) -> bool {
-        self.installed_version.is_some()
-    }
-
-    fn ready(&self, ctl: &Ctl<'_, '_>) -> bool {
-        ctl.view.switches.len() >= self.expected_switches
-            && ctl.view.links.len() >= self.expected_links
+        self.gate.programmed()
     }
 
     /// The per-host rules this app wants on `switch`, in install order,
@@ -202,7 +187,7 @@ impl ProactiveFabric {
             // them important so capacity eviction always prefers
             // reactive churn over infrastructure.
             let spec = |matcher, actions| {
-                FlowSpec::new(self.priority, matcher, actions)
+                FlowSpec::new(PRIORITY, matcher, actions)
                     .with_cookie(cookie)
                     .with_importance(FABRIC_IMPORTANCE)
             };
@@ -286,12 +271,11 @@ impl ProactiveFabric {
     /// program — configurations are network-wide — so it re-stages the
     /// whole fabric on the next tick.
     fn reconcile_now(&mut self, ctl: &mut Ctl<'_, '_>, switch: Dpid) {
-        if self.installed_version.is_none() {
+        if !self.programmed() {
             // Not programmed anywhere yet; the tick will get to it once
             // discovery stabilizes.
         } else if self.consistency == Consistency::PerPacket {
-            self.restage = true;
-            self.stable_ticks = 1;
+            self.gate.restage();
         } else {
             self.reconcile_switch(ctl, switch);
         }
@@ -316,8 +300,7 @@ impl ProactiveFabric {
                 self.reconcile_switch(ctl, switch);
             }
         }
-        self.installed_version = Some(ctl.view.version);
-        self.restage = false;
+        self.gate.installed(ctl.view.version);
     }
 
     /// Stage the whole fabric as one epoch-versioned two-phase update.
@@ -437,34 +420,21 @@ impl App for ProactiveFabric {
                         host.port = port;
                     }
                 }
-                if self.installed_version.is_some() {
+                if self.programmed() {
                     self.install_all(ctl);
                     return;
                 }
             }
         }
-        // `ready` gates only the *initial* programming; once programmed,
-        // any topology change (including lost links) must reprogram.
-        if self.installed_version.is_none() && !self.ready(ctl) {
-            return;
-        }
-        match self.installed_version {
-            Some(v) if v == ctl.view.version && !self.restage => {}
-            _ => {
-                // Require two quiet ticks so discovery bursts settle.
-                self.stable_ticks += 1;
-                if self.stable_ticks >= 2 {
-                    self.stable_ticks = 0;
-                    self.install_all(ctl);
-                }
-            }
+        if self.gate.due(ctl.view) {
+            self.install_all(ctl);
         }
     }
 
     fn on_port_status(&mut self, _ctl: &mut Ctl<'_, '_>, _dpid: Dpid, _port: PortNo, _up: bool) {
         // The view version bump makes the next tick reprogram; SELECT
         // group liveness already bypasses the dead port in the meantime.
-        self.stable_ticks = 1; // accelerate reprogramming
+        self.gate.nudge();
     }
 
     fn on_switch_resync(&mut self, ctl: &mut Ctl<'_, '_>, dpid: Dpid) {
@@ -485,8 +455,7 @@ impl App for ProactiveFabric {
         // never acked). The old configuration still carries traffic;
         // re-stage against the current view on the next tick.
         self.txn_aborts += 1;
-        self.restage = true;
-        self.stable_ticks = 1;
+        self.gate.restage();
     }
 
     fn on_mastership_change(&mut self, ctl: &mut Ctl<'_, '_>, dpid: Dpid, is_master: bool) {

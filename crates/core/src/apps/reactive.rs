@@ -8,34 +8,24 @@
 //! which is loop-free on any topology without needing a spanning tree.
 
 use std::any::Any;
-use std::collections::BTreeMap;
 
 use zen_dataplane::{Action, FlowMatch, FlowSpec, PortNo};
-use zen_sim::{Duration, Instant};
 use zen_wire::ethernet::Frame;
 
+use super::TablePressure;
 use crate::app::{App, Disposition};
 use crate::controller::Ctl;
 use crate::view::Dpid;
+
+/// Priority of installed flows.
+const PRIORITY: u16 = 100;
 
 /// The reactive forwarding application.
 pub struct ReactiveForwarding {
     /// Idle timeout for installed path flows, nanoseconds.
     pub idle_timeout: u64,
-    /// Priority of installed flows.
-    pub priority: u16,
-    /// After a TABLE_FULL from a switch, suppress installs toward it
-    /// for this long (traffic still moves via PACKET_OUT) — the
-    /// backpressure half of the table-full loop.
-    pub pressure_backoff: Duration,
-    /// After a TABLE_FULL, install with a shortened idle timeout for
-    /// this long, so the congested table drains on its own.
-    pub pressure_window: Duration,
-    /// Divider applied to `idle_timeout` while a switch is inside its
-    /// pressure window.
-    pub pressure_idle_divisor: u64,
-    /// Last TABLE_FULL heard per switch.
-    table_full_at: BTreeMap<Dpid, Instant>,
+    /// The TABLE_FULL back-off.
+    pressure: TablePressure,
     /// The path of the punt being handled; kept only to recycle its
     /// allocation from punt to punt.
     path: Vec<(Dpid, PortNo)>,
@@ -54,37 +44,12 @@ impl ReactiveForwarding {
     pub fn new() -> ReactiveForwarding {
         ReactiveForwarding {
             idle_timeout: 5_000_000_000,
-            priority: 100,
-            pressure_backoff: Duration::from_millis(200),
-            pressure_window: Duration::from_secs(2),
-            pressure_idle_divisor: 4,
-            table_full_at: BTreeMap::new(),
+            pressure: TablePressure::default(),
             path: Vec::new(),
             paths_installed: 0,
             edge_floods: 0,
             table_full_events: 0,
             installs_suppressed: 0,
-        }
-    }
-
-    /// Whether installs toward `dpid` are currently suppressed.
-    fn backing_off(&self, dpid: Dpid, now: Instant) -> bool {
-        self.table_full_at
-            .get(&dpid)
-            .is_some_and(|&at| now.duration_since(at) < self.pressure_backoff)
-    }
-
-    /// The idle timeout to install on `dpid` right now: shortened while
-    /// the switch is inside its pressure window so the table drains.
-    fn idle_for(&self, dpid: Dpid, now: Instant) -> u64 {
-        let pressured = self
-            .table_full_at
-            .get(&dpid)
-            .is_some_and(|&at| now.duration_since(at) < self.pressure_window);
-        if pressured {
-            self.idle_timeout / self.pressure_idle_divisor.max(1)
-        } else {
-            self.idle_timeout
         }
     }
 
@@ -157,13 +122,13 @@ impl App for ReactiveForwarding {
         // declared (and sent) as a unit.
         let mut txn = ctl.txn();
         for &(hop, out_port) in &path {
-            if self.backing_off(hop, now) {
+            let Some(idle) = self.pressure.idle_for(hop, now, self.idle_timeout) else {
                 self.installs_suppressed += 1;
                 continue;
-            }
+            };
             let out = ctl.actions(&[Action::Output(out_port)]);
-            let spec = FlowSpec::new(self.priority, matcher, out)
-                .with_timeouts(self.idle_for(hop, now), 0)
+            let spec = FlowSpec::new(PRIORITY, matcher, out)
+                .with_timeouts(idle, 0)
                 .with_cookie(REACTIVE_COOKIE);
             txn.flow(hop, 0, spec);
         }
@@ -176,8 +141,7 @@ impl App for ReactiveForwarding {
 
     fn on_table_full(&mut self, ctl: &mut Ctl<'_, '_>, dpid: Dpid) {
         self.table_full_events += 1;
-        let now = ctl.now();
-        self.table_full_at.insert(dpid, now);
+        self.pressure.on_table_full(dpid, ctl.now());
     }
 
     fn on_port_status(&mut self, ctl: &mut Ctl<'_, '_>, _dpid: Dpid, _port: PortNo, up: bool) {

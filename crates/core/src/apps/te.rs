@@ -55,6 +55,7 @@ use zen_graph::Graph;
 use zen_te::{allocate, quantize_splits, DemandMatrix};
 use zen_wire::Ipv4Cidr;
 
+use super::ProgramGate;
 use crate::app::App;
 use crate::apps::proactive::StaticHost;
 use crate::controller::Ctl;
@@ -71,6 +72,9 @@ const OWNER: &str = "traffic-engineering";
 const GEN_COOKIE: [u64; 2] = [TE_GEN0_COOKIE, TE_GEN1_COOKIE];
 const GEN_TAG_BASE: [u16; 2] = [100, 2100];
 const GEN_GID_BASE: [u32; 2] = [0x2000, 0x3000];
+
+/// ECMP buckets a demand's split weights are quantized into.
+const BUCKETS: u32 = 8;
 
 /// A traffic demand between sites.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,14 +99,9 @@ pub struct TrafficEngineering {
     pub capacity_bps: u64,
     /// Candidate paths per demand (1 = shortest-path baseline).
     pub k: usize,
-    /// Allocation quantum, bits/sec.
-    pub quantum: u64,
-    /// ECMP bucket count used to quantize splits.
-    pub buckets: u32,
-    /// Expected switch count before programming.
-    pub expected_switches: usize,
-    /// Expected directed link count before programming.
-    pub expected_links: usize,
+    /// When a rollout is staged. A re-stage (the demands changed, or
+    /// the last rollout was aborted) goes at the next tick.
+    gate: ProgramGate,
     /// How a rollout takes effect: make-before-break under
     /// [`Consistency::PerPacket`] (the default), teardown-first under
     /// [`Consistency::Relaxed`] (see the module docs).
@@ -111,14 +110,9 @@ pub struct TrafficEngineering {
     /// a live reconfiguration — the trigger the update-disruption
     /// experiment uses.
     pub scheduled_demands: Option<(u64, Vec<SiteDemand>)>,
-    installed_version: Option<u64>,
-    stable_ticks: u32,
     /// The groups each parity's generation was last staged with, retired
     /// by the rollout that replaces it.
     groups: [Vec<(Dpid, u32)>; 2],
-    /// Roll out again though the view has not moved: the demands
-    /// changed, or the last rollout was aborted.
-    force_reinstall: bool,
     /// Reprogram passes (metric).
     pub installs: u64,
     /// The most recent allocation's granted rates per aggregated demand.
@@ -145,16 +139,10 @@ impl TrafficEngineering {
             demands,
             capacity_bps,
             k,
-            quantum: (capacity_bps / 100).max(1),
-            buckets: 8,
-            expected_switches,
-            expected_links,
+            gate: ProgramGate::new(expected_switches, expected_links),
             consistency: Consistency::PerPacket,
             scheduled_demands: None,
-            installed_version: None,
-            stable_ticks: 0,
             groups: Default::default(),
-            force_reinstall: false,
             installs: 0,
             last_rates: Vec::new(),
             last_demands: Vec::new(),
@@ -163,12 +151,7 @@ impl TrafficEngineering {
 
     /// Whether tunnels are currently programmed.
     pub fn programmed(&self) -> bool {
-        self.installed_version.is_some()
-    }
-
-    fn ready(&self, ctl: &Ctl<'_, '_>) -> bool {
-        ctl.view.switches.len() >= self.expected_switches
-            && ctl.view.links.len() >= self.expected_links
+        self.gate.programmed()
     }
 
     fn aggregated_demands(&self) -> Vec<SiteDemand> {
@@ -244,7 +227,9 @@ impl TrafficEngineering {
             };
             matrix.push(s, t, d.rate_bps);
         }
-        let alloc = allocate(&graph, &matrix, self.k, self.quantum);
+        // Allocated in steps of 1 % of the line rate.
+        let quantum = (self.capacity_bps / 100).max(1);
+        let alloc = allocate(&graph, &matrix, self.k, quantum);
         self.last_rates = alloc.rates.clone();
         self.last_demands = demands.clone();
 
@@ -257,7 +242,7 @@ impl TrafficEngineering {
                 continue;
             }
             let rates: Vec<u64> = used_paths.iter().map(|(_, r)| *r).collect();
-            let weights = quantize_splits(&rates, self.buckets);
+            let weights = quantize_splits(&rates, BUCKETS);
 
             let mut buckets = Vec::new();
             for ((path, _), &weight) in used_paths.iter().zip(&weights) {
@@ -326,7 +311,7 @@ impl TrafficEngineering {
             txn.flow_as(FlowRole::Cutover, dpid, 0, spec);
         }
         txn.commit(ctl);
-        self.installed_version = Some(ctl.view.version);
+        self.gate.installed(ctl.view.version);
     }
 }
 
@@ -340,7 +325,7 @@ impl App for TrafficEngineering {
         if let Some((at, demands)) = self.scheduled_demands.take() {
             if ctl.now().as_nanos() >= at {
                 self.demands = demands;
-                self.force_reinstall = true;
+                self.gate.restage();
             } else {
                 self.scheduled_demands = Some((at, demands));
             }
@@ -350,31 +335,20 @@ impl App for TrafficEngineering {
         if ctl.staged_epoch() > ctl.config_epoch() + 1 {
             return;
         }
-        // `ready` gates only the *initial* programming; once programmed,
-        // any topology change (including lost links) must reprogram.
-        if self.installed_version.is_none() && !self.ready(ctl) {
-            return;
-        }
-        let version_stale = !matches!(self.installed_version, Some(v) if v == ctl.view.version);
-        if version_stale || self.force_reinstall {
-            self.stable_ticks += 1;
-            if self.stable_ticks >= 2 || self.force_reinstall {
-                self.stable_ticks = 0;
-                self.force_reinstall = false;
-                self.install_all(ctl);
-            }
+        if self.gate.due(ctl.view) {
+            self.install_all(ctl);
         }
     }
 
     fn on_port_status(&mut self, _ctl: &mut Ctl<'_, '_>, _dpid: Dpid, _port: PortNo, _up: bool) {
-        self.stable_ticks = 1;
+        self.gate.nudge();
     }
 
     fn on_update_aborted(&mut self, _ctl: &mut Ctl<'_, '_>, owner: &'static str, _token: u64) {
         // The new generation was torn down and the live one still
         // carries traffic: stage the rollout again.
         if owner == OWNER {
-            self.force_reinstall = true;
+            self.gate.restage();
         }
     }
 
