@@ -2,7 +2,7 @@
 //! apps dispatched in chain order (Ryu/ONOS style).
 
 use zen_dataplane::PortNo;
-use zen_proto::{CacheStatsRec, FlowStats, Intent, PortStatsRec, TableStats};
+use zen_proto::{Intent, StatsBody};
 
 use crate::controller::Ctl;
 use crate::view::Dpid;
@@ -62,17 +62,9 @@ pub trait App: 'static {
     ) {
     }
 
-    /// A port-statistics reply arrived.
-    fn on_port_stats(&mut self, ctl: &mut Ctl<'_, '_>, dpid: Dpid, records: &[PortStatsRec]) {}
-
-    /// A table-statistics reply arrived.
-    fn on_table_stats(&mut self, ctl: &mut Ctl<'_, '_>, dpid: Dpid, records: &[TableStats]) {}
-
-    /// A flow-statistics reply arrived (per-entry packet/byte counters).
-    fn on_flow_stats(&mut self, ctl: &mut Ctl<'_, '_>, dpid: Dpid, records: &[FlowStats]) {}
-
-    /// A datapath-cache statistics reply arrived.
-    fn on_cache_stats(&mut self, ctl: &mut Ctl<'_, '_>, dpid: Dpid, record: &CacheStatsRec) {}
+    /// A statistics reply arrived: port, table, flow (per-entry
+    /// packet/byte counters) or datapath-cache records.
+    fn on_stats(&mut self, ctl: &mut Ctl<'_, '_>, dpid: Dpid, body: &StatsBody) {}
 
     /// A switch may not hold what the controller believes: it
     /// reconnected reporting other flow state or a reboot (see

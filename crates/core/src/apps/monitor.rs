@@ -13,7 +13,9 @@ use std::any::Any;
 use std::collections::BTreeMap;
 
 use zen_dataplane::PortNo;
-use zen_proto::{CacheStatsRec, FlowStats, Message, PortStatsRec, StatsKind, TableStats};
+use zen_proto::{
+    CacheStatsRec, FlowStats, Message, PortStatsRec, StatsBody, StatsKind, TableStats,
+};
 use zen_sim::Instant;
 
 use crate::app::App;
@@ -250,52 +252,29 @@ impl App for Monitor {
         if !self.tick_count.is_multiple_of(self.period_ticks) {
             return;
         }
+        // Port 0 asks for every port, table 0xff for every table.
+        let kinds = [
+            StatsKind::Port { port_no: 0 },
+            StatsKind::Table,
+            StatsKind::Flow { table_id: 0xff },
+            StatsKind::Cache,
+        ];
         let switches: Vec<Dpid> = ctl.view.switches.keys().copied().collect();
         for dpid in switches {
             self.polls += 1;
-            ctl.send(
-                dpid,
-                &Message::StatsRequest {
-                    kind: StatsKind::Port { port_no: 0 },
-                },
-            );
-            ctl.send(
-                dpid,
-                &Message::StatsRequest {
-                    kind: StatsKind::Table,
-                },
-            );
-            ctl.send(
-                dpid,
-                &Message::StatsRequest {
-                    kind: StatsKind::Flow { table_id: 0xff },
-                },
-            );
-            ctl.send(
-                dpid,
-                &Message::StatsRequest {
-                    kind: StatsKind::Cache,
-                },
-            );
+            for kind in kinds {
+                ctl.send(dpid, &Message::StatsRequest { kind });
+            }
         }
     }
 
-    fn on_port_stats(&mut self, ctl: &mut Ctl<'_, '_>, dpid: Dpid, records: &[PortStatsRec]) {
-        let now = ctl.now();
-        self.fold_port_stats(now, dpid, records);
-    }
-
-    fn on_table_stats(&mut self, ctl: &mut Ctl<'_, '_>, dpid: Dpid, records: &[TableStats]) {
-        let now = ctl.now();
-        self.fold_table_stats(now, dpid, records);
-    }
-
-    fn on_flow_stats(&mut self, _ctl: &mut Ctl<'_, '_>, dpid: Dpid, records: &[FlowStats]) {
-        self.fold_flow_stats(dpid, records);
-    }
-
-    fn on_cache_stats(&mut self, _ctl: &mut Ctl<'_, '_>, dpid: Dpid, record: &CacheStatsRec) {
-        self.fold_cache_stats(dpid, record);
+    fn on_stats(&mut self, ctl: &mut Ctl<'_, '_>, dpid: Dpid, body: &StatsBody) {
+        match body {
+            StatsBody::Port(records) => self.fold_port_stats(ctl.now(), dpid, records),
+            StatsBody::Table(records) => self.fold_table_stats(ctl.now(), dpid, records),
+            StatsBody::Flow(records) => self.fold_flow_stats(dpid, records),
+            StatsBody::Cache(record) => self.fold_cache_stats(dpid, record),
+        }
     }
 
     fn as_any(&self) -> &dyn Any {

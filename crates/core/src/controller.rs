@@ -1071,13 +1071,7 @@ impl Controller {
                 });
             }
             Message::StatsReply { body } => {
-                use zen_proto::StatsBody::{Cache, Flow, Port, Table};
-                self.each_app(io, |app, ctl| match &body {
-                    Port(records) => app.on_port_stats(ctl, dpid, records),
-                    Table(records) => app.on_table_stats(ctl, dpid, records),
-                    Flow(records) => app.on_flow_stats(ctl, dpid, records),
-                    Cache(record) => app.on_cache_stats(ctl, dpid, record),
-                });
+                self.each_app(io, |app, ctl| app.on_stats(ctl, dpid, &body));
             }
             Message::HelloResync {
                 generation,
