@@ -26,26 +26,12 @@ const TIMER_SWEEP: u64 = 3;
 /// The unreachable metric.
 pub const INFINITY: u8 = 16;
 
-/// Protocol timing knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct DvConfig {
-    /// Full-table advertisement period.
-    pub advertise_interval: Duration,
-    /// Route expiry when its neighbor goes quiet.
-    pub route_timeout: Duration,
-    /// Delay before a triggered update (batches bursts of changes).
-    pub triggered_delay: Duration,
-}
-
-impl Default for DvConfig {
-    fn default() -> DvConfig {
-        DvConfig {
-            advertise_interval: Duration::from_millis(500),
-            route_timeout: Duration::from_millis(1750),
-            triggered_delay: Duration::from_millis(10),
-        }
-    }
-}
+/// Full-table advertisement period.
+const ADVERTISE_INTERVAL: Duration = Duration::from_millis(500);
+/// Route expiry when its neighbor goes quiet.
+const ROUTE_TIMEOUT: Duration = Duration::from_millis(1750);
+/// Delay before a triggered update (batches bursts of changes).
+const TRIGGERED_DELAY: Duration = Duration::from_millis(10);
 
 #[derive(Debug, Clone, Copy)]
 struct Route {
@@ -59,7 +45,6 @@ struct Route {
 pub struct DistanceVectorRouter {
     /// Forwarding machinery and counters.
     pub chassis: Chassis,
-    cfg: DvConfig,
     routes: BTreeMap<Ipv4Address, Route>,
     /// MAC of the last router heard per port (the next hop for routes
     /// learned there).
@@ -73,16 +58,10 @@ pub struct DistanceVectorRouter {
 }
 
 impl DistanceVectorRouter {
-    /// A router with default timers.
+    /// A router with the given id.
     pub fn new(router_id: u64) -> DistanceVectorRouter {
-        DistanceVectorRouter::with_config(router_id, DvConfig::default())
-    }
-
-    /// A router with explicit timers.
-    pub fn with_config(router_id: u64, cfg: DvConfig) -> DistanceVectorRouter {
         DistanceVectorRouter {
             chassis: Chassis::new(router_id),
-            cfg,
             routes: BTreeMap::new(),
             neighbor_mac: BTreeMap::new(),
             triggered_pending: false,
@@ -141,7 +120,7 @@ impl DistanceVectorRouter {
     fn schedule_triggered(&mut self, ctx: &mut Context<'_>) {
         if !self.triggered_pending {
             self.triggered_pending = true;
-            ctx.set_timer(self.cfg.triggered_delay, TIMER_TRIGGERED);
+            ctx.set_timer(TRIGGERED_DELAY, TIMER_TRIGGERED);
         }
     }
 
@@ -231,15 +210,15 @@ impl DistanceVectorRouter {
 impl Node for DistanceVectorRouter {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         self.advertise(ctx);
-        ctx.set_timer(self.cfg.advertise_interval, TIMER_ADVERTISE);
-        ctx.set_timer(self.cfg.route_timeout, TIMER_SWEEP);
+        ctx.set_timer(ADVERTISE_INTERVAL, TIMER_ADVERTISE);
+        ctx.set_timer(ROUTE_TIMEOUT, TIMER_SWEEP);
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) {
         match token {
             TIMER_ADVERTISE => {
                 self.advertise(ctx);
-                ctx.set_timer(self.cfg.advertise_interval, TIMER_ADVERTISE);
+                ctx.set_timer(ADVERTISE_INTERVAL, TIMER_ADVERTISE);
             }
             TIMER_TRIGGERED => {
                 self.triggered_pending = false;
@@ -256,13 +235,13 @@ impl Node for DistanceVectorRouter {
                     let age = now.duration_since(route.last_refresh);
                     if route.metric >= INFINITY {
                         // Garbage-collect after another timeout period.
-                        if age >= self.cfg.route_timeout {
+                        if age >= ROUTE_TIMEOUT {
                             changed = true;
                             return false;
                         }
                         return true;
                     }
-                    if age >= self.cfg.route_timeout {
+                    if age >= ROUTE_TIMEOUT {
                         route.metric = INFINITY;
                         changed = true;
                     }
@@ -272,7 +251,7 @@ impl Node for DistanceVectorRouter {
                     self.rebuild_fib();
                     self.schedule_triggered(ctx);
                 }
-                ctx.set_timer(self.cfg.route_timeout, TIMER_SWEEP);
+                ctx.set_timer(ROUTE_TIMEOUT, TIMER_SWEEP);
             }
             _ => {}
         }

@@ -22,26 +22,12 @@ const TIMER_HELLO: u64 = 1;
 /// The BPDU multicast address (same as real STP).
 pub const STP_MULTICAST: EthernetAddress = EthernetAddress([0x01, 0x80, 0xc2, 0x00, 0x00, 0x00]);
 
-/// Timing knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct StpConfig {
-    /// BPDU period.
-    pub hello_interval: Duration,
-    /// Stored BPDU expiry.
-    pub max_age: Duration,
-    /// MAC table entry lifetime.
-    pub mac_age: Duration,
-}
-
-impl Default for StpConfig {
-    fn default() -> StpConfig {
-        StpConfig {
-            hello_interval: Duration::from_millis(100),
-            max_age: Duration::from_millis(400),
-            mac_age: Duration::from_secs(300),
-        }
-    }
-}
+/// BPDU period.
+const HELLO_INTERVAL: Duration = Duration::from_millis(100);
+/// Stored BPDU expiry.
+const MAX_AGE: Duration = Duration::from_millis(400);
+/// MAC table entry lifetime.
+const MAC_AGE: Duration = Duration::from_secs(300);
 
 /// The role of a bridge port.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,7 +43,6 @@ pub enum PortRole {
 /// A learning switch with spanning tree.
 pub struct LearningSwitch {
     bridge_id: u64,
-    cfg: StpConfig,
     stp_enabled: bool,
     mac_table: BTreeMap<EthernetAddress, (PortNo, Instant)>,
     /// Best BPDU heard per port, with receipt time.
@@ -74,11 +59,10 @@ pub struct LearningSwitch {
 }
 
 impl LearningSwitch {
-    /// A switch with STP enabled and default timers.
+    /// A switch with STP enabled.
     pub fn new(bridge_id: u64) -> LearningSwitch {
         LearningSwitch {
             bridge_id,
-            cfg: StpConfig::default(),
             stp_enabled: true,
             mac_table: BTreeMap::new(),
             heard: BTreeMap::new(),
@@ -165,12 +149,10 @@ impl LearningSwitch {
     }
 
     fn age_out(&mut self, now: Instant) {
-        let max_age = self.cfg.max_age;
         self.heard
-            .retain(|_, (_, at)| now.duration_since(*at) < max_age);
-        let mac_age = self.cfg.mac_age;
+            .retain(|_, (_, at)| now.duration_since(*at) < MAX_AGE);
         self.mac_table
-            .retain(|_, (_, at)| now.duration_since(*at) < mac_age);
+            .retain(|_, (_, at)| now.duration_since(*at) < MAC_AGE);
     }
 
     fn handle_data(&mut self, ctx: &mut Context<'_>, in_port: PortNo, frame: &[u8]) {
@@ -211,7 +193,7 @@ impl Node for LearningSwitch {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         if self.stp_enabled {
             self.send_bpdus(ctx);
-            ctx.set_timer(self.cfg.hello_interval, TIMER_HELLO);
+            ctx.set_timer(HELLO_INTERVAL, TIMER_HELLO);
         }
     }
 
@@ -219,7 +201,7 @@ impl Node for LearningSwitch {
         if token == TIMER_HELLO {
             self.age_out(ctx.now());
             self.send_bpdus(ctx);
-            ctx.set_timer(self.cfg.hello_interval, TIMER_HELLO);
+            ctx.set_timer(HELLO_INTERVAL, TIMER_HELLO);
         }
     }
 

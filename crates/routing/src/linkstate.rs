@@ -25,23 +25,10 @@ use crate::ROUTING_ETHERTYPE;
 const TIMER_HELLO: u64 = 1;
 const TIMER_SWEEP: u64 = 2;
 
-/// Protocol timing knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct LsConfig {
-    /// Hello period.
-    pub hello_interval: Duration,
-    /// Adjacency expiry when hellos stop.
-    pub dead_interval: Duration,
-}
-
-impl Default for LsConfig {
-    fn default() -> LsConfig {
-        LsConfig {
-            hello_interval: Duration::from_millis(100),
-            dead_interval: Duration::from_millis(350),
-        }
-    }
-}
+/// Hello period.
+const HELLO_INTERVAL: Duration = Duration::from_millis(100);
+/// Adjacency expiry when hellos stop.
+const DEAD_INTERVAL: Duration = Duration::from_millis(350);
 
 #[derive(Debug, Clone, Copy)]
 struct Neighbor {
@@ -61,7 +48,6 @@ struct LsaRecord {
 pub struct LinkStateRouter {
     /// Forwarding machinery and counters.
     pub chassis: Chassis,
-    cfg: LsConfig,
     neighbors: BTreeMap<PortNo, Neighbor>,
     lsdb: BTreeMap<u64, LsaRecord>,
     my_seq: u64,
@@ -75,16 +61,10 @@ pub struct LinkStateRouter {
 }
 
 impl LinkStateRouter {
-    /// A router with the given id and default timers.
+    /// A router with the given id.
     pub fn new(router_id: u64) -> LinkStateRouter {
-        LinkStateRouter::with_config(router_id, LsConfig::default())
-    }
-
-    /// A router with explicit timers.
-    pub fn with_config(router_id: u64, cfg: LsConfig) -> LinkStateRouter {
         LinkStateRouter {
             chassis: Chassis::new(router_id),
-            cfg,
             neighbors: BTreeMap::new(),
             lsdb: BTreeMap::new(),
             my_seq: 0,
@@ -318,30 +298,28 @@ impl Node for LinkStateRouter {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         self.send_hellos(ctx);
         self.originate(ctx);
-        ctx.set_timer(self.cfg.hello_interval, TIMER_HELLO);
-        ctx.set_timer(self.cfg.dead_interval, TIMER_SWEEP);
+        ctx.set_timer(HELLO_INTERVAL, TIMER_HELLO);
+        ctx.set_timer(DEAD_INTERVAL, TIMER_SWEEP);
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) {
         match token {
             TIMER_HELLO => {
                 self.send_hellos(ctx);
-                ctx.set_timer(self.cfg.hello_interval, TIMER_HELLO);
+                ctx.set_timer(HELLO_INTERVAL, TIMER_HELLO);
             }
             TIMER_SWEEP => {
                 let deadline = ctx.now();
                 let dead: Vec<PortNo> = self
                     .neighbors
                     .iter()
-                    .filter(|(_, n)| {
-                        deadline.duration_since(n.last_hello) >= self.cfg.dead_interval
-                    })
+                    .filter(|(_, n)| deadline.duration_since(n.last_hello) >= DEAD_INTERVAL)
                     .map(|(&p, _)| p)
                     .collect();
                 for port in dead {
                     self.drop_neighbor(ctx, port);
                 }
-                ctx.set_timer(self.cfg.dead_interval, TIMER_SWEEP);
+                ctx.set_timer(DEAD_INTERVAL, TIMER_SWEEP);
             }
             _ => {}
         }
