@@ -129,7 +129,6 @@ fn run_fabric(attack: bool, defended: bool) -> FabricOutcome {
             queue_cap: 256,
             pushback_threshold: 100,
             pushback_window: Duration::from_millis(500),
-            pushback_hold: Duration::from_millis(2_000),
             ..AdmissionConfig::default()
         });
     }
@@ -270,7 +269,6 @@ fn run_storm(attack: bool, defended: bool, span: Duration) -> StormOutcome {
             rate_pps: 4_000,
             burst: 512,
             queue_cap: 512,
-            drain_interval: Duration::from_millis(1),
             drain_batch: 8,
             // Rotating cbench sources make per-MAC push-back moot here;
             // the meters are the defense under test.

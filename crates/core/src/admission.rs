@@ -41,8 +41,6 @@ pub struct AdmissionConfig {
     pub burst: u64,
     /// Per-switch deferred-punt queue capacity; overflow is shed.
     pub queue_cap: usize,
-    /// Period of the fair-queue drain timer.
-    pub drain_interval: Duration,
     /// Deferred punts released per drain, round-robin across switches.
     pub drain_batch: usize,
     /// Deferred-or-shed punts charged to one `(ingress, source MAC)`
@@ -51,11 +49,14 @@ pub struct AdmissionConfig {
     pub pushback_threshold: u64,
     /// Offender accounting window (counts reset at this period).
     pub pushback_window: Duration,
-    /// Hard timeout of installed push-back drop rules; a persistent
-    /// attacker is re-pinned when the rule lapses and the storm
-    /// resumes.
-    pub pushback_hold: Duration,
 }
+
+/// Period of the fair-queue drain timer.
+pub(crate) const DRAIN_INTERVAL: Duration = Duration::from_millis(1);
+
+/// Hard timeout of installed push-back drop rules; a persistent
+/// attacker is re-pinned when the rule lapses and the storm resumes.
+const PUSHBACK_HOLD: Duration = Duration::from_millis(2_000);
 
 impl Default for AdmissionConfig {
     fn default() -> AdmissionConfig {
@@ -63,11 +64,9 @@ impl Default for AdmissionConfig {
             rate_pps: 2_000,
             burst: 256,
             queue_cap: 512,
-            drain_interval: Duration::from_millis(1),
             drain_batch: 64,
             pushback_threshold: 200,
             pushback_window: Duration::from_millis(1_000),
-            pushback_hold: Duration::from_millis(2_000),
         }
     }
 }
@@ -214,13 +213,12 @@ impl AdmissionState {
 
     /// Push back on an offender that crossed the threshold at `now`:
     /// the drop rule pinning its (ingress port, source MAC) at the
-    /// switch for `pushback_hold`. `None` while the last one installed
+    /// switch for [`PUSHBACK_HOLD`]. `None` while the last one installed
     /// should still be live (the agent hard-expires it at the hold, and
     /// this bookkeeping lapses on the same clock).
     pub(crate) fn push_back(&mut self, offender: Offender, now: Instant) -> Option<FlowSpec> {
-        let hold = self.cfg.pushback_hold;
         let last = self.active_pushbacks.get(&offender);
-        if last.is_some_and(|&at| now.duration_since(at) < hold) {
+        if last.is_some_and(|&at| now.duration_since(at) < PUSHBACK_HOLD) {
             return None;
         }
         self.active_pushbacks.insert(offender, now);
@@ -232,7 +230,7 @@ impl AdmissionState {
         };
         // No actions = drop.
         let spec = FlowSpec::new(PUSHBACK_PRIORITY, matcher, Vec::new())
-            .with_timeouts(0, hold.as_nanos())
+            .with_timeouts(0, PUSHBACK_HOLD.as_nanos())
             .with_cookie(PUSHBACK_COOKIE)
             .with_importance(PUSHBACK_IMPORTANCE);
         Some(spec)
@@ -328,7 +326,7 @@ mod tests {
     #[test]
     fn a_push_back_is_held_for_the_hold() {
         let mut adm = AdmissionState::new(AdmissionConfig::default());
-        let hold = adm.cfg.pushback_hold;
+        let hold = PUSHBACK_HOLD;
         let offender = (NodeId(4), 2, [2, 0, 0, 0, 0, 9]);
         let t0 = Instant::from_millis(100);
         let rule = adm.push_back(offender, t0).expect("the first crossing");

@@ -22,7 +22,7 @@ use zen_wire::builder::PacketBuilder;
 use zen_wire::ethernet::{EtherType, Frame};
 use zen_wire::{arp, ipv4, lldp};
 
-use crate::admission::{AdmissionConfig, AdmissionState};
+use crate::admission::{AdmissionConfig, AdmissionState, DRAIN_INTERVAL};
 use crate::app::{App, Disposition};
 pub use crate::ctl::Ctl;
 use crate::ctl::{write, Core, Io};
@@ -1141,8 +1141,8 @@ impl Controller {
     /// Arm the tick, and admission's drain when it is on.
     pub fn start(&mut self, io: &mut dyn ControlIo) {
         io.set_timer(self.cfg.tick_interval, TIMER_TICK);
-        if let Some(adm) = &self.admission {
-            io.set_timer(adm.cfg.drain_interval, TIMER_ADMIT);
+        if self.admission.is_some() {
+            io.set_timer(DRAIN_INTERVAL, TIMER_ADMIT);
         }
     }
 
@@ -1152,8 +1152,8 @@ impl Controller {
         if token == TIMER_ADMIT {
             self.admission_drain(io);
             self.flush_barriers(io);
-            if let Some(adm) = &self.admission {
-                io.sink.set_timer(adm.cfg.drain_interval, TIMER_ADMIT);
+            if self.admission.is_some() {
+                io.sink.set_timer(DRAIN_INTERVAL, TIMER_ADMIT);
             }
         }
         if token == TIMER_FENCE {

@@ -131,7 +131,6 @@ fn run_flood(defended: bool) -> Outcome {
             queue_cap: 256,
             pushback_threshold: 100,
             pushback_window: Duration::from_millis(500),
-            pushback_hold: Duration::from_millis(2_000),
             ..AdmissionConfig::default()
         });
     }
