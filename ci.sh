@@ -44,14 +44,16 @@ ci/soak_digests.sh
 # to the last digit.
 ci/ledger_counts.sh
 
-# The three experiment benches the ledger has no workload for yet, E18
+# The four experiment benches the ledger has no workload for yet, E18
 # and E19 in quick mode. E18 (storm survival) runs for its assertions:
 # bounded black-hole, every defense layer engaged, a starving undefended
 # contrast. E19 (consistent update) asserts the two-phase rewrite loses
 # and loops nothing while the naive burst does, and that its simulated
 # commit latency is exactly the one the bench names. E11 (TE
 # reconfiguration) asserts a per-packet rollout loses nothing at any
-# jitter while a teardown-first one does.
+# jitter while a teardown-first one does. E7/E13 (failure convergence)
+# asserts its six E7 rows and its two loss-free E13 rows exactly.
 BENCH_E18_QUICK=1 cargo bench -p zen-bench --bench expt_storm
 BENCH_E19_QUICK=1 cargo bench -p zen-bench --bench expt_consistent_update
 cargo bench -p zen-bench --bench expt_update_disruption
+cargo bench -p zen-bench --bench expt_convergence

@@ -19,6 +19,11 @@
 //! delivery retransmits what the channel eats; reported are the lost
 //! probes, control messages, and retransmissions for proactive vs
 //! reactive programming at each loss rate.
+//!
+//! Every run is deterministic for its fixed seed, so the run asserts
+//! E7's six rows and E13's two loss-free rows exactly ([`E7_ROWS`],
+//! [`E13_LOSS_FREE`]). E13's lossy rows depend on which frames the
+//! fault draw drops, and are printed only.
 
 use zen_core::apps::proactive::FABRIC_MAC;
 use zen_core::apps::{ProactiveFabric, ReactiveForwarding};
@@ -35,6 +40,22 @@ const PROBES: u64 = 4000;
 const GAP: Duration = Duration::from_millis(1);
 const CUT_AT: Instant = Instant::from_secs(2);
 const END: Instant = Instant::from_secs(7);
+
+/// E7's rows as printed, (lost probes, control messages): detected then
+/// silent, each SDN, link-state, distance-vector. A change that moves
+/// one on purpose edits it here.
+const E7_ROWS: [(u64, u64); 6] = [
+    (0, 2476),
+    (0, 556),
+    (500, 123),
+    (151, 2674),
+    (450, 556),
+    (1500, 120),
+];
+
+/// E13's 0 % rows, (lost probes, control messages, mod
+/// retransmissions): proactive, then reactive.
+const E13_LOSS_FREE: [(u64, u64, u64); 2] = [(0, 2476, 0), (1, 2500, 0)];
 
 fn topo() -> Topology {
     let mut t = Topology::ring(4, LinkParams::default());
@@ -216,23 +237,18 @@ fn main() {
         "{:>34} {:>12} {:>16} {:>14}",
         "control plane", "fault", "lost (≈ms hole)", "ctl msgs"
     );
+    let mut e7 = Vec::new();
     for silent in [false, true] {
         let fault = if silent { "silent" } else { "detected" };
-        let (lost, msgs) = run_sdn(silent);
-        println!(
-            "{:>34} {:>12} {:>16} {:>14}",
-            "SDN proactive+failover", fault, lost, msgs
-        );
-        let (lost, msgs) = run_routers(Kind::Ls, silent);
-        println!(
-            "{:>34} {:>12} {:>16} {:>14}",
-            "link-state (OSPF-style)", fault, lost, msgs
-        );
-        let (lost, msgs) = run_routers(Kind::Dv, silent);
-        println!(
-            "{:>34} {:>12} {:>16} {:>14}",
-            "distance-vector (RIP-style)", fault, lost, msgs
-        );
+        let rows = [
+            ("SDN proactive+failover", run_sdn(silent)),
+            ("link-state (OSPF-style)", run_routers(Kind::Ls, silent)),
+            ("distance-vector (RIP-style)", run_routers(Kind::Dv, silent)),
+        ];
+        for (plane, (lost, msgs)) in rows {
+            println!("{plane:>34} {fault:>12} {lost:>16} {msgs:>14}");
+            e7.push((lost, msgs));
+        }
     }
     println!();
     println!("# Shape check: detected faults heal in ~0 for all planes (local repair");
@@ -247,9 +263,13 @@ fn main() {
         "{:>24} {:>8} {:>16} {:>12} {:>10}",
         "programming", "loss", "lost (≈ms hole)", "ctl msgs", "mod retx"
     );
+    let mut loss_free = Vec::new();
     for loss in [0.0, 0.01, 0.05, 0.10] {
         for reactive in [false, true] {
             let (lost, msgs, retx) = run_sdn_lossy(loss, reactive);
+            if loss == 0.0 {
+                loss_free.push((lost, msgs, retx));
+            }
             println!(
                 "{:>24} {:>7.0}% {:>16} {:>12} {:>10}",
                 if reactive {
@@ -270,4 +290,7 @@ fn main() {
     println!("# fabric on a topology change — a large mod burst exposed to the lossy");
     println!("# channel — whereas the reactive stream only needs its one path");
     println!("# reinstalled, so high loss rates hurt the proactive reprogram more.");
+
+    assert_eq!(e7, E7_ROWS, "E7's (lost, msgs) rows moved");
+    assert_eq!(loss_free, E13_LOSS_FREE, "E13's 0 % rows moved");
 }
