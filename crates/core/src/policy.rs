@@ -17,9 +17,11 @@
 pub const PUSHBACK_COOKIE: u64 = 0xDEFE_2E00;
 
 /// Priority of push-back drop rules: above every forwarding app (L2
-/// learning and the reactive/proactive fabrics install below 100),
-/// below explicit ACL denies (200) so operator policy still wins.
-pub const PUSHBACK_PRIORITY: u16 = 190;
+/// learning at 10, TE at 70–80, reactive forwarding at 100, the
+/// proactive fabric at 200), so a pinned offender's frames are dropped
+/// even where a rule would forward them, and below explicit ACL denies
+/// (900) so operator policy still wins.
+pub const PUSHBACK_PRIORITY: u16 = 500;
 
 /// Eviction importance of push-back rules: a loaded table sheds churn
 /// flows (importance 0) and even fabric rules (100) before it sheds

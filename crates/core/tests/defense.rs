@@ -24,10 +24,11 @@
 //! cargo test --release -p zen-core --test defense -- --ignored
 //! ```
 
-use zen_core::apps::L2Learning;
+use zen_core::apps::proactive::FABRIC_MAC;
+use zen_core::apps::{L2Learning, ProactiveFabric};
 use zen_core::{
-    build_fabric_with_hosts, AdmissionConfig, Controller, Fabric, FabricOptions, PuntMeterConfig,
-    SwitchAgent,
+    build_fabric, build_fabric_with_hosts, AdmissionConfig, Controller, Fabric, FabricOptions,
+    PuntMeterConfig, SwitchAgent,
 };
 use zen_sim::{Duration, Host, Instant, LinkParams, Topology, Workload, World};
 use zen_wire::{EthernetAddress, Ipv4Address};
@@ -487,5 +488,73 @@ fn arp_storm_bounded_by_punt_meter_and_admission() {
     assert!(
         def_ins * 3 < undef_ins,
         "defenses did not bound controller punts: {def_ins} defended vs {undef_ins} undefended"
+    );
+}
+
+/// A push-back outranks the fabric's program: on a proactive fabric, a
+/// rogue pinned for flooding punts can no longer reach a real host.
+/// Before the flood its datagrams to host 1 are forwarded like anyone's;
+/// once it is pushed back, the drop rule at its ingress takes every
+/// frame it sends, the ones a fabric rule would forward included.
+#[test]
+fn a_pushed_back_offender_cannot_reach_a_live_host() {
+    let mut world = World::new(SOAK_SEED ^ 3);
+    let topo = Topology::line(2, LinkParams::default())
+        .with_hosts_at(0, 1)
+        .with_hosts_at(1, 1);
+    let inventory = {
+        let mut scratch = World::new(SOAK_SEED ^ 3);
+        build_fabric(&mut scratch, &topo, vec![], FabricOptions::default()).static_hosts()
+    };
+    let mut opts = FabricOptions::default();
+    opts.controller_cfg.admission = Some(AdmissionConfig {
+        rate_pps: 500,
+        burst: 128,
+        queue_cap: 256,
+        pushback_threshold: 100,
+        pushback_window: Duration::from_millis(500),
+        ..AdmissionConfig::default()
+    });
+    let app = ProactiveFabric::new(inventory, topo.switches, 2 * topo.links.len());
+    let fabric = build_fabric(&mut world, &topo, vec![Box::new(app)], opts);
+
+    let victim = zen_core::harness::default_host_ip(1);
+    let to_victim = |count, start| Workload::Udp {
+        dst: victim,
+        dst_port: 9,
+        size: 64,
+        count,
+        interval: Duration::from_millis(10),
+        start,
+    };
+    let rogue_ip = Ipv4Address::new(10, 0, 9, 6);
+    let rogue = Host::new(ROGUE_MAC, rogue_ip)
+        .with_static_arp(victim, FABRIC_MAC)
+        .with_workload(to_victim(10, Instant::from_millis(600)))
+        .with_workload(Workload::PacketInFlood {
+            rotate_src: false,
+            payload_len: 64,
+            count: u64::MAX,
+            interval: FLOOD_INTERVAL,
+            start: ATTACK_START,
+        })
+        .with_workload(to_victim(50, Instant::from_millis(1_300)));
+    let rogue = world.add_node(Box::new(rogue));
+    world.connect(rogue, fabric.switches[0], LinkParams::default());
+    world.run_until(Instant::from_millis(2_000));
+
+    let ctl = world.node_as::<Controller>(fabric.controller);
+    assert!(ctl.find_app::<ProactiveFabric>().unwrap().programmed());
+    assert_eq!(
+        ctl.stats.pushbacks_installed, 1,
+        "the rogue was not pushed back"
+    );
+    let sent = world.node_as::<Host>(rogue).stats.udp_tx;
+    assert_eq!(sent, 60, "the rogue's datagrams were not all sent");
+    let received = &world.node_as::<Host>(fabric.hosts[1]).stats.udp_rx_per_src;
+    assert_eq!(
+        received.get(&rogue_ip).copied().unwrap_or(0),
+        10,
+        "only the datagrams sent before the push-back may arrive"
     );
 }
