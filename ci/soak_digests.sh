@@ -109,16 +109,41 @@
 # the controller's counters, three of which are gone. Each soak's
 # assertions hold. saturation, defense and shard did not move.
 #
+# chaos was 73ccc5ff48da96e4, cluster db74dbc3aa27b541, consistency
+# f810e8eb3cd671a4 and consensus 99d524aef8b832e3 until the fabric app
+# began installing groups only toward switches with hosts, and covering
+# each destination switch's hosts with the fewest prefixes. Printed at
+# both trees, what moved is the program's size and what counts it:
+#   chaos       — events 70 616 -> 70 631, controller messages sent
+#                 21 104 -> 20 735 and received 16 733 -> 16 742, mods
+#                 acked 926 -> 590 and retransmitted 33 -> 10, and the
+#                 control faults' draws (dropped 290 -> 287, duplicated
+#                 178 -> 177); every ping is answered at both.
+#   cluster     — on its 4-ring with hosts on two switches, the groups
+#                 toward the two without (12 held -> 6), each replica's
+#                 group mods, acks, retransmissions and NOT_MASTER
+#                 errors, and the rejected claims of two switches
+#                 (2 -> 1); flows, masters and claims are equal.
+#   consistency — events, messages, group mods 92 -> 46,
+#                 retransmissions 193 -> 123 and one more datagram
+#                 delivered (714 -> 715); epochs, commits and the rules
+#                 pushed (92) are equal.
+#   consensus   — each replica's group mods, acks, messages,
+#                 retransmissions and NOT_MASTER errors; switches,
+#                 committed intents and masters are equal.
+# Each soak's assertions hold. pressure, saturation, defense and shard
+# did not move.
+#
 set -eu
 
 TABLE='
-chaos 73ccc5ff48da96e4
-cluster db74dbc3aa27b541
+chaos d2a36d3596684d99
+cluster 8ba5c41c87b319c4
 pressure f7832bf741f0a678
 saturation 1e4342906665bfaa
 defense 2bb7ad6c680e2ac3
-consistency f810e8eb3cd671a4
-consensus 99d524aef8b832e3
+consistency d02c1555f6ca4918
+consensus 79588a82071ac29d
 shard 2ba813ff7a22a01a
 '
 

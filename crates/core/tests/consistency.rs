@@ -7,11 +7,16 @@
 //! reconverges), and determinism (the same seed replays byte-identical,
 //! faults and all).
 
+use std::collections::BTreeMap;
+
 use zen_core::apps::proactive::FABRIC_MAC;
 use zen_core::apps::ProactiveFabric;
 use zen_core::harness::default_host_ip as default_ip;
 use zen_core::{build_fabric, build_fabric_with_hosts, Controller, FabricOptions, SwitchAgent};
+use zen_sim::host::HostStats;
 use zen_sim::{Duration, FaultPlan, Host, Instant, Topology, Window, Workload, World};
+use zen_telemetry::TraceEvent;
+use zen_wire::{EthernetAddress, Ipv4Address};
 
 /// Diamond fabric (4-switch ring, hosts at opposite corners) running
 /// the proactive fabric under per-packet consistency, with a UDP
@@ -324,4 +329,90 @@ fn consistency_soak_replays_byte_identical() {
         a.rx.iter().all(|&r| r >= 500),
         "soak traffic starved: {a:?}"
     );
+}
+
+/// A per-packet re-home that changes the cover of a live host's switch
+/// loses nothing. A k=8 fat-tree carries every host's cross-pod stream
+/// (600 datagrams each, 200 pps). An inventory entry nobody sends to,
+/// `10.0.0.129`, sits on the last edge switch beside the live
+/// `10.0.0.128`, so their switch is covered by `.128/31`; at 2.5 s it
+/// moves to the first edge switch and the cover splits into `.128/32`
+/// and a `.129/32` elsewhere. The stampers that take the flip are one
+/// `/32` per host, so each is replaced in place, and no packet to
+/// `.128` goes on being stamped with the retired epoch: every datagram
+/// arrives, none visits a switch twice and none is punted.
+#[test]
+fn a_re_home_that_splits_a_live_hosts_cover_loses_nothing() {
+    let seed = 0xC0_0043;
+    let topo = Topology::fat_tree(8, zen_sim::LinkParams::default());
+    let n_hosts = topo.host_count();
+    let mut inventory = {
+        let mut scratch = World::new(seed);
+        build_fabric(&mut scratch, &topo, vec![], FabricOptions::default()).static_hosts()
+    };
+    let (first, last) = (inventory[0], inventory[n_hosts - 1]);
+    assert_eq!(last.ip, Ipv4Address::new(10, 0, 0, 128));
+    let idle = zen_core::apps::proactive::StaticHost {
+        ip: Ipv4Address::new(10, 0, 0, 129),
+        mac: EthernetAddress::from_id(0x99),
+        port: 63,
+        ..last
+    };
+    inventory.push(idle);
+    let moved = Instant::from_millis(2_500);
+    let mut app = ProactiveFabric::new(inventory, topo.switches, 2 * topo.links.len())
+        .per_packet()
+        .with_rehome(moved, idle.ip, first.dpid, idle.port);
+    app.dec_ttl = true;
+
+    let mut world = World::new(seed);
+    let fabric = build_fabric_with_hosts(
+        &mut world,
+        &topo,
+        vec![Box::new(app)],
+        FabricOptions::default(),
+        |i, mac, ip| {
+            let dst = default_ip((i + n_hosts / 2) % n_hosts);
+            Host::new(mac, ip)
+                .with_static_arp(dst, FABRIC_MAC)
+                .with_workload(Workload::Udp {
+                    dst,
+                    dst_port: 9,
+                    size: 200,
+                    count: 600,
+                    interval: Duration::from_millis(5),
+                    start: Instant::from_secs(1),
+                })
+        },
+    );
+    world.run_until(Instant::from_millis(2_400));
+    let punts = world
+        .node_as::<Controller>(fabric.controller)
+        .stats
+        .packet_ins;
+    world.recorder().set_enabled(true);
+    world.run_until(Instant::from_millis(3_100));
+    world.recorder().set_enabled(false);
+    world.run_until(Instant::from_secs(5));
+
+    // A packet that matches twice at one switch revisited it.
+    let mut visits: BTreeMap<(u64, u64), u64> = BTreeMap::new();
+    for record in world.recorder().records() {
+        if let TraceEvent::DpMatch { dpid, .. } = record.event {
+            *visits.entry((record.trace.0, dpid)).or_default() += 1;
+        }
+    }
+    let loops = visits.values().filter(|&&n| n > 1).count();
+    let stats = |f: fn(&HostStats) -> u64| -> u64 {
+        let hosts = fabric.hosts.iter();
+        hosts.map(|&h| f(&world.node_as::<Host>(h).stats)).sum()
+    };
+    let (sent, delivered) = (stats(|s| s.udp_tx), stats(|s| s.udp_rx));
+    let ctl = world.node_as::<Controller>(fabric.controller);
+    let app = fabric_app(ctl);
+    assert_eq!(app.txn_commits, 2, "the re-home was not a second epoch");
+    assert_eq!(app.txn_aborts, 0);
+    assert_eq!((sent, delivered), (76_800, 76_800));
+    assert_eq!(loops, 0, "packets revisited a switch");
+    assert_eq!(ctl.stats.packet_ins - punts, 0, "data packets were punted");
 }

@@ -571,6 +571,37 @@ fn a_program_mod_that_never_lands_gets_its_switch_rebuilt() {
     assert_eq!(app.full_loads, topo.switches as u64 + 1);
 }
 
+/// A program of one group and no flow, reconciled onto every switch
+/// when it comes up and when it returns diverged.
+struct OneGroup;
+
+impl OneGroup {
+    fn reconcile(ctl: &mut Ctl<'_, '_>, dpid: Dpid) {
+        let select = GroupDesc {
+            group_type: GroupType::Select,
+            buckets: vec![Bucket::output(1)],
+        };
+        let groups = vec![(group_id_for(0), select)];
+        let desired = ProgramBase::of(flows_stamp(&[]), &groups);
+        ctl.reconcile(dpid, FABRIC_COOKIE, &desired, |_| groups, Vec::new);
+    }
+}
+
+impl App for OneGroup {
+    fn name(&self) -> &'static str {
+        "one-group"
+    }
+    fn on_switch_up(&mut self, ctl: &mut Ctl<'_, '_>, dpid: Dpid) {
+        OneGroup::reconcile(ctl, dpid);
+    }
+    fn on_switch_resync(&mut self, ctl: &mut Ctl<'_, '_>, dpid: Dpid) {
+        OneGroup::reconcile(ctl, dpid);
+    }
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+}
+
 /// The cookie digest of a resync counts flows; a switch that holds only
 /// groups reports the same digest rebooted as not. The generation going
 /// backwards is what gives the reboot away.
@@ -578,11 +609,10 @@ fn a_program_mod_that_never_lands_gets_its_switch_rebuilt() {
 fn a_rebooted_switch_holding_only_groups_is_reloaded() {
     let topo = Topology::ring(4, LinkParams::default());
     let mut world = World::new(23);
-    let app = ProactiveFabric::new(Vec::new(), topo.switches, 2 * topo.links.len());
     let fabric = build_fabric(
         &mut world,
         &topo,
-        vec![Box::new(app)],
+        vec![Box::new(OneGroup)],
         FabricOptions::default(),
     );
     let sw = fabric.switches[2];
@@ -607,4 +637,51 @@ fn a_rebooted_switch_holding_only_groups_is_reloaded() {
         before,
         "the rebooted switch was not reloaded"
     );
+}
+
+/// A program names every group it holds and holds every group it names:
+/// groups go only toward switches with hosts, the ones the flows point
+/// at. On a quiet k=4 fat-tree, in place and in epochs, after a link
+/// flap has re-pointed some of them and the hold on deleting groups has
+/// run out, every switch's group table is exactly the set its flows
+/// name.
+#[test]
+fn every_held_group_is_named_and_every_named_group_is_held() {
+    let topo = Topology::fat_tree(4, LinkParams::default());
+    let inventory = {
+        let mut scratch = World::new(31);
+        build_fabric(&mut scratch, &topo, vec![], FabricOptions::default()).static_hosts()
+    };
+    let (edge_at, _) = an_edge_and_a_core_link(&topo);
+    for per_packet in [false, true] {
+        let mut app = ProactiveFabric::new(inventory.clone(), topo.switches, 2 * topo.links.len());
+        if per_packet {
+            app = app.per_packet();
+        }
+        let mut world = World::new(31);
+        let fabric = build_fabric(
+            &mut world,
+            &topo,
+            vec![Box::new(app)],
+            FabricOptions::default(),
+        );
+        world.schedule_link_state(fabric.switch_links[edge_at], false, ms(2_000));
+        world.schedule_link_state(fabric.switch_links[edge_at], true, ms(2_300));
+        world.run_until(ms(4_000));
+        let ctl = world.node_as::<Controller>(fabric.controller);
+        assert!(fabric_app(ctl).programmed() && ctl.pending_mods() == 0);
+        for (dpid, &switch) in fabric.switches.iter().enumerate() {
+            let dp = &world.node_as::<SwitchAgent>(switch).dp;
+            let held: BTreeSet<u32> = dp.groups().iter().map(|(id, _)| id).collect();
+            let actions = dp.table(0).entries().flat_map(|e| e.spec.actions.iter());
+            let named: BTreeSet<u32> = actions
+                .filter_map(|a| match a {
+                    Action::Group(id) => Some(*id),
+                    _ => None,
+                })
+                .collect();
+            assert!(!held.is_empty(), "switch {dpid} holds no group");
+            assert_eq!(held, named, "switch {dpid}, per packet: {per_packet}");
+        }
+    }
 }

@@ -6,8 +6,8 @@
 //!
 //! The fabric manager knows the host inventory up front (as a real
 //! datacenter SDN does) and pushes ECMP forwarding state before any
-//! traffic flows: one SELECT group per destination edge switch, one /32
-//! rule per host. All 16 hosts then run a random permutation traffic
+//! traffic flows: one SELECT group per destination edge switch, and the
+//! fewest prefixes that cover exactly its hosts. All 16 hosts then run a random permutation traffic
 //! pattern; the run reports delivery, latency, the spread of traffic
 //! across core links, and — the SDN point — that zero data packets
 //! visited the controller.
