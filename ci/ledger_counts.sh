@@ -195,7 +195,7 @@
 # re-sends smaller programs on every takeover and reprogram, so only
 # control-traffic and allocation lines moved, all down, and every
 # latency, failover hole, handover and commit line is where it was.
-# Seed 1 per simulated ms: allocations 40.34 -> 36.83, control bytes
+# Seed 1 per simulated ms: allocations 40.34 -> 36.80, control bytes
 # 733.1 -> 718.1, mods retransmitted 9 175 -> 7 090 and cache flushes
 # 40 520 -> 40 330 a run. The ceilings follow.
 #
@@ -207,7 +207,7 @@ TABLE='
 fabric_forward 52d5bd28d8759fe1 core.agent.allocs_per_frame<=1.01 dataplane.datapath.allocs_per_micro_hit<=2 sim.world.drops_queue<=0
 reactive_churn d7c53360dc63f869 core.controller.msgs_per_op<=13.43 sim.world.events_per_op<=15.50 sim.world.ctl_bytes_per_op<=738 trace.allocs_per_op<=12.23 trace.bytes_alloc_per_op<=589 core.controller.allocs_per_packet_in<=0.0027 core.agent.allocs_per_frame<=1.042
 cbench_closed 41e331e4b6dbcf15 core.controller.allocs_per_packet_in<=0 core.controller.decode_errors<=0 trace.allocs_per_op<=1.0002 trace.bytes_alloc_per_op<=36
-cluster_churn c397614b684365a0 trace.allocs_per_op<=36.84 core.controller.mods_retransmitted<=7090 core.controller.flow_mods_per_op<=1.32 sim.world.ctl_bytes_per_op<=719 dataplane.cache.invalidations<=40330
+cluster_churn c397614b684365a0 trace.allocs_per_op<=36.80 core.controller.mods_retransmitted<=7090 core.controller.flow_mods_per_op<=1.32 sim.world.ctl_bytes_per_op<=719 dataplane.cache.invalidations<=40330
 '
 
 fail() {

@@ -62,6 +62,7 @@ pub struct StaticHost {
 
 /// The inventory's hosts on one switch, and the fewest prefixes that
 /// cover exactly their addresses.
+#[derive(Default)]
 struct Destination {
     hosts: Vec<StaticHost>,
     cover: Vec<Ipv4Cidr>,
@@ -70,19 +71,15 @@ struct Destination {
 /// The inventory by attachment switch, in dpid order: the switches the
 /// fabric routes toward.
 fn destinations(hosts: &[StaticHost]) -> BTreeMap<Dpid, Destination> {
-    let mut by_switch: BTreeMap<Dpid, Vec<StaticHost>> = BTreeMap::new();
+    let mut by_switch: BTreeMap<Dpid, Destination> = BTreeMap::new();
     for host in hosts {
-        by_switch.entry(host.dpid).or_default().push(*host);
+        by_switch.entry(host.dpid).or_default().hosts.push(*host);
     }
-    let destination = |hosts: Vec<StaticHost>| {
-        let addresses: Vec<Ipv4Address> = hosts.iter().map(|h| h.ip).collect();
-        let cover = exact_cover(&addresses);
-        Destination { hosts, cover }
-    };
+    for destination in by_switch.values_mut() {
+        let addresses: Vec<Ipv4Address> = destination.hosts.iter().map(|h| h.ip).collect();
+        destination.cover = exact_cover(&addresses);
+    }
     by_switch
-        .into_iter()
-        .map(|(dpid, hosts)| (dpid, destination(hosts)))
-        .collect()
 }
 
 /// The fewest IPv4 prefixes whose union is exactly `addresses`, in
@@ -295,7 +292,8 @@ impl ProactiveFabric {
 
     /// The flow half of the program installed in place on `switch`.
     fn plain_flows(&self, switch: Dpid) -> Vec<FlowSpec> {
-        let mut flows = Vec::new();
+        // A cover is never longer than its hosts.
+        let mut flows = Vec::with_capacity(self.hosts.len());
         self.flows(switch, FABRIC_COOKIE, None, |_, spec| flows.push(spec));
         flows
     }
@@ -456,9 +454,9 @@ impl ProactiveFabric {
 /// live port on each equal-cost next hop. The
 /// switch's usable ports are read off the view once, not once per
 /// destination. What it returns is a function of the routing snapshot
-/// alone: a next hop is a graph node, and every live neighbour that can
-/// match one is an out-edge of the graph, leaving by the port the
-/// snapshot's `edge_ports` holds for it — which is why
+/// and `toward` alone: a next hop is a graph node, and every live
+/// neighbour that can match one is an out-edge of the graph, leaving by
+/// the port the snapshot's `edge_ports` holds for it — which is why
 /// [`ProactiveFabric`] may keep the result's hashes for a generation.
 fn groups(
     view: &NetworkView,
