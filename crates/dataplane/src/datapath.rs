@@ -1,14 +1,14 @@
-//! The multi-table pipeline: scalar `process` and OVS-style
-//! `process_batch` entry points over the same table walk.
+//! The multi-table pipeline: `process_batch` classifies each frame in
+//! turn (microflow probe, megaflow probe, table walk); `process` is its
+//! batch of one.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use zen_telemetry::{trace_id_for_frame, CacheTier, Recorder, TraceEvent, TraceId};
 
 use crate::action::{apply_rewrite, Action, Rewrite};
 use crate::cache::{CacheStats, FlowCache, Program, Segment};
 use crate::group::{GroupDesc, GroupTable};
-use crate::hash::BuildWordHasher;
 use crate::key::FlowKey;
 use crate::matching::{FlowMatch, KeyMask};
 use crate::meter::Meter;
@@ -147,27 +147,11 @@ pub struct Datapath {
     /// Shared flight recorder (disabled instance by default). Tap points
     /// cost one enabled-check when recording is off.
     recorder: Recorder,
-    /// Per-batch microflow→probe-outcome memo. Scratch state: cleared at
-    /// the top of every [`Datapath::process_batch`], kept on the struct
-    /// only to recycle its allocation. Never iterated (unseeded hasher).
-    batch_memo: HashMap<FlowKey, BatchMemo, BuildWordHasher>,
     /// Scratch buffer holding the frame being rewritten, recycled across
     /// frames and calls.
     scratch_frame: Vec<u8>,
     /// Scratch buffer for the trajectory a table walk records, likewise.
     scratch_segments: Vec<Segment>,
-}
-
-/// Memoized cache-probe outcome for one microflow group within a batch.
-#[derive(Debug, Clone)]
-enum BatchMemo {
-    /// The group's first frame resolved to this trajectory (cache hit or
-    /// freshly installed); siblings replay it without re-probing.
-    Cached(Program),
-    /// The group's latest slow run terminated early (meter red, TTL), so
-    /// nothing was cached; siblings re-run the slow path, still without
-    /// re-probing.
-    SlowUncached,
 }
 
 /// Per-switch ECMP hash: a SplitMix64-style scramble of the flow hash
@@ -504,7 +488,6 @@ impl Datapath {
             cache: FlowCache::new(),
             cache_enabled: true,
             recorder: Recorder::new(),
-            batch_memo: HashMap::default(),
             scratch_frame: Vec::new(),
             scratch_segments: Vec::new(),
         }
@@ -786,33 +769,19 @@ impl Datapath {
     /// Process a batch of received frames, appending every externally
     /// visible outcome to `effects` in frame order.
     ///
-    /// Frames are processed strictly in submitted order — meters and
-    /// counters are order-dependent, so grouping must never reorder —
-    /// but per-frame fixed costs are amortized the way OVS batches do:
-    /// frames sharing a microflow key probe the cache once (the group's
-    /// first frame) and siblings replay the same memoized trajectory,
-    /// and the rewrite buffer is recycled instead of allocated per
-    /// frame. Skipping sibling probes is sound because nothing inside
-    /// frame processing invalidates the cache — only table, meter, and
-    /// port mutations do, and none can happen mid-batch. Cache probe
-    /// counters consequently count *probes* (at most one per microflow
-    /// group per batch), not packets; every other observable — effects,
-    /// port stats, entry counters, meter state, `pipeline_drops` — is
-    /// bit-identical to calling [`Datapath::process`] per frame and
-    /// concatenating the results.
+    /// Each frame is classified on its own, exactly as [`Datapath::process`]
+    /// would: microflow probe, megaflow probe, then the table walk. A batch
+    /// is therefore observably the same frames sent one by one — effects,
+    /// counters, meter state, drops and [`CacheStats`] alike. The only
+    /// state kept across frames is the recycled rewrite buffer.
     pub fn process_batch(
         &mut self,
         now: Nanos,
         batch: &[(PortNo, &[u8])],
         effects: &mut Vec<Effect>,
     ) {
-        let mut memo = std::mem::take(&mut self.batch_memo);
-        memo.clear();
         let mut working = std::mem::take(&mut self.scratch_frame);
         let cache_enabled = self.cache_enabled;
-        // A batch of one cannot amortize anything; skip memo bookkeeping
-        // so the scalar shim stays as lean as the old scalar path.
-        let use_memo = cache_enabled && batch.len() > 1;
         let (tables, cache, mut exec) = self.parts(now);
         for &(in_port, received) in batch {
             {
@@ -830,46 +799,30 @@ impl Datapath {
                 working: &mut working,
                 rewritten: false,
             };
-
-            // One cache probe per microflow group: after the group's
-            // first frame, the memo answers instead of the cache.
-            let memoized = if use_memo { memo.get(&key) } else { None };
-            let probed = memoized.is_none() && cache_enabled;
-            let hit = match memoized {
-                // Scalar processing would find the trajectory in the
-                // microflow tier by now (the group's first frame
-                // promoted or installed it).
-                Some(BatchMemo::Cached(program)) => Some((program, CacheTier::Micro)),
-                Some(BatchMemo::SlowUncached) => None,
-                None if cache_enabled => match cache.lookup_micro(&key) {
+            let hit = if cache_enabled {
+                match cache.lookup_micro(&key) {
                     Some(program) => Some((program, CacheTier::Micro)),
                     None => cache
                         .lookup_mega(&key)
                         .map(|program| (program, CacheTier::Mega)),
-                },
-                None => None,
+                }
+            } else {
+                None
             };
-            let remember = match hit {
+            match hit {
                 Some((program, tier)) => {
                     exec.record_match(tier);
                     exec.replay(tables, program, &key, &mut frame, effects);
-                    (use_memo && probed).then(|| BatchMemo::Cached(program.clone()))
                 }
                 None => {
                     exec.record_match(CacheTier::Slow);
                     let walked = exec.walk(tables, cache_enabled, &key, &mut frame, effects);
-                    let installed = walked.map(|(mask, program)| {
-                        cache.insert(key, mask, program.clone());
-                        BatchMemo::Cached(program)
-                    });
-                    use_memo.then(|| installed.unwrap_or(BatchMemo::SlowUncached))
+                    if let Some((mask, program)) = walked {
+                        cache.insert(key, mask, program);
+                    }
                 }
-            };
-            if let Some(outcome) = remember {
-                memo.insert(key, outcome);
             }
         }
-        self.batch_memo = memo;
         self.scratch_frame = working;
     }
 }

@@ -5,17 +5,13 @@
 //! sequences, same entry/table/port counters, same drops, same meter
 //! state.
 //!
-//! This is the batch path's soundness proof in executable form: probe
-//! memoization and buffer reuse may only amortize costs, never change
-//! what the pipeline does. Cache probe counters are deliberately NOT
-//! compared — one probe per microflow group per batch (instead of one
-//! per packet) is the amortization being tested.
+//! A batch is its frames one by one: the rewrite buffer it recycles may
+//! save an allocation, never change what the pipeline does.
 
 mod churn;
 
 use zen_dataplane::{
-    Action, Bucket, CacheStats, Datapath, Effect, FlowMatch, FlowSpec, GroupDesc, GroupType,
-    MissPolicy,
+    Action, Bucket, Datapath, Effect, FlowMatch, FlowSpec, GroupDesc, GroupType, MissPolicy,
 };
 use zen_wire::builder::PacketBuilder;
 use zen_wire::lcg::Lcg;
@@ -312,40 +308,6 @@ fn batched_cached_agrees_with_scalar_cache_off() {
 }
 
 #[test]
-fn batch_probes_are_amortized_across_groups() {
-    // A homogeneous batch must cost one cache probe, not one per frame.
-    let mut dp = build_dp(true);
-    dp.add_flow(
-        0,
-        FlowSpec::new(1, FlowMatch::ANY, vec![Action::Output(2)]),
-        0,
-    );
-    let frame = PacketBuilder::udp(
-        EthernetAddress::from_id(1),
-        Ipv4Address::new(10, 0, 0, 1),
-        1000,
-        EthernetAddress::from_id(99),
-        Ipv4Address::new(10, 0, 1, 1),
-        50,
-        b"warm",
-    );
-    // Warm the cache with one scalar call (one miss, one insert).
-    dp.process(1, 1, &frame);
-    let warm = dp.cache_stats();
-    let batch: Vec<(u32, &[u8])> = (0..64).map(|_| (1u32, frame.as_slice())).collect();
-    let mut effects = Vec::new();
-    dp.process_batch(2, &batch, &mut effects);
-    assert_eq!(effects.len(), 64, "every frame still produced its output");
-    let after = dp.cache_stats();
-    assert_eq!(
-        after.hits() - warm.hits(),
-        1,
-        "one probe for the whole 64-frame group"
-    );
-    assert_eq!(after.misses, warm.misses);
-}
-
-#[test]
 fn empty_batch_is_a_no_op() {
     let mut dp = build_dp(true);
     let before = snapshot(&dp);
@@ -405,8 +367,8 @@ fn run_script(batched: &mut Datapath, uncached: &mut Datapath, script: &[churn::
 /// The `churn` script with each run of frames delivered as one batch:
 /// a batch of one microflow's frames, a group / port / meter / flow
 /// change, another batch of the same microflow. The batched datapath
-/// must match a scalar one with the cache off frame for frame, and
-/// spend exactly the probes the batch path has always spent.
+/// must match a scalar one with the cache off frame for frame, and its
+/// cache must count what the frame-by-frame run counts.
 #[test]
 fn changes_between_batches_of_one_microflow_match_the_uncached_walk() {
     let mut batched = churn::build_dp(true);
@@ -414,15 +376,12 @@ fn changes_between_batches_of_one_microflow_match_the_uncached_walk() {
     let script = churn::script(0xC4A26E, 1_500);
     let frames = run_script(&mut batched, &mut uncached, &script);
     assert!(frames >= 5_000, "only {frames} frames");
-    // Pinned from the batch path as it stood at commit 67998ec (see
-    // the scalar twin in `cache_differential.rs`).
-    assert_eq!(batched.cache_stats(), PINNED_BATCH_STATS);
+    assert_eq!(batched.cache_stats(), churn::PINNED_STATS);
 }
 
-/// The batch memo holds trajectories by value too: a pipeline deeper
-/// than a trajectory holds inline, and entries replaced in place
-/// between two batches of one microflow (see the scalar twin in
-/// `cache_differential.rs`).
+/// A pipeline deeper than a trajectory holds inline, and entries
+/// replaced in place between two batches of one microflow (see the
+/// scalar twin in `cache_differential.rs`).
 #[test]
 fn deep_pipelines_and_replacing_adds_match_the_uncached_walk() {
     let mut batched = churn::build_deep_dp(true);
@@ -433,13 +392,3 @@ fn deep_pipelines_and_replacing_adds_match_the_uncached_walk() {
     assert!(frames >= 5_000, "only {frames} frames");
     assert!(stats.hits() > 500 && stats.invalidations > 500, "{stats:?}");
 }
-
-const PINNED_BATCH_STATS: CacheStats = CacheStats {
-    micro_hits: 1013,
-    mega_hits: 802,
-    misses: 1464,
-    inserts: 1462,
-    invalidations: 476,
-    micro_evictions: 0,
-    mega_evictions: 0,
-};

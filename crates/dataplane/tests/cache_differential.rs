@@ -10,7 +10,7 @@
 mod churn;
 
 use zen_dataplane::{
-    Action, Bucket, CacheStats, Datapath, FlowMatch, FlowSpec, GroupDesc, GroupType, MissPolicy,
+    Action, Bucket, Datapath, FlowMatch, FlowSpec, GroupDesc, GroupType, MissPolicy,
 };
 use zen_wire::builder::PacketBuilder;
 use zen_wire::lcg::Lcg;
@@ -295,10 +295,7 @@ fn changes_between_frames_of_one_microflow_match_the_uncached_walk() {
     let script = churn::script(0xC4A26E, 1_500);
     let frames = run_script(&mut cached, &mut uncached, &script);
     assert!(frames >= 5_000, "only {frames} frames");
-    // Pinned from the cache as it stood before group execution moved
-    // to precomputed live-bucket lists (commit 67998ec): a change here
-    // is a change to what invalidates or fills the cache.
-    assert_eq!(cached.cache_stats(), PINNED_STATS);
+    assert_eq!(cached.cache_stats(), churn::PINNED_STATS);
 }
 
 /// A cached trajectory is positions into the tables, and replay runs
@@ -318,13 +315,3 @@ fn deep_pipelines_and_replacing_adds_match_the_uncached_walk() {
     // Every change was a flow mod that took: each one flushed.
     assert!(stats.invalidations > 500, "{stats:?}");
 }
-
-const PINNED_STATS: CacheStats = CacheStats {
-    micro_hits: 3691,
-    mega_hits: 802,
-    misses: 1466,
-    inserts: 1462,
-    invalidations: 476,
-    micro_evictions: 0,
-    mega_evictions: 0,
-};

@@ -11,8 +11,8 @@
 
 use zen_dataplane::datapath::PortStats;
 use zen_dataplane::{
-    Action, Bucket, Datapath, FlowEntry, FlowMatch, FlowSpec, GroupDesc, GroupType, MissPolicy,
-    RemovedReason,
+    Action, Bucket, CacheStats, Datapath, FlowEntry, FlowMatch, FlowSpec, GroupDesc, GroupType,
+    MissPolicy, RemovedReason,
 };
 use zen_wire::builder::PacketBuilder;
 use zen_wire::lcg::Lcg;
@@ -131,6 +131,21 @@ pub fn script(seed: u64, rounds: usize) -> Vec<Op> {
     }
     ops
 }
+
+/// What the cache of `build_dp(true)` counts over `script(0xC4A26E,
+/// 1_500)`, whether its frames arrive one by one or a run at a time.
+/// Pinned from the cache as it stood before group execution moved to
+/// precomputed live-bucket lists (commit 67998ec): a change here is a
+/// change to what invalidates or fills the cache.
+pub const PINNED_STATS: CacheStats = CacheStats {
+    micro_hits: 3691,
+    mega_hits: 802,
+    misses: 1466,
+    inserts: 1462,
+    invalidations: 476,
+    micro_evictions: 0,
+    mega_evictions: 0,
+};
 
 /// A two-table datapath with four ports, one group of each kind with
 /// and without rewriting buckets, a meter, and one standing rule per
