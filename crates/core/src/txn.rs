@@ -1,8 +1,8 @@
 //! Transactional network updates — the northbound programming API.
 //!
 //! Applications no longer scatter loose `install_flow` calls: they open
-//! a transaction with [`crate::controller::Ctl::txn`], stage flow,
-//! group, and meter operations on the returned [`NetworkUpdate`], and
+//! a transaction with [`crate::controller::Ctl::txn`], stage flow and
+//! group installs and retires on the returned [`NetworkUpdate`], and
 //! commit the batch atomically. Two consistency levels:
 //!
 //! * [`Consistency::Relaxed`] — operations are sent immediately in
@@ -37,7 +37,7 @@
 use std::collections::{BTreeSet, VecDeque};
 
 use zen_dataplane::{epoch_tag, Action, FlowSpec, GroupDesc};
-use zen_proto::{FlowModCmd, GroupModCmd, Message, MeterModCmd};
+use zen_proto::{FlowModCmd, GroupModCmd, Message};
 use zen_sim::{Duration, Instant};
 
 use crate::controller::CtlStats;
@@ -91,13 +91,6 @@ pub(crate) enum UpdateOp {
         group_id: u32,
         desc: GroupDesc,
     },
-    /// Install or replace a meter.
-    Meter {
-        dpid: Dpid,
-        meter_id: u32,
-        rate_bps: u64,
-        burst_bytes: u64,
-    },
     /// Delete the old configuration's flows — after the drain wave
     /// under `PerPacket`, in staging order under `Relaxed`.
     RetireFlowsByCookie { dpid: Dpid, cookie: u64 },
@@ -137,18 +130,6 @@ impl UpdateOp {
                 let cmd = GroupModCmd::Delete;
                 (dpid, Message::GroupMod { group_id, cmd })
             }
-            UpdateOp::Meter {
-                dpid,
-                meter_id,
-                rate_bps,
-                burst_bytes,
-            } => {
-                let cmd = MeterModCmd::Add {
-                    rate_bps,
-                    burst_bytes,
-                };
-                (dpid, Message::MeterMod { meter_id, cmd })
-            }
         }
     }
 
@@ -156,7 +137,6 @@ impl UpdateOp {
         match *self {
             UpdateOp::Flow { dpid, .. }
             | UpdateOp::Group { dpid, .. }
-            | UpdateOp::Meter { dpid, .. }
             | UpdateOp::RetireFlowsByCookie { dpid, .. }
             | UpdateOp::RetireGroup { dpid, .. } => dpid,
         }
@@ -224,23 +204,6 @@ impl NetworkUpdate {
         self
     }
 
-    /// Stage a meter install (or replace).
-    pub fn meter(
-        &mut self,
-        dpid: Dpid,
-        meter_id: u32,
-        rate_bps: u64,
-        burst_bytes: u64,
-    ) -> &mut NetworkUpdate {
-        self.ops.push(UpdateOp::Meter {
-            dpid,
-            meter_id,
-            rate_bps,
-            burst_bytes,
-        });
-        self
-    }
-
     /// Mark the old configuration's flows for retirement: deleted after
     /// the drain wave under `PerPacket`, in staging order under
     /// `Relaxed`.
@@ -295,7 +258,7 @@ const TXN_DEADLINE: Duration = Duration::from_secs(2);
 /// Phase of the active two-phase transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum TxnPhase {
-    /// New-epoch internal rules, groups, and meters are in flight,
+    /// New-epoch internal rules and groups are in flight,
     /// awaiting barrier acks from every touched switch.
     Staging,
     /// Edge rules stamping the new epoch are in flight.
@@ -634,7 +597,6 @@ impl UpdatePlanner {
                 UpdateOp::RetireFlowsByCookie { .. } | UpdateOp::RetireGroup { .. } => {
                     &mut txn.retire_msgs
                 }
-                UpdateOp::Meter { .. } => &mut stage_msgs,
             };
             batch.push(op.into_message());
         }
@@ -654,8 +616,9 @@ mod tests {
     const NS: Duration = Duration::from_nanos(1);
 
     /// A two-switch update with one op of every kind: a plain and an
-    /// internal flow, a group and a meter to stage, an edge and a
-    /// cutover flow to flip, and a flow and a group to retire.
+    /// internal flow, a group and a second flow under the internal
+    /// one's cookie to stage, an edge and a cutover flow to flip, and a
+    /// flow and a group to retire.
     fn update(token: u64) -> NetworkUpdate {
         let spec = |cookie| FlowSpec::new(1, FlowMatch::ANY, vec![]).with_cookie(cookie);
         let mut update = NetworkUpdate::default()
@@ -672,7 +635,7 @@ mod tests {
                     buckets: vec![],
                 },
             )
-            .meter(2, 3, 1_000, 100)
+            .flow(2, 0, spec(11))
             .flow_as(FlowRole::Edge, 2, 0, spec(12))
             .flow_as(FlowRole::Cutover, 1, 0, spec(13))
             .retire_flows_by_cookie(1, 9)
