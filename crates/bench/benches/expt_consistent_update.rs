@@ -37,7 +37,7 @@ use std::collections::BTreeMap;
 use zen_core::apps::proactive::{StaticHost, FABRIC_MAC};
 use zen_core::apps::ProactiveFabric;
 use zen_core::harness::default_host_ip;
-use zen_core::{build_fabric, build_fabric_with_hosts, Controller, FabricOptions};
+use zen_core::{announcer, build_fabric, Controller, FabricOptions};
 use zen_sim::{Duration, Host, Instant, LinkParams, Topology, Workload, World};
 use zen_telemetry::json::Line;
 use zen_telemetry::TraceEvent;
@@ -114,7 +114,14 @@ fn run(two_phase: bool, quick: bool) -> Outcome {
 
     let mut inventory = {
         let mut scratch = World::new(SEED);
-        build_fabric(&mut scratch, &topo, vec![], FabricOptions::default()).static_hosts()
+        build_fabric(
+            &mut scratch,
+            &topo,
+            |_| vec![],
+            FabricOptions::default(),
+            announcer,
+        )
+        .static_hosts()
     };
     // An inventory entry nobody sends to, moved from the first host's
     // switch to the last one's as the link returns.
@@ -137,10 +144,11 @@ fn run(two_phase: bool, quick: bool) -> Outcome {
     }
 
     let mut world = World::new(SEED);
-    let fabric = build_fabric_with_hosts(
+    let mut app = Some(app);
+    let fabric = build_fabric(
         &mut world,
         &topo,
-        vec![Box::new(app)],
+        |_| vec![Box::new(app.take().expect("one replica"))],
         FabricOptions::default(),
         |i, mac, ip| {
             // Cross-pod pairs: +8 of 16 is always two pods away.

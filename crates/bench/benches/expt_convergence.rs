@@ -27,7 +27,7 @@
 
 use zen_core::apps::proactive::FABRIC_MAC;
 use zen_core::apps::{ProactiveFabric, ReactiveForwarding};
-use zen_core::harness::{build_fabric, build_fabric_with_hosts, default_host_ip, FabricOptions};
+use zen_core::harness::{announcer, build_fabric, default_host_ip, FabricOptions};
 use zen_core::Controller;
 use zen_routing::{DistanceVectorRouter, LinkStateRouter};
 use zen_sim::{
@@ -94,17 +94,26 @@ fn run_sdn(silent: bool) -> (u64, u64) {
     let topo = topo();
     let inventory = {
         let mut scratch = World::new(3);
-        build_fabric(&mut scratch, &topo, vec![], FabricOptions::default()).static_hosts()
+        build_fabric(
+            &mut scratch,
+            &topo,
+            |_| vec![],
+            FabricOptions::default(),
+            announcer,
+        )
+        .static_hosts()
     };
     let mut world = World::new(3);
-    let fabric = build_fabric_with_hosts(
+    let fabric = build_fabric(
         &mut world,
         &topo,
-        vec![Box::new(ProactiveFabric::new(
-            inventory,
-            topo.switches,
-            2 * topo.links.len(),
-        ))],
+        |_| {
+            vec![Box::new(ProactiveFabric::new(
+                inventory.clone(),
+                topo.switches,
+                2 * topo.links.len(),
+            ))]
+        },
         FabricOptions::default(),
         |i, mac, ip| {
             let host = Host::new(mac, ip).with_static_arp(default_host_ip(1 - i), FABRIC_MAC);
@@ -137,19 +146,28 @@ fn run_sdn_lossy(loss: f64, reactive: bool) -> (u64, u64, u64) {
     let topo = topo();
     let inventory = {
         let mut scratch = World::new(3);
-        build_fabric(&mut scratch, &topo, vec![], FabricOptions::default()).static_hosts()
+        build_fabric(
+            &mut scratch,
+            &topo,
+            |_| vec![],
+            FabricOptions::default(),
+            announcer,
+        )
+        .static_hosts()
     };
     let mut world = World::new(3);
-    let apps: Vec<Box<dyn zen_core::App>> = if reactive {
-        vec![Box::new(ReactiveForwarding::new())]
-    } else {
-        vec![Box::new(ProactiveFabric::new(
-            inventory,
-            topo.switches,
-            2 * topo.links.len(),
-        ))]
+    let apps = |_| -> Vec<Box<dyn zen_core::App>> {
+        if reactive {
+            vec![Box::new(ReactiveForwarding::new())]
+        } else {
+            vec![Box::new(ProactiveFabric::new(
+                inventory.clone(),
+                topo.switches,
+                2 * topo.links.len(),
+            ))]
+        }
     };
-    let fabric = build_fabric_with_hosts(
+    let fabric = build_fabric(
         &mut world,
         &topo,
         apps,

@@ -29,7 +29,7 @@
 use zen_core::apps::L2Learning;
 use zen_core::harness::{default_host_ip, default_host_mac};
 use zen_core::{
-    build_fabric_with_hosts, AdmissionConfig, CbenchConfig, CbenchMode, CbenchSwitch, Controller,
+    build_fabric, AdmissionConfig, CbenchConfig, CbenchMode, CbenchSwitch, Controller,
     FabricOptions, PuntMeterConfig, SwitchAgent,
 };
 use zen_sim::{Duration, Histogram, Host, Instant, LinkParams, NodeId, Topology, Workload, World};
@@ -132,10 +132,10 @@ fn run_fabric(attack: bool, defended: bool) -> FabricOutcome {
             ..AdmissionConfig::default()
         });
     }
-    let fabric = build_fabric_with_hosts(
+    let fabric = build_fabric(
         &mut world,
         &topo,
-        vec![Box::new(L2Learning::new())],
+        |_| vec![Box::new(L2Learning::new())],
         opts,
         |i, mac, ip| {
             Host::new(mac, ip)

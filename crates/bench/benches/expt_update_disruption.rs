@@ -14,7 +14,7 @@
 use zen_core::apps::proactive::FABRIC_MAC;
 use zen_core::apps::te::SiteDemand;
 use zen_core::apps::TrafficEngineering;
-use zen_core::harness::{build_fabric_with_hosts, site_host_ip, FabricOptions};
+use zen_core::harness::{build_fabric, site_host_ip, FabricOptions};
 use zen_core::{Consistency, Controller};
 use zen_sim::{Duration, Host, Instant, LinkParams, Topology, Workload, World};
 
@@ -30,10 +30,10 @@ fn run(consistency: Consistency, jitter: Duration, seed: u64) -> u64 {
     let site_ip = |site: usize| site_host_ip(site, 0);
     let inventory: Vec<zen_core::apps::proactive::StaticHost> = {
         let mut scratch = World::new(seed);
-        let f = build_fabric_with_hosts(
+        let f = build_fabric(
             &mut scratch,
             &topo,
-            vec![],
+            |_| vec![],
             FabricOptions::default(),
             |i, mac, _| Host::new(mac, site_ip(i)),
         );
@@ -73,10 +73,11 @@ fn run(consistency: Consistency, jitter: Duration, seed: u64) -> u64 {
     ));
 
     let mut world = World::new(seed);
-    let fabric = build_fabric_with_hosts(
+    let mut te = Some(te);
+    let fabric = build_fabric(
         &mut world,
         &topo,
-        vec![Box::new(te)],
+        |_| vec![Box::new(te.take().expect("one replica"))],
         FabricOptions::default(),
         |i, mac, _| {
             let host = Host::new(mac, site_ip(i))

@@ -587,7 +587,7 @@ mod tests {
     use zen_sim::{LinkParams, Topology, World};
     use zen_wire::lcg::Lcg;
 
-    use crate::harness::{build_fabric, FabricOptions};
+    use crate::harness::{announcer, build_fabric, FabricOptions};
 
     /// The fewest disjoint prefixes covering exactly `members` of the
     /// `span` addresses from `base`, by trying every prefix: the lowest
@@ -665,7 +665,13 @@ mod tests {
     fn fat_tree_inventory(k: usize) -> (usize, Vec<StaticHost>) {
         let topo = Topology::fat_tree(k, LinkParams::default());
         let mut world = World::new(1);
-        let fabric = build_fabric(&mut world, &topo, Vec::new(), FabricOptions::default());
+        let fabric = build_fabric(
+            &mut world,
+            &topo,
+            |_| Vec::new(),
+            FabricOptions::default(),
+            announcer,
+        );
         (topo.switches, fabric.static_hosts())
     }
 

@@ -1,8 +1,9 @@
 //! Fabric construction: wire a [`Topology`] into a world as SDN
 //! switches plus a controller, and attach instrumented hosts.
 //!
-//! Used by the examples, the integration tests, and every end-to-end
-//! benchmark, so they all build networks the same way.
+//! [`build_fabric`] is the one constructor: the examples, the integration
+//! tests and the experiment benches all build networks through it, with
+//! one to many controller replicas and whatever hosts they need.
 
 use zen_dataplane::PortNo;
 use zen_sim::{Duration, Host, LinkId, LinkParams, NodeId, Topology, World};
@@ -29,9 +30,8 @@ pub struct FabricOptions {
     /// Link parameters for host attachment links.
     pub host_link: LinkParams,
     /// Number of controller replicas. The default of 1 builds the
-    /// classic single-controller fabric; values above 1 require
-    /// [`build_cluster_fabric`] / [`build_cluster_fabric_with_hosts`]
-    /// (each replica needs its own app instances).
+    /// classic single-controller fabric; above 1, [`build_fabric`] calls
+    /// its `apps` once per replica.
     pub n_controllers: usize,
     /// Mastership lease for multi-controller fabrics: a replica silent
     /// for this long is presumed dead and its switches taken over.
@@ -108,76 +108,38 @@ pub fn site_host_ip(site: usize, n: usize) -> Ipv4Address {
     Ipv4Address::new(10, site as u8, (n / 250) as u8, (n % 250 + 1) as u8)
 }
 
-/// Build an SDN fabric over `topo` with default hosts (gratuitous-ARP
-/// announcers with no workload). Returns the fabric handle.
+/// The default host: a gratuitous-ARP announcer with no workload, at
+/// the default addressing. Pass it as [`build_fabric`]'s `hosts` when the
+/// hosts need nothing else.
+pub fn announcer(_i: usize, mac: EthernetAddress, ip: Ipv4Address) -> Host {
+    Host::new(mac, ip).with_gratuitous_arp()
+}
+
+/// Build an SDN fabric over `topo`: `opts.n_controllers` controller
+/// replicas, one switch agent per topology switch, and one host per
+/// topology host.
+///
+/// `apps(i)` builds replica `i`'s app stack; every replica must run the
+/// same apps for takeover to be seamless. `hosts(i, mac, ip)` builds
+/// host `i` from the default addressing ([`announcer`] for the default
+/// host); it may choose other addressing, which the fabric records.
+///
+/// With one replica this is the classic fabric: a lone `Controller` with
+/// no cluster state and single-homed agents. With more, every replica is
+/// wired into the cluster, every agent is homed to all of them, and
+/// mastership is negotiated at the features handshake.
 pub fn build_fabric(
     world: &mut World,
     topo: &Topology,
-    apps: Vec<Box<dyn App>>,
+    mut apps: impl FnMut(usize) -> Vec<Box<dyn App>>,
     opts: FabricOptions,
-) -> Fabric {
-    build_fabric_with_hosts(world, topo, apps, opts, |_i, mac, ip| {
-        Host::new(mac, ip).with_gratuitous_arp()
-    })
-}
-
-/// Build an SDN fabric with custom host construction (`host_fn`
-/// receives the index and the default addressing and returns the host
-/// node, typically adding workloads).
-pub fn build_fabric_with_hosts(
-    world: &mut World,
-    topo: &Topology,
-    apps: Vec<Box<dyn App>>,
-    opts: FabricOptions,
-    host_fn: impl FnMut(usize, EthernetAddress, Ipv4Address) -> Host,
-) -> Fabric {
-    assert!(
-        opts.n_controllers <= 1,
-        "multi-controller fabrics need per-replica app instances; \
-         use build_cluster_fabric_with_hosts"
-    );
-    let mut apps = Some(apps);
-    build_cluster_fabric_with_hosts(
-        world,
-        topo,
-        |_i| apps.take().expect("single controller builds apps once"),
-        opts,
-        host_fn,
-    )
-}
-
-/// Build an SDN fabric with `opts.n_controllers` controller replicas
-/// and default hosts. `app_fn(i)` builds replica `i`'s app stack —
-/// every replica must run the same apps for takeover to be seamless.
-pub fn build_cluster_fabric(
-    world: &mut World,
-    topo: &Topology,
-    app_fn: impl FnMut(usize) -> Vec<Box<dyn App>>,
-    opts: FabricOptions,
-) -> Fabric {
-    build_cluster_fabric_with_hosts(world, topo, app_fn, opts, |_i, mac, ip| {
-        Host::new(mac, ip).with_gratuitous_arp()
-    })
-}
-
-/// Build an SDN fabric with `opts.n_controllers` controller replicas
-/// and custom host construction. With one replica this is byte-for-byte
-/// the classic fabric: a lone `Controller` with no cluster state and
-/// single-homed agents. With more, every replica is wired into the
-/// cluster, every agent is homed to all of them, and mastership is
-/// negotiated at the features handshake.
-pub fn build_cluster_fabric_with_hosts(
-    world: &mut World,
-    topo: &Topology,
-    mut app_fn: impl FnMut(usize) -> Vec<Box<dyn App>>,
-    opts: FabricOptions,
-    mut host_fn: impl FnMut(usize, EthernetAddress, Ipv4Address) -> Host,
+    mut hosts: impl FnMut(usize, EthernetAddress, Ipv4Address) -> Host,
 ) -> Fabric {
     let n_controllers = opts.n_controllers.max(1);
     let controllers: Vec<NodeId> = (0..n_controllers)
         .map(|i| {
             world.add_node(Box::new(Controller::with_config(
-                app_fn(i),
+                apps(i),
                 opts.controller_cfg,
             )))
         })
@@ -219,19 +181,19 @@ pub fn build_cluster_fabric_with_hosts(
         .map(|l| world.connect(switches[l.a], switches[l.b], l.params).0)
         .collect();
 
-    let mut hosts = Vec::new();
+    let mut host_nodes = Vec::new();
     let mut host_macs = Vec::new();
     let mut host_ips = Vec::new();
     let mut host_attach = Vec::new();
     for (i, &sw) in topo.hosts.iter().enumerate() {
         let mac = default_host_mac(i);
         let ip = default_host_ip(i);
-        let host = host_fn(i, mac, ip);
+        let host = hosts(i, mac, ip);
         // The host may have chosen different addressing.
         let (mac, ip) = (host.mac(), host.ip());
         let node = world.add_node(Box::new(host));
         let (_, _, switch_port) = world.connect(node, switches[sw], opts.host_link);
-        hosts.push(node);
+        host_nodes.push(node);
         host_macs.push(mac);
         host_ips.push(ip);
         host_attach.push((sw, switch_port));
@@ -241,7 +203,7 @@ pub fn build_cluster_fabric_with_hosts(
         controller,
         controllers,
         switches,
-        hosts,
+        hosts: host_nodes,
         host_macs,
         host_ips,
         host_attach,

@@ -16,9 +16,9 @@
 //!   [`apps::ProactiveFabric`] (ECMP fabrics), [`apps::Acl`], and
 //!   [`apps::TrafficEngineering`] (B4-style WAN TE over VLAN tunnels).
 //!
-//! [`harness`] builds whole fabrics (switches + controller + hosts) from
-//! `zen-sim` topologies, so examples, tests and benchmarks construct
-//! networks identically.
+//! [`harness::build_fabric`] builds whole fabrics (switches, one or more
+//! controller replicas, hosts) from `zen-sim` topologies, so examples,
+//! tests and benchmarks construct networks identically.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,10 +46,7 @@ pub use agent::{AgentConfig, ConnLossPolicy, ConnState, PuntMeterConfig, SwitchA
 pub use app::{App, Disposition};
 pub use cbench::{CbenchConfig, CbenchMode, CbenchStats, CbenchSwitch};
 pub use controller::{Controller, ControllerConfig, Ctl, CtlStats};
-pub use harness::{
-    build_cluster_fabric, build_cluster_fabric_with_hosts, build_fabric, build_fabric_with_hosts,
-    Fabric, FabricOptions,
-};
+pub use harness::{announcer, build_fabric, Fabric, FabricOptions};
 pub use shard_fabric::{build_shard_fat_tree, ShardFabric, ShardSwitch, ShardTrafficHost};
 pub use snapshot::export_jsonl;
 pub use southbound::{flows_stamp, ProgramBase, Reconciled};

@@ -12,7 +12,7 @@
 
 use zen_core::apps::proactive::FABRIC_MAC;
 use zen_core::apps::ProactiveFabric;
-use zen_core::harness::{build_fabric, build_fabric_with_hosts, FabricOptions};
+use zen_core::harness::{announcer, build_fabric, FabricOptions};
 use zen_core::Controller;
 use zen_sim::{Duration, FaultPlan, Host, Instant, LinkParams, Topology, Window, Workload, World};
 
@@ -44,7 +44,14 @@ fn soak(seed: u64) -> TraceDigest {
     assert_eq!(topo.host_count(), 16);
     let inventory = {
         let mut scratch = World::new(seed);
-        build_fabric(&mut scratch, &topo, vec![], FabricOptions::default()).static_hosts()
+        build_fabric(
+            &mut scratch,
+            &topo,
+            |_| vec![],
+            FabricOptions::default(),
+            announcer,
+        )
+        .static_hosts()
     };
     let n_hosts = topo.host_count();
     let host_ips: Vec<_> = (0..n_hosts)
@@ -52,14 +59,16 @@ fn soak(seed: u64) -> TraceDigest {
         .collect();
 
     let mut world = World::new(seed);
-    let fabric = build_fabric_with_hosts(
+    let fabric = build_fabric(
         &mut world,
         &topo,
-        vec![Box::new(ProactiveFabric::new(
-            inventory,
-            topo.switches,
-            2 * topo.links.len(),
-        ))],
+        |_| {
+            vec![Box::new(ProactiveFabric::new(
+                inventory.clone(),
+                topo.switches,
+                2 * topo.links.len(),
+            ))]
+        },
         FabricOptions::default(),
         |i, mac, ip| {
             // Post-heal all-pairs ping wave: every host probes every

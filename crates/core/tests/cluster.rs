@@ -10,9 +10,7 @@ use std::collections::BTreeMap;
 
 use zen_core::apps::proactive::{StaticHost, FABRIC_MAC};
 use zen_core::apps::ProactiveFabric;
-use zen_core::harness::{
-    build_cluster_fabric_with_hosts, build_fabric, default_host_mac, Fabric, FabricOptions,
-};
+use zen_core::harness::{announcer, build_fabric, default_host_mac, Fabric, FabricOptions};
 use zen_core::{AgentConfig, Controller, ControllerConfig, SwitchAgent};
 use zen_sim::{Duration, FaultPlan, Host, Instant, LinkParams, Topology, Window, Workload, World};
 use zen_wire::Ipv4Address;
@@ -41,7 +39,14 @@ fn cluster_ring_fabric(
     topo.hosts = vec![0, 2];
     let inventory = {
         let mut scratch = World::new(99);
-        build_fabric(&mut scratch, &topo, vec![], FabricOptions::default()).static_hosts()
+        build_fabric(
+            &mut scratch,
+            &topo,
+            |_| vec![],
+            FabricOptions::default(),
+            announcer,
+        )
+        .static_hosts()
     };
     let opts = FabricOptions {
         n_controllers,
@@ -49,7 +54,7 @@ fn cluster_ring_fabric(
     };
     let expected_switches = topo.switches;
     let expected_links = 2 * topo.links.len();
-    build_cluster_fabric_with_hosts(
+    build_fabric(
         world,
         &topo,
         |_i| {

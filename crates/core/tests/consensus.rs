@@ -10,7 +10,7 @@ use zen_cluster::GossipMode;
 use zen_core::apps::acl::ACL_COOKIE;
 use zen_core::apps::proactive::FABRIC_MAC;
 use zen_core::apps::{Acl, ProactiveFabric};
-use zen_core::harness::{build_cluster_fabric_with_hosts, build_fabric, Fabric, FabricOptions};
+use zen_core::harness::{announcer, build_fabric, Fabric, FabricOptions};
 use zen_core::{App, Controller, Ctl, SwitchAgent};
 use zen_dataplane::FlowMatch;
 use zen_proto::Intent;
@@ -130,7 +130,14 @@ fn consensus_fabric(
     topo.hosts = vec![0, 2];
     let inventory = {
         let mut scratch = World::new(99);
-        build_fabric(&mut scratch, &topo, vec![], FabricOptions::default()).static_hosts()
+        build_fabric(
+            &mut scratch,
+            &topo,
+            |_| vec![],
+            FabricOptions::default(),
+            announcer,
+        )
+        .static_hosts()
     };
     let opts = FabricOptions {
         n_controllers: n,
@@ -139,7 +146,7 @@ fn consensus_fabric(
     };
     let expected_switches = topo.switches;
     let expected_links = 2 * topo.links.len();
-    build_cluster_fabric_with_hosts(
+    build_fabric(
         world,
         &topo,
         |i| {

@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use zen_core::apps::proactive::FABRIC_MAC;
 use zen_core::apps::ProactiveFabric;
 use zen_core::harness::default_host_ip as default_ip;
-use zen_core::{build_fabric, build_fabric_with_hosts, Controller, FabricOptions, SwitchAgent};
+use zen_core::{announcer, build_fabric, Controller, FabricOptions, SwitchAgent};
 use zen_sim::host::HostStats;
 use zen_sim::{Duration, FaultPlan, Host, Instant, Topology, Window, Workload, World};
 use zen_telemetry::TraceEvent;
@@ -28,16 +28,25 @@ fn build_diamond(seed: u64, count: u64) -> (World, zen_core::Fabric) {
 
     let inventory = {
         let mut scratch = World::new(seed);
-        build_fabric(&mut scratch, &topo, vec![], FabricOptions::default()).static_hosts()
+        build_fabric(
+            &mut scratch,
+            &topo,
+            |_| vec![],
+            FabricOptions::default(),
+            announcer,
+        )
+        .static_hosts()
     };
 
     let mut world = World::new(seed);
-    let fabric = build_fabric_with_hosts(
+    let fabric = build_fabric(
         &mut world,
         &topo,
-        vec![Box::new(
-            ProactiveFabric::new(inventory, topo.switches, expected_links).per_packet(),
-        )],
+        |_| {
+            vec![Box::new(
+                ProactiveFabric::new(inventory.clone(), topo.switches, expected_links).per_packet(),
+            )]
+        },
         FabricOptions::default(),
         |i, mac, ip| {
             let dst = default_ip(1 - i);
@@ -348,7 +357,14 @@ fn a_re_home_that_splits_a_live_hosts_cover_loses_nothing() {
     let n_hosts = topo.host_count();
     let mut inventory = {
         let mut scratch = World::new(seed);
-        build_fabric(&mut scratch, &topo, vec![], FabricOptions::default()).static_hosts()
+        build_fabric(
+            &mut scratch,
+            &topo,
+            |_| vec![],
+            FabricOptions::default(),
+            announcer,
+        )
+        .static_hosts()
     };
     let (first, last) = (inventory[0], inventory[n_hosts - 1]);
     assert_eq!(last.ip, Ipv4Address::new(10, 0, 0, 128));
@@ -366,10 +382,11 @@ fn a_re_home_that_splits_a_live_hosts_cover_loses_nothing() {
     app.dec_ttl = true;
 
     let mut world = World::new(seed);
-    let fabric = build_fabric_with_hosts(
+    let mut app = Some(app);
+    let fabric = build_fabric(
         &mut world,
         &topo,
-        vec![Box::new(app)],
+        |_| vec![Box::new(app.take().expect("one replica"))],
         FabricOptions::default(),
         |i, mac, ip| {
             let dst = default_ip((i + n_hosts / 2) % n_hosts);

@@ -27,8 +27,8 @@
 use zen_core::apps::proactive::FABRIC_MAC;
 use zen_core::apps::{L2Learning, ProactiveFabric};
 use zen_core::{
-    build_fabric, build_fabric_with_hosts, AdmissionConfig, Controller, Fabric, FabricOptions,
-    PuntMeterConfig, SwitchAgent,
+    announcer, build_fabric, AdmissionConfig, Controller, Fabric, FabricOptions, PuntMeterConfig,
+    SwitchAgent,
 };
 use zen_sim::{Duration, Host, Instant, LinkParams, Topology, Workload, World};
 use zen_wire::{EthernetAddress, Ipv4Address};
@@ -138,10 +138,10 @@ fn run_flood(defended: bool) -> Outcome {
 
     let peer_ip = |i: usize| zen_core::harness::default_host_ip(1 - i);
     let peer_mac = |i: usize| zen_core::harness::default_host_mac(1 - i);
-    let fabric: Fabric = build_fabric_with_hosts(
+    let fabric: Fabric = build_fabric(
         &mut world,
         &topo,
-        vec![Box::new(L2Learning::new())],
+        |_| vec![Box::new(L2Learning::new())],
         opts,
         |i, mac, ip| {
             Host::new(mac, ip)
@@ -340,10 +340,10 @@ fn mac_flap_damper_trips_and_traffic_survives() {
         .with_hosts_at(1, 1);
     let victim_mac = zen_core::harness::default_host_mac(0);
     let phantom = Ipv4Address::new(10, 0, 3, 3);
-    let fabric = build_fabric_with_hosts(
+    let fabric = build_fabric(
         &mut world,
         &topo,
-        vec![Box::new(L2Learning::new())],
+        |_| vec![Box::new(L2Learning::new())],
         FabricOptions::default(),
         |i, mac, ip| {
             let host = Host::new(mac, ip).with_gratuitous_arp();
@@ -444,10 +444,10 @@ fn arp_storm_bounded_by_punt_meter_and_admission() {
                 ..AdmissionConfig::default()
             });
         }
-        let fabric = build_fabric_with_hosts(
+        let fabric = build_fabric(
             &mut world,
             &topo,
-            vec![Box::new(L2Learning::new())],
+            |_| vec![Box::new(L2Learning::new())],
             opts,
             |_i, mac, ip| Host::new(mac, ip).with_gratuitous_arp(),
         );
@@ -504,7 +504,14 @@ fn a_pushed_back_offender_cannot_reach_a_live_host() {
         .with_hosts_at(1, 1);
     let inventory = {
         let mut scratch = World::new(SOAK_SEED ^ 3);
-        build_fabric(&mut scratch, &topo, vec![], FabricOptions::default()).static_hosts()
+        build_fabric(
+            &mut scratch,
+            &topo,
+            |_| vec![],
+            FabricOptions::default(),
+            announcer,
+        )
+        .static_hosts()
     };
     let mut opts = FabricOptions::default();
     opts.controller_cfg.admission = Some(AdmissionConfig {
@@ -516,7 +523,14 @@ fn a_pushed_back_offender_cannot_reach_a_live_host() {
         ..AdmissionConfig::default()
     });
     let app = ProactiveFabric::new(inventory, topo.switches, 2 * topo.links.len());
-    let fabric = build_fabric(&mut world, &topo, vec![Box::new(app)], opts);
+    let mut app = Some(app);
+    let fabric = build_fabric(
+        &mut world,
+        &topo,
+        |_| vec![Box::new(app.take().expect("one replica"))],
+        opts,
+        announcer,
+    );
 
     let victim = zen_core::harness::default_host_ip(1);
     let to_victim = |count, start| Workload::Udp {

@@ -6,7 +6,7 @@ use zen_core::apps::proactive::FABRIC_MAC;
 use zen_core::apps::reactive::REACTIVE_COOKIE;
 use zen_core::apps::te::SiteDemand;
 use zen_core::apps::{Acl, L2Learning, ProactiveFabric, ReactiveForwarding, TrafficEngineering};
-use zen_core::harness::{build_fabric, build_fabric_with_hosts, site_host_ip, FabricOptions};
+use zen_core::harness::{announcer, build_fabric, site_host_ip, FabricOptions};
 use zen_core::{Controller, ControllerConfig, SwitchAgent};
 use zen_dataplane::FlowMatch;
 use zen_sim::{Duration, FaultPlan, Host, Instant, LinkParams, Topology, Window, Workload, World};
@@ -23,8 +23,9 @@ fn discovery_learns_full_topology_and_hosts() {
     let fabric = build_fabric(
         &mut world,
         &topo,
-        vec![Box::new(ReactiveForwarding::new())],
+        |_| vec![Box::new(ReactiveForwarding::new())],
         FabricOptions::default(),
+        announcer,
     );
     world.run_until(Instant::from_secs(1));
 
@@ -49,7 +50,13 @@ fn discovery_learns_full_topology_and_hosts() {
 fn bring_up_learns_each_link_from_one_probe() {
     let topo = Topology::fat_tree(4, LinkParams::default());
     let mut world = World::new(1);
-    let fabric = build_fabric(&mut world, &topo, vec![], FabricOptions::default());
+    let fabric = build_fabric(
+        &mut world,
+        &topo,
+        |_| vec![],
+        FabricOptions::default(),
+        announcer,
+    );
     world.run_until(Instant::from_millis(10));
 
     let controller = world.node_as::<Controller>(fabric.controller);
@@ -61,10 +68,10 @@ fn bring_up_learns_each_link_from_one_probe() {
 fn reactive_forwarding_pings_across_ring() {
     let topo = Topology::ring(4, LinkParams::default()).with_host_per_switch();
     let mut world = World::new(7);
-    let fabric = build_fabric_with_hosts(
+    let fabric = build_fabric(
         &mut world,
         &topo,
-        vec![Box::new(ReactiveForwarding::new())],
+        |_| vec![Box::new(ReactiveForwarding::new())],
         FabricOptions::default(),
         |i, mac, ip| {
             let host = Host::new(mac, ip).with_gratuitous_arp();
@@ -129,10 +136,11 @@ fn soft_state_quiesces(loss: f64) -> u64 {
         ..FabricOptions::default()
     };
     let mut world = World::new(3);
-    let fabric = build_fabric_with_hosts(
+    let mut app = Some(app);
+    let fabric = build_fabric(
         &mut world,
         &topo,
-        vec![Box::new(app)],
+        |_| vec![Box::new(app.take().expect("one replica"))],
         opts,
         |i, mac, ip| {
             Host::new(mac, ip)
@@ -187,10 +195,10 @@ fn soft_state_quiesces_clean_and_under_control_loss() {
 fn first_packet_pays_setup_latency() {
     let topo = Topology::line(3, LinkParams::default()).with_host_per_switch();
     let mut world = World::new(3);
-    let fabric = build_fabric_with_hosts(
+    let fabric = build_fabric(
         &mut world,
         &topo,
-        vec![Box::new(ReactiveForwarding::new())],
+        |_| vec![Box::new(ReactiveForwarding::new())],
         FabricOptions::default(),
         |i, mac, ip| {
             let host = Host::new(mac, ip).with_gratuitous_arp();
@@ -230,10 +238,10 @@ fn a_port_coming_up_keeps_the_reactive_paths() {
     let mut topo = Topology::ring(4, LinkParams::default());
     topo.hosts = vec![0, 1];
     let mut world = World::new(11);
-    let fabric = build_fabric_with_hosts(
+    let fabric = build_fabric(
         &mut world,
         &topo,
-        vec![Box::new(ReactiveForwarding::new())],
+        |_| vec![Box::new(ReactiveForwarding::new())],
         FabricOptions::default(),
         |i, mac, ip| {
             let host = Host::new(mac, ip).with_gratuitous_arp();
@@ -274,10 +282,10 @@ fn a_port_coming_up_keeps_the_reactive_paths() {
 fn l2_learning_works_on_a_tree() {
     let topo = Topology::star(3, LinkParams::default()).with_host_per_switch();
     let mut world = World::new(5);
-    let fabric = build_fabric_with_hosts(
+    let fabric = build_fabric(
         &mut world,
         &topo,
-        vec![Box::new(L2Learning::new())],
+        |_| vec![Box::new(L2Learning::new())],
         FabricOptions::default(),
         |i, mac, ip| {
             let host = Host::new(mac, ip).with_gratuitous_arp();
@@ -303,13 +311,15 @@ fn acl_blocks_matching_traffic_only() {
     let topo = Topology::line(2, LinkParams::default()).with_host_per_switch();
     let deny_udp_9 = FlowMatch::ANY.with_ip_proto(17).with_l4_dst(9);
     let mut world = World::new(2);
-    let fabric = build_fabric_with_hosts(
+    let fabric = build_fabric(
         &mut world,
         &topo,
-        vec![
-            Box::new(Acl::new(vec![deny_udp_9])),
-            Box::new(ReactiveForwarding::new()),
-        ],
+        |_| {
+            vec![
+                Box::new(Acl::new(vec![deny_udp_9])),
+                Box::new(ReactiveForwarding::new()),
+            ]
+        },
         FabricOptions::default(),
         |i, mac, ip| {
             let host = Host::new(mac, ip).with_gratuitous_arp();
@@ -351,18 +361,26 @@ fn proactive_fabric_full_reachability_with_zero_data_punts() {
     let host_inventory: Vec<zen_core::apps::proactive::StaticHost> = {
         // Predict attachments: build a scratch world.
         let mut scratch = World::new(9);
-        let f = build_fabric(&mut scratch, &topo, vec![], FabricOptions::default());
+        let f = build_fabric(
+            &mut scratch,
+            &topo,
+            |_| vec![],
+            FabricOptions::default(),
+            announcer,
+        );
         f.static_hosts()
     };
 
-    let fabric = build_fabric_with_hosts(
+    let fabric = build_fabric(
         &mut world,
         &topo,
-        vec![Box::new(ProactiveFabric::new(
-            host_inventory,
-            topo.switches,
-            expected_links,
-        ))],
+        |_| {
+            vec![Box::new(ProactiveFabric::new(
+                host_inventory.clone(),
+                topo.switches,
+                expected_links,
+            ))]
+        },
         FabricOptions::default(),
         |i, mac, ip| {
             // Every host sends to the "next" host, addressed to the
@@ -412,18 +430,27 @@ fn proactive_fabric_survives_link_failure() {
 
     let inventory = {
         let mut scratch = World::new(4);
-        build_fabric(&mut scratch, &topo, vec![], FabricOptions::default()).static_hosts()
+        build_fabric(
+            &mut scratch,
+            &topo,
+            |_| vec![],
+            FabricOptions::default(),
+            announcer,
+        )
+        .static_hosts()
     };
 
     let mut world = World::new(4);
-    let fabric = build_fabric_with_hosts(
+    let fabric = build_fabric(
         &mut world,
         &topo,
-        vec![Box::new(ProactiveFabric::new(
-            inventory,
-            topo.switches,
-            expected_links,
-        ))],
+        |_| {
+            vec![Box::new(ProactiveFabric::new(
+                inventory.clone(),
+                topo.switches,
+                expected_links,
+            ))]
+        },
         FabricOptions::default(),
         |i, mac, ip| {
             let dst = default_ip(1 - i);
@@ -470,10 +497,10 @@ fn te_tunnels_carry_site_traffic() {
     let site_ip = |site: usize| site_host_ip(site, 0);
     let inventory: Vec<zen_core::apps::proactive::StaticHost> = {
         let mut scratch = World::new(11);
-        let f = build_fabric_with_hosts(
+        let f = build_fabric(
             &mut scratch,
             &topo,
-            vec![],
+            |_| vec![],
             FabricOptions::default(),
             |i, mac, _| Host::new(mac, site_ip(i)),
         );
@@ -505,10 +532,11 @@ fn te_tunnels_carry_site_traffic() {
     );
 
     let mut world = World::new(11);
-    let fabric = build_fabric_with_hosts(
+    let mut te = Some(te);
+    let fabric = build_fabric(
         &mut world,
         &topo,
-        vec![Box::new(te)],
+        |_| vec![Box::new(te.take().expect("one replica"))],
         FabricOptions::default(),
         |i, mac, _| {
             let host = Host::new(mac, site_ip(i));
@@ -562,8 +590,9 @@ fn agent_answers_echo_and_stats() {
     let fabric = build_fabric(
         &mut world,
         &topo,
-        vec![Box::new(ReactiveForwarding::new())],
+        |_| vec![Box::new(ReactiveForwarding::new())],
         FabricOptions::default(),
+        announcer,
     );
     world.run_until(Instant::from_secs(1));
     // Count: every switch registered and received feature handshakes.
@@ -582,17 +611,26 @@ fn silent_failure_detected_by_lldp_aging() {
     topo.hosts = vec![0, 2];
     let inventory = {
         let mut scratch = World::new(6);
-        build_fabric(&mut scratch, &topo, vec![], FabricOptions::default()).static_hosts()
+        build_fabric(
+            &mut scratch,
+            &topo,
+            |_| vec![],
+            FabricOptions::default(),
+            announcer,
+        )
+        .static_hosts()
     };
     let mut world = World::new(6);
-    let fabric = build_fabric_with_hosts(
+    let fabric = build_fabric(
         &mut world,
         &topo,
-        vec![Box::new(ProactiveFabric::new(
-            inventory,
-            topo.switches,
-            2 * topo.links.len(),
-        ))],
+        |_| {
+            vec![Box::new(ProactiveFabric::new(
+                inventory.clone(),
+                topo.switches,
+                2 * topo.links.len(),
+            ))]
+        },
         FabricOptions::default(),
         |i, mac, ip| {
             let dst = default_ip(1 - i);
@@ -646,13 +684,15 @@ fn monitor_app_collects_port_and_table_stats() {
 
     let topo = Topology::line(3, LinkParams::default()).with_host_per_switch();
     let mut world = World::new(12);
-    let fabric = build_fabric_with_hosts(
+    let fabric = build_fabric(
         &mut world,
         &topo,
-        vec![
-            Box::new(ReactiveForwarding::new()),
-            Box::new(Monitor::new(4)),
-        ],
+        |_| {
+            vec![
+                Box::new(ReactiveForwarding::new()),
+                Box::new(Monitor::new(4)),
+            ]
+        },
         FabricOptions::default(),
         |i, mac, ip| {
             let host = Host::new(mac, ip).with_gratuitous_arp();
@@ -712,10 +752,10 @@ fn make_before_break_reconfig_is_hitless_under_jitter() {
         let site_ip = |site: usize| site_host_ip(site, 0);
         let inventory: Vec<zen_core::apps::proactive::StaticHost> = {
             let mut scratch = World::new(13);
-            let f = build_fabric_with_hosts(
+            let f = build_fabric(
                 &mut scratch,
                 &topo,
-                vec![],
+                |_| vec![],
                 FabricOptions::default(),
                 |i, mac, _| Host::new(mac, site_ip(i)),
             );
@@ -755,10 +795,11 @@ fn make_before_break_reconfig_is_hitless_under_jitter() {
 
         let mut world = World::new(13);
         let probes = 4000u64;
-        let fabric = build_fabric_with_hosts(
+        let mut te = Some(te);
+        let fabric = build_fabric(
             &mut world,
             &topo,
-            vec![Box::new(te)],
+            |_| vec![Box::new(te.take().expect("one replica"))],
             FabricOptions::default(),
             |i, mac, _| {
                 let host = Host::new(mac, site_ip(i))
@@ -818,10 +859,10 @@ fn an_aborted_te_rollout_leaves_the_live_tunnels_forwarding() {
     let site_ip = |site: usize| site_host_ip(site, 0);
     let inventory: Vec<zen_core::apps::proactive::StaticHost> = {
         let mut scratch = World::new(17);
-        let f = build_fabric_with_hosts(
+        let f = build_fabric(
             &mut scratch,
             &topo,
-            vec![],
+            |_| vec![],
             FabricOptions::default(),
             |i, mac, _| Host::new(mac, site_ip(i)),
         );
@@ -855,10 +896,11 @@ fn an_aborted_te_rollout_leaves_the_live_tunnels_forwarding() {
         interval: Duration::from_millis(10),
         start: Instant::from_millis(start),
     };
-    let fabric = build_fabric_with_hosts(
+    let mut te = Some(te);
+    let fabric = build_fabric(
         &mut world,
         &topo,
-        vec![Box::new(te)],
+        |_| vec![Box::new(te.take().expect("one replica"))],
         FabricOptions::default(),
         |i, mac, _| {
             let mut host = Host::new(mac, site_ip(i));

@@ -17,7 +17,7 @@
 //! backs off, and traffic still flows controller-mediated.
 
 use zen_core::apps::{Monitor, ReactiveForwarding};
-use zen_core::harness::{build_fabric_with_hosts, default_host_ip, FabricOptions};
+use zen_core::harness::{build_fabric, default_host_ip, FabricOptions};
 use zen_core::{export_jsonl, AgentConfig, Controller, SwitchAgent};
 use zen_dataplane::OverflowPolicy;
 use zen_sim::{Duration, Host, Instant, LinkParams, Topology, Workload, World};
@@ -69,13 +69,15 @@ fn churn_world(
         },
         ..FabricOptions::default()
     };
-    let fabric = build_fabric_with_hosts(
+    let fabric = build_fabric(
         &mut world,
         &topo,
-        vec![
-            Box::new(ReactiveForwarding::new()),
-            Box::new(Monitor::new(4)),
-        ],
+        |_| {
+            vec![
+                Box::new(ReactiveForwarding::new()),
+                Box::new(Monitor::new(4)),
+            ]
+        },
         opts,
         |i, mac, ip| {
             let mut host = Host::new(mac, ip).with_gratuitous_arp();

@@ -8,7 +8,7 @@ use std::collections::BTreeSet;
 
 use zen_core::apps::proactive::{group_id_for, FABRIC_COOKIE, FABRIC_IMPORTANCE, FABRIC_MAC};
 use zen_core::apps::ProactiveFabric;
-use zen_core::harness::{build_cluster_fabric_with_hosts, build_fabric, default_host_ip};
+use zen_core::harness::{announcer, build_fabric, default_host_ip};
 use zen_core::{
     flows_stamp, App, Controller, ControllerConfig, Ctl, Dpid, Fabric, FabricOptions, ProgramBase,
     SwitchAgent,
@@ -149,10 +149,17 @@ fn fat_tree_fabric(
     let topo = Topology::fat_tree(4, LinkParams::default());
     let inventory = {
         let mut scratch = World::new(99);
-        build_fabric(&mut scratch, &topo, vec![], FabricOptions::default()).static_hosts()
+        build_fabric(
+            &mut scratch,
+            &topo,
+            |_| vec![],
+            FabricOptions::default(),
+            announcer,
+        )
+        .static_hosts()
     };
     let (switches, links) = (topo.switches, 2 * topo.links.len());
-    let fabric = build_cluster_fabric_with_hosts(
+    let fabric = build_fabric(
         world,
         &topo,
         |_| {
@@ -612,8 +619,9 @@ fn a_rebooted_switch_holding_only_groups_is_reloaded() {
     let fabric = build_fabric(
         &mut world,
         &topo,
-        vec![Box::new(OneGroup)],
+        |_| vec![Box::new(OneGroup)],
         FabricOptions::default(),
+        announcer,
     );
     let sw = fabric.switches[2];
     world.set_fault_plan(FaultPlan::default().partition(
@@ -650,7 +658,14 @@ fn every_held_group_is_named_and_every_named_group_is_held() {
     let topo = Topology::fat_tree(4, LinkParams::default());
     let inventory = {
         let mut scratch = World::new(31);
-        build_fabric(&mut scratch, &topo, vec![], FabricOptions::default()).static_hosts()
+        build_fabric(
+            &mut scratch,
+            &topo,
+            |_| vec![],
+            FabricOptions::default(),
+            announcer,
+        )
+        .static_hosts()
     };
     let (edge_at, _) = an_edge_and_a_core_link(&topo);
     for per_packet in [false, true] {
@@ -659,11 +674,13 @@ fn every_held_group_is_named_and_every_named_group_is_held() {
             app = app.per_packet();
         }
         let mut world = World::new(31);
+        let mut app = Some(app);
         let fabric = build_fabric(
             &mut world,
             &topo,
-            vec![Box::new(app)],
+            |_| vec![Box::new(app.take().expect("one replica"))],
             FabricOptions::default(),
+            announcer,
         );
         world.schedule_link_state(fabric.switch_links[edge_at], false, ms(2_000));
         world.schedule_link_state(fabric.switch_links[edge_at], true, ms(2_300));

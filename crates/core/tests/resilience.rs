@@ -5,7 +5,7 @@
 
 use zen_core::apps::proactive::FABRIC_MAC;
 use zen_core::apps::ProactiveFabric;
-use zen_core::harness::{build_fabric, build_fabric_with_hosts, default_host_mac, FabricOptions};
+use zen_core::harness::{announcer, build_fabric, default_host_mac, FabricOptions};
 use zen_core::{AgentConfig, ConnLossPolicy, ConnState, Controller, SwitchAgent};
 use zen_sim::{Duration, FaultPlan, Host, Instant, LinkParams, Topology, Window, Workload, World};
 use zen_wire::Ipv4Address;
@@ -33,16 +33,25 @@ fn ring_fabric(
     topo.hosts = vec![0, 2];
     let inventory = {
         let mut scratch = World::new(99);
-        build_fabric(&mut scratch, &topo, vec![], FabricOptions::default()).static_hosts()
+        build_fabric(
+            &mut scratch,
+            &topo,
+            |_| vec![],
+            FabricOptions::default(),
+            announcer,
+        )
+        .static_hosts()
     };
-    build_fabric_with_hosts(
+    build_fabric(
         world,
         &topo,
-        vec![Box::new(ProactiveFabric::new(
-            inventory,
-            topo.switches,
-            2 * topo.links.len(),
-        ))],
+        |_| {
+            vec![Box::new(ProactiveFabric::new(
+                inventory.clone(),
+                topo.switches,
+                2 * topo.links.len(),
+            ))]
+        },
         opts,
         move |i, mac, ip| {
             let host = Host::new(mac, ip).with_static_arp(default_ip(1 - i), FABRIC_MAC);
@@ -128,21 +137,28 @@ fn standalone_run(policy: ConnLossPolicy) -> (u64, zen_core::agent::AgentStats) 
         },
         ..FabricOptions::default()
     };
-    let fabric = build_fabric_with_hosts(&mut world, &topo, vec![], opts, |i, mac, ip| {
-        let host = Host::new(mac, ip).with_static_arp(default_ip(1 - i), default_host_mac(1 - i));
-        if i == 0 {
-            host.with_workload(Workload::Udp {
-                dst: default_ip(1),
-                dst_port: 9,
-                size: 100,
-                count: 200,
-                interval: Duration::from_millis(1),
-                start: secs(2),
-            })
-        } else {
-            host
-        }
-    });
+    let fabric = build_fabric(
+        &mut world,
+        &topo,
+        |_| vec![],
+        opts,
+        |i, mac, ip| {
+            let host =
+                Host::new(mac, ip).with_static_arp(default_ip(1 - i), default_host_mac(1 - i));
+            if i == 0 {
+                host.with_workload(Workload::Udp {
+                    dst: default_ip(1),
+                    dst_port: 9,
+                    size: 100,
+                    count: 200,
+                    interval: Duration::from_millis(1),
+                    start: secs(2),
+                })
+            } else {
+                host
+            }
+        },
+    );
     world.set_fault_plan(FaultPlan::default().control_burst(
         fabric.controller,
         fabric.switches[0],
@@ -181,21 +197,28 @@ fn a_standalone_switch_does_not_relay_lldp() {
     let topo = Topology::line(3, LinkParams::default()).with_hosts_at(1, 2);
     let mut world = World::new(37);
     let opts = FabricOptions::default();
-    let fabric = build_fabric_with_hosts(&mut world, &topo, vec![], opts, |i, mac, ip| {
-        let host = Host::new(mac, ip).with_static_arp(default_ip(1 - i), default_host_mac(1 - i));
-        if i == 0 {
-            host.with_workload(Workload::Udp {
-                dst: default_ip(1),
-                dst_port: 9,
-                size: 100,
-                count: 200,
-                interval: Duration::from_millis(1),
-                start: secs(2),
-            })
-        } else {
-            host
-        }
-    });
+    let fabric = build_fabric(
+        &mut world,
+        &topo,
+        |_| vec![],
+        opts,
+        |i, mac, ip| {
+            let host =
+                Host::new(mac, ip).with_static_arp(default_ip(1 - i), default_host_mac(1 - i));
+            if i == 0 {
+                host.with_workload(Workload::Udp {
+                    dst: default_ip(1),
+                    dst_port: 9,
+                    size: 100,
+                    count: 200,
+                    interval: Duration::from_millis(1),
+                    start: secs(2),
+                })
+            } else {
+                host
+            }
+        },
+    );
     world.set_fault_plan(FaultPlan::default().control_burst(
         fabric.controller,
         fabric.switches[1],

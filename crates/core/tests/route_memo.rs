@@ -17,9 +17,7 @@ use std::collections::BTreeMap;
 
 use zen_core::apps::reactive::REACTIVE_COOKIE;
 use zen_core::apps::ReactiveForwarding;
-use zen_core::harness::{
-    build_fabric_with_hosts, default_host_ip, default_host_mac, FabricOptions,
-};
+use zen_core::harness::{build_fabric, default_host_ip, default_host_mac, FabricOptions};
 use zen_core::view::{Dpid, NetworkView};
 use zen_core::{Controller, SwitchAgent};
 use zen_dataplane::{Action, PortNo};
@@ -60,10 +58,11 @@ fn every_view_change_reroutes_the_next_punt() {
     let mut world = World::new(3);
     let mut app = ReactiveForwarding::new();
     app.idle_timeout = Duration::from_millis(10).as_nanos();
-    let fabric = build_fabric_with_hosts(
+    let mut app = Some(app);
+    let fabric = build_fabric(
         &mut world,
         &topo,
-        vec![Box::new(app)],
+        |_| vec![Box::new(app.take().expect("one replica"))],
         FabricOptions::default(),
         |i, mac, ip| {
             let host = Host::new(mac, ip)

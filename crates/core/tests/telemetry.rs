@@ -4,7 +4,7 @@
 //! determinism gate runs the second test twice via the harness).
 
 use zen_core::apps::{Monitor, ReactiveForwarding};
-use zen_core::harness::{build_fabric_with_hosts, default_host_ip, FabricOptions};
+use zen_core::harness::{build_fabric, default_host_ip, FabricOptions};
 use zen_core::{export_jsonl, Controller};
 use zen_sim::{Duration, Host, Instant, LinkParams, Topology, Workload, World};
 use zen_telemetry::{CacheTier, TraceEvent, TraceRecord};
@@ -13,13 +13,15 @@ use zen_telemetry::{CacheTier, TraceEvent, TraceRecord};
 fn run_probed_world(seed: u64) -> (World, zen_sim::NodeId) {
     let topo = Topology::line(2, LinkParams::default()).with_host_per_switch();
     let mut world = World::new(seed);
-    let fabric = build_fabric_with_hosts(
+    let fabric = build_fabric(
         &mut world,
         &topo,
-        vec![
-            Box::new(ReactiveForwarding::new()),
-            Box::new(Monitor::new(4)),
-        ],
+        |_| {
+            vec![
+                Box::new(ReactiveForwarding::new()),
+                Box::new(Monitor::new(4)),
+            ]
+        },
         FabricOptions::default(),
         |i, mac, ip| {
             let host = Host::new(mac, ip).with_gratuitous_arp();
@@ -159,10 +161,10 @@ fn fixed_seed_export_is_byte_identical() {
 fn disabled_recorder_records_nothing() {
     let topo = Topology::line(2, LinkParams::default()).with_host_per_switch();
     let mut world = World::new(42);
-    let _fabric = build_fabric_with_hosts(
+    let _fabric = build_fabric(
         &mut world,
         &topo,
-        vec![Box::new(ReactiveForwarding::new())],
+        |_| vec![Box::new(ReactiveForwarding::new())],
         FabricOptions::default(),
         |i, mac, ip| {
             let host = Host::new(mac, ip).with_gratuitous_arp();

@@ -14,7 +14,7 @@
 
 use zen::core::apps::proactive::FABRIC_MAC;
 use zen::core::apps::ProactiveFabric;
-use zen::core::harness::{build_fabric, build_fabric_with_hosts, default_host_ip, FabricOptions};
+use zen::core::harness::{announcer, build_fabric, default_host_ip, FabricOptions};
 use zen::core::Controller;
 use zen::sim::{Duration, Host, Instant, LinkParams, Rng, Topology, Workload, World};
 
@@ -33,7 +33,14 @@ fn main() {
     // The inventory the fabric manager works from.
     let inventory = {
         let mut scratch = World::new(1);
-        build_fabric(&mut scratch, &topo, vec![], FabricOptions::default()).static_hosts()
+        build_fabric(
+            &mut scratch,
+            &topo,
+            |_| vec![],
+            FabricOptions::default(),
+            announcer,
+        )
+        .static_hosts()
     };
 
     // Random permutation workload: every host sends to a distinct peer.
@@ -47,14 +54,16 @@ fn main() {
     }
 
     let mut world = World::new(1);
-    let fabric = build_fabric_with_hosts(
+    let fabric = build_fabric(
         &mut world,
         &topo,
-        vec![Box::new(ProactiveFabric::new(
-            inventory,
-            topo.switches,
-            expected_links,
-        ))],
+        |_| {
+            vec![Box::new(ProactiveFabric::new(
+                inventory.clone(),
+                topo.switches,
+                expected_links,
+            ))]
+        },
         FabricOptions::default(),
         |i, mac, ip| {
             let dst = default_host_ip(perm[i]);

@@ -16,7 +16,7 @@
 
 use zen::core::apps::proactive::FABRIC_MAC;
 use zen::core::apps::ProactiveFabric;
-use zen::core::harness::{build_fabric, build_fabric_with_hosts, default_host_ip, FabricOptions};
+use zen::core::harness::{announcer, build_fabric, default_host_ip, FabricOptions};
 use zen::routing::{DistanceVectorRouter, LinkStateRouter};
 use zen::sim::{Duration, Host, Instant, LinkParams, NodeId, Topology, Workload, World};
 use zen::wire::{EthernetAddress, Ipv4Address};
@@ -52,17 +52,26 @@ fn run_sdn(silent: bool) -> (u64, Pushed) {
     let topo = topo();
     let inventory = {
         let mut scratch = World::new(3);
-        build_fabric(&mut scratch, &topo, vec![], FabricOptions::default()).static_hosts()
+        build_fabric(
+            &mut scratch,
+            &topo,
+            |_| vec![],
+            FabricOptions::default(),
+            announcer,
+        )
+        .static_hosts()
     };
     let mut world = World::new(3);
-    let fabric = build_fabric_with_hosts(
+    let fabric = build_fabric(
         &mut world,
         &topo,
-        vec![Box::new(ProactiveFabric::new(
-            inventory,
-            topo.switches,
-            2 * topo.links.len(),
-        ))],
+        |_| {
+            vec![Box::new(ProactiveFabric::new(
+                inventory.clone(),
+                topo.switches,
+                2 * topo.links.len(),
+            ))]
+        },
         FabricOptions::default(),
         |i, mac, ip| {
             let host = Host::new(mac, ip).with_static_arp(default_host_ip(1 - i), FABRIC_MAC);

@@ -15,7 +15,7 @@
 //!    the remaining packets never leave the data plane.
 
 use zen::core::apps::ReactiveForwarding;
-use zen::core::harness::{build_fabric_with_hosts, default_host_ip, FabricOptions};
+use zen::core::harness::{build_fabric, default_host_ip, FabricOptions};
 use zen::core::Controller;
 use zen::sim::{Duration, Host, Instant, LinkParams, Topology, Workload, World};
 
@@ -23,10 +23,10 @@ fn main() {
     let topo = Topology::ring(4, LinkParams::default()).with_host_per_switch();
     let mut world = World::new(42);
 
-    let fabric = build_fabric_with_hosts(
+    let fabric = build_fabric(
         &mut world,
         &topo,
-        vec![Box::new(ReactiveForwarding::new())],
+        |_| vec![Box::new(ReactiveForwarding::new())],
         FabricOptions::default(),
         |i, mac, ip| {
             let host = Host::new(mac, ip).with_gratuitous_arp();

@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 use zen::core::apps::proactive::FABRIC_MAC;
 use zen::core::apps::te::SiteDemand;
 use zen::core::apps::TrafficEngineering;
-use zen::core::harness::{build_fabric_with_hosts, site_host_ip, FabricOptions};
+use zen::core::harness::{build_fabric, site_host_ip, FabricOptions};
 use zen::core::Controller;
 use zen::sim::{Host, Instant, Topology, World};
 use zen::wire::Ipv4Cidr;
@@ -33,10 +33,10 @@ fn run(k: usize, demands: &[SiteDemand]) -> (u64, u64) {
 
     let inventory: Vec<zen::core::apps::proactive::StaticHost> = {
         let mut scratch = World::new(5);
-        let f = build_fabric_with_hosts(
+        let f = build_fabric(
             &mut scratch,
             &topo,
-            vec![],
+            |_| vec![],
             FabricOptions::default(),
             |i, mac, _| Host::new(mac, site_host_ip(i, 0)),
         );
@@ -57,10 +57,11 @@ fn run(k: usize, demands: &[SiteDemand]) -> (u64, u64) {
     );
 
     let mut world = World::new(5);
-    let fabric = build_fabric_with_hosts(
+    let mut te = Some(te);
+    let fabric = build_fabric(
         &mut world,
         &topo,
-        vec![Box::new(te)],
+        |_| vec![Box::new(te.take().expect("one replica"))],
         FabricOptions::default(),
         |i, mac, _| {
             let mut host = Host::new(mac, site_host_ip(i, 0));

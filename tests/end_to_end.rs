@@ -3,7 +3,7 @@
 //! platform-level determinism.
 
 use zen::core::apps::ReactiveForwarding;
-use zen::core::harness::{build_fabric_with_hosts, default_host_ip, FabricOptions};
+use zen::core::harness::{build_fabric, default_host_ip, FabricOptions};
 use zen::routing::{DistanceVectorRouter, LearningSwitch, LinkStateRouter};
 use zen::sim::{Duration, Host, Instant, LinkParams, NodeId, Topology, Workload, World};
 use zen::wire::{EthernetAddress, Ipv4Address};
@@ -30,10 +30,10 @@ fn scenario_workload(dst: Ipv4Address) -> Workload {
 fn run_sdn() -> u64 {
     let topo = scenario_topo();
     let mut world = World::new(1);
-    let fabric = build_fabric_with_hosts(
+    let fabric = build_fabric(
         &mut world,
         &topo,
-        vec![Box::new(ReactiveForwarding::new())],
+        |_| vec![Box::new(ReactiveForwarding::new())],
         FabricOptions::default(),
         |i, mac, ip| {
             let host = Host::new(mac, ip).with_gratuitous_arp();
@@ -97,10 +97,10 @@ fn whole_platform_runs_are_deterministic() {
         let topo = Topology::fat_tree(4, LinkParams::default());
         let n = topo.host_count();
         let mut world = World::new(777);
-        let fabric = build_fabric_with_hosts(
+        let fabric = build_fabric(
             &mut world,
             &topo,
-            vec![Box::new(ReactiveForwarding::new())],
+            |_| vec![Box::new(ReactiveForwarding::new())],
             FabricOptions::default(),
             |i, mac, ip| {
                 Host::new(mac, ip)
@@ -130,10 +130,10 @@ fn abilene_wan_all_pairs_pings() {
     // reactive controller; WAN latencies dominate RTTs.
     let topo = Topology::abilene(1_000_000_000).with_host_per_switch();
     let mut world = World::new(5);
-    let fabric = build_fabric_with_hosts(
+    let fabric = build_fabric(
         &mut world,
         &topo,
-        vec![Box::new(ReactiveForwarding::new())],
+        |_| vec![Box::new(ReactiveForwarding::new())],
         FabricOptions::default(),
         |i, mac, ip| {
             let host = Host::new(mac, ip).with_gratuitous_arp();
@@ -171,10 +171,10 @@ fn meters_rate_limit_a_tenant() {
 
     let topo = Topology::line(2, LinkParams::default()).with_host_per_switch();
     let mut world = World::new(9);
-    let fabric = build_fabric_with_hosts(
+    let fabric = build_fabric(
         &mut world,
         &topo,
-        vec![Box::new(ReactiveForwarding::new())],
+        |_| vec![Box::new(ReactiveForwarding::new())],
         FabricOptions::default(),
         |i, mac, ip| {
             let host = Host::new(mac, ip).with_gratuitous_arp();
