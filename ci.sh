@@ -53,7 +53,7 @@ ci/ledger_counts.sh
 # reconfiguration) asserts a per-packet rollout loses nothing at any
 # jitter while a teardown-first one does. E7/E13 (failure convergence)
 # asserts its six E7 rows and its two loss-free E13 rows exactly.
-BENCH_E18_QUICK=1 cargo bench -p zen-bench --bench expt_storm
-BENCH_E19_QUICK=1 cargo bench -p zen-bench --bench expt_consistent_update
+cargo bench -p zen-bench --bench expt_storm
+cargo bench -p zen-bench --bench expt_consistent_update
 cargo bench -p zen-bench --bench expt_update_disruption
 cargo bench -p zen-bench --bench expt_convergence

@@ -29,8 +29,7 @@
 //! The regression gate is the two-phase rewrite's staging→commit time
 //! in *simulated* milliseconds: deterministic for the fixed seed, so
 //! the run asserts it exactly ([`COMMIT_MS`]).
-//! `BENCH_E19_QUICK=1` shrinks the stream for smoke lanes; output goes
-//! to `target/BENCH_E19.json`.
+//! Output goes to `target/BENCH_E19.json`.
 
 use std::collections::BTreeMap;
 
@@ -105,11 +104,11 @@ impl Outcome {
 /// One run: fat-tree under cross-pod load, one agg–core link cut before
 /// traffic starts and restored mid-stream, triggering the rewrite under
 /// test. The flight recorder is enabled only around the rewrite.
-fn run(two_phase: bool, quick: bool) -> Outcome {
+fn run(two_phase: bool) -> Outcome {
     let topo = Topology::fat_tree(4, LinkParams::default());
     let n_hosts = topo.host_count();
-    let count: u64 = if quick { 300 } else { 600 };
-    let restore_ms: u64 = if quick { 2_000 } else { 2_500 };
+    let count: u64 = 600;
+    let restore_ms: u64 = 2_500;
     let end = Instant::from_millis(1_000 + 5 * count + 1_000);
 
     let mut inventory = {
@@ -269,18 +268,16 @@ fn run(two_phase: bool, quick: bool) -> Outcome {
     }
 }
 
-/// The two-phase rewrite's simulated staging→commit time, in ms, the
-/// same in both modes. A change that moves it on purpose edits it here.
+/// The two-phase rewrite's simulated staging→commit time, in ms. A
+/// change that moves it on purpose edits it here.
 const COMMIT_MS: f64 = 149.9;
 
 fn main() {
-    let quick = std::env::var("BENCH_E19_QUICK").is_ok_and(|v| v == "1");
     let mut json = String::new();
 
     println!("# E19 — consistent updates: two-phase epoch rewrite vs naive burst");
     println!(
-        "# fat-tree(4), 16 hosts @ 200 pps cross-pod, agg-core link restored and an idle host re-homed mid-stream{}",
-        if quick { " [quick]" } else { "" }
+        "# fat-tree(4), 16 hosts @ 200 pps cross-pod, agg-core link restored and an idle host re-homed mid-stream"
     );
     println!();
     println!(
@@ -299,7 +296,7 @@ fn main() {
     );
     let mut outcomes = Vec::new();
     for two_phase in [false, true] {
-        let out = run(two_phase, quick);
+        let out = run(two_phase);
         println!(
             "{:>10} {:>7} {:>9} {:>6} {:>7} {:>9} {:>7} {:>7} {:>7} {:>7} {:>10.2}",
             if out.two_phase { "two-phase" } else { "naive" },
@@ -364,7 +361,6 @@ fn main() {
 
     Line::new("bench_summary")
         .str("id", "E19")
-        .bool("quick", quick)
         .f64("twophase_commit_ms", tp.commit_ms)
         .u64("twophase_lost", tp.lost())
         .u64("twophase_loop_packets", tp.loop_packets)

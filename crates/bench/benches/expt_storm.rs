@@ -23,8 +23,7 @@
 //!
 //! Machine-readable output: one JSON line per configuration to
 //! `target/BENCH_E18.json`. CI runs this for its assertions (no
-//! wall-clock floor); `BENCH_E18_QUICK=1` shrinks the cbench span for
-//! its smoke lane.
+//! wall-clock floor).
 
 use zen_core::apps::L2Learning;
 use zen_core::harness::{default_host_ip, default_host_mac};
@@ -357,7 +356,6 @@ fn run_storm(attack: bool, defended: bool, span: Duration) -> StormOutcome {
 }
 
 fn main() {
-    let quick = std::env::var("BENCH_E18_QUICK").is_ok_and(|v| v == "1");
     let mut json = String::new();
 
     println!("# E18 — storm survival (hostile workloads vs control-plane self-defense)");
@@ -426,10 +424,7 @@ fn main() {
     );
 
     println!();
-    println!(
-        "## cbench storm: {INNOCENT_SWITCHES} innocent switches @ 2k pps, rogue @ 80k pps{}",
-        if quick { " [quick]" } else { "" }
-    );
+    println!("## cbench storm: {INNOCENT_SWITCHES} innocent switches @ 2k pps, rogue @ 80k pps");
     println!(
         "{:>7} {:>9} {:>9} {:>9} {:>11} {:>9} {:>9} {:>11} {:>9} {:>9}",
         "attack",
@@ -443,7 +438,7 @@ fn main() {
         "p50_us",
         "p99_us"
     );
-    let span = Duration::from_millis(if quick { 100 } else { 250 });
+    let span = Duration::from_millis(250);
     let mut storm = Vec::new();
     for (attack, defended) in [(false, true), (false, false), (true, true), (true, false)] {
         let out = run_storm(attack, defended, span);
@@ -492,7 +487,6 @@ fn main() {
 
     Line::new("bench_summary")
         .str("id", "E18")
-        .bool("quick", quick)
         .f64(
             "attack_defended_setups_per_sec",
             atk_def.innocent_setups_per_sec(),
