@@ -18,6 +18,10 @@ ci/lines.sh
 # file outside the bench crate reads the host clock.
 ci/purity.sh
 
+# Every CI script parses, including the ones CI does not run
+# (`ci/pairs.sh`, `ci/profile.sh`).
+sh -n ci/*.sh
+
 cargo test --workspace -q
 cargo fmt --all --check
 cargo clippy --workspace --all-targets -- -D warnings -D deprecated
@@ -44,8 +48,7 @@ ci/soak_digests.sh
 # to the last digit.
 ci/ledger_counts.sh
 
-# The four experiment benches the ledger has no workload for yet, E18
-# and E19 in quick mode. E18 (storm survival) runs for its assertions:
+# The four experiment benches the ledger has no workload for yet. E18 (storm survival) runs for its assertions:
 # bounded black-hole, every defense layer engaged, a starving undefended
 # contrast. E19 (consistent update) asserts the two-phase rewrite loses
 # and loops nothing while the naive burst does, and that its simulated
