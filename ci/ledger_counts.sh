@@ -199,15 +199,30 @@
 # 733.1 -> 718.1, mods retransmitted 9 175 -> 7 090 and cache flushes
 # 40 520 -> 40 330 a run. The ceilings follow.
 #
+# fabric_forward was 52d5bd28d8759fe1, reactive_churn d7c53360dc63f869
+# and cluster_churn c397614b684365a0 until the switch began sending its
+# 50 ms ECHO_REQUEST only on a channel that was quiet one way or the
+# other over the interval: a channel that carried a frame each way is
+# proven to both ends already. Each tick still counts an interval
+# against every connection, so the agent's `Degraded` and
+# `Disconnected` land on the same ticks. Only control traffic moved.
+# Seed 1 reactive_churn per setup: 13.425 -> 13.112 messages, 15.491 ->
+# 15.178 events, 737.9 -> 732.3 control bytes, 12.225 -> 12.070
+# allocations, 588.8 -> 550.7 bytes, 1.0412 -> 1.0095 allocations per
+# agent frame; cluster_churn per simulated ms: 15.89 -> 15.04 messages,
+# 718.1 -> 702.8 control bytes, 36.80 -> 36.53 allocations. Every
+# latency, failover hole, handover, retransmission, flow-mod and cache
+# line is where it was. The ceilings follow.
+#
 # A change that moves a digest on purpose updates it below in the same
 # commit and says why; a change that lowers a count lowers its ceiling.
 set -eu
 
 TABLE='
-fabric_forward 52d5bd28d8759fe1 core.agent.allocs_per_frame<=1.01 dataplane.datapath.allocs_per_micro_hit<=2 sim.world.drops_queue<=0
-reactive_churn d7c53360dc63f869 core.controller.msgs_per_op<=13.43 sim.world.events_per_op<=15.50 sim.world.ctl_bytes_per_op<=738 trace.allocs_per_op<=12.23 trace.bytes_alloc_per_op<=589 core.controller.allocs_per_packet_in<=0.0027 core.agent.allocs_per_frame<=1.042
+fabric_forward bd2c3be80ca90123 core.agent.allocs_per_frame<=1.01 dataplane.datapath.allocs_per_micro_hit<=2 sim.world.drops_queue<=0
+reactive_churn bada1029b7db8f7f core.controller.msgs_per_op<=13.12 sim.world.events_per_op<=15.18 sim.world.ctl_bytes_per_op<=733 trace.allocs_per_op<=12.08 trace.bytes_alloc_per_op<=551 core.controller.allocs_per_packet_in<=0.0027 core.agent.allocs_per_frame<=1.01
 cbench_closed 41e331e4b6dbcf15 core.controller.allocs_per_packet_in<=0 core.controller.decode_errors<=0 trace.allocs_per_op<=1.0002 trace.bytes_alloc_per_op<=36
-cluster_churn c397614b684365a0 trace.allocs_per_op<=36.80 core.controller.mods_retransmitted<=7090 core.controller.flow_mods_per_op<=1.32 sim.world.ctl_bytes_per_op<=719 dataplane.cache.invalidations<=40330
+cluster_churn 158f00c79ff5093d trace.allocs_per_op<=36.54 core.controller.mods_retransmitted<=7090 core.controller.flow_mods_per_op<=1.32 sim.world.ctl_bytes_per_op<=703 dataplane.cache.invalidations<=40330
 '
 
 fail() {

@@ -31,9 +31,10 @@ const TIMER_ECHO: u64 = 2;
 
 /// How often tables are scanned for idle/hard timeouts.
 const EXPIRE_INTERVAL: Duration = Duration::from_millis(10);
-/// Keepalive probe interval.
+/// Keepalive interval: each connection is judged, and probed unless it
+/// carried traffic both ways, once per interval.
 const ECHO_INTERVAL: Duration = Duration::from_millis(50);
-/// Consecutive unanswered probes before `Disconnected`.
+/// Consecutive intervals unheard from before `Disconnected`.
 const MISS_LIMIT: u32 = 4;
 
 /// What the agent asks of the switch it runs on: what any protocol end
@@ -62,15 +63,16 @@ pub enum ConnLossPolicy {
     FailSecure,
 }
 
-/// The agent's view of its control session, driven by echo keepalives.
+/// The agent's view of its control session, judged once per keepalive
+/// interval by how long the controller has been silent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ConnState {
-    /// Replies arriving normally.
+    /// Heard from within the last interval.
     #[default]
     Connected,
-    /// At least one probe outstanding past its interval.
+    /// Silent for at least one whole interval.
     Degraded,
-    /// `MISS_LIMIT` (4) consecutive probes unanswered; the conn-loss
+    /// Silent for `MISS_LIMIT` (4) consecutive intervals; the conn-loss
     /// policy governs miss traffic until the controller is heard from
     /// again.
     Disconnected,
@@ -126,7 +128,8 @@ pub struct AgentStats {
     pub packet_outs: u64,
     /// Protocol decode errors.
     pub decode_errors: u64,
-    /// ECHO_REQUESTs sent to the controller (liveness probes).
+    /// ECHO_REQUESTs sent to the controller (liveness probes, sent only
+    /// on a connection that was quiet one way or the other).
     pub echo_sent: u64,
     /// ECHO_REPLYs received from the controller.
     pub echo_replies: u64,
@@ -154,9 +157,15 @@ pub struct AgentStats {
 struct Conn {
     node: NodeId,
     state: ConnState,
-    /// Probes sent on this connection since it was last heard from.
+    /// Keepalive intervals begun since this connection was last heard
+    /// from.
     outstanding: u32,
     role: Role,
+    /// Whether a frame came in on this connection since the last
+    /// keepalive tick.
+    heard: bool,
+    /// Whether one went out on it since then.
+    spoke: bool,
 }
 
 /// How many applied xids an agent remembers for barrier answers.
@@ -263,9 +272,15 @@ impl AppliedXids {
 }
 
 /// The one way the agent writes to a controller, counted in `sent`.
-fn write(io: &mut impl SwitchIo, sent: &mut u64, to: NodeId, mut put: impl FnMut(&mut Vec<u8>)) {
+fn write(
+    io: &mut impl SwitchIo,
+    sent: &mut u64,
+    conn: &mut Conn,
+    mut put: impl FnMut(&mut Vec<u8>),
+) {
     *sent += 1;
-    io.send_control_with(to, &mut put);
+    conn.spoke = true;
+    io.send_control_with(conn.node, &mut put);
 }
 
 /// The FLOW_REMOVED reporting that `entry` left table `table_id`.
@@ -381,6 +396,8 @@ impl SwitchAgent {
             state: ConnState::Connected,
             outstanding: 0,
             role: Role::Equal,
+            heard: false,
+            spoke: false,
         };
         let mut dp = Datapath::new(dpid, n_tables, MissPolicy::ToController { max_len: 2048 });
         if let Some((max_entries, policy)) = cfg.table_limit {
@@ -496,10 +513,12 @@ impl SwitchAgent {
             self.expired = expired;
             io.set_timer(EXPIRE_INTERVAL, TIMER_EXPIRE);
         } else if token == TIMER_ECHO {
-            // Judge each session by probes still unanswered on it, then
-            // probe every controller again. Only receipt of a message
-            // from that controller (any message, not just an echo
-            // reply) restores its connection to `Connected`.
+            // Judge each session by the intervals it has been silent,
+            // then probe it unless it carried a frame each way over the
+            // last interval: traffic both ways already proves the
+            // channel to both ends. Only receipt of a message from that
+            // controller (any message, not just an echo reply) restores
+            // its connection to `Connected`.
             for ci in 0..self.conns.len() {
                 let conn = &mut self.conns[ci];
                 if conn.outstanding >= MISS_LIMIT {
@@ -508,10 +527,14 @@ impl SwitchAgent {
                     conn.state = ConnState::Degraded;
                 }
                 conn.outstanding += 1;
-                self.echo_token += 1;
-                self.stats.echo_sent += 1;
-                let token = self.echo_token;
-                self.send_to(io, ci, &Message::EchoRequest { token });
+                if !(conn.heard && conn.spoke) {
+                    self.echo_token += 1;
+                    self.stats.echo_sent += 1;
+                    let token = self.echo_token;
+                    self.send_to(io, ci, &Message::EchoRequest { token });
+                }
+                let conn = &mut self.conns[ci];
+                (conn.heard, conn.spoke) = (false, false);
             }
             io.set_timer(ECHO_INTERVAL, TIMER_ECHO);
         }
@@ -552,7 +575,8 @@ impl SwitchAgent {
                 // request's list, filtered straight into the channel.
                 Ok((MessageView::BarrierRequest { xids }, xid)) => {
                     let mut applied = self.applied_xids.applied(xids.iter());
-                    write(io, &mut self.stats.msgs_sent, self.conns[ci].node, |buf| {
+                    let conn = &mut self.conns[ci];
+                    write(io, &mut self.stats.msgs_sent, conn, |buf| {
                         encode_barrier_reply_into(buf, applied.by_ref(), xid)
                     });
                 }
@@ -583,6 +607,7 @@ impl SwitchAgent {
     /// `Disconnected`, start the resync handshake on that connection.
     fn note_controller_alive(&mut self, io: &mut impl SwitchIo, ci: usize) {
         self.conns[ci].outstanding = 0;
+        self.conns[ci].heard = true;
         if self.conns[ci].state == ConnState::Disconnected {
             self.stats.reconnects += 1;
             self.send_resync(io, ci);
@@ -618,8 +643,8 @@ impl SwitchAgent {
 
     /// Reply on the connection the request arrived on, echoing its xid.
     fn reply(&mut self, io: &mut impl SwitchIo, ci: usize, msg: &Message, xid: u32) {
-        let (to, sent) = (self.conns[ci].node, &mut self.stats.msgs_sent);
-        write(io, sent, to, |buf| encode_into(buf, msg, xid));
+        let (conn, sent) = (&mut self.conns[ci], &mut self.stats.msgs_sent);
+        write(io, sent, conn, |buf| encode_into(buf, msg, xid));
     }
 
     /// Carry out (and drain) what the datapath decided into `effects`.
@@ -983,6 +1008,218 @@ impl SwitchAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use zen_dataplane::{FlowMatch, FlowSpec};
+    use zen_proto::decode;
+    use zen_sim::Metrics;
+
+    const CONTROLLER: NodeId = NodeId(1);
+
+    /// A switch driven without a world: the rig keeps the simulated
+    /// time, fires the agent's timers in order and keeps every timer
+    /// armed and every control message sent, with its instant.
+    struct Rig {
+        agent: SwitchAgent,
+        now: u64,
+        /// Timers waiting to fire: (due, token), in arming order.
+        timers: Vec<(u64, u64)>,
+        /// Every timer ever armed: (armed at, due, token).
+        armed: Vec<(u64, u64, u64)>,
+        sent: Vec<(u64, Message)>,
+        recorder: Recorder,
+        metrics: Metrics,
+    }
+
+    /// What the agent writes through: the rig, less the agent.
+    struct Io<'a> {
+        now: u64,
+        timers: &'a mut Vec<(u64, u64)>,
+        armed: &'a mut Vec<(u64, u64, u64)>,
+        sent: &'a mut Vec<(u64, Message)>,
+        recorder: &'a Recorder,
+        metrics: &'a mut Metrics,
+    }
+
+    impl ControlIo for Io<'_> {
+        fn send_control_with(&mut self, to: NodeId, put: &mut dyn FnMut(&mut Vec<u8>)) {
+            assert_eq!(to, CONTROLLER);
+            let mut bytes = Vec::new();
+            put(&mut bytes);
+            let (msg, _, used) = decode(&bytes).expect("a whole message");
+            assert_eq!(used, bytes.len(), "one message per write");
+            self.sent.push((self.now, msg));
+        }
+        fn set_timer(&mut self, delay: Duration, token: u64) {
+            let due = self.now + delay.as_nanos();
+            self.timers.push((due, token));
+            self.armed.push((self.now, due, token));
+        }
+        fn recorder(&self) -> &Recorder {
+            self.recorder
+        }
+        fn metrics(&mut self) -> &mut Metrics {
+            self.metrics
+        }
+    }
+
+    impl SwitchIo for Io<'_> {
+        fn transmit(&mut self, _: PortNo, _: Vec<u8>) {}
+        fn ports(&self) -> Vec<PortNo> {
+            Vec::new()
+        }
+        fn port_up(&self, _: PortNo) -> bool {
+            false
+        }
+    }
+
+    const MS: u64 = 1_000_000;
+
+    impl Rig {
+        /// A single-controller agent booted at `at` ns.
+        fn boot(at: u64) -> Rig {
+            let agent = SwitchAgent::new(7, 2, CONTROLLER);
+            let mut rig = Rig {
+                agent,
+                now: at,
+                timers: Vec::new(),
+                armed: Vec::new(),
+                sent: Vec::new(),
+                recorder: Recorder::default(),
+                metrics: Metrics::default(),
+            };
+            rig.call(|agent, _, io| agent.start(io));
+            rig
+        }
+
+        fn call(&mut self, f: impl FnOnce(&mut SwitchAgent, Instant, &mut Io<'_>)) {
+            let mut io = Io {
+                now: self.now,
+                timers: &mut self.timers,
+                armed: &mut self.armed,
+                sent: &mut self.sent,
+                recorder: &self.recorder,
+                metrics: &mut self.metrics,
+            };
+            f(&mut self.agent, Instant::from_nanos(self.now), &mut io);
+        }
+
+        /// Fire every timer due by `until`, in due order (ties in
+        /// arming order, as a world breaks them), and stop the clock
+        /// at `until`.
+        fn run(&mut self, until: u64) {
+            while let Some(next) = (0..self.timers.len())
+                .filter(|&i| self.timers[i].0 <= until)
+                .min_by_key(|&i| self.timers[i].0)
+            {
+                let (due, token) = self.timers.remove(next);
+                self.now = due;
+                self.call(|agent, now, io| agent.timer(now, token, io));
+            }
+            self.now = until;
+        }
+
+        /// The controller's burst `msgs` arrives at `at` ns.
+        fn say(&mut self, at: u64, msgs: &[Message]) {
+            self.run(at);
+            let mut bytes = Vec::new();
+            for msg in msgs {
+                encode_into(&mut bytes, msg, 0x100);
+            }
+            self.call(|agent, now, io| agent.control(now, CONTROLLER, &bytes, io));
+        }
+
+        /// When each message `is` picks went out.
+        fn times(&self, is: impl Fn(&Message) -> bool) -> Vec<u64> {
+            let picked = self.sent.iter().filter(|(_, msg)| is(msg));
+            picked.map(|(at, _)| *at).collect()
+        }
+    }
+
+    /// A flow add in table 0, told apart by `proto`, timing out after
+    /// `idle` and `hard` ns (0 = never).
+    fn add(proto: u8, idle: u64, hard: u64) -> Message {
+        let matcher = FlowMatch::ANY.with_ip_proto(proto);
+        let spec = FlowSpec::new(1, matcher, vec![]).with_timeouts(idle, hard);
+        Message::FlowMod {
+            table_id: 0,
+            cmd: FlowModCmd::Add(spec.with_cookie(u64::from(proto))),
+        }
+    }
+
+    fn is_probe(msg: &Message) -> bool {
+        matches!(msg, Message::EchoRequest { .. })
+    }
+
+    /// The connection's state after each keepalive tick from boot (at
+    /// 0) to `until` ms, with the controller saying `msgs` every `every`
+    /// ms from then to `quiet_from` ms.
+    fn judged(every: u64, quiet_from: u64, msgs: &[Message], until: u64) -> (Rig, Vec<ConnState>) {
+        let mut rig = Rig::boot(0);
+        let (mut states, mut tick) = (Vec::new(), 50);
+        for at in (every..quiet_from).step_by(every as usize) {
+            rig.say(at * MS, msgs);
+        }
+        while tick <= until {
+            rig.run(tick * MS);
+            states.push(rig.agent.conn_state());
+            tick += 50;
+        }
+        (rig, states)
+    }
+
+    /// A controller that asks something every 10 ms, and is answered,
+    /// proves the channel both ways: the agent never probes it, and
+    /// holds it `Connected`.
+    #[test]
+    fn a_channel_that_carries_frames_both_ways_is_never_probed() {
+        let ask = [Message::EchoRequest { token: 9 }];
+        let (rig, states) = judged(10, 1_000, &ask, 1_000);
+        assert!(rig.times(is_probe).is_empty());
+        assert_eq!(rig.agent.stats.echo_sent, 0);
+        assert!(states.iter().all(|&s| s == ConnState::Connected));
+        let answers = rig.times(|m| matches!(m, Message::EchoReply { .. }));
+        assert_eq!(answers.len(), 99);
+    }
+
+    /// A controller that only writes — flow adds, which nothing answers
+    /// — hears nothing back from the agent but its probes, so the agent
+    /// probes at every tick after the first, whose interval held its
+    /// HELLO: a channel that carries frames one way only proves nothing
+    /// to the end that only sends.
+    #[test]
+    fn a_channel_that_carries_frames_one_way_is_probed_every_interval() {
+        let (rig, states) = judged(10, 1_000, &[add(1, 0, 0)], 1_000);
+        assert_eq!(
+            rig.times(is_probe),
+            (2..=20).map(|i| i * 50 * MS).collect::<Vec<_>>()
+        );
+        assert!(states.iter().all(|&s| s == ConnState::Connected));
+    }
+
+    /// A silent channel is judged as it always was, a probe at every
+    /// tick: `Degraded` at the second tick it finds the controller
+    /// silent, `Disconnected` at the fifth — from boot, and again after
+    /// a spell of traffic that ends at 305 ms; the first probe then goes
+    /// at the first tick after a whole interval of silence.
+    #[test]
+    fn a_silent_channel_degrades_and_disconnects_at_the_same_ticks() {
+        use ConnState::{Connected as C, Degraded as G, Disconnected as D};
+        let (rig, states) = judged(10, 0, &[], 400);
+        assert_eq!(states, [C, G, G, G, D, D, D, D]);
+        let ticks: Vec<u64> = (1..=8).map(|i| i * 50 * MS).collect();
+        assert_eq!(rig.times(is_probe), ticks);
+
+        let ask = [Message::EchoRequest { token: 9 }];
+        let (mut rig, states) = judged(5, 310, &ask, 700);
+        assert_eq!(states, [C, C, C, C, C, C, C, G, G, G, D, D, D, D]);
+        assert_eq!(
+            rig.times(is_probe),
+            (8..=14).map(|i| i * 50 * MS).collect::<Vec<_>>()
+        );
+        // Heard from again: `Connected` at once, with a resync.
+        rig.say(720 * MS, &ask);
+        assert_eq!(rig.agent.conn_state(), C);
+        assert_eq!(rig.agent.stats.reconnects, 1);
+    }
 
     impl AppliedXids {
         /// Whether the window holds `xid`: one question, the oracle a

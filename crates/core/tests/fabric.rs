@@ -112,7 +112,10 @@ fn reactive_forwarding_pings_across_ring() {
 /// into the traffic until it stops — after the setups, with the mods of
 /// the sessions that saw fewer than a burst still unfenced, so what it
 /// hits is their fences, the replies, the retransmissions and the
-/// probes. (A lost *add* re-punts and is installed again over what did
+/// probes. A lossy run also drops every control message over the first
+/// fences, so it hits one by construction: the setups at 1.1 s arm the
+/// fence timer, which fires `mod_timeout / 3` = 50 ms later. (A lost
+/// *add* re-punts and is installed again over what did
 /// land: a replacing add, which the shadow counts twice by design.) Once
 /// the traffic has stopped and a fence interval plus the retransmissions
 /// in play have passed, nothing is pending and each switch's shadow is
@@ -154,7 +157,11 @@ fn soft_state_quiesces(loss: f64) -> u64 {
         },
     );
     let lossy = Window::new(ms(1_105), ms(1_700));
-    world.set_fault_plan(FaultPlan::default().control_loss(loss, lossy));
+    let mut faults = FaultPlan::default().control_loss(loss, lossy);
+    if loss > 0.0 {
+        faults = faults.control_loss(1.0, Window::new(ms(1_105), ms(1_200)));
+    }
+    world.set_fault_plan(faults);
 
     let at_rest = |world: &World, flows: bool| {
         let controller = world.node_as::<Controller>(fabric.controller);
