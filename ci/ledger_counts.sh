@@ -214,15 +214,26 @@
 # latency, failover hole, handover, retransmission, flow-mod and cache
 # line is where it was. The ceilings follow.
 #
+# fabric_forward was bd2c3be80ca90123, reactive_churn bada1029b7db8f7f
+# and cluster_churn 158f00c79ff5093d until the switch began arming its
+# 10 ms expiry sweep only while a table holds an entry with a timeout,
+# for the next instant of the same grid from boot: every expiry and
+# FLOW_REMOVED lands where it did, and only the sweeps that could find
+# nothing went. Only `sim.world.events_per_op` moved among the exact
+# lines: seed 1 fabric_forward 1.18116 -> 1.18052, reactive_churn
+# 15.178 -> 14.904, cluster_churn 20.667 -> 18.667. Of the gated
+# counts, reactive_churn's allocations per setup also moved, 12.0703 ->
+# 12.0693, and its bytes 550.7 -> 549.8. The ceilings follow.
+#
 # A change that moves a digest on purpose updates it below in the same
 # commit and says why; a change that lowers a count lowers its ceiling.
 set -eu
 
 TABLE='
-fabric_forward bd2c3be80ca90123 core.agent.allocs_per_frame<=1.01 dataplane.datapath.allocs_per_micro_hit<=2 sim.world.drops_queue<=0
-reactive_churn bada1029b7db8f7f core.controller.msgs_per_op<=13.12 sim.world.events_per_op<=15.18 sim.world.ctl_bytes_per_op<=733 trace.allocs_per_op<=12.08 trace.bytes_alloc_per_op<=551 core.controller.allocs_per_packet_in<=0.0027 core.agent.allocs_per_frame<=1.01
+fabric_forward 3478d0dd397c09d6 core.agent.allocs_per_frame<=1.01 dataplane.datapath.allocs_per_micro_hit<=2 sim.world.drops_queue<=0
+reactive_churn 39e77af025369c0b core.controller.msgs_per_op<=13.12 sim.world.events_per_op<=14.91 sim.world.ctl_bytes_per_op<=733 trace.allocs_per_op<=12.07 trace.bytes_alloc_per_op<=550 core.controller.allocs_per_packet_in<=0.0027 core.agent.allocs_per_frame<=1.01
 cbench_closed 41e331e4b6dbcf15 core.controller.allocs_per_packet_in<=0 core.controller.decode_errors<=0 trace.allocs_per_op<=1.0002 trace.bytes_alloc_per_op<=36
-cluster_churn 158f00c79ff5093d trace.allocs_per_op<=36.54 core.controller.mods_retransmitted<=7090 core.controller.flow_mods_per_op<=1.32 sim.world.ctl_bytes_per_op<=703 dataplane.cache.invalidations<=40330
+cluster_churn 9c789a59ccbc9694 trace.allocs_per_op<=36.54 core.controller.mods_retransmitted<=7090 core.controller.flow_mods_per_op<=1.32 sim.world.ctl_bytes_per_op<=703 dataplane.cache.invalidations<=40330
 '
 
 fail() {

@@ -29,7 +29,8 @@ use crate::{is_lldp, ControlIo};
 const TIMER_EXPIRE: u64 = 1;
 const TIMER_ECHO: u64 = 2;
 
-/// How often tables are scanned for idle/hard timeouts.
+/// How often tables are scanned for idle/hard timeouts, on a grid
+/// counted from boot, while some table holds an entry that has one.
 const EXPIRE_INTERVAL: Duration = Duration::from_millis(10);
 /// Keepalive interval: each connection is judged, and probed unless it
 /// carried traffic both ways, once per interval.
@@ -340,6 +341,11 @@ pub struct SwitchAgent {
     /// one group are often in flight together; the older must not land
     /// on top of the newer.
     group_writers: BTreeMap<u32, (usize, u32)>,
+    /// When the agent booted (ns): expiry sweeps fall on multiples of
+    /// [`EXPIRE_INTERVAL`] after it.
+    boot: u64,
+    /// Whether an expiry sweep is armed.
+    sweeping: bool,
     echo_token: u64,
     xid: u32,
     /// Token bucket gating PACKET_INs, when configured.
@@ -414,6 +420,8 @@ impl SwitchAgent {
             generation: 0,
             applied_xids: AppliedXids::default(),
             group_writers: BTreeMap::new(),
+            boot: 0,
+            sweeping: false,
             echo_token: 0,
             xid: 1,
             punt_meter: cfg
@@ -479,9 +487,10 @@ impl SwitchAgent {
         self.generation = 0;
     }
 
-    /// Boot: take the switch's ports into the datapath, say HELLO to
-    /// every controller and arm the expiry and keepalive timers.
-    pub fn start(&mut self, io: &mut impl SwitchIo) {
+    /// Boot at `now`: take the switch's ports into the datapath, say
+    /// HELLO to every controller and arm the keepalive timer, and the
+    /// expiry sweep if the tables already hold a timed entry.
+    pub fn start(&mut self, now: Instant, io: &mut impl SwitchIo) {
         for port in io.ports() {
             self.dp.add_port(port);
             if !io.port_up(port) {
@@ -489,8 +498,24 @@ impl SwitchAgent {
             }
         }
         self.send_all(io, &Message::Hello { version: VERSION });
-        io.set_timer(EXPIRE_INTERVAL, TIMER_EXPIRE);
+        self.boot = now.as_nanos();
+        self.arm_sweep(self.boot, io);
         io.set_timer(ECHO_INTERVAL, TIMER_ECHO);
+    }
+
+    /// Arm the expiry sweep for the first grid instant strictly after
+    /// `now`, unless it is armed already or no table holds a timed
+    /// entry. A sweep lands where an always-armed one would have, so
+    /// every expiry and FLOW_REMOVED keeps its instant.
+    fn arm_sweep(&mut self, now: u64, io: &mut impl SwitchIo) {
+        let timed = (0..self.dp.table_count() as u8).any(|t| self.dp.table(t).timed() > 0);
+        if self.sweeping || !timed {
+            return;
+        }
+        let every = EXPIRE_INTERVAL.as_nanos();
+        let next = self.boot + ((now - self.boot) / every + 1) * every;
+        self.sweeping = true;
+        io.set_timer(Duration::from_nanos(next - now), TIMER_EXPIRE);
     }
 
     /// A frame arrived on `port` at `now`: forward it.
@@ -511,7 +536,8 @@ impl SwitchAgent {
                 self.send_master(io, &flow_removed(table_id, &entry, reason.into()));
             }
             self.expired = expired;
-            io.set_timer(EXPIRE_INTERVAL, TIMER_EXPIRE);
+            self.sweeping = false;
+            self.arm_sweep(now.as_nanos(), io);
         } else if token == TIMER_ECHO {
             // Judge each session by the intervals it has been silent,
             // then probe it unless it carried a frame each way over the
@@ -826,7 +852,9 @@ impl SwitchAgent {
                 // later barrier would ack a mod that never took effect)
                 // and must not bump the state generation.
                 if let FlowModCmd::Add(spec) = cmd {
-                    match self.dp.add_flow(table_id, spec, now) {
+                    let outcome = self.dp.add_flow(table_id, spec, now);
+                    self.arm_sweep(now, io);
+                    match outcome {
                         AddOutcome::Refused => {
                             self.stats.table_full_rejected += 1;
                             let (code, data) = (ErrorCode::TableFull, xid.to_be_bytes().to_vec());
@@ -1086,7 +1114,7 @@ mod tests {
                 recorder: Recorder::default(),
                 metrics: Metrics::default(),
             };
-            rig.call(|agent, _, io| agent.start(io));
+            rig.call(|agent, now, io| agent.start(now, io));
             rig
         }
 
@@ -1127,6 +1155,12 @@ mod tests {
             self.call(|agent, now, io| agent.control(now, CONTROLLER, &bytes, io));
         }
 
+        /// When each expiry sweep was due, of those ever armed.
+        fn sweeps(&self) -> Vec<u64> {
+            let sweeps = self.armed.iter().filter(|a| a.2 == TIMER_EXPIRE);
+            sweeps.map(|a| a.1).collect()
+        }
+
         /// When each message `is` picks went out.
         fn times(&self, is: impl Fn(&Message) -> bool) -> Vec<u64> {
             let picked = self.sent.iter().filter(|(_, msg)| is(msg));
@@ -1143,6 +1177,46 @@ mod tests {
             table_id: 0,
             cmd: FlowModCmd::Add(spec.with_cookie(u64::from(proto))),
         }
+    }
+
+    fn is_removed(msg: &Message) -> bool {
+        matches!(msg, Message::FlowRemoved { .. })
+    }
+
+    /// Tables that hold no timed entry — empty at boot, then holding
+    /// flows that never time out — are never swept.
+    #[test]
+    fn an_agent_without_timed_entries_never_sweeps() {
+        let mut rig = Rig::boot(0);
+        rig.say(5 * MS, &[add(1, 0, 0), add(2, 0, 0)]);
+        rig.say(437 * MS, &[add(3, 0, 0)]);
+        rig.run(1_000 * MS);
+        assert_eq!(rig.agent.dp.flow_count(), 3);
+        assert_eq!(rig.sweeps(), Vec::<u64>::new());
+        assert!(rig.times(is_removed).is_empty());
+    }
+
+    /// Timed entries installed off the grid on a disarmed agent booted
+    /// at 3 ms are removed at the instants a sweep every 10 ms from boot
+    /// would remove them: the first grid instant at or past each one's
+    /// expiry. The sweep stops when the last goes, and an entry
+    /// installed on a grid instant is first swept one interval later.
+    #[test]
+    fn a_sweep_armed_late_lands_on_the_boot_grid() {
+        let mut rig = Rig::boot(3 * MS);
+        // Hard-times out at 67.5 ms, idles out at 56.2 ms.
+        rig.say(27 * MS + MS / 2, &[add(1, 0, 40 * MS)]);
+        rig.say(31 * MS + MS / 5, &[add(2, 25 * MS, 0)]);
+        rig.run(200 * MS);
+        assert_eq!(rig.times(is_removed), [63 * MS, 73 * MS]);
+        assert_eq!(rig.sweeps(), [33, 43, 53, 63, 73].map(|ms| ms * MS));
+        assert_eq!(rig.agent.dp.flow_count(), 0);
+        // On the grid at 213 ms, with a hard timeout of 10 ms: swept at
+        // 223 ms, due then, and removed.
+        rig.say(213 * MS, &[add(3, 0, 10 * MS)]);
+        rig.run(400 * MS);
+        assert_eq!(rig.times(is_removed), [63, 73, 223].map(|ms| ms * MS));
+        assert_eq!(&rig.sweeps()[5..], [223 * MS]);
     }
 
     fn is_probe(msg: &Message) -> bool {

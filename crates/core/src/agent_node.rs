@@ -54,7 +54,7 @@ impl Node for SwitchAgent {
         // Share the world's flight recorder with the embedded datapath
         // so cache-tier, group, and meter events carry trace ids.
         self.dp.set_recorder(ctx.recorder().clone());
-        published(self, ctx, |agent, ctx| agent.start(ctx));
+        published(self, ctx, |agent, ctx| agent.start(ctx.now(), ctx));
     }
 
     fn on_packet(&mut self, ctx: &mut Context<'_>, port: PortNo, frame: &[u8]) {

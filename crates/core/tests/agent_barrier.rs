@@ -124,7 +124,7 @@ fn claim_master(term: u64, replica: u32) -> Message {
 #[test]
 fn barrier_reply_lists_exactly_the_applied_subset() {
     let (mut agent, mut wire) = (SwitchAgent::new(7, 1, CONTROLLER), Wire::default());
-    agent.start(&mut wire);
+    agent.start(Instant::ZERO, &mut wire);
     let burst = [
         (12, flow_add(0, 12)),
         // Table 9 does not exist: bounced, never applied.
@@ -168,7 +168,7 @@ fn a_new_master_with_lower_xids_is_still_acknowledged() {
     let controllers = vec![old_master, new_master];
     let mut agent = SwitchAgent::with_controllers(7, 1, controllers, AgentConfig::default());
     let mut wire = Wire::default();
-    agent.start(&mut wire);
+    agent.start(Instant::ZERO, &mut wire);
     // The old master has been at it a while: 5 000 mods, xids from a
     // million up — more than the window holds.
     let mut long_reign = vec![(1, claim_master(1, 0))];
@@ -207,7 +207,7 @@ fn a_new_master_with_lower_xids_is_still_acknowledged() {
 #[test]
 fn a_mod_that_lands_late_neither_hides_a_loss_nor_undoes_its_successor() {
     let (mut agent, mut wire) = (SwitchAgent::new(7, 1, CONTROLLER), Wire::default());
-    agent.start(&mut wire);
+    agent.start(Instant::ZERO, &mut wire);
     let wipe = |cookie| Message::FlowMod {
         table_id: 0,
         cmd: FlowModCmd::DeleteByCookie { cookie },
@@ -256,7 +256,7 @@ fn a_mod_that_lands_late_neither_hides_a_loss_nor_undoes_its_successor() {
 #[test]
 fn flow_stats_for_a_table_the_switch_lacks_are_refused() {
     let (mut agent, mut wire) = (SwitchAgent::new(7, 2, CONTROLLER), Wire::default());
-    agent.start(&mut wire);
+    agent.start(Instant::ZERO, &mut wire);
     let flows = |table_id| Message::StatsRequest {
         kind: StatsKind::Flow { table_id },
     };

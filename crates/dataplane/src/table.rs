@@ -218,6 +218,12 @@ impl FlowTable {
         self.entries.is_empty()
     }
 
+    /// How many entries have an idle or a hard timeout: while none
+    /// does, no expiry sweep can find anything due.
+    pub fn timed(&self) -> usize {
+        self.census.timed
+    }
+
     /// Iterate entries in match order.
     pub fn entries(&self) -> impl Iterator<Item = &FlowEntry> {
         self.entries.iter()
