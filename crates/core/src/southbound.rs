@@ -134,12 +134,44 @@ fn throttle(last: &mut Option<Instant>, now: Instant, every: Duration) -> bool {
     due
 }
 
-/// FNV-1a as a [`Hasher`], so `#[derive(Hash)]` can drive it.
+/// FNV-1a as a [`Hasher`], so `#[derive(Hash)]` can drive it. A byte
+/// slice is folded byte by byte; an integer field is mixed in one step,
+/// as one word: a stamp is only ever compared with another one made
+/// here.
 struct Fnv1a(u64);
+
+/// FNV's 64-bit prime.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+impl Fnv1a {
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0 ^ word).wrapping_mul(FNV_PRIME);
+    }
+}
 
 impl Hasher for Fnv1a {
     fn write(&mut self, bytes: &[u8]) {
         self.0 = fnv1a_fold(self.0, bytes);
+    }
+
+    fn write_u8(&mut self, v: u8) {
+        self.mix(v.into());
+    }
+
+    fn write_u16(&mut self, v: u16) {
+        self.mix(v.into());
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.mix(v.into());
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.mix(v);
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.mix(v as u64);
     }
 
     fn finish(&self) -> u64 {
