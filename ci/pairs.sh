@@ -18,7 +18,11 @@
 #     the <rev> runs' inter-quartile range ("resolved") or not
 #     ("unresolved");
 #   - whether every run's `sim_digest` and `exact` lines are the ones of
-#     the first <rev> run.
+#     the first <rev> run;
+#   - a note when a short <rev> run at seed <seed> + 1 gives the same
+#     `sim_digest` as one at <seed>: that workload's simulated run does
+#     not read the seed, so a digest that holds at another seed is no
+#     further evidence for it.
 #
 # It only reads the ledger's output. The raw runs stay in
 # target/pairs/<rev>/runs/. It fails if a run is not correct or if a
@@ -125,6 +129,19 @@ for m in $METRICS; do
     echo "$m $better $old $new $wins/$pairs $verdict"
     col=$((col + 1))
 done
+
+# A workload whose run ignores the seed gives one digest at every seed.
+digest_at() {
+    "$runs/ledger-old" --workload "$workload" --seed "$1" --seconds 1 --trace 0 |
+        sed -n 's/^{"type":"sim_digest",.*"digest":"\([0-9a-f]*\)".*/\1/p'
+}
+other=$((seed + 1))
+if [ "$(digest_at "$seed")" = "$(digest_at "$other")" ]; then
+    echo
+    echo "pairs: note: $workload gives one sim_digest at seeds $seed and $other:" \
+        "its simulated run does not read the seed, so a digest that holds at" \
+        "another seed is no further evidence for it"
+fi
 
 echo
 mismatch=0
