@@ -508,8 +508,8 @@ impl SwitchAgent {
     /// entry. A sweep lands where an always-armed one would have, so
     /// every expiry and FLOW_REMOVED keeps its instant.
     fn arm_sweep(&mut self, now: u64, io: &mut impl SwitchIo) {
-        let timed = (0..self.dp.table_count() as u8).any(|t| self.dp.table(t).timed() > 0);
-        if self.sweeping || !timed {
+        let tables = self.dp.table_count() as u8;
+        if self.sweeping || (0..tables).all(|t| self.dp.table(t).timed() == 0) {
             return;
         }
         let every = EXPIRE_INTERVAL.as_nanos();
@@ -559,6 +559,8 @@ impl SwitchAgent {
                     let token = self.echo_token;
                     self.send_to(io, ci, &Message::EchoRequest { token });
                 }
+                // Cleared only now: a probe is the word of the interval
+                // it closes.
                 let conn = &mut self.conns[ci];
                 (conn.heard, conn.spoke) = (false, false);
             }
