@@ -411,9 +411,16 @@ fn main() {
         "undefended attack did not starve innocents ({} lost)",
         atk_undef.worst_lost()
     );
-    // Controller load stays bounded with defenses on.
+    // Controller load stays bounded with defenses on: the flood adds
+    // fewer messages than twice the 342 a calm run carried while every
+    // channel still sent a keepalive each 50 ms (the bound read
+    // "under 3x calm" then). A switch now probes only a quiet channel,
+    // so the calm run's total is no longer a scale for what the flood
+    // adds.
+    const FLOOD_EXTRA_MAX: u64 = 2 * 342;
+    let extra = atk_def.ctl_msgs - calm_def.ctl_msgs;
     assert!(
-        atk_def.ctl_msgs < 3 * calm_def.ctl_msgs,
+        extra < FLOOD_EXTRA_MAX,
         "defended controller load unbounded: {} vs calm {}",
         atk_def.ctl_msgs,
         calm_def.ctl_msgs
