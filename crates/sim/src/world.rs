@@ -261,6 +261,10 @@ struct CoreState {
     /// (each is its own delivery, so duplicates can still reorder under
     /// jitter).
     pending_control: Vec<ControlSlot>,
+    /// Where in `pending_control` the last write went. A handler writes
+    /// in runs to one peer (a program load, a discovery round), so the
+    /// next write is looked for there before the key is searched.
+    last_slot: usize,
     /// Emptied buffers of delivered Control events, for new slots to
     /// draw from: at most [`FREE_BUFFERS`], none above
     /// [`FREE_BUFFER_BYTES`] of capacity.
@@ -315,10 +319,13 @@ impl CoreState {
     /// `latency_ns`, created (from the free list) on first use.
     fn control_slot(&mut self, from: NodeId, to: NodeId, latency_ns: u64) -> &mut Vec<u8> {
         let key = (to, latency_ns);
-        let at = match self
-            .pending_control
-            .binary_search_by_key(&key, |s| (s.to, s.latency_ns))
-        {
+        let slot_key = |s: &ControlSlot| (s.to, s.latency_ns);
+        let last = self.pending_control.get(self.last_slot).map(slot_key);
+        let found = match last == Some(key) {
+            true => Ok(self.last_slot),
+            false => self.pending_control.binary_search_by_key(&key, slot_key),
+        };
+        let at = match found {
             Ok(at) => at,
             Err(at) => {
                 let bytes = self
@@ -337,6 +344,7 @@ impl CoreState {
                 at
             }
         };
+        self.last_slot = at;
         &mut self.pending_control[at].bytes
     }
 
@@ -590,6 +598,7 @@ impl World {
                 faults: FaultPlan::default(),
                 events_processed: 0,
                 pending_control: Vec::new(),
+                last_slot: 0,
                 free_buffers: (0..FREE_BUFFERS)
                     .map(|_| Vec::with_capacity(PREFILL_BUFFER_BYTES))
                     .collect(),
@@ -1673,5 +1682,62 @@ mod tests {
             world.core.free_buffers.is_empty(),
             "the 1 MiB buffer was freed"
         );
+    }
+
+    /// One handler's writes, to A, B, A, C, B at two latencies, each
+    /// land in the slot of their own `(to, latency)`: a slot found by
+    /// remembering the last one is the same slot a search finds, never
+    /// a neighbour's.
+    #[test]
+    fn repeated_writes_find_the_slot_of_their_own_key() {
+        /// Records every control delivery: when, and what.
+        struct Log(Vec<(Instant, Vec<u8>)>);
+        impl Node for Log {
+            fn on_control(&mut self, ctx: &mut Context<'_>, _: NodeId, bytes: &[u8]) {
+                self.0.push((ctx.now(), bytes.to_vec()));
+            }
+            fn on_packet(&mut self, _: &mut Context<'_>, _: PortNo, _: &[u8]) {}
+            fn as_any(&self) -> &dyn Any {
+                self
+            }
+            fn as_any_mut(&mut self) -> &mut dyn Any {
+                self
+            }
+        }
+
+        let mut world = World::new(1);
+        let [a, b, c] = [0, 1, 2].map(|_| world.add_node(Box::new(Log(Vec::new()))));
+        let from = world.add_node(Box::new(Log(Vec::new())));
+        world.run_until(Instant::ZERO);
+        let (near, far) = (50_000, 80_000);
+        let writes = [
+            (a, near),
+            (a, near),
+            (b, far),
+            (a, far),
+            (a, near),
+            (c, near),
+            (b, far),
+            (b, near),
+            (b, far),
+        ];
+        for (i, &(to, latency)) in writes.iter().enumerate() {
+            world.core.control_slot(from, to, latency).push(i as u8);
+        }
+        world.core.flush_control();
+        world.run_until(Instant::from_millis(1));
+
+        for to in [a, b, c] {
+            let mut want = Vec::new();
+            for latency in [near, far] {
+                let bytes: Vec<u8> = (0..writes.len() as u8)
+                    .filter(|&i| writes[usize::from(i)] == (to, latency))
+                    .collect();
+                if !bytes.is_empty() {
+                    want.push((Instant::from_nanos(latency), bytes));
+                }
+            }
+            assert_eq!(world.node_as::<Log>(to).0, want, "deliveries to {to:?}");
+        }
     }
 }
