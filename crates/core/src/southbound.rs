@@ -400,10 +400,51 @@ const FENCE_BURST: usize = 8;
 const SPARE_BUFFERS: usize = 128;
 const SPARE_BUFFER_MAX: usize = 1 << 10;
 
+/// Every opened session, at its node's index: node ids are dense, so
+/// one is found without a search, and a walk goes in node order.
+#[derive(Default)]
+struct Sessions(Vec<Option<Session>>);
+
+impl Sessions {
+    fn get(&self, node: NodeId) -> Option<&Session> {
+        self.0.get(node.0 as usize)?.as_ref()
+    }
+
+    fn get_mut(&mut self, node: NodeId) -> Option<&mut Session> {
+        self.0.get_mut(node.0 as usize)?.as_mut()
+    }
+
+    fn insert(&mut self, node: NodeId, session: Session) {
+        let at = node.0 as usize;
+        if at >= self.0.len() {
+            self.0.resize_with(at + 1, || None);
+        }
+        self.0[at] = Some(session);
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (NodeId, &Session)> {
+        let sessions = self.0.iter().enumerate();
+        sessions.filter_map(|(i, s)| Some((NodeId(i as u32), s.as_ref()?)))
+    }
+
+    fn iter_mut(&mut self) -> impl Iterator<Item = (NodeId, &mut Session)> {
+        let sessions = self.0.iter_mut().enumerate();
+        sessions.filter_map(|(i, s)| Some((NodeId(i as u32), s.as_mut()?)))
+    }
+
+    fn values(&self) -> impl Iterator<Item = &Session> {
+        self.0.iter().flatten()
+    }
+
+    fn values_mut(&mut self) -> impl Iterator<Item = &mut Session> {
+        self.0.iter_mut().flatten()
+    }
+}
+
 /// Every connected switch's session, and the protocol over them.
 #[derive(Default)]
 pub(crate) struct Southbound {
-    sessions: BTreeMap<NodeId, Session>,
+    sessions: Sessions,
     /// Where each dpid's switch answers: the index an app's dpid is
     /// looked up in, and the order of every walk that goes on the wire
     /// in dpid order. Written with the session, by [`Southbound::open`].
@@ -442,7 +483,7 @@ impl Southbound {
     /// claimant. The first reply opens the session, which adopts a
     /// shadow parked for the dpid.
     pub(crate) fn open(&mut self, node: NodeId, dpid: Dpid, now: Instant) -> Opened {
-        if let Some(session) = self.sessions.get(&node) {
+        if let Some(session) = self.sessions.get(node) {
             return match session.dpid == dpid {
                 false => Opened::Refused,
                 true => Opened::Repeat,
@@ -478,13 +519,13 @@ impl Southbound {
 
     /// `dpid`'s session, if its switch has shaken hands.
     fn by_dpid(&mut self, dpid: Dpid) -> Option<&mut Session> {
-        self.sessions.get_mut(self.registry.get(&dpid)?)
+        self.sessions.get_mut(*self.registry.get(&dpid)?)
     }
 
     /// `node` was heard from at `now` — any bytes at all prove the
     /// channel works. Its switch's dpid, if it has shaken hands.
     pub(crate) fn heard(&mut self, node: NodeId, now: Instant) -> Option<Dpid> {
-        let session = self.sessions.get_mut(&node)?;
+        let session = self.sessions.get_mut(node)?;
         session.last_heard = now;
         Some(session.dpid)
     }
@@ -492,7 +533,7 @@ impl Southbound {
     /// The switches not heard from for `after` by `now`, in dpid order.
     pub(crate) fn silent(&self, now: Instant, after: Duration) -> impl Iterator<Item = Dpid> + '_ {
         self.registry.iter().filter_map(move |(&dpid, node)| {
-            let last = self.sessions.get(node).map_or(now, |s| s.last_heard);
+            let last = self.sessions.get(*node).map_or(now, |s| s.last_heard);
             (now.duration_since(last) >= after).then_some(dpid)
         })
     }
@@ -510,7 +551,7 @@ impl Southbound {
     /// Whether `node`'s switch, speaking while quarantined, is due a
     /// RESYNC_REQUEST at `now`: at most one per `every`.
     pub(crate) fn resync_due(&mut self, node: NodeId, now: Instant, every: Duration) -> bool {
-        let session = self.sessions.get_mut(&node);
+        let session = self.sessions.get_mut(node);
         session.is_some_and(|s| throttle(&mut s.resync_requested, now, every))
     }
 
@@ -523,7 +564,7 @@ impl Southbound {
     /// What `dpid`'s switch is believed to hold, in wire form: what its
     /// session's shadow lists, or the one parked for it.
     pub(crate) fn shadow_cookies(&self, dpid: Dpid) -> Vec<CookieCount> {
-        let session = self.registry.get(&dpid).and_then(|n| self.sessions.get(n));
+        let session = self.registry.get(&dpid).and_then(|&n| self.sessions.get(n));
         let shadow = session.map(|s| &s.shadow).or(self.parked.get(&dpid));
         shadow.map_or_else(Vec::new, |shadow| listed(shadow).collect())
     }
@@ -543,7 +584,7 @@ impl Southbound {
     /// folded in when acknowledged — the shadow loses it; returns
     /// whether what the shadow lists changed.
     pub(crate) fn removed(&mut self, node: NodeId, cookie: u64, reason: RemovedReason) -> bool {
-        let session = self.sessions.get_mut(&node);
+        let session = self.sessions.get_mut(node);
         let removed = ShadowOp::Removed(cookie);
         reason != RemovedReason::Delete && session.is_some_and(|s| removed.apply(&mut s.shadow))
     }
@@ -556,7 +597,7 @@ impl Southbound {
     /// world: they are superseded, and the report becomes the shadow.
     /// Returns whether it was clean.
     pub(crate) fn resync(&mut self, node: NodeId, generation: u64, held: &[CookieCount]) -> bool {
-        let Some(session) = self.sessions.get_mut(&node) else {
+        let Some(session) = self.sessions.get_mut(node) else {
             return true;
         };
         // Fewer than it is known to have applied: a switch that
@@ -576,7 +617,7 @@ impl Southbound {
     /// its doomed groups are the new master's to delete.
     pub(crate) fn step_down(&mut self, dpid: Dpid) {
         let node = self.registry.get(&dpid);
-        if let Some(session) = node.and_then(|node| self.sessions.get_mut(node)) {
+        if let Some(session) = node.and_then(|&node| self.sessions.get_mut(node)) {
             session.supersede(&mut self.ends);
             session.doomed.clear();
         }
@@ -587,7 +628,7 @@ impl Southbound {
     /// (resending cannot create capacity), superseded for a NOT_MASTER
     /// after stepping down (it is the new master's world now).
     pub(crate) fn bounce(&mut self, from: NodeId, data: &[u8], end: End) {
-        let (Ok(xid), Some(session)) = (data.try_into(), self.sessions.get_mut(&from)) else {
+        let (Ok(xid), Some(session)) = (data.try_into(), self.sessions.get_mut(from)) else {
             return;
         };
         let xid = u32::from_be_bytes(xid);
@@ -598,17 +639,17 @@ impl Southbound {
     }
 
     pub(crate) fn session_mut(&mut self, node: NodeId) -> Option<&mut Session> {
-        self.sessions.get_mut(&node)
+        self.sessions.get_mut(node)
     }
 
     /// Every session, in ascending node order.
     pub(crate) fn sessions_mut(&mut self) -> impl Iterator<Item = (NodeId, &mut Session)> {
-        self.sessions.iter_mut().map(|(&node, s)| (node, s))
+        self.sessions.iter_mut()
     }
 
     /// The base of `cookie`'s program on `node`'s switch, if known.
     pub(crate) fn base(&self, node: NodeId, cookie: u64) -> Option<&ProgramBase> {
-        self.sessions.get(&node)?.bases.get(&cookie)
+        self.sessions.get(node)?.bases.get(&cookie)
     }
 
     /// Record what `node`'s switch holds under `cookie` once the mods
@@ -623,7 +664,7 @@ impl Southbound {
         left: Vec<u32>,
         now: Instant,
     ) {
-        let Some(session) = self.sessions.get_mut(&node) else {
+        let Some(session) = self.sessions.get_mut(node) else {
             return;
         };
         session
@@ -677,7 +718,7 @@ impl Southbound {
     ) {
         let soft = matches!(msg, Message::FlowMod { cmd: FlowModCmd::Add(spec), .. }
             if !program && spec.idle_timeout | spec.hard_timeout != 0);
-        let session = self.sessions.get_mut(&node);
+        let session = self.sessions.get_mut(node);
         let session = session.expect("the registry names only opened sessions");
         session.unfenced += 1;
         if session.unfenced == 1 {
@@ -703,7 +744,7 @@ impl Southbound {
     /// left unfenced has waited.
     pub(crate) fn fence_aged(&mut self, now: Instant, age: Duration) -> Option<Duration> {
         let mut left = None;
-        for (&node, session) in self.sessions.iter().filter(|s| s.1.unfenced > 0) {
+        for (node, session) in self.sessions.iter().filter(|s| s.1.unfenced > 0) {
             let waited = now.duration_since(session.unfenced_since);
             if waited >= age {
                 self.dirty.push(node);
@@ -725,7 +766,7 @@ impl Southbound {
         self.dirty.sort_unstable();
         self.dirty.dedup();
         for node in self.dirty.drain(..) {
-            let Some(session) = self.sessions.get_mut(&node) else {
+            let Some(session) = self.sessions.get_mut(node) else {
                 continue;
             };
             self.unfenced_sessions -= usize::from(std::mem::take(&mut session.unfenced) > 0);
@@ -763,7 +804,7 @@ impl Southbound {
         xid: u32,
         applied: XidList<'_>,
     ) -> Option<Dpid> {
-        let session = self.sessions.get_mut(&from)?;
+        let session = self.sessions.get_mut(from)?;
         let at = session.barriers.iter().position(|b| b.0 == xid)?;
         let (_, covered) = session.barriers.remove(at);
         let before = session.pending.len();
@@ -826,7 +867,7 @@ impl Southbound {
         mut write: impl FnMut((NodeId, Dpid), Body<'_>) -> u32,
     ) -> Vec<Dpid> {
         let mut due: Vec<(u32, NodeId)> = Vec::new();
-        for (&node, session) in &self.sessions {
+        for (node, session) in self.sessions.iter() {
             if quarantined(session.dpid) {
                 continue;
             }
@@ -841,7 +882,7 @@ impl Southbound {
         due.sort_unstable();
         let mut short = Vec::new();
         for (xid, node) in due {
-            let session = self.sessions.get_mut(&node).expect("collected above");
+            let session = self.sessions.get_mut(node).expect("collected above");
             // Gone already if a sibling's failure distrusted the session.
             let Ok(i) = session.pending.binary_search_by_key(&xid, |p| p.xid) else {
                 continue;
@@ -1207,7 +1248,7 @@ mod tests {
         assert_eq!(bounce(&mut sb, A, 12, End::Failed), []);
         let (moved, _) = reply(&mut sb, A, 51, &[13, 12, 11]);
         assert_eq!(moved, Some(7), "an add moves the shadow");
-        let shadow = &sb.sessions[&A].shadow;
+        let shadow = &sb.sessions.get(A).expect("opened").shadow;
         assert_eq!(*shadow, BTreeMap::from([(10, 1), (11, 1), (13, 1)]));
         assert_eq!(sb.pending_mods(), 0);
 
@@ -1418,7 +1459,7 @@ mod tests {
         let held = sb.spare[0].capacity();
         send(&mut sb, &mut wire, B, 3, &short, now);
         assert!(sb.spare.is_empty(), "the spare buffer is in use");
-        let reused = &sb.sessions[&B].pending[0].bytes;
+        let reused = &sb.sessions.get(B).expect("opened").pending[0].bytes;
         assert_eq!((reused.capacity(), reused.len()), (held, 15));
 
         let (_, failed, resent) = scan(&mut sb, &mut wire, at(3), 1);
