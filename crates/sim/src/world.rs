@@ -267,7 +267,7 @@ struct CoreState {
     last_slot: usize,
     /// Emptied buffers of delivered Control events, for new slots to
     /// draw from: at most [`FREE_BUFFERS`], none above
-    /// [`FREE_BUFFER_BYTES`] of capacity.
+    /// [`PREFILL_BUFFER_BYTES`] of capacity.
     free_buffers: Vec<Vec<u8>>,
 }
 
@@ -284,15 +284,14 @@ struct ControlSlot {
 const FRESH_BUFFER_BYTES: usize = 256;
 /// How many spent control buffers the world keeps for reuse.
 const FREE_BUFFERS: usize = 64;
-/// The capacity of each buffer the free list starts with: about one
-/// batch of replies a controller app writes back to one delivered
-/// burst of punts. Starting the list full at this size makes a run's
-/// allocations after set-up independent of how much control traffic
-/// set-up happened to make, and so of which buffers it left grown.
+/// The capacity of each buffer the free list starts with, and the
+/// largest it keeps: about one batch of replies a controller app writes
+/// back to one delivered burst of punts. Starting the list full at this
+/// size makes a run's allocations after set-up independent of how much
+/// control traffic set-up happened to make; keeping none larger means a
+/// burst (a program load) does not pin its grown buffers for the rest
+/// of the run, whichever order their deliveries hand them back in.
 const PREFILL_BUFFER_BYTES: usize = 2 * 1024;
-/// The largest capacity a kept buffer may have: one outsized message
-/// must not pin its allocation for the rest of the run.
-const FREE_BUFFER_BYTES: usize = 16 * 1024;
 
 impl CoreState {
     fn push(&mut self, at: Instant, node: NodeId, kind: EventKind) {
@@ -351,7 +350,7 @@ impl CoreState {
     /// Keep a delivered Control event's buffer for reuse, within the
     /// free list's bounds.
     fn recycle(&mut self, mut bytes: Vec<u8>) {
-        if self.free_buffers.len() < FREE_BUFFERS && bytes.capacity() <= FREE_BUFFER_BYTES {
+        if self.free_buffers.len() < FREE_BUFFERS && bytes.capacity() <= PREFILL_BUFFER_BYTES {
             bytes.clear();
             self.free_buffers.push(bytes);
         }
@@ -1630,7 +1629,7 @@ mod tests {
 
     /// Spent control buffers are kept for reuse, but only so many and
     /// only so large: fan-out cannot grow the list without bound, and
-    /// one huge message does not keep its allocation alive.
+    /// a buffer grown past its starting size does not stay allocated.
     #[test]
     fn control_buffer_free_list_is_bounded() {
         /// On start, writes `len` bytes to each of nodes `0..fanout`.
@@ -1669,18 +1668,19 @@ mod tests {
         assert_eq!(got, u64::from(fanout), "every buffer was delivered");
         assert_eq!(world.core.free_buffers.len(), FREE_BUFFERS);
 
-        // The one buffer left grows to carry a 1 MiB message, and is
-        // freed once delivered rather than kept.
+        // The one buffer left grows past the size the list starts its
+        // buffers at, to carry one 4 KiB message, and is freed once
+        // delivered rather than kept.
         world.core.free_buffers.truncate(1);
         world.add_node(Box::new(Blast {
             fanout: 1,
-            len: 1 << 20,
+            len: 2 * PREFILL_BUFFER_BYTES,
         }));
         world.run_until(Instant::from_micros(990));
         assert_eq!(world.node_as::<Chatter>(NodeId(0)).got, 2);
         assert!(
             world.core.free_buffers.is_empty(),
-            "the 1 MiB buffer was freed"
+            "the grown buffer was freed"
         );
     }
 
