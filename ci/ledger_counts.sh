@@ -230,15 +230,33 @@
 # counts, reactive_churn's allocations per setup also moved, 12.0703 ->
 # 12.0693, and its bytes 550.7 -> 549.8. The ceilings follow.
 #
+# All four digests moved when discovery began sending one LLDP
+# PACKET_OUT per switch, with an action pair per up port that names the
+# port in the frame's Ethernet source and outputs it there, instead of
+# one PACKET_OUT per up port. fabric_forward was 3478d0dd397c09d6,
+# reactive_churn 39e77af025369c0b, cbench_closed 41e331e4b6dbcf15 and
+# cluster_churn 9c789a59ccbc9694. Only control traffic moved: seed 1
+# reactive_churn reads 12.642 messages and 709.4 control bytes per
+# setup (13.112, 732.3), cluster_churn 11.650 messages and 565.1
+# control bytes per simulated ms (15.044, 702.8), cbench_closed 3.25047
+# messages and 324.533 bytes per setup (3.25072, 324.544). Every event,
+# latency, failover hole, handover, retransmission, flow-mod and cache
+# flush line is where it was. One cache line moved, up: reactive_churn's
+# hit ratio, 0.046 -> 0.078, because the probes an aggregation switch
+# gets from the edge switches of its pod now share a source address
+# (the edge's uplink port number), and the megaflow an LLDP miss
+# installs under the reactive (eth_src, eth_dst) rules covers them all.
+# The ceilings follow.
+#
 # A change that moves a digest on purpose updates it below in the same
 # commit and says why; a change that lowers a count lowers its ceiling.
 set -eu
 
 TABLE='
-fabric_forward 3478d0dd397c09d6 core.agent.allocs_per_frame<=1.01 dataplane.datapath.allocs_per_micro_hit<=2 sim.world.drops_queue<=0
-reactive_churn 39e77af025369c0b core.controller.msgs_per_op<=13.12 sim.world.events_per_op<=14.91 sim.world.ctl_bytes_per_op<=733 trace.allocs_per_op<=12.07 trace.bytes_alloc_per_op<=550 core.controller.allocs_per_packet_in<=0.0027 core.agent.allocs_per_frame<=1.01
-cbench_closed 41e331e4b6dbcf15 core.controller.allocs_per_packet_in<=0 core.controller.decode_errors<=0 trace.allocs_per_op<=1.0002 trace.bytes_alloc_per_op<=36
-cluster_churn 9c789a59ccbc9694 trace.allocs_per_op<=36.54 core.controller.mods_retransmitted<=7090 core.controller.flow_mods_per_op<=1.32 sim.world.ctl_bytes_per_op<=703 dataplane.cache.invalidations<=40330 sim.failover_hole_ms<=11 core.controller.packet_ins<=0
+fabric_forward 477ffa737b3c5946 core.agent.allocs_per_frame<=1.01 dataplane.datapath.allocs_per_micro_hit<=2 sim.world.drops_queue<=0
+reactive_churn 4465126eea3320ad core.controller.msgs_per_op<=12.65 sim.world.events_per_op<=14.91 sim.world.ctl_bytes_per_op<=710 trace.allocs_per_op<=12.07 trace.bytes_alloc_per_op<=550 core.controller.allocs_per_packet_in<=0.0027 core.agent.allocs_per_frame<=1.01
+cbench_closed 0ae761518bdd9f62 core.controller.allocs_per_packet_in<=0 core.controller.decode_errors<=0 trace.allocs_per_op<=1.0002 trace.bytes_alloc_per_op<=36
+cluster_churn 10a61941f780b769 trace.allocs_per_op<=36.54 core.controller.mods_retransmitted<=7090 core.controller.flow_mods_per_op<=1.32 sim.world.ctl_bytes_per_op<=566 dataplane.cache.invalidations<=40330 sim.failover_hole_ms<=11 core.controller.packet_ins<=0
 '
 
 fail() {

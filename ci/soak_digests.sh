@@ -156,16 +156,45 @@
 # 33 999, consistency 20 218 -> 15 418), and no other field moved. The
 # other five do not count events and did not move.
 #
+# chaos was 06239a84cfe99219, cluster a3b96381a36bc8df, pressure
+# b304f942b4befb33, defense 2bb7ad6c680e2ac3, consistency
+# de6511e930919614 and consensus d82e1f3b08e46794 until discovery began
+# sending one LLDP PACKET_OUT per switch, naming each egress port in the
+# frame's Ethernet source, instead of one per up port. Printed at both
+# trees, what moved is the PACKET_OUTs and what counts them:
+#   chaos       — controller messages sent 16 822 -> 4 784; with fewer
+#                 messages the control faults draw on other frames
+#                 (dropped 230 -> 128, duplicated 133 -> 69, partitioned
+#                 56 -> 27), so events 42 706 -> 42 671, messages
+#                 received 12 793 -> 12 802, mods acked 618 -> 590 and
+#                 retransmitted 8 -> 15; every ping is answered.
+#   cluster     — each replica's PACKET_OUTs (730/342/388 ->
+#                 292/146/146) and messages sent; tables, LLDP returns,
+#                 masters, claims and deliveries are equal.
+#   pressure    — PACKET_OUTs 4 114 -> 1 690, messages sent 5 040 ->
+#                 2 616, and the channel's messages and bytes; events,
+#                 tables and latencies are equal.
+#   defense     — the controller's PACKET_OUTs 981 -> 738 and each
+#                 switch's 528/448 -> 368; punts, admission, pushbacks
+#                 and hosts are equal.
+#   consistency — messages sent 2 689 -> 1 433; a lossy soak, so the
+#                 draw shifts: events 15 418 -> 14 295, received 1 807 ->
+#                 1 815, retransmissions 112 -> 132, a clean resync more,
+#                 731/559 -> 746/573 frames received.
+#   consensus   — each replica's PACKET_OUTs and messages sent; tables,
+#                 commits and masters are equal.
+# Each soak's assertions hold. saturation and shard did not move.
+#
 set -eu
 
 TABLE='
-chaos 06239a84cfe99219
-cluster a3b96381a36bc8df
-pressure b304f942b4befb33
+chaos 96535be0948e27f0
+cluster 74fa0f40e83b6dc7
+pressure 71f21ea37235333f
 saturation 1e4342906665bfaa
-defense 2bb7ad6c680e2ac3
-consistency de6511e930919614
-consensus d82e1f3b08e46794
+defense f1536a7f9c00bcd2
+consistency e29deba0ec2b5bd0
+consensus 3839bd82128d0356
 shard 2ba813ff7a22a01a
 '
 

@@ -11,7 +11,7 @@ use std::ops::RangeBounds;
 
 use zen_cluster::ClusterConfig;
 use zen_consensus::{Applied, IntentReplica};
-use zen_dataplane::PortNo;
+use zen_dataplane::{Action, PortNo};
 use zen_proto::{
     frames, CookieCount, ErrorCode, GroupModCmd, Intent, IntentEntry, Message, MessageView, Role,
     ViewEvent,
@@ -20,7 +20,7 @@ use zen_sim::{Duration, Instant, NodeId};
 use zen_telemetry::{trace_id_for_frame, TraceEvent, TraceId};
 use zen_wire::builder::PacketBuilder;
 use zen_wire::ethernet::{EtherType, Frame};
-use zen_wire::{arp, ipv4, lldp};
+use zen_wire::{arp, ipv4, lldp, EthernetAddress};
 
 use crate::admission::{AdmissionConfig, AdmissionState, DRAIN_INTERVAL};
 use crate::app::{App, Disposition};
@@ -215,9 +215,10 @@ pub struct Controller {
     /// from one delivery to the next.
     punts: Vec<Punt>,
     dispatch: Vec<(Punt, Option<TraceId>)>,
-    /// A discovery round's `(switch, port)` targets and the LLDP frame
-    /// each probe is encoded in; kept only for their allocations.
-    probes: (Vec<(Dpid, PortNo)>, Vec<u8>),
+    /// A discovery round's `(switch, port)` targets, one switch's probe
+    /// actions and the LLDP frame they carry; kept only for their
+    /// allocations.
+    probes: (Vec<(Dpid, PortNo)>, Vec<Action>, Vec<u8>),
     /// Counters.
     pub stats: CtlStats,
 }
@@ -663,15 +664,18 @@ impl Controller {
         }
     }
 
-    /// Send one LLDP probe out of every known up port of the switches
-    /// in `which`: every switch on the tick, the new switch alone on a
-    /// handshake. Clustered, each replica probes only the switches it
+    /// Send an LLDP probe out of every known up port of the switches in
+    /// `which`: every switch on the tick, the new switch alone on a
+    /// handshake. A switch gets one PACKET_OUT: one frame naming the
+    /// switch, and per port an action pair that writes the port's
+    /// [`lldp::port_mac`] into the Ethernet source and outputs it there
+    /// (OFDPv2). Clustered, each replica probes only the switches it
     /// masters — every switch has exactly one master, so every port is
     /// still probed exactly once per tick cluster-wide, and each
     /// probe's punt lands at the *destination* switch's master (which
     /// is why link expiry is filtered to destination-mastered links).
     fn discovery_round(&mut self, io: &mut Io<'_>, which: impl RangeBounds<Dpid>) {
-        let (mut targets, mut frame) = std::mem::take(&mut self.probes);
+        let (mut targets, mut actions, mut frame) = std::mem::take(&mut self.probes);
         targets.clear();
         for (&dpid, info) in self.view.switches.range(which) {
             if self.is_master_of(dpid) {
@@ -679,13 +683,21 @@ impl Controller {
                 targets.extend(up.map(|(&port, _)| (dpid, port)));
             }
         }
-        for &(dpid, port) in &targets {
-            let mac = zen_wire::EthernetAddress::from_id(0x70_0000 + dpid);
-            PacketBuilder::lldp_into(&mut frame, mac, dpid, port, LLDP_TTL_SECS);
-            let out = [zen_dataplane::Action::Output(port)];
-            self.ctl(io).packet_out(dpid, 0, &out, &frame);
+        for ports in targets.chunk_by(|a, b| a.0 == b.0) {
+            let dpid = ports[0].0;
+            actions.clear();
+            for &(_, port) in ports {
+                actions.extend([
+                    Action::SetEthSrc(lldp::port_mac(port)),
+                    Action::Output(port),
+                ]);
+            }
+            // The Port ID is left 0: the source address says it.
+            let mac = EthernetAddress::from_id(0x70_0000 + dpid);
+            PacketBuilder::lldp_into(&mut frame, mac, dpid, 0, LLDP_TTL_SECS);
+            self.ctl(io).packet_out(dpid, 0, &actions, &frame);
         }
-        self.probes = (targets, frame);
+        self.probes = (targets, actions, frame);
     }
 
     /// Per-punt observation: LLDP discovery return path and host
@@ -701,18 +713,17 @@ impl Controller {
         let Ok(eth) = Frame::new_checked(frame) else {
             return false;
         };
-        // Discovery return path.
+        // Discovery return path: the sending switch from the Chassis
+        // ID, the port it left by from the Ethernet source.
         if eth.ethertype() == EtherType::Lldp {
             self.stats.lldp_ins += 1;
-            if let Ok(repr) = lldp::Repr::parse(eth.payload()) {
-                let now = io.now;
-                let new =
-                    self.view
-                        .add_link_at((repr.chassis_id, repr.port_id), (dpid, in_port), now);
-                if new {
+            let repr = lldp::Repr::parse(eth.payload());
+            if let (Ok(repr), Some(port)) = (repr, lldp::mac_port(eth.src_addr())) {
+                let from = (repr.chassis_id, port);
+                if self.view.add_link_at(from, (dpid, in_port), io.now) {
                     self.log_event(ViewEvent::LinkAdd {
-                        from_dpid: repr.chassis_id,
-                        from_port: repr.port_id,
+                        from_dpid: from.0,
+                        from_port: from.1,
                         to_dpid: dpid,
                         to_port: in_port,
                     });
@@ -1797,5 +1808,44 @@ mod tests {
         let (removed_first, gossiped) = shadow_after(true);
         assert_eq!(removed_first, []);
         assert!(gossiped.last().is_none_or(|last| last.is_empty()));
+    }
+
+    /// A returning probe names its sender in the Chassis ID and the port
+    /// it left by in its Ethernet source. One cut short, or whose source
+    /// lies outside the port block, is dropped: the view gains no link
+    /// and nothing panics. A switch with no up port is sent no probe.
+    #[test]
+    fn a_truncated_or_foreign_lldp_frame_is_dropped() {
+        let mut rig = Rig::new(Controller::new(vec![]));
+        rig.say(0, A, &[claim(DPID)]);
+        let probe = |src| PacketBuilder::lldp(src, DPID + 1, 9, LLDP_TTL_SECS);
+        let good = probe(lldp::port_mac(3));
+        let punt = |frame: &[u8]| Message::PacketIn {
+            in_port: 2,
+            table_id: 0,
+            is_miss: true,
+            frame: frame.to_vec(),
+        };
+        let foreign = [
+            // Cut inside the Ethernet header, then inside the TTL TLV.
+            good[..13].to_vec(),
+            good[..34].to_vec(),
+            // The sender's chassis address, a host's, a broadcast.
+            probe(EthernetAddress::from_id(0x70_0000 + DPID + 1)),
+            probe(EthernetAddress::from_id(0x50_0000 + 3)),
+            probe(EthernetAddress::BROADCAST),
+        ];
+        for (ms, frame) in (10..).zip(&foreign) {
+            rig.say(ms, A, &[punt(frame)]);
+        }
+        assert!(rig.ctl.view.links.is_empty());
+        assert_eq!(rig.ctl.stats.lldp_ins, 4);
+        rig.say(20, A, &[punt(&good)]);
+        let links: Vec<_> = rig.ctl.view.links.clone().into_iter().collect();
+        assert_eq!(links, [((DPID + 1, 3), (DPID, 2))]);
+
+        rig.run(120);
+        let packet_out = |m: &Message| matches!(m, Message::PacketOut { .. });
+        assert!(rig.times(A, packet_out).is_empty());
     }
 }

@@ -64,6 +64,52 @@ fn bring_up_learns_each_link_from_one_probe() {
     assert_eq!(controller.stats.lldp_ins, 64, "one probe per link");
 }
 
+/// Discovery's oracle, on a k=4 fat-tree with its hosts, under one
+/// controller and under three replicas: each round sends every switch
+/// one PACKET_OUT, from its master, which leaves by every up port, host
+/// ports included; after three rounds every replica's view holds each
+/// wired switch-to-switch link in both directions and nothing else —
+/// the links a replica learns from its peers included.
+#[test]
+fn discovery_finds_exactly_the_wired_links_one_packet_out_per_switch() {
+    for n_controllers in [1, 3] {
+        discovery_oracle(n_controllers);
+    }
+}
+
+fn discovery_oracle(n_controllers: usize) {
+    let topo = Topology::fat_tree(4, LinkParams::default());
+    let mut world = World::new(1);
+    let opts = FabricOptions {
+        n_controllers,
+        ..FabricOptions::default()
+    };
+    let fabric = build_fabric(&mut world, &topo, |_| vec![], opts, announcer);
+    assert!(!fabric.hosts.is_empty());
+    let tick = opts.controller_cfg.tick_interval;
+    // The handshakes' rounds land at bring-up, the ticks' on the tick.
+    for round in 1..=3 {
+        world.run_until(Instant::ZERO + tick.mul(round - 1) + tick.div(2));
+        for &switch in &fabric.switches {
+            let got = world.node_as::<SwitchAgent>(switch).stats.packet_outs;
+            assert_eq!(got, round, "round {round}, switch {switch:?}");
+        }
+    }
+
+    let dpid = |node| fabric.switches.iter().position(|&s| s == node).unwrap() as u64;
+    let mut wired = std::collections::BTreeMap::new();
+    for &link in &fabric.switch_links {
+        let (a, b) = (world.link(link).a, world.link(link).b);
+        let (a, b) = ((dpid(a.0), a.1), (dpid(b.0), b.1));
+        wired.insert(a, b);
+        wired.insert(b, a);
+    }
+    for &replica in &fabric.controllers {
+        let view = &world.node_as::<Controller>(replica).view;
+        assert_eq!(view.links, wired, "{n_controllers} replicas: {replica:?}");
+    }
+}
+
 #[test]
 fn reactive_forwarding_pings_across_ring() {
     let topo = Topology::ring(4, LinkParams::default()).with_host_per_switch();

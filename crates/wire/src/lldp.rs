@@ -11,8 +11,34 @@
 //! TLVs — Chassis ID (locally-assigned subtype carrying a 64-bit datapath
 //! id), Port ID (locally-assigned subtype carrying a 32-bit port number),
 //! TTL, and End — which is exactly the set controllers use.
+//!
+//! It also names the egress port in the frame's Ethernet source, from a
+//! reserved block ([`port_mac`]): a switch rewrites the source before
+//! each output, so one frame sent once can leave by every port and still
+//! say which one it left by (OFDPv2, Pakzad et al., 2016).
 
-use crate::{get_u16, Error, Result};
+use crate::{get_u16, Error, EthernetAddress, Result};
+
+/// The first two octets of every [`port_mac`]: locally administered and
+/// unicast, and unlike the `0x02` every [`EthernetAddress::from_id`]
+/// address starts with.
+const PORT_MAC_PREFIX: [u8; 2] = [0x06, 0x00];
+
+/// The Ethernet source a discovery frame leaves port `port` with: the
+/// prefix, then the port number. It encodes nothing of the switch, so
+/// any datapath id fits in the Chassis ID beside it.
+pub fn port_mac(port: u32) -> EthernetAddress {
+    let [a, b, c, d] = port.to_be_bytes();
+    let [p, q] = PORT_MAC_PREFIX;
+    EthernetAddress([p, q, a, b, c, d])
+}
+
+/// The port a [`port_mac`] names, or `None` for an address outside the
+/// block.
+pub fn mac_port(mac: EthernetAddress) -> Option<u32> {
+    let [p, q, a, b, c, d] = mac.0;
+    ([p, q] == PORT_MAC_PREFIX).then(|| u32::from_be_bytes([a, b, c, d]))
+}
 
 /// TLV type codes.
 mod tlv {
@@ -139,6 +165,27 @@ impl<'a> TlvWalker<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn port_macs_name_their_port_and_nothing_else() {
+        for port in [0, 1, 17, u32::MAX] {
+            let mac = port_mac(port);
+            assert!(
+                mac.is_unicast() && mac.0[0] & 0x02 != 0,
+                "locally administered"
+            );
+            assert_eq!(mac_port(mac), Some(port));
+        }
+        let outside = [
+            EthernetAddress::from_id(0x70_0000 + 9),
+            EthernetAddress::from_id(0x50_0000 + 9),
+            EthernetAddress::BROADCAST,
+            EthernetAddress::ZERO,
+        ];
+        for mac in outside {
+            assert_eq!(mac_port(mac), None, "{mac}");
+        }
+    }
 
     #[test]
     fn emit_parse_roundtrip() {
