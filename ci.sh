@@ -22,6 +22,15 @@ ci/purity.sh
 # (`ci/pairs.sh`, `ci/profile.sh`).
 sh -n ci/*.sh
 
+# The tests, and with them the four experiment benches marked `test =
+# true` (crates/bench/Cargo.toml), run for their assertions: E18 (storm
+# survival) a bounded black-hole, every defense layer engaged and a
+# starving undefended contrast; E19 (consistent update) a two-phase
+# rewrite that loses and loops nothing while the naive burst does, at
+# exactly the simulated commit latency the bench names; E11 (TE
+# reconfiguration) a per-packet rollout that loses nothing at any jitter
+# while a teardown-first one does; E7/E13 (failure convergence) its six
+# E7 rows and its two loss-free E13 rows exactly.
 cargo test --workspace -q
 cargo fmt --all --check
 cargo clippy --workspace --all-targets -- -D warnings -D deprecated
@@ -47,16 +56,3 @@ ci/soak_digests.sh
 # drop, flow-mod and retransmission counters — no tolerance, they repeat
 # to the last digit.
 ci/ledger_counts.sh
-
-# The four experiment benches the ledger has no workload for yet. E18 (storm survival) runs for its assertions:
-# bounded black-hole, every defense layer engaged, a starving undefended
-# contrast. E19 (consistent update) asserts the two-phase rewrite loses
-# and loops nothing while the naive burst does, and that its simulated
-# commit latency is exactly the one the bench names. E11 (TE
-# reconfiguration) asserts a per-packet rollout loses nothing at any
-# jitter while a teardown-first one does. E7/E13 (failure convergence)
-# asserts its six E7 rows and its two loss-free E13 rows exactly.
-cargo bench -p zen-bench --bench expt_storm
-cargo bench -p zen-bench --bench expt_consistent_update
-cargo bench -p zen-bench --bench expt_update_disruption
-cargo bench -p zen-bench --bench expt_convergence
