@@ -431,14 +431,6 @@ impl Sessions {
         let sessions = self.0.iter_mut().enumerate();
         sessions.filter_map(|(i, s)| Some((NodeId(i as u32), s.as_mut()?)))
     }
-
-    fn values(&self) -> impl Iterator<Item = &Session> {
-        self.0.iter().flatten()
-    }
-
-    fn values_mut(&mut self) -> impl Iterator<Item = &mut Session> {
-        self.0.iter_mut().flatten()
-    }
 }
 
 /// Every connected switch's session, and the protocol over them.
@@ -473,7 +465,7 @@ pub(crate) struct Southbound {
 impl Southbound {
     /// Mods sent but not yet barrier-acknowledged, over all sessions.
     pub(crate) fn pending_mods(&self) -> usize {
-        self.sessions.values().map(|s| s.pending.len()).sum()
+        self.sessions.iter().map(|(_, s)| s.pending.len()).sum()
     }
 
     /// A FEATURES_REPLY from `node` naming `dpid`, at `now`. One switch,
@@ -682,7 +674,7 @@ impl Southbound {
         live: impl Fn(Dpid) -> bool,
     ) -> Vec<(Dpid, u32)> {
         let mut out = Vec::new();
-        for session in self.sessions.values_mut().filter(|s| live(s.dpid)) {
+        for (_, session) in self.sessions.iter_mut().filter(|(_, s)| live(s.dpid)) {
             let dpid = session.dpid;
             session.doomed.retain(|&(id, since)| {
                 let due = now.duration_since(since) >= GROUP_HOLD;
@@ -902,7 +894,7 @@ impl Southbound {
             write((node, dpid), Body::Resent(&p.bytes));
             self.dirty.push(node);
         }
-        for session in self.sessions.values_mut() {
+        for (_, session) in self.sessions.iter_mut() {
             let oldest = session.pending.front().map(|p| p.xid);
             session
                 .barriers
