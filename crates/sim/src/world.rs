@@ -319,10 +319,9 @@ impl CoreState {
     fn control_slot(&mut self, from: NodeId, to: NodeId, latency_ns: u64) -> &mut Vec<u8> {
         let key = (to, latency_ns);
         let slot_key = |s: &ControlSlot| (s.to, s.latency_ns);
-        let last = self.pending_control.get(self.last_slot).map(slot_key);
-        let found = match last == Some(key) {
-            true => Ok(self.last_slot),
-            false => self.pending_control.binary_search_by_key(&key, slot_key),
+        let found = match self.pending_control.get(self.last_slot) {
+            Some(last) if slot_key(last) == key => Ok(self.last_slot),
+            _ => self.pending_control.binary_search_by_key(&key, slot_key),
         };
         let at = match found {
             Ok(at) => at,
